@@ -98,12 +98,10 @@ class Session:
     * ``chaos`` — a fault-mix spec string (see docs/CHAOS.md), e.g.
       ``"default=0.01,core.ufork.abort.*=0.2"``, to attach a seeded
       :class:`repro.chaos.ChaosEngine`; ``None`` (default) runs clean.
-    * ``perf`` — storage/batching representation
-      (docs/ARCHITECTURE.md "Vectorized engine"): ``True`` forces the
-      vectorized engine, ``False`` the self-contained per-page one,
-      ``None`` (default) follows the ``REPRO_PERF`` environment
-      variable.  Simulated results are byte-identical either way; only
-      host speed differs.
+    * ``perf`` — deprecated, no effect: the simulator has one memory
+      representation (docs/ARCHITECTURE.md "Vectorized engine").  Any
+      value other than ``None`` emits a :class:`DeprecationWarning`;
+      the keyword is removed in repro 2.0.
 
     ``boot()`` is idempotent and implied by ``spawn``/``run``/``report``
     and by entering the session as a context manager.
@@ -119,6 +117,11 @@ class Session:
         _resolve_isolation(isolation)
         if cpus < 1:
             raise ValueError("cpus must be >= 1")
+        if perf is not None:
+            warnings.warn(
+                "Session(perf=) is deprecated, has no effect and will be "
+                "removed in repro 2.0: the simulator has one memory "
+                "representation", DeprecationWarning, stacklevel=2)
         self.os_name = os
         self.strategy = strategy
         self.isolation = isolation
@@ -126,7 +129,6 @@ class Session:
         self.seed = seed
         self.obs_enabled = obs
         self.chaos_spec = chaos
-        self.perf = perf
         self.machine: Optional[Any] = None
         self.os: Optional[Any] = None
 
@@ -137,8 +139,7 @@ class Session:
         if self.os is not None:
             return self
         from repro.machine import Machine as _MachineCls
-        self.machine = _MachineCls(seed=self.seed, num_cpus=self.cpus,
-                                   perf=self.perf)
+        self.machine = _MachineCls(seed=self.seed, num_cpus=self.cpus)
         if self.chaos_spec is not None:
             from repro.chaos import ChaosEngine, FaultMix
             ChaosEngine(seed=self.seed,

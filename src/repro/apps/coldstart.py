@@ -18,8 +18,7 @@ for real on its own machine and measured in simulated nanoseconds:
   infrastructure plus one blob equals a warm start — the
   CRIU/Firecracker-style answer, built on :mod:`repro.snapshot`.
 
-Used by the ``snapshot_restore`` microbenchmark in
-:mod:`repro.perf.bench` and the docs/SNAPSHOT.md walkthrough.
+Used by the docs/SNAPSHOT.md walkthrough.
 """
 
 from __future__ import annotations

@@ -16,10 +16,9 @@ enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntFlag
 
-from repro import perf as _perf
 from repro.errors import (
     BoundsFault,
     MonotonicityFault,
@@ -54,35 +53,24 @@ class Perm(IntFlag):
 
     @classmethod
     def data_rw(cls) -> "Perm":
-        if _perf.ENABLED:
-            return _PERM_DATA_RW
-        return cls.LOAD | cls.STORE | cls.LOAD_CAP | cls.STORE_CAP | cls.GLOBAL
+        return _PERM_DATA_RW
 
     @classmethod
     def data_ro(cls) -> "Perm":
-        if _perf.ENABLED:
-            return _PERM_DATA_RO
-        return cls.LOAD | cls.LOAD_CAP | cls.GLOBAL
+        return _PERM_DATA_RO
 
     @classmethod
     def code(cls) -> "Perm":
-        if _perf.ENABLED:
-            return _PERM_CODE
-        return cls.LOAD | cls.EXECUTE | cls.GLOBAL
+        return _PERM_CODE
 
     @classmethod
     def all_perms(cls) -> "Perm":
-        if _perf.ENABLED:
-            return _PERM_ALL
-        value = cls.NONE
-        for perm in cls:
-            value |= perm
-        return value
+        return _PERM_ALL
 
 
 #: the composite permission sets are pure constants, but IntFlag ``|``
-#: pays member-resolution machinery on every call; the :mod:`repro.perf`
-#: path returns these precomputed (identical) values instead
+#: pays member-resolution machinery on every call, so the constructors
+#: above return these precomputed values
 _PERM_DATA_RW = (Perm.LOAD | Perm.STORE | Perm.LOAD_CAP | Perm.STORE_CAP
                  | Perm.GLOBAL)
 _PERM_DATA_RO = Perm.LOAD | Perm.LOAD_CAP | Perm.GLOBAL
@@ -98,7 +86,7 @@ def _fast_cap(base: int, length: int, cursor: int, perms: "Perm",
     ``__init__`` (six Python-level ``object.__setattr__`` calls) with a
     single C-level ``__dict__.update`` — indistinguishable from normal
     construction (same eq/hash/repr, still frozen) but ~40% faster.
-    Used only on :mod:`repro.perf` fast paths."""
+    Every deriving operation below builds its result this way."""
     cap = object.__new__(Capability)
     cap.__dict__.update(base=base, length=length, cursor=cursor,
                         perms=perms, otype=otype, valid=valid)
@@ -153,10 +141,8 @@ class Capability:
         return base <= self.base and self.top <= top
 
     def has_perm(self, perm: Perm) -> bool:
-        if _perf.ENABLED:
-            bits = perm._value_
-            return (self.perms._value_ & bits) == bits
-        return (self.perms & perm) == perm
+        bits = perm._value_
+        return (self.perms._value_ & bits) == bits
 
     # -- deriving (monotonic) operations ------------------------------------
 
@@ -168,15 +154,13 @@ class Capability:
         """Move the cursor.  Out-of-bounds cursors are representable (as
         on Morello); the fault happens at dereference time.
 
-        The :mod:`repro.perf` path constructs the result directly —
-        ``dataclasses.replace`` pays field introspection per call and
-        cursor moves are the most frequent derive in guest code.
+        The result is constructed directly — ``dataclasses.replace``
+        pays field introspection per call and cursor moves are the most
+        frequent derive in guest code.
         """
         self._require_mutable()
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, cursor,
-                             self.perms, self.otype, self.valid)
-        return replace(self, cursor=cursor)
+        return _fast_cap(self.base, self.length, cursor,
+                         self.perms, self.otype, self.valid)
 
     def add(self, offset: int) -> "Capability":
         return self.with_cursor(self.cursor + offset)
@@ -192,32 +176,24 @@ class Capability:
                 f"[{self.base:#x},{self.top:#x})"
             )
         cursor = min(max(self.cursor, base), base + length)
-        if _perf.ENABLED:
-            return _fast_cap(base, length, cursor, self.perms,
-                             self.otype, self.valid)
-        return replace(self, base=base, length=length, cursor=cursor)
+        return _fast_cap(base, length, cursor, self.perms,
+                         self.otype, self.valid)
 
     def and_perms(self, perms: Perm) -> "Capability":
         """Intersect permissions (can only clear bits)."""
         self._require_mutable()
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, self.cursor,
-                             self.perms & perms, self.otype, self.valid)
-        return replace(self, perms=self.perms & perms)
+        return _fast_cap(self.base, self.length, self.cursor,
+                         self.perms & perms, self.otype, self.valid)
 
     def without_perms(self, perms: Perm) -> "Capability":
         self._require_mutable()
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, self.cursor,
-                             self.perms & ~perms, self.otype, self.valid)
-        return replace(self, perms=self.perms & ~perms)
+        return _fast_cap(self.base, self.length, self.cursor,
+                         self.perms & ~perms, self.otype, self.valid)
 
     def invalidated(self) -> "Capability":
         """Return the same bit pattern with the tag cleared."""
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, self.cursor,
-                             self.perms, self.otype, False)
-        return replace(self, valid=False)
+        return _fast_cap(self.base, self.length, self.cursor,
+                         self.perms, self.otype, False)
 
     # -- sealing ---------------------------------------------------------
 
@@ -226,18 +202,14 @@ class Capability:
             raise SealFault("capability is already sealed")
         if otype == OTYPE_UNSEALED:
             raise SealFault("cannot seal with the unsealed otype")
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, self.cursor,
-                             self.perms, otype, self.valid)
-        return replace(self, otype=otype)
+        return _fast_cap(self.base, self.length, self.cursor,
+                         self.perms, otype, self.valid)
 
     def unsealed(self) -> "Capability":
         if not self.is_sealed:
             raise SealFault("capability is not sealed")
-        if _perf.ENABLED:
-            return _fast_cap(self.base, self.length, self.cursor,
-                             self.perms, OTYPE_UNSEALED, self.valid)
-        return replace(self, otype=OTYPE_UNSEALED)
+        return _fast_cap(self.base, self.length, self.cursor,
+                         self.perms, OTYPE_UNSEALED, self.valid)
 
     # -- checked dereference ------------------------------------------------
 
@@ -245,43 +217,24 @@ class Capability:
         """Validate a dereference; returns the effective address.
 
         Raises the same fault classes Morello would deliver: tag, seal,
-        permission, then bounds.
+        permission, then bounds.  The checks are inlined (no
+        has_perm/in_bounds/property calls): this is the per-access hot
+        path.
         """
-        if _perf.ENABLED:
-            # same checks, same order, same fault classes — inlined to
-            # skip the has_perm/in_bounds/property call overhead on the
-            # per-access hot path
-            if not self.valid:
-                raise TagFault(
-                    f"dereference of untagged capability {self!r}")
-            if self.otype != OTYPE_UNSEALED:
-                raise SealFault(
-                    f"dereference of sealed capability {self!r}")
-            bits = perm._value_
-            if (self.perms._value_ & bits) != bits:
-                raise PermissionFault(
-                    f"capability lacks {perm!r}: has {self.perms!r}")
-            effective = self.cursor if addr is None else addr
-            if not (self.base <= effective
-                    and effective + size <= self.base + self.length):
-                raise BoundsFault(
-                    f"access [{effective:#x},{effective + size:#x}) "
-                    f"outside [{self.base:#x},{self.top:#x})")
-            return effective
         if not self.valid:
             raise TagFault(f"dereference of untagged capability {self!r}")
-        if self.is_sealed:
+        if self.otype != OTYPE_UNSEALED:
             raise SealFault(f"dereference of sealed capability {self!r}")
-        if not self.has_perm(perm):
+        bits = perm._value_
+        if (self.perms._value_ & bits) != bits:
             raise PermissionFault(
-                f"capability lacks {perm!r}: has {self.perms!r}"
-            )
+                f"capability lacks {perm!r}: has {self.perms!r}")
         effective = self.cursor if addr is None else addr
-        if not self.in_bounds(effective, size):
+        if not (self.base <= effective
+                and effective + size <= self.base + self.length):
             raise BoundsFault(
                 f"access [{effective:#x},{effective + size:#x}) outside "
-                f"[{self.base:#x},{self.top:#x})"
-            )
+                f"[{self.base:#x},{self.top:#x})")
         return effective
 
     # -- relocation support (μFork §4.2) -------------------------------------
@@ -293,13 +246,9 @@ class Capability:
         the relocation the μFork kernel (which holds the root capability)
         performs when copying a page into the child μprocess.
         """
-        if _perf.ENABLED:
-            return _fast_cap(self.base + delta, self.length,
-                             self.cursor + delta, self.perms,
-                             self.otype, self.valid)
-        return replace(
-            self, base=self.base + delta, cursor=self.cursor + delta
-        )
+        return _fast_cap(self.base + delta, self.length,
+                         self.cursor + delta, self.perms,
+                         self.otype, self.valid)
 
     def clamped_to(self, base: int, top: int) -> "Capability":
         """Restrict bounds to intersect [base, top) (kernel-only)."""
@@ -307,10 +256,8 @@ class Capability:
         new_top = min(self.top, top)
         if new_top < new_base:
             new_base = new_top = base
-        if _perf.ENABLED:
-            return _fast_cap(new_base, new_top - new_base, self.cursor,
-                             self.perms, self.otype, self.valid)
-        return replace(self, base=new_base, length=new_top - new_base)
+        return _fast_cap(new_base, new_top - new_base, self.cursor,
+                         self.perms, self.otype, self.valid)
 
     def __repr__(self) -> str:
         seal = "" if not self.is_sealed else f" sealed:{self.otype}"

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
-from repro import perf as _perf
 from repro.core.relocate import (
     RegionPair,
     relocate_copied_frames,
@@ -65,14 +64,12 @@ _CHILD_BREAK_COUNTER: Dict[AccessKind, str] = {}
 def child_share_perms(strategy: CopyStrategy,
                       orig_perms: PagePerm) -> PagePerm:
     """Page permissions for the child's mapping of a shared page."""
-    if _perf.ENABLED:
-        key = (strategy, int(orig_perms))
-        cached = _CHILD_PERMS_MEMO.get(key)
-        if cached is None:
-            cached = _child_share_perms(strategy, orig_perms)
-            _CHILD_PERMS_MEMO[key] = cached
-        return cached
-    return _child_share_perms(strategy, orig_perms)
+    key = (strategy, int(orig_perms))
+    cached = _CHILD_PERMS_MEMO.get(key)
+    if cached is None:
+        cached = _child_share_perms(strategy, orig_perms)
+        _CHILD_PERMS_MEMO[key] = cached
+    return cached
 
 
 def _child_share_perms(strategy: CopyStrategy,
@@ -89,14 +86,12 @@ def _child_share_perms(strategy: CopyStrategy,
 def parent_share_perms(orig_perms: PagePerm) -> PagePerm:
     """Parent keeps reading (including its own capabilities) but writes
     must fault to preserve the child's snapshot."""
-    if _perf.ENABLED:
-        key = int(orig_perms)
-        cached = _PARENT_PERMS_MEMO.get(key)
-        if cached is None:
-            cached = orig_perms & ~PagePerm.WRITE
-            _PARENT_PERMS_MEMO[key] = cached
-        return cached
-    return orig_perms & ~PagePerm.WRITE
+    key = int(orig_perms)
+    cached = _PARENT_PERMS_MEMO.get(key)
+    if cached is None:
+        cached = orig_perms & ~PagePerm.WRITE
+        _PARENT_PERMS_MEMO[key] = cached
+    return cached
 
 
 def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
@@ -285,8 +280,8 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
     gauge.
     """
     machine = space.machine
-    if not _perf.ENABLED or machine.tracer is not None \
-            or machine.chaos.enabled or machine.num_cpus > 1:
+    if machine.tracer is not None or machine.chaos.enabled \
+            or machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
     costs = machine.costs
     config = machine.config
@@ -430,10 +425,8 @@ def iter_share_notes(space: AddressSpace):
     role is unknown, or whose restored permissions would be *narrower*
     than the current ones (sharing only ever removes permissions).
 
-    Both representations yield ascending vpn order: the flat table
-    serves the walk from its exact sparse note dict, the
-    self-contained table from a full (sorted) page-table scan — the
-    audited set is identical either way.
+    Yields in ascending vpn order, served from the page table's sparse
+    note dict.
     """
     for vpn, note in space.noted_items():
         if isinstance(note, ShareNote):

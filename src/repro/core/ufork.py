@@ -408,15 +408,14 @@ class UForkOS(AbstractOS):
         :func:`repro.core.strategies.setup_shared_pages`.  The
         simulated charge/counter stream is sum-equal to the per-page
         loop, so it is only taken when batching is unobservable:
-        flat-table space, no tracer, chaos off, integral PTE costs, and
+        no tracer, chaos off, integral PTE costs, and
         enough free frames that the loop cannot hit mid-copy OOM
         (whose partial state the per-page loop must reproduce).
         Returns False when the caller must run the per-page loop.
         """
         machine = self.machine
         space = self.space
-        if not getattr(space, "_perf", False) or machine.tracer is not None \
-                or machine.chaos.enabled:
+        if machine.tracer is not None or machine.chaos.enabled:
             return False
         costs = machine.costs
         if costs.pte_bulk_share_ns != int(costs.pte_bulk_share_ns) or \

@@ -15,8 +15,6 @@ Usage::
     python -m repro.harness conform --budget 100 --no-host
     python -m repro.harness conform-farm --workers 4 --depth 5 --seed 0
     python -m repro.harness conform-farm --workers 2 --depth 4 --chaos
-    python -m repro.harness bench                    # writes BENCH_hotpath.json
-    python -m repro.harness bench --only fault_storm --json out.json
     python -m repro.harness cluster --seed 42        # 1M-request cluster run
     python -m repro.harness cluster --shards 2 --requests 50000 --json out.json
     python -m repro.harness snapshot --strategy copa --obs-dir out/
@@ -40,10 +38,7 @@ from typing import List, Optional
 
 #: every subcommand; the first is the implied default for bare flags
 SUBCOMMANDS = ("figures", "obs-report", "chaos", "smp", "conform",
-               "conform-farm", "bench", "cluster", "snapshot", "sec")
-
-#: default output path for the bench report (the BENCH_* trajectory)
-BENCH_REPORT = "BENCH_hotpath.json"
+               "conform-farm", "cluster", "snapshot", "sec")
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -163,27 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conform_farm.add_argument("--work-dir", metavar="DIR", default=None,
                               help="keep per-worker spec/result shard "
                                    "files in DIR (CI artifact material)")
-
-    bench = sub.add_parser(
-        "bench", parents=[parent],
-        help="host-time microbenchmarks of the repro.perf hot paths; "
-             f"writes {BENCH_REPORT}")
-    bench.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="run only this microbenchmark (repeatable; "
-                            "fork_full_copy, fault_storm, "
-                            "pipe_pingpong, conform_explorer, "
-                            "snapshot_restore)")
-    bench.add_argument("--diff", metavar="PATH", default=None,
-                       help="with --check, also write a before/after "
-                            "diff of the two reports (per benchmark: "
-                            "previous vs current host times and the "
-                            "speedup delta) — CI uploads this as the "
-                            "review artifact")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="also gate against a previous report at "
-                            "this path (>25%% slowdown on any "
-                            "benchmark fails)")
 
     cluster = sub.add_parser(
         "cluster", parents=[parent],
@@ -347,42 +321,6 @@ def _cmd_smp(args) -> int:
     if args.json:
         from repro.harness.reportio import write_report
         write_report({"runs": summaries}, args.json)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.harness.reportio import load_report, write_report
-    from repro.perf.bench import (
-        CROSS_RUN_RATIO,
-        check_gate,
-        diff_reports,
-        run_benchmarks,
-    )
-
-    report = run_benchmarks(names=args.only)
-    failures = check_gate(report)
-    if args.check:
-        previous = load_report(args.check)
-        prior = {row["name"]: row["host"]["optimized_s"]
-                 for row in previous.get("benchmarks", [])}
-        for row in report["benchmarks"]:
-            before = prior.get(row["name"])
-            now = row["host"]["optimized_s"]
-            if before is not None and now > before * CROSS_RUN_RATIO:
-                failures.append(
-                    f"{row['name']}: optimized {now:.3f}s regressed "
-                    f">{CROSS_RUN_RATIO}x vs previous report "
-                    f"({before:.3f}s in {args.check})")
-        if args.diff:
-            write_report(diff_reports(previous, report), args.diff)
-            print(f"[wrote {args.diff}]")
-    path = args.json or BENCH_REPORT
-    write_report(report, path)
-    print(f"[wrote {path}]")
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -563,7 +501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "smp": _cmd_smp,
         "conform": _cmd_conform,
         "conform-farm": _cmd_conform_farm,
-        "bench": _cmd_bench,
         "cluster": _cmd_cluster,
         "snapshot": _cmd_snapshot,
         "sec": _cmd_sec,

@@ -12,25 +12,20 @@ fault handler.  CoW, CoA and CoPA are all implemented as fault handlers
 kind models CHERI's fault-on-capability-load page permission that CoPA
 requires (§4.2).
 
-Two page-table representations back the same caller surface
-(docs/ARCHITECTURE.md "Vectorized engine"):
+The :class:`PageTable` keeps PTE state in dense per-chunk parallel
+arrays (docs/ARCHITECTURE.md "Vectorized engine") — an ``array('q')``
+of frame numbers, a ``bytearray`` of permission bits and a
+``bytearray`` of CoW marks, :data:`CHUNK` vpns per chunk — with the
+free-form ``note`` slot in a sparse side dict.  :meth:`PageTable.get`
+hands out interned write-through :class:`_PteView` objects so
+``pte.perms = x`` call sites work, while the bulk operations
+(:meth:`AddressSpace.mapped_items` / :meth:`AddressSpace.map_run` /
+:meth:`AddressSpace.unmap_range`) and the inlined walk fast paths
+touch the arrays directly.
 
-* :class:`FlatPageTable` (the default, ``REPRO_PERF=1``): PTE state
-  lives in dense per-chunk parallel arrays — an ``array('q')`` of frame
-  numbers, a ``bytearray`` of permission bits and a ``bytearray`` of
-  CoW marks, :data:`CHUNK` vpns per chunk — with the free-form ``note``
-  slot in a sparse side dict.  :meth:`PageTable.get` hands out interned
-  write-through :class:`_PteView` objects so existing ``pte.perms = x``
-  call sites keep working, while the bulk operations
-  (:meth:`AddressSpace.mapped_items` / :meth:`AddressSpace.map_run` /
-  :meth:`AddressSpace.unmap_range`) and the inlined walk fast paths
-  touch the arrays directly.
-* :class:`PageTable` (``REPRO_PERF=0``): the original sparse
-  vpn → :class:`PTE` dict, kept intact as the bench baseline.
-
-Iteration over either table is *stable*: entries come out in ascending
-vpn order, so walks, teardown frees and audits behave identically no
-matter which representation (or insertion history) produced the table.
+Iteration over the table is *stable*: entries come out in ascending
+vpn order, so walks, teardown frees and audits behave identically
+whatever the insertion history.
 
 Callers outside :mod:`repro.hw` must stay on the public surface —
 ``get``/``entries``/``map_page``/``mapped_items``/... — and never touch
@@ -45,7 +40,6 @@ from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro import perf as _perf
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
 from repro.errors import (
@@ -69,25 +63,19 @@ class PagePerm(IntFlag):
 
     @classmethod
     def rwc(cls) -> "PagePerm":
-        if _perf.ENABLED:
-            return _PAGE_RWC
-        return cls.READ | cls.WRITE | cls.LOAD_CAP
+        return _PAGE_RWC
 
     @classmethod
     def read_only(cls) -> "PagePerm":
-        if _perf.ENABLED:
-            return _PAGE_RO
-        return cls.READ | cls.LOAD_CAP
+        return _PAGE_RO
 
     @classmethod
     def rx(cls) -> "PagePerm":
-        if _perf.ENABLED:
-            return _PAGE_RX
-        return cls.READ | cls.EXEC | cls.LOAD_CAP
+        return _PAGE_RX
 
 
-#: precomputed composite page-permission constants (pure values; the
-#: :mod:`repro.perf` path skips IntFlag ``|`` member resolution)
+#: precomputed composite page-permission constants (pure values that
+#: skip IntFlag ``|`` member resolution on every call)
 _PAGE_RWC = PagePerm.READ | PagePerm.WRITE | PagePerm.LOAD_CAP
 _PAGE_RO = PagePerm.READ | PagePerm.LOAD_CAP
 _PAGE_RX = PagePerm.READ | PagePerm.EXEC | PagePerm.LOAD_CAP
@@ -124,10 +112,9 @@ _ACCESS_NAME = {
     AccessKind.CAP_LOAD: "cap_load",
 }
 
-# Per-member attributes precomputed for the repro.perf fast paths: an
-# attribute load skips both the Enum.__hash__ dict probe and the
-# per-fault f-string formatting; the values are identical to what the
-# slow path computes.
+# Per-member attributes precomputed for the fast paths: an attribute
+# load skips both the Enum.__hash__ dict probe and the per-fault
+# f-string formatting.
 for _kind in AccessKind:
     _kind._req_bits = _REQUIRED_BITS[_kind]
     _kind._nm = _ACCESS_NAME[_kind]
@@ -154,40 +141,7 @@ class PTE:
     note: Any = None
 
 
-class PageTable:
-    """A sparse vpn → PTE map (no multi-level radix detail needed).
-
-    The ``REPRO_PERF=0`` representation; iteration is vpn-sorted (see
-    module docstring).
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, PTE] = {}
-
-    def get(self, vpn: int) -> Optional[PTE]:
-        return self._entries.get(vpn)
-
-    def set(self, vpn: int, pte: PTE) -> None:
-        self._entries[vpn] = pte
-
-    def remove(self, vpn: int) -> PTE:
-        return self._entries.pop(vpn)
-
-    def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> Iterator[Tuple[int, PTE]]:
-        entries = self._entries
-        return iter((vpn, entries[vpn]) for vpn in sorted(entries))
-
-    def vpns(self) -> Iterator[int]:
-        return iter(sorted(self._entries))
-
-
-#: vpns per chunk of the flat representation (2^9 → a chunk covers 2 MiB
+#: vpns per page-table chunk (2^9 → a chunk covers 2 MiB
 #: of VA at 4 KiB pages, one dict probe per chunk on the walk)
 CHUNK_SHIFT = 9
 CHUNK = 1 << CHUNK_SHIFT
@@ -198,7 +152,7 @@ _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 
 
 class _PteView:
-    """A write-through PTE facade over one :class:`FlatPageTable` slot.
+    """A write-through PTE facade over one :class:`PageTable` slot.
 
     Mutating ``view.perms``/``view.frame``/``view.cow``/``view.note``
     writes straight into the chunk arrays, so caller code written
@@ -209,7 +163,7 @@ class _PteView:
 
     __slots__ = ("_table", "_vpn", "_chunk", "_index")
 
-    def __init__(self, table: "FlatPageTable", vpn: int) -> None:
+    def __init__(self, table: "PageTable", vpn: int) -> None:
         self._table = table
         self._vpn = vpn
         self._chunk = vpn >> CHUNK_SHIFT
@@ -255,12 +209,12 @@ class _PteView:
                 f"perms={self.perms!r}, cow={self.cow})")
 
 
-class FlatPageTable:
-    """Dense chunked parallel-array page table (``REPRO_PERF=1``).
+class PageTable:
+    """Dense chunked parallel-array page table.
 
-    Same public surface as :class:`PageTable`; state lives in per-chunk
-    parallel arrays (see module docstring) that the address-space fast
-    paths and bulk operations index directly.
+    State lives in per-chunk parallel arrays (see module docstring)
+    that the address-space fast paths and bulk operations index
+    directly.
     """
 
     def __init__(self) -> None:
@@ -299,7 +253,7 @@ class FlatPageTable:
             del self._cow[chunk_id]
             del self._chunk_len[chunk_id]
 
-    # -- PageTable surface ------------------------------------------------
+    # -- vpn-level surface ------------------------------------------------
 
     def get(self, vpn: int) -> Optional[_PteView]:
         frames = self._frames.get(vpn >> CHUNK_SHIFT)
@@ -309,21 +263,6 @@ class FlatPageTable:
         if view is None:
             view = self._views[vpn] = _PteView(self, vpn)
         return view
-
-    def set(self, vpn: int, pte: Any) -> None:
-        chunk_id = vpn >> CHUNK_SHIFT
-        index = vpn & _CHUNK_MASK
-        frames = self._chunk_for(chunk_id)
-        if frames[index] < 0:
-            self._len += 1
-            self._chunk_len[chunk_id] += 1
-        frames[index] = pte.frame
-        self._perms[chunk_id][index] = int(pte.perms)
-        self._cow[chunk_id][index] = 1 if pte.cow else 0
-        if pte.note is None:
-            self._notes.pop(vpn, None)
-        else:
-            self._notes[vpn] = pte.note
 
     def remove(self, vpn: int) -> PTE:
         chunk_id = vpn >> CHUNK_SHIFT
@@ -374,18 +313,12 @@ class AddressSpace:
 
     ``machine`` is any object exposing ``config``, ``costs``, ``clock``,
     ``counters``, ``phys`` and ``codec`` (see :class:`repro.machine.Machine`).
-    The representation (flat vs dict, see module docstring) follows the
-    machine's resolved ``perf`` flag; machines built by other harnesses
-    without the attribute fall back to the :mod:`repro.perf` master
-    switch.
     """
 
     def __init__(self, machine: Any, name: str = "as") -> None:
         self.machine = machine
         self.name = name
-        perf = getattr(machine, "perf", None)
-        self._perf: bool = _perf.enabled() if perf is None else bool(perf)
-        self.page_table = FlatPageTable() if self._perf else PageTable()
+        self.page_table = PageTable()
         self.fault_handler: Optional[FaultHandler] = None
         #: optional bulk CoW-break hook for :meth:`write_run`: called as
         #: ``hook(space, vpns)`` with the run's write-blocked vpns in
@@ -399,7 +332,6 @@ class AddressSpace:
         #: re-checked on every hit (so permission narrowing — CoW/CoPA
         #: sharing — can never be bypassed), and every single-vpn table
         #: edit (map/unmap/replace_frame) pops exactly its own entry.
-        #: See :mod:`repro.perf`.
         self._walk_cache: Dict[int, Tuple[bytearray, int, Frame]] = {}
         #: generation of the cached entries: the machine-wide TLB
         #: flush/shootdown generation (cross-core invalidations clear
@@ -419,34 +351,25 @@ class AddressSpace:
                  incref: bool = False, cow: bool = False,
                  note: Any = None) -> Any:
         table = self.page_table
-        if self._perf:
-            chunk_id = vpn >> CHUNK_SHIFT
-            index = vpn & _CHUNK_MASK
-            frames = table._chunk_for(chunk_id)
-            if frames[index] >= 0:
-                raise ValueError(f"vpn {vpn:#x} already mapped in {self.name}")
-            if incref:
-                self.machine.phys.incref(frame)
-            frames[index] = frame
-            table._perms[chunk_id][index] = int(perms)
-            table._cow[chunk_id][index] = 1 if cow else 0
-            if note is not None:
-                table._notes[vpn] = note
-            table._len += 1
-            table._chunk_len[chunk_id] += 1
-            self._walk_cache.pop(vpn, None)
-            return table.get(vpn)
-        if vpn in table:
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        frames = table._chunk_for(chunk_id)
+        if frames[index] >= 0:
             raise ValueError(f"vpn {vpn:#x} already mapped in {self.name}")
         if incref:
             self.machine.phys.incref(frame)
-        pte = PTE(frame=frame, perms=perms, cow=cow, note=note)
-        table.set(vpn, pte)
+        frames[index] = frame
+        table._perms[chunk_id][index] = int(perms)
+        table._cow[chunk_id][index] = 1 if cow else 0
+        if note is not None:
+            table._notes[vpn] = note
+        table._len += 1
+        table._chunk_len[chunk_id] += 1
         # single-vpn edit: only this translation can change, so the walk
         # cache drops exactly this entry instead of a full generation
         # bump (which would clear the whole cache on every CoW break)
         self._walk_cache.pop(vpn, None)
-        return pte
+        return table.get(vpn)
 
     def unmap_page(self, vpn: int, decref: bool = True) -> int:
         pte = self.page_table.remove(vpn)
@@ -456,43 +379,24 @@ class AddressSpace:
         return pte.frame
 
     def protect_page(self, vpn: int, perms: PagePerm) -> None:
-        if self._perf:
-            table = self.page_table
-            chunk_id = vpn >> CHUNK_SHIFT
-            index = vpn & _CHUNK_MASK
-            frames = table._frames.get(chunk_id)
-            if frames is None or frames[index] < 0:
-                raise KeyError(f"vpn {vpn:#x} not mapped")
-            # in-place permission write: cached walk entries alias this
-            # byte, so narrowing takes effect on their very next probe
-            table._perms[chunk_id][index] = int(perms)
-            return
-        pte = self.page_table.get(vpn)
-        if pte is None:
+        table = self.page_table
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        frames = table._frames.get(chunk_id)
+        if frames is None or frames[index] < 0:
             raise KeyError(f"vpn {vpn:#x} not mapped")
-        pte.perms = perms
+        # in-place permission write: cached walk entries alias this
+        # byte, so narrowing takes effect on their very next probe
+        table._perms[chunk_id][index] = int(perms)
 
     def protect_run(self, start_vpn: int, count: int,
                     perms: PagePerm) -> None:
         """:meth:`protect_page` for ``count`` consecutive vpns.
 
         Charge-free, like :meth:`protect_page`.  Validate-all-then-
-        write in both representations — an unmapped vpn anywhere in
-        the run raises before any permission changes, keeping the two
-        modes state-identical even on errors; the flat representation
-        then applies each chunk's span as one slice write.
+        write: an unmapped vpn anywhere in the run raises before any
+        permission changes; each chunk's span is then one slice write.
         """
-        if not self._perf:
-            table = self.page_table
-            ptes = []
-            for vpn in range(start_vpn, start_vpn + count):
-                pte = table.get(vpn)
-                if pte is None:
-                    raise KeyError(f"vpn {vpn:#x} not mapped")
-                ptes.append(pte)
-            for pte in ptes:
-                pte.perms = perms
-            return
         table = self.page_table
         spans = []
         vpn = start_vpn
@@ -517,24 +421,13 @@ class AddressSpace:
 
     def replace_frame(self, vpn: int, frame: int, decref_old: bool = True) -> None:
         """Point an existing mapping at a different frame (CoW break)."""
-        if self._perf:
-            table = self.page_table
-            frames = table._frames.get(vpn >> CHUNK_SHIFT)
-            index = vpn & _CHUNK_MASK
-            if frames is None or frames[index] < 0:
-                raise KeyError(f"vpn {vpn:#x} not mapped")
-            if decref_old:
-                self.machine.phys.decref(frames[index])
-            frames[index] = frame
-            # the cached tuple holds the *old* Frame object; drop this vpn
-            self._walk_cache.pop(vpn, None)
-            return
-        pte = self.page_table.get(vpn)
-        if pte is None:
+        frames = self.page_table._frames.get(vpn >> CHUNK_SHIFT)
+        index = vpn & _CHUNK_MASK
+        if frames is None or frames[index] < 0:
             raise KeyError(f"vpn {vpn:#x} not mapped")
         if decref_old:
-            self.machine.phys.decref(pte.frame)
-        pte.frame = frame
+            self.machine.phys.decref(frames[index])
+        frames[index] = frame
         # the cached tuple holds the *old* Frame object; drop this vpn
         self._walk_cache.pop(vpn, None)
 
@@ -548,36 +441,30 @@ class AddressSpace:
         semantics in one slot visit, because the fault path runs this
         once per broken page.
         """
-        if self._perf:
-            table = self.page_table
-            chunk_id = vpn >> CHUNK_SHIFT
-            index = vpn & _CHUNK_MASK
-            frames = table._frames.get(chunk_id)
-            if frames is None or frames[index] < 0:
-                raise KeyError(f"vpn {vpn:#x} not mapped")
-            if new_frame is not None:
-                if decref_old:
-                    self.machine.phys.decref(frames[index])
-                frames[index] = new_frame
-                # the cached tuple holds the *old* Frame object; install
-                # the new translation (walk-cache entries are charge-free
-                # — :meth:`resolve` — so this only skips a redundant
-                # walk, never a simulated charge)
-                if self.machine.translation_gen == self._walk_stamp:
-                    self._walk_cache[vpn] = (
-                        table._perms[chunk_id], index,
-                        self.machine.phys.frame(new_frame))
-                else:
-                    self._walk_cache.pop(vpn, None)
-            # in-place permission write: cached walk entries alias this
-            # byte (see :meth:`protect_page`)
-            table._perms[chunk_id][index] = int(perms)
-            table._notes.pop(vpn, None)
-            return
+        table = self.page_table
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        frames = table._frames.get(chunk_id)
+        if frames is None or frames[index] < 0:
+            raise KeyError(f"vpn {vpn:#x} not mapped")
         if new_frame is not None:
-            self.replace_frame(vpn, new_frame, decref_old=decref_old)
-        self.protect_page(vpn, perms)
-        self.set_note(vpn, None)
+            if decref_old:
+                self.machine.phys.decref(frames[index])
+            frames[index] = new_frame
+            # the cached tuple holds the *old* Frame object; install the
+            # new translation (walk-cache entries are charge-free —
+            # :meth:`resolve` — so this only skips a redundant walk,
+            # never a simulated charge)
+            if self.machine.translation_gen == self._walk_stamp:
+                self._walk_cache[vpn] = (
+                    table._perms[chunk_id], index,
+                    self.machine.phys.frame(new_frame))
+            else:
+                self._walk_cache.pop(vpn, None)
+        # in-place permission write: cached walk entries alias this byte
+        # (see :meth:`protect_page`)
+        table._perms[chunk_id][index] = int(perms)
+        table._notes.pop(vpn, None)
 
     # -- bulk mapping interface (docs/ARCHITECTURE.md "Vectorized engine") --
 
@@ -590,35 +477,28 @@ class AddressSpace:
         audit) can sweep a region without per-page ``get`` calls.
         """
         out: List[Tuple[int, int, int, bool, Any]] = []
-        if self._perf:
-            table = self.page_table
-            chunks = table._frames
-            notes = table._notes
-            lo_chunk = lo_vpn >> CHUNK_SHIFT
-            hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
-            if hi_chunk - lo_chunk > len(chunks):
-                span = sorted(c for c in chunks
-                              if lo_chunk <= c < hi_chunk)
-            else:
-                span = [c for c in range(lo_chunk, hi_chunk) if c in chunks]
-            for chunk_id in span:
-                frames = chunks[chunk_id]
-                perms = table._perms[chunk_id]
-                cow = table._cow[chunk_id]
-                base = chunk_id << CHUNK_SHIFT
-                start = max(lo_vpn - base, 0)
-                stop = min(hi_vpn - base, CHUNK)
-                for index in range(start, stop):
-                    frame = frames[index]
-                    if frame >= 0:
-                        vpn = base + index
-                        out.append((vpn, frame, perms[index],
-                                    bool(cow[index]), notes.get(vpn)))
-            return out
-        for vpn, pte in self.page_table.entries():
-            if lo_vpn <= vpn < hi_vpn:
-                out.append((vpn, pte.frame, int(pte.perms), pte.cow,
-                            pte.note))
+        table = self.page_table
+        chunks = table._frames
+        notes = table._notes
+        lo_chunk = lo_vpn >> CHUNK_SHIFT
+        hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
+        if hi_chunk - lo_chunk > len(chunks):
+            span = sorted(c for c in chunks if lo_chunk <= c < hi_chunk)
+        else:
+            span = [c for c in range(lo_chunk, hi_chunk) if c in chunks]
+        for chunk_id in span:
+            frames = chunks[chunk_id]
+            perms = table._perms[chunk_id]
+            cow = table._cow[chunk_id]
+            base = chunk_id << CHUNK_SHIFT
+            start = max(lo_vpn - base, 0)
+            stop = min(hi_vpn - base, CHUNK)
+            for index in range(start, stop):
+                frame = frames[index]
+                if frame >= 0:
+                    vpn = base + index
+                    out.append((vpn, frame, perms[index],
+                                bool(cow[index]), notes.get(vpn)))
         return out
 
     def map_run(self, start_vpn: int, frames: Sequence[int], perms: PagePerm,
@@ -627,16 +507,11 @@ class AddressSpace:
         """Map ``frames`` at consecutive vpns from ``start_vpn``.
 
         Equivalent to ``map_page`` per frame with the same arguments
-        (including the already-mapped check); the flat representation
-        fills the chunk arrays with slice stores.
+        (including the already-mapped check), filled into the chunk
+        arrays with slice stores.
         """
         count = len(frames)
         if count == 0:
-            return
-        if not self._perf:
-            for offset, frame in enumerate(frames):
-                self.map_page(start_vpn + offset, frame, perms,
-                              incref=incref, cow=cow, note=note)
             return
         table = self.page_table
         perms_int = int(perms)
@@ -686,110 +561,75 @@ class AddressSpace:
         items = self.mapped_items(lo_vpn, hi_vpn)
         if not items:
             return 0
-        if self._perf:
-            table = self.page_table
-            chunks = table._frames
-            all_perms = table._perms
-            all_cow = table._cow
-            chunk_len = table._chunk_len
-            notes_pop = table._notes.pop
-            views_pop = table._views.pop
-            cache_pop = self._walk_cache.pop
-            count = len(items)
-            position = 0
-            while position < count:
-                vpn = items[position][0]
-                chunk_id = vpn >> CHUNK_SHIFT
-                index = vpn & _CHUNK_MASK
-                # longest run of consecutive vpns inside this chunk
-                end = position + 1
-                limit = min(position + (CHUNK - index), count)
-                expect = vpn + 1
-                while end < limit and items[end][0] == expect:
-                    end += 1
-                    expect += 1
-                take = end - position
-                chunks[chunk_id][index:index + take] = \
-                    _EMPTY_FRAMES[:take]
-                all_perms[chunk_id][index:index + take] = _ZEROS[:take]
-                all_cow[chunk_id][index:index + take] = _ZEROS[:take]
-                for gone in range(vpn, expect):
-                    notes_pop(gone, None)
-                    views_pop(gone, None)
-                    cache_pop(gone, None)
-                table._len -= take
-                remaining = chunk_len[chunk_id] - take
-                if remaining:
-                    chunk_len[chunk_id] = remaining
-                else:
-                    del chunks[chunk_id]
-                    del all_perms[chunk_id]
-                    del all_cow[chunk_id]
-                    del chunk_len[chunk_id]
-                position = end
-            if decref:
-                self.machine.phys.decref_many(
-                    [item[1] for item in items])
-            return count
-        for vpn, _frame, _perms, _cow, _note in items:
-            self.unmap_page(vpn, decref=decref)
-        return len(items)
+        table = self.page_table
+        chunks = table._frames
+        all_perms = table._perms
+        all_cow = table._cow
+        chunk_len = table._chunk_len
+        notes_pop = table._notes.pop
+        views_pop = table._views.pop
+        cache_pop = self._walk_cache.pop
+        count = len(items)
+        position = 0
+        while position < count:
+            vpn = items[position][0]
+            chunk_id = vpn >> CHUNK_SHIFT
+            index = vpn & _CHUNK_MASK
+            # longest run of consecutive vpns inside this chunk
+            end = position + 1
+            limit = min(position + (CHUNK - index), count)
+            expect = vpn + 1
+            while end < limit and items[end][0] == expect:
+                end += 1
+                expect += 1
+            take = end - position
+            chunks[chunk_id][index:index + take] = \
+                _EMPTY_FRAMES[:take]
+            all_perms[chunk_id][index:index + take] = _ZEROS[:take]
+            all_cow[chunk_id][index:index + take] = _ZEROS[:take]
+            for gone in range(vpn, expect):
+                notes_pop(gone, None)
+                views_pop(gone, None)
+                cache_pop(gone, None)
+            table._len -= take
+            remaining = chunk_len[chunk_id] - take
+            if remaining:
+                chunk_len[chunk_id] = remaining
+            else:
+                del chunks[chunk_id]
+                del all_perms[chunk_id]
+                del all_cow[chunk_id]
+                del chunk_len[chunk_id]
+            position = end
+        if decref:
+            self.machine.phys.decref_many(
+                [item[1] for item in items])
+        return count
 
     # -- single-slot accessors (fault-path helpers, no view objects) -------
 
     def frame_of(self, vpn: int) -> Optional[int]:
         """The frame mapped at ``vpn``, or None."""
-        if self._perf:
-            frames = self.page_table._frames.get(vpn >> CHUNK_SHIFT)
-            if frames is None:
-                return None
-            frame = frames[vpn & _CHUNK_MASK]
-            return frame if frame >= 0 else None
-        pte = self.page_table.get(vpn)
-        return None if pte is None else pte.frame
+        frames = self.page_table._frames.get(vpn >> CHUNK_SHIFT)
+        if frames is None:
+            return None
+        frame = frames[vpn & _CHUNK_MASK]
+        return frame if frame >= 0 else None
 
     def note_of(self, vpn: int) -> Any:
         """The note stored at ``vpn`` (None when absent/unmapped)."""
-        if self._perf:
-            return self.page_table._notes.get(vpn)
-        pte = self.page_table.get(vpn)
-        return None if pte is None else pte.note
+        return self.page_table._notes.get(vpn)
 
     def set_note(self, vpn: int, note: Any) -> None:
         """Attach/replace/clear (``None``) the note of a mapped vpn."""
-        if self._perf:
-            table = self.page_table
-            frames = table._frames.get(vpn >> CHUNK_SHIFT)
-            if frames is None or frames[vpn & _CHUNK_MASK] < 0:
-                raise KeyError(f"vpn {vpn:#x} not mapped")
-            if note is None:
-                table._notes.pop(vpn, None)
-            else:
-                table._notes[vpn] = note
-            return
-        pte = self.page_table.get(vpn)
-        if pte is None:
-            raise KeyError(f"vpn {vpn:#x} not mapped")
-        pte.note = note
+        self.set_note_many((vpn,), note)
 
     def set_note_many(self, vpns: Sequence[int], note: Any) -> None:
         """:meth:`set_note` for each vpn.
 
-        Validate-all-then-write in both representations: an unmapped
-        vpn anywhere in the batch raises before any note is touched,
-        so the two modes stay state-identical even on errors.
+        Validate-all-then-write: an unmapped vpn anywhere in the batch
+        raises before any note is touched.
         """
-        if not self._perf:
-            table = self.page_table
-            ptes = []
-            for vpn in vpns:
-                pte = table.get(vpn)
-                if pte is None:
-                    raise KeyError(f"vpn {vpn:#x} not mapped")
-                ptes.append(pte)
-            for pte in ptes:
-                pte.note = note
-            return
         table = self.page_table
         chunks = table._frames
         for vpn in vpns:
@@ -806,10 +646,7 @@ class AddressSpace:
 
     def noted_items(self) -> List[Tuple[int, Any]]:
         """All (vpn, note) pairs with a non-None note, ascending vpn."""
-        if self._perf:
-            return sorted(self.page_table._notes.items())
-        return [(vpn, pte.note) for vpn, pte in self.page_table.entries()
-                if pte.note is not None]
+        return sorted(self.page_table._notes.items())
 
     # -- translation with fault dispatch ---------------------------------------
 
@@ -820,74 +657,54 @@ class AddressSpace:
                 privileged: bool = False) -> Tuple[Frame, int]:
         """Translate an address, dispatching faults at most once.
 
-        With :mod:`repro.perf` enabled, successful walks are served
-        from a generation-stamped cache: one dict probe plus a raw
-        permission-bit check against the live chunk byte.  The stamp
-        folds in the machine's TLB flush/shootdown generation, so any
-        cross-core invalidation drops every cached translation before
-        it can be reused — simulated semantics (fault dispatch order,
-        SMP shootdown behaviour) are identical with the cache on or
-        off.
+        Successful walks are served from a generation-stamped cache:
+        one dict probe plus a raw permission-bit check against the live
+        chunk byte.  The stamp folds in the machine's TLB
+        flush/shootdown generation, so any cross-core invalidation drops
+        every cached translation before it can be reused — the cache is
+        host-side only and never changes fault dispatch order or SMP
+        shootdown behaviour.
         """
         page_size = self._page_size
         vpn = vaddr // page_size
-        if self._perf:
-            stamp = self.machine.translation_gen
-            if stamp != self._walk_stamp:
-                self._walk_cache.clear()
-                self._walk_stamp = stamp
-            else:
-                hit = self._walk_cache.get(vpn)
-                if hit is not None:
-                    perms, index, frame = hit
-                    if privileged:
-                        return frame, vaddr % page_size
-                    bits = kind._req_bits
-                    if (perms[index] & bits) == bits:
-                        return frame, vaddr % page_size
-            table = self.page_table
-            chunk_id = vpn >> CHUNK_SHIFT
-            index = vpn & _CHUNK_MASK
-            for attempt in (0, 1):
-                frames = table._frames.get(chunk_id)
-                if frames is not None and frames[index] >= 0:
-                    if privileged:
-                        # only perm-complete walks are cached: a
-                        # privileged bypass must never satisfy a later
-                        # user access
-                        return (self.machine.phys.frame(frames[index]),
-                                vaddr % page_size)
-                    perms = table._perms[chunk_id]
-                    bits = kind._req_bits
-                    if (perms[index] & bits) == bits:
-                        frame = self.machine.phys.frame(frames[index])
-                        self._walk_cache[vpn] = (perms, index, frame)
-                        return frame, vaddr % page_size
-                if attempt == 1:
-                    break
-                if not self._dispatch_fault(vaddr, kind):
-                    break
-            if vpn not in table:
-                raise UnmappedAddressError(vaddr, kind._nm)
-            raise ProtectionError(vaddr, kind._nm)
-        for attempt in (0, 1):
-            pte = self.page_table.get(vpn)
-            if pte is not None:
+        stamp = self.machine.translation_gen
+        if stamp != self._walk_stamp:
+            self._walk_cache.clear()
+            self._walk_stamp = stamp
+        else:
+            hit = self._walk_cache.get(vpn)
+            if hit is not None:
+                perms, index, frame = hit
                 if privileged:
-                    frame = self.machine.phys.frame(pte.frame)
                     return frame, vaddr % page_size
-                required = _REQUIRED_PERM[kind]
-                granted = (pte.perms & required) == required
-                if granted:
-                    frame = self.machine.phys.frame(pte.frame)
+                bits = kind._req_bits
+                if (perms[index] & bits) == bits:
+                    return frame, vaddr % page_size
+        table = self.page_table
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        for attempt in (0, 1):
+            frames = table._frames.get(chunk_id)
+            if frames is not None and frames[index] >= 0:
+                if privileged:
+                    # only perm-complete walks are cached: a
+                    # privileged bypass must never satisfy a later
+                    # user access
+                    return (self.machine.phys.frame(frames[index]),
+                            vaddr % page_size)
+                perms = table._perms[chunk_id]
+                bits = kind._req_bits
+                if (perms[index] & bits) == bits:
+                    frame = self.machine.phys.frame(frames[index])
+                    self._walk_cache[vpn] = (perms, index, frame)
                     return frame, vaddr % page_size
             if attempt == 1:
                 break
             if not self._dispatch_fault(vaddr, kind):
                 break
-        if self.page_table.get(vpn) is None:
-            raise UnmappedAddressError(vaddr, _ACCESS_NAME[kind])
-        raise ProtectionError(vaddr, _ACCESS_NAME[kind])
+        if vpn not in table:
+            raise UnmappedAddressError(vaddr, kind._nm)
+        raise ProtectionError(vaddr, kind._nm)
 
     def _dispatch_fault(self, vaddr: int, kind: AccessKind) -> bool:
         """Charge the fault and hand it to the registered handler.
@@ -896,31 +713,24 @@ class AddressSpace:
         ``cap_load`` kind counts CoPA's fault-on-capability-load traps.
         """
         machine = self.machine
-        if self._perf:
-            clock = machine.clock
-            ns_int = self._fault_int
-            if ns_int is None:
-                fault_ns = machine.costs.page_fault_ns
-                ns_int = int(fault_ns) if fault_ns == int(fault_ns) else -1
-                self._fault_int = ns_int
-            if ns_int >= 0 and clock.observer is None:
-                # pre-rounded integral charge: bit-equal to ``advance``
-                clock._now_ns += ns_int
-                buckets = clock.buckets
-                buckets["page_fault"] = \
-                    buckets.get("page_fault", 0) + ns_int
-            else:
-                clock.advance(machine.costs.page_fault_ns, "page_fault")
-            machine.counters.add(kind._fault_counter)
-            if machine.tracer is not None or machine.obs.enabled:
-                machine.obs.count(kind._fault_obs)
-                machine.trace("page_fault", vaddr=vaddr, kind=kind._nm,
-                              space=self.name)
+        clock = machine.clock
+        ns_int = self._fault_int
+        if ns_int is None:
+            fault_ns = machine.costs.page_fault_ns
+            ns_int = int(fault_ns) if fault_ns == int(fault_ns) else -1
+            self._fault_int = ns_int
+        if ns_int >= 0 and clock.observer is None:
+            # pre-rounded integral charge: bit-equal to ``advance``
+            clock._now_ns += ns_int
+            buckets = clock.buckets
+            buckets["page_fault"] = \
+                buckets.get("page_fault", 0) + ns_int
         else:
-            machine.clock.advance(machine.costs.page_fault_ns, "page_fault")
-            machine.counters.add(f"fault_{_ACCESS_NAME[kind]}")
-            machine.obs.count(f"hw.paging.fault.{_ACCESS_NAME[kind]}")
-            machine.trace("page_fault", vaddr=vaddr, kind=_ACCESS_NAME[kind],
+            clock.advance(machine.costs.page_fault_ns, "page_fault")
+        machine.counters.add(kind._fault_counter)
+        if machine.tracer is not None or machine.obs.enabled:
+            machine.obs.count(kind._fault_obs)
+            machine.trace("page_fault", vaddr=vaddr, kind=kind._nm,
                           space=self.name)
         if self.fault_handler is None:
             return False
@@ -931,41 +741,40 @@ class AddressSpace:
     def read(self, vaddr: int, size: int, privileged: bool = False,
              charge: bool = True) -> bytes:
         """Read bytes (may span pages)."""
-        if self._perf:
-            offset = vaddr % self._page_size
-            if offset + size <= self._page_size:
-                # single-page fast path: no accumulator, one frame read.
-                # The walk-cache probe, the frame read and the clock
-                # charge are all inlined (bit-identical to the layered
-                # path: same stamp + raw perm-bit checks as the hit
-                # path in :meth:`resolve`, same memcpy charge rounded
-                # through the memo); any miss falls back to resolve.
-                machine = self.machine
-                frame = None
-                if machine.translation_gen == self._walk_stamp:
-                    hit = self._walk_cache.get(vaddr // self._page_size)
-                    if hit is not None:
-                        perms, index, frame = hit
-                        if not privileged and \
-                                (perms[index] & _READ_BITS) != _READ_BITS:
-                            frame = None
-                if frame is None:
-                    frame, offset = self.resolve(vaddr, AccessKind.READ,
-                                                 privileged)
-                data = bytes(frame.data[offset:offset + size])
-                if charge:
-                    ns_int = self._charge_memo.get(size)
-                    if ns_int is None:
-                        ns_int = int(round(
-                            machine.costs.memcpy_ns_per_byte * size))
-                        self._charge_memo[size] = ns_int
-                    clock = machine.clock
-                    clock._now_ns += ns_int
-                    buckets = clock.buckets
-                    buckets["mem_read"] = buckets.get("mem_read", 0) + ns_int
-                    if clock.observer is not None:
-                        clock.observer(ns_int, "mem_read")
-                return data
+        offset = vaddr % self._page_size
+        if offset + size <= self._page_size:
+            # single-page fast path: no accumulator, one frame read.
+            # The walk-cache probe, the frame read and the clock
+            # charge are all inlined (bit-identical to the layered
+            # path: same stamp + raw perm-bit checks as the hit
+            # path in :meth:`resolve`, same memcpy charge rounded
+            # through the memo); any miss falls back to resolve.
+            machine = self.machine
+            frame = None
+            if machine.translation_gen == self._walk_stamp:
+                hit = self._walk_cache.get(vaddr // self._page_size)
+                if hit is not None:
+                    perms, index, frame = hit
+                    if not privileged and \
+                            (perms[index] & _READ_BITS) != _READ_BITS:
+                        frame = None
+            if frame is None:
+                frame, offset = self.resolve(vaddr, AccessKind.READ,
+                                             privileged)
+            data = bytes(frame.data[offset:offset + size])
+            if charge:
+                ns_int = self._charge_memo.get(size)
+                if ns_int is None:
+                    ns_int = int(round(
+                        machine.costs.memcpy_ns_per_byte * size))
+                    self._charge_memo[size] = ns_int
+                clock = machine.clock
+                clock._now_ns += ns_int
+                buckets = clock.buckets
+                buckets["mem_read"] = buckets.get("mem_read", 0) + ns_int
+                if clock.observer is not None:
+                    clock.observer(ns_int, "mem_read")
+            return data
         out = bytearray()
         remaining = size
         addr = vaddr
@@ -984,49 +793,48 @@ class AddressSpace:
     def write(self, vaddr: int, data: bytes, privileged: bool = False,
               charge: bool = True) -> None:
         """Write bytes (may span pages); clears tags of touched granules."""
-        if self._perf:
-            offset = vaddr % self._page_size
-            size = len(data)
-            if offset + size <= self._page_size:
-                # single-page fast path: skips the loop bookkeeping and
-                # the per-chunk payload copy the spanning path makes.
-                # Walk-cache probe, byte store + batched tag clear
-                # (same cleared set as :meth:`Frame.write`) and the
-                # memoised memcpy charge are all inlined, as in
-                # :meth:`read`.
-                machine = self.machine
-                frame = None
-                if machine.translation_gen == self._walk_stamp:
-                    hit = self._walk_cache.get(vaddr // self._page_size)
-                    if hit is not None:
-                        perms, index, frame = hit
-                        if not privileged and \
-                                (perms[index] & _WRITE_BITS) != _WRITE_BITS:
-                            frame = None
-                if frame is None:
-                    frame, offset = self.resolve(vaddr, AccessKind.WRITE,
-                                                 privileged)
-                frame.version += 1
-                frame.data[offset:offset + size] = data
-                first = offset // CAP_SIZE
-                count = (offset + size - 1) // CAP_SIZE + 1 - first
-                if count > 0:
-                    frame.tags[first:first + count] = \
-                        _ZEROS[:count] if count <= len(_ZEROS) \
-                        else bytes(count)
-                if charge:
-                    ns_int = self._charge_memo.get(size)
-                    if ns_int is None:
-                        ns_int = int(round(
-                            machine.costs.memcpy_ns_per_byte * size))
-                        self._charge_memo[size] = ns_int
-                    clock = machine.clock
-                    clock._now_ns += ns_int
-                    buckets = clock.buckets
-                    buckets["mem_write"] = buckets.get("mem_write", 0) + ns_int
-                    if clock.observer is not None:
-                        clock.observer(ns_int, "mem_write")
-                return
+        offset = vaddr % self._page_size
+        size = len(data)
+        if offset + size <= self._page_size:
+            # single-page fast path: skips the loop bookkeeping and
+            # the per-chunk payload copy the spanning path makes.
+            # Walk-cache probe, byte store + batched tag clear
+            # (same cleared set as :meth:`Frame.write`) and the
+            # memoised memcpy charge are all inlined, as in
+            # :meth:`read`.
+            machine = self.machine
+            frame = None
+            if machine.translation_gen == self._walk_stamp:
+                hit = self._walk_cache.get(vaddr // self._page_size)
+                if hit is not None:
+                    perms, index, frame = hit
+                    if not privileged and \
+                            (perms[index] & _WRITE_BITS) != _WRITE_BITS:
+                        frame = None
+            if frame is None:
+                frame, offset = self.resolve(vaddr, AccessKind.WRITE,
+                                             privileged)
+            frame.version += 1
+            frame.data[offset:offset + size] = data
+            first = offset // CAP_SIZE
+            count = (offset + size - 1) // CAP_SIZE + 1 - first
+            if count > 0:
+                frame.tags[first:first + count] = \
+                    _ZEROS[:count] if count <= len(_ZEROS) \
+                    else bytes(count)
+            if charge:
+                ns_int = self._charge_memo.get(size)
+                if ns_int is None:
+                    ns_int = int(round(
+                        machine.costs.memcpy_ns_per_byte * size))
+                    self._charge_memo[size] = ns_int
+                clock = machine.clock
+                clock._now_ns += ns_int
+                buckets = clock.buckets
+                buckets["mem_write"] = buckets.get("mem_write", 0) + ns_int
+                if clock.observer is not None:
+                    clock.observer(ns_int, "mem_write")
+            return
         self._write_layered(vaddr, data, privileged, charge)
 
     def write_run(self, vaddrs: Sequence[int], data: bytes,
@@ -1037,12 +845,11 @@ class AddressSpace:
         same walk/fault dispatch in sequence order and the same cleared
         tag set; only the memcpy charge is batched, as the exact sum of
         the identical per-call rounded charges.  Falls back to per-call
-        :meth:`write` whenever batching could be observable (slow
-        representation, or a clock observer attributing charges to an
-        open profiling span).
+        :meth:`write` whenever batching could be observable (a clock
+        observer attributing charges to an open profiling span).
         """
         machine = self.machine
-        if not self._perf or machine.clock.observer is not None:
+        if machine.clock.observer is not None:
             for vaddr in vaddrs:
                 self.write(vaddr, data, privileged)
             return
@@ -1210,7 +1017,6 @@ __all__ = [
     "AccessKind",
     "AddressSpace",
     "FaultHandler",
-    "FlatPageTable",
     "PTE",
     "PagePerm",
     "PageTable",

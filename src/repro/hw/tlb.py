@@ -55,8 +55,8 @@ class TLB:
         recipient — this is the f(online CPUs) term of the broadcast
         cost formula (docs/COSTMODEL.md).  Also bumps the machine's
         translation generation, which drops every host-side page-walk
-        cache (see :mod:`repro.perf`) exactly as the simulated
-        invalidation would on hardware."""
+        cache (see :meth:`repro.hw.paging.AddressSpace.resolve`)
+        exactly as the simulated invalidation would on hardware."""
         self.flush_count += 1
         machine = self._machine
         machine.translation_gen += 1

@@ -71,12 +71,6 @@ class AbstractOS(abc.ABC):
         #: Unknown names are never cached — the fuzzer sends garbage and
         #: a poisoned entry would shadow a handler added to a subclass.
         self._dispatch: Dict[str, Tuple[Any, str]] = {}
-        self._perf = False
-        try:
-            from repro import perf as _perf
-            self._perf = _perf.enabled()
-        except ImportError:  # pragma: no cover - bootstrap ordering
-            pass
         self.machine.register_kernel(self)
 
     # ------------------------------------------------------------------
@@ -126,20 +120,14 @@ class AbstractOS(abc.ABC):
         faults (EINTR/ENOMEM/EAGAIN) and rolled-back fork failures are
         retried with backoff instead of surfacing to the caller.
         """
-        if self._perf:
-            entry = self._dispatch.get(name)
-            if entry is None:
-                handler = getattr(self, f"sys_{name}", None)
-                if handler is None:
-                    raise InvalidArgument(f"unknown syscall {name!r}")
-                entry = (handler, f"syscall.{name}")
-                self._dispatch[name] = entry
-            handler, span_label = entry
-        else:
+        entry = self._dispatch.get(name)
+        if entry is None:
             handler = getattr(self, f"sys_{name}", None)
             if handler is None:
                 raise InvalidArgument(f"unknown syscall {name!r}")
-            span_label = f"syscall.{name}"
+            entry = (handler, f"syscall.{name}")
+            self._dispatch[name] = entry
+        handler, span_label = entry
         if not proc.alive:
             raise NoSuchProcess(f"process {proc.pid} has exited")
         with self.machine.obs.span(span_label):

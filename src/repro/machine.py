@@ -14,7 +14,6 @@ import weakref
 from dataclasses import replace
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro import perf as _perf
 from repro.chaos.engine import NULL_CHAOS
 from repro.cheri.codec import CapabilityCodec
 from repro.clock import EventCounters, SimClock
@@ -41,16 +40,9 @@ class Machine:
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  costs: Optional[CostModel] = None, seed: int = 0,
-                 num_cpus: int = 1, perf: Optional[bool] = None) -> None:
+                 num_cpus: int = 1) -> None:
         self.config = config or DEFAULT_MACHINE
         self.costs = costs or DEFAULT_COSTS
-        #: resolved host-fast-path flag for everything built on this
-        #: machine: ``True``/``False`` pin the vectorized/self-contained
-        #: representations, ``None`` resolves the :mod:`repro.perf`
-        #: master switch (env ``REPRO_PERF``) once, here — address
-        #: spaces and physical memory read this instead of peeking the
-        #: global, so one machine never mixes representations
-        self.perf = _perf.enabled() if perf is None else bool(perf)
         #: online CPUs actually scheduling work (``num_cpus=1``, the
         #: default, is the pre-SMP machine bit for bit; the config's
         #: ``cores`` stays the bookkeeping core count and grows only
@@ -73,8 +65,7 @@ class Machine:
         #: drop entries exactly when simulated TLB state is invalidated
         self.translation_gen = 0
         self.phys = PhysicalMemory(self.config, self.costs, self.clock,
-                                   self.counters, obs=self.obs,
-                                   perf=self.perf)
+                                   self.counters, obs=self.obs)
         self.codec = CapabilityCodec()
         #: raw-granule relocation memo (see
         #: :func:`repro.core.relocate._relocate_frame_memoised`); keyed

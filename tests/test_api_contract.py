@@ -54,21 +54,6 @@ class TestSurface:
             "perf": None,
         }
 
-    def test_perf_knob_pins_representation(self):
-        # tri-state: True/False force a representation, None (default)
-        # follows the REPRO_PERF environment resolution
-        from repro import perf as _perf
-        fast = Session(seed=7, perf=True).boot()
-        slow = Session(seed=7, perf=False).boot()
-        env = Session(seed=7).boot()
-        assert fast.machine.perf is True
-        assert slow.machine.perf is False
-        assert env.machine.perf is _perf.enabled()
-        # the knob reaches the storage layer: flat banked frames only
-        # under the vectorized engine
-        assert fast.machine.phys._perf is True
-        assert slow.machine.phys._perf is False
-
     def test_session_method_signatures(self):
         spawn = inspect.signature(Session.spawn).parameters
         assert list(spawn) == ["self", "image", "name"]
@@ -193,3 +178,15 @@ class TestDeprecationShims:
             scheduler = api.make_scheduler(machine,
                                            same_address_space=True)
         assert hasattr(scheduler, "pick_next")
+
+    def test_perf_knob_is_deprecated_and_inert(self):
+        # one memory representation: perf= stays in the signature until
+        # repro 2.0, warns when given, and boots the normal machine
+        with pytest.warns(DeprecationWarning, match="repro 2.0"):
+            legacy = Session(seed=7, perf=False).boot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normal = Session(seed=7).boot()
+        assert type(legacy.machine) is type(normal.machine)
+        assert type(legacy.machine.phys) is type(normal.machine.phys)
+        assert legacy.report() == normal.report()

@@ -1,7 +1,6 @@
 """The promoted isolation module (:mod:`repro.conform.isolated`): the
-non-blocking :class:`IsolatedProcess` the farm builds on, the shim that
-keeps ``tests/isolated.py`` imports working, and proof that a group
-kill actually reaches orphaned grandchildren.
+non-blocking :class:`IsolatedProcess` the farm builds on, and proof
+that a group kill actually reaches orphaned grandchildren.
 """
 
 from __future__ import annotations
@@ -12,22 +11,11 @@ import time
 
 import pytest
 
-import repro.conform.isolated as promoted
-import tests.isolated as shim
 from repro.conform.isolated import (
     REPO_SRC,
     IsolatedProcess,
     run_isolated,
 )
-
-
-def test_shim_reexports_the_promoted_implementation():
-    """tests/isolated.py is a pure re-export: same objects, one
-    implementation, so farm workers and tests can never drift."""
-    assert shim.IsolatedProcess is promoted.IsolatedProcess
-    assert shim.IsolatedResult is promoted.IsolatedResult
-    assert shim.run_isolated is promoted.run_isolated
-    assert shim.REPO_SRC == promoted.REPO_SRC
 
 
 def test_repo_src_points_at_the_importable_tree():

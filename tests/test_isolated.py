@@ -9,7 +9,7 @@ import os
 import signal
 import time
 
-from tests.isolated import run_isolated
+from repro.conform.isolated import run_isolated
 
 
 def test_clean_exit_with_repro_on_path():

@@ -1,18 +1,22 @@
 """The memory API boundary is enforced, not aspirational.
 
 The vectorized engine (docs/ARCHITECTURE.md "Vectorized engine") keeps
-two storage representations behind one narrow surface on
+its storage representation behind one narrow surface on
 :class:`~repro.hw.paging.PageTable`/:class:`~repro.hw.paging.AddressSpace`
 and :class:`~repro.hw.phys.PhysicalMemory`/:class:`~repro.hw.phys.Frame`.
 That only stays true if no caller outside ``repro.hw`` (and the
-layout-owning ``repro.mem``) reaches into the representation: a dict
-of PTE objects or a flat chunked array must be a private detail.
+layout-owning ``repro.mem``) reaches into the representation: the flat
+chunked arrays and banked arenas must be a private detail.
 
 This test greps the source tree for the representation attributes;
 anything it finds must either move to the public bulk interface
 (``mapped_items``/``map_run``/``unmap_range``/``copy_frames``/
 ``privatize_page``/``tagged_granules``/``snapshot_content``/...) or be
 added to the hw/mem layers themselves.
+
+A second grep keeps the retired twin engine retired: there is one
+memory representation, so no source, test, example or doc may name
+the old host-speed switch, its package or its per-object flags.
 """
 
 import pathlib
@@ -26,6 +30,16 @@ _FORBIDDEN = re.compile(
 
 #: the layers that own the representations
 _ALLOWED_PREFIXES = ("hw/", "mem/")
+
+REPO_ROOT = REPO_SRC.parent.parent
+
+#: references to the retired twin engine's switch (spelled with
+#: character classes so this file does not match itself)
+_RETIRED = re.compile(
+    r"REPRO_PER[F]|repro\.per[f]|per[f]_(en|dis)abled|\.[_]perf\b")
+
+#: the trees that must not mention it
+_RETIRED_SCAN = ("src", "tests", "examples", "docs")
 
 
 def _violations():
@@ -48,3 +62,19 @@ def test_no_representation_access_outside_hw_and_mem():
         "storage-representation attributes reached from outside "
         "repro.hw/repro.mem — use the public bulk interface instead:\n"
         + "\n".join(violations))
+
+
+def test_retired_perf_switch_is_gone():
+    found = []
+    for tree in _RETIRED_SCAN:
+        for path in sorted((REPO_ROOT / tree).rglob("*")):
+            if path.suffix not in (".py", ".md"):
+                continue
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            for lineno, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), start=1):
+                if _RETIRED.search(line):
+                    found.append(f"{rel}:{lineno}: {line.strip()}")
+    assert not found, (
+        "references to the retired twin engine (there is one memory "
+        "representation):\n" + "\n".join(found))

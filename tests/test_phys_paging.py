@@ -154,14 +154,25 @@ class TestPhysicalMemory:
 class TestFrameNumberChurn:
     """Frame numbers are never double-issued, whatever the free/alloc
     interleaving — a regression net over the free list, the deferred
-    scrub set and the frame-object pool, which all key on numbers."""
+    scrub set and the frame-object pool, which all key on numbers.
 
-    @pytest.mark.parametrize("perf", [False, True])
-    def test_heavy_churn_never_double_issues(self, perf):
+    ``chaos`` attaches a zero-rate chaos engine, which routes
+    ``cow_copy``/``copy_frames`` through the per-page ``copy_frame``
+    fallback instead of their inlined bulk paths, so both are churned.
+    """
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_heavy_churn_never_double_issues(self, chaos):
         import random
 
-        machine = Machine(seed=1, perf=perf)
+        from repro.chaos import ChaosEngine, FaultMix
+
+        machine = Machine(seed=1)
+        if chaos:
+            ChaosEngine(seed=1, mix=FaultMix.parse("default=0")
+                        ).attach(machine)
         phys = machine.phys
+        assert phys.chaos.enabled is chaos
         rng = random.Random(20250808)
         live = {}  # number -> remaining references we hold
         for step in range(2000):

@@ -50,11 +50,6 @@ def _conform_report():
                        scenario_names=["pipe-hello"], host=False)
 
 
-def _perf_report():
-    from repro.perf.bench import run_benchmarks
-    return run_benchmarks(names=["pipe_pingpong"])
-
-
 def _cluster_report():
     from repro.cluster.runner import run_cluster
     return run_cluster(seed=7, shards=2, workers=2, requests=2000,
@@ -84,7 +79,6 @@ FACTORIES = {
     "repro.chaos/v1": _chaos_engine_report,
     "repro.chaos.run/v1": _chaos_run_report,
     "repro.conform/v1": _conform_report,
-    "repro.perf/v1": _perf_report,
     "repro.cluster/v1": _cluster_report,
     "repro.smp.run/v1": _smp_report,
     "repro.snapshot.run/v1": _snapshot_report,
