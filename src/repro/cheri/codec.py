@@ -35,9 +35,10 @@ _MEMO_CAP = 65536
 class CapabilityCodec:
     """Interns capability metadata and packs/unpacks 16-byte granules.
 
-    Encode and decode are memoised.  Both memos are sound by construction: a metadata tuple, once
-    interned, never changes, so a ``(cursor, meta_id, valid)`` triple
-    always decodes to an equal :class:`Capability`.  The one case that
+    Encode and decode are memoised.  Both memos are sound by
+    construction: a metadata tuple, once interned, never changes, so a
+    ``(cursor, meta_id, valid)`` triple always decodes to an equal
+    :class:`Capability`.  The one case that
     is *not* cacheable — raw bytes naming a meta id that does not exist
     yet (a forged capability) — is deliberately left uncached, because
     interning could later create that id and change the decode result.

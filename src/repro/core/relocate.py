@@ -228,8 +228,9 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
 
 def _relocate_frame_memoised(machine: Any, frame: Frame,
                              regions: RegionPair) -> int:
-    """The relocation scan, memoised at the raw-bytes level so repeated forks over a stable region pair skip the
-    decode → relocate → encode chain per capability.
+    """The relocation scan, memoised at the raw-bytes level so repeated
+    forks over a stable region pair skip the decode → relocate → encode
+    chain per capability.
 
     Soundness: a granule's 16 raw bytes plus the region pair fully
     determine the relocation outcome — decode is a pure lookup in the
@@ -242,8 +243,8 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
 
     The simulated charge is one ``cap_relocate_ns`` per rewritten
     capability, batched into a single ``advance`` only when the cost is
-    integral (sum-equal is then
-    bit-equal, and the observability layer records pure sums).
+    integral (sum-equal is then bit-equal, and the observability layer
+    records pure sums).
     """
     memo = machine._reloc_memo
     region_key = (regions.parent_base, regions.parent_top,
