@@ -32,6 +32,8 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable, Dict, Optional, TypeVar
 
+from repro.harness.matrix import SASOS_STRATEGIES
+
 __all__ = [
     "OSES",
     "STRATEGIES",
@@ -45,8 +47,9 @@ _T = TypeVar("_T")
 
 #: facade name → OS class path (resolved lazily to keep import light)
 OSES = ("ufork", "monolithic", "vmclone", "isounik")
-#: facade name → fork copy strategy (μFork §3.8)
-STRATEGIES = ("full", "coa", "copa")
+#: facade name → fork copy strategy (μFork §3.8): the harness matrix's
+#: μFork strategies (the monolithic baseline is an ``os``, not one)
+STRATEGIES = SASOS_STRATEGIES
 #: facade name → isolation preset (μFork §3.6)
 ISOLATIONS = ("none", "fault", "full")
 
@@ -63,12 +66,10 @@ def _resolve_os(name: str):
 
 def _resolve_strategy(name: str):
     from repro.core import CopyStrategy
-    strategies = {"full": CopyStrategy.FULL_COPY, "coa": CopyStrategy.COA,
-                  "copa": CopyStrategy.COPA}
-    if name not in strategies:
+    if name not in STRATEGIES:
         raise ValueError(
             f"unknown strategy {name!r}; choose from {STRATEGIES}")
-    return strategies[name]
+    return CopyStrategy(name)
 
 
 def _resolve_isolation(name: str):

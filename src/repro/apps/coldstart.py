@@ -30,11 +30,9 @@ RUN_SCHEMA = "repro.apps.coldstart/v1"
 
 
 def _boot(seed: int):
-    from repro.core import CopyStrategy, UForkOS
-    from repro.machine import Machine
+    from repro.harness.matrix import boot
 
-    machine = Machine(seed=seed)
-    return UForkOS(machine=machine, copy_strategy=CopyStrategy.COPA)
+    return boot("copa", seed=seed, cpus=1).os
 
 
 def _spawn(os_: Any, name: str):

@@ -9,7 +9,8 @@ file round-trips) check that survival never corrupts state.
 
 Everything is a pure function of ``seed``: the op sequence comes from
 ``random.Random(seed)``, the fault schedule from the engine's keyed
-hashes, and the final :func:`kernel_state_digest` fingerprints the
+hashes, and the final
+:func:`~repro.harness.matrix.kernel_state_digest` fingerprints the
 surviving kernel, so two same-seed runs must agree byte-for-byte
 (tests/test_chaos_determinism.py).
 
@@ -20,45 +21,17 @@ re-exported from :mod:`repro.chaos` (which the kernel itself imports).
 from __future__ import annotations
 
 import hashlib
-import json
-import os as _os
 import random
 from typing import Any, Dict, List, Optional
 
-from repro.chaos.engine import ChaosEngine, FaultMix
+from repro.chaos.engine import ChaosEngine
+from repro.harness.matrix import boot, kernel_state_digest, write_sidecars
 
 #: schema tag for the summary dict / ``*.chaos.json`` sidecar
 RUN_SCHEMA = "repro.chaos.run/v1"
 
 #: default per-point probability when the CLI gets no ``--fault-mix``
 DEFAULT_MIX = "default=0.02"
-
-
-def kernel_state_digest(os_: Any) -> str:
-    """A stable fingerprint of the kernel's externally visible state.
-
-    Covers exactly the state a leaked resource would perturb: the
-    simulated clock, allocated frame count, the process table, the
-    region reservation map, per-process fd counts, and the event
-    counters.  Two same-seed chaos runs must produce identical digests;
-    a rollback that leaks anything changes the digest and fails the
-    determinism tier.
-    """
-    machine = os_.machine
-    procs = sorted(
-        (proc.pid, proc.name, proc.alive, proc.region_base,
-         len(getattr(proc.fdtable, "_slots", {})))
-        for proc in os_.procs.all()
-    )
-    state = {
-        "clock_ns": machine.clock.now_ns,
-        "allocated_frames": machine.phys.allocated_frames,
-        "procs": procs,
-        "reserved": sorted(os_.vspace.reserved_areas()),
-        "counters": machine.counters.snapshot(),
-    }
-    blob = json.dumps(state, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def run_chaos(seed: int = 7, iterations: int = 200,
@@ -70,22 +43,15 @@ def run_chaos(seed: int = 7, iterations: int = 200,
     ``chaos-<seed>.obs.json`` (the ``repro.obs/v1`` metrics export) and
     ``chaos-<seed>.chaos.json`` (engine schedule + this summary).
     """
-    from repro.apps.guest import GuestContext
     from repro.apps.hello import hello_world_image
-    from repro.core import CopyStrategy, IsolationConfig, UForkOS
     from repro.errors import SimError
-    from repro.machine import Machine
-    from repro.obs import to_json, write_export
+    from repro.obs import to_json
 
-    machine = Machine(seed=seed)
-    machine.obs.enable()
-    engine = ChaosEngine(seed=seed, mix=FaultMix.parse(mix))
-    engine.attach(machine)
-
-    with engine.paused():  # boot and spawn are not chaos targets
-        os_ = UForkOS(machine=machine, copy_strategy=CopyStrategy.COPA,
-                      isolation=IsolationConfig.fault())
-        parent = GuestContext(os_, os_.spawn(hello_world_image(), "chaos"))
+    machine, os_, parent = boot("copa", seed=seed, cpus=1, obs=True,
+                                chaos_mix=mix, image=hello_world_image(),
+                                name="chaos")
+    engine = machine.chaos
+    with engine.paused():
         parent.syscall("mkdir", "/chaos")
 
     rng = random.Random(seed)
@@ -134,13 +100,8 @@ def run_chaos(seed: int = 7, iterations: int = 200,
             to_json(export).encode("utf-8")).hexdigest(),
     }
     if obs_dir is not None:
-        _os.makedirs(obs_dir, exist_ok=True)
-        write_export(export, _os.path.join(obs_dir,
-                                           f"chaos-{seed}.obs.json"))
-        from repro.harness.reportio import write_report
-        sidecar = {"run": summary, "engine": engine.export()}
-        write_report(sidecar,
-                     _os.path.join(obs_dir, f"chaos-{seed}.chaos.json"))
+        write_sidecars(obs_dir, f"chaos-{seed}", obs=export,
+                       chaos={"run": summary, "engine": engine.export()})
     return summary
 
 

@@ -30,7 +30,6 @@ stack and is *not* re-exported from :mod:`repro.cluster`.
 from __future__ import annotations
 
 import hashlib
-import os as _os
 from array import array
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional
@@ -90,11 +89,11 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
     ``cluster-<seed>.obs.json`` (the merged ``repro.obs/v1`` export,
     also embedded in the report under ``"obs"``) and
     ``cluster-<seed>.cluster.json`` (the report itself), through
-    :mod:`repro.harness.reportio`.
+    :func:`repro.harness.matrix.write_sidecars`.
     """
     from repro.cluster.shard import Shard
     from repro.cluster.migrate import migrate_worker
-    from repro.obs import obs_session, to_json, write_export
+    from repro.obs import obs_session
 
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -253,14 +252,9 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
     }
 
     if obs_dir is not None:
-        from repro.harness.reportio import write_report
-
-        _os.makedirs(obs_dir, exist_ok=True)
-        stem = f"cluster-{seed}"
-        write_export(merged_obs,
-                     _os.path.join(obs_dir, f"{stem}.obs.json"))
-        write_report(report,
-                     _os.path.join(obs_dir, f"{stem}.cluster.json"))
+        from repro.harness.matrix import write_sidecars
+        write_sidecars(obs_dir, f"cluster-{seed}", obs=merged_obs,
+                       cluster=report)
     return report
 
 

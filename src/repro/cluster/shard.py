@@ -87,7 +87,7 @@ class Shard:
         """The per-shard section of the ``repro.cluster/v1`` report."""
         import hashlib
 
-        from repro.chaos.runner import kernel_state_digest
+        from repro.harness.matrix import kernel_state_digest
         from repro.obs import to_json
 
         machine = self.session.machine

@@ -49,22 +49,17 @@ import hashlib
 import heapq
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.chaos import ChaosEngine, FaultMix, deterministic_draw
+from repro.chaos import deterministic_draw
 from repro.conform.dsl import Scenario, diff_traces, trace_sha256
 from repro.conform.invariants import (
     check_end_state,
     check_invariants,
     frame_baseline,
 )
-from repro.conform.simrun import (
-    ConformError,
-    DeadlockError,
-    SimRun,
-    boot_sim,
-)
+from repro.conform.simrun import ConformError, DeadlockError, SimRun
 from repro.errors import SimError
+from repro.harness.matrix import boot
 from repro.kernel.signals import signal_state
-from repro.machine import Machine
 
 Schedule = Dict[int, int]
 
@@ -154,18 +149,11 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
     watcher: Optional[_Watcher] = None
     baseline = None
 
-    machine = Machine(seed=seed, num_cpus=num_cpus)
-    engine: Optional[ChaosEngine] = None
-    if chaos_mix:
-        engine = ChaosEngine(seed=_chaos_seed(seed, scenario.name, schedule),
-                             mix=FaultMix.parse(chaos_mix))
-        engine.attach(machine)
-        with engine.paused():
-            machine, os_ = boot_sim(strategy, num_cpus=num_cpus, seed=seed,
-                                    machine=machine)
-    else:
-        machine, os_ = boot_sim(strategy, num_cpus=num_cpus, seed=seed,
-                                machine=machine)
+    chaotic = bool(chaos_mix)
+    _machine, os_, _ctx = boot(
+        strategy, seed=seed, cpus=num_cpus,
+        chaos_mix=chaos_mix if chaotic else None,
+        chaos_seed=_chaos_seed(seed, scenario.name, schedule))
 
     def decision(point: int, offered: List[Tuple[str, Any]]) -> int:
         return schedule.get(point, 0)
@@ -199,7 +187,7 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
     try:
         trace = interp.run()
     except DeadlockError as exc:
-        if engine is not None:
+        if chaotic:
             # an injected WouldBlock can wedge a schedule; that is the
             # fault model working, not a kernel bug — report it as a
             # chaos death, never silently
@@ -211,7 +199,7 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
         record("deadlock", str(exc))
         return None, meta_for([], None), violations
     except ConformError as exc:
-        if engine is not None:
+        if chaotic:
             # e.g. an injected fork failure makes a later wait reference
             # a child that never existed — scenario logic broken *by*
             # the fault model, not by the kernel
@@ -223,7 +211,7 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
         record("scenario-error", str(exc))
         return None, meta_for([], None), violations
     except SimError as exc:
-        if engine is None:
+        if not chaotic:
             raise
         # a fault escaped the recovery machinery and killed the
         # scenario mid-flight — allowed under chaos; the watcher's

@@ -38,10 +38,11 @@ import tempfile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.conform import SCHEMA
+from repro.harness.matrix import CONFORM_STRATEGIES, SWEEP_CPUS, check_names
 
-#: the farm's default coverage domain: every strategy at 1/2/4/8 CPUs,
-#: explored to depth >= 5 (the single-process explorer stopped at 3)
-DEFAULT_CPUS = (1, 2, 4, 8)
+#: the farm's default coverage domain: every strategy at 1/2/4/8 CPUs
+#: (:data:`~repro.harness.matrix.SWEEP_CPUS`), explored to depth >= 5
+#: (the single-process explorer stopped at 3)
 DEFAULT_DEPTH = 5
 DEFAULT_BUDGET = 12
 DEFAULT_WORKERS = 4
@@ -67,7 +68,7 @@ def unit_key(unit: Unit) -> str:
 
 def plan_units(scenario_names: Optional[Sequence[str]] = None,
                strategies: Optional[Sequence[str]] = None,
-               cpus: Sequence[int] = DEFAULT_CPUS) -> List[Unit]:
+               cpus: Sequence[int] = SWEEP_CPUS) -> List[Unit]:
     """The deterministic work matrix, in corpus × strategy × cpu order.
 
     The farm covers the host-differential corpus *plus* the sim-only
@@ -76,13 +77,9 @@ def plan_units(scenario_names: Optional[Sequence[str]] = None,
     ``--chaos``, injected mid-restore aborts) are fair game here.
     """
     from repro.conform.scenarios import corpus, sec_corpus, snapshot_corpus
-    from repro.conform.simrun import STRATEGIES
 
-    strategies = tuple(strategies or STRATEGIES)
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; "
-                             f"choose from {STRATEGIES}")
+    strategies = check_names("strategies", strategies or CONFORM_STRATEGIES,
+                             CONFORM_STRATEGIES)
     scenarios = corpus() + snapshot_corpus() + sec_corpus()
     if scenario_names:
         wanted = set(scenario_names)
@@ -165,7 +162,7 @@ def run_farm(seed: int = 0,
              chaos_mix: Optional[str] = None,
              scenario_names: Optional[Sequence[str]] = None,
              strategies: Optional[Sequence[str]] = None,
-             cpus: Sequence[int] = DEFAULT_CPUS,
+             cpus: Sequence[int] = SWEEP_CPUS,
              timeout: float = DEFAULT_TIMEOUT,
              work_dir: Optional[str] = None) -> Dict[str, Any]:
     """Fan the explorer out over ``workers`` OS processes; return the
@@ -176,9 +173,8 @@ def run_farm(seed: int = 0,
     merged.
     """
     from repro.conform.isolated import IsolatedProcess
-    from repro.conform.simrun import STRATEGIES
 
-    strategies = tuple(strategies or STRATEGIES)
+    strategies = tuple(strategies or CONFORM_STRATEGIES)
     mix = (chaos_mix or DEFAULT_CHAOS_MIX) if (chaos or chaos_mix) else None
     units = plan_units(scenario_names=scenario_names,
                        strategies=strategies, cpus=cpus)

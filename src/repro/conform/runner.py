@@ -25,17 +25,16 @@ relies on it.
 from __future__ import annotations
 
 import hashlib
-import json
-import os as _os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.conform import SCHEMA
 from repro.conform.dsl import Scenario, diff_traces, trace_sha256
 from repro.conform.explorer import explore
 from repro.conform.scenarios import corpus
-from repro.conform.simrun import STRATEGIES, ConformError, run_sim
+from repro.conform.simrun import ConformError, run_sim
+from repro.harness.matrix import (CONFORM_STRATEGIES, DEFAULT_CPUS,
+                                  write_sidecars)
 
-DEFAULT_CPUS = (1, 2, 4)
 #: strategy/CPU pair the explorer permutes schedules on (one cell —
 #: the schedule space, not the strategy, is what exploration varies)
 EXPLORE_STRATEGY = "copa"
@@ -67,7 +66,7 @@ def _matrix_cell(scenario: Scenario, strategy: str, cpus: int, seed: int,
 
 def run_conform(seed: int = 7,
                 cpus: Sequence[int] = DEFAULT_CPUS,
-                strategies: Sequence[str] = STRATEGIES,
+                strategies: Sequence[str] = CONFORM_STRATEGIES,
                 depth_bound: int = 3,
                 budget: int = 600,
                 scenario_names: Optional[Sequence[str]] = None,
@@ -78,7 +77,7 @@ def run_conform(seed: int = 7,
     With ``obs_dir`` set, writes ``conform-<seed>.conform.json`` (this
     report) and ``conform-<seed>.obs.json`` (the metrics sidecar).
     """
-    from repro.obs import obs_session, to_json, write_export
+    from repro.obs import obs_session, to_json
 
     scenarios = corpus()
     if scenario_names:
@@ -167,12 +166,8 @@ def run_conform(seed: int = 7,
         to_json(export).encode("utf-8")).hexdigest()
 
     if obs_dir is not None:
-        _os.makedirs(obs_dir, exist_ok=True)
-        write_export(export, _os.path.join(
-            obs_dir, f"conform-{seed}.obs.json"))
-        from repro.harness.reportio import write_report
-        write_report(report, _os.path.join(
-            obs_dir, f"conform-{seed}.conform.json"))
+        write_sidecars(obs_dir, f"conform-{seed}", obs=export,
+                       conform=report)
     return report
 
 

@@ -34,22 +34,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
-from repro.baselines import MonolithicOS
 from repro.conform.dsl import READ_END, WRITE_END, Scenario, status_pair
-from repro.core import CopyStrategy, UForkOS
 from repro.errors import (
     KernelError,
     NoChildProcess,
     NoSuchProcess,
     WouldBlock,
 )
+from repro.harness.matrix import boot
 from repro.kernel import signals as _signals
 from repro.kernel.task import TaskState
-from repro.machine import Machine
-
-#: every strategy the conformance matrix covers ("monolithic" is the
-#: CheriBSD-like baseline; the rest select a UForkOS copy strategy)
-STRATEGIES = ("monolithic", "full", "coa", "copa")
 
 SIG_NUMS = {
     "TERM": _signals.SIGTERM,
@@ -72,19 +66,6 @@ class ConformError(Exception):
 class DeadlockError(ConformError):
     """Every live process is blocked — the schedule wedged the
     scenario."""
-
-
-def boot_sim(strategy: str, num_cpus: int = 1, seed: int = 0,
-             machine: Optional[Machine] = None):
-    """Boot a fresh (machine, os) pair for one conformance run."""
-    machine = machine or Machine(seed=seed, num_cpus=num_cpus)
-    if strategy == "monolithic":
-        return machine, MonolithicOS(machine=machine)
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"choose from {STRATEGIES}")
-    return machine, UForkOS(machine=machine,
-                            copy_strategy=CopyStrategy(strategy))
 
 
 class _Proc:
@@ -570,8 +551,7 @@ def run_sim(scenario: Scenario, strategy: str, num_cpus: int = 1,
             seed: int = 0,
             decision: Optional[Callable[[int, List[Tuple[str, Any]]],
                                         int]] = None,
-            on_step: Optional[Callable[[Any, SimRun], None]] = None,
-            machine: Optional[Machine] = None
+            on_step: Optional[Callable[[Any, SimRun], None]] = None
             ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Boot, run, and summarize one (scenario, strategy, cpus) cell.
 
@@ -580,8 +560,7 @@ def run_sim(scenario: Scenario, strategy: str, num_cpus: int = 1,
     decision points, and the per-point candidate sets the explorer
     needs for its frontier.
     """
-    machine, os_ = boot_sim(strategy, num_cpus=num_cpus, seed=seed,
-                            machine=machine)
+    machine, os_, _ctx = boot(strategy, seed=seed, cpus=num_cpus)
     interp = SimRun(os_, scenario, decision=decision, on_step=on_step)
     trace = interp.run()
     meta = {

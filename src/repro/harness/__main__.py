@@ -34,11 +34,54 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence
+
+from repro.harness import matrix
 
 #: every subcommand; the first is the implied default for bare flags
 SUBCOMMANDS = ("figures", "obs-report", "chaos", "smp", "conform",
                "conform-farm", "cluster", "snapshot", "sec")
+
+
+# ---------------------------------------------------------------------------
+# Argument types: every list and CPU option is checked here, at parse
+# time, so a typo is a usage error (exit 2) that runs and writes nothing
+# -- never a traceback, and never exit 1, which means a failing verdict
+# ---------------------------------------------------------------------------
+
+def _usage(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    def convert(value: str) -> Any:
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+@_usage
+def _cpu_count(value: str) -> int:
+    return matrix.check_cpus([int(value)])[0]
+
+
+@_usage
+def _cpu_list(value: str) -> List[int]:
+    return list(matrix.check_cpus(int(n) for n in value.split(",")))
+
+
+@_usage
+def _strategy_list(value: str) -> List[str]:
+    return list(matrix.check_names("strategies", value.split(","),
+                                   matrix.STRATEGIES))
+
+
+@_usage
+def _mode_list(value: str) -> List[str]:
+    return list(matrix.check_names("modes", value.split(","),
+                                   matrix.MODES))
+
+
+def _csv(values: Sequence[Any]) -> str:
+    return ",".join(str(value) for value in values)
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -49,7 +92,7 @@ def _common_parent() -> argparse.ArgumentParser:
     group.add_argument("--seed", type=int, default=7,
                        help="deterministic seed (machine randomness, "
                             "fault schedules, explorer ordering)")
-    group.add_argument("--cpus", type=int, default=None,
+    group.add_argument("--cpus", type=_cpu_count, default=None,
                        help="online CPU count; commands that sweep "
                             "(smp, conform) treat the default as "
                             "'use the command's sweep list'")
@@ -117,8 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
     conform.add_argument("--budget", type=int, default=600,
                          help="max schedules explored per scenario")
     conform.add_argument("--strategies", metavar="LIST", default=None,
+                         type=_strategy_list,
                          help="comma-separated fork strategies "
-                              "(default: monolithic,full,coa,copa)")
+                              f"(default: "
+                              f"{_csv(matrix.CONFORM_STRATEGIES)})")
     conform.add_argument("--scenario", action="append", default=None,
                          help="run only this scenario (repeatable)")
     conform.add_argument("--no-host", action="store_true",
@@ -147,11 +192,15 @@ def _build_parser() -> argparse.ArgumentParser:
     conform_farm.add_argument("--scenario", action="append", default=None,
                               help="run only this scenario (repeatable)")
     conform_farm.add_argument("--strategies", metavar="LIST", default=None,
+                              type=_strategy_list,
                               help="comma-separated fork strategies "
-                                   "(default: monolithic,full,coa,copa)")
+                                   f"(default: "
+                                   f"{_csv(matrix.CONFORM_STRATEGIES)})")
     conform_farm.add_argument("--cpus-list", metavar="LIST", default=None,
+                              type=_cpu_list,
                               help="comma-separated CPU counts per unit "
-                                   "(default: 1,2,4,8; --cpus pins one)")
+                                   f"(default: {_csv(matrix.SWEEP_CPUS)}; "
+                                   f"--cpus pins one)")
     conform_farm.add_argument("--timeout", type=float, default=None,
                               help="per-worker wall-clock deadline in "
                                    "seconds before group SIGKILL")
@@ -185,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="checkpoint/restore demo (docs/SNAPSHOT.md); restores a "
              "blob into a fresh machine and diffs the logical traces")
     snapshot.add_argument("--strategy", default="copa",
-                          choices=["full", "coa", "copa", "monolithic"],
+                          choices=matrix.STRATEGIES,
                           help="fork strategy of the donor and target OS")
     snapshot.add_argument("--incremental", action="store_true",
                           help="capture only CoW-divergent pages and "
@@ -197,14 +246,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adversarial capability-security matrix (docs/SECURITY.md); "
              "emits a deterministic repro.sec/v1 report")
     sec.add_argument("--strategies", metavar="LIST", default=None,
+                     type=_strategy_list,
                      help="comma-separated fork strategies "
-                          "(default: full,coa,copa,monolithic)")
+                          f"(default: {_csv(matrix.STRATEGIES)})")
     sec.add_argument("--cpus-list", metavar="LIST", default=None,
+                     type=_cpu_list,
                      help="comma-separated CPU counts per cell "
-                          "(default: 1,2,4; --cpus pins one)")
+                          f"(default: {_csv(matrix.DEFAULT_CPUS)}; "
+                          f"--cpus pins one)")
     sec.add_argument("--modes", metavar="LIST", default=None,
-                     help="comma-separated run modes from clean,chaos "
-                          "(default: both)")
+                     type=_mode_list,
+                     help="comma-separated run modes from "
+                          f"{_csv(matrix.MODES)} (default: both)")
     sec.add_argument("--attack", action="append", default=None,
                      help="run only this attack (repeatable)")
     sec.add_argument("--fault-mix", metavar="SPEC", default=None,
@@ -218,113 +271,76 @@ def _build_parser() -> argparse.ArgumentParser:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _cpus(args, default: Sequence[int]) -> List[int]:
+    """``--cpus`` pins one count, else ``--cpus-list``, else ``default``."""
+    if args.cpus is not None:
+        return [args.cpus]
+    return list(getattr(args, "cpus_list", None) or default)
+
+
 def _cmd_obs_report(args) -> int:
     from repro.harness.obsreport import obs_report
     obs_report(samples=args.samples, json_path=args.json)
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _run_chaos(args):
     from repro.chaos.runner import DEFAULT_MIX, format_summary, run_chaos
     summary = run_chaos(seed=args.seed, iterations=args.iterations,
                         mix=args.fault_mix or DEFAULT_MIX,
                         obs_dir=args.obs_dir)
-    print(format_summary(summary))
-    if args.json:
-        from repro.harness.reportio import write_report
-        write_report(summary, args.json)
-    if args.obs_dir:
-        print(f"[sidecars: {args.obs_dir}/chaos-{args.seed}"
-              f".obs.json + .chaos.json]")
-    return 0
+    return summary, format_summary(summary)
 
 
-def _cmd_conform(args) -> int:
-    from repro.conform.runner import DEFAULT_CPUS, format_summary, run_conform
-    from repro.conform.simrun import STRATEGIES
-    strategies = (args.strategies.split(",") if args.strategies
-                  else list(STRATEGIES))
-    cpus = [args.cpus] if args.cpus is not None else list(DEFAULT_CPUS)
-    report = run_conform(seed=args.seed, cpus=cpus,
-                         strategies=strategies,
+def _run_conform(args):
+    from repro.conform.runner import format_summary, run_conform
+    report = run_conform(seed=args.seed,
+                         cpus=_cpus(args, matrix.DEFAULT_CPUS),
+                         strategies=(args.strategies
+                                     or matrix.CONFORM_STRATEGIES),
                          depth_bound=args.depth_bound,
                          budget=args.budget,
                          scenario_names=args.scenario,
                          host=not args.no_host,
                          obs_dir=args.obs_dir)
-    print(format_summary(report))
-    if args.json:
-        from repro.harness.reportio import write_report
-        write_report(report, args.json)
-    if args.obs_dir:
-        print(f"[sidecars: {args.obs_dir}/conform-{args.seed}"
-              f".obs.json + .conform.json]")
-    return 0 if report["verdict"] == "conformant" else 1
+    return report, format_summary(report)
 
 
-def _cmd_conform_farm(args) -> int:
+def _run_conform_farm(args):
     from repro.conform.farm import (
         DEFAULT_BUDGET,
-        DEFAULT_CPUS,
         DEFAULT_TIMEOUT,
         format_farm_summary,
         run_farm,
     )
-    strategies = args.strategies.split(",") if args.strategies else None
-    if args.cpus is not None:
-        cpus = [args.cpus]
-    elif args.cpus_list:
-        cpus = [int(n) for n in args.cpus_list.split(",")]
-    else:
-        cpus = list(DEFAULT_CPUS)
     report = run_farm(seed=args.seed, workers=args.workers,
                       depth_bound=args.depth,
                       budget=(args.budget if args.budget is not None
                               else DEFAULT_BUDGET),
                       chaos=args.chaos, chaos_mix=args.chaos_mix,
                       scenario_names=args.scenario,
-                      strategies=strategies, cpus=cpus,
+                      strategies=args.strategies,
+                      cpus=_cpus(args, matrix.SWEEP_CPUS),
                       timeout=(args.timeout if args.timeout is not None
                                else DEFAULT_TIMEOUT),
                       work_dir=args.work_dir)
-    print(format_farm_summary(report))
-    from repro.harness.reportio import write_report
-    if args.json:
-        write_report(report, args.json)
-        print(f"[wrote {args.json}]")
     if args.obs_dir:
-        import os as _os
-        write_report(report, _os.path.join(
-            args.obs_dir, f"conform-farm-{args.seed}.farm.json"))
-        print(f"[sidecar: {args.obs_dir}/conform-farm-{args.seed}"
-              f".farm.json]")
-    return 0 if report["verdict"] == "conformant" else 1
+        matrix.write_sidecars(args.obs_dir, f"conform-farm-{args.seed}",
+                              farm=report)
+    return report, format_farm_summary(report)
 
 
-def _cmd_smp(args) -> int:
-    from repro.smp.runner import DEFAULT_SWEEP, format_summary, run_smp
-    sweep = [args.cpus] if args.cpus is not None else list(DEFAULT_SWEEP)
-    summaries = []
-    for index, cpus in enumerate(sweep):
-        if index:
-            print()
-        summary = run_smp(seed=args.seed, num_cpus=cpus,
-                          requests=args.requests,
-                          workload=args.workload,
-                          mix=args.fault_mix,
-                          obs_dir=args.obs_dir)
-        summaries.append(summary)
-        print(format_summary(summary))
-        if args.obs_dir:
-            print(f"[sidecars: {args.obs_dir}/smp-{args.seed}"
-                  f"-c{cpus}.obs.json + .smp.json]")
-    if args.json:
-        from repro.harness.reportio import write_report
-        write_report({"runs": summaries}, args.json)
-    return 0
+def _run_smp(args):
+    from repro.smp.runner import format_summary, run_smp
+    summaries = [run_smp(seed=args.seed, num_cpus=cpus,
+                         requests=args.requests, workload=args.workload,
+                         mix=args.fault_mix, obs_dir=args.obs_dir)
+                 for cpus in _cpus(args, matrix.SWEEP_CPUS)]
+    return ({"runs": summaries},
+            "\n\n".join(format_summary(summary) for summary in summaries))
 
 
-def _cmd_cluster(args) -> int:
+def _run_cluster(args):
     from repro.cluster.runner import format_summary, run_cluster
     report = run_cluster(seed=args.seed, shards=args.shards,
                          workers=args.workers, requests=args.requests,
@@ -332,64 +348,61 @@ def _cmd_cluster(args) -> int:
                          cpus=args.cpus or 1, audit=args.audit,
                          max_migrations=args.max_migrations,
                          obs_dir=args.obs_dir)
-    print(format_summary(report))
-    if args.json:
-        from repro.harness.reportio import write_report
-        write_report(report, args.json)
-        print(f"[wrote {args.json}]")
-    if args.obs_dir:
-        print(f"[sidecars: {args.obs_dir}/cluster-{args.seed}"
-              f".obs.json + .cluster.json]")
-    return 0
+    return report, format_summary(report)
 
 
-def _cmd_snapshot(args) -> int:
+def _run_snapshot(args):
     from repro.snapshot.report import format_summary, run_snapshot
     summary = run_snapshot(seed=args.seed, cpus=args.cpus or 1,
                            strategy=args.strategy,
                            incremental=args.incremental,
                            obs_dir=args.obs_dir)
-    print(format_summary(summary))
-    if args.json:
-        from repro.harness.reportio import write_report
-        write_report(summary, args.json)
-        print(f"[wrote {args.json}]")
-    if args.obs_dir:
-        print(f"[sidecars: {args.obs_dir}/snapshot-{args.seed}"
-              f".obs.json + .snapshot.json]")
-    return 0 if summary["verdict"] == "identical" else 1
+    return summary, format_summary(summary)
 
 
-def _cmd_sec(args) -> int:
-    from repro.sec.runner import (
-        DEFAULT_CPUS,
-        DEFAULT_FAULT_MIX,
-        MODES,
-        format_summary,
-        run_sec,
-    )
-    from repro.sec.attacks import STRATEGIES
-    strategies = (args.strategies.split(",") if args.strategies
-                  else list(STRATEGIES))
-    if args.cpus is not None:
-        cpus_list = [args.cpus]
-    elif args.cpus_list:
-        cpus_list = [int(n) for n in args.cpus_list.split(",")]
-    else:
-        cpus_list = list(DEFAULT_CPUS)
-    modes = args.modes.split(",") if args.modes else list(MODES)
-    report = run_sec(seed=args.seed, strategies=strategies,
-                     cpus_list=cpus_list, modes=modes,
+def _run_sec(args):
+    from repro.sec.runner import DEFAULT_FAULT_MIX, format_summary, run_sec
+    report = run_sec(seed=args.seed,
+                     strategies=args.strategies or matrix.STRATEGIES,
+                     cpus_list=_cpus(args, matrix.DEFAULT_CPUS),
+                     modes=args.modes or matrix.MODES,
                      fault_mix=args.fault_mix or DEFAULT_FAULT_MIX,
                      attacks=args.attack, obs_dir=args.obs_dir)
-    print(format_summary(report))
+    return report, format_summary(report)
+
+
+#: report command -> (runner returning (report, summary text), the
+#: verdict that exits 0 -- None: always 0 -- and its sidecar kinds)
+REPORT_COMMANDS = {
+    "chaos": (_run_chaos, None, ("obs", "chaos")),
+    "smp": (_run_smp, None, ("obs", "smp")),
+    "conform": (_run_conform, "conformant", ("obs", "conform")),
+    "conform-farm": (_run_conform_farm, "conformant", ("farm",)),
+    "cluster": (_run_cluster, None, ("obs", "cluster")),
+    "snapshot": (_run_snapshot, "identical", ("obs", "snapshot")),
+    "sec": (_run_sec, "defeated", ("sec",)),
+}
+
+
+def _cmd_report(args) -> int:
+    """The shared tail of every report command: print the summary,
+    write ``--json``, name the sidecars, map the verdict to an exit
+    code (1 is a failing verdict; usage errors exit 2 in the parser)."""
+    run, passing, kinds = REPORT_COMMANDS[args.command]
+    report, text = run(args)
+    print(text)
     if args.json:
         from repro.harness.reportio import write_report
         write_report(report, args.json)
         print(f"[wrote {args.json}]")
     if args.obs_dir:
-        print(f"[sidecar: {args.obs_dir}/sec-{args.seed}.sec.json]")
-    return 0 if report["verdict"] == "defeated" else 1
+        # smp writes one sidecar pair per swept CPU count
+        stems = ([f"smp-{args.seed}-c{summary['num_cpus']}"
+                  for summary in report["runs"]] if args.command == "smp"
+                 else [f"{args.command}-{args.seed}"])
+        for stem in stems:
+            print(matrix.sidecar_notice(args.obs_dir, stem, kinds))
+    return 0 if passing is None or report["verdict"] == passing else 1
 
 
 def _cmd_figures(args, parser: argparse.ArgumentParser) -> int:
@@ -473,14 +486,12 @@ def _run_with_sidecar(experiment, name: str, obs_dir: str) -> None:
     merged ``repro.obs/v1`` export next to its printed table."""
     import os
 
-    from repro.obs import obs_session, write_export
+    from repro.obs import obs_session
 
-    os.makedirs(obs_dir, exist_ok=True)
     with obs_session() as session:
         experiment()
-    path = os.path.join(obs_dir, f"{name}.obs.json")
-    write_export(session.export(), path)
-    print(f"[obs sidecar: {path}]")
+    matrix.write_sidecars(obs_dir, name, obs=session.export())
+    print(f"[obs sidecar: {os.path.join(obs_dir, name)}.obs.json]")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -495,17 +506,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "figures":
         return _cmd_figures(args, parser)
-    handlers = {
-        "obs-report": _cmd_obs_report,
-        "chaos": _cmd_chaos,
-        "smp": _cmd_smp,
-        "conform": _cmd_conform,
-        "conform-farm": _cmd_conform_farm,
-        "cluster": _cmd_cluster,
-        "snapshot": _cmd_snapshot,
-        "sec": _cmd_sec,
-    }
-    return handlers[args.command](args)
+    if args.command == "obs-report":
+        return _cmd_obs_report(args)
+    return _cmd_report(args)
 
 
 if __name__ == "__main__":

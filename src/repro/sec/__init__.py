@@ -17,8 +17,7 @@ The package root stays import-light (no OS stack): the conform
 invariant hook imports :mod:`repro.sec.auditor` on its hot path.
 """
 
-from repro.sec.attacks import (ATTACKS, Attack, AttackDefeated, AttackEnv,
-                               SASOS_STRATEGIES, STRATEGIES)
+from repro.sec.attacks import ATTACKS, Attack, AttackDefeated, AttackEnv
 from repro.sec.auditor import audit_cap_flow, provenance_of
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "Attack",
     "AttackDefeated",
     "AttackEnv",
-    "SASOS_STRATEGIES",
-    "STRATEGIES",
     "audit_cap_flow",
     "provenance_of",
 ]

@@ -27,13 +27,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from repro.cheri.capability import OTYPE_SENTRY, Perm
+from repro.harness.matrix import SASOS_STRATEGIES, STRATEGIES
 
-__all__ = ["ATTACKS", "Attack", "AttackDefeated", "AttackEnv",
-           "SASOS_STRATEGIES", "STRATEGIES"]
-
-STRATEGIES = ("full", "coa", "copa", "monolithic")
-#: strategies with a single shared address space (per-μprocess regions)
-SASOS_STRATEGIES = ("full", "coa", "copa")
+__all__ = ["ATTACKS", "Attack", "AttackDefeated", "AttackEnv"]
 
 _SECRET = b"parent-secret-0x"
 _OVERWRITE = b"child-overwrite!"

@@ -23,7 +23,9 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.sec.attacks import (ATTACKS, Attack, AttackEnv, STRATEGIES)
+from repro.harness.matrix import (DEFAULT_CPUS, MODES, STRATEGIES, boot,
+                                  check_cpus, check_names, write_sidecars)
+from repro.sec.attacks import ATTACKS, Attack, AttackEnv
 from repro.sec.auditor import audit_cap_flow
 
 #: schema tag of the report / ``*.sec.json`` sidecar
@@ -35,9 +37,6 @@ SCHEMA = "repro.sec/v1"
 #: ever changing an attack's verdict
 DEFAULT_FAULT_MIX = "default=0.0,core.ufork.abort.*=0.05,sec.*=0.4"
 
-DEFAULT_CPUS = (1, 2, 4)
-MODES = ("clean", "chaos")
-
 
 def _cell_seed(seed: int, attack: str, strategy: str, cpus: int,
                mode: str) -> int:
@@ -45,36 +44,6 @@ def _cell_seed(seed: int, attack: str, strategy: str, cpus: int,
         f"{seed}|{attack}|{strategy}|{cpus}|{mode}".encode(),
         digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _boot(strategy: str, seed: int, cpus: int, mode: str,
-          fault_mix: str):
-    from repro.apps.guest import GuestContext
-    from repro.apps.hello import hello_world_image
-    from repro.chaos import ChaosEngine, FaultMix
-    from repro.machine import Machine
-
-    machine = Machine(seed=seed, num_cpus=cpus)
-    machine.obs.enable()
-    engine = None
-    if mode == "chaos":
-        engine = ChaosEngine(seed=seed, mix=FaultMix.parse(fault_mix))
-        engine.attach(machine)
-    with (engine.paused() if engine else _null_pause()):
-        if strategy == "monolithic":
-            from repro.baselines.monolithic import MonolithicOS
-            os_ = MonolithicOS(machine=machine)
-        else:
-            from repro.core import CopyStrategy, UForkOS
-            os_ = UForkOS(machine=machine,
-                          copy_strategy=CopyStrategy(strategy))
-        ctx = GuestContext(os_, os_.spawn(hello_world_image(), "sec"))
-    return os_, ctx
-
-
-def _null_pause():
-    import contextlib
-    return contextlib.nullcontext()
 
 
 def _attempt(env: AttackEnv, body) -> Tuple[Optional[str], Optional[str]]:
@@ -92,9 +61,13 @@ def run_cell(attack: Attack, body, strategy: str, cpus: int, mode: str,
     """One matrix cell: boot, attack, classify, audit, tear down."""
     if strategy not in attack.strategies:
         return {"verdict": "n/a", "reason": attack.na_reason}
+    from repro.apps.hello import hello_world_image
+
     cell_seed = _cell_seed(seed, attack.name, strategy, cpus, mode)
-    os_, ctx = _boot(strategy, cell_seed, cpus, mode, fault_mix)
-    machine = os_.machine
+    machine, os_, ctx = boot(
+        strategy, seed=cell_seed, cpus=cpus, obs=True,
+        chaos_mix=fault_mix if mode == "chaos" else None,
+        image=hello_world_image(), name="sec")
     env = AttackEnv(os=os_, ctx=ctx, strategy=strategy)
     chaos = machine.chaos
     replayed = False
@@ -148,16 +121,12 @@ def run_sec(seed: int = 7,
     set, writes the report there as ``sec-<seed>.sec.json`` (canonical
     byte-stable form via :mod:`repro.harness.reportio`).
     """
-    strategies = tuple(strategies)
-    cpus_list = tuple(cpus_list)
-    modes = tuple(modes)
-    unknown = set(strategies) - set(STRATEGIES)
-    if unknown:
-        raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    selected = tuple(attacks) if attacks is not None else tuple(ATTACKS)
-    unknown = set(selected) - set(ATTACKS)
-    if unknown:
-        raise ValueError(f"unknown attacks: {sorted(unknown)}")
+    strategies = check_names("strategies", strategies, STRATEGIES)
+    cpus_list = check_cpus(cpus_list)
+    modes = check_names("modes", modes, MODES)
+    selected = check_names("attacks",
+                           ATTACKS if attacks is None else attacks,
+                           tuple(ATTACKS))
 
     matrix: Dict[str, Dict[str, Any]] = {}
     totals = {"cells": 0, "defeated": 0, "breached": 0, "n/a": 0,
@@ -199,10 +168,7 @@ def run_sec(seed: int = 7,
         "verdict": "defeated" if totals["breached"] == 0 else "breached",
     }
     if obs_dir:
-        from repro.harness.reportio import write_report
-        import os as _os
-        write_report(report,
-                     _os.path.join(obs_dir, f"sec-{seed}.sec.json"))
+        write_sidecars(obs_dir, f"sec-{seed}", sec=report)
     return report
 
 

@@ -30,17 +30,14 @@ and therefore is *not* re-exported from :mod:`repro.smp` (which
 from __future__ import annotations
 
 import hashlib
-import json
-import os as _os
 from typing import Any, Dict, Optional
+
+from repro.harness.matrix import boot, kernel_state_digest, write_sidecars
 
 #: schema tag for the summary dict / ``*.smp.json`` sidecar
 RUN_SCHEMA = "repro.smp.run/v1"
 
 WORKLOADS = ("faas", "nginx", "forkbench")
-
-#: the CLI's default core sweep (no ``--cpus``)
-DEFAULT_SWEEP = (1, 2, 4, 8)
 
 
 def run_smp(seed: int = 7, num_cpus: int = 4, requests: int = 64,
@@ -52,7 +49,7 @@ def run_smp(seed: int = 7, num_cpus: int = 4, requests: int = 64,
     ``smp-<seed>-c<num_cpus>.obs.json`` (the merged ``repro.obs/v1``
     metrics export) and ``...smp.json`` (this summary).
     """
-    from repro.obs import obs_session, to_json, write_export
+    from repro.obs import obs_session, to_json
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown SMP workload {workload!r}; "
@@ -82,39 +79,14 @@ def run_smp(seed: int = 7, num_cpus: int = 4, requests: int = 64,
         to_json(export).encode("utf-8")).hexdigest()
 
     if obs_dir is not None:
-        _os.makedirs(obs_dir, exist_ok=True)
-        stem = f"smp-{seed}-c{num_cpus}"
-        write_export(export, _os.path.join(obs_dir, f"{stem}.obs.json"))
-        from repro.harness.reportio import write_report
-        write_report(summary, _os.path.join(obs_dir, f"{stem}.smp.json"))
+        write_sidecars(obs_dir, f"smp-{seed}-c{num_cpus}", obs=export,
+                       smp=summary)
     return summary
 
 
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
-
-def _boot_ufork(seed: int, num_cpus: int, mix: Optional[str]):
-    """Machine + UForkOS (+ optional chaos engine, paused for boot)."""
-    from repro.core import IsolationConfig, UForkOS
-    from repro.machine import Machine
-
-    machine = Machine(seed=seed, num_cpus=num_cpus)
-    engine = _attach_chaos(machine, seed, mix)
-    with engine.paused():
-        os_ = UForkOS(machine=machine, isolation=IsolationConfig.fault())
-    return machine, os_, engine
-
-
-def _attach_chaos(machine: Any, seed: int, mix: Optional[str]):
-    from repro.chaos.engine import NULL_CHAOS, ChaosEngine, FaultMix
-
-    if mix is None:
-        return NULL_CHAOS
-    engine = ChaosEngine(seed=seed, mix=FaultMix.parse(mix))
-    engine.attach(machine)
-    return engine
-
 
 def _machine_stats(machine: Any, ex: Any) -> Dict[str, Any]:
     """The per-run SMP bookkeeping every workload reports."""
@@ -158,14 +130,14 @@ def _chaos_stats(engine: Any) -> Dict[str, Any]:
 def _run_faas(seed: int, num_cpus: int, requests: int,
               mix: Optional[str]) -> Dict[str, Any]:
     from repro.apps.faas import ZygoteRuntime, faas_image
-    from repro.apps.guest import GuestContext
-    from repro.chaos.runner import kernel_state_digest
     from repro.errors import SimError
     from repro.smp.exec import SmpExecutor
 
-    machine, os_, engine = _boot_ufork(seed, num_cpus, mix)
+    machine, os_, ctx = boot("copa", seed=seed, cpus=num_cpus,
+                             chaos_mix=mix, image=faas_image(),
+                             name="zygote")
+    engine = machine.chaos
     with engine.paused():
-        ctx = GuestContext(os_, os_.spawn(faas_image(), "zygote"))
         runtime = ZygoteRuntime(ctx)
         runtime.warm()
 
@@ -216,16 +188,16 @@ def _run_faas(seed: int, num_cpus: int, requests: int,
 
 def _run_nginx(seed: int, num_cpus: int, requests: int,
                mix: Optional[str]) -> Dict[str, Any]:
-    from repro.apps.guest import GuestContext
     from repro.apps.nginx import MiniNginx, WrkClient, nginx_image
-    from repro.chaos.runner import kernel_state_digest
     from repro.errors import SimError
     from repro.smp.exec import SmpExecutor
 
-    machine, os_, engine = _boot_ufork(seed, num_cpus, mix)
+    machine, os_, master = boot("copa", seed=seed, cpus=num_cpus,
+                                chaos_mix=mix, image=nginx_image(),
+                                name="nginx")
+    engine = machine.chaos
     worker_count = 2 * num_cpus
     with engine.paused():
-        master = GuestContext(os_, os_.spawn(nginx_image(), "nginx"))
         server = MiniNginx(master)
         workers = server.fork_workers(worker_count)
         client_ctx = master.fork()
@@ -287,23 +259,13 @@ def _run_nginx(seed: int, num_cpus: int, requests: int,
 
 def _run_forkbench(seed: int, num_cpus: int, requests: int,
                    mix: Optional[str]) -> Dict[str, Any]:
-    from repro.apps.guest import GuestContext
     from repro.apps.hello import hello_world_image
-    from repro.baselines.monolithic import MonolithicOS
-    from repro.core import IsolationConfig, UForkOS
-    from repro.machine import Machine
 
     systems: Dict[str, Any] = {}
-    for name in ("ufork", "monolithic"):
-        machine = Machine(seed=seed, num_cpus=num_cpus)
-        engine = _attach_chaos(machine, seed, mix)
-        with engine.paused():
-            if name == "ufork":
-                os_ = UForkOS(machine=machine,
-                              isolation=IsolationConfig.fault())
-            else:
-                os_ = MonolithicOS(machine=machine)
-            ctx = GuestContext(os_, os_.spawn(hello_world_image(), name))
+    for name, strategy in (("ufork", "copa"), ("monolithic", "monolithic")):
+        machine, _kernel, ctx = boot(strategy, seed=seed, cpus=num_cpus,
+                                     chaos_mix=mix,
+                                     image=hello_world_image(), name=name)
         before = machine.clock.now_ns
         for _ in range(requests):
             child = ctx.fork()

@@ -19,33 +19,20 @@ This module imports the full OS stack, so it is *not* re-exported from
 from __future__ import annotations
 
 import hashlib
-import os as _os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.harness.matrix import boot, write_sidecars
 from repro.snapshot.format import SCHEMA, decode
 
 #: schema tag for the summary dict / ``*.snapshot.json`` sidecar
 RUN_SCHEMA = "repro.snapshot.run/v1"
 
-#: fork strategies the demo accepts (three SASOS + the CheriBSD baseline)
-STRATEGIES = ("full", "coa", "copa", "monolithic")
-
 
 def _boot(strategy: str, seed: int, cpus: int):
-    from repro.apps.guest import GuestContext
     from repro.apps.hello import hello_world_image
-    from repro.machine import Machine
 
-    machine = Machine(seed=seed, num_cpus=cpus)
-    machine.obs.enable()
-    if strategy == "monolithic":
-        from repro.baselines.monolithic import MonolithicOS
-        os_ = MonolithicOS(machine=machine)
-    else:
-        from repro.core import CopyStrategy, UForkOS
-        os_ = UForkOS(machine=machine,
-                      copy_strategy=CopyStrategy(strategy))
-    ctx = GuestContext(os_, os_.spawn(hello_world_image(), "snapdemo"))
+    _machine, os_, ctx = boot(strategy, seed=seed, cpus=cpus, obs=True,
+                              image=hello_world_image(), name="snapdemo")
     return os_, ctx
 
 
@@ -98,12 +85,8 @@ def run_snapshot(seed: int = 7, cpus: int = 1, strategy: str = "copa",
     ``repro.snapshot/v1`` manifest plus this summary).
     """
     from repro.apps.guest import GuestContext
-    from repro.obs import to_json, write_export
+    from repro.obs import to_json
     from repro.snapshot import checkpoint, restore, restore_into
-
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
 
     # the uninterrupted twin fixes the expected logical trace
     _os_t, twin = _boot(strategy, seed, cpus)
@@ -174,13 +157,9 @@ def run_snapshot(seed: int = 7, cpus: int = 1, strategy: str = "copa",
             to_json(export).encode("utf-8")).hexdigest(),
     }
     if obs_dir is not None:
-        _os.makedirs(obs_dir, exist_ok=True)
-        write_export(export, _os.path.join(
-            obs_dir, f"snapshot-{seed}.obs.json"))
-        from repro.harness.reportio import write_report
-        sidecar = {"schema": SCHEMA, "manifest": manifest, "run": summary}
-        write_report(sidecar, _os.path.join(
-            obs_dir, f"snapshot-{seed}.snapshot.json"))
+        write_sidecars(obs_dir, f"snapshot-{seed}", obs=export,
+                       snapshot={"schema": SCHEMA, "manifest": manifest,
+                                 "run": summary})
     return summary
 
 

@@ -5,7 +5,8 @@ engine changes nothing at all."""
 import json
 import pathlib
 
-from repro.chaos.runner import kernel_state_digest, run_chaos
+from repro.chaos.runner import run_chaos
+from repro.harness.matrix import kernel_state_digest
 
 SEED = 7
 ITERATIONS = 80

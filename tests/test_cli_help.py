@@ -1,4 +1,4 @@
-"""The harness CLI surface, pinned byte for byte.
+"""The harness CLI surface: pinned byte for byte, and validated.
 
 ``tests/golden/cli_help.txt`` holds the ``--help`` output of
 ``python -m repro.harness`` and of every subcommand, rendered at 80
@@ -7,6 +7,10 @@ help text shows up as a diff here, so a refactor of the parser cannot
 drop or re-default an option silently.  The golden is argparse's
 rendering on Python 3.10-3.12 (the versions CI runs); 3.13 changed the
 layout.
+
+Every list and CPU option is validated while parsing: a bad value is
+an argparse usage error (exit 2) that runs and writes nothing, so CI can
+tell a typo from a breach or a non-conformant verdict (exit 1).
 
 To regenerate after an intentional change to the CLI::
 
@@ -65,3 +69,35 @@ def test_cli_help_matches_golden_byte_for_byte():
         "the harness CLI surface drifted from tests/golden/cli_help.txt "
         "— if the change is intentional, regenerate it (see module "
         "docstring)")
+
+
+#: one bad value per list or CPU option
+USAGE_ERRORS = (
+    "sec --modes bogus",
+    "sec --cpus 0",
+    "sec --cpus-list 1,x",
+    "sec --cpus-list 2,0",
+    "sec --strategies bogus",
+    "conform --strategies copa,bogus",
+    "conform --cpus 0",
+    "conform-farm --cpus 0",
+    "conform-farm --cpus-list 1,x",
+    "conform-farm --strategies bogus",
+    "cluster --cpus 0",
+    "snapshot --cpus 0",
+    "smp --cpus -1",
+)
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_bad_list_or_cpu_value_is_a_usage_error(command, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    obs_dir = tmp_path / "obs"
+    with pytest.raises(SystemExit) as exit_info:
+        main(command.split() + ["--json", str(report),
+                                "--obs-dir", str(obs_dir)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: python -m repro.harness" in err
+    assert "error: argument --" in err
+    assert not report.exists() and not obs_dir.exists()

@@ -9,7 +9,6 @@ import json
 import pytest
 
 import repro.conform.explorer as explorer_mod
-from repro.chaos import ChaosEngine, FaultMix
 from repro.conform.dsl import Scenario
 from repro.conform.explorer import _run_schedule, explore
 from repro.conform.invariants import (
@@ -18,9 +17,9 @@ from repro.conform.invariants import (
     frame_baseline,
 )
 from repro.conform.scenarios import by_name, corpus
-from repro.conform.simrun import STRATEGIES, boot_sim, run_sim, SimRun
+from repro.conform.simrun import SimRun
 from repro.errors import SimError
-from repro.machine import Machine
+from repro.harness.matrix import CONFORM_STRATEGIES, boot
 
 
 def test_contended_pipe_reaches_500_schedules():
@@ -49,7 +48,7 @@ def test_sleep_sets_prune_independent_interleavings():
     assert result["violations"] == []
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", CONFORM_STRATEGIES)
 def test_corpus_sweep_no_violations(strategy):
     """A shallow sweep of every scenario under every strategy: kernel
     invariants hold at every preemption point of every schedule."""
@@ -191,13 +190,8 @@ def test_invariants_hold_under_chaos(strategy):
     """Rollback completeness: with fault injection hammering the fork
     path, ops may fail but the kernel's bookkeeping must stay
     consistent at every step and leak nothing by the end."""
-    machine = Machine(seed=13, num_cpus=2)
-    engine = ChaosEngine(seed=13, mix=FaultMix.parse(
-        "default=0.0,core.ufork.abort.*=0.15,kernel.syscall.eintr=0.05"))
-    engine.attach(machine)
-    with engine.paused():
-        machine2, os_ = boot_sim(strategy, num_cpus=2, seed=13,
-                                 machine=machine)
+    os_ = boot(strategy, seed=13, cpus=2, chaos_mix=(
+        "default=0.0,core.ufork.abort.*=0.15,kernel.syscall.eintr=0.05")).os
     scenario = by_name("pipe-grandchild")
     seen = []
 
@@ -218,7 +212,7 @@ def test_invariants_hold_under_chaos(strategy):
 
 
 def test_end_state_check_spots_a_leak():
-    _machine, os_ = boot_sim("copa", num_cpus=1, seed=1)
+    os_ = boot("copa", seed=1, cpus=1).os
     baseline = frame_baseline(os_)
     os_.machine.phys.alloc()        # deliberately leak one frame
     problems = check_end_state(os_, baseline)

@@ -16,14 +16,13 @@ import os
 import pytest
 
 from repro.conform.farm import (
-    DEFAULT_CPUS,
     _parse_result_lines,
     plan_units,
     run_farm,
     shard_units,
     unit_key,
 )
-from repro.conform.simrun import STRATEGIES
+from repro.harness.matrix import CONFORM_STRATEGIES, SWEEP_CPUS
 from repro.harness.reportio import dumps_report, load_report
 
 
@@ -44,7 +43,7 @@ def test_plan_units_covers_the_full_matrix_in_order():
 
 def test_plan_units_defaults_to_every_strategy_and_cpu_count():
     units = plan_units(scenario_names=("pipe-hello",))
-    assert len(units) == len(STRATEGIES) * len(DEFAULT_CPUS)
+    assert len(units) == len(CONFORM_STRATEGIES) * len(SWEEP_CPUS)
 
 
 def test_plan_units_rejects_unknown_names():
@@ -179,7 +178,7 @@ def test_full_matrix_reaches_depth_five_on_every_strategy_and_cpu():
     report = run_farm(seed=0, workers=4, depth_bound=5, budget=12,
                       chaos=True,
                       scenario_names=("contended-pipe", "pipe-grandchild"),
-                      strategies=STRATEGIES, cpus=(1, 2, 4, 8),
+                      strategies=CONFORM_STRATEGIES, cpus=SWEEP_CPUS,
                       timeout=600.0)
     assert report["verdict"] == "conformant"
     assert report["lost"] == []

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conform.dsl import Scenario, diff_traces
 from repro.conform.host import run_host
-from repro.conform.simrun import STRATEGIES, run_sim
+from repro.conform.simrun import run_sim
+from repro.harness.matrix import CONFORM_STRATEGIES
 
 MAX_PIPES = 3
 MAX_DUPS = 2
@@ -134,7 +135,7 @@ def build_scenario(actions) -> Scenario:
 def test_fd_programs_match_host(actions):
     scenario = build_scenario(actions)
     reference = run_host(scenario)
-    for strategy in STRATEGIES:
+    for strategy in CONFORM_STRATEGIES:
         trace, _meta = run_sim(scenario, strategy=strategy, num_cpus=1,
                                seed=1)
         diffs = diff_traces(trace, reference)

@@ -15,7 +15,8 @@ import pytest
 from repro.conform.dsl import diff_traces
 from repro.conform.host import run_host
 from repro.conform.scenarios import corpus
-from repro.conform.simrun import STRATEGIES, run_sim
+from repro.conform.simrun import run_sim
+from repro.harness.matrix import CONFORM_STRATEGIES
 
 SCENARIOS = corpus()
 _HOST_CACHE = {}
@@ -34,7 +35,7 @@ def test_corpus_is_large_enough():
     assert len(names) == len(set(names))
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", CONFORM_STRATEGIES)
 @pytest.mark.parametrize("scenario", SCENARIOS,
                          ids=lambda s: s.name)
 def test_scenario_matches_host(scenario, strategy):

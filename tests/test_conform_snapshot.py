@@ -12,7 +12,8 @@ import pytest
 
 from repro.conform.dsl import Scenario, snapshot_
 from repro.conform.scenarios import by_name, corpus, snapshot_corpus
-from repro.conform.simrun import STRATEGIES, run_sim
+from repro.conform.simrun import run_sim
+from repro.harness.matrix import CONFORM_STRATEGIES
 
 SCENARIOS = snapshot_corpus()
 
@@ -38,7 +39,7 @@ def test_dsl_accepts_and_validates_snapshot():
         frozenset({"proctree"})
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", CONFORM_STRATEGIES)
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
 def test_trace_is_strategy_and_cpu_invariant(scenario, strategy):
     """One logical trace per scenario, whatever kernel runs it."""

@@ -20,17 +20,16 @@ from __future__ import annotations
 import pytest
 
 import repro.conform.isolated as isolated
-from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.cheri.capability import Capability, Perm
 from repro.harness.reportio import dumps_report
-from repro.machine import Machine
-from repro.sec.attacks import ATTACKS, SASOS_STRATEGIES, STRATEGIES
+from repro.harness import matrix
+from repro.harness.matrix import (DEFAULT_CPUS, MODES, SASOS_STRATEGIES,
+                                  STRATEGIES)
+from repro.sec.attacks import ATTACKS
 from repro.sec.auditor import audit_cap_flow, provenance_of
 from repro.sec.runner import (
-    DEFAULT_CPUS,
     DEFAULT_FAULT_MIX,
-    MODES,
     SCHEMA,
     format_summary,
     run_cell,
@@ -39,15 +38,9 @@ from repro.sec.runner import (
 
 
 def boot(strategy: str = "copa", cpus: int = 1, seed: int = 7):
-    machine = Machine(seed=seed, num_cpus=cpus)
-    if strategy == "monolithic":
-        from repro.baselines.monolithic import MonolithicOS
-        os_ = MonolithicOS(machine=machine)
-    else:
-        from repro.core import CopyStrategy, UForkOS
-        os_ = UForkOS(machine=machine,
-                      copy_strategy=CopyStrategy(strategy))
-    return os_, GuestContext(os_, os_.spawn(hello_world_image(), "sec"))
+    _machine, os_, ctx = matrix.boot(strategy, seed=seed, cpus=cpus,
+                                     image=hello_world_image(), name="sec")
+    return os_, ctx
 
 
 # ---------------------------------------------------------------------------
