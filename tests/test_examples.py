@@ -12,6 +12,7 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def test_examples_directory_populated():
@@ -31,3 +32,16 @@ def test_example_runs_clean(example):
         f"{example.name} failed:\n{result.stdout}\n{result.stderr}"
     )
     assert result.stdout.strip(), f"{example.name} produced no output"
+
+
+def test_fork_anatomy_matches_golden():
+    """The one tracer-driven example: its eager page-copy and relocated
+    capability counts come from a :class:`~repro.trace.TraceLog`, so
+    its stdout pins what the tracer sees of a CoPA fork."""
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "fork_anatomy.py")],
+        capture_output=True, text=True, timeout=240,
+    )
+    assert result.returncode == 0, result.stderr
+    golden = (GOLDEN_DIR / "fork_anatomy.txt").read_text(encoding="utf-8")
+    assert result.stdout == golden
