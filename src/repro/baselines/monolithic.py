@@ -70,8 +70,8 @@ def handle_cow_fault(space: AddressSpace, vaddr: int,
         if machine.phys.refcount(pte.frame) > 1:
             new_frame = machine.phys.copy_frame(pte.frame, preserve_tags=True)
             space.replace_frame(vpn, new_frame)
-            machine.counters.add("cow_page_copies")
-        machine.obs.count("baselines.monolithic.cow_breaks")
+            machine.emit(counter="cow_page_copies")
+        machine.emit(metric="baselines.monolithic.cow_breaks")
         pte.perms |= PagePerm.WRITE
         pte.cow = False
         return True
@@ -258,8 +258,7 @@ class MonolithicOS(AbstractOS):
 
         self.procs.add(child)
         self.sched.add(task)
-        machine.counters.add("fork")
-        obs.count("baselines.monolithic.forks")
+        machine.emit(counter="fork", metric="baselines.monolithic.forks")
         record_flow(machine, "fork", proc.pid, child.pid,
                     child.region_base, child.region_top, "monolithic")
         return child
@@ -297,13 +296,12 @@ class MonolithicOS(AbstractOS):
                 new_frame = machine.phys.copy_frame(pte.frame,
                                                     preserve_tags=True)
                 proc.space.replace_frame(vpn, new_frame)
-                machine.counters.add("cow_page_copies")
+                machine.emit(counter="cow_page_copies")
             pte.perms |= PagePerm.WRITE
             pte.cow = False
             touched += 1
-        machine.counters.add("allocator_touch_pages", touched)
-        machine.obs.count("baselines.monolithic.allocator_touch_pages",
-                          touched)
+        machine.emit(n=touched, counter="allocator_touch_pages",
+                     metric="baselines.monolithic.allocator_touch_pages")
 
     # ------------------------------------------------------------------
     # Exit / metrics

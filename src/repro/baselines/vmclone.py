@@ -164,8 +164,7 @@ class VMCloneOS(AbstractOS):
 
         self.procs.add(child)
         self.sched.add(task)
-        machine.counters.add("fork")
-        obs.count("baselines.vmclone.forks")
+        machine.emit(counter="fork", metric="baselines.vmclone.forks")
         return child
 
     # ------------------------------------------------------------------

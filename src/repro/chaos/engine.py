@@ -196,19 +196,17 @@ class ChaosEngine:
             return False
         self.fired[point] = self.fired.get(point, 0) + 1
         self.injections.append((point, index))
-        self._count(f"chaos.injected.{point}")
         if self.machine is not None:
-            self.machine.trace("chaos_inject", point=point, hit=index)
+            self.machine.emit("chaos_inject",
+                              metric=f"chaos.injected.{point}",
+                              point=point, hit=index)
         return True
 
     def note_recovery(self, point: str) -> None:
         """A survival path absorbed the most recent fault at ``point``."""
         self.recovered[point] = self.recovered.get(point, 0) + 1
-        self._count(f"chaos.recovered.{point}")
-
-    def _count(self, name: str, n: int = 1) -> None:
         if self.machine is not None:
-            self.machine.obs.count(name, n)
+            self.machine.emit(metric=f"chaos.recovered.{point}")
 
     # -- syscall faults --------------------------------------------------
 

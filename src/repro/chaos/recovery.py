@@ -50,15 +50,15 @@ def retry_syscall(machine: Any, fn: Callable[[], T],
         except Exception as exc:
             if not is_retriable_injection(exc) or attempt >= max_attempts:
                 if is_retriable_injection(exc):
-                    machine.obs.count("chaos.retry.exhausted")
+                    machine.emit(metric="chaos.retry.exhausted")
                 raise
             machine.charge(RETRY_BACKOFF_BASE_NS * 2 ** (attempt - 1),
                            "chaos_backoff")
-            machine.obs.count("chaos.retry.attempts")
+            machine.emit(metric="chaos.retry.attempts")
             attempt += 1
         else:
             if attempt > 1:
-                machine.obs.count("chaos.retry.successes")
+                machine.emit(metric="chaos.retry.successes")
             return result
 
 

@@ -76,7 +76,7 @@ def run_chaos(seed: int = 7, iterations: int = 200,
             # it, the kernel must already be consistent
             failures[type(exc).__name__] = \
                 failures.get(type(exc).__name__, 0) + 1
-            machine.obs.count("chaos.run.op_failures")
+            machine.emit(metric="chaos.run.op_failures")
         finally:
             _reap(parent, children, engine)
 

@@ -61,12 +61,12 @@ def migrate_worker(source: Any, target: Any,
     divergent = len(manifest["pages"]) * manifest["page_size"]
 
     pool.retire(worker)
-    source.session.machine.obs.count("cluster.migrate.out")
+    source.session.machine.emit(metric="cluster.migrate.out")
 
     twin = target.pool.fork_worker()
     applied = restore_into(target.session.os, twin.proc, blob)
     assert applied == len(manifest["pages"])
-    target.session.machine.obs.count("cluster.migrate.in")
+    target.session.machine.emit(metric="cluster.migrate.in")
     return {
         "from": source.index,
         "to": target.index,

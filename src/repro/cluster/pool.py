@@ -47,7 +47,7 @@ class WarmPool:
         """Fast-fork one more worker from the warm zygote."""
         worker = self.zygote.fork()
         self.workers.append(worker)
-        self.session.machine.obs.count("cluster.pool.forked")
+        self.session.machine.emit(metric="cluster.pool.forked")
         return worker
 
     def retire(self, worker: Any = None) -> int:
@@ -63,7 +63,7 @@ class WarmPool:
         pid = worker.pid
         worker.exit(0)
         self.zygote.wait(pid)
-        self.session.machine.obs.count("cluster.pool.retired")
+        self.session.machine.emit(metric="cluster.pool.retired")
         return pid
 
     def divergent_vpns(self, worker: Any = None) -> set:

@@ -67,8 +67,8 @@ class Shard:
             assert result.ok, f"calibration request failed on shard " \
                               f"{self.index}: {name}"
             out[name] = clock.now_ns - before
-        self.session.machine.obs.count("cluster.shard.calibrations",
-                                       len(CLASSES))
+        self.session.machine.emit(n=len(CLASSES),
+                                  metric="cluster.shard.calibrations")
         return out
 
     def observe(self, klass: int) -> None:
@@ -81,7 +81,7 @@ class Shard:
             assert result.ok, f"audited request failed on shard " \
                               f"{self.index}: {CLASSES[klass]}"
             self.audited += 1
-            self.session.machine.obs.count("cluster.shard.audited")
+            self.session.machine.emit(metric="cluster.shard.audited")
 
     def stats(self) -> Dict[str, Any]:
         """The per-shard section of the ``repro.cluster/v1`` report."""

@@ -96,5 +96,5 @@ def map_library(os: Any, proc: Any, lib: SharedLibrary) -> Capability:
     if not hasattr(proc, "lib_caps"):
         proc.lib_caps = {}
     proc.lib_caps[lib.name] = cap
-    os.machine.counters.add("library_mapped")
+    os.machine.emit(counter="library_mapped")
     return cap

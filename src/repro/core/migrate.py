@@ -76,7 +76,7 @@ def migrate(os: Any, proc: Process) -> int:
             # private copy for the migrated parent (CoW-break style)
             new_frame = machine.phys.copy_frame(pte.frame,
                                                 preserve_tags=True)
-            machine.counters.add("migrate_page_copies")
+            machine.emit(counter="migrate_page_copies")
         else:
             new_frame = pte.frame
             machine.phys.incref(new_frame)  # balanced by unmap below
@@ -112,9 +112,8 @@ def migrate(os: Any, proc: Process) -> int:
         machine, os.space, heap_cap, max_blocks=proc.allocator.max_blocks,
     )
     proc.allocator.attach_lazy()
-    machine.counters.add("migrations")
-    machine.trace("migrate", pid=proc.pid, old_base=old_base,
-                  new_base=new_base, pages=len(moved))
+    machine.emit("migrate", counter="migrations", pid=proc.pid,
+                 old_base=old_base, new_base=new_base, pages=len(moved))
     record_flow(machine, "migrate", proc.pid, proc.pid,
                 proc.region_base, proc.region_top)
     return new_base

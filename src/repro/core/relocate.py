@@ -89,21 +89,12 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
     Charges the tag scan plus one relocation cost per rewritten
     capability; returns the number of capabilities relocated.
     """
-    config = machine.config
-    machine.charge(
-        machine.costs.page_scan_ns(config.page_size, config.granule),
-        "reloc_scan",
-    )
-    obs = machine.obs
-    if obs.enabled:
-        obs.count("core.relocate.frames_scanned")
-        obs.count("hw.phys.tag_granules_scanned",
-                  config.page_size // config.granule)
+    _charge_scans(machine, 1)
     relocated = _relocate_frame_memoised(machine, frame, regions)
     if relocated:
-        machine.counters.add("caps_relocated", relocated)
-        obs.count("core.relocate.caps_relocated", relocated)
-        machine.trace("relocate_frame", caps=relocated)
+        machine.emit("relocate_frame", counter="caps_relocated",
+                     metric="core.relocate.caps_relocated",
+                     amount=relocated, caps=relocated)
     return relocated
 
 
@@ -112,47 +103,28 @@ def relocate_frames(machine: Any, frames: List[Frame],
     """Relocate a batch of already-copied frames (fork's bulk path).
 
     Simulated-identical to calling :func:`relocate_frame` once per
-    frame: the per-frame page-scan charge and sweep counts are batched
-    into single sum-equal updates when the scan cost is integral (the
-    charges round identically per frame, and counters/metrics record
-    pure sums).  Falls back to the per-frame loop whenever batching
-    could be observable (tracer attached or non-integral scan cost).
+    frame: the per-frame page-scan charges and sweep counts are batched
+    into sum-equal updates, and an attached tracer receives the same
+    ``relocate_frame`` records in frame order.
     """
-    count = len(frames)
-    if count == 0:
+    if not frames:
         return 0
-    config = machine.config
-    scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    if machine.tracer is not None or scan_ns != int(scan_ns):
-        total = 0
-        for frame in frames:
-            total += relocate_frame(machine, frame, regions)
-        return total
-    machine.charge(int(scan_ns) * count, "reloc_scan")
-    obs = machine.obs
-    obs_enabled = obs.enabled
-    if obs_enabled:
-        obs.count("core.relocate.frames_scanned", count)
-        obs.count("hw.phys.tag_granules_scanned",
-                  (config.page_size // config.granule) * count)
-    counters = machine.counters
-    total = 0
-    for frame in frames:
-        relocated = _relocate_frame_memoised(machine, frame, regions)
-        if relocated:
-            counters.add("caps_relocated", relocated)
-            if obs_enabled:
-                obs.count("core.relocate.caps_relocated", relocated)
-                obs.count("trace.relocate_frame")
-            total += relocated
-    return total
+    _charge_scans(machine, len(frames))
+    caps = [_relocate_frame_memoised(machine, frame, regions)
+            for frame in frames]
+    _emit_relocations(machine, caps)
+    machine.emit(records=(("relocate_frame", {"caps": moved})
+                          for moved in caps if moved))
+    return sum(caps)
 
 
 def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
-                           dsts: List[int], regions: RegionPair) -> int:
+                           dsts: List[int], regions: RegionPair
+                           ) -> List[int]:
     """Relocate fork-copied frames through a whole-page content memo.
 
-    ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]``.
+    ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
+    ``srcs[i]`` itself: a last sharer's frame is its own copy).
     Simulated-identical to :func:`relocate_frames` over the destination
     frames; the extra lever is a memo keyed on the *source* frame's
     ``(number, version)`` plus the region pair.  A source page that has
@@ -164,37 +136,22 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
 
     Charge/counter parity: the per-frame scan charge and sweep counts
     are batched exactly as in :func:`relocate_frames`; memo-hit frames
-    batch their ``cap_relocate_ns`` charges into one sum-equal advance
-    (integral cost pre-checked — non-integral costs or an attached
-    tracer take the per-frame path).
+    batch their ``cap_relocate_ns`` charges into sum-equal advances.
+    Returns the per-frame relocated-capability counts and leaves the
+    tracer records to the caller, who interleaves them with its own
+    per-page events.
     """
     count = len(dsts)
     if count == 0:
-        return 0
-    config = machine.config
-    scan_ns = machine.costs.page_scan_ns(config.page_size, config.granule)
-    per_cap = machine.costs.cap_relocate_ns
-    if machine.tracer is not None or scan_ns != int(scan_ns) or \
-            per_cap != int(per_cap):
-        total = 0
-        for dst in dsts:
-            total += relocate_frame(machine, phys.frame(dst), regions)
-        return total
+        return []
     memo = getattr(machine, "_page_memo", None)
     if memo is None:
         memo = machine._page_memo = {}
     region_key = (regions.parent_base, regions.parent_top,
                   regions.child_base, regions.child_top)
-    machine.charge(int(scan_ns) * count, "reloc_scan")
-    obs = machine.obs
-    obs_enabled = obs.enabled
-    if obs_enabled:
-        obs.count("core.relocate.frames_scanned", count)
-        obs.count("hw.phys.tag_granules_scanned",
-                  (config.page_size // config.granule) * count)
-    counters = machine.counters
+    _charge_scans(machine, count)
     frame_of = phys.frame
-    total = 0
+    caps: List[int] = []
     caps_batched = 0
     for src, dst in zip(srcs, dsts):
         src_frame = frame_of(src)
@@ -215,15 +172,44 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
             caps_batched += relocated
         else:
             relocated = 0
-        if relocated:
-            counters.add("caps_relocated", relocated)
-            if obs_enabled:
-                obs.count("core.relocate.caps_relocated", relocated)
-                obs.count("trace.relocate_frame")
-            total += relocated
+        caps.append(relocated)
     if caps_batched:
-        machine.charge(int(per_cap) * caps_batched, "reloc_cap")
-    return total
+        _charge_each(machine, machine.costs.cap_relocate_ns, caps_batched,
+                     "reloc_cap")
+    _emit_relocations(machine, caps)
+    return caps
+
+
+def _emit_relocations(machine: Any, caps: List[int]) -> None:
+    """Count a batch's relocations: one ``relocate_frame`` per frame
+    with capabilities rewritten; the caller hands the records."""
+    total = sum(caps)
+    if total:
+        machine.emit("relocate_frame", len(caps) - caps.count(0),
+                     counter="caps_relocated",
+                     metric="core.relocate.caps_relocated",
+                     amount=total, records=())
+
+
+def _charge_scans(machine: Any, count: int) -> None:
+    """Charge and count the tag scans of ``count`` frames."""
+    config = machine.config
+    _charge_each(machine,
+                 machine.costs.page_scan_ns(config.page_size, config.granule),
+                 count, "reloc_scan")
+    machine.emit(n=count, metric="core.relocate.frames_scanned")
+    machine.emit(n=(config.page_size // config.granule) * count,
+                 metric="hw.phys.tag_granules_scanned")
+
+
+def _charge_each(machine: Any, ns: float, count: int, bucket: str) -> None:
+    """``count`` charges of ``ns``: one sum-equal advance when the cost
+    is integral, else one advance each (per-charge rounding)."""
+    if ns == int(ns):
+        machine.charge(int(ns) * count, bucket)
+    else:
+        for _ in range(count):
+            machine.charge(ns, bucket)
 
 
 def _relocate_frame_memoised(machine: Any, frame: Frame,
@@ -273,12 +259,8 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
             frame.write_granule(offset, new_raw, new_tag)
             relocated += 1
     if relocated:
-        per_cap = machine.costs.cap_relocate_ns
-        if per_cap == int(per_cap):
-            machine.charge(per_cap * relocated, "reloc_cap")
-        else:  # non-integral cost: per-cap rounding must be preserved
-            for _ in range(relocated):
-                machine.charge(per_cap, "reloc_cap")
+        _charge_each(machine, machine.costs.cap_relocate_ns, relocated,
+                     "reloc_cap")
     return relocated
 
 
@@ -296,7 +278,7 @@ def relocate_registers(machine: Any, registers: RegisterFile,
             machine.charge(machine.costs.cap_relocate_ns, "reloc_reg")
             relocated += 1
     if relocated:
-        machine.obs.count("core.relocate.registers_relocated", relocated)
+        machine.emit(n=relocated, metric="core.relocate.registers_relocated")
     return relocated
 
 

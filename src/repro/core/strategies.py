@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.relocate import (
     RegionPair,
@@ -57,8 +57,20 @@ class ShareNote:
 _CHILD_PERMS_MEMO: Dict[Tuple[CopyStrategy, int], PagePerm] = {}
 _PARENT_PERMS_MEMO: Dict[int, PagePerm] = {}
 
-#: fault-kind → counter-name memo (f-string hoisted off the fault path)
-_CHILD_BREAK_COUNTER: Dict[AccessKind, str] = {}
+#: fault kind → child-side CoW-break counter name
+_CHILD_BREAK_COUNTER: Dict[AccessKind, str] = {
+    kind: f"fork_child_break_{kind._nm}" for kind in AccessKind}
+
+#: side → write-fault CoW-break counter name
+_WRITE_BREAK_COUNTER = {"parent": "fork_parent_cow_break",
+                        "child": _CHILD_BREAK_COUNTER[AccessKind.WRITE]}
+
+#: (strategy, side, fault kind) → CoW-break obs metric name
+_BREAK_METRIC: Dict[Tuple[CopyStrategy, str, AccessKind], str] = {
+    (strategy, side, kind):
+        f"core.strategies.{strategy.value}.break.{side}.{kind._nm}"
+    for strategy in CopyStrategy for side in ("parent", "child")
+    for kind in AccessKind}
 
 
 def child_share_perms(strategy: CopyStrategy,
@@ -119,6 +131,20 @@ def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
     machine.charge(machine.costs.pte_protect_ns, "fork_protect")
 
 
+def vpn_runs(vpns: List[int], keys: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` index ranges of the maximal runs of consecutive
+    vpns with equal keys (one ``map_run`` each)."""
+    start = 0
+    count = len(vpns)
+    while start < count:
+        end = start + 1
+        while end < count and vpns[end] == vpns[start] + (end - start) \
+                and keys[end] == keys[start]:
+            end += 1
+        yield start, end
+        start = end
+
+
 def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
                        strategy: CopyStrategy, regions: RegionPair,
                        newly_shared: list) -> None:
@@ -131,8 +157,8 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     child side (sharing a single interned :class:`ShareNote` — notes
     are never mutated, only replaced), parent protection is applied
     in place, and the per-page PTE charges are batched as sum-equal
-    totals.  The caller guarantees the PTE costs are integral, no
-    tracer is attached, and chaos is off.
+    totals.  The caller guarantees the PTE costs are integral and chaos
+    is off.
 
     Parent vpns newly write-protected are appended to ``newly_shared``
     as ints (fork rollback resolves them through the space).
@@ -144,46 +170,31 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     costs = machine.costs
     child_notes: Dict[int, ShareNote] = {}
     parent_notes: Dict[int, ShareNote] = {}
-    map_run = space.map_run
-    protect_run = space.protect_run
-    set_note_many = space.set_note_many
-    index = 0
-    while index < count:
-        vpn, _frame, perms_int, note = items[index]
-        orig_int = int(note.orig_perms) if isinstance(note, ShareNote) \
-            else perms_int
-        end = index + 1
-        while end < count:
-            nvpn, _nframe, nperms, nnote = items[end]
-            if nvpn != vpn + (end - index):
-                break
-            norig = int(nnote.orig_perms) if isinstance(nnote, ShareNote) \
-                else nperms
-            if norig != orig_int:
-                break
-            end += 1
-        run = items[index:end]
+    origs = [int(note.orig_perms) if isinstance(note, ShareNote) else perms
+             for _vpn, _frame, perms, note in items]
+    for start, end in vpn_runs([item[0] for item in items], origs):
+        vpn = items[start][0]
+        run = items[start:end]
+        orig_int = origs[start]
         orig = PagePerm(orig_int)
         child_note = child_notes.get(orig_int)
         if child_note is None:
             child_note = ShareNote("child", strategy, regions, orig)
             child_notes[orig_int] = child_note
-        map_run(vpn + delta_pages, [item[1] for item in run],
-                child_share_perms(strategy, orig), incref=True,
-                note=child_note)
-        parent_perms = parent_share_perms(orig)
+        space.map_run(vpn + delta_pages, [item[1] for item in run],
+                      child_share_perms(strategy, orig), incref=True,
+                      note=child_note)
         parent_note = parent_notes.get(orig_int)
         if parent_note is None:
             parent_note = ShareNote("parent", strategy, regions, orig)
             parent_notes[orig_int] = parent_note
-        protect_run(vpn, end - index, parent_perms)
+        space.protect_run(vpn, end - start, parent_share_perms(orig))
         unnoted = [parent_vpn
                    for parent_vpn, _pframe, _pperms, pnote in run
                    if not isinstance(pnote, ShareNote)]
         if unnoted:
-            set_note_many(unnoted, parent_note)
+            space.set_note_many(unnoted, parent_note)
             newly_shared.extend(unnoted)
-        index = end
     machine.charge(int(costs.pte_bulk_share_ns) * count, "fork_map")
     if strategy is CopyStrategy.COA:
         machine.charge(int(costs.pte_coa_extra_ns) * count, "fork_map")
@@ -204,11 +215,10 @@ def copy_page_for_child(space: AddressSpace, child_vpn: int,
     else:
         space.replace_frame(child_vpn, new_frame)
         space.protect_page(child_vpn, perms)
-    machine.counters.add("fork_page_copies")
-    machine.obs.count("core.strategies.eager_page_copies" if map_new
-                      else "core.strategies.fault_page_copies")
-    machine.trace("fork_page_copy", vpn=child_vpn,
-                  eager=map_new)
+    machine.emit("fork_page_copy", counter="fork_page_copies",
+                 metric="core.strategies.eager_page_copies" if map_new
+                 else "core.strategies.fault_page_copies",
+                 vpn=child_vpn, eager=map_new)
 
 
 def handle_fork_fault(space: AddressSpace, vaddr: int,
@@ -228,11 +238,10 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
         if kind is not AccessKind.WRITE:
             return False  # parent reads never fault under either strategy
         _make_private(space, vpn, relocate=False, note=note)
-        machine.counters.add("fork_parent_cow_break")
-        if machine.tracer is not None or machine.obs.enabled:
-            machine.obs.count(
-                f"core.strategies.{note.strategy.value}.break.parent.write")
-            machine.trace("cow_break", role="parent", vpn=vpn)
+        machine.emit("cow_break", counter=_WRITE_BREAK_COUNTER["parent"],
+                     metric=_BREAK_METRIC[note.strategy, "parent",
+                                          AccessKind.WRITE],
+                     role="parent", vpn=vpn)
         return True
 
     # child side: writes always break; reads/exec/cap-loads depend on strategy
@@ -245,43 +254,37 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
         # Enough storms push UForkOS down the CoPA→CoA→eager ladder.
         for _ in range(3):
             machine.charge(machine.costs.page_fault_ns, "page_fault")
-            machine.obs.count("core.strategies.cap_fault_storm_repeats")
+            machine.emit(metric="core.strategies.cap_fault_storm_repeats")
         machine.chaos.note_recovery("core.strategies.cap_fault_storm")
     _make_private(space, vpn, relocate=True, note=note)
-    counter = _CHILD_BREAK_COUNTER.get(kind)
-    if counter is None:
-        counter = f"fork_child_break_{kind.name.lower()}"
-        _CHILD_BREAK_COUNTER[kind] = counter
-    machine.counters.add(counter)
-    if machine.tracer is not None or machine.obs.enabled:
-        machine.obs.count(f"core.strategies.{note.strategy.value}"
-                          f".break.child.{kind.name.lower()}")
-        machine.trace("cow_break", role="child", vpn=vpn,
-                      kind=kind.name.lower())
+    machine.emit("cow_break", counter=_CHILD_BREAK_COUNTER[kind],
+                 metric=_BREAK_METRIC[note.strategy, "child", kind],
+                 role="child", vpn=vpn, kind=kind._nm)
     return True
 
 
-def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
+def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
     """Bulk CoW break for a run of write-blocked pages — the lookahead
     :meth:`AddressSpace.write_run` offers before per-fault dispatch.
+    ``vaddrs`` holds the first store address of each blocked page.
 
-    Commits only when EVERY vpn is a clean ShareNote write-break whose
+    Commits only when EVERY page is a clean ShareNote write-break whose
     restored permissions allow the write; anything else (foreign notes,
-    genuinely read-only pages, imminent frame exhaustion, chaos, a
-    tracer, non-integral costs) returns False with no state touched,
-    and the per-op loop reproduces the exact fault/exception sequence.
+    genuinely read-only pages, imminent frame exhaustion, chaos, SMP,
+    non-integral costs) returns False with no state touched, and the
+    per-op loop reproduces the exact fault/exception sequence.
 
     Simulated-identical to faulting the pages one at a time in order:
     fault and page-copy charges are batched as sum-equal pre-rounded
     advances; frame allocation and refcount evolution follow the same
-    vpn order (no frame can be freed mid-run — every frame this path
+    page order (no frame can be freed mid-run — every frame this path
     decrefs is still referenced by the other side of the share); the
     counters and observability records are pure sums plus a last-value
-    gauge.
+    gauge; an attached tracer receives each page's ``page_fault``,
+    ``relocate_frame`` and ``cow_break`` records in that order.
     """
     machine = space.machine
-    if machine.tracer is not None or machine.chaos.enabled \
-            or machine.num_cpus > 1:
+    if machine.chaos.enabled or machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
     costs = machine.costs
     config = machine.config
@@ -293,8 +296,10 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
         return False
     req = AccessKind.WRITE._req_bits
     note_of = space.note_of
+    page_size = config.page_size
     breaks = []
-    for vpn in vpns:
+    for vaddr in vaddrs:
+        vpn = vaddr // page_size
         note = note_of(vpn)
         if not isinstance(note, ShareNote):
             return False
@@ -305,70 +310,75 @@ def handle_fork_write_run(space: AddressSpace, vpns) -> bool:
     frame_of = space.frame_of
     refcount = phys.refcount
     pending: Dict[int, int] = {}
-    copies = []  # (vpn, note, src_frame)
-    solos = []   # (vpn, note, frame) — already sole owner, no copy
-    for vpn, note in breaks:
-        frame = frame_of(vpn)
+    frames = [frame_of(vpn) for vpn, _note in breaks]
+    copies = []  # indices of the pages whose frame is still shared
+    for index, frame in enumerate(frames):
         if refcount(frame) - pending.get(frame, 0) > 1:
             pending[frame] = pending.get(frame, 0) + 1
-            copies.append((vpn, note, frame))
-        else:
-            solos.append((vpn, note, frame))
+            copies.append(index)
     if copies and phys.free_frames() < len(copies):
         return False  # per-op dispatch reproduces the exact mid-OOM state
     count = len(breaks)
     machine.charge(int(fault_ns) * count, "page_fault")
-    counters = machine.counters
-    counters.add(AccessKind.WRITE._fault_counter, count)
-    obs = machine.obs
-    obs_on = obs.enabled
-    if obs_on:
-        obs.count(AccessKind.WRITE._fault_obs, count)
-        obs.count("trace.page_fault", count)
+    write = AccessKind.WRITE
+    machine.emit("page_fault", count, counter=write._fault_counter,
+                 metric=write._fault_obs, records=())
+    copied: Dict[int, int] = {}  # page index -> its fresh private copy
     if copies:
-        dsts = phys.copy_frames([item[2] for item in copies],
-                                preserve_tags=True)
-        counters.add("fork_page_copies", len(copies))
-        # child-role copies still hold parent-region capabilities:
-        # relocate per region pair through the fork content memo
-        by_regions: Dict[RegionPair, Tuple[list, list]] = {}
-        for (vpn, note, src), dst in zip(copies, dsts):
-            if note.role == "child":
-                group = by_regions.setdefault(note.regions, ([], []))
-                group[0].append(src)
-                group[1].append(dst)
-        for regions, (srcs, dst_group) in by_regions.items():
-            relocate_copied_frames(machine, phys, srcs, dst_group,
-                                   regions)
-        privatize = space.privatize_page
-        decref = phys.decref
-        for (vpn, note, src), dst in zip(copies, dsts):
-            decref(src)  # never frees: the share's peer still holds it
-            privatize(vpn, note.orig_perms, dst, decref_old=False)
-    for vpn, note, frame in solos:
+        copied = dict(zip(copies, phys.copy_frames(
+            [frames[index] for index in copies], preserve_tags=True)))
+        machine.emit(n=len(copies), counter="fork_page_copies")
+    # child-role pages may still hold parent-region capabilities:
+    # relocate per region pair through the fork content memo (a last
+    # sharer's frame is its own copy)
+    groups: Dict[RegionPair, List[int]] = {}
+    for index, (_vpn, note) in enumerate(breaks):
         if note.role == "child":
-            # last sharer: private already, but may still hold
-            # parent-region capabilities needing relocation
-            relocate_frame(machine, phys.frame(frame), note.regions)
-        space.privatize_page(vpn, note.orig_perms)
-    parent_breaks = sum(1 for _vpn, note in breaks
-                        if note.role == "parent")
-    child_breaks = count - parent_breaks
-    if parent_breaks:
-        counters.add("fork_parent_cow_break", parent_breaks)
-    if child_breaks:
-        counters.add("fork_child_break_write", child_breaks)
-    if obs_on:
-        tallies: Dict[str, int] = {}
-        for _vpn, note in breaks:
-            side = "parent" if note.role == "parent" else "child"
-            key = (f"core.strategies.{note.strategy.value}"
-                   f".break.{side}.write")
-            tallies[key] = tallies.get(key, 0) + 1
-        for key, value in tallies.items():
-            obs.count(key, value)
-        obs.count("trace.cow_break", count)
+            groups.setdefault(note.regions, []).append(index)
+    caps = [0] * count
+    for regions, indices in groups.items():
+        moved = relocate_copied_frames(
+            machine, phys, [frames[index] for index in indices],
+            [copied.get(index, frames[index]) for index in indices],
+            regions)
+        for index, relocated in zip(indices, moved):
+            caps[index] = relocated
+    for index, (vpn, note) in enumerate(breaks):
+        dst = copied.get(index)
+        if dst is None:
+            space.privatize_page(vpn, note.orig_perms)
+        else:
+            phys.decref(frames[index])  # never frees: the peer holds it
+            space.privatize_page(vpn, note.orig_perms, dst,
+                                 decref_old=False)
+    tallies: Dict[Tuple[str, CopyStrategy], int] = {}
+    for _vpn, note in breaks:
+        key = (note.role, note.strategy)
+        tallies[key] = tallies.get(key, 0) + 1
+    # parent breaks first, as the counters have always been keyed
+    for (role, strategy), value in sorted(
+            tallies.items(), key=lambda item: item[0][0] != "parent"):
+        machine.emit("cow_break", value, counter=_WRITE_BREAK_COUNTER[role],
+                     metric=_BREAK_METRIC[strategy, role, write],
+                     records=())
+    machine.emit(records=_write_break_records(space.name, vaddrs, breaks,
+                                              caps))
     return True
+
+
+def _write_break_records(space_name, vaddrs, breaks, caps):
+    """The tracer stream of a bulk write-run break, in per-fault order:
+    each page's ``page_fault``, ``relocate_frame`` (when capabilities
+    moved) and ``cow_break``."""
+    for vaddr, (vpn, note), moved in zip(vaddrs, breaks, caps):
+        yield "page_fault", {"vaddr": vaddr, "kind": "write",
+                             "space": space_name}
+        if moved:
+            yield "relocate_frame", {"caps": moved}
+        fields = {"role": note.role, "vpn": vpn}
+        if note.role == "child":
+            fields["kind"] = "write"
+        yield "cow_break", fields
 
 
 def _make_private(space: AddressSpace, vpn: int,
@@ -383,7 +393,7 @@ def _make_private(space: AddressSpace, vpn: int,
         if relocate:
             relocate_frame(machine, phys.frame(new_frame), note.regions)
         space.privatize_page(vpn, note.orig_perms, new_frame)
-        machine.counters.add("fork_page_copies")
+        machine.emit(counter="fork_page_copies")
         return
     if relocate:
         # Last sharer (peer exited/copied): the frame is now private but
@@ -412,8 +422,8 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
             _make_private(space, vpn, relocate=True, note=note)
             resolved += 1
     if resolved:
-        machine.obs.count("core.strategies.resolved_pending_pages",
-                          resolved)
+        machine.emit(n=resolved,
+                     metric="core.strategies.resolved_pending_pages")
     return resolved
 
 

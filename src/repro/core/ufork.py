@@ -34,6 +34,7 @@ from repro.core.strategies import (
     resolve_all_pending,
     setup_shared_page,
     setup_shared_pages,
+    vpn_runs,
 )
 from repro.core.uprocess import load_uprocess
 from repro.hw.paging import AddressSpace, PagePerm
@@ -178,7 +179,7 @@ class UForkOS(AbstractOS):
             if lo <= vaddr < hi:
                 frame = self.machine.phys.alloc(zero=True)
                 self.space.map_page(vpn, frame, PagePerm.rwc())
-                self.machine.counters.add("demand_zero_pages")
+                self.machine.emit(counter="demand_zero_pages")
                 return True
         return False
 
@@ -218,10 +219,9 @@ class UForkOS(AbstractOS):
                 child = self._fork_phases(proc, strategy, tx)
             except Exception as exc:
                 tx.rollback()
-                machine.counters.add("fork_rollbacks")
-                machine.obs.count("core.ufork.fork_rollbacks")
-                machine.trace("fork_rollback", parent=proc.pid,
-                              reason=type(exc).__name__)
+                machine.emit("fork_rollback", counter="fork_rollbacks",
+                             metric="core.ufork.fork_rollbacks",
+                             parent=proc.pid, reason=type(exc).__name__)
                 point = getattr(exc, "point", None)
                 if point is not None:
                     machine.chaos.note_recovery(point)
@@ -248,9 +248,10 @@ class UForkOS(AbstractOS):
         index = ladder.index(configured)
         degraded = ladder[min(index + tiers, len(ladder) - 1)]
         if degraded is not configured:
-            self.machine.obs.count("core.ufork.degraded_forks")
-            self.machine.trace("fork_degraded", configured=configured.value,
-                               used=degraded.value)
+            self.machine.emit("fork_degraded",
+                              metric="core.ufork.degraded_forks",
+                              configured=configured.value,
+                              used=degraded.value)
         return degraded
 
     def _abort_point(self, point: str, proc: Process) -> None:
@@ -387,10 +388,9 @@ class UForkOS(AbstractOS):
         self._register_demand_heap(child)
         self.procs.add(child)
         self.sched.add(task)
-        machine.counters.add("fork")
-        obs.count("core.ufork.forks")
-        machine.trace("fork", parent=proc.pid, child=child.pid,
-                      strategy=strategy.value)
+        machine.emit("fork", counter="fork", metric="core.ufork.forks",
+                     parent=proc.pid, child=child.pid,
+                     strategy=strategy.value)
         record_flow(machine, "fork", proc.pid, child.pid,
                     child.region_base, child.region_top, strategy.value)
         return child
@@ -407,15 +407,15 @@ class UForkOS(AbstractOS):
         CoA/CoPA sharing goes through
         :func:`repro.core.strategies.setup_shared_pages`.  The
         simulated charge/counter stream is sum-equal to the per-page
-        loop, so it is only taken when batching is unobservable:
-        no tracer, chaos off, integral PTE costs, and
-        enough free frames that the loop cannot hit mid-copy OOM
-        (whose partial state the per-page loop must reproduce).
-        Returns False when the caller must run the per-page loop.
+        loop, and so is the tracer stream.  It is taken with chaos off,
+        integral PTE costs, and enough free frames that the loop cannot
+        hit mid-copy OOM (whose partial state the per-page loop must
+        reproduce).  Returns False when the caller must run the
+        per-page loop.
         """
         machine = self.machine
         space = self.space
-        if machine.tracer is not None or machine.chaos.enabled:
+        if machine.chaos.enabled:
             return False
         costs = machine.costs
         if costs.pte_bulk_share_ns != int(costs.pte_bulk_share_ns) or \
@@ -440,21 +440,13 @@ class UForkOS(AbstractOS):
         bulk_ns = int(costs.pte_bulk_share_ns)
 
         # MAP_SHARED memory: same frames, by design (§3.7)
-        position = 0
-        nshm = len(shm_items)
-        while position < nshm:
-            vpn, _frame, perms_int, _cow, _note = shm_items[position]
-            end = position + 1
-            while end < nshm and \
-                    shm_items[end][0] == vpn + (end - position) and \
-                    shm_items[end][2] == perms_int:
-                end += 1
-            space.map_run(vpn + delta_pages,
-                          [item[1] for item in shm_items[position:end]],
-                          PagePerm(perms_int), incref=True)
-            position = end
-        if nshm:
-            machine.charge(bulk_ns * nshm, "fork_map")
+        for start, end in vpn_runs([item[0] for item in shm_items],
+                                   [item[2] for item in shm_items]):
+            space.map_run(shm_items[start][0] + delta_pages,
+                          [item[1] for item in shm_items[start:end]],
+                          PagePerm(shm_items[start][2]), incref=True)
+        if shm_items:
+            machine.charge(bulk_ns * len(shm_items), "fork_map")
 
         # eager / full copies: batch-copy the frames, relocate, then
         # map the child runs at the original (pre-share) permissions
@@ -462,32 +454,20 @@ class UForkOS(AbstractOS):
         if ncopy:
             src_numbers = [item[1] for item in copy_items]
             dsts = phys.copy_frames(src_numbers, preserve_tags=True)
-            relocate_copied_frames(machine, phys, src_numbers, dsts,
-                                   regions)
-            position = 0
-            while position < ncopy:
-                vpn, _frame, perms_int, _cow, note = copy_items[position]
-                orig = int(note.orig_perms) if isinstance(note, ShareNote) \
-                    else perms_int
-                end = position + 1
-                while end < ncopy:
-                    nvpn, _nframe, nperms, _ncow, nnote = copy_items[end]
-                    if nvpn != vpn + (end - position):
-                        break
-                    norig = int(nnote.orig_perms) \
-                        if isinstance(nnote, ShareNote) else nperms
-                    if norig != orig:
-                        break
-                    end += 1
-                space.map_run(vpn + delta_pages, dsts[position:end],
-                              PagePerm(orig))
-                position = end
+            caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
+                                          regions)
+            origs = [int(note.orig_perms) if isinstance(note, ShareNote)
+                     else perms for _vpn, _frame, perms, _cow, note
+                     in copy_items]
+            for start, end in vpn_runs([item[0] for item in copy_items],
+                                       origs):
+                space.map_run(copy_items[start][0] + delta_pages,
+                              dsts[start:end], PagePerm(origs[start]))
             machine.charge(bulk_ns * ncopy, "fork_map")
-            machine.counters.add("fork_page_copies", ncopy)
-            obs = machine.obs
-            if obs.enabled:
-                obs.count("core.strategies.eager_page_copies", ncopy)
-                obs.count("trace.fork_page_copy", ncopy)
+            machine.emit("fork_page_copy", ncopy, counter="fork_page_copies",
+                         metric="core.strategies.eager_page_copies",
+                         records=_eager_copy_records(copy_items, caps,
+                                                     delta_pages))
 
         if share_items:
             setup_shared_pages(space, share_items, delta_pages, strategy,
@@ -636,3 +616,12 @@ class UForkOS(AbstractOS):
             if pte is not None and self.machine.phys.refcount(pte.frame) == 1:
                 total += page
         return total
+
+
+def _eager_copy_records(copy_items, caps, delta_pages):
+    """A bulk eager copy's tracer stream, in per-page order: each page's
+    ``relocate_frame`` (when capabilities moved), then its copy."""
+    for item, moved in zip(copy_items, caps):
+        if moved:
+            yield "relocate_frame", {"caps": moved}
+        yield "fork_page_copy", {"vpn": item[0] + delta_pages, "eager": True}

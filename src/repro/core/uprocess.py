@@ -188,7 +188,7 @@ def load_uprocess(os: Any, image: ProgramImage, name: str,
         task.registers.set(reg_name, value)
     os.procs.add(proc)
     os.sched.add(task)
-    machine.counters.add("uprocess_loaded")
+    machine.emit(counter="uprocess_loaded")
     record_flow(machine, "spawn", parent.pid if parent else 0, proc.pid,
                 proc.region_base, proc.region_top)
     return proc

@@ -44,9 +44,10 @@ SUBCOMMANDS = ("figures", "obs-report", "chaos", "smp", "conform",
 
 
 # ---------------------------------------------------------------------------
-# Argument types: every list and CPU option is checked here, at parse
-# time, so a typo is a usage error (exit 2) that runs and writes nothing
-# -- never a traceback, and never exit 1, which means a failing verdict
+# Argument types: every list, CPU, name and fault-mix option is checked
+# here, at parse time, so a typo is a usage error (exit 2) that runs and
+# writes nothing -- never a traceback, and never exit 1, which means a
+# failing verdict
 # ---------------------------------------------------------------------------
 
 def _usage(parse: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -78,6 +79,27 @@ def _strategy_list(value: str) -> List[str]:
 def _mode_list(value: str) -> List[str]:
     return list(matrix.check_names("modes", value.split(","),
                                    matrix.MODES))
+
+
+@_usage
+def _attack(value: str) -> str:
+    from repro.sec.attacks import ATTACKS
+    return matrix.check_names("attacks", [value], tuple(ATTACKS))[0]
+
+
+@_usage
+def _scenario(value: str) -> str:
+    from repro.conform.scenarios import corpus, sec_corpus, snapshot_corpus
+    names = [scenario.name
+             for scenario in corpus() + snapshot_corpus() + sec_corpus()]
+    return matrix.check_names("scenarios", [value], names)[0]
+
+
+@_usage
+def _fault_mix(value: str) -> str:
+    from repro.chaos.engine import FaultMix
+    FaultMix.parse(value)  # the runners take the spec string itself
+    return value
 
 
 def _csv(values: Sequence[Any]) -> str:
@@ -135,6 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--iterations", type=int, default=200,
                        help="number of workload operations")
     chaos.add_argument("--fault-mix", metavar="SPEC", default=None,
+                       type=_fault_mix,
                        help="pattern=rate,... injection rates "
                             "(see docs/CHAOS.md)")
 
@@ -148,6 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["faas", "nginx", "forkbench"],
                      help="which workload to drive")
     smp.add_argument("--fault-mix", metavar="SPEC", default=None,
+                     type=_fault_mix,
                      help="optional chaos injection rates")
 
     conform = sub.add_parser(
@@ -165,6 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               f"(default: "
                               f"{_csv(matrix.CONFORM_STRATEGIES)})")
     conform.add_argument("--scenario", action="append", default=None,
+                         type=_scenario,
                          help="run only this scenario (repeatable)")
     conform.add_argument("--no-host", action="store_true",
                          help="skip the host-POSIX oracle and diff "
@@ -187,9 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="inject faults during exploration "
                                    "(deterministic per (seed, schedule))")
     conform_farm.add_argument("--chaos-mix", metavar="SPEC", default=None,
+                              type=_fault_mix,
                               help="override the --chaos injection rates "
                                    "(pattern=rate,...; implies --chaos)")
     conform_farm.add_argument("--scenario", action="append", default=None,
+                              type=_scenario,
                               help="run only this scenario (repeatable)")
     conform_farm.add_argument("--strategies", metavar="LIST", default=None,
                               type=_strategy_list,
@@ -259,8 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated run modes from "
                           f"{_csv(matrix.MODES)} (default: both)")
     sec.add_argument("--attack", action="append", default=None,
+                     type=_attack,
                      help="run only this attack (repeatable)")
     sec.add_argument("--fault-mix", metavar="SPEC", default=None,
+                     type=_fault_mix,
                      help="injection rates for the chaos half of the "
                           "matrix (pattern=rate,...)")
 

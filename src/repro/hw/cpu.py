@@ -47,7 +47,7 @@ class Core:
             self.machine.clock.advance(costs.context_switch_sas_ns, "ctx_switch")
         else:
             self.machine.clock.advance(costs.context_switch_mas_ns, "ctx_switch")
-        self.machine.counters.add("context_switch")
+        self.machine.emit(counter="context_switch")
         self.domain_switches += 1
         self.current_task = task
 

@@ -321,8 +321,9 @@ class AddressSpace:
         self.page_table = PageTable()
         self.fault_handler: Optional[FaultHandler] = None
         #: optional bulk CoW-break hook for :meth:`write_run`: called as
-        #: ``hook(space, vpns)`` with the run's write-blocked vpns in
-        #: first-occurrence order; returns True when it broke them all
+        #: ``hook(space, vaddrs)`` with the first store address of each
+        #: write-blocked page of the run, in first-occurrence order;
+        #: returns True when it broke them all
         #: (False leaves state untouched — per-fault dispatch follows)
         self.write_break_hook: Optional[Any] = None
         self._page_size = machine.config.page_size
@@ -341,9 +342,6 @@ class AddressSpace:
         #: ``machine.costs`` is a frozen dataclass assigned once at
         #: machine construction
         self._charge_memo: Dict[int, int] = {}
-        #: pre-rounded fault charge (None until first fault; -1 when
-        #: ``page_fault_ns`` is non-integral and must round per call)
-        self._fault_int: Optional[int] = None
 
     # -- mapping ------------------------------------------------------------
 
@@ -713,25 +711,10 @@ class AddressSpace:
         ``cap_load`` kind counts CoPA's fault-on-capability-load traps.
         """
         machine = self.machine
-        clock = machine.clock
-        ns_int = self._fault_int
-        if ns_int is None:
-            fault_ns = machine.costs.page_fault_ns
-            ns_int = int(fault_ns) if fault_ns == int(fault_ns) else -1
-            self._fault_int = ns_int
-        if ns_int >= 0 and clock.observer is None:
-            # pre-rounded integral charge: bit-equal to ``advance``
-            clock._now_ns += ns_int
-            buckets = clock.buckets
-            buckets["page_fault"] = \
-                buckets.get("page_fault", 0) + ns_int
-        else:
-            clock.advance(machine.costs.page_fault_ns, "page_fault")
-        machine.counters.add(kind._fault_counter)
-        if machine.tracer is not None or machine.obs.enabled:
-            machine.obs.count(kind._fault_obs)
-            machine.trace("page_fault", vaddr=vaddr, kind=kind._nm,
-                          space=self.name)
+        machine.clock.advance(machine.costs.page_fault_ns, "page_fault")
+        machine.emit("page_fault", counter=kind._fault_counter,
+                     metric=kind._fault_obs, vaddr=vaddr, kind=kind._nm,
+                     space=self.name)
         if self.fault_handler is None:
             return False
         return self.fault_handler(self, vaddr, kind)
@@ -844,15 +827,11 @@ class AddressSpace:
         Simulated-identical to the per-call loop: each address gets the
         same walk/fault dispatch in sequence order and the same cleared
         tag set; only the memcpy charge is batched, as the exact sum of
-        the identical per-call rounded charges.  Falls back to per-call
-        :meth:`write` whenever batching could be observable (a clock
-        observer attributing charges to an open profiling span).
+        the identical per-call rounded charges.  A clock observer sees
+        that sum as one advance, attributed to the same innermost
+        profiling span as the per-call charges would be.
         """
         machine = self.machine
-        if machine.clock.observer is not None:
-            for vaddr in vaddrs:
-                self.write(vaddr, data, privileged)
-            return
         size = len(data)
         page_size = self._page_size
         ns_int = self._charge_memo.get(size)
@@ -892,8 +871,8 @@ class AddressSpace:
             if frame is None:
                 if hook is not None:
                     run_hook, hook = hook, None
-                    blocked = self._blocked_write_vpns(vaddrs, position,
-                                                       size)
+                    blocked = self._blocked_write_vaddrs(vaddrs, position,
+                                                         size)
                     if blocked:
                         machine.irq_depth += 1
                         try:
@@ -918,11 +897,14 @@ class AddressSpace:
             clock._now_ns += total
             buckets = clock.buckets
             buckets["mem_write"] = buckets.get("mem_write", 0) + total
+            if clock.observer is not None:
+                clock.observer(total, "mem_write")
 
-    def _blocked_write_vpns(self, vaddrs: Sequence[int], start: int,
-                            size: int) -> Optional[List[int]]:
-        """Distinct vpns (first-occurrence order) in ``vaddrs[start:]``
-        whose current mapping blocks an unprivileged write.
+    def _blocked_write_vaddrs(self, vaddrs: Sequence[int], start: int,
+                              size: int) -> Optional[List[int]]:
+        """The first store address in ``vaddrs[start:]`` of each page
+        (first-occurrence order) whose current mapping blocks an
+        unprivileged write — where per-op dispatch would fault.
 
         Purely a read-only probe for the bulk-break hook.  Returns None
         (caller falls back to per-fault dispatch) when the tail holds a
@@ -948,7 +930,7 @@ class AddressSpace:
             if frames is None or frames[index] < 0:
                 return None
             if (perms_map[chunk_id][index] & _WRITE_BITS) != _WRITE_BITS:
-                out.append(vpn)
+                out.append(vaddr)
         return out
 
     def _write_layered(self, vaddr: int, data: bytes, privileged: bool,

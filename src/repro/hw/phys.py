@@ -27,11 +27,11 @@ into one accounting pass.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
-from repro.clock import EventCounters, SimClock
+from repro.clock import SimClock
 from repro.errors import AlignmentFault, OutOfMemory
 from repro.params import CostModel, MachineConfig
 
@@ -196,14 +196,14 @@ class PhysicalMemory:
     """
 
     def __init__(self, config: MachineConfig, costs: CostModel,
-                 clock: SimClock, counters: EventCounters,
+                 clock: SimClock, emit: Callable[..., None],
                  obs=None) -> None:
         from repro.chaos.engine import NULL_CHAOS
         from repro.obs import NULL_OBS
         self._config = config
         self._costs = costs
         self._clock = clock
-        self._counters = counters
+        self._emit = emit
         self._obs = obs if obs is not None else NULL_OBS
         #: fault injection hook (ChaosEngine.attach replaces the null)
         self.chaos = NULL_CHAOS
@@ -281,11 +281,9 @@ class PhysicalMemory:
             self._stale.discard(number)
         if zero and charge:
             self._clock.advance(self._costs.page_zero_ns, "page_zero")
-        self._counters.add("frames_allocated")
-        if self._obs.enabled:
-            self._obs.count("hw.phys.frames_allocated")
-            self._obs.gauge_set("hw.phys.allocated_frames",
-                                len(self._frames))
+        self._emit(counter="frames_allocated",
+                   metric="hw.phys.frames_allocated")
+        self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
         return number
 
     def frame(self, number: int) -> Frame:
@@ -306,11 +304,9 @@ class PhysicalMemory:
             self._stale.add(number)
             del self._frames[number]
             self._free.append(number)
-            self._counters.add("frames_freed")
-            if self._obs.enabled:
-                self._obs.count("hw.phys.frames_freed")
-                self._obs.gauge_set("hw.phys.allocated_frames",
-                                    len(self._frames))
+            self._emit(counter="frames_freed",
+                       metric="hw.phys.frames_freed")
+            self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
         elif frame.refcount < 0:  # pragma: no cover - invariant guard
             raise AssertionError(f"frame {number} refcount underflow")
 
@@ -345,11 +341,9 @@ class PhysicalMemory:
             elif rc < 0:  # pragma: no cover - invariant guard
                 raise AssertionError(f"frame {number} refcount underflow")
         if freed:
-            self._counters.add("frames_freed", freed)
-            if self._obs.enabled:
-                self._obs.count("hw.phys.frames_freed", freed)
-                self._obs.gauge_set("hw.phys.allocated_frames",
-                                    len(frames))
+            self._emit(n=freed, counter="frames_freed",
+                       metric="hw.phys.frames_freed")
+            self._obs.gauge_set("hw.phys.allocated_frames", len(frames))
 
     def refcount(self, number: int) -> int:
         return self.frame(number).refcount
@@ -372,9 +366,7 @@ class PhysicalMemory:
         if preserve_tags and self.chaos.enabled and \
                 self.chaos.should_fire("hw.phys.tag_clear"):
             self._recover_tag_clear(src, dst, charge)
-        self._counters.add("frames_copied")
-        if self._obs.enabled:
-            self._obs.count("hw.phys.frames_copied")
+        self._emit(counter="frames_copied", metric="hw.phys.frames_copied")
         return dst
 
     def cow_copy(self, src: int) -> int:
@@ -403,13 +395,7 @@ class PhysicalMemory:
         frames[number] = frame
         frame.copy_from(frames[src], True)
         self._clock.advance(self._page_copy_int, "page_copy")
-        counters = self._counters
-        counters.add("frames_allocated")
-        counters.add("frames_copied")
-        if self._obs.enabled:
-            self._obs.count("hw.phys.frames_allocated")
-            self._obs.count("hw.phys.frames_copied")
-            self._obs.gauge_set("hw.phys.allocated_frames", len(frames))
+        self._settle_copies(1)
         return number
 
     def copy_frames(self, srcs: Sequence[int], preserve_tags: bool = True,
@@ -460,13 +446,15 @@ class PhysicalMemory:
             return
         if charge:
             self._clock.advance(self._page_copy_int * count, "page_copy")
-        self._counters.add("frames_allocated", count)
-        self._counters.add("frames_copied", count)
-        if self._obs.enabled:
-            self._obs.count("hw.phys.frames_allocated", count)
-            self._obs.count("hw.phys.frames_copied", count)
-            self._obs.gauge_set("hw.phys.allocated_frames",
-                                len(self._frames))
+        self._settle_copies(count)
+
+    def _settle_copies(self, count: int) -> None:
+        """Record ``count`` frames allocated and copied in one go."""
+        emit = self._emit
+        emit(n=count, counter="frames_allocated",
+             metric="hw.phys.frames_allocated")
+        emit(n=count, counter="frames_copied", metric="hw.phys.frames_copied")
+        self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
 
     def _recover_tag_clear(self, src: int, dst: int, charge: bool) -> None:
         """Injected spurious tag loss on a tag-preserving copy: the copy

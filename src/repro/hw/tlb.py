@@ -46,8 +46,7 @@ class TLB:
         self.flush_count += 1
         self._machine.translation_gen += 1
         self._machine.clock.advance(self._machine.costs.tlb_flush_ns, "tlb_flush")
-        self._machine.counters.add("tlb_flush")
-        self._machine.obs.count("hw.tlb.flush")
+        self._machine.emit(counter="tlb_flush", metric="hw.tlb.flush")
 
     def remote_invalidate(self) -> None:
         """Shootdown recipient side: invalidate stale translations in
@@ -61,5 +60,5 @@ class TLB:
         machine = self._machine
         machine.translation_gen += 1
         machine.clock.advance(machine.costs.tlb_flush_ns, "tlb_shootdown")
-        machine.counters.add("tlb_remote_invalidate")
-        machine.obs.count("smp.tlb.remote_invalidate")
+        machine.emit(counter="tlb_remote_invalidate",
+                     metric="smp.tlb.remote_invalidate")

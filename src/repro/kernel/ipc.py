@@ -53,7 +53,7 @@ class Pipe:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
         )
-        self.machine.obs.count("kernel.ipc.pipe_bytes_written", len(chunk))
+        self.machine.emit(n=len(chunk), metric="kernel.ipc.pipe_bytes_written")
         return len(chunk)
 
     def read(self, size: int) -> bytes:
@@ -68,7 +68,7 @@ class Pipe:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
         )
-        self.machine.obs.count("kernel.ipc.pipe_bytes_read", len(chunk))
+        self.machine.emit(n=len(chunk), metric="kernel.ipc.pipe_bytes_read")
         return chunk
 
     @property
@@ -127,7 +127,7 @@ class MessageQueue:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(data), "mq_io"
         )
-        self.machine.obs.count("kernel.ipc.mq_bytes_sent", len(data))
+        self.machine.emit(n=len(data), metric="kernel.ipc.mq_bytes_sent")
         self._queue.append((priority, bytes(data)))
         self._queue = deque(
             sorted(self._queue, key=lambda item: -item[0])
@@ -140,7 +140,7 @@ class MessageQueue:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(data), "mq_io"
         )
-        self.machine.obs.count("kernel.ipc.mq_bytes_received", len(data))
+        self.machine.emit(n=len(data), metric="kernel.ipc.mq_bytes_received")
         return data
 
     def __len__(self) -> int:

@@ -39,10 +39,8 @@ class Connection:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * n, "net_io"
         )
-        obs = self.machine.obs
-        if obs.enabled:
-            obs.count("kernel.net.packets")
-            obs.count("kernel.net.bytes", n)
+        self.machine.emit(metric="kernel.net.packets")
+        self.machine.emit(n=n, metric="kernel.net.bytes")
 
 
 class Endpoint:
@@ -114,7 +112,7 @@ class Listener:
         conn = Connection(self.machine)
         self._pending.append(conn)
         self.machine.charge(self.machine.costs.net_packet_ns, "net_syn")
-        self.machine.obs.count("kernel.net.connections")
+        self.machine.emit(metric="kernel.net.connections")
         return conn.client
 
     def accept(self) -> Endpoint:

@@ -103,8 +103,8 @@ class Scheduler:
         else:
             self.machine.charge(costs.context_switch_mas_ns, "ctx_switch")
             self.machine.tlb.flush()
-        self.machine.counters.add("context_switch")
-        self.machine.obs.count("kernel.sched.context_switch")
+        self.machine.emit(counter="context_switch",
+                          metric="kernel.sched.context_switch")
         self.switches += 1
         if self.current is not None and \
                 self.current.state is TaskState.RUNNABLE:

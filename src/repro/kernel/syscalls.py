@@ -110,19 +110,16 @@ class SyscallLayer:
                     costs.tocttou_copy_ns_per_byte * 2 * copied, "tocttou"
                 )
         self.invocations += 1
-        self.machine.counters.add("syscall")
         counter_name = self._counter_names.get(name)
         if counter_name is None:
             counter_name = f"syscall_{name}"
             self._counter_names[name] = counter_name
-        self.machine.counters.add(counter_name)
-        obs = self.machine.obs
-        if obs.enabled:
-            obs.count("kernel.syscall.entries")
-            if self.isolation.tocttou and buffer_bytes:
-                obs.count("kernel.syscall.tocttou_copies",
-                          len(buffer_bytes))
-        self.machine.trace("syscall", name=name)
+        emit = self.machine.emit
+        emit("syscall", counter="syscall", metric="kernel.syscall.entries",
+             name=name)
+        emit(counter=counter_name)
+        if self.isolation.tocttou and buffer_bytes:
+            emit(n=len(buffer_bytes), metric="kernel.syscall.tocttou_copies")
 
     # -- argument validation helpers -------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import replace
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.chaos.engine import NULL_CHAOS
 from repro.cheri.codec import CapabilityCodec
@@ -65,7 +65,7 @@ class Machine:
         #: drop entries exactly when simulated TLB state is invalidated
         self.translation_gen = 0
         self.phys = PhysicalMemory(self.config, self.costs, self.clock,
-                                   self.counters, obs=self.obs)
+                                   self.emit, obs=self.obs)
         self.codec = CapabilityCodec()
         #: raw-granule relocation memo (see
         #: :func:`repro.core.relocate._relocate_frame_memoised`); keyed
@@ -126,17 +126,41 @@ class Machine:
         """Charge simulated time (convenience passthrough to the clock)."""
         self.clock.advance(ns, bucket)
 
-    def trace(self, event: str, **fields) -> None:
-        """Record a structured trace event (no-op without a tracer).
+    def emit(self, event: Optional[str] = None, n: int = 1, *,
+             counter: Optional[str] = None, metric: Optional[str] = None,
+             amount: Optional[int] = None,
+             records: Optional[Iterable[Tuple[str, dict]]] = None,
+             **fields: Any) -> None:
+        """The one instrumentation sink: record ``n`` occurrences.
 
-        With observability enabled, each event is also counted under
-        ``trace.<event>`` so trace activity shows up in exports without
-        an attached :class:`~repro.trace.TraceLog`.
+        ``counter`` grows by ``amount`` (default ``n``) in the always-on
+        :attr:`counters` tally; with observability enabled the obs
+        counter ``metric`` grows by ``amount`` and ``trace.<event>`` by
+        ``n``; an attached tracer receives ``n`` records of ``(event,
+        fields)``, or the ``(event, fields)`` pairs of ``records`` —
+        a bulk path's ordered per-item stream, iterated only while a
+        tracer is attached.  A batch whose records interleave several
+        events emits its counts with ``records=()`` and hands the whole
+        stream to one emit.  Watching never changes what runs.
         """
-        if self.tracer is not None:
-            self.tracer.record(event, **fields)
-        if self.obs.enabled:
-            self.obs.count(f"trace.{event}")
+        if amount is None:
+            amount = n
+        if counter is not None:
+            self.counters.add(counter, amount)
+        obs = self.obs
+        if obs.enabled:
+            if metric is not None:
+                obs.count(metric, amount)
+            if event is not None:
+                obs.count(f"trace.{event}", n)
+        tracer = self.tracer
+        if tracer is not None:
+            if records is not None:
+                for name, item in records:
+                    tracer.record(name, **item)
+            elif event is not None:
+                for _ in range(n):
+                    tracer.record(event, **fields)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -62,9 +62,8 @@ class IpiBus:
         machine = self.machine
         machine.charge(machine.costs.ipi_send_ns, "ipi")
         self.sent += 1
-        machine.obs.count("smp.ipi.sent")
-        machine.obs.count(f"smp.ipi.{kind}")
-        machine.counters.add("ipi_sent")
+        machine.emit(counter="ipi_sent", metric="smp.ipi.sent")
+        machine.emit(metric=f"smp.ipi.{kind}")
         attempts = 1
         chaos = machine.chaos
         if chaos.enabled and chaos.should_fire("smp.ipi.drop"):
@@ -72,20 +71,18 @@ class IpiBus:
             # detects the miss and re-sends (the re-send models a
             # transient loss, not a dead core, so it always lands)
             self.dropped += 1
-            machine.obs.count("smp.ipi.dropped")
+            machine.emit(metric="smp.ipi.dropped")
             machine.charge(machine.costs.ipi_timeout_ns, "ipi")
             machine.charge(machine.costs.ipi_send_ns, "ipi")
             self.sent += 1
             self.resent += 1
-            machine.obs.count("smp.ipi.sent")
-            machine.obs.count("smp.ipi.resent")
-            machine.counters.add("ipi_sent")
+            machine.emit(counter="ipi_sent", metric="smp.ipi.sent")
+            machine.emit(metric="smp.ipi.resent")
             chaos.note_recovery("smp.ipi.drop")
             attempts += 1
         machine.charge(machine.costs.ipi_ack_ns, "ipi")
         self.acked += 1
-        machine.obs.count("smp.ipi.acked")
-        machine.counters.add("ipi_acked")
+        machine.emit(counter="ipi_acked", metric="smp.ipi.acked")
         return attempts
 
 
@@ -107,10 +104,9 @@ def tlb_shootdown(machine: Any, targets: Iterable[int],
                          if 0 <= cpu < online and cpu != initiator})
     if not recipients:
         return 0
-    machine.counters.add("tlb_shootdown_broadcast")
-    machine.obs.count("smp.tlb.shootdowns")
-    machine.trace("tlb_shootdown", initiator=initiator,
-                  recipients=len(recipients), reason=reason)
+    machine.emit("tlb_shootdown", counter="tlb_shootdown_broadcast",
+                 metric="smp.tlb.shootdowns", initiator=initiator,
+                 recipients=len(recipients), reason=reason)
     chaos = machine.chaos
     for cpu in recipients:
         machine.ipi.send(initiator, cpu, "tlb_shootdown")
@@ -119,7 +115,7 @@ def tlb_shootdown(machine: Any, targets: Iterable[int],
             # a storm of stale-entry faults hits the recipient before
             # the invalidation sticks; it re-runs the invalidation
             machine.cpus[cpu].tlb.remote_invalidate()
-            machine.obs.count("smp.tlb.stale_storms")
+            machine.emit(metric="smp.tlb.stale_storms")
             chaos.note_recovery("smp.tlb.stale_storm")
-    machine.counters.add("tlb_shootdown_ipis", len(recipients))
+    machine.emit(n=len(recipients), counter="tlb_shootdown_ipis")
     return len(recipients)

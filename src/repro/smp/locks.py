@@ -66,7 +66,7 @@ class SpinLock:
         self.owner = machine.current_cpu
         self.acquisitions += 1
         machine.charge(machine.costs.spinlock_ns, "spinlock")
-        machine.obs.count(f"smp.lock.{self.name}.acquire")
+        machine.emit(metric=f"smp.lock.{self.name}.acquire")
 
     def release(self) -> None:
         if self.machine.num_cpus <= 1:

@@ -159,7 +159,7 @@ def _run_faas(seed: int, num_cpus: int, requests: int,
                 # a fault escaped every recovery path; the kernel is
                 # already consistent (rollback), the request is lost
                 failures[0] += 1
-                machine.obs.count("smp.run.request_failures")
+                machine.emit(metric="smp.run.request_failures")
             ex.submit(worker_task, step)
             return None
         return step
@@ -224,7 +224,7 @@ def _run_nginx(seed: int, num_cpus: int, requests: int,
                 io_wait_total[0] += stats.io_wait_ns
             except SimError:
                 failures[0] += 1
-                machine.obs.count("smp.run.request_failures")
+                machine.emit(metric="smp.run.request_failures")
             ex.submit(worker_task, step)
             return io_ns
         return step

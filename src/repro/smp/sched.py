@@ -164,8 +164,8 @@ class SmpScheduler:
         else:
             machine.charge(costs.context_switch_mas_ns, "ctx_switch")
             machine.cpus[cpu].tlb.flush()
-        machine.counters.add("context_switch")
-        machine.obs.count("kernel.sched.context_switch")
+        machine.emit(counter="context_switch",
+                     metric="kernel.sched.context_switch")
         self.switches += 1
         previous = self._current[cpu]
         if previous is not None and previous.state is TaskState.RUNNABLE:
@@ -233,7 +233,7 @@ class SmpScheduler:
         chaos = machine.chaos
         if chaos.enabled and chaos.should_fire("smp.steal.abort"):
             self.steal_aborts += 1
-            machine.obs.count("smp.sched.steal_aborts")
+            machine.emit(metric="smp.sched.steal_aborts")
             chaos.note_recovery("smp.steal.abort")
             return None
         victims = sorted(
@@ -252,8 +252,7 @@ class SmpScheduler:
                 self._queues[cpu][task] = None
                 self.steals += 1
                 machine.charge(machine.costs.work_steal_ns, "steal")
-                machine.obs.count("smp.sched.steals")
-                machine.counters.add("work_steal")
+                machine.emit(counter="work_steal", metric="smp.sched.steals")
                 return task
         return None
 

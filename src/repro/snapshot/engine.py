@@ -124,11 +124,10 @@ def checkpoint(os: Any, proc: Process, *, incremental: bool = False) -> bytes:
         "signals": _signals_manifest(proc),
     }
     blob = encode(manifest, bytes(payload))
-    machine.counters.add("checkpoint")
-    machine.obs.count("core.snapshot.checkpoints")
-    machine.obs.count("core.snapshot.pages_captured", len(pages))
-    machine.trace("checkpoint", pid=proc.pid, pages=len(pages),
-                  incremental=bool(incremental))
+    machine.emit("checkpoint", counter="checkpoint",
+                 metric="core.snapshot.checkpoints", pid=proc.pid,
+                 pages=len(pages), incremental=bool(incremental))
+    machine.emit(n=len(pages), metric="core.snapshot.pages_captured")
     return blob
 
 
@@ -250,9 +249,9 @@ def restore(os: Any, blob: bytes, *, name: Optional[str] = None,
             child = _restore_phases(os, manifest, payload, name, parent, tx)
         except Exception as exc:
             tx.rollback()
-            machine.counters.add("restore_rollbacks")
-            machine.obs.count("core.snapshot.restore_rollbacks")
-            machine.trace("restore_rollback", reason=type(exc).__name__)
+            machine.emit("restore_rollback", counter="restore_rollbacks",
+                         metric="core.snapshot.restore_rollbacks",
+                         reason=type(exc).__name__)
             point = getattr(exc, "point", None)
             if point is not None:
                 machine.chaos.note_recovery(point)
@@ -429,8 +428,8 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
         new_vpn = entry["vpn"] + delta_pages
         space.map_page(new_vpn, frame_number, PagePerm(entry["perms"]))
         mapped.append(new_vpn)
-    machine.obs.count("core.snapshot.pages_restored",
-                      len(manifest["pages"]))
+    machine.emit(n=len(manifest["pages"]),
+                 metric="core.snapshot.pages_restored")
     _abort_point(machine, "core.snapshot.abort.pages")
 
     # 3. the register file: integers verbatim, capabilities re-minted
@@ -461,9 +460,9 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
         register_demand_heap(child)
     os.procs.add(child)
     os.sched.add(task)
-    machine.counters.add("restore")
-    machine.obs.count("core.snapshot.restores")
-    machine.trace("restore", pid=child.pid, pages=len(manifest["pages"]))
+    machine.emit("restore", counter="restore",
+                 metric="core.snapshot.restores", pid=child.pid,
+                 pages=len(manifest["pages"]))
     record_flow(machine, "restore", parent.pid if parent else 0, child.pid,
                 child.region_base, child.region_top)
     return child
@@ -489,7 +488,7 @@ def _restore_fds(machine: Any, child: Process, manifest: Dict[str, Any],
     groups: Dict[int, FileDescription] = {}
     for entry in manifest["fds"]:
         if entry[1] != "pipe":
-            machine.obs.count("core.snapshot.dropped_fds")
+            machine.emit(metric="core.snapshot.dropped_fds")
             continue
         fd, _kind, group, index, end_readable, readable, writable, \
             file_offset = entry
@@ -587,9 +586,8 @@ def restore_into(os: Any, proc: Process, blob: bytes) -> int:
         space.map_page(vpn, frame_number, PagePerm(entry["perms"]))
     _restore_registers(machine, proc.main_task().registers, manifest,
                        regions)
-    machine.counters.add("restore_into")
-    machine.obs.count("core.snapshot.pages_applied",
-                      len(manifest["pages"]))
-    machine.trace("restore_into", pid=proc.pid,
-                  pages=len(manifest["pages"]))
+    machine.emit("restore_into", counter="restore_into", pid=proc.pid,
+                 pages=len(manifest["pages"]))
+    machine.emit(n=len(manifest["pages"]),
+                 metric="core.snapshot.pages_applied")
     return len(manifest["pages"])

@@ -7,6 +7,11 @@ syscalls — with their simulated timestamps.  Tracing is off by default
 for answering "why did this fork cost what it did?": see
 ``TraceLog.summarize`` and the trace tests.
 
+Events arrive through :meth:`repro.machine.Machine.emit`, so attaching
+a tracer never changes which code runs: a bulk path hands it the same
+ordered records as the per-page path, stamped with the batch's clock
+reading (only timestamps differ).
+
 Usage::
 
     machine = Machine()

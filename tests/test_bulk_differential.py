@@ -4,29 +4,31 @@ Fork, CoW break, relocation and frame copy each have a vectorized bulk
 path (batched ``copy_frames``, ``map_run`` sharing, the bulk
 write-break hook, memoised relocation sweeps with sum-equal charges)
 and a per-page path that handles one page at a time.  The per-page
-path is what runs whenever batching could be observable: an attached
-tracer, an enabled chaos engine, SMP or a clock observer.  Bulk copy
-paths are where tag bugs hide ("Pitfalls in VM Implementation on
-CHERI"), so the per-page paths serve as the reference.
+path runs under an enabled chaos engine or SMP; watching a run (a
+tracer, observability) never selects it.  Bulk copy paths are where
+tag bugs hide ("Pitfalls in VM Implementation on CHERI"), so the
+per-page paths serve as the reference.
 
 Hypothesis drives random map/unmap (malloc + exit teardown), fork, CoW
 break (parent and child stores, single and batched runs) and
-tag-store/tag-clear programs through the public facade twice:
+tag-store/tag-clear programs through the public facade three times:
 
-* the **bulk** side is a plain session;
-* the **per-page** side is selected only through existing switches —
-  a tracer attached to the machine plus a zero-rate chaos engine
-  (``FaultMix.parse("default=0")``), which fires nothing but sends
-  every copy down the per-page fallbacks.
+* **bulk**: a plain session;
+* **bulk, watched**: a plain session with a tracer attached and
+  observability enabled;
+* **per-page, watched**: the same watchers plus a zero-rate chaos
+  engine (``FaultMix.parse("default=0")``), which fires nothing but
+  sends every copy down the per-page fallbacks.
 
-Both must end byte-identical in every simulated observable: clock,
-attribution buckets, event counters, page bytes, granule tags,
-refcounts and permissions.  Shrinking hands back the minimal divergent
-program.
+All three must end byte-identical in every simulated observable:
+clock, attribution buckets, event counters, page bytes, granule tags,
+refcounts and permissions.  The two watched runs must also give the
+same ordered ``(event, fields)`` trace stream and the same obs
+counters.  Shrinking hands back the minimal divergent program.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.api import Session
 
@@ -60,15 +62,15 @@ class _Recorder:
         self.events.append((event, tuple(sorted(fields.items()))))
 
 
-def _boot(strategy, per_page):
-    """A fresh session on the bulk or the per-page paths."""
-    sim = Session(strategy=strategy, seed=5,
+def _boot(strategy, per_page=False, watched=False):
+    """A fresh session on the bulk or the per-page paths, optionally
+    watched by a tracer and observability."""
+    sim = Session(strategy=strategy, seed=5, obs=watched,
                   chaos=ZERO_RATE if per_page else None).boot()
     machine = sim.machine
-    if per_page:
+    if watched:
         machine.tracer = _Recorder()
     assert machine.chaos.enabled is per_page
-    assert (machine.tracer is not None) is per_page
     return sim
 
 
@@ -110,9 +112,10 @@ def _run_ops(sim, ops):
     return stack, errors
 
 
-def _drive(strategy, ops, per_page):
-    """Run ``ops`` in a fresh session; return every simulated observable."""
-    sim = _boot(strategy, per_page)
+def _drive(strategy, ops, per_page=False, watched=False):
+    """Run ``ops`` in a fresh session; return every simulated
+    observable, plus what the watchers saw when ``watched``."""
+    sim = _boot(strategy, per_page, watched)
     stack, errors = _run_ops(sim, ops)
     machine = sim.machine
     dumps = []
@@ -128,7 +131,7 @@ def _drive(strategy, ops, per_page):
                           frame_obj.read(0, PAGE),
                           tuple(frame_obj.tagged_granules())))
         dumps.append(pages)
-    return {
+    state = {
         "errors": errors,
         "now_ns": machine.clock.now_ns,
         "buckets": dict(machine.clock.buckets),
@@ -136,6 +139,11 @@ def _drive(strategy, ops, per_page):
         "allocated_frames": machine.phys.allocated_frames,
         "dumps": dumps,
     }
+    seen = None
+    if watched:
+        seen = {"stream": machine.tracer.events,
+                "metrics": machine.obs.registry.counters()}
+    return state, seen
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -143,46 +151,69 @@ def _drive(strategy, ops, per_page):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(ops=st.lists(_op, max_size=24))
+# a batched CoW break of child pages whose capabilities must relocate,
+# then of the parent's pages
+@example(ops=[("store_cap", 0, 0, 0), ("fork",), ("store_run", 1, 0),
+              ("store_run", 0, 0)])
 def test_bulk_and_per_page_paths_are_byte_identical(strategy, ops):
-    assert _drive(strategy, ops, per_page=False) == \
-        _drive(strategy, ops, per_page=True)
+    bulk, _ = _drive(strategy, ops)
+    watched, bulk_seen = _drive(strategy, ops, watched=True)
+    per_page, per_page_seen = _drive(strategy, ops, per_page=True,
+                                     watched=True)
+    assert bulk == watched == per_page
+    assert bulk_seen == per_page_seen
+
+
+def _count_calls(obj, name):
+    """Wrap ``obj.name`` (instance attribute) with a call counter."""
+    count = [0]
+    layered = getattr(obj, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return layered(*args, **kwargs)
+
+    setattr(obj, name, counting)
+    return count
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_the_two_sides_take_different_copy_paths(strategy):
     """The comparison above is only a differential if the sides really
     diverge in code: the per-page side copies frames one
-    ``copy_frame`` call at a time, the bulk side never calls it."""
+    ``copy_frame`` call at a time, while both bulk sides — watched or
+    not — never call it and make the same ``copy_frames`` calls."""
     ops = [("fork",), ("store", 0, 0, 7, 0), ("store", 1, 1, 9, 0),
            ("store_run", 1, 3), ("exit",)]
     calls = {}
-    for per_page in (False, True):
-        sim = _boot(strategy, per_page)
+    for side in ("bulk", "watched", "per_page"):
+        sim = _boot(strategy, per_page=side == "per_page",
+                    watched=side != "bulk")
         phys = sim.machine.phys
-        count = [0]
-        layered = phys.copy_frame
-
-        def counting(*args, _layered=layered, _count=count, **kwargs):
-            _count[0] += 1
-            return _layered(*args, **kwargs)
-
-        phys.copy_frame = counting
+        single = _count_calls(phys, "copy_frame")
+        bulk = _count_calls(phys, "copy_frames")
         _run_ops(sim, ops)
-        calls[per_page] = count[0]
-    assert calls[False] == 0 and calls[True] > 0
+        calls[side] = (single[0], bulk[0])
+    assert calls["bulk"][0] == calls["watched"][0] == 0
+    assert calls["watched"][1] == calls["bulk"][1]
+    if strategy == "full":
+        assert calls["bulk"][1] > 0  # the fork's eager copy is one batch
+    assert calls["per_page"][0] > 0
 
 
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=st.lists(_op, max_size=16))
-def test_zero_rate_chaos_keeps_the_traced_event_stream(ops):
-    """A traced run keeps the bulk frame copies unless chaos is on; the
-    ordered event stream must not depend on which copy path ran."""
-    streams = []
-    for chaos in (None, ZERO_RATE):
-        sim = Session(strategy="copa", seed=5, chaos=chaos).boot()
-        recorder = _Recorder()
-        sim.machine.tracer = recorder
-        _run_ops(sim, ops)
-        streams.append(recorder.events)
-    assert streams[0] == streams[1]
+def test_observed_store_run_keeps_the_batched_writes():
+    """A watched ``store_run`` across pages CoW-shared with a child is
+    still one batched ``write_run``: no per-call ``write``, one bulk
+    break of all eight pages."""
+    sim = _boot("copa", watched=True)
+    root = sim.spawn(name="root")
+    buf = root.malloc(8 * PAGE)
+    child = root.fork()
+    writes = _count_calls(root.space, "write")
+    breaks = _count_calls(sim.machine.phys, "copy_frames")
+    root.store_run(buf, bytes(16), [page * PAGE for page in range(8)])
+    assert writes[0] == 0
+    assert breaks[0] == 1
+    assert sim.machine.tracer.events[-1][0] == "cow_break"
+    child.exit(0)
+    root.wait(child.proc.pid)

@@ -8,9 +8,10 @@ drop or re-default an option silently.  The golden is argparse's
 rendering on Python 3.10-3.12 (the versions CI runs); 3.13 changed the
 layout.
 
-Every list and CPU option is validated while parsing: a bad value is
-an argparse usage error (exit 2) that runs and writes nothing, so CI can
-tell a typo from a breach or a non-conformant verdict (exit 1).
+Every list, CPU, name and fault-mix option is validated while parsing:
+a bad value is an argparse usage error (exit 2) that runs and writes
+nothing, so CI can tell a typo from a breach or a non-conformant verdict
+(exit 1).
 
 To regenerate after an intentional change to the CLI::
 
@@ -71,7 +72,7 @@ def test_cli_help_matches_golden_byte_for_byte():
         "docstring)")
 
 
-#: one bad value per list or CPU option
+#: one bad value per list, CPU, name or fault-mix option
 USAGE_ERRORS = (
     "sec --modes bogus",
     "sec --cpus 0",
@@ -86,6 +87,16 @@ USAGE_ERRORS = (
     "cluster --cpus 0",
     "snapshot --cpus 0",
     "smp --cpus -1",
+    "sec --attack bogus",
+    "conform --scenario bogus --no-host",
+    "conform-farm --workers 1 --depth 1 --budget 1 --scenario bogus",
+    "chaos --fault-mix garbage",
+    "chaos --fault-mix default=2",
+    "smp --fault-mix garbage",
+    "smp --fault-mix default=2",
+    "sec --fault-mix garbage",
+    "sec --fault-mix default=2",
+    "conform-farm --chaos-mix garbage",
 )
 
 

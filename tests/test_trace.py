@@ -19,7 +19,7 @@ class TestTraceLog:
         machine = Machine()
         tracer = attach_tracer(machine)
         machine.clock.advance(500)
-        machine.trace("custom", value=1)
+        machine.emit("custom", value=1)
         (event,) = tracer.events
         assert event.timestamp_ns == 500
         assert event.event == "custom"
@@ -28,29 +28,29 @@ class TestTraceLog:
 
     def test_no_tracer_is_noop(self):
         machine = Machine()
-        machine.trace("ignored", x=1)  # must not raise
+        machine.emit("ignored", x=1)  # must not raise
 
     def test_detach(self):
         machine = Machine()
         tracer = attach_tracer(machine)
         detach_tracer(machine)
-        machine.trace("after", x=1)
+        machine.emit("after", x=1)
         assert tracer.events == []
 
     def test_capacity_bounded(self):
         machine = Machine()
         tracer = attach_tracer(machine, capacity=3)
         for index in range(5):
-            machine.trace("e", i=index)
+            machine.emit("e", i=index)
         assert len(tracer.events) == 3
         assert tracer.dropped == 2
 
     def test_query_filters(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.trace("a", k=1)
-        machine.trace("a", k=2)
-        machine.trace("b", k=1)
+        machine.emit("a", k=1)
+        machine.emit("a", k=2)
+        machine.emit("b", k=1)
         assert tracer.count("a") == 2
         assert tracer.count("a", k=1) == 1
         assert tracer.count("b") == 1
@@ -59,15 +59,15 @@ class TestTraceLog:
     def test_between(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.trace("early")
+        machine.emit("early")
         machine.clock.advance(1000)
-        machine.trace("late")
+        machine.emit("late")
         assert [e.event for e in tracer.between(0, 500)] == ["early"]
 
     def test_clear(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.trace("x")
+        machine.emit("x")
         tracer.clear()
         assert tracer.events == []
 
