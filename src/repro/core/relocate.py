@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
@@ -118,21 +118,26 @@ def relocate_frames(machine: Any, frames: List[Frame],
     return sum(caps)
 
 
-def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
-                           dsts: List[int], regions: RegionPair
+def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
+                           dsts: Sequence[int], regions: RegionPair
                            ) -> List[int]:
     """Relocate fork-copied frames through a whole-page content memo.
 
     ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
     ``srcs[i]`` itself: a last sharer's frame is its own copy).
     Simulated-identical to :func:`relocate_frames` over the destination
-    frames; the extra lever is a memo keyed on the *source* frame's
+    frames.  Only the frames :meth:`PhysicalMemory.tagged_frames` finds
+    holding a tag are visited: an untagged page relocates nothing, so it
+    gets a count of 0 with no memo lookup and no memo entry.  A tagged
+    page goes through a memo keyed on the *source* frame's
     ``(number, version)`` plus the region pair.  A source page that has
     not been written since the last fork over the same region pair
     relocates to exactly the same destination bytes, so the memo replays
     the post-relocation page content (data + tags) instead of rescanning
     granules — the common case for a fork server whose image is stable
-    across forks.
+    across forks.  The memo is cleared only *before* a batch whose new
+    entries would overflow :data:`_PAGE_MEMO_CAP`, never in the middle
+    of one, so a batch larger than the cap still hits on the next fork.
 
     Charge/counter parity: the per-frame scan charge and sweep counts
     are batched exactly as in :func:`relocate_frames`; memo-hit frames
@@ -151,17 +156,19 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
                   regions.child_base, regions.child_top)
     _charge_scans(machine, count)
     frame_of = phys.frame
-    caps: List[int] = []
+    tagged = phys.tagged_frames(dsts)
+    keys = [(region_key, srcs[index], frame_of(srcs[index]).version)
+            for index in tagged]
+    misses = len(keys) - sum(map(memo.__contains__, keys))
+    if misses and len(memo) + misses > _PAGE_MEMO_CAP:
+        memo.clear()
+    caps = [0] * count
     caps_batched = 0
-    for src, dst in zip(srcs, dsts):
-        src_frame = frame_of(src)
-        dst_frame = frame_of(dst)
-        key = (region_key, src, src_frame.version)
-        entry = memo.get(key, _MISSING)
-        if entry is _MISSING:
+    for index, key in zip(tagged, keys):
+        dst_frame = frame_of(dsts[index])
+        entry = memo.get(key)
+        if entry is None:
             relocated = _relocate_frame_memoised(machine, dst_frame, regions)
-            if len(memo) >= _PAGE_MEMO_CAP:
-                memo.clear()
             if relocated:
                 memo[key] = (*dst_frame.snapshot_content(), relocated)
             else:
@@ -172,7 +179,7 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: List[int],
             caps_batched += relocated
         else:
             relocated = 0
-        caps.append(relocated)
+        caps[index] = relocated
     if caps_batched:
         _charge_each(machine, machine.costs.cap_relocate_ns, caps_batched,
                      "reloc_cap")

@@ -19,9 +19,11 @@ page-fault handler; the records live in PTE ``note`` slots.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Tuple
+from operator import sub
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.relocate import (
     RegionPair,
@@ -131,16 +133,16 @@ def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
     machine.charge(machine.costs.pte_protect_ns, "fork_protect")
 
 
-def vpn_runs(vpns: List[int], keys: List[int]) -> Iterator[Tuple[int, int]]:
+def vpn_runs(vpns: Sequence[int], keys: Sequence[int]
+             ) -> Iterator[Tuple[int, int]]:
     """``(start, end)`` index ranges of the maximal runs of consecutive
-    vpns with equal keys (one ``map_run`` each)."""
+    vpns with equal keys (one ``map_run`` each).  ``vpns[i] - i`` is
+    constant along a run of consecutive vpns, so ``groupby`` finds the
+    runs at C speed."""
     start = 0
-    count = len(vpns)
-    while start < count:
-        end = start + 1
-        while end < count and vpns[end] == vpns[start] + (end - start) \
-                and keys[end] == keys[start]:
-            end += 1
+    for _key, group in itertools.groupby(
+            zip(map(sub, vpns, itertools.count()), keys)):
+        end = start + len(list(group))
         yield start, end
         start = end
 

@@ -422,18 +422,18 @@ class UForkOS(AbstractOS):
                 costs.pte_coa_extra_ns != int(costs.pte_coa_extra_ns) or \
                 costs.pte_protect_ns != int(costs.pte_protect_ns):
             return False
-        full = strategy is CopyStrategy.FULL_COPY
-        shm_items: List[Any] = []
-        copy_items: List[Any] = []
-        share_items: List[Any] = []
-        for item in space.mapped_items(lo, hi):
-            vpn = item[0]
-            if vpn in shm_vpns:
-                shm_items.append(item)
-            elif full or vpn in eager:
-                copy_items.append(item)
-            else:
-                share_items.append((vpn, item[1], item[2], item[4]))
+        items = space.mapped_items(lo, hi)
+        shm_items = [item for item in items if item[0] in shm_vpns] \
+            if shm_vpns else []
+        if shm_items:
+            items = [item for item in items if item[0] not in shm_vpns]
+        if strategy is CopyStrategy.FULL_COPY:
+            copy_items, share_items = items, []
+        else:
+            copy_items = [item for item in items if item[0] in eager]
+            share_items = [(vpn, frame, perms, note)
+                           for vpn, frame, perms, _cow, note in items
+                           if vpn not in eager]
         phys = machine.phys
         if copy_items and phys.free_frames() < len(copy_items):
             return False
@@ -452,17 +452,16 @@ class UForkOS(AbstractOS):
         # map the child runs at the original (pre-share) permissions
         ncopy = len(copy_items)
         if ncopy:
-            src_numbers = [item[1] for item in copy_items]
+            vpns, src_numbers, origs, _cows, notes = zip(*copy_items)
             dsts = phys.copy_frames(src_numbers, preserve_tags=True)
             caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
                                           regions)
-            origs = [int(note.orig_perms) if isinstance(note, ShareNote)
-                     else perms for _vpn, _frame, perms, _cow, note
-                     in copy_items]
-            for start, end in vpn_runs([item[0] for item in copy_items],
-                                       origs):
-                space.map_run(copy_items[start][0] + delta_pages,
-                              dsts[start:end], PagePerm(origs[start]))
+            if notes.count(None) != ncopy:
+                origs = [int(note.orig_perms) if isinstance(note, ShareNote)
+                         else perms for perms, note in zip(origs, notes)]
+            for start, end in vpn_runs(vpns, origs):
+                space.map_run(vpns[start] + delta_pages, dsts[start:end],
+                              PagePerm(origs[start]))
             machine.charge(bulk_ns * ncopy, "fork_map")
             machine.emit("fork_page_copy", ncopy, counter="fork_page_copies",
                          metric="core.strategies.eager_page_copies",

@@ -38,6 +38,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
+from itertools import compress, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
@@ -150,6 +151,9 @@ _CHUNK_MASK = CHUNK - 1
 #: template for freshly created chunks: every slot unmapped
 _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 
+#: ``_MAPPED(frame)`` — is a chunk slot mapped (unmapped slots hold -1)
+_MAPPED = (-1).__lt__
+
 
 class _PteView:
     """A write-through PTE facade over one :class:`PageTable` slot.
@@ -222,7 +226,9 @@ class PageTable:
         self._perms: Dict[int, bytearray] = {}
         self._cow: Dict[int, bytearray] = {}
         self._notes: Dict[int, Any] = {}
-        self._views: Dict[int, _PteView] = {}
+        #: chunk id -> {vpn: interned view}, so a chunk's views go with
+        #: its arrays
+        self._views: Dict[int, Dict[int, _PteView]] = {}
         self._chunk_len: Dict[int, int] = {}
         self._len = 0
 
@@ -234,6 +240,7 @@ class PageTable:
             frames = self._frames[chunk_id] = array("q", _EMPTY_FRAMES)
             self._perms[chunk_id] = bytearray(CHUNK)
             self._cow[chunk_id] = bytearray(CHUNK)
+            self._views[chunk_id] = {}
             self._chunk_len[chunk_id] = 0
         return frames
 
@@ -242,7 +249,7 @@ class PageTable:
         self._perms[chunk_id][index] = 0
         self._cow[chunk_id][index] = 0
         self._notes.pop(vpn, None)
-        self._views.pop(vpn, None)
+        self._views[chunk_id].pop(vpn, None)
         self._len -= 1
         remaining = self._chunk_len[chunk_id] - 1
         if remaining:
@@ -251,17 +258,29 @@ class PageTable:
             del self._frames[chunk_id]
             del self._perms[chunk_id]
             del self._cow[chunk_id]
+            del self._views[chunk_id]
             del self._chunk_len[chunk_id]
+
+    def _chunks_in(self, lo_vpn: int, hi_vpn: int) -> List[int]:
+        """Ids of the live chunks overlapping [lo, hi), ascending."""
+        chunks = self._frames
+        lo_chunk = lo_vpn >> CHUNK_SHIFT
+        hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
+        if hi_chunk - lo_chunk > len(chunks):
+            return sorted(c for c in chunks if lo_chunk <= c < hi_chunk)
+        return [c for c in range(lo_chunk, hi_chunk) if c in chunks]
 
     # -- vpn-level surface ------------------------------------------------
 
     def get(self, vpn: int) -> Optional[_PteView]:
-        frames = self._frames.get(vpn >> CHUNK_SHIFT)
+        chunk_id = vpn >> CHUNK_SHIFT
+        frames = self._frames.get(chunk_id)
         if frames is None or frames[vpn & _CHUNK_MASK] < 0:
             return None
-        view = self._views.get(vpn)
+        views = self._views[chunk_id]
+        view = views.get(vpn)
         if view is None:
-            view = self._views[vpn] = _PteView(self, vpn)
+            view = views[vpn] = _PteView(self, vpn)
         return view
 
     def remove(self, vpn: int) -> PTE:
@@ -302,6 +321,20 @@ class PageTable:
             for index in range(CHUNK):
                 if frames[index] >= 0:
                     yield base + index
+
+
+def _drop_vpns(entries: Dict[int, Any], lo_vpn: int, hi_vpn: int) -> None:
+    """Delete the keys in [lo, hi) of a vpn-keyed dict, walking
+    whichever is smaller: the dict or the range."""
+    if not entries:
+        return
+    if len(entries) < hi_vpn - lo_vpn:
+        for vpn in [vpn for vpn in entries if lo_vpn <= vpn < hi_vpn]:
+            del entries[vpn]
+    else:
+        pop = entries.pop
+        for vpn in range(lo_vpn, hi_vpn):
+            pop(vpn, None)
 
 
 #: fault handler: (space, vaddr, kind) -> True if resolved (retry access)
@@ -478,25 +511,20 @@ class AddressSpace:
         table = self.page_table
         chunks = table._frames
         notes = table._notes
-        lo_chunk = lo_vpn >> CHUNK_SHIFT
-        hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
-        if hi_chunk - lo_chunk > len(chunks):
-            span = sorted(c for c in chunks if lo_chunk <= c < hi_chunk)
-        else:
-            span = [c for c in range(lo_chunk, hi_chunk) if c in chunks]
-        for chunk_id in span:
+        for chunk_id in table._chunks_in(lo_vpn, hi_vpn):
             frames = chunks[chunk_id]
             perms = table._perms[chunk_id]
             cow = table._cow[chunk_id]
             base = chunk_id << CHUNK_SHIFT
             start = max(lo_vpn - base, 0)
             stop = min(hi_vpn - base, CHUNK)
-            for index in range(start, stop):
-                frame = frames[index]
-                if frame >= 0:
-                    vpn = base + index
-                    out.append((vpn, frame, perms[index],
-                                bool(cow[index]), notes.get(vpn)))
+            vpns = range(base + start, base + stop)
+            window = frames[start:stop]
+            out += compress(
+                zip(vpns, window, perms[start:stop],
+                    map(bool, cow[start:stop]),
+                    map(notes.get, vpns) if notes else repeat(None)),
+                map(_MAPPED, window))
         return out
 
     def map_run(self, start_vpn: int, frames: Sequence[int], perms: PagePerm,
@@ -543,9 +571,7 @@ class AddressSpace:
                     notes[vpn + offset] = note
             table._len += take
             table._chunk_len[chunk_id] += take
-            cache_pop = self._walk_cache.pop
-            for offset in range(take):
-                cache_pop(vpn + offset, None)
+            _drop_vpns(self._walk_cache, vpn, vpn + take)
             vpn += take
             position += take
 
@@ -553,56 +579,50 @@ class AddressSpace:
                     decref: bool = True) -> int:
         """Unmap every mapping in [lo, hi); returns the count.
 
-        Frames are released in ascending vpn order — the same free-list
-        order the per-page ``unmap_page`` loop produces.
+        Sweeps the chunk arrays directly: each chunk's window is sliced
+        out for its frame numbers and slice-cleared (or the chunk is
+        dropped whole, views included, when the window held all its
+        mappings); the note and walk-cache entries of the range are
+        dropped in one pass each.  No per-vpn tuples are built.  Frames
+        are released in ascending vpn order — the same free-list order
+        the per-page ``unmap_page`` loop produces.
         """
-        items = self.mapped_items(lo_vpn, hi_vpn)
-        if not items:
-            return 0
         table = self.page_table
         chunks = table._frames
-        all_perms = table._perms
-        all_cow = table._cow
         chunk_len = table._chunk_len
-        notes_pop = table._notes.pop
-        views_pop = table._views.pop
-        cache_pop = self._walk_cache.pop
-        count = len(items)
-        position = 0
-        while position < count:
-            vpn = items[position][0]
-            chunk_id = vpn >> CHUNK_SHIFT
-            index = vpn & _CHUNK_MASK
-            # longest run of consecutive vpns inside this chunk
-            end = position + 1
-            limit = min(position + (CHUNK - index), count)
-            expect = vpn + 1
-            while end < limit and items[end][0] == expect:
-                end += 1
-                expect += 1
-            take = end - position
-            chunks[chunk_id][index:index + take] = \
-                _EMPTY_FRAMES[:take]
-            all_perms[chunk_id][index:index + take] = _ZEROS[:take]
-            all_cow[chunk_id][index:index + take] = _ZEROS[:take]
-            for gone in range(vpn, expect):
-                notes_pop(gone, None)
-                views_pop(gone, None)
-                cache_pop(gone, None)
+        released: List[int] = []
+        for chunk_id in table._chunks_in(lo_vpn, hi_vpn):
+            frames = chunks[chunk_id]
+            base = chunk_id << CHUNK_SHIFT
+            start = max(lo_vpn - base, 0)
+            stop = min(hi_vpn - base, CHUNK)
+            window = list(filter(_MAPPED, frames[start:stop]))
+            if not window:
+                continue
+            released += window
+            take = len(window)
             table._len -= take
             remaining = chunk_len[chunk_id] - take
             if remaining:
                 chunk_len[chunk_id] = remaining
+                width = stop - start
+                frames[start:stop] = _EMPTY_FRAMES[:width]
+                table._perms[chunk_id][start:stop] = _ZEROS[:width]
+                table._cow[chunk_id][start:stop] = _ZEROS[:width]
+                _drop_vpns(table._views[chunk_id], base + start, base + stop)
             else:
                 del chunks[chunk_id]
-                del all_perms[chunk_id]
-                del all_cow[chunk_id]
+                del table._perms[chunk_id]
+                del table._cow[chunk_id]
+                del table._views[chunk_id]
                 del chunk_len[chunk_id]
-            position = end
+        if not released:
+            return 0
+        _drop_vpns(table._notes, lo_vpn, hi_vpn)
+        _drop_vpns(self._walk_cache, lo_vpn, hi_vpn)
         if decref:
-            self.machine.phys.decref_many(
-                [item[1] for item in items])
-        return count
+            self.machine.phys.decref_many(released)
+        return len(released)
 
     # -- single-slot accessors (fault-path helpers, no view objects) -------
 

@@ -20,14 +20,18 @@ engine"): data bytes and granule tags live in machine-wide per-bank
 ``bytearray`` arenas (:data:`BANK_FRAMES` frames per bank) and each
 ``Frame`` holds ``memoryview`` windows into its bank, so frame copies,
 tag clears and the relocation scan are C-level slice/``find``
-operations over the flat tag bitmap, and
-:meth:`PhysicalMemory.copy_frames` can batch a whole fork's page copies
-into one accounting pass.
+operations over the flat tag bitmap.  Fork's batch primitives work on
+bank runs (consecutive slots of one bank):
+:meth:`PhysicalMemory.copy_frames` copies a run with one data and one
+tag slice store and :meth:`PhysicalMemory.tagged_frames` finds a run's
+tagged frames with one ``find``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+import itertools
+from operator import sub
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
@@ -400,46 +404,91 @@ class PhysicalMemory:
 
     def copy_frames(self, srcs: Sequence[int], preserve_tags: bool = True,
                     charge: bool = True) -> List[int]:
-        """Bulk :meth:`copy_frame`: one accounting pass for a whole run.
+        """Bulk :meth:`copy_frame`, copied by bank run.
 
-        The copies, refcounts, capacity checks, clock charges and
-        counter/observability totals are identical to calling
-        :meth:`copy_frame` once per source; only the per-page Python
-        accounting is hoisted out of the loop.  With chaos enabled it
-        *is* that per-page loop, so injected alloc failures and
-        tag-clear faults fire with exactly the per-page draw sequence.
+        The destinations are the numbers ``len(srcs)`` single
+        allocations would take (the free-list tail, then fresh numbers),
+        paired with the sources in ascending order, so consecutive
+        sources land on consecutive destinations.  Each run of
+        consecutive source and destination slots inside one bank is
+        copied with one data and one tag slice store (zeros for
+        ``preserve_tags=False``); per frame only the :class:`Frame`
+        object is revived, its ``version`` bumped and the frame marked
+        allocated.
+
+        The copies, refcounts, capacity checks, clock charges,
+        counter/observability totals and the free list left behind are
+        identical to calling :meth:`copy_frame` once per source; only
+        which destination number a source gets differs.  When capacity
+        runs out, the first sources that fit are copied, charged and
+        counted, then freed in allocation order, then
+        :class:`OutOfMemory` is raised.  With chaos enabled it *is* the
+        per-page loop, so injected alloc failures and tag-clear faults
+        fire with exactly the per-page draw sequence.
         """
         if self.chaos.enabled:
             return [self.copy_frame(src, preserve_tags, charge)
                     for src in srcs]
         frames = self._frames
-        capacity = self._capacity_frames
+        if not all(map(frames.__contains__, srcs)):
+            missing = next(src for src in srcs if src not in frames)
+            raise KeyError(f"no such frame {missing}")
+        fit = min(len(srcs), self._capacity_frames - len(frames))
+        # the numbers ``fit`` single allocations take, in their order
         free = self._free
-        dsts: List[int] = []
-        try:
-            for src in srcs:
-                if len(frames) >= capacity:
-                    raise OutOfMemory("physical memory exhausted")
-                if free:
-                    number = free.pop()
-                else:
-                    number = self._next_frame
-                    self._next_frame += 1
-                dst_frame = self._make_frame(number)
-                frames[number] = dst_frame
-                dst_frame.copy_from(frames[src], preserve_tags)
-                dsts.append(number)
-        except OutOfMemory:
-            # match the per-page sequence: the first k copies were
-            # charged and counted before the (k+1)th alloc raised; the
-            # caller never saw the k frames, so free them here (the
-            # per-page caller's rollback would unmap-and-decref them)
-            self._settle_bulk_copy(len(dsts), charge)
-            for number in dsts:
+        reused = free[len(free) - min(fit, len(free)):]
+        del free[len(free) - len(reused):]
+        reused.reverse()
+        fresh = list(range(self._next_frame,
+                           self._next_frame + fit - len(reused)))
+        self._next_frame += len(fresh)
+        dsts = sorted(reused) + fresh
+        pool = self._frame_pool
+        make = self._make_frame
+        for number in dsts:
+            frame = pool.get(number)
+            if frame is None:
+                frame = make(number)
+            frame.refcount = 1
+            frame.version += 1
+            frames[number] = frame
+        self._copy_runs(srcs[:fit], dsts, preserve_tags)
+        self._settle_bulk_copy(fit, charge)
+        if fit < len(srcs):
+            # match the per-page sequence: the first ``fit`` copies were
+            # charged and counted before the next alloc raised; the
+            # caller never saw them, so free them here (the per-page
+            # caller's rollback would unmap-and-decref them)
+            for number in reused + fresh:
                 self.decref(number)
-            raise
-        self._settle_bulk_copy(len(dsts), charge)
+            raise OutOfMemory("physical memory exhausted")
         return dsts
+
+    def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],
+                   preserve_tags: bool) -> None:
+        """Copy ``srcs[i]`` into ``dsts[i]``: one data and one tag slice
+        store per joint bank run (``memoryview`` to ``memoryview``, so
+        the bytes move once)."""
+        page_size = self._config.page_size
+        granules = self._config.granules_per_page
+        data_views = self._data_views
+        tag_views = self._tag_views
+        for start, count in _bank_runs(dsts, srcs):
+            src_bank, src_slot = divmod(srcs[start] - 1, BANK_FRAMES)
+            dst_bank, dst_slot = divmod(dsts[start] - 1, BANK_FRAMES)
+            d0 = dst_slot * page_size
+            s0 = src_slot * page_size
+            span = count * page_size
+            data_views[dst_bank][d0:d0 + span] = \
+                data_views[src_bank][s0:s0 + span]
+            d0 = dst_slot * granules
+            span = count * granules
+            if preserve_tags:
+                s0 = src_slot * granules
+                tag_views[dst_bank][d0:d0 + span] = \
+                    tag_views[src_bank][s0:s0 + span]
+            else:
+                tag_views[dst_bank][d0:d0 + span] = _zeros(span)
 
     def _settle_bulk_copy(self, count: int, charge: bool) -> None:
         if count == 0:
@@ -489,6 +538,34 @@ class PhysicalMemory:
         """Offsets of tagged granules in frame ``number`` (bulk scan)."""
         return self.frame(number).tagged_granules()
 
+    def tagged_frames(self, numbers: Sequence[int]) -> List[int]:
+        """Positions in ``numbers`` of the frames holding any valid tag,
+        ascending.
+
+        One ``bytearray.find`` (a C memchr) per bank run of consecutive
+        numbers over the bank's tag arena, plus one per tagged frame
+        found — the relocation sweep's filter, so untagged pages are
+        never visited one by one.
+        """
+        frames = self._frames
+        if not all(map(frames.__contains__, numbers)):
+            missing = next(n for n in numbers if n not in frames)
+            raise KeyError(f"no such frame {missing}")
+        granules = self._config.granules_per_page
+        tag_banks = self._tag_banks
+        out: List[int] = []
+        for start, count in _bank_runs(numbers):
+            bank, slot = divmod(numbers[start] - 1, BANK_FRAMES)
+            store = tag_banks[bank]
+            lo = slot * granules
+            hi = lo + count * granules
+            hit = store.find(1, lo, hi)
+            while hit >= 0:
+                page = (hit - lo) // granules
+                out.append(start + page)
+                hit = store.find(1, lo + (page + 1) * granules, hi)
+        return out
+
     def clear_tags_range(self, number: int, lo_offset: int,
                          hi_offset: int) -> None:
         """Clear the tags of granules overlapping [lo, hi) of a frame."""
@@ -506,6 +583,51 @@ class PhysicalMemory:
 
     def contains(self, number: int) -> bool:
         return number in self._frames
+
+
+def _runs(numbers: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(start, count)`` index ranges of the maximal runs of
+    consecutive numbers (``numbers[i] - i`` is constant along a run, so
+    ``groupby`` finds them at C speed)."""
+    total = len(numbers)
+    if total and numbers[-1] - numbers[0] == total - 1 and \
+            list(numbers) == list(range(numbers[0], numbers[-1] + 1)):
+        return [(0, total)]
+    lengths = [len(list(group)) for _key, group in itertools.groupby(
+        map(sub, numbers, itertools.count()))]
+    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
+
+
+def _bank_runs(dsts: Sequence[int], srcs: Optional[Sequence[int]] = None
+               ) -> List[Tuple[int, int]]:
+    """``(start, count)`` index ranges of the maximal runs over which
+    ``dsts`` (and ``srcs``, when given) steps by one frame number
+    without leaving a bank."""
+    if srcs is None:
+        srcs = dsts
+        groups = [len(dsts)] if dsts else []
+    else:
+        # srcs[i] - dsts[i] is constant along a joint run
+        groups = [len(list(group)) for _key, group
+                  in itertools.groupby(map(sub, srcs, dsts))]
+    runs: List[Tuple[int, int]] = []
+    base = 0
+    for length in groups:
+        pieces = _runs(dsts[base:base + length]) if length > 1 else [(0, 1)]
+        for offset, count in pieces:
+            start = base + offset
+            if count == 1:
+                runs.append((start, 1))
+                continue
+            end = start + count
+            while start < end:
+                take = min(end - start,
+                           BANK_FRAMES - (srcs[start] - 1) % BANK_FRAMES,
+                           BANK_FRAMES - (dsts[start] - 1) % BANK_FRAMES)
+                runs.append((start, take))
+                start += take
+        base += length
+    return runs
 
 
 # the pristine release routine: batch paths compare against this to

@@ -11,7 +11,8 @@ chunked arrays and banked arenas must be a private detail.
 This test greps the source tree for the representation attributes;
 anything it finds must either move to the public bulk interface
 (``mapped_items``/``map_run``/``unmap_range``/``copy_frames``/
-``privatize_page``/``tagged_granules``/``snapshot_content``/...) or be
+``tagged_frames``/``privatize_page``/``tagged_granules``/
+``snapshot_content``/...) or be
 added to the hw/mem layers themselves.
 
 A second grep keeps the retired twin engine retired: there is one
@@ -25,8 +26,13 @@ import re
 REPO_SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
 #: attribute accesses that couple a caller to the storage representation
+#: (the page-table chunk arrays, the banked frame store, and the
+#: per-frame tag windows: ``core`` reaches tags only through
+#: ``PhysicalMemory.tagged_frames``/``scan_tagged``)
 _FORBIDDEN = re.compile(
-    r"\.(_entries\b|_frames\b|_perms\b|_cow\b|tags\b(?!\w))")
+    r"\.(_entries\b|_frames\b|_perms\b|_cow\b|tags\b(?!\w)"
+    r"|_data_banks\b|_tag_banks\b|_data_views\b|_tag_views\b"
+    r"|_frame_pool\b|_tag_store\b)")
 
 #: the layers that own the representations
 _ALLOWED_PREFIXES = ("hw/", "mem/")

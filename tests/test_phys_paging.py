@@ -1,7 +1,7 @@
 """Tests for physical memory (frames + tags) and paging (faults, CoW hooks)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
@@ -219,6 +219,159 @@ class TestFrameNumberChurn:
         assert phys.allocated_frames == len(live)
 
 
+class TestRunCopy:
+    """``copy_frames`` copies by bank run; it must move exactly the
+    bytes and tags a per-frame ``copy_frame`` loop moves.
+
+    Each check builds two identical machines, copies the same sources
+    with ``copy_frames`` on one and ``copy_frame`` per source on the
+    other, and compares them.  Only which destination number a source
+    gets may differ: the numbers allocated, the free list left behind,
+    the clock and the counters may not.
+    """
+
+    #: enough frames that sources and destinations cross the first
+    #: 512-frame bank boundary
+    FRAMES = 540
+    #: every 7th frame is never written: an untouched source
+    UNTOUCHED = 7
+    CODEC = CapabilityCodec()
+
+    @classmethod
+    def build(cls, freed, dram_frames=None):
+        """A machine with :attr:`FRAMES` frames, each holding distinct
+        bytes and a capability in the first and last granule of the
+        page (except the untouched ones), then ``freed`` released in
+        order, so copies draw from the free-list tail, then fresh
+        numbers.  Returns the machine and each freed frame's version."""
+        from repro.params import CostModel, MachineConfig
+
+        config = MachineConfig() if dram_frames is None else \
+            MachineConfig(dram_bytes=dram_frames * 4096)
+        machine = Machine(config=config, costs=CostModel.morello())
+        phys = machine.phys
+        for number in range(1, cls.FRAMES + 1):
+            assert phys.alloc(zero=True, charge=False) == number
+            if number % cls.UNTOUCHED == 0:
+                continue
+            frame = phys.frame(number)
+            frame.write(CAP_SIZE, number.to_bytes(4, "little") * 8)
+            for offset in (0, 4096 - CAP_SIZE):
+                cap = Capability(base=number * 4096, length=64,
+                                 cursor=number * 4096 + offset,
+                                 perms=Perm.data_rw())
+                frame.store_cap(offset, cap, cls.CODEC)
+        versions = {number: phys.frame(number).version for number in freed}
+        for number in freed:
+            phys.decref(number)
+        return machine, versions
+
+    @staticmethod
+    def content(machine, number):
+        return machine.phys.frame(number).snapshot_content()
+
+    @staticmethod
+    def later_allocations(machine, count):
+        """The next ``count`` frame numbers: the free list's order,
+        then the fresh numbers."""
+        return [machine.phys.alloc(zero=False, charge=False)
+                for _ in range(count)]
+
+    def check(self, srcs, freed, preserve_tags=True):
+        bulk, before = self.build(freed)
+        ref, _versions = self.build(freed)
+        dsts = bulk.phys.copy_frames(srcs, preserve_tags=preserve_tags)
+        refs = [ref.phys.copy_frame(src, preserve_tags) for src in srcs]
+
+        assert dsts == sorted(dsts), "destinations pair in ascending order"
+        assert sorted(dsts) == sorted(refs)
+        granules = bulk.config.granules_per_page
+        for src, dst, ref_dst in zip(srcs, dsts, refs):
+            data, tags = self.content(bulk, dst)
+            assert (data, tags) == self.content(ref, ref_dst)
+            src_data, src_tags = self.content(bulk, src)
+            assert data == src_data
+            assert tags == (src_tags if preserve_tags else bytes(granules))
+            # the memo keys on (number, version): a revived frame must
+            # never come back at a version it was seen at
+            assert bulk.phys.frame(dst).version == before.get(dst, 0) + 1
+        assert bulk.clock.now_ns == ref.clock.now_ns
+        assert bulk.counters.snapshot() == ref.counters.snapshot()
+        assert bulk.phys.allocated_frames == ref.phys.allocated_frames
+        assert bulk.phys.free_frames() == ref.phys.free_frames()
+        assert self.later_allocations(bulk, len(freed) + 3) == \
+            self.later_allocations(ref, len(freed) + 3)
+
+    def test_source_run_straddles_a_bank_boundary(self):
+        self.check(list(range(500, 530)), freed=[])
+
+    def test_destinations_straddle_a_bank_boundary(self):
+        # reused 510..514 cross from bank 0 into bank 1
+        self.check(list(range(3, 29)), freed=[510, 511, 512, 513, 514, 2])
+
+    def test_descending_sources(self):
+        self.check(list(range(530, 490, -1)), freed=[40, 41, 42, 43])
+
+    def test_non_contiguous_and_repeated_sources(self):
+        self.check([9, 300, 11, 10, 512, 513, 12, 300, 1, 539],
+                   freed=[100, 7, 101, 520])
+
+    def test_tags_dropped_when_not_preserved(self):
+        self.check(list(range(505, 520)) + [3, 1], freed=[200, 201],
+                   preserve_tags=False)
+
+    def test_untouched_sources(self):
+        srcs = [n for n in range(1, 200) if n % self.UNTOUCHED == 0]
+        self.check(srcs, freed=[])
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_prop_run_copy_matches_per_frame_copy(self, data):
+        live = list(range(1, self.FRAMES + 1))
+        segments = data.draw(st.lists(st.tuples(
+            st.sampled_from(live), st.integers(1, 40),
+            st.sampled_from(["up", "down", "pick"])), max_size=5))
+        srcs = []
+        for first, length, shape in segments:
+            if shape == "up":
+                srcs += range(first, min(first + length, self.FRAMES + 1))
+            elif shape == "down":
+                srcs += range(first, max(first - length, 0), -1)
+            else:
+                srcs += data.draw(st.lists(st.sampled_from(live),
+                                           max_size=length))
+        freed = data.draw(st.lists(st.sampled_from(live), unique=True,
+                                   max_size=30))
+        srcs = [src for src in srcs if src not in freed]
+        self.check(srcs, freed=freed,
+                   preserve_tags=data.draw(st.booleans()))
+
+    def test_oom_mid_batch_matches_per_frame_sequence(self):
+        """The first sources that fit are copied, charged and counted,
+        then freed, then ``OutOfMemory`` is raised — the state a
+        per-frame loop plus its caller's rollback leaves."""
+        srcs = list(range(100, 110))
+        freed = [3, 50, 4]
+        capacity = self.FRAMES + 2  # 3 reused + 2 fresh fit
+        bulk, _versions = self.build(freed, dram_frames=capacity)
+        ref, _versions = self.build(freed, dram_frames=capacity)
+        with pytest.raises(OutOfMemory):
+            bulk.phys.copy_frames(srcs)
+        copied = []
+        with pytest.raises(OutOfMemory):
+            for src in srcs:
+                copied.append(ref.phys.copy_frame(src))
+        assert len(copied) == 5
+        for number in copied:
+            ref.phys.decref(number)
+        assert bulk.phys.allocated_frames == ref.phys.allocated_frames
+        assert bulk.phys.free_frames() == ref.phys.free_frames()
+        assert bulk.clock.now_ns == ref.clock.now_ns
+        assert bulk.counters.snapshot() == ref.counters.snapshot()
+        assert self.later_allocations(bulk, 5) == \
+            self.later_allocations(ref, 5)
+
+
 class TestAddressSpace:
     PAGE = 4096
 
@@ -347,3 +500,83 @@ class TestAddressSpace:
         frame = space.page_table.get(base // self.PAGE).frame
         space.unmap_page(base // self.PAGE)
         assert not machine.phys.contains(frame)
+
+
+class TestUnmapRange:
+    """``unmap_range`` sweeps the chunk arrays directly; it must leave
+    exactly the state a per-page ``unmap_page`` loop leaves."""
+
+    PAGE = 4096
+    #: the mapped window straddles the 512-vpn chunk boundaries at
+    #: 1024, 1536 and 2048
+    LO = 2 * 512 - 60
+    SPAN = 1100
+
+    @classmethod
+    def build(cls, plan):
+        """A space mapping ``plan``'s vpns (some aliasing the previous
+        vpn's frame), with notes, interned views and walk-cache entries
+        on the chosen vpns.  Returns the machine, the space and the
+        views handed out."""
+        mapped, aliased, noted, viewed, walked = plan
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        frame = None
+        for vpn in mapped:
+            if frame is not None and vpn in aliased:
+                space.map_page(vpn, frame, PagePerm.rwc(), incref=True)
+            else:
+                frame = machine.phys.alloc()
+                space.map_page(vpn, frame, PagePerm.rwc(),
+                               cow=vpn % 3 == 0)
+        for vpn in noted:
+            space.set_note(vpn, ("note", vpn))
+        views = {vpn: space.page_table.get(vpn) for vpn in viewed}
+        for vpn in walked:
+            space.read(vpn * cls.PAGE, 1)
+        return machine, space, views
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prop_matches_per_page_unmap(self, data):
+        window = st.integers(self.LO, self.LO + self.SPAN - 1)
+        mapped = sorted(data.draw(st.sets(window, max_size=160)))
+        pick = st.sets(st.sampled_from(mapped)) if mapped else st.just(set())
+        plan = (mapped, data.draw(pick), data.draw(pick), data.draw(pick),
+                data.draw(pick))
+        lo, hi = sorted(data.draw(st.lists(
+            st.integers(self.LO - 20, self.LO + self.SPAN + 20),
+            min_size=2, max_size=2)))
+        bulk, space, views = self.build(plan)
+        ref, ref_space, _ref_views = self.build(plan)
+        gone = [vpn for vpn in mapped if lo <= vpn < hi]
+
+        assert space.unmap_range(lo, hi) == len(gone)
+        for vpn in gone:
+            ref_space.unmap_page(vpn)
+
+        everything = (0, 1 << 20)
+        assert space.mapped_items(*everything) == \
+            ref_space.mapped_items(*everything)
+        assert space.noted_items() == ref_space.noted_items()
+        assert len(space.page_table) == len(ref_space.page_table)
+        assert bulk.counters.snapshot() == ref.counters.snapshot()
+        assert bulk.phys.allocated_frames == ref.phys.allocated_frames
+        # the free list (release order, LIFO) then the fresh numbers
+        fresh = [bulk.phys.alloc() for _ in range(len(gone) + 2)]
+        assert fresh == [ref.phys.alloc() for _ in range(len(gone) + 2)]
+
+        for vpn, view in views.items():
+            if lo <= vpn < hi:
+                assert space.page_table.get(vpn) is None
+            else:
+                assert space.page_table.get(vpn) is view
+        # no stale walk-cache hit: an unmapped page faults, and a
+        # remapped one resolves to its new frame through a new view
+        for vpn, frame in zip(gone, fresh):
+            with pytest.raises(UnmappedAddressError):
+                space.read(vpn * self.PAGE, 1)
+            space.map_page(vpn, frame, PagePerm.rwc())
+            assert space.resolve(vpn * self.PAGE, AccessKind.READ)[0] is \
+                bulk.phys.frame(frame)
+            assert space.page_table.get(vpn) is not views.get(vpn)

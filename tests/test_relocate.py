@@ -173,3 +173,57 @@ class TestRelocateRegisters:
         regs = RegisterFile()
         regs.set("c1", cap_at(0x10_4000).invalidated())
         assert relocate_registers(machine, regs, PARENT) == 0
+
+
+class TestForkPageMemo:
+    """Fork's whole-page relocation memo
+    (:func:`repro.core.relocate.relocate_copied_frames`)."""
+
+    @staticmethod
+    def _fork_server(nbuckets=16):
+        from repro.api import Session
+        from repro.apps.redis import MiniRedis, populate, redis_image
+
+        session = Session(strategy="full", cpus=1, seed=7).boot()
+        parent = session.spawn(redis_image(64 * 1024), "redis")
+        populate(MiniRedis(parent, nbuckets=nbuckets), 64 * 1024,
+                 value_size=4096)
+        return session, parent
+
+    @staticmethod
+    def _fork_exit(parent):
+        child = parent.fork()
+        child.exit(0)
+        assert parent.wait(child.pid) == (child.pid, 0)
+
+    def test_batch_larger_than_cap_hits_on_the_next_fork(self, monkeypatch):
+        """A fork copying more tagged pages than the memo's cap must
+        not thrash: the memo is cleared before a batch, never in the
+        middle of one, so the next fork of the same image rescans
+        nothing."""
+        import repro.core.relocate as relocate
+
+        monkeypatch.setattr(relocate, "_PAGE_MEMO_CAP", 4)
+        rescans = []
+        scan = relocate._relocate_frame_memoised
+
+        def counting(machine, frame, regions):
+            rescans.append(frame)
+            return scan(machine, frame, regions)
+
+        monkeypatch.setattr(relocate, "_relocate_frame_memoised", counting)
+        session, parent = self._fork_server()
+        self._fork_exit(parent)
+        assert len(rescans) > 4, "the image must outgrow the memo's cap"
+        del rescans[:]
+        self._fork_exit(parent)
+        assert rescans == []
+
+    def test_untagged_pages_take_no_memo_entry(self):
+        session, parent = self._fork_server()
+        phys = session.machine.phys
+        self._fork_exit(parent)
+        memo = session.machine._page_memo
+        assert memo
+        for (_regions, src, _version) in memo:
+            assert phys.tagged_frames([src]) == [0]
