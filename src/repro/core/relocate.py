@@ -27,7 +27,10 @@ from repro.hw.phys import Frame
 _RELOC_MEMO_CAP = 65536
 
 #: the per-machine whole-page content memo (fork's fused copy+relocate
-#: path) is dropped wholesale at this size
+#: path) is dropped wholesale before a batch that would grow it past
+#: this size, never mid-batch; it therefore holds at most
+#: max(cap, the tagged pages of the largest fork batch) page snapshots,
+#: so its memory grows with the image a single fork copies
 _PAGE_MEMO_CAP = 4096
 
 #: memo-miss sentinel (``None`` is a legitimate cached value)

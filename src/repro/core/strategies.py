@@ -19,11 +19,9 @@ page-fault handler; the records live in PTE ``note`` slots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.relocate import (
     RegionPair,
@@ -31,6 +29,7 @@ from repro.core.relocate import (
     relocate_frame,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
+from repro.hw.phys import consecutive_runs
 
 
 class CopyStrategy(Enum):
@@ -133,20 +132,6 @@ def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
     machine.charge(machine.costs.pte_protect_ns, "fork_protect")
 
 
-def vpn_runs(vpns: Sequence[int], keys: Sequence[int]
-             ) -> Iterator[Tuple[int, int]]:
-    """``(start, end)`` index ranges of the maximal runs of consecutive
-    vpns with equal keys (one ``map_run`` each).  ``vpns[i] - i`` is
-    constant along a run of consecutive vpns, so ``groupby`` finds the
-    runs at C speed."""
-    start = 0
-    for _key, group in itertools.groupby(
-            zip(map(sub, vpns, itertools.count()), keys)):
-        end = start + len(list(group))
-        yield start, end
-        start = end
-
-
 def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
                        strategy: CopyStrategy, regions: RegionPair,
                        newly_shared: list) -> None:
@@ -174,7 +159,7 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     parent_notes: Dict[int, ShareNote] = {}
     origs = [int(note.orig_perms) if isinstance(note, ShareNote) else perms
              for _vpn, _frame, perms, note in items]
-    for start, end in vpn_runs([item[0] for item in items], origs):
+    for start, end in consecutive_runs([item[0] for item in items], origs):
         vpn = items[start][0]
         run = items[start:end]
         orig_int = origs[start]

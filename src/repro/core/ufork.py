@@ -34,10 +34,10 @@ from repro.core.strategies import (
     resolve_all_pending,
     setup_shared_page,
     setup_shared_pages,
-    vpn_runs,
 )
 from repro.core.uprocess import load_uprocess
 from repro.hw.paging import AddressSpace, PagePerm
+from repro.hw.phys import consecutive_runs
 from repro.kernel.base import AbstractOS, SharedMemoryObject
 from repro.kernel.syscalls import IsolationLevel, check_syscall_gate
 from repro.kernel.task import Process
@@ -440,8 +440,8 @@ class UForkOS(AbstractOS):
         bulk_ns = int(costs.pte_bulk_share_ns)
 
         # MAP_SHARED memory: same frames, by design (§3.7)
-        for start, end in vpn_runs([item[0] for item in shm_items],
-                                   [item[2] for item in shm_items]):
+        for start, end in consecutive_runs([item[0] for item in shm_items],
+                                           [item[2] for item in shm_items]):
             space.map_run(shm_items[start][0] + delta_pages,
                           [item[1] for item in shm_items[start:end]],
                           PagePerm(shm_items[start][2]), incref=True)
@@ -452,14 +452,13 @@ class UForkOS(AbstractOS):
         # map the child runs at the original (pre-share) permissions
         ncopy = len(copy_items)
         if ncopy:
-            vpns, src_numbers, origs, _cows, notes = zip(*copy_items)
+            vpns, src_numbers, perms, _cows, notes = zip(*copy_items)
             dsts = phys.copy_frames(src_numbers, preserve_tags=True)
             caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
                                           regions)
-            if notes.count(None) != ncopy:
-                origs = [int(note.orig_perms) if isinstance(note, ShareNote)
-                         else perms for perms, note in zip(origs, notes)]
-            for start, end in vpn_runs(vpns, origs):
+            origs = [int(note.orig_perms) if isinstance(note, ShareNote)
+                     else perm for perm, note in zip(perms, notes)]
+            for start, end in consecutive_runs(vpns, origs):
                 space.map_run(vpns[start] + delta_pages, dsts[start:end],
                               PagePerm(origs[start]))
             machine.charge(bulk_ns * ncopy, "fork_map")

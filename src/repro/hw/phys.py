@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from operator import sub
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
@@ -296,6 +297,13 @@ class PhysicalMemory:
             raise KeyError(f"no such frame {number}")
         return frame
 
+    def _require_allocated(self, numbers: Sequence[int]) -> None:
+        """Raise :meth:`frame`'s ``KeyError`` for the first of
+        ``numbers`` that is not allocated."""
+        frames = self._frames
+        if not all(map(frames.__contains__, numbers)):
+            self.frame(next(n for n in numbers if n not in frames))
+
     def incref(self, number: int) -> None:
         self.frame(number).refcount += 1
 
@@ -430,9 +438,7 @@ class PhysicalMemory:
             return [self.copy_frame(src, preserve_tags, charge)
                     for src in srcs]
         frames = self._frames
-        if not all(map(frames.__contains__, srcs)):
-            missing = next(src for src in srcs if src not in frames)
-            raise KeyError(f"no such frame {missing}")
+        self._require_allocated(srcs)
         fit = min(len(srcs), self._capacity_frames - len(frames))
         # the numbers ``fit`` single allocations take, in their order
         free = self._free
@@ -443,13 +449,9 @@ class PhysicalMemory:
                            self._next_frame + fit - len(reused)))
         self._next_frame += len(fresh)
         dsts = sorted(reused) + fresh
-        pool = self._frame_pool
         make = self._make_frame
         for number in dsts:
-            frame = pool.get(number)
-            if frame is None:
-                frame = make(number)
-            frame.refcount = 1
+            frame = make(number)
             frame.version += 1
             frames[number] = frame
         self._copy_runs(srcs[:fit], dsts, preserve_tags)
@@ -473,7 +475,10 @@ class PhysicalMemory:
         granules = self._config.granules_per_page
         data_views = self._data_views
         tag_views = self._tag_views
-        for start, count in _bank_runs(dsts, srcs):
+        # srcs[i] - dsts[i] is constant along a joint run
+        runs = consecutive_runs(dsts, map(sub, srcs, dsts))
+        for start, end in _cut_at_banks(runs, srcs, dsts):
+            count = end - start
             src_bank, src_slot = divmod(srcs[start] - 1, BANK_FRAMES)
             dst_bank, dst_slot = divmod(dsts[start] - 1, BANK_FRAMES)
             d0 = dst_slot * page_size
@@ -547,18 +552,15 @@ class PhysicalMemory:
         found — the relocation sweep's filter, so untagged pages are
         never visited one by one.
         """
-        frames = self._frames
-        if not all(map(frames.__contains__, numbers)):
-            missing = next(n for n in numbers if n not in frames)
-            raise KeyError(f"no such frame {missing}")
+        self._require_allocated(numbers)
         granules = self._config.granules_per_page
         tag_banks = self._tag_banks
         out: List[int] = []
-        for start, count in _bank_runs(numbers):
+        for start, end in _cut_at_banks(consecutive_runs(numbers), numbers):
             bank, slot = divmod(numbers[start] - 1, BANK_FRAMES)
             store = tag_banks[bank]
             lo = slot * granules
-            hi = lo + count * granules
+            hi = lo + (end - start) * granules
             hit = store.find(1, lo, hi)
             while hit >= 0:
                 page = (hit - lo) // granules
@@ -585,49 +587,33 @@ class PhysicalMemory:
         return number in self._frames
 
 
-def _runs(numbers: Sequence[int]) -> List[Tuple[int, int]]:
-    """``(start, count)`` index ranges of the maximal runs of
-    consecutive numbers (``numbers[i] - i`` is constant along a run, so
-    ``groupby`` finds them at C speed)."""
-    total = len(numbers)
-    if total and numbers[-1] - numbers[0] == total - 1 and \
-            list(numbers) == list(range(numbers[0], numbers[-1] + 1)):
-        return [(0, total)]
-    lengths = [len(list(group)) for _key, group in itertools.groupby(
-        map(sub, numbers, itertools.count()))]
-    return list(zip(itertools.accumulate(lengths, initial=0), lengths))
+def consecutive_runs(numbers: Sequence[int],
+                     keys: Optional[Iterable[Any]] = None
+                     ) -> List[Tuple[int, int]]:
+    """``(start, end)`` index ranges of the maximal runs of consecutive
+    numbers (with equal keys, when given).  ``numbers[i] - i`` is
+    constant along a run, so ``groupby`` finds the runs at C speed."""
+    steps: Iterable[Any] = map(sub, numbers, itertools.count())
+    if keys is not None:
+        steps = zip(steps, keys)
+    bounds = list(itertools.accumulate(
+        (len(list(group)) for _key, group in itertools.groupby(steps)),
+        initial=0))
+    return list(zip(bounds, bounds[1:]))
 
 
-def _bank_runs(dsts: Sequence[int], srcs: Optional[Sequence[int]] = None
-               ) -> List[Tuple[int, int]]:
-    """``(start, count)`` index ranges of the maximal runs over which
-    ``dsts`` (and ``srcs``, when given) steps by one frame number
-    without leaving a bank."""
-    if srcs is None:
-        srcs = dsts
-        groups = [len(dsts)] if dsts else []
-    else:
-        # srcs[i] - dsts[i] is constant along a joint run
-        groups = [len(list(group)) for _key, group
-                  in itertools.groupby(map(sub, srcs, dsts))]
-    runs: List[Tuple[int, int]] = []
-    base = 0
-    for length in groups:
-        pieces = _runs(dsts[base:base + length]) if length > 1 else [(0, 1)]
-        for offset, count in pieces:
-            start = base + offset
-            if count == 1:
-                runs.append((start, 1))
-                continue
-            end = start + count
-            while start < end:
-                take = min(end - start,
-                           BANK_FRAMES - (srcs[start] - 1) % BANK_FRAMES,
-                           BANK_FRAMES - (dsts[start] - 1) % BANK_FRAMES)
-                runs.append((start, take))
-                start += take
-        base += length
-    return runs
+def _cut_at_banks(runs: Iterable[Tuple[int, int]],
+                  *sequences: Sequence[int]) -> List[Tuple[int, int]]:
+    """Split ``(start, end)`` runs of consecutive frame numbers so that
+    no piece leaves a bank in any of ``sequences``."""
+    pieces: List[Tuple[int, int]] = []
+    for start, end in runs:
+        while start < end:
+            stop = min(end, *(start + BANK_FRAMES - (seq[start] - 1)
+                              % BANK_FRAMES for seq in sequences))
+            pieces.append((start, stop))
+            start = stop
+    return pieces
 
 
 # the pristine release routine: batch paths compare against this to

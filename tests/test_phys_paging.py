@@ -12,7 +12,7 @@ from repro.errors import (
     UnmappedAddressError,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
-from repro.hw.phys import Frame
+from repro.hw.phys import Frame, consecutive_runs
 from repro.machine import Machine
 
 
@@ -217,6 +217,38 @@ class TestFrameNumberChurn:
             assert set(live) == {
                 number for number in live if phys.contains(number)}
         assert phys.allocated_frames == len(live)
+
+
+def _naive_runs(numbers, keys):
+    """Reference: grow each run while the next number is one more and
+    its key is the same."""
+    runs = []
+    start = 0
+    while start < len(numbers):
+        end = start + 1
+        while end < len(numbers) and \
+                numbers[end] == numbers[end - 1] + 1 and \
+                keys[end] == keys[start]:
+            end += 1
+        runs.append((start, end))
+        start = end
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1)),
+                max_size=40))
+def test_consecutive_runs_match_a_naive_scan(steps):
+    """``consecutive_runs`` (shared by fork's ``map_run`` grouping and
+    the bank-run copy and tag scan) splits exactly where a number does
+    not follow its predecessor or, with keys, the key changes."""
+    numbers = []
+    for step, _key in steps:
+        numbers.append(numbers[-1] + step if numbers else 100)
+    keys = [key for _step, key in steps]
+    assert consecutive_runs(numbers, keys) == _naive_runs(numbers, keys)
+    assert consecutive_runs(numbers) == \
+        _naive_runs(numbers, [0] * len(numbers))
 
 
 class TestRunCopy:
