@@ -202,6 +202,36 @@ class ChaosEngine:
                               point=point, hit=index)
         return True
 
+    def lookahead(self, point: str, count: int) -> int:
+        """Offset of the first of the next ``count`` hits of ``point``
+        that would fire, or ``count`` if none would (``count`` too when
+        the engine is disabled or paused).  Consumes nothing: batch
+        paths size themselves with it, then consult the schedule."""
+        if point not in INJECTION_POINTS:
+            raise ValueError(f"unregistered injection point {point!r}")
+        rate = self.mix.rate_for(point)
+        if not self.enabled or rate <= 0.0:
+            return count
+        first = self.hits.get(point, 0) + 1
+        for offset in range(count):
+            if _draw(self.seed, point, first + offset) < rate:
+                return offset
+        return count
+
+    def fire_each(self, point: str, count: int) -> List[int]:
+        """Consult the schedule ``count`` times at ``point``, exactly as
+        ``count`` :meth:`should_fire` calls would; returns the offsets
+        (0-based, ascending) of the hits that fired."""
+        if point not in INJECTION_POINTS:
+            raise ValueError(f"unregistered injection point {point!r}")
+        if not self.enabled or count <= 0:
+            return []
+        if self.mix.rate_for(point) <= 0.0:
+            self.hits[point] = self.hits.get(point, 0) + count
+            return []
+        should_fire = self.should_fire
+        return [offset for offset in range(count) if should_fire(point)]
+
     def note_recovery(self, point: str) -> None:
         """A survival path absorbed the most recent fault at ``point``."""
         self.recovered[point] = self.recovered.get(point, 0) + 1
@@ -260,6 +290,12 @@ class NullChaos:
 
     def should_fire(self, point: str) -> bool:  # pragma: no cover - guard
         return False
+
+    def lookahead(self, point: str, count: int) -> int:
+        return count
+
+    def fire_each(self, point: str, count: int) -> List[int]:
+        return []
 
     def note_recovery(self, point: str) -> None:  # pragma: no cover
         return None

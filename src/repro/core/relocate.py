@@ -103,7 +103,9 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
 
 def relocate_frames(machine: Any, frames: List[Frame],
                     regions: RegionPair) -> int:
-    """Relocate a batch of already-copied frames (fork's bulk path).
+    """:func:`relocate_frame` over a batch of frames, without the fork
+    content memo of :func:`relocate_copied_frames` (which is what fork
+    and the write-run break use).
 
     Simulated-identical to calling :func:`relocate_frame` once per
     frame: the per-frame page-scan charges and sweep counts are batched

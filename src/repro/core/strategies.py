@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.relocate import (
     RegionPair,
+    _charge_each,
     relocate_copied_frames,
     relocate_frame,
 )
@@ -107,48 +108,26 @@ def parent_share_perms(orig_perms: PagePerm) -> PagePerm:
     return cached
 
 
-def setup_shared_page(space: AddressSpace, parent_vpn: int, child_vpn: int,
-                      strategy: CopyStrategy, regions: RegionPair) -> None:
-    """Fork-time setup for one page under CoA/CoPA."""
-    machine = space.machine
-    parent_pte = space.page_table.get(parent_vpn)
-    orig = parent_pte.note.orig_perms if isinstance(parent_pte.note, ShareNote) \
-        else parent_pte.perms
-
-    # Child maps the parent's frame at the mirrored address.
-    space.map_page(
-        child_vpn, parent_pte.frame,
-        child_share_perms(strategy, orig), incref=True,
-        note=ShareNote("child", strategy, regions, orig),
-    )
-    machine.charge(machine.costs.pte_bulk_share_ns, "fork_map")
-    if strategy is CopyStrategy.COA:
-        machine.charge(machine.costs.pte_coa_extra_ns, "fork_map")
-
-    # Parent loses write permission (lazily restored on its next write).
-    parent_pte.perms = parent_share_perms(orig)
-    if not isinstance(parent_pte.note, ShareNote):
-        parent_pte.note = ShareNote("parent", strategy, regions, orig)
-    machine.charge(machine.costs.pte_protect_ns, "fork_protect")
-
-
 def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
                        strategy: CopyStrategy, regions: RegionPair,
                        newly_shared: list) -> None:
-    """Bulk fork-time sharing setup (the vectorized copy_pages path).
+    """Fork-time sharing setup under CoA/CoPA.
 
     ``items`` are ``(vpn, frame, perms_int, note)`` tuples, vpn
-    ascending.  Charge-for-charge and state-for-state equivalent to
-    calling :func:`setup_shared_page` per page: runs of consecutive
-    vpns with equal original permissions become one ``map_run`` on the
-    child side (sharing a single interned :class:`ShareNote` — notes
-    are never mutated, only replaced), parent protection is applied
-    in place, and the per-page PTE charges are batched as sum-equal
-    totals.  The caller guarantees the PTE costs are integral and chaos
-    is off.
+    ascending.  The child maps each parent frame at the mirrored vpn
+    with the strategy's share permissions and a child
+    :class:`ShareNote`; the parent loses write permission and gains a
+    parent note (kept if the page was already shared).  Runs of
+    consecutive vpns with equal original permissions become one
+    ``map_run`` on the child side (sharing a single interned
+    :class:`ShareNote` — notes are never mutated, only replaced) and
+    one ``protect_run`` on the parent side.  The PTE charges are those
+    of setting the pages up one at a time: ``pte_bulk_share_ns`` (plus
+    ``pte_coa_extra_ns`` under CoA) to ``fork_map`` and
+    ``pte_protect_ns`` to ``fork_protect`` per page.
 
     Parent vpns newly write-protected are appended to ``newly_shared``
-    as ints (fork rollback resolves them through the space).
+    (fork rollback resolves them through the space).
     """
     count = len(items)
     if not count:
@@ -182,30 +161,10 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
         if unnoted:
             space.set_note_many(unnoted, parent_note)
             newly_shared.extend(unnoted)
-    machine.charge(int(costs.pte_bulk_share_ns) * count, "fork_map")
+    _charge_each(machine, costs.pte_bulk_share_ns, count, "fork_map")
     if strategy is CopyStrategy.COA:
-        machine.charge(int(costs.pte_coa_extra_ns) * count, "fork_map")
-    machine.charge(int(costs.pte_protect_ns) * count, "fork_protect")
-
-
-def copy_page_for_child(space: AddressSpace, child_vpn: int,
-                        src_frame: int, perms: PagePerm,
-                        regions: RegionPair,
-                        map_new: bool = False) -> None:
-    """Copy + relocate one page into the child (eager or on fault)."""
-    machine = space.machine
-    new_frame = machine.phys.copy_frame(src_frame, preserve_tags=True)
-    relocate_frame(machine, machine.phys.frame(new_frame), regions)
-    if map_new:
-        space.map_page(child_vpn, new_frame, perms)
-        machine.charge(machine.costs.pte_bulk_share_ns, "fork_map")
-    else:
-        space.replace_frame(child_vpn, new_frame)
-        space.protect_page(child_vpn, perms)
-    machine.emit("fork_page_copy", counter="fork_page_copies",
-                 metric="core.strategies.eager_page_copies" if map_new
-                 else "core.strategies.fault_page_copies",
-                 vpn=child_vpn, eager=map_new)
+        _charge_each(machine, costs.pte_coa_extra_ns, count, "fork_map")
+    _charge_each(machine, costs.pte_protect_ns, count, "fork_protect")
 
 
 def handle_fork_fault(space: AddressSpace, vaddr: int,
@@ -256,31 +215,29 @@ def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
     ``vaddrs`` holds the first store address of each blocked page.
 
     Commits only when EVERY page is a clean ShareNote write-break whose
-    restored permissions allow the write; anything else (foreign notes,
-    genuinely read-only pages, imminent frame exhaustion, chaos, SMP,
-    non-integral costs) returns False with no state touched, and the
-    per-op loop reproduces the exact fault/exception sequence.
+    restored permissions allow the write and every copy's frame
+    allocation would succeed (:meth:`PhysicalMemory.alloc_budget`:
+    enough frames, no injected ``hw.phys.alloc_fail``); anything else
+    (foreign notes, genuinely read-only pages, a failing allocation,
+    SMP) returns False with no state touched, and the per-op loop
+    reproduces the exact fault/exception sequence.  On SMP each fault
+    serializes on the fault lock, which this path does not model.
 
     Simulated-identical to faulting the pages one at a time in order:
-    fault and page-copy charges are batched as sum-equal pre-rounded
-    advances; frame allocation and refcount evolution follow the same
-    page order (no frame can be freed mid-run — every frame this path
-    decrefs is still referenced by the other side of the share); the
-    counters and observability records are pure sums plus a last-value
-    gauge; an attached tracer receives each page's ``page_fault``,
-    ``relocate_frame`` and ``cow_break`` records in that order.
+    fault, page-copy, scan and relocation charges are batched as
+    sum-equal advances (one per charge when a cost is non-integral);
+    frame allocation and refcount evolution follow the same page order
+    (no frame can be freed mid-run — every frame this path decrefs is
+    still referenced by the other side of the share); the chaos draws
+    are the per-fault copies' draws; the counters and observability
+    records are pure sums plus a last-value gauge; an attached tracer
+    receives each page's ``page_fault``, ``relocate_frame`` and
+    ``cow_break`` records in that order.
     """
     machine = space.machine
-    if machine.chaos.enabled or machine.num_cpus > 1:
+    if machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
-    costs = machine.costs
     config = machine.config
-    fault_ns = costs.page_fault_ns
-    scan_ns = costs.page_scan_ns(config.page_size, config.granule)
-    per_cap = costs.cap_relocate_ns
-    if fault_ns != int(fault_ns) or scan_ns != int(scan_ns) \
-            or per_cap != int(per_cap):
-        return False
     req = AccessKind.WRITE._req_bits
     note_of = space.note_of
     page_size = config.page_size
@@ -303,10 +260,10 @@ def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
         if refcount(frame) - pending.get(frame, 0) > 1:
             pending[frame] = pending.get(frame, 0) + 1
             copies.append(index)
-    if copies and phys.free_frames() < len(copies):
-        return False  # per-op dispatch reproduces the exact mid-OOM state
+    if phys.alloc_budget(len(copies)) < len(copies):
+        return False  # per-op dispatch reproduces the exact failing state
     count = len(breaks)
-    machine.charge(int(fault_ns) * count, "page_fault")
+    _charge_each(machine, machine.costs.page_fault_ns, count, "page_fault")
     write = AccessKind.WRITE
     machine.emit("page_fault", count, counter=write._fault_counter,
                  metric=write._fault_obs, records=())

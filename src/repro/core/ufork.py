@@ -21,6 +21,7 @@ from repro.core.isolation import (
 )
 from repro.core.relocate import (
     RegionPair,
+    _charge_each,
     record_flow,
     relocate_copied_frames,
     relocate_registers,
@@ -28,11 +29,9 @@ from repro.core.relocate import (
 from repro.core.strategies import (
     CopyStrategy,
     ShareNote,
-    copy_page_for_child,
     handle_fork_fault,
     handle_fork_write_run,
     resolve_all_pending,
-    setup_shared_page,
     setup_shared_pages,
 )
 from repro.core.uprocess import load_uprocess
@@ -299,7 +298,7 @@ class UForkOS(AbstractOS):
         )
         delta_pages = (child.region_base - proc.region_base) // page
 
-        # 2. duplicate parent state page by page
+        # 2. duplicate parent state
         if self.eager_copy or strategy is CopyStrategy.FULL_COPY:
             eager = self._eager_vpns(proc)
         else:
@@ -309,38 +308,12 @@ class UForkOS(AbstractOS):
         hi = proc.region_top // page
         # undo: unmap whatever landed in the child's region and lift the
         # write protection this fork placed on parent pages (registered
-        # up front so an abort *inside* the loop still cleans up)
-        newly_shared: List[Any] = []
+        # up front so a failure *inside* the copy still cleans up)
+        newly_shared: List[int] = []
         tx.on_abort(lambda: self._undo_fork_pages(child, newly_shared))
         with obs.span("copy_pages"):
-            if not self._copy_pages_bulk(strategy, regions, delta_pages,
-                                         eager, shm_vpns, lo, hi,
-                                         newly_shared):
-                for vpn in range(lo, hi):
-                    parent_pte = self.space.page_table.get(vpn)
-                    if parent_pte is None:
-                        continue  # demand areas (mmap window) may be sparse
-                    child_vpn = vpn + delta_pages
-                    if vpn in shm_vpns:
-                        # MAP_SHARED memory: same frames, by design (§3.7)
-                        self.space.map_page(child_vpn, parent_pte.frame,
-                                            parent_pte.perms, incref=True)
-                        machine.charge(machine.costs.pte_bulk_share_ns,
-                                       "fork_map")
-                    elif vpn in eager or \
-                            strategy is CopyStrategy.FULL_COPY:
-                        orig = (parent_pte.note.orig_perms
-                                if isinstance(parent_pte.note, ShareNote)
-                                else parent_pte.perms)
-                        copy_page_for_child(self.space, child_vpn,
-                                            parent_pte.frame,
-                                            orig, regions, map_new=True)
-                    else:
-                        was_shared = isinstance(parent_pte.note, ShareNote)
-                        setup_shared_page(self.space, vpn, child_vpn,
-                                          strategy, regions)
-                        if not was_shared:
-                            newly_shared.append(parent_pte)
+            self._copy_pages(strategy, regions, delta_pages, eager, shm_vpns,
+                             lo, hi, newly_shared)
         self._abort_point("core.ufork.abort.copy_pages", proc)
 
         # §2.2: μFork knows the μprocess's CPU footprint, so the
@@ -395,33 +368,28 @@ class UForkOS(AbstractOS):
                     child.region_base, child.region_top, strategy.value)
         return child
 
-    def _copy_pages_bulk(self, strategy: CopyStrategy, regions: RegionPair,
-                         delta_pages: int, eager: Set[int],
-                         shm_vpns: Set[int], lo: int, hi: int,
-                         newly_shared: List[Any]) -> bool:
-        """Vectorized page-duplication phase (see docs/ARCHITECTURE.md).
+    def _copy_pages(self, strategy: CopyStrategy, regions: RegionPair,
+                    delta_pages: int, eager: Set[int], shm_vpns: Set[int],
+                    lo: int, hi: int, newly_shared: List[int]) -> None:
+        """Fork's page-duplication phase (see docs/ARCHITECTURE.md).
 
         One region sweep classifies every mapping, then each class is
         handled with bulk primitives: shared-memory pages and eager
         copies become ``map_run`` slices over batch-copied frames, and
         CoA/CoPA sharing goes through
-        :func:`repro.core.strategies.setup_shared_pages`.  The
-        simulated charge/counter stream is sum-equal to the per-page
-        loop, and so is the tracer stream.  It is taken with chaos off,
-        integral PTE costs, and enough free frames that the loop cannot
-        hit mid-copy OOM (whose partial state the per-page loop must
-        reproduce).  Returns False when the caller must run the
-        per-page loop.
+        :func:`repro.core.strategies.setup_shared_pages`.  The end
+        state, charges, counters and chaos draws are those of handling
+        the pages one at a time in ascending vpn order.  When
+        :meth:`PhysicalMemory.alloc_budget` says a copy's frame
+        allocation would fail (out of frames, or an injected
+        ``hw.phys.alloc_fail``), only the pages below that copy's vpn
+        are handled, and the failing copy then raises through
+        ``copy_frames`` — the state a page-by-page sweep leaves when
+        it dies there, for the fork rollback to undo.
         """
         machine = self.machine
         space = self.space
-        if machine.chaos.enabled:
-            return False
-        costs = machine.costs
-        if costs.pte_bulk_share_ns != int(costs.pte_bulk_share_ns) or \
-                costs.pte_coa_extra_ns != int(costs.pte_coa_extra_ns) or \
-                costs.pte_protect_ns != int(costs.pte_protect_ns):
-            return False
+        phys = machine.phys
         items = space.mapped_items(lo, hi)
         shm_items = [item for item in items if item[0] in shm_vpns] \
             if shm_vpns else []
@@ -434,10 +402,15 @@ class UForkOS(AbstractOS):
             share_items = [(vpn, frame, perms, note)
                            for vpn, frame, perms, _cow, note in items
                            if vpn not in eager]
-        phys = machine.phys
-        if copy_items and phys.free_frames() < len(copy_items):
-            return False
-        bulk_ns = int(costs.pte_bulk_share_ns)
+        failing = None
+        fit = phys.alloc_budget(len(copy_items))
+        if fit < len(copy_items):
+            failing = copy_items[fit]
+            copy_items = copy_items[:fit]
+            shm_items = [item for item in shm_items if item[0] < failing[0]]
+            share_items = [item for item in share_items
+                           if item[0] < failing[0]]
+        bulk_ns = machine.costs.pte_bulk_share_ns
 
         # MAP_SHARED memory: same frames, by design (§3.7)
         for start, end in consecutive_runs([item[0] for item in shm_items],
@@ -446,7 +419,7 @@ class UForkOS(AbstractOS):
                           [item[1] for item in shm_items[start:end]],
                           PagePerm(shm_items[start][2]), incref=True)
         if shm_items:
-            machine.charge(bulk_ns * len(shm_items), "fork_map")
+            _charge_each(machine, bulk_ns, len(shm_items), "fork_map")
 
         # eager / full copies: batch-copy the frames, relocate, then
         # map the child runs at the original (pre-share) permissions
@@ -461,7 +434,7 @@ class UForkOS(AbstractOS):
             for start, end in consecutive_runs(vpns, origs):
                 space.map_run(vpns[start] + delta_pages, dsts[start:end],
                               PagePerm(origs[start]))
-            machine.charge(bulk_ns * ncopy, "fork_map")
+            _charge_each(machine, bulk_ns, ncopy, "fork_map")
             machine.emit("fork_page_copy", ncopy, counter="fork_page_copies",
                          metric="core.strategies.eager_page_copies",
                          records=_eager_copy_records(copy_items, caps,
@@ -470,26 +443,23 @@ class UForkOS(AbstractOS):
         if share_items:
             setup_shared_pages(space, share_items, delta_pages, strategy,
                                regions, newly_shared)
-        return True
+        if failing is not None:
+            # raises, as the page-by-page sweep's allocation would there
+            phys.copy_frames([failing[1]])
 
-    def _undo_fork_pages(self, child: Process, newly_shared: List[Any]) -> None:
+    def _undo_fork_pages(self, child: Process, newly_shared: List[int]) -> None:
         """Rollback of the page-duplication phase: unmap every page the
         aborted fork mapped into the child's region (dropping its frame
-        references) and restore original permissions on parent pages it
-        write-protected.  ``newly_shared`` holds parent vpns (bulk
-        path) or live PTEs (per-page path)."""
+        references) and restore original permissions on the parent
+        vpns in ``newly_shared``, which it write-protected."""
         page = self.machine.config.page_size
         self.space.unmap_range(child.region_base // page,
                                child.region_top // page)
-        for entry in newly_shared:
-            if isinstance(entry, int):
-                note = self.space.note_of(entry)
-                if isinstance(note, ShareNote):
-                    self.space.protect_page(entry, note.orig_perms)
-                    self.space.set_note(entry, None)
-            elif isinstance(entry.note, ShareNote):
-                entry.perms = entry.note.orig_perms
-                entry.note = None
+        for vpn in newly_shared:
+            note = self.space.note_of(vpn)
+            if isinstance(note, ShareNote):
+                self.space.protect_page(vpn, note.orig_perms)
+                self.space.set_note(vpn, None)
 
     def _eager_vpns(self, proc: Process) -> Set[int]:
         """Pages copied proactively at fork: GOT + allocator metadata
@@ -533,12 +503,10 @@ class UForkOS(AbstractOS):
         return self._window_cap(proc, base, pages * page)
 
     def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:
-        base, pages = self._mmap_window_alloc(
+        base, _pages = self._mmap_window_alloc(
             proc, shm.size_pages * self.machine.config.page_size
         )
         page = self.machine.config.page_size
-        if pages != shm.size_pages:
-            pages = shm.size_pages
         vpns = []
         for index, frame in enumerate(shm.frames):
             vpn = base // page + index

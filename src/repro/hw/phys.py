@@ -364,6 +364,15 @@ class PhysicalMemory:
         """Frames still allocatable before :class:`OutOfMemory`."""
         return self._capacity_frames - len(self._frames)
 
+    def alloc_budget(self, count: int) -> int:
+        """How many of the next ``count`` single :meth:`alloc` calls
+        would succeed, consuming nothing: the first failure is the
+        first past capacity or, before that, the first
+        ``hw.phys.alloc_fail`` draw that fires (:meth:`alloc` checks in
+        that order)."""
+        return self.chaos.lookahead("hw.phys.alloc_fail",
+                                    min(count, self.free_frames()))
+
     # -- kernel copy -------------------------------------------------------
 
     def copy_frame(self, src: int, preserve_tags: bool = True,
@@ -425,21 +434,24 @@ class PhysicalMemory:
         allocated.
 
         The copies, refcounts, capacity checks, clock charges,
-        counter/observability totals and the free list left behind are
-        identical to calling :meth:`copy_frame` once per source; only
-        which destination number a source gets differs.  When capacity
-        runs out, the first sources that fit are copied, charged and
-        counted, then freed in allocation order, then
-        :class:`OutOfMemory` is raised.  With chaos enabled it *is* the
-        per-page loop, so injected alloc failures and tag-clear faults
-        fire with exactly the per-page draw sequence.
+        counter/observability totals, chaos draws and the free list
+        left behind are identical to calling :meth:`copy_frame` once
+        per source; only which destination number a source gets
+        differs.  :meth:`alloc_budget` says up front how many copies
+        succeed: each consumes one ``hw.phys.alloc_fail`` draw, and
+        after the run copy ``hw.phys.tag_clear`` is consulted once per
+        copied page, in order, with the same recovery as
+        :meth:`copy_frame`.  On a shortfall the next single
+        :meth:`alloc` raises :class:`OutOfMemory` (capacity) or
+        :class:`~repro.chaos.InjectedAllocFailure` (an injected draw);
+        the copies made before it were charged and counted, and are
+        freed in allocation order before the error propagates.
         """
-        if self.chaos.enabled:
-            return [self.copy_frame(src, preserve_tags, charge)
-                    for src in srcs]
         frames = self._frames
         self._require_allocated(srcs)
-        fit = min(len(srcs), self._capacity_frames - len(frames))
+        fit = self.alloc_budget(len(srcs))
+        # the budget stops short of the first draw that would fire
+        self.chaos.fire_each("hw.phys.alloc_fail", fit)
         # the numbers ``fit`` single allocations take, in their order
         free = self._free
         reused = free[len(free) - min(fit, len(free)):]
@@ -456,14 +468,17 @@ class PhysicalMemory:
             frames[number] = frame
         self._copy_runs(srcs[:fit], dsts, preserve_tags)
         self._settle_bulk_copy(fit, charge)
+        if preserve_tags:
+            for index in self.chaos.fire_each("hw.phys.tag_clear", fit):
+                self._recover_tag_clear(srcs[index], dsts[index], charge)
         if fit < len(srcs):
-            # match the per-page sequence: the first ``fit`` copies were
-            # charged and counted before the next alloc raised; the
-            # caller never saw them, so free them here (the per-page
-            # caller's rollback would unmap-and-decref them)
-            for number in reused + fresh:
-                self.decref(number)
-            raise OutOfMemory("physical memory exhausted")
+            try:
+                self.alloc(zero=False, charge=False)
+            finally:
+                for number in reused + fresh:
+                    self.decref(number)
+            raise AssertionError(  # pragma: no cover - invariant guard
+                "alloc_budget predicted a failing allocation")
         return dsts
 
     def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],

@@ -8,9 +8,9 @@ for answering "why did this fork cost what it did?": see
 ``TraceLog.summarize`` and the trace tests.
 
 Events arrive through :meth:`repro.machine.Machine.emit`, so attaching
-a tracer never changes which code runs: a bulk path hands it the same
-ordered records as the per-page path, stamped with the batch's clock
-reading (only timestamps differ).
+a tracer never changes which code runs: a batch (fork's page copy, a
+write-run CoW break) hands it the records of its pages in page order,
+stamped with the batch's clock reading.
 
 Usage::
 

@@ -1,36 +1,60 @@
-"""Property suite: the bulk memory paths and the per-page paths agree.
+"""Property suite: fork's bulk page copy and the write-run CoW break
+agree with a page-at-a-time reference.
 
-Fork, CoW break, relocation and frame copy each have a vectorized bulk
-path (batched ``copy_frames``, ``map_run`` sharing, the bulk
-write-break hook, memoised relocation sweeps with sum-equal charges)
-and a per-page path that handles one page at a time.  The per-page
-path runs under an enabled chaos engine or SMP; watching a run (a
-tracer, observability) never selects it.  Bulk copy paths are where
-tag bugs hide ("Pitfalls in VM Implementation on CHERI"), so the
-per-page paths serve as the reference.
+Fork, CoW break, relocation and frame copy run as batches (run-copied
+``copy_frames``, ``map_run`` sharing, the bulk write-break hook,
+memoised relocation sweeps with sum-equal charges), in every mode:
+chaos, mid-copy frame exhaustion and non-integral costs included.
+Bulk copy paths are where tag bugs hide ("Pitfalls in VM
+Implementation on CHERI"), so the reference handles one page at a
+time: :func:`_reference_copy_pages` is fork's page-duplication phase
+written as a per-page loop (``copy_frame``, ``relocate_frame``,
+``map_page`` and per-page sharing setup), patched onto the OS, and
+the write-break hook is removed so write runs fault page by page.
 
 Hypothesis drives random map/unmap (malloc + exit teardown), fork, CoW
 break (parent and child stores, single and batched runs) and
-tag-store/tag-clear programs through the public facade three times:
+tag-store/tag-clear programs through the public facade on one of
+several machines (:data:`ENVS`): the default one, a chaos mix that
+injects frame-allocation failures and tag clears, a small-DRAM machine
+that runs out of frames mid-fork, and a cost model with non-integral
+PTE and fault costs.  Each program runs on these sides:
 
 * **bulk**: a plain session;
-* **bulk, watched**: a plain session with a tracer attached and
-  observability enabled;
-* **per-page, watched**: the same watchers plus a zero-rate chaos
-  engine (``FaultMix.parse("default=0")``), which fires nothing but
-  sends every copy down the per-page fallbacks.
+* **watched**: the same with a tracer attached and observability on;
+* **reference**: watched, on the per-page reference paths;
+* **zero-rate** (machines without a chaos mix): watched, with a chaos
+  engine that is enabled but fires nothing
+  (``FaultMix.parse("default=0")``) — still the bulk paths.
 
-All three must end byte-identical in every simulated observable:
-clock, attribution buckets, event counters, page bytes, granule tags,
-refcounts and permissions.  The two watched runs must also give the
-same ordered ``(event, fields)`` trace stream and the same obs
-counters.  Shrinking hands back the minimal divergent program.
+All sides must end byte-identical in every simulated observable:
+raised errors, clock, attribution buckets, event counters, page
+bytes, granule tags, refcounts and permissions; the sides sharing a
+chaos engine also in its ``hits``, ``fired``, ``recovered`` and
+``injections``.  The watched sides must give the same obs counters
+and, without an injecting mix, the same ordered ``(event, fields)``
+trace stream — under injection a batch emits its ``chaos_inject``
+records inside the batch, not between its pages.  Shrinking hands
+back the minimal divergent program.
 """
+
+import functools
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.api import Session
+from repro.chaos import ChaosEngine, FaultMix
+from repro.core import CopyStrategy
+from repro.core.relocate import relocate_frame
+from repro.core.strategies import (
+    ShareNote,
+    child_share_perms,
+    parent_share_perms,
+)
+from repro.core.ufork import UForkOS
+from repro.machine import Machine
+from repro.params import CostModel, MachineConfig
 
 PAGE = 4096
 PAGES = 4  # per-process scratch buffer driven by the operations
@@ -39,6 +63,18 @@ STRATEGIES = ("full", "coa", "copa")
 
 #: the chaos spec that enables the engine without injecting anything
 ZERO_RATE = "default=0"
+
+#: machine variants: name -> (config, costs, chaos spec); the default
+#: machine boots with 96 frames in use and a full-copy fork adds 32,
+#: so 140 frames run out in the middle of the second one
+ENVS = {
+    "default": (None, None, None),
+    "chaos": (None, None, "hw.phys.alloc_fail=0.2,hw.phys.tag_clear=0.2"),
+    "small_dram": (MachineConfig(dram_bytes=140 * PAGE), None, None),
+    "non_integral": (None, CostModel.morello().scaled(
+        pte_bulk_share_ns=2.5, pte_protect_ns=0.5, pte_coa_extra_ns=1.5,
+        page_fault_ns=550.5), None),
+}
 
 _op = st.one_of(
     st.tuples(st.just("store"), st.integers(0, MAX_PROCS - 1),
@@ -62,23 +98,84 @@ class _Recorder:
         self.events.append((event, tuple(sorted(fields.items()))))
 
 
-def _boot(strategy, per_page=False, watched=False):
-    """A fresh session on the bulk or the per-page paths, optionally
-    watched by a tracer and observability."""
-    sim = Session(strategy=strategy, seed=5, obs=watched,
-                  chaos=ZERO_RATE if per_page else None).boot()
-    machine = sim.machine
+def _reference_copy_pages(os_, strategy, regions, delta_pages, eager,
+                          shm_vpns, lo, hi, newly_shared):
+    """``UForkOS._copy_pages`` one page at a time, in ascending vpn
+    order: the reference the bulk phase must reproduce, including the
+    state it leaves when a frame allocation fails part-way."""
+    machine = os_.machine
+    costs = machine.costs
+    phys = machine.phys
+    space = os_.space
+    for vpn in range(lo, hi):
+        pte = space.page_table.get(vpn)
+        if pte is None:
+            continue
+        child_vpn = vpn + delta_pages
+        if vpn in shm_vpns:
+            space.map_page(child_vpn, pte.frame, pte.perms, incref=True)
+            machine.charge(costs.pte_bulk_share_ns, "fork_map")
+            continue
+        shared = isinstance(pte.note, ShareNote)
+        orig = pte.note.orig_perms if shared else pte.perms
+        if vpn in eager or strategy is CopyStrategy.FULL_COPY:
+            frame = phys.copy_frame(pte.frame, preserve_tags=True)
+            relocate_frame(machine, phys.frame(frame), regions)
+            space.map_page(child_vpn, frame, orig)
+            machine.charge(costs.pte_bulk_share_ns, "fork_map")
+            machine.emit("fork_page_copy", counter="fork_page_copies",
+                         metric="core.strategies.eager_page_copies",
+                         vpn=child_vpn, eager=True)
+            continue
+        space.map_page(child_vpn, pte.frame,
+                       child_share_perms(strategy, orig), incref=True,
+                       note=ShareNote("child", strategy, regions, orig))
+        machine.charge(costs.pte_bulk_share_ns, "fork_map")
+        if strategy is CopyStrategy.COA:
+            machine.charge(costs.pte_coa_extra_ns, "fork_map")
+        pte.perms = parent_share_perms(orig)
+        if not shared:
+            pte.note = ShareNote("parent", strategy, regions, orig)
+            newly_shared.append(vpn)
+        machine.charge(costs.pte_protect_ns, "fork_protect")
+
+
+def _sides(env):
+    sides = ["bulk", "watched", "reference"]
+    if ENVS[env][2] is None:
+        sides.append("zero_rate")
+    return sides
+
+
+def _boot(strategy, env="default", side="bulk"):
+    """A fresh session on machine ``env`` for one side of the
+    comparison."""
+    config, costs, chaos = ENVS[env]
+    if side == "zero_rate":
+        chaos = ZERO_RATE
+    watched = side != "bulk"
+    machine = Machine(config=config, costs=costs, seed=5)
+    sim = Session(strategy=strategy, seed=5, obs=watched)
+    sim.machine = machine
+    sim.os = UForkOS(machine=machine, copy_strategy=CopyStrategy(strategy))
+    if chaos is not None:
+        ChaosEngine(seed=5, mix=FaultMix.parse(chaos)).attach(machine)
     if watched:
+        machine.obs.enable()
         machine.tracer = _Recorder()
-    assert machine.chaos.enabled is per_page
+    if side == "reference":
+        sim.os._copy_pages = functools.partial(_reference_copy_pages, sim.os)
+        sim.os.space.write_break_hook = None
+    assert machine.chaos.enabled is (chaos is not None)
     return sim
 
 
 def _run_ops(sim, ops):
     """Apply ``ops``; return the live contexts and any (index, error)
-    pairs — errors must occur identically on both paths."""
-    root = sim.spawn(name="root")
-    root.set_reg("c19", root.malloc(PAGES * PAGE))
+    pairs — errors must occur identically on every side."""
+    with sim.machine.chaos.paused():
+        root = sim.spawn(name="root")
+        root.set_reg("c19", root.malloc(PAGES * PAGE))
     stack = [root]
     errors = []
     for index, op in enumerate(ops):
@@ -112,10 +209,10 @@ def _run_ops(sim, ops):
     return stack, errors
 
 
-def _drive(strategy, ops, per_page=False, watched=False):
-    """Run ``ops`` in a fresh session; return every simulated
-    observable, plus what the watchers saw when ``watched``."""
-    sim = _boot(strategy, per_page, watched)
+def _drive(strategy, ops, env, side):
+    """Run ``ops`` on one side; return every simulated observable, plus
+    what the watchers saw on a watched side."""
+    sim = _boot(strategy, env, side)
     stack, errors = _run_ops(sim, ops)
     machine = sim.machine
     dumps = []
@@ -139,8 +236,10 @@ def _drive(strategy, ops, per_page=False, watched=False):
         "allocated_frames": machine.phys.allocated_frames,
         "dumps": dumps,
     }
+    if machine.chaos.enabled and side != "zero_rate":
+        state["chaos"] = machine.chaos.export()
     seen = None
-    if watched:
+    if side != "bulk":
         seen = {"stream": machine.tracer.events,
                 "metrics": machine.obs.registry.counters()}
     return state, seen
@@ -150,18 +249,31 @@ def _drive(strategy, ops, per_page=False, watched=False):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
-@given(ops=st.lists(_op, max_size=24))
+@given(ops=st.lists(_op, max_size=24), env=st.sampled_from(list(ENVS)))
 # a batched CoW break of child pages whose capabilities must relocate,
 # then of the parent's pages
 @example(ops=[("store_cap", 0, 0, 0), ("fork",), ("store_run", 1, 0),
-              ("store_run", 0, 0)])
-def test_bulk_and_per_page_paths_are_byte_identical(strategy, ops):
-    bulk, _ = _drive(strategy, ops)
-    watched, bulk_seen = _drive(strategy, ops, watched=True)
-    per_page, per_page_seen = _drive(strategy, ops, per_page=True,
-                                     watched=True)
-    assert bulk == watched == per_page
-    assert bulk_seen == per_page_seen
+              ("store_run", 0, 0)], env="default")
+# frames run out part-way through a fork (full copy) or a write run
+@example(ops=[("store_cap", 0, 1, 3), ("fork",), ("fork",),
+              ("store_run", 2, 5), ("fork",)], env="small_dram")
+# injected allocation failures and tag clears inside fork's batch and
+# a write run's
+@example(ops=[("store_cap", 0, 0, 2), ("fork",), ("store_run", 1, 4),
+              ("fork",), ("store_run", 0, 1)], env="chaos")
+def test_bulk_and_per_page_paths_are_byte_identical(strategy, ops, env):
+    runs = {side: _drive(strategy, ops, env, side) for side in _sides(env)}
+    states = {side: state for side, (state, _seen) in runs.items()}
+    zero_rate = states.pop("zero_rate", None)
+    assert states["bulk"] == states["watched"] == states["reference"]
+    if zero_rate is not None:
+        bulk = {key: value for key, value in states["bulk"].items()
+                if key != "chaos"}
+        assert zero_rate == bulk
+    seen = [seen for side, (_state, seen) in runs.items() if side != "bulk"]
+    assert all(view["metrics"] == seen[0]["metrics"] for view in seen)
+    if ENVS[env][2] is None:
+        assert all(view["stream"] == seen[0]["stream"] for view in seen)
 
 
 def _count_calls(obj, name):
@@ -180,32 +292,45 @@ def _count_calls(obj, name):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_the_two_sides_take_different_copy_paths(strategy):
     """The comparison above is only a differential if the sides really
-    diverge in code: the per-page side copies frames one
-    ``copy_frame`` call at a time, while both bulk sides — watched or
-    not — never call it and make the same ``copy_frames`` calls."""
+    diverge in code: during fork only the reference side copies frames
+    one ``copy_frame`` call at a time; the bulk sides — watched, or
+    under an enabled chaos engine — never call it there and make the
+    same ``copy_frames`` calls over the whole run."""
     ops = [("fork",), ("store", 0, 0, 7, 0), ("store", 1, 1, 9, 0),
            ("store_run", 1, 3), ("exit",)]
-    calls = {}
-    for side in ("bulk", "watched", "per_page"):
-        sim = _boot(strategy, per_page=side == "per_page",
-                    watched=side != "bulk")
+    in_fork = {}
+    batches = {}
+    for side in _sides("default"):
+        sim = _boot(strategy, side=side)
         phys = sim.machine.phys
         single = _count_calls(phys, "copy_frame")
         bulk = _count_calls(phys, "copy_frames")
+        forks = []
+        layered = sim.os.fork
+
+        def fork(proc, layered=layered, single=single, forks=forks):
+            before = single[0]
+            try:
+                return layered(proc)
+            finally:
+                forks.append(single[0] - before)
+
+        sim.os.fork = fork
         _run_ops(sim, ops)
-        calls[side] = (single[0], bulk[0])
-    assert calls["bulk"][0] == calls["watched"][0] == 0
-    assert calls["watched"][1] == calls["bulk"][1]
-    if strategy == "full":
-        assert calls["bulk"][1] > 0  # the fork's eager copy is one batch
-    assert calls["per_page"][0] > 0
+        assert forks, "the program forks"
+        in_fork[side] = sum(forks)
+        batches[side] = bulk[0]
+    assert in_fork["reference"] > 0
+    assert in_fork["bulk"] == in_fork["watched"] == in_fork["zero_rate"] == 0
+    assert batches["bulk"] == batches["watched"] == batches["zero_rate"] > 0
+    assert batches["reference"] == 0
 
 
 def test_observed_store_run_keeps_the_batched_writes():
     """A watched ``store_run`` across pages CoW-shared with a child is
     still one batched ``write_run``: no per-call ``write``, one bulk
     break of all eight pages."""
-    sim = _boot("copa", watched=True)
+    sim = _boot("copa", side="watched")
     root = sim.spawn(name="root")
     buf = root.malloc(8 * PAGE)
     child = root.fork()

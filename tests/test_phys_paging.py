@@ -1,7 +1,7 @@
 """Tests for physical memory (frames + tags) and paging (faults, CoW hooks)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
@@ -156,9 +156,11 @@ class TestFrameNumberChurn:
     interleaving — a regression net over the free list, the deferred
     scrub set and the frame-object pool, which all key on numbers.
 
-    ``chaos`` attaches a zero-rate chaos engine, which routes
-    ``cow_copy``/``copy_frames`` through the per-page ``copy_frame``
-    fallback instead of their inlined bulk paths, so both are churned.
+    ``chaos`` attaches a chaos engine injecting frame-allocation
+    failures and tag clears: ``cow_copy`` then takes the layered
+    ``copy_frame`` path, and a failed ``alloc``/``copy_frame``/
+    ``copy_frames`` must leave nothing allocated behind (the final
+    count checks that no failed batch leaked its copies).
     """
 
     @pytest.mark.parametrize("chaos", [False, True])
@@ -166,57 +168,69 @@ class TestFrameNumberChurn:
         import random
 
         from repro.chaos import ChaosEngine, FaultMix
+        from repro.chaos.faults import InjectedAllocFailure
 
         machine = Machine(seed=1)
         if chaos:
-            ChaosEngine(seed=1, mix=FaultMix.parse("default=0")
+            ChaosEngine(seed=1, mix=FaultMix.parse("hw.phys.*=0.05")
                         ).attach(machine)
         phys = machine.phys
         assert phys.chaos.enabled is chaos
         rng = random.Random(20250808)
         live = {}  # number -> remaining references we hold
         for step in range(2000):
-            action = rng.randrange(6)
-            if action <= 1 or not live:
-                number = phys.alloc(zero=bool(step % 2), charge=False)
-                assert number not in live, \
-                    f"step {step}: frame {number} double-issued"
-                live[number] = 1
-            elif action == 2:
-                src = rng.choice(list(live))
-                dst = phys.cow_copy(src)
-                assert dst not in live, \
-                    f"step {step}: cow_copy double-issued {dst}"
-                live[dst] = 1
-            elif action == 3:
-                srcs = rng.sample(list(live), min(len(live), 4))
-                dsts = phys.copy_frames(srcs, preserve_tags=True,
-                                        charge=False)
-                for dst in dsts:
-                    assert dst not in live, \
-                        f"step {step}: copy_frames double-issued {dst}"
-                    live[dst] = 1
-            elif action == 4:
-                number = rng.choice(list(live))
-                if rng.randrange(2):
-                    phys.incref(number)
-                    live[number] += 1
-                else:
-                    phys.decref(number)
-                    live[number] -= 1
-                    if not live[number]:
-                        del live[number]
-            else:
-                batch = rng.sample(list(live), min(len(live), 8))
-                phys.decref_many(batch)
-                for number in batch:
-                    live[number] -= 1
-                    if not live[number]:
-                        del live[number]
+            try:
+                self.churn_step(phys, rng, live, step)
+            except InjectedAllocFailure:
+                assert chaos
             # the live view and the pool agree at every step
             assert set(live) == {
                 number for number in live if phys.contains(number)}
         assert phys.allocated_frames == len(live)
+        if chaos:
+            assert phys.chaos.fired["hw.phys.alloc_fail"] > 0
+            assert phys.chaos.fired["hw.phys.tag_clear"] > 0
+
+    @staticmethod
+    def churn_step(phys, rng, live, step):
+        """One random alloc, copy, (in|de)ref or batch release."""
+        action = rng.randrange(6)
+        if action <= 1 or not live:
+            number = phys.alloc(zero=bool(step % 2), charge=False)
+            assert number not in live, \
+                f"step {step}: frame {number} double-issued"
+            live[number] = 1
+        elif action == 2:
+            src = rng.choice(list(live))
+            dst = phys.cow_copy(src)
+            assert dst not in live, \
+                f"step {step}: cow_copy double-issued {dst}"
+            live[dst] = 1
+        elif action == 3:
+            srcs = rng.sample(list(live), min(len(live), 4))
+            dsts = phys.copy_frames(srcs, preserve_tags=True,
+                                    charge=False)
+            for dst in dsts:
+                assert dst not in live, \
+                    f"step {step}: copy_frames double-issued {dst}"
+                live[dst] = 1
+        elif action == 4:
+            number = rng.choice(list(live))
+            if rng.randrange(2):
+                phys.incref(number)
+                live[number] += 1
+            else:
+                phys.decref(number)
+                live[number] -= 1
+                if not live[number]:
+                    del live[number]
+        else:
+            batch = rng.sample(list(live), min(len(live), 8))
+            phys.decref_many(batch)
+            for number in batch:
+                live[number] -= 1
+                if not live[number]:
+                    del live[number]
 
 
 def _naive_runs(numbers, keys):
@@ -402,6 +416,67 @@ class TestRunCopy:
         assert bulk.counters.snapshot() == ref.counters.snapshot()
         assert self.later_allocations(bulk, 5) == \
             self.later_allocations(ref, 5)
+
+
+    #: injects frame-allocation failures and tag clears
+    CHAOS_MIX = "hw.phys.alloc_fail=0.08,hw.phys.tag_clear=0.3"
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), count=st.integers(1, 30),
+           preserve_tags=st.booleans())
+    # fails at the 17th copy, after four tag clears
+    @example(seed=2, count=30, preserve_tags=True)
+    # every copy succeeds, three of them after a tag clear
+    @example(seed=2, count=12, preserve_tags=True)
+    def test_chaos_matches_per_frame_copy(self, seed, count, preserve_tags):
+        """Under injected allocation failures and tag clears a run copy
+        consults the schedule exactly like a per-frame ``copy_frame``
+        loop: the same draws and injections, the same bytes and tags
+        (tag clears recovered), the same charges and counters; on a
+        failure it raises the same error and frees the copies it made,
+        so ``allocated_frames`` is back where it started."""
+        from repro.chaos import ChaosEngine, FaultMix
+        from repro.chaos.faults import InjectedAllocFailure
+
+        srcs = list(range(500, 500 + count))  # crosses the bank boundary
+        freed = [3, 4, 535]
+        bulk, _versions = self.build(freed)
+        ref, _versions = self.build(freed)
+        for machine in (bulk, ref):
+            ChaosEngine(seed=seed, mix=FaultMix.parse(self.CHAOS_MIX)
+                        ).attach(machine)
+        before = bulk.phys.allocated_frames
+        dsts = refs = None
+        try:
+            dsts = bulk.phys.copy_frames(srcs, preserve_tags=preserve_tags)
+        except InjectedAllocFailure:
+            pass
+        copied = []
+        try:
+            for src in srcs:
+                copied.append(ref.phys.copy_frame(src, preserve_tags))
+            refs = copied
+        except InjectedAllocFailure:
+            for number in copied:
+                ref.phys.decref(number)
+        assert (dsts is None) == (refs is None)
+        if dsts is None:
+            assert bulk.phys.allocated_frames == before
+        else:
+            for src, dst, ref_dst in zip(srcs, dsts, refs):
+                data, tags = self.content(bulk, dst)
+                assert (data, tags) == self.content(ref, ref_dst)
+                src_data, src_tags = self.content(bulk, src)
+                assert data == src_data
+                assert tags == (src_tags if preserve_tags
+                                else bytes(len(src_tags)))
+        assert bulk.chaos.export() == ref.chaos.export()
+        assert bulk.clock.now_ns == ref.clock.now_ns
+        assert bulk.counters.snapshot() == ref.counters.snapshot()
+        assert bulk.phys.allocated_frames == ref.phys.allocated_frames
+        with bulk.chaos.paused(), ref.chaos.paused():
+            assert self.later_allocations(bulk, len(freed) + 3) == \
+                self.later_allocations(ref, len(freed) + 3)
 
 
 class TestAddressSpace:
