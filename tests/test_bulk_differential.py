@@ -17,8 +17,8 @@ break (parent and child stores, single and batched runs) and
 tag-store/tag-clear programs through the public facade on one of
 several machines (:data:`ENVS`): the default one, a chaos mix that
 injects frame-allocation failures and tag clears, a small-DRAM machine
-that runs out of frames mid-fork, and a cost model with non-integral
-PTE and fault costs.  Each program runs on these sides:
+that runs out of frames mid-fork, and two cost models with
+non-integral PTE and fault costs.  Each program runs on these sides:
 
 * **bulk**: a plain session;
 * **watched**: the same with a tracer attached and observability on;
@@ -66,7 +66,9 @@ ZERO_RATE = "default=0"
 
 #: machine variants: name -> (config, costs, chaos spec); the default
 #: machine boots with 96 frames in use and a full-copy fork adds 32,
-#: so 140 frames run out in the middle of the second one
+#: so 140 frames run out in the middle of the second one.  The
+#: half-way costs round half to even per charge; the others tell a
+#: truncated charge from a rounded one.
 ENVS = {
     "default": (None, None, None),
     "chaos": (None, None, "hw.phys.alloc_fail=0.2,hw.phys.tag_clear=0.2"),
@@ -74,6 +76,9 @@ ENVS = {
     "non_integral": (None, CostModel.morello().scaled(
         pte_bulk_share_ns=2.5, pte_protect_ns=0.5, pte_coa_extra_ns=1.5,
         page_fault_ns=550.5), None),
+    "fractional": (None, CostModel.morello().scaled(
+        pte_bulk_share_ns=2.7, pte_protect_ns=0.6, pte_coa_extra_ns=1.3,
+        page_fault_ns=550.8), None),
 }
 
 _op = st.one_of(
@@ -246,7 +251,7 @@ def _drive(strategy, ops, env, side):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(ops=st.lists(_op, max_size=24), env=st.sampled_from(list(ENVS)))
@@ -270,10 +275,10 @@ def test_bulk_and_per_page_paths_are_byte_identical(strategy, ops, env):
         bulk = {key: value for key, value in states["bulk"].items()
                 if key != "chaos"}
         assert zero_rate == bulk
-    seen = [seen for side, (_state, seen) in runs.items() if side != "bulk"]
-    assert all(view["metrics"] == seen[0]["metrics"] for view in seen)
+    views = [seen for side, (_state, seen) in runs.items() if side != "bulk"]
+    assert all(view["metrics"] == views[0]["metrics"] for view in views)
     if ENVS[env][2] is None:
-        assert all(view["stream"] == seen[0]["stream"] for view in seen)
+        assert all(view["stream"] == views[0]["stream"] for view in views)
 
 
 def _count_calls(obj, name):
