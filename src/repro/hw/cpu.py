@@ -4,7 +4,7 @@ Cores matter to the reproduction in two ways: (1) each running task owns
 a capability register file whose contents μFork must relocate at fork
 (§3.5), and (2) the concurrency experiments (Figs 6 and 7) schedule work
 across a small number of cores.  The :class:`Core` here is the
-bookkeeping for (1); the discrete-event machinery for (2) lives in
+bookkeeping for (1); the schedule models for (2) live in
 :mod:`repro.sim`.
 """
 

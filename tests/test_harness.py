@@ -90,7 +90,7 @@ class TestExperimentSmoke:
             assert row["ufork_full_us"] > row["ufork_coa_us"]
 
     def test_fig6_rows(self):
-        rows = fig6_faas_throughput(core_counts=(1, 2), window_s=1.0)
+        rows = fig6_faas_throughput(core_counts=(1, 2))
         assert [row["cores"] for row in rows] == [1, 2]
         for row in rows:
             assert row["ufork_per_s"] >= row["cheribsd_per_s"] * 0.95
