@@ -294,11 +294,12 @@ def Machine(*args: Any, **kwargs: Any):
 def make_scheduler(machine: Any, same_address_space: bool):
     """Deprecated: :meth:`Session.boot` wires the scheduler for you.
 
-    Forwards unchanged to :func:`repro.kernel.sched.make_scheduler`.
+    Returns the machine's :class:`repro.smp.sched.SmpScheduler`, the
+    one scheduler every OS boots with.
     """
     warnings.warn(
         "repro.api.make_scheduler is deprecated and will be removed in "
         "repro 2.0; Session.boot() selects the scheduler from cpus=",
         DeprecationWarning, stacklevel=2)
-    from repro.kernel.sched import make_scheduler as _make
-    return _make(machine, same_address_space)
+    from repro.smp.sched import SmpScheduler
+    return SmpScheduler(machine, same_address_space)

@@ -184,47 +184,38 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
 
     interp = SimRun(os_, scenario, decision=decision, on_step=on_step)
     trace: Optional[Dict[str, Any]] = None
+    chaos_death: Optional[str] = None
     try:
         trace = interp.run()
     except DeadlockError as exc:
-        if chaotic:
-            # an injected WouldBlock can wedge a schedule; that is the
-            # fault model working, not a kernel bug — report it as a
-            # chaos death, never silently
-            if watcher is not None and watcher.violations:
-                for detail in watcher.violations:
-                    record("invariant", detail)
-            return None, meta_for(interp.points, f"deadlock: {exc}"), \
-                violations
-        record("deadlock", str(exc))
-        return None, meta_for([], None), violations
+        if not chaotic:
+            record("deadlock", str(exc))
+            return None, meta_for([], None), violations
+        # an injected WouldBlock can wedge a schedule; that is the
+        # fault model working, not a kernel bug — report it as a
+        # chaos death, never silently
+        chaos_death = f"deadlock: {exc}"
     except ConformError as exc:
-        if chaotic:
-            # e.g. an injected fork failure makes a later wait reference
-            # a child that never existed — scenario logic broken *by*
-            # the fault model, not by the kernel
-            if watcher is not None and watcher.violations:
-                for detail in watcher.violations:
-                    record("invariant", detail)
-            return None, meta_for(interp.points, f"scenario-error: {exc}"), \
-                violations
-        record("scenario-error", str(exc))
-        return None, meta_for([], None), violations
+        if not chaotic:
+            record("scenario-error", str(exc))
+            return None, meta_for([], None), violations
+        # e.g. an injected fork failure makes a later wait reference
+        # a child that never existed — scenario logic broken *by* the
+        # fault model, not by the kernel
+        chaos_death = f"scenario-error: {exc}"
     except SimError as exc:
         if not chaotic:
             raise
         # a fault escaped the recovery machinery and killed the
-        # scenario mid-flight — allowed under chaos; the watcher's
-        # per-step invariant checks above still had to pass
-        if watcher is not None and watcher.violations:
-            for detail in watcher.violations:
-                record("invariant", detail)
-        return None, meta_for(interp.points,
-                              f"{type(exc).__name__}: {exc}"), violations
+        # scenario mid-flight — allowed under chaos
+        chaos_death = f"{type(exc).__name__}: {exc}"
 
-    if watcher is not None and watcher.violations:
+    # a chaos death still had to pass the watcher's per-step checks
+    if watcher is not None:
         for detail in watcher.violations:
             record("invariant", detail)
+    if chaos_death is not None:
+        return None, meta_for(interp.points, chaos_death), violations
     for detail in check_invariants(os_):
         record("invariant", f"end: {detail}")
     if baseline is not None:

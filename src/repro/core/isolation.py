@@ -65,16 +65,3 @@ def check_privileged(cap: Capability, operation: str = "msr") -> None:
         raise PrivilegeViolation(
             f"privileged operation {operation!r} without SYSTEM permission"
         )
-
-
-def assert_confined(cap: Capability, region_base: int,
-                    region_top: int) -> bool:
-    """True if a capability cannot reach outside [region_base, region_top).
-
-    Sentries are exempt (they cannot be dereferenced, only invoked).
-    """
-    if not cap.valid:
-        return True
-    if cap.is_sentry:
-        return True
-    return region_base <= cap.base and cap.top <= region_top

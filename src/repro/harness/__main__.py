@@ -532,6 +532,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv.insert(0, "figures")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "smp" and args.workload == "forkbench" \
+            and args.fault_mix:
+        from repro.smp.runner import FORKBENCH_MIX_ERROR
+        parser.error(FORKBENCH_MIX_ERROR)
 
     if args.command == "figures":
         return _cmd_figures(args, parser)

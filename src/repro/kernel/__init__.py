@@ -12,7 +12,6 @@ from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.vfs import RamDisk, O_CREAT, O_TRUNC, O_RDONLY, O_WRONLY, O_RDWR
 from repro.kernel.ipc import Pipe, MessageQueue
 from repro.kernel.net import Listener, Connection
-from repro.kernel.sched import Scheduler
 from repro.kernel.syscalls import (
     IsolationLevel,
     IsolationConfig,
@@ -36,7 +35,6 @@ __all__ = [
     "MessageQueue",
     "Listener",
     "Connection",
-    "Scheduler",
     "IsolationLevel",
     "IsolationConfig",
     "SyscallLayer",

@@ -26,11 +26,11 @@ from repro.kernel import signals as _signals
 from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.ipc import MessageQueue, Pipe
 from repro.kernel.net import NetworkStack
-from repro.kernel.sched import make_scheduler
 from repro.kernel.syscalls import IsolationConfig, SyscallLayer
 from repro.kernel.task import PidAllocator, Process, ProcessTable
 from repro.kernel.vfs import O_RDONLY, RamDisk
 from repro.machine import Machine
+from repro.smp.sched import SmpScheduler
 
 
 class SharedMemoryObject:
@@ -63,7 +63,7 @@ class AbstractOS(abc.ABC):
         self.net = NetworkStack(self.machine)
         self.pids = PidAllocator()
         self.procs = ProcessTable()
-        self.sched = make_scheduler(self.machine, same_address_space)
+        self.sched = SmpScheduler(self.machine, same_address_space)
         self._mqueues: Dict[str, MessageQueue] = {}
         self._shm: Dict[str, SharedMemoryObject] = {}
         #: lazily-filled syscall dispatch table: name → (bound handler,

@@ -44,9 +44,9 @@ class Machine:
         self.config = config or DEFAULT_MACHINE
         self.costs = costs or DEFAULT_COSTS
         #: online CPUs actually scheduling work (``num_cpus=1``, the
-        #: default, is the pre-SMP machine bit for bit; the config's
-        #: ``cores`` stays the bookkeeping core count and grows only
-        #: when more CPUs are brought online than it has cores)
+        #: default, gives the scheduler one queue and sends no IPIs; the
+        #: config's ``cores`` stays the bookkeeping core count and grows
+        #: only when more CPUs are brought online than it has cores)
         self.num_cpus = max(1, int(num_cpus))
         if self.num_cpus > self.config.cores:
             self.config = replace(self.config, cores=self.num_cpus)

@@ -1,12 +1,16 @@
-"""The capability-flow auditor.
+"""The capability-flow auditor: the one §4.2 isolation audit.
 
-:func:`audit_cap_flow` is the security half of the §4.2 isolation
-invariant: at any trap or preemption point, no live register and no
-tagged memory granule may hold a capability whose *provenance* crosses
-a μprocess boundary.  It generalises :func:`repro.core.audit
-.audit_isolation` in three ways:
+"The key security invariant the kernel must enforce to maintain
+isolation (R3) is that all capabilities (pointers) available to a
+μprocess only grant access to memory falling within the area of the
+virtual address space allocated to this μprocess" (§4.2).
 
-* it works on every OS kind — the walk goes through ``os.space_of``,
+:func:`audit_cap_flow` checks it: at any trap or preemption point, no
+live register and no tagged memory granule may hold a capability whose
+*provenance* crosses a μprocess boundary.  Beyond a plain bounds check
+it
+
+* works on every OS kind — the walk goes through ``os.space_of``,
   so the monolithic baseline (per-process page tables) is audited with
   the same code as the SASOS kernels;
 * sentry capabilities are *policed* rather than exempted: the only
@@ -88,12 +92,12 @@ def _audit_cap(os_: Any, proc: Any, cap: Capability, location: str,
 def audit_cap_flow(os_: Any) -> List[str]:
     """Audit every live μprocess on any OS kind; returns violations.
 
-    Mirrors :func:`repro.core.audit.audit_isolation`'s treatment of
-    fork-shared pages (a ``ShareNote`` page legitimately holds the
-    donor's capabilities until the strategy's fault handler relocates
-    them) and of ``MAP_SHARED`` windows (skipped: the window capability
-    carries no LOAD_CAP/STORE_CAP, so tags can never appear there — if
-    one does, the smuggling tests fail loudly instead).
+    Fork-shared pages (a ``ShareNote`` is present) legitimately hold
+    the donor's capabilities until the strategy's fault handler
+    relocates them, so they are audited against the note's source
+    region too.  ``MAP_SHARED`` windows are skipped: the window
+    capability carries no LOAD_CAP/STORE_CAP, so tags can never appear
+    there — if one does, the smuggling tests fail loudly instead.
     """
     machine = os_.machine
     page = machine.config.page_size

@@ -9,18 +9,19 @@ Turns the single-CPU machine into an N-core SMP simulator:
 * :mod:`repro.smp.locks` — the minimal kernel locking discipline
   (spinlocks + IRQ-disable guards) serializing fork, CoW fault
   handling, and the fd table;
-* :mod:`repro.smp.sched` — per-CPU run queues with CPU-affinity masks
-  and a deterministic work-stealing load balancer;
+* :mod:`repro.smp.sched` — the scheduler every machine boots: per-CPU
+  run queues with CPU-affinity masks and a deterministic work-stealing
+  load balancer;
 * :mod:`repro.smp.exec` — the per-CPU-timeline executor that runs
   synchronous driver code as a parallel schedule;
 * :mod:`repro.smp.runner` — the FaaS / nginx-workers scaling workloads
   behind ``python -m repro.harness smp`` (imports the full OS stack,
   so it is intentionally *not* re-exported here).
 
-Everything here is inert on a 1-CPU machine: ``Machine()`` defaults to
-``num_cpus=1``, where spinlocks charge nothing, no IPI is ever sent,
-and every shootdown has zero recipients — existing goldens stay
-bit-identical.
+The SMP machinery is inert on a 1-CPU machine: ``Machine()`` defaults
+to ``num_cpus=1``, where spinlocks charge nothing, no IPI is ever sent,
+every shootdown has zero recipients and the scheduler's one queue is
+never stolen from — existing goldens stay bit-identical.
 """
 
 from repro.smp.exec import SmpExecutor

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.smp.sched import SmpScheduler
-
 #: a driver step: runs guest/kernel code, optionally returns ns of
 #: device wait to overlap (None/0 = pure CPU)
 Step = Callable[[], Optional[float]]
@@ -92,10 +90,7 @@ class SmpExecutor:
         but never given a driver step) are dropped from the queues so
         they cannot stall the run."""
         while True:
-            if isinstance(self.sched, SmpScheduler):
-                task = self.sched.pick_for_cpu(cpu)
-            else:
-                task = self.sched.pick_next()
+            task = self.sched.pick_for_cpu(cpu)
             if task is None:
                 return None
             if task.tid in self._steps:
@@ -110,11 +105,7 @@ class SmpExecutor:
         step = self._steps.pop(task.tid)
         previous_cpu = machine.current_cpu
         machine.current_cpu = cpu.core_id
-        if isinstance(self.sched, SmpScheduler):
-            self.sched.switch_to(task, cpu=cpu.core_id)
-        else:
-            self.sched.switch_to(task)
-        task.last_cpu = cpu.core_id
+        self.sched.switch_to(task, cpu=cpu.core_id)
         self._in_step = True
         try:
             with machine.clock.measure() as watch:

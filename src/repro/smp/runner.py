@@ -39,6 +39,12 @@ RUN_SCHEMA = "repro.smp.run/v1"
 
 WORKLOADS = ("faas", "nginx", "forkbench")
 
+#: forkbench times fork itself, so it takes no fault mix: an injected
+#: fork failure would abort the cycle and skew ``per_fork_ns``
+FORKBENCH_MIX_ERROR = ("--fault-mix does not apply to the forkbench "
+                       "workload: injected faults would make its "
+                       "per-fork times meaningless")
+
 
 def run_smp(seed: int = 7, num_cpus: int = 4, requests: int = 64,
             workload: str = "faas", mix: Optional[str] = None,
@@ -56,6 +62,8 @@ def run_smp(seed: int = 7, num_cpus: int = 4, requests: int = 64,
                          f"choose from {WORKLOADS}")
     if num_cpus < 1:
         raise ValueError("num_cpus must be >= 1")
+    if workload == "forkbench" and mix:
+        raise ValueError(FORKBENCH_MIX_ERROR)
 
     with obs_session() as session:
         if workload == "forkbench":

@@ -1,19 +1,26 @@
-"""Per-CPU run queues with CPU affinity and work stealing.
+"""The scheduler: per-CPU run queues with CPU affinity and work stealing.
 
-Replaces the single global round-robin queue on machines with more than
-one online CPU (:func:`repro.kernel.sched.make_scheduler` picks).  The
-public surface is the same duck type as
-:class:`repro.kernel.sched.Scheduler` — ``add`` / ``remove`` / ``block``
-/ ``wake`` / ``switch_to`` / ``pick_next`` / ``yield_current`` /
-``runnable_count`` / ``current`` — plus the per-CPU entry points the
-SMP executor drives (``pick_for_cpu``, ``steal_into``).
+Every machine, uniprocessor or SMP, schedules through
+:class:`SmpScheduler`; at ``num_cpus=1`` its one FIFO queue is a plain
+round-robin run queue and nothing is ever stolen.
+
+The lightweightness difference the paper measures between μFork and the
+monolithic baseline on IPC-heavy workloads (Unixbench Context1, Fig 9)
+comes from two mechanisms charged here: switching between tasks in a
+single address space needs no page-table change and no TLB flush, while
+a multi-address-space switch pays both.
+
+The simulation's drivers are synchronous Python code, so the scheduler
+is cooperative: it picks runnable tasks in queue order and charges
+switch costs; "blocking" surfaces to drivers as WouldBlock and they
+re-enter after switching.  The SMP executor drives the per-CPU entry
+points (``pick_for_cpu``, ``steal_into``).
 
 Determinism: placement, victim selection and steal order are pure
 functions of queue state (least-loaded, lowest-CPU-id tie-break,
 oldest-task-first), so one seed fully determines the schedule.
 
-Invariants carried over from the hardened global queue
-(tests/test_sched.py) and extended to stealing:
+Invariants (tests/test_sched.py):
 
 * an EXITED task can never (re-)enter any queue, be woken, or be
   stolen;
@@ -43,21 +50,26 @@ class SmpScheduler:
             {} for _ in range(self.num_cpus)
         ]
         self._current: List[Optional[Task]] = [None] * self.num_cpus
+        #: the run-queue depth gauge keeps the name each machine shape
+        #: has always exported
+        self._depth_gauge = ("kernel.sched.runqueue_depth"
+                             if self.num_cpus == 1
+                             else "smp.sched.runqueue_depth")
         self.switches = 0
         self.steals = 0
         self.steal_aborts = 0
-        #: optional pluggable pick policy (same contract as
-        #: :attr:`repro.kernel.sched.Scheduler.decision_source`): called
-        #: with the local runnable candidates, returns the task to
-        #: dispatch or ``None`` for the FIFO default
+        #: optional pluggable pick policy: called with the local
+        #: runnable candidates (queue order), returns the task to
+        #: dispatch or ``None`` for the FIFO default.  The conformance
+        #: explorer installs one to permute scheduler decisions
+        #: deterministically (see :mod:`repro.conform`).
         self.decision_source = None
 
-    # -- the single-CPU-compatible view ---------------------------------
+    # -- the current CPU's view -----------------------------------------
 
     @property
     def current(self) -> Optional[Task]:
-        """The task running on the *current* CPU (compatibility with the
-        single-queue scheduler's ``current`` attribute)."""
+        """The task running on the *current* CPU."""
         return self._current[self.machine.current_cpu]
 
     @current.setter
@@ -139,16 +151,16 @@ class SmpScheduler:
     def _observe_depth(self) -> None:
         obs = self.machine.obs
         if obs.enabled:
-            obs.gauge_set("smp.sched.runqueue_depth",
+            obs.gauge_set(self._depth_gauge,
                           sum(len(queue) for queue in self._queues))
 
     # -- switching -------------------------------------------------------
 
     def switch_to(self, task: Task, cpu: Optional[int] = None) -> None:
         """Dispatch ``task`` on ``cpu`` (default: the current CPU),
-        charging the context-switch cost exactly as the global queue
-        does — plus, on a multi-address-space OS, the flush of that
-        CPU's *private* TLB."""
+        charging the context-switch cost — plus, on a
+        multi-address-space OS, the flush of that CPU's *private*
+        TLB."""
         if cpu is None:
             cpu = self.machine.current_cpu
         if task is self._current[cpu]:
@@ -228,7 +240,11 @@ class SmpScheduler:
         its affinity admits the stealing CPU.  The chaos point
         ``smp.steal.abort`` models losing the victim's queue lock: the
         balancer gives up this round and retries at the next idle tick.
+        A uniprocessor has no victim to steal from, so it never draws
+        that point.
         """
+        if self.num_cpus == 1:
+            return None
         machine = self.machine
         chaos = machine.chaos
         if chaos.enabled and chaos.should_fire("smp.steal.abort"):

@@ -1,5 +1,6 @@
-"""Tests for the kernel isolation auditor, and audits of the system
-after every kind of workload the suite exercises."""
+"""Tests for the §4.2 isolation auditor (the capability-flow auditor),
+and audits of the system after every kind of workload the suite
+exercises."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,9 +9,9 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.apps.redis import MiniRedis, populate, redis_image
 from repro.core import CopyStrategy, UForkOS
-from repro.core.audit import audit_isolation
 from repro.machine import Machine
 from repro.mem.layout import KiB, MiB
+from repro.sec.auditor import audit_cap_flow
 
 
 def boot(**kwargs):
@@ -26,7 +27,7 @@ class TestAuditor:
         os_ = boot()
         spawn(os_)
         spawn(os_)
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
     def test_detects_planted_memory_leak(self):
         """The auditor actually catches violations: plant a capability
@@ -37,18 +38,18 @@ class TestAuditor:
         evil = a.reg("csp")  # a's stack capability
         os_.space.store_cap(b.proc.layout.base("data") + 64, evil,
                             privileged=True)
-        violations = audit_isolation(os_)
+        violations = audit_cap_flow(os_)
         assert len(violations) == 1
-        assert violations[0].pid == b.pid
-        assert "memory capability" in violations[0].reason
+        assert violations[0].startswith(f"pid {b.pid} @ vpn ")
+        assert "escapes the μprocess region" in violations[0]
 
     def test_detects_planted_register_leak(self):
         os_ = boot()
         a = spawn(os_, "a")
         b = spawn(os_, "b")
         b.set_reg("c15", a.reg("csp"))
-        violations = audit_isolation(os_)
-        assert any(v.location == "register c15" and v.pid == b.pid
+        violations = audit_cap_flow(os_)
+        assert any(v.startswith(f"pid {b.pid} @ register c15:")
                    for v in violations)
 
     def test_sentry_gates_are_not_violations(self):
@@ -58,7 +59,7 @@ class TestAuditor:
         # user code stores its (kernel-pointing, sealed) gate in memory
         os_.space.store_cap(holder.base, ctx.proc.syscall_gate,
                             privileged=True)
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
 
 class TestWorkloadsLeaveSystemClean:
@@ -74,7 +75,7 @@ class TestWorkloadsLeaveSystemClean:
         # touch everything so lazy copies resolve
         for ctx in (child, grandchild):
             ctx.load_cap(ctx.reg("c9"))
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
     def test_after_redis_snapshot(self):
         os_ = boot()
@@ -82,7 +83,7 @@ class TestWorkloadsLeaveSystemClean:
         store = MiniRedis(GuestContext(os_, proc), nbuckets=64)
         populate(store, 256 * KiB, value_size=32 * KiB)
         store.bgsave("/d.rdb")
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
     def test_after_migration_and_compaction(self):
         os_ = boot()
@@ -94,7 +95,7 @@ class TestWorkloadsLeaveSystemClean:
         contexts[1].exit(0)
         contexts[3].exit(0)
         os_.compact()
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -117,4 +118,4 @@ class TestWorkloadsLeaveSystemClean:
             elif len(live) > 1 and actor is not root:
                 live.remove(actor)
                 actor.exit(0)
-        assert audit_isolation(os_) == []
+        assert audit_cap_flow(os_) == []

@@ -112,3 +112,19 @@ def test_bad_list_or_cpu_value_is_a_usage_error(command, tmp_path, capsys):
     assert "usage: python -m repro.harness" in err
     assert "error: argument --" in err
     assert not report.exists() and not obs_dir.exists()
+
+
+def test_smp_forkbench_with_fault_mix_is_a_usage_error(tmp_path, capsys):
+    """Injected faults would make forkbench's per-fork times
+    meaningless, so the combination is refused before anything runs."""
+    report = tmp_path / "report.json"
+    obs_dir = tmp_path / "obs"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smp", "--cpus", "2", "--workload", "forkbench",
+              "--fault-mix", "default=0.05", "--json", str(report),
+              "--obs-dir", str(obs_dir)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: python -m repro.harness" in err
+    assert "forkbench" in err
+    assert not report.exists() and not obs_dir.exists()

@@ -11,8 +11,8 @@ from repro.errors import (
 from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.ipc import MessageQueue, Pipe
 from repro.kernel.net import NetworkStack
-from repro.kernel.sched import Scheduler
 from repro.kernel.task import Process, TaskState
+from repro.smp.sched import SmpScheduler
 
 
 class TestPipe:
@@ -237,7 +237,7 @@ class TestScheduler:
         return proc.add_task()
 
     def test_switch_charges_sas_cost(self, machine):
-        sched = Scheduler(machine, same_address_space=True)
+        sched = SmpScheduler(machine, same_address_space=True)
         task = self._task()
         before = machine.clock.now_ns
         sched.switch_to(task)
@@ -246,12 +246,12 @@ class TestScheduler:
         assert machine.counters.get("tlb_flush") == 0
 
     def test_switch_across_spaces_flushes_tlb(self, machine):
-        sched = Scheduler(machine, same_address_space=False)
+        sched = SmpScheduler(machine, same_address_space=False)
         sched.switch_to(self._task())
         assert machine.counters.get("tlb_flush") == 1
 
     def test_switch_to_current_is_free(self, machine):
-        sched = Scheduler(machine, same_address_space=True)
+        sched = SmpScheduler(machine, same_address_space=True)
         task = self._task()
         sched.switch_to(task)
         before = machine.clock.now_ns
@@ -259,7 +259,7 @@ class TestScheduler:
         assert machine.clock.now_ns == before
 
     def test_round_robin_yield(self, machine):
-        sched = Scheduler(machine, same_address_space=True)
+        sched = SmpScheduler(machine, same_address_space=True)
         task_a, task_b = self._task(), self._task()
         sched.add(task_a)
         sched.add(task_b)
@@ -268,7 +268,7 @@ class TestScheduler:
         assert sched.yield_current() is task_a
 
     def test_block_and_wake(self, machine):
-        sched = Scheduler(machine, same_address_space=True)
+        sched = SmpScheduler(machine, same_address_space=True)
         task = self._task()
         sched.add(task)
         sched.block(task)

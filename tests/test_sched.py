@@ -1,13 +1,14 @@
 """Scheduler-queue hardening: removal is idempotent and torn-down tasks
 can never be resurrected into the run queue (the chaos tier removes and
-blocks blindly during mid-operation teardown).  The property tests at
-the bottom fuzz the SMP work-stealing balancer against the same
-invariants plus CPU affinity."""
+blocks blindly during mid-operation teardown).  The hardening cases run
+the one scheduler on a uniprocessor, where it must stay as strict as on
+N CPUs; the property tests at the bottom fuzz the work-stealing
+balancer against the same invariants plus CPU affinity."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.sched import Scheduler
 from repro.kernel.task import Process, TaskState
 from repro.machine import Machine
 from repro.smp.sched import SmpScheduler
@@ -18,8 +19,8 @@ def make_task():
     return proc.add_task()
 
 
-def make_sched():
-    return Scheduler(Machine(), same_address_space=True)
+def make_sched(machine=None):
+    return SmpScheduler(machine or Machine(), same_address_space=True)
 
 
 class TestIdempotentRemoval:
@@ -86,7 +87,47 @@ class TestNoResurrection:
         os_.sched.block(task)              # late blind block: still EXITED
         assert task.state is TaskState.EXITED
         os_.sched.add(task)                # and it cannot re-enter the queue
-        assert all(t is not task for t in os_.sched._runnable)
+        assert task not in os_.sched.queued_tasks()
+
+
+class TestUniprocessor:
+    """At ``num_cpus=1`` the scheduler keeps the N-CPU checks."""
+
+    def test_scheduling_while_atomic_asserts(self):
+        machine = Machine()
+        sched = make_sched(machine)
+        task = make_task()
+        sched.add(task)
+        with machine.locks.fork.held():
+            with pytest.raises(AssertionError, match="atomic"):
+                sched.switch_to(task)
+
+    def test_affinity_excluding_cpu0_raises(self):
+        sched = make_sched()
+        task = make_task()
+        task.pin(1)                        # not online on a uniprocessor
+        with pytest.raises(ValueError, match="excludes every online"):
+            sched.add(task)
+
+    def test_steal_never_draws_the_abort_point(self, monkeypatch):
+        """One CPU has no victim to steal from, so a chaos run never
+        consults ``smp.steal.abort`` however often the queue drains."""
+        from repro.chaos import ChaosEngine
+        from repro.smp.runner import run_smp
+
+        engines = []
+        attach = ChaosEngine.attach
+
+        def recording_attach(engine, machine):
+            engines.append(engine)
+            return attach(engine, machine)
+
+        monkeypatch.setattr(ChaosEngine, "attach", recording_attach)
+        run_smp(seed=7, num_cpus=1, requests=16, workload="nginx",
+                mix="default=0.05,smp.*=0.3")
+        (engine,) = engines
+        assert engine.hits                 # chaos did run...
+        assert "smp.steal.abort" not in engine.hits    # ...but not here
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ acceptance criteria for the simulated multi-core machine."""
 
 import pytest
 
-from repro.kernel.sched import Scheduler, make_scheduler
 from repro.kernel.task import Process, TaskState
 from repro.machine import Machine
 from repro.params import DEFAULT_COSTS
@@ -45,10 +44,12 @@ class TestMachineWiring:
         assert len(set(map(id, tlbs))) == 4
         assert [tlb.cpu_id for tlb in tlbs] == [0, 1, 2, 3]
 
-    def test_scheduler_factory_picks_by_cpu_count(self):
-        assert isinstance(make_scheduler(Machine(), True), Scheduler)
-        assert isinstance(make_scheduler(smp_machine(2, obs=False), True),
-                          SmpScheduler)
+    def test_every_machine_boots_the_smp_scheduler(self):
+        from repro.core import UForkOS
+        for num_cpus in (1, 2):
+            os_ = UForkOS(machine=Machine(num_cpus=num_cpus))
+            assert type(os_.sched) is SmpScheduler
+            assert os_.sched.num_cpus == num_cpus
 
 
 # ----------------------------------------------------------------------
@@ -298,6 +299,12 @@ class TestForkGap:
             assert systems["ufork"]["shootdown_ipis"] == 0
             ipis[cpus] = systems["monolithic"]["shootdown_ipis"]
         assert ipis == {1: 0, 2: 4, 4: 12}      # forks × (N − 1)
+
+    def test_forkbench_rejects_a_fault_mix(self):
+        from repro.smp.runner import run_smp
+        with pytest.raises(ValueError, match="forkbench"):
+            run_smp(seed=1, num_cpus=2, requests=4, workload="forkbench",
+                    mix="default=0.05")
 
 
 # ----------------------------------------------------------------------
