@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.core.strategies import iter_share_notes
+from repro.hw.paging import PagePerm
 from repro.kernel.task import TaskState
 
 
@@ -126,18 +127,19 @@ def _check_share_notes(os_: Any) -> List[str]:
             continue
         if all(space is not seen for seen in spaces):
             spaces.append(space)
+    phys = os_.machine.phys
     for space in spaces:
-        for vpn, pte, note in iter_share_notes(space):
+        for vpn, frame, perms, note in iter_share_notes(space):
             if note.role not in ("parent", "child"):
                 violations.append(
                     f"share: vpn {vpn:#x} has unknown role {note.role!r}")
-            if os_.machine.phys.refcount(pte.frame) <= 0:
+            if not phys.contains(frame) or phys.refcount(frame) <= 0:
                 violations.append(
-                    f"share: vpn {vpn:#x} notes freed frame {pte.frame}")
-            if pte.perms & ~note.orig_perms:
+                    f"share: vpn {vpn:#x} notes freed frame {frame}")
+            if perms & ~int(note.orig_perms):
                 violations.append(
-                    f"share: vpn {vpn:#x} perms {pte.perms!r} wider than "
-                    f"pre-share {note.orig_perms!r}")
+                    f"share: vpn {vpn:#x} perms {PagePerm(perms)!r} wider "
+                    f"than pre-share {note.orig_perms!r}")
     return violations
 
 

@@ -372,18 +372,17 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
 
 
 def iter_share_notes(space: AddressSpace):
-    """Yield ``(vpn, pte, note)`` for every still-shared page.
+    """Yield ``(vpn, frame, perms_int, note)`` for every still-shared
+    page.
 
     Audit hook for the conformance invariants: a consistent kernel
     never leaves a :class:`ShareNote` whose frame has been freed, whose
     role is unknown, or whose restored permissions would be *narrower*
     than the current ones (sharing only ever removes permissions).
 
-    Yields in ascending vpn order, served from the page table's sparse
-    note dict.
+    Yields in ascending vpn order the raw PTE state of
+    :meth:`AddressSpace.noted_mappings`.
     """
-    for vpn, note in space.noted_items():
-        if isinstance(note, ShareNote):
-            pte = space.page_table.get(vpn)
-            if pte is not None:
-                yield vpn, pte, note
+    for item in space.noted_mappings():
+        if isinstance(item[3], ShareNote):
+            yield item

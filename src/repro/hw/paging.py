@@ -527,6 +527,29 @@ class AddressSpace:
                 map(_MAPPED, window))
         return out
 
+    def noted_mappings(self) -> List[Tuple[int, int, int, Any]]:
+        """``(vpn, frame, perms_int, note)`` for every mapped vpn with a
+        note, ascending vpn.
+
+        The raw PTE state of the noted pages, like :meth:`mapped_items`
+        (no view/``PagePerm`` objects), served from the sparse note dict
+        — the share-note audit's sweep.
+        """
+        table = self.page_table
+        chunks = table._frames
+        perms = table._perms
+        out: List[Tuple[int, int, int, Any]] = []
+        for vpn, note in sorted(table._notes.items()):
+            chunk_id = vpn >> CHUNK_SHIFT
+            frames = chunks.get(chunk_id)
+            if frames is None:
+                continue
+            index = vpn & _CHUNK_MASK
+            frame = frames[index]
+            if frame >= 0:
+                out.append((vpn, frame, perms[chunk_id][index], note))
+        return out
+
     def map_run(self, start_vpn: int, frames: Sequence[int], perms: PagePerm,
                 incref: bool = False, cow: bool = False,
                 note: Any = None) -> None:

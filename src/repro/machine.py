@@ -72,6 +72,12 @@ class Machine:
         #: by (region pair, raw bytes), sound because the codec's
         #: intern table is append-only
         self._reloc_memo: dict = {}
+        #: clean capability-flow verdicts (see
+        #: :func:`repro.sec.auditor.audit_cap_flow`): (frame, lo, hi,
+        #: region base, region top, gate triple) -> the ``Frame.version``
+        #: last audited clean under those bounds.  Host-side only, and
+        #: sound because a frame number's ``version`` never repeats
+        self._audit_memo: dict = {}
         self.cores: List[Core] = [
             Core(self, core_id) for core_id in range(self.config.cores)
         ]

@@ -25,6 +25,20 @@ it
 The conform explorer and farm run this at every scheduling step via
 :func:`repro.conform.invariants.check_invariants`, so interleaving
 search doubles as an isolation-violation hunt.
+
+The memory half of the audit is incremental.  Only the pages
+:meth:`~repro.hw.phys.PhysicalMemory.tagged_frames` finds holding a tag
+are visited, and a page's *clean* verdict is memoised on the machine
+(``Machine._audit_memo``) under ``(frame, lo, hi, region base, region
+top, gate triple)`` with the ``Frame.version`` it was audited at.  A
+verdict depends on nothing else: the page's granules (which change only
+with ``version``), the bound the page is held to (its ``ShareNote``
+parent region or the μprocess region), the region and the syscall gate
+the sentries are matched against.  A page whose version still matches
+is skipped; any other page is decoded and audited in full.  Violations
+are never memoised: their text names the provenance, which reads the
+live process table and the flow log, so it is rebuilt at every audit.
+The memo is host-side only and changes no simulated state.
 """
 
 from __future__ import annotations
@@ -101,25 +115,40 @@ def audit_cap_flow(os_: Any) -> List[str]:
     """
     machine = os_.machine
     page = machine.config.page_size
+    phys = machine.phys
+    codec = machine.codec
+    memo = machine._audit_memo
     violations: List[str] = []
     for proc in os_.procs.alive():
         space = os_.space_of(proc)
         base, top = proc.region_base, proc.region_top
         shm_vpns = getattr(proc, "shm_vpns", set())
-        for vpn, frame_no, _perms, _cow, raw_note in \
-                space.mapped_items(base // page, top // page):
-            if vpn in shm_vpns:
-                continue
+        gate = getattr(proc, "syscall_gate", None)
+        gate_key = None if gate is None else (
+            gate.base, gate.length, gate.cursor)
+        # a dangling mapping (its frame already freed) has no memory to
+        # audit; on a fork-shared page the share-note check reports it
+        pages = [item for item in
+                 space.mapped_items(base // page, top // page)
+                 if item[0] not in shm_vpns and phys.contains(item[1])]
+        for position in phys.tagged_frames([item[1] for item in pages]):
+            vpn, frame_no, _perms, _cow, raw_note = pages[position]
             note = raw_note if isinstance(raw_note, ShareNote) else None
             if note is not None:
                 lo, hi = note.regions.parent_base, note.regions.parent_top
             else:
                 lo, hi = base, top
-            frame = machine.phys.frame(frame_no)
+            frame = phys.frame(frame_no)
+            key = (frame_no, lo, hi, base, top, gate_key)
+            if memo.get(key) == frame.version:
+                continue
+            found = len(violations)
             for offset in frame.tagged_granules():
-                cap = frame.load_cap(offset, machine.codec)
+                cap = frame.load_cap(offset, codec)
                 _audit_cap(os_, proc, cap, f"vpn {vpn:#x}+{offset:#x}",
                            lo, hi, violations)
+            if len(violations) == found:
+                memo[key] = frame.version
         for task in proc.tasks:
             for name, cap in task.registers.cap_registers():
                 _audit_cap(os_, proc, cap, f"register {name}",

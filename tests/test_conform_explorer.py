@@ -11,13 +11,16 @@ import pytest
 import repro.conform.explorer as explorer_mod
 from repro.conform.dsl import Scenario
 from repro.conform.explorer import _run_schedule, explore
+from repro.apps.hello import hello_world_image
 from repro.conform.invariants import (
     check_end_state,
     check_invariants,
     frame_baseline,
+    leak_report,
 )
 from repro.conform.scenarios import by_name, corpus
 from repro.conform.simrun import SimRun
+from repro.core.strategies import iter_share_notes
 from repro.errors import SimError
 from repro.harness.matrix import CONFORM_STRATEGIES, boot
 
@@ -217,3 +220,27 @@ def test_end_state_check_spots_a_leak():
     os_.machine.phys.alloc()        # deliberately leak one frame
     problems = check_end_state(os_, baseline)
     assert any("leak" in p or "frames" in p for p in problems)
+
+
+def test_share_note_on_a_freed_frame_is_reported():
+    """A share note that outlives its frame is a reported violation in
+    both the per-step and the between-tests audit, not a ``KeyError``."""
+    booted = boot("copa", seed=1, cpus=1, image=hello_world_image(),
+                  name="app")
+    os_, space, phys = booted.os, booted.os.space, booted.machine.phys
+    booted.ctx.fork()
+    vpn, frame = next((vpn, frame)
+                      for vpn, frame, _perms, note in iter_share_notes(space)
+                      if note.role == "parent")
+    while phys.contains(frame):
+        phys.decref(frame)
+    expected = f"share: vpn {vpn:#x} notes freed frame {frame}"
+    try:
+        assert expected in leak_report(os_)
+        assert expected in check_invariants(os_)
+    finally:
+        # drop the dangling mappings so the teardown audit sees a
+        # consistent kernel
+        for dangling, *_ in [item for item in iter_share_notes(space)
+                             if item[1] == frame]:
+            space.unmap_page(dangling, decref=False)

@@ -233,6 +233,122 @@ class TestFrameNumberChurn:
                     del live[number]
 
 
+class TestVersionBump:
+    """``(number, version)`` names one frame content: every public
+    mutator of a frame's bytes or tags bumps its ``version``, and a
+    frame number's version never goes back, across free and
+    reallocation included.  The fork page memo and the capability-flow
+    audit's clean-verdict memo are sound only while this holds.
+    """
+
+    PAGE = 4096
+    #: mapped pages of the address space, from :attr:`BASE_VPN`
+    PAGES = 3
+    BASE_VPN = 16
+    #: unmapped frames the test owns, at most
+    SPARE = 6
+    CODEC = CapabilityCodec()
+    OPS = ("frame_write", "store_cap", "write_granule", "clear_tags",
+           "restore_content", "copy_from", "copy_frame", "copy_frames",
+           "cow_copy", "realloc", "space_write", "space_store_cap",
+           "space_write_run", "phys_clear_tags")
+
+    @staticmethod
+    def observe(phys, seen):
+        for number, frame in phys.frames_items():
+            content = frame.snapshot_content()
+            if number in seen:
+                version, before = seen[number]
+                assert frame.version >= version, \
+                    f"frame {number}: version went back"
+                if content != before:
+                    assert frame.version != version, \
+                        f"frame {number}: content changed, version did not"
+            seen[number] = (frame.version, content)
+
+    def cap(self, data):
+        base = data.draw(st.integers(0, 1 << 20)) * CAP_SIZE
+        return Capability(base=base, length=64, cursor=base,
+                          perms=Perm.data_rw())
+
+    def step(self, data, machine, space, spare):
+        phys = machine.phys
+        numbers = [number for number, _frame in phys.frames_items()]
+        number = data.draw(st.sampled_from(numbers))
+        frame = phys.frame(number)
+        other = phys.frame(data.draw(st.sampled_from(numbers)))
+        granule = data.draw(st.integers(0, self.PAGE // CAP_SIZE - 1))
+        vaddr = self.BASE_VPN * self.PAGE + data.draw(
+            st.integers(0, self.PAGES * self.PAGE - 64))
+        op = data.draw(st.sampled_from(self.OPS))
+        if op == "frame_write":
+            size = data.draw(st.integers(1, 64))
+            offset = data.draw(st.integers(0, self.PAGE - size))
+            frame.write(offset, data.draw(st.binary(min_size=size,
+                                                    max_size=size)))
+        elif op == "store_cap":
+            frame.store_cap(granule * CAP_SIZE, self.cap(data), self.CODEC)
+        elif op == "write_granule":
+            frame.write_granule(granule * CAP_SIZE,
+                                data.draw(st.binary(min_size=CAP_SIZE,
+                                                    max_size=CAP_SIZE)),
+                                data.draw(st.integers(0, 1)))
+        elif op == "clear_tags":
+            lo, hi = sorted(data.draw(st.lists(
+                st.integers(0, self.PAGE), min_size=2, max_size=2)))
+            frame.clear_tags_range(lo, hi)
+        elif op == "restore_content":
+            frame.restore_content(*other.snapshot_content())
+        elif op == "copy_from":
+            frame.copy_from(other, data.draw(st.booleans()))
+        elif op == "copy_frame":
+            spare.append(phys.copy_frame(number, data.draw(st.booleans())))
+        elif op == "copy_frames":
+            srcs = data.draw(st.lists(st.sampled_from(numbers), min_size=1,
+                                      max_size=3))
+            spare.extend(phys.copy_frames(srcs, data.draw(st.booleans())))
+        elif op == "cow_copy":
+            spare.append(phys.cow_copy(number))
+        elif op == "realloc":
+            if spare:
+                phys.decref(spare.pop(data.draw(
+                    st.integers(0, len(spare) - 1))))
+            spare.append(phys.alloc(zero=data.draw(st.booleans())))
+        elif op == "space_write":
+            space.write(vaddr, data.draw(st.binary(min_size=1,
+                                                   max_size=64)))
+        elif op == "space_store_cap":
+            space.store_cap(vaddr - vaddr % CAP_SIZE, self.cap(data))
+        elif op == "space_write_run":
+            vaddrs = data.draw(st.lists(st.just(vaddr) | st.integers(
+                self.BASE_VPN * self.PAGE,
+                (self.BASE_VPN + self.PAGES) * self.PAGE - 8),
+                min_size=1, max_size=4))
+            space.write_run(vaddrs, data.draw(st.binary(min_size=1,
+                                                        max_size=8)))
+        else:
+            lo, hi = sorted(data.draw(st.lists(
+                st.integers(0, self.PAGE), min_size=2, max_size=2)))
+            phys.clear_tags_range(number, lo, hi)
+        while len(spare) > self.SPARE:
+            phys.decref(spare.pop(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_prop_content_change_bumps_version(self, data):
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        for index in range(self.PAGES):
+            space.map_page(self.BASE_VPN + index, machine.phys.alloc(),
+                           PagePerm.rwc())
+        spare = []
+        seen = {}
+        self.observe(machine.phys, seen)
+        for _ in range(data.draw(st.integers(1, 30))):
+            self.step(data, machine, space, spare)
+            self.observe(machine.phys, seen)
+
+
 def _naive_runs(numbers, keys):
     """Reference: grow each run while the next number is one more and
     its key is the same."""
@@ -602,6 +718,18 @@ class TestAddressSpace:
         assert space.mapped_pages(base, base + self.PAGE) == 1
         assert space.mapped_pages(0, base) == 0
 
+    def test_noted_mappings_are_the_raw_pte_state(self, machine):
+        space, base = self.make_space(machine, pages=3)
+        vpn = base // self.PAGE
+        space.set_note(vpn + 2, "b")
+        space.set_note(vpn, "a")
+        space.protect_page(vpn, PagePerm.READ)
+        expected = []
+        for noted, note in ((vpn, "a"), (vpn + 2, "b")):
+            pte = space.page_table.get(noted)
+            expected.append((noted, pte.frame, int(pte.perms), note))
+        assert space.noted_mappings() == expected
+
     def test_unmap_decrefs(self, machine):
         space, base = self.make_space(machine, pages=1)
         frame = space.page_table.get(base // self.PAGE).frame
@@ -666,6 +794,7 @@ class TestUnmapRange:
         assert space.mapped_items(*everything) == \
             ref_space.mapped_items(*everything)
         assert space.noted_items() == ref_space.noted_items()
+        assert space.noted_mappings() == ref_space.noted_mappings()
         assert len(space.page_table) == len(ref_space.page_table)
         assert bulk.counters.snapshot() == ref.counters.snapshot()
         assert bulk.phys.allocated_frames == ref.phys.allocated_frames
