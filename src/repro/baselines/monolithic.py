@@ -5,8 +5,11 @@ CHERI-enabled FreeBSD" (§5).  The behaviours that matter to the
 comparison, all modeled mechanistically:
 
 * each process owns an **address space**; fork duplicates the page
-  table entry-by-entry (cost scales with mapped pages — the Fig 4
-  growth) and marks writable pages copy-on-write;
+  table and marks writable pages copy-on-write, charging
+  ``pte_copy_ns`` once per entry (cost scales with mapped pages — the
+  Fig 4 growth).  Only the host loop is run-granular: one sweep of the
+  parent's mappings, ``map_run``/``protect_run`` per run of equal
+  permissions;
 * no relocation is ever needed — parent and child share virtual
   addresses — so plain CoW is safe (the child reads shared pages
   freely);
@@ -26,10 +29,10 @@ comparison, all modeled mechanistically:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Set
 
 from repro.cheri.capability import Capability, Perm
-from repro.core.relocate import record_flow
+from repro.core.relocate import _charge_each, record_flow
 from repro.core.uprocess import (
     init_image_contents,
     initial_registers,
@@ -37,6 +40,7 @@ from repro.core.uprocess import (
     map_image_segments,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
+from repro.hw.phys import consecutive_runs
 from repro.kernel.base import AbstractOS, SharedMemoryObject
 from repro.kernel.fdtable import FDTable
 from repro.kernel.syscalls import IsolationConfig
@@ -53,28 +57,59 @@ SHARED_LIB_PAGES = 80
 #: locale tables, jemalloc bootstrap arenas
 PRIVATE_LIB_PAGES = 28
 
+_WRITE = int(PagePerm.WRITE)
+
+
+def _va_pages(machine: Machine) -> int:
+    """One past the highest vpn of a whole address space."""
+    return machine.config.va_size // machine.config.page_size
+
+
+def private_bytes(space: AddressSpace) -> int:
+    """Bytes of ``space`` backed by frames no other mapping shares."""
+    machine = space.machine
+    refcount = machine.phys.refcount
+    return machine.config.page_size * sum(
+        1 for _vpn, frame, _perms, _cow, _note
+        in space.mapped_items(0, _va_pages(machine)) if refcount(frame) == 1)
+
 
 def handle_cow_fault(space: AddressSpace, vaddr: int,
                      kind: AccessKind) -> bool:
-    """Classic copy-on-write break (no relocation: same VA both sides)."""
+    """Classic copy-on-write fault handler (see :func:`_break_cow`)."""
     if kind is not AccessKind.WRITE:
         return False
     machine = space.machine
     # PTE state is shared between parent and child; on SMP the break
     # runs under the fault spinlock (free at 1 CPU).
     with machine.locks.fault.held():
-        vpn = vaddr // machine.config.page_size
-        pte = space.page_table.get(vpn)
-        if pte is None or not pte.cow:
+        if not _break_cow(space, vaddr // machine.config.page_size):
             return False
-        if machine.phys.refcount(pte.frame) > 1:
-            new_frame = machine.phys.copy_frame(pte.frame, preserve_tags=True)
-            space.replace_frame(vpn, new_frame)
-            machine.emit(counter="cow_page_copies")
         machine.emit(metric="baselines.monolithic.cow_breaks")
-        pte.perms |= PagePerm.WRITE
-        pte.cow = False
         return True
+
+
+def _break_cow(space: AddressSpace, vpn: int, fault: bool = False) -> bool:
+    """Classic CoW break (no relocation: same VA both sides): a private,
+    tag-preserving copy while the frame is still shared, then write
+    access back and the CoW mark cleared.  False when ``vpn`` is not a
+    CoW mapping.  ``fault`` charges the write fault first, for a break
+    not entered through fault dispatch."""
+    found = space.mapped_items(vpn, vpn + 1)
+    if not found or not found[0][3]:
+        return False
+    _vpn, frame, perms, _cow, _note = found[0]
+    machine = space.machine
+    if fault:
+        machine.charge(machine.costs.page_fault_ns, "page_fault")
+    phys = machine.phys
+    if phys.refcount(frame) > 1:
+        space.privatize_page(vpn, perms | _WRITE,
+                             phys.copy_frame(frame, preserve_tags=True))
+        machine.emit(counter="cow_page_copies")
+    else:
+        space.privatize_page(vpn, perms | _WRITE)
+    return True
 
 
 class MonolithicOS(AbstractOS):
@@ -209,24 +244,7 @@ class MonolithicOS(AbstractOS):
         child_space.fault_handler = handle_cow_fault
         shm_vpns = getattr(proc, "shm_vpns", set())
         with obs.span("pte_copy"):
-            for vpn, pte in list(proc.space.page_table.entries()):
-                machine.charge(machine.costs.pte_copy_ns, "fork_pte_copy")
-                writable = bool(pte.perms & PagePerm.WRITE)
-                if vpn in shm_vpns:
-                    # MAP_SHARED memory survives fork shared and
-                    # writable on both sides (POSIX): same frames, no
-                    # copy-on-write
-                    child_space.map_page(vpn, pte.frame, pte.perms,
-                                         incref=True)
-                elif writable:
-                    # mark both sides CoW
-                    pte.perms &= ~PagePerm.WRITE
-                    pte.cow = True
-                    child_space.map_page(vpn, pte.frame,
-                                         pte.perms, incref=True, cow=True)
-                else:
-                    child_space.map_page(vpn, pte.frame, pte.perms,
-                                         incref=True, cow=pte.cow)
+            self._copy_ptes(proc.space, child_space, shm_vpns)
         child.space = child_space
         # shared-memory bindings carry over (same VAs: no rebase needed)
         child.shm_vpns = set(shm_vpns)
@@ -263,6 +281,45 @@ class MonolithicOS(AbstractOS):
                     child.region_base, child.region_top, "monolithic")
         return child
 
+    def _copy_ptes(self, parent: AddressSpace, child: AddressSpace,
+                         shm_vpns: Set[int]) -> None:
+        """Fork's ``pte_copy`` phase, one sweep of the parent's mappings.
+
+        The child maps every parent frame at the same vpn: MAP_SHARED
+        memory as it is (shared and writable on both sides, POSIX), a
+        writable page read-only and CoW, any other page with its
+        permissions and CoW mark; the parent's writable pages outside
+        MAP_SHARED lose write and gain the CoW mark.  Child pages are
+        mapped in ``map_run`` runs of equal permissions and CoW mark,
+        parent pages protected in ``protect_run`` runs.  The simulated
+        ``pte_copy_ns`` stays one charge per entry; only the host loop
+        is run-granular.
+        """
+        machine = self.machine
+        items = parent.mapped_items(0, _va_pages(machine))
+        _charge_each(machine, machine.costs.pte_copy_ns, len(items),
+                     "fork_pte_copy")
+        vpns = [item[0] for item in items]
+        keys = []
+        protected = []
+        for vpn, _frame, perms, cow, _note in items:
+            if vpn in shm_vpns:
+                keys.append((perms, False))
+            elif perms & _WRITE:
+                keys.append((perms & ~_WRITE, True))
+                protected.append((vpn, perms & ~_WRITE))
+            else:
+                keys.append((perms, cow))
+        for start, end in consecutive_runs(vpns, keys):
+            perms, cow = keys[start]
+            child.map_run(vpns[start], [item[1] for item in items[start:end]],
+                          PagePerm(perms), incref=True, cow=cow)
+        for start, end in consecutive_runs(
+                [vpn for vpn, _perms in protected],
+                [perms for _vpn, perms in protected]):
+            parent.protect_run(protected[start][0], end - start,
+                               PagePerm(protected[start][1]), cow=True)
+
     def syscall(self, proc: Process, name: str, *args: Any,
                 gate: Optional[Capability] = None) -> Any:
         if getattr(proc, "_pending_allocator_touch", False):
@@ -285,21 +342,11 @@ class MonolithicOS(AbstractOS):
         touched = 0
         for step in range(touch):
             index = step * used_pages // touch
-            vpn = (data_base + index * page) // page
-            pte = proc.space.page_table.get(vpn)
-            if pte is None or not pte.cow:
-                continue
             # the allocator writes bookkeeping words into the page: one
             # CoW fault + private copy (tag-preserving, like hardware)
-            machine.charge(machine.costs.page_fault_ns, "page_fault")
-            if machine.phys.refcount(pte.frame) > 1:
-                new_frame = machine.phys.copy_frame(pte.frame,
-                                                    preserve_tags=True)
-                proc.space.replace_frame(vpn, new_frame)
-                machine.emit(counter="cow_page_copies")
-            pte.perms |= PagePerm.WRITE
-            pte.cow = False
-            touched += 1
+            if _break_cow(proc.space, (data_base + index * page) // page,
+                         fault=True):
+                touched += 1
         machine.emit(n=touched, counter="allocator_touch_pages",
                      metric="baselines.monolithic.allocator_touch_pages")
 
@@ -310,8 +357,7 @@ class MonolithicOS(AbstractOS):
     def _teardown_memory(self, proc: Process) -> None:
         machine = self.machine
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
-        for vpn in list(proc.space.page_table.vpns()):
-            proc.space.unmap_page(vpn)
+        proc.space.unmap_range(0, _va_pages(machine))
 
     def memory_of(self, proc: Process) -> float:
         return (
@@ -321,12 +367,7 @@ class MonolithicOS(AbstractOS):
         )
 
     def private_bytes(self, proc: Process) -> int:
-        page = self.machine.config.page_size
-        total = 0
-        for _vpn, pte in proc.space.page_table.entries():
-            if self.machine.phys.refcount(pte.frame) == 1:
-                total += page
-        return total
+        return private_bytes(proc.space)
 
     # ------------------------------------------------------------------
     # Shared memory

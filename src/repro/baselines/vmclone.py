@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
+from repro.baselines.monolithic import _va_pages, private_bytes
 from repro.cheri.capability import Capability, Perm
+from repro.core.relocate import _charge_each
 from repro.core.uprocess import (
     init_image_contents,
     initial_registers,
@@ -25,6 +27,7 @@ from repro.core.uprocess import (
     map_image_segments,
 )
 from repro.hw.paging import AddressSpace, PagePerm
+from repro.hw.phys import consecutive_runs
 from repro.kernel.base import AbstractOS
 from repro.kernel.fdtable import FDTable
 from repro.kernel.syscalls import IsolationConfig
@@ -141,12 +144,14 @@ class VMCloneOS(AbstractOS):
 
         child_space = AddressSpace(machine, f"vm-{proc.name}-{child.pid}")
         with obs.span("clone_pages"):
-            for vpn, pte in proc.space.page_table.entries():
-                machine.charge(costs.vm_clone_page_ns, "vm_clone_page")
-                new_frame = machine.phys.copy_frame(pte.frame,
-                                                    preserve_tags=True,
-                                                    charge=False)
-                child_space.map_page(vpn, new_frame, pte.perms)
+            try:
+                self._clone_pages(proc.space, child_space)
+            except Exception:
+                # a frame copy failed: the clone's copies are already
+                # freed; drop the child's fd references and its entry
+                child.fdtable.close_all()
+                proc.children.remove(child)
+                raise
         child.space = child_space
 
         # same guest VA in the clone: registers copy verbatim
@@ -167,6 +172,29 @@ class VMCloneOS(AbstractOS):
         machine.emit(counter="fork", metric="baselines.vmclone.forks")
         return child
 
+    def _clone_pages(self, parent: AddressSpace,
+                     child: AddressSpace) -> None:
+        """Fork's ``clone_pages`` phase: every guest frame copied (tags
+        included) by one ``copy_frames`` and mapped into ``child`` at
+        the same vpn and permissions, in ``map_run`` runs.  Charges one
+        ``vm_clone_page_ns`` per page up to and including the first
+        whose copy fails, as cloning page by page does; on that failure
+        ``copy_frames`` frees the copies before raising, so nothing is
+        mapped or leaked."""
+        machine = self.machine
+        phys = machine.phys
+        items = parent.mapped_items(0, _va_pages(machine))
+        srcs = [item[1] for item in items]
+        _charge_each(machine, machine.costs.vm_clone_page_ns,
+                     min(phys.alloc_budget(len(srcs)) + 1, len(srcs)),
+                     "vm_clone_page")
+        copies = phys.copy_frames(srcs, preserve_tags=True, charge=False)
+        vpns = [item[0] for item in items]
+        perms = [item[2] for item in items]
+        for start, end in consecutive_runs(vpns, perms):
+            child.map_run(vpns[start], copies[start:end],
+                          PagePerm(perms[start]))
+
     # ------------------------------------------------------------------
     # Exit / metrics
     # ------------------------------------------------------------------
@@ -176,8 +204,7 @@ class VMCloneOS(AbstractOS):
         # destroying the domain is hypervisor work
         machine.charge(machine.costs.hypercall_ns * 4, "exit")
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
-        for vpn in list(proc.space.page_table.vpns()):
-            proc.space.unmap_page(vpn)
+        proc.space.unmap_range(0, _va_pages(machine))
 
     def memory_of(self, proc: Process) -> float:
         """A cloned VM shares nothing: its whole guest memory counts."""
@@ -188,8 +215,4 @@ class VMCloneOS(AbstractOS):
         )
 
     def private_bytes(self, proc: Process) -> int:
-        page = self.machine.config.page_size
-        return sum(
-            page for _vpn, pte in proc.space.page_table.entries()
-            if self.machine.phys.refcount(pte.frame) == 1
-        )
+        return private_bytes(proc.space)

@@ -59,7 +59,7 @@ def run_chaos(seed: int = 7, iterations: int = 200,
     failures: Dict[str, int] = {}
     for index in range(iterations):
         op = rng.choice(("fork", "pipe", "file", "malloc"))
-        children: List[GuestContext] = []
+        children: List[Any] = []
         try:
             if op == "fork":
                 _op_fork(parent, children, rng)

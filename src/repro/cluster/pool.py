@@ -86,13 +86,12 @@ class WarmPool:
         machine = self.session.machine
         page = machine.config.page_size
         proc = worker.proc
-        table = os_.space.page_table
+        refcount = machine.phys.refcount
         return {
-            vpn
-            for vpn in range(proc.region_base // page,
-                             proc.region_top // page)
-            if (pte := table.get(vpn)) is not None
-            and machine.phys.refcount(pte.frame) == 1
+            vpn for vpn, frame, _perms, _cow, _note
+            in os_.space.mapped_items(proc.region_base // page,
+                                      proc.region_top // page)
+            if refcount(frame) == 1
         }
 
     def divergent_bytes(self, worker: Any = None) -> int:

@@ -116,11 +116,10 @@ def _chaos_seed(seed: int, scenario_name: str, schedule: Schedule) -> int:
 class _Watcher:
     """on_step callback: invariants at every preemption point, stopping
     at the first violation (the kernel state is already broken; later
-    checks would only echo it); optionally fingerprints every state."""
+    checks would only echo it); fingerprints every state."""
 
-    def __init__(self, os_: Any, collect_states: bool) -> None:
+    def __init__(self, os_: Any) -> None:
         self.os_ = os_
-        self.collect_states = collect_states
         self.violations: List[str] = []
         self.states: Set[str] = set()
         self.steps = 0
@@ -129,14 +128,12 @@ class _Watcher:
         self.steps += 1
         if not self.violations:
             self.violations = check_invariants(self.os_)
-        if self.collect_states:
-            self.states.add(state_fingerprint(self.os_, run))
+        self.states.add(state_fingerprint(self.os_, run))
 
 
 def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
                   seed: int, schedule: Schedule,
-                  chaos_mix: Optional[str] = None,
-                  collect_states: bool = True
+                  chaos_mix: Optional[str] = None
                   ) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any],
                              List[Dict[str, Any]]]:
     """Execute one schedule; returns (trace|None, meta, violations).
@@ -161,7 +158,7 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
     def on_step(os2: Any, run: Any) -> None:
         nonlocal watcher, baseline
         if watcher is None:
-            watcher = _Watcher(os2, collect_states)
+            watcher = _Watcher(os2)
             baseline = frame_baseline(os2)
         watcher(os2, run)
 
@@ -229,7 +226,7 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
 
 def explore(scenario: Scenario, strategy: str = "copa", num_cpus: int = 2,
             seed: int = 0, depth_bound: int = 3, budget: int = 600,
-            prune: bool = True, coverage: bool = True,
+            prune: bool = True,
             chaos_mix: Optional[str] = None) -> Dict[str, Any]:
     """Explore up to ``budget`` distinct schedules of one scenario.
 
@@ -264,7 +261,7 @@ def explore(scenario: Scenario, strategy: str = "copa", num_cpus: int = 2,
                 ) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any], int]:
         trace, meta, violations = _run_schedule(
             scenario, strategy, num_cpus, seed, schedule,
-            chaos_mix=chaos_mix, collect_states=coverage)
+            chaos_mix=chaos_mix)
         result["schedules"] += 1
         result["max_depth"] = max(result["max_depth"], len(schedule))
         result["violations"].extend(violations)
@@ -272,10 +269,8 @@ def explore(scenario: Scenario, strategy: str = "copa", num_cpus: int = 2,
             result["chaos_deaths"] += 1
         if trace is not None:
             trace_digests.add(trace_sha256(trace))
-        novelty = 0
-        if coverage:
-            novelty = len(meta["states"] - seen_states)
-            seen_states.update(meta["states"])
+        novelty = len(meta["states"] - seen_states)
+        seen_states.update(meta["states"])
         return trace, meta, novelty
 
     base_trace, base_meta, base_novelty = run_one({})

@@ -56,37 +56,31 @@ def migrate(os: Any, proc: Process) -> int:
     delta_pages = (new_base - old_base) // page
     shm_vpns = getattr(proc, "shm_vpns", set())
 
-    moved = []
-    for vpn in range(old_base // page, old_top // page):
-        pte = os.space.page_table.get(vpn)
-        if pte is None:
-            continue
+    lo, hi = old_base // page, old_top // page
+    items = os.space.mapped_items(lo, hi)
+    for vpn, frame, perms_int, _cow, note in items:
         new_vpn = vpn + delta_pages
         if vpn in shm_vpns:
             # shared memory: same frame, new address, no relocation
-            os.space.map_page(new_vpn, pte.frame, pte.perms, incref=True)
+            os.space.map_page(new_vpn, frame, perms_int, incref=True)
             machine.charge(machine.costs.pte_copy_ns, "migrate_pte")
-            moved.append(vpn)
             continue
-        shared = machine.phys.refcount(pte.frame) > 1
-        note = pte.note if isinstance(pte.note, ShareNote) else None
-        perms = note.orig_perms if note is not None else pte.perms
+        shared = machine.phys.refcount(frame) > 1
+        perms = note.orig_perms if isinstance(note, ShareNote) \
+            else perms_int
         if shared:
             # a forked child still depends on the original frame: take a
             # private copy for the migrated parent (CoW-break style)
-            new_frame = machine.phys.copy_frame(pte.frame,
-                                                preserve_tags=True)
+            new_frame = machine.phys.copy_frame(frame, preserve_tags=True)
             machine.emit(counter="migrate_page_copies")
         else:
-            new_frame = pte.frame
+            new_frame = frame
             machine.phys.incref(new_frame)  # balanced by unmap below
             machine.charge(machine.costs.pte_copy_ns, "migrate_pte")
         relocate_frame(machine, machine.phys.frame(new_frame), regions)
         os.space.map_page(new_vpn, new_frame, perms)
-        moved.append(vpn)
 
-    for vpn in moved:
-        os.space.unmap_page(vpn)
+    os.space.unmap_range(lo, hi)
     os.vspace.release(old_base)
 
     # post-move phase: identity and roots
@@ -113,7 +107,7 @@ def migrate(os: Any, proc: Process) -> int:
     )
     proc.allocator.attach_lazy()
     machine.emit("migrate", counter="migrations", pid=proc.pid,
-                 old_base=old_base, new_base=new_base, pages=len(moved))
+                 old_base=old_base, new_base=new_base, pages=len(items))
     record_flow(machine, "migrate", proc.pid, proc.pid,
                 proc.region_base, proc.region_top)
     return new_base

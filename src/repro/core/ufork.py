@@ -172,7 +172,7 @@ class UForkOS(AbstractOS):
     def _handle_demand_zero(self, vaddr: int) -> bool:
         page = self.machine.config.page_size
         vpn = vaddr // page
-        if self.space.page_table.get(vpn) is not None:
+        if self.space.frame_of(vpn) is not None:
             return False
         for lo, hi in self._demand_zero.values():
             if lo <= vaddr < hi:
@@ -576,12 +576,12 @@ class UForkOS(AbstractOS):
     def private_bytes(self, proc: Process) -> int:
         """Bytes of the region backed by frames only this process maps."""
         page = self.machine.config.page_size
-        total = 0
-        for vpn in range(proc.region_base // page, proc.region_top // page):
-            pte = self.space.page_table.get(vpn)
-            if pte is not None and self.machine.phys.refcount(pte.frame) == 1:
-                total += page
-        return total
+        refcount = self.machine.phys.refcount
+        return page * sum(
+            1 for _vpn, frame, _perms, _cow, _note
+            in self.space.mapped_items(proc.region_base // page,
+                                       proc.region_top // page)
+            if refcount(frame) == 1)
 
 
 def _eager_copy_records(copy_items, caps, delta_pages):

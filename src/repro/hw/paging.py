@@ -1,45 +1,44 @@
-"""Page tables, address spaces, and fault dispatch.
+"""Address spaces: page-table state, access methods and fault dispatch.
 
 An :class:`AddressSpace` is a page table bound to the machine's physical
 memory.  The SASOS owns exactly one (kernel and every μprocess live in
-it); the monolithic baseline creates one per process.
+it); the monolithic and VM-clone baselines create one per process.
 
 Faults are the extension point that makes the μFork copy strategies
 work: when an access violates page permissions (or hits an unmapped
 page) the address space charges the fault cost and calls the registered
 fault handler.  CoW, CoA and CoPA are all implemented as fault handlers
-(:mod:`repro.core.strategies`); the dedicated *capability-load* access
-kind models CHERI's fault-on-capability-load page permission that CoPA
-requires (§4.2).
+(:mod:`repro.core.strategies`, :mod:`repro.baselines.monolithic`); the
+dedicated *capability-load* access kind models CHERI's
+fault-on-capability-load page permission that CoPA requires (§4.2).
 
-The :class:`PageTable` keeps PTE state in dense per-chunk parallel
-arrays (docs/ARCHITECTURE.md "Vectorized engine") — an ``array('q')``
-of frame numbers, a ``bytearray`` of permission bits and a
-``bytearray`` of CoW marks, :data:`CHUNK` vpns per chunk — with the
-free-form ``note`` slot in a sparse side dict.  :meth:`PageTable.get`
-hands out interned write-through :class:`_PteView` objects so
-``pte.perms = x`` call sites work, while the bulk operations
-(:meth:`AddressSpace.mapped_items` / :meth:`AddressSpace.map_run` /
-:meth:`AddressSpace.unmap_range`) and the inlined walk fast paths
-touch the arrays directly.
+PTE state lives in dense per-chunk parallel arrays (docs/ARCHITECTURE.md
+"Vectorized engine") — an ``array('q')`` of frame numbers, a
+``bytearray`` of permission bits and a ``bytearray`` of CoW marks,
+:data:`CHUNK` vpns per chunk — with the free-form ``note`` slot in a
+sparse side dict.  There are no per-entry objects: callers read raw
+``(vpn, frame, perms_int, cow, note)`` state through
+:meth:`AddressSpace.mapped_items` / :meth:`AddressSpace.frame_of` /
+:meth:`AddressSpace.noted_mappings` and write it through the single-vpn
+ops (``map_page``/``protect_page``/``privatize_page``/``set_note``/
+``unmap_page``) or their run forms (``map_run``/``protect_run``/
+``unmap_range``).
 
-Iteration over the table is *stable*: entries come out in ascending
-vpn order, so walks, teardown frees and audits behave identically
-whatever the insertion history.
+Sweeps are *stable*: entries come out in ascending vpn order, so walks,
+teardown frees and audits behave identically whatever the insertion
+history.
 
-Callers outside :mod:`repro.hw` must stay on the public surface —
-``get``/``entries``/``map_page``/``mapped_items``/... — and never touch
-``_entries`` or the chunk arrays; ``tests/test_memory_api_clean.py``
-enforces that contract by grep.
+Callers outside :mod:`repro.hw` must stay on that surface and never
+touch the chunk arrays; ``tests/test_memory_api_clean.py`` enforces the
+contract by grep.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import Enum, IntFlag, auto
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
@@ -129,19 +128,6 @@ _READ_BITS = AccessKind.READ._req_bits
 _WRITE_BITS = AccessKind.WRITE._req_bits
 
 
-@dataclass(slots=True)
-class PTE:
-    """One page-table entry."""
-
-    frame: int
-    perms: PagePerm
-    #: classic copy-on-write marker (monolithic baseline)
-    cow: bool = False
-    #: free-form slot for the owning OS (μFork strategies stash the
-    #: fork-sharing record here)
-    note: Any = None
-
-
 #: vpns per page-table chunk (2^9 → a chunk covers 2 MiB
 #: of VA at 4 KiB pages, one dict probe per chunk on the walk)
 CHUNK_SHIFT = 9
@@ -153,174 +139,6 @@ _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 
 #: ``_MAPPED(frame)`` — is a chunk slot mapped (unmapped slots hold -1)
 _MAPPED = (-1).__lt__
-
-
-class _PteView:
-    """A write-through PTE facade over one :class:`PageTable` slot.
-
-    Mutating ``view.perms``/``view.frame``/``view.cow``/``view.note``
-    writes straight into the chunk arrays, so caller code written
-    against the :class:`PTE` dataclass works unchanged.  Views are
-    interned per vpn (one live object per mapped page, like one ``PTE``
-    per mapped page before) and detached on unmap.
-    """
-
-    __slots__ = ("_table", "_vpn", "_chunk", "_index")
-
-    def __init__(self, table: "PageTable", vpn: int) -> None:
-        self._table = table
-        self._vpn = vpn
-        self._chunk = vpn >> CHUNK_SHIFT
-        self._index = vpn & _CHUNK_MASK
-
-    @property
-    def frame(self) -> int:
-        return self._table._frames[self._chunk][self._index]
-
-    @frame.setter
-    def frame(self, value: int) -> None:
-        self._table._frames[self._chunk][self._index] = value
-
-    @property
-    def perms(self) -> PagePerm:
-        return PagePerm(self._table._perms[self._chunk][self._index])
-
-    @perms.setter
-    def perms(self, value: PagePerm) -> None:
-        self._table._perms[self._chunk][self._index] = int(value)
-
-    @property
-    def cow(self) -> bool:
-        return bool(self._table._cow[self._chunk][self._index])
-
-    @cow.setter
-    def cow(self, value: bool) -> None:
-        self._table._cow[self._chunk][self._index] = 1 if value else 0
-
-    @property
-    def note(self) -> Any:
-        return self._table._notes.get(self._vpn)
-
-    @note.setter
-    def note(self, value: Any) -> None:
-        if value is None:
-            self._table._notes.pop(self._vpn, None)
-        else:
-            self._table._notes[self._vpn] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"_PteView(vpn={self._vpn:#x}, frame={self.frame}, "
-                f"perms={self.perms!r}, cow={self.cow})")
-
-
-class PageTable:
-    """Dense chunked parallel-array page table.
-
-    State lives in per-chunk parallel arrays (see module docstring)
-    that the address-space fast paths and bulk operations index
-    directly.
-    """
-
-    def __init__(self) -> None:
-        self._frames: Dict[int, array] = {}
-        self._perms: Dict[int, bytearray] = {}
-        self._cow: Dict[int, bytearray] = {}
-        self._notes: Dict[int, Any] = {}
-        #: chunk id -> {vpn: interned view}, so a chunk's views go with
-        #: its arrays
-        self._views: Dict[int, Dict[int, _PteView]] = {}
-        self._chunk_len: Dict[int, int] = {}
-        self._len = 0
-
-    # -- chunk plumbing ---------------------------------------------------
-
-    def _chunk_for(self, chunk_id: int) -> array:
-        frames = self._frames.get(chunk_id)
-        if frames is None:
-            frames = self._frames[chunk_id] = array("q", _EMPTY_FRAMES)
-            self._perms[chunk_id] = bytearray(CHUNK)
-            self._cow[chunk_id] = bytearray(CHUNK)
-            self._views[chunk_id] = {}
-            self._chunk_len[chunk_id] = 0
-        return frames
-
-    def _drop_slot(self, chunk_id: int, index: int, vpn: int) -> None:
-        self._frames[chunk_id][index] = -1
-        self._perms[chunk_id][index] = 0
-        self._cow[chunk_id][index] = 0
-        self._notes.pop(vpn, None)
-        self._views[chunk_id].pop(vpn, None)
-        self._len -= 1
-        remaining = self._chunk_len[chunk_id] - 1
-        if remaining:
-            self._chunk_len[chunk_id] = remaining
-        else:
-            del self._frames[chunk_id]
-            del self._perms[chunk_id]
-            del self._cow[chunk_id]
-            del self._views[chunk_id]
-            del self._chunk_len[chunk_id]
-
-    def _chunks_in(self, lo_vpn: int, hi_vpn: int) -> List[int]:
-        """Ids of the live chunks overlapping [lo, hi), ascending."""
-        chunks = self._frames
-        lo_chunk = lo_vpn >> CHUNK_SHIFT
-        hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
-        if hi_chunk - lo_chunk > len(chunks):
-            return sorted(c for c in chunks if lo_chunk <= c < hi_chunk)
-        return [c for c in range(lo_chunk, hi_chunk) if c in chunks]
-
-    # -- vpn-level surface ------------------------------------------------
-
-    def get(self, vpn: int) -> Optional[_PteView]:
-        chunk_id = vpn >> CHUNK_SHIFT
-        frames = self._frames.get(chunk_id)
-        if frames is None or frames[vpn & _CHUNK_MASK] < 0:
-            return None
-        views = self._views[chunk_id]
-        view = views.get(vpn)
-        if view is None:
-            view = views[vpn] = _PteView(self, vpn)
-        return view
-
-    def remove(self, vpn: int) -> PTE:
-        chunk_id = vpn >> CHUNK_SHIFT
-        index = vpn & _CHUNK_MASK
-        frames = self._frames.get(chunk_id)
-        if frames is None or frames[index] < 0:
-            raise KeyError(vpn)
-        snapshot = PTE(
-            frame=frames[index],
-            perms=PagePerm(self._perms[chunk_id][index]),
-            cow=bool(self._cow[chunk_id][index]),
-            note=self._notes.get(vpn),
-        )
-        self._drop_slot(chunk_id, index, vpn)
-        return snapshot
-
-    def __contains__(self, vpn: int) -> bool:
-        frames = self._frames.get(vpn >> CHUNK_SHIFT)
-        return frames is not None and frames[vpn & _CHUNK_MASK] >= 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def entries(self) -> Iterator[Tuple[int, _PteView]]:
-        for chunk_id in sorted(self._frames):
-            frames = self._frames[chunk_id]
-            base = chunk_id << CHUNK_SHIFT
-            for index in range(CHUNK):
-                if frames[index] >= 0:
-                    vpn = base + index
-                    yield vpn, self.get(vpn)
-
-    def vpns(self) -> Iterator[int]:
-        for chunk_id in sorted(self._frames):
-            frames = self._frames[chunk_id]
-            base = chunk_id << CHUNK_SHIFT
-            for index in range(CHUNK):
-                if frames[index] >= 0:
-                    yield base + index
 
 
 def _drop_vpns(entries: Dict[int, Any], lo_vpn: int, hi_vpn: int) -> None:
@@ -351,7 +169,14 @@ class AddressSpace:
     def __init__(self, machine: Any, name: str = "as") -> None:
         self.machine = machine
         self.name = name
-        self.page_table = PageTable()
+        #: chunk id -> per-slot frame numbers (-1 = unmapped), permission
+        #: bits and CoW marks; vpn -> note for the noted slots; chunk id
+        #: -> mapped slots (a chunk is dropped when it empties)
+        self._frames: Dict[int, array] = {}
+        self._perms: Dict[int, bytearray] = {}
+        self._cow: Dict[int, bytearray] = {}
+        self._notes: Dict[int, Any] = {}
+        self._chunk_len: Dict[int, int] = {}
         self.fault_handler: Optional[FaultHandler] = None
         #: optional bulk CoW-break hook for :meth:`write_run`: called as
         #: ``hook(space, vaddrs)`` with the first store address of each
@@ -365,7 +190,8 @@ class AddressSpace:
         #: generation stamp matches, the *live* permission byte is
         #: re-checked on every hit (so permission narrowing — CoW/CoPA
         #: sharing — can never be bypassed), and every single-vpn table
-        #: edit (map/unmap/replace_frame) pops exactly its own entry.
+        #: edit (map/unmap/privatize) replaces or pops exactly its own
+        #: entry.
         self._walk_cache: Dict[int, Tuple[bytearray, int, Frame]] = {}
         #: generation of the cached entries: the machine-wide TLB
         #: flush/shootdown generation (cross-core invalidations clear
@@ -376,59 +202,98 @@ class AddressSpace:
         #: machine construction
         self._charge_memo: Dict[int, int] = {}
 
+    # -- chunk plumbing -----------------------------------------------------
+
+    def _chunk_for(self, chunk_id: int) -> array:
+        frames = self._frames.get(chunk_id)
+        if frames is None:
+            frames = self._frames[chunk_id] = array("q", _EMPTY_FRAMES)
+            self._perms[chunk_id] = bytearray(CHUNK)
+            self._cow[chunk_id] = bytearray(CHUNK)
+            self._chunk_len[chunk_id] = 0
+        return frames
+
+    def _drop_chunk(self, chunk_id: int) -> None:
+        del self._frames[chunk_id]
+        del self._perms[chunk_id]
+        del self._cow[chunk_id]
+        del self._chunk_len[chunk_id]
+
+    def _chunks_in(self, lo_vpn: int, hi_vpn: int) -> List[int]:
+        """Ids of the live chunks overlapping [lo, hi), ascending."""
+        chunks = self._frames
+        lo_chunk = lo_vpn >> CHUNK_SHIFT
+        hi_chunk = (hi_vpn + _CHUNK_MASK) >> CHUNK_SHIFT
+        if hi_chunk - lo_chunk > len(chunks):
+            return sorted(c for c in chunks if lo_chunk <= c < hi_chunk)
+        return [c for c in range(lo_chunk, hi_chunk) if c in chunks]
+
+    def _slot(self, vpn: int) -> Tuple[int, int, array]:
+        """``(chunk id, index, chunk frames)`` of a mapped vpn; raises
+        :class:`KeyError` when it is unmapped."""
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        frames = self._frames.get(chunk_id)
+        if frames is None or frames[index] < 0:
+            raise KeyError(f"vpn {vpn:#x} not mapped")
+        return chunk_id, index, frames
+
     # -- mapping ------------------------------------------------------------
 
     def map_page(self, vpn: int, frame: int, perms: PagePerm,
                  incref: bool = False, cow: bool = False,
-                 note: Any = None) -> Any:
-        table = self.page_table
+                 note: Any = None) -> None:
         chunk_id = vpn >> CHUNK_SHIFT
         index = vpn & _CHUNK_MASK
-        frames = table._chunk_for(chunk_id)
+        frames = self._chunk_for(chunk_id)
         if frames[index] >= 0:
             raise ValueError(f"vpn {vpn:#x} already mapped in {self.name}")
         if incref:
             self.machine.phys.incref(frame)
         frames[index] = frame
-        table._perms[chunk_id][index] = int(perms)
-        table._cow[chunk_id][index] = 1 if cow else 0
+        self._perms[chunk_id][index] = int(perms)
+        self._cow[chunk_id][index] = 1 if cow else 0
         if note is not None:
-            table._notes[vpn] = note
-        table._len += 1
-        table._chunk_len[chunk_id] += 1
+            self._notes[vpn] = note
+        self._chunk_len[chunk_id] += 1
         # single-vpn edit: only this translation can change, so the walk
         # cache drops exactly this entry instead of a full generation
         # bump (which would clear the whole cache on every CoW break)
         self._walk_cache.pop(vpn, None)
-        return table.get(vpn)
 
     def unmap_page(self, vpn: int, decref: bool = True) -> int:
-        pte = self.page_table.remove(vpn)
+        chunk_id, index, frames = self._slot(vpn)
+        frame = frames[index]
+        frames[index] = -1
+        self._perms[chunk_id][index] = 0
+        self._cow[chunk_id][index] = 0
+        self._notes.pop(vpn, None)
+        remaining = self._chunk_len[chunk_id] - 1
+        if remaining:
+            self._chunk_len[chunk_id] = remaining
+        else:
+            self._drop_chunk(chunk_id)
         if decref:
-            self.machine.phys.decref(pte.frame)
+            self.machine.phys.decref(frame)
         self._walk_cache.pop(vpn, None)
-        return pte.frame
+        return frame
 
     def protect_page(self, vpn: int, perms: PagePerm) -> None:
-        table = self.page_table
-        chunk_id = vpn >> CHUNK_SHIFT
-        index = vpn & _CHUNK_MASK
-        frames = table._frames.get(chunk_id)
-        if frames is None or frames[index] < 0:
-            raise KeyError(f"vpn {vpn:#x} not mapped")
+        chunk_id, index, _frames = self._slot(vpn)
         # in-place permission write: cached walk entries alias this
         # byte, so narrowing takes effect on their very next probe
-        table._perms[chunk_id][index] = int(perms)
+        self._perms[chunk_id][index] = int(perms)
 
     def protect_run(self, start_vpn: int, count: int,
-                    perms: PagePerm) -> None:
-        """:meth:`protect_page` for ``count`` consecutive vpns.
+                    perms: PagePerm, cow: bool = False) -> None:
+        """:meth:`protect_page` for ``count`` consecutive vpns, setting
+        their CoW marks to ``cow`` too.
 
         Charge-free, like :meth:`protect_page`.  Validate-all-then-
         write: an unmapped vpn anywhere in the run raises before any
-        permission changes; each chunk's span is then one slice write.
+        permission changes; each chunk's span is then one slice write
+        per array.
         """
-        table = self.page_table
         spans = []
         vpn = start_vpn
         remaining = count
@@ -436,7 +301,7 @@ class AddressSpace:
             chunk_id = vpn >> CHUNK_SHIFT
             index = vpn & _CHUNK_MASK
             take = min(remaining, CHUNK - index)
-            frames = table._frames.get(chunk_id)
+            frames = self._frames.get(chunk_id)
             if frames is None or min(frames[index:index + take]) < 0:
                 bad = next(v for v in range(vpn, vpn + take)
                            if frames is None
@@ -445,39 +310,23 @@ class AddressSpace:
             spans.append((chunk_id, index, take))
             vpn += take
             remaining -= take
-        value = int(perms)
+        perm_byte = bytes([int(perms)])
+        cow_byte = b"\x01" if cow else b"\x00"
         for chunk_id, index, take in spans:
-            table._perms[chunk_id][index:index + take] = \
-                bytes([value]) * take
-
-    def replace_frame(self, vpn: int, frame: int, decref_old: bool = True) -> None:
-        """Point an existing mapping at a different frame (CoW break)."""
-        frames = self.page_table._frames.get(vpn >> CHUNK_SHIFT)
-        index = vpn & _CHUNK_MASK
-        if frames is None or frames[index] < 0:
-            raise KeyError(f"vpn {vpn:#x} not mapped")
-        if decref_old:
-            self.machine.phys.decref(frames[index])
-        frames[index] = frame
-        # the cached tuple holds the *old* Frame object; drop this vpn
-        self._walk_cache.pop(vpn, None)
+            self._perms[chunk_id][index:index + take] = perm_byte * take
+            self._cow[chunk_id][index:index + take] = cow_byte * take
 
     def privatize_page(self, vpn: int, perms: PagePerm,
                        new_frame: Optional[int] = None,
                        decref_old: bool = True) -> None:
-        """CoW-break fusion: optionally repoint ``vpn`` at ``new_frame``
-        (decref'ing the old frame unless the caller already settled the
-        refcount), restore ``perms`` and clear the share note —
-        :meth:`replace_frame` + :meth:`protect_page` + :meth:`set_note`
-        semantics in one slot visit, because the fault path runs this
-        once per broken page.
+        """Make ``vpn`` a private mapping: optionally repoint it at
+        ``new_frame`` (decref'ing the old frame unless the caller already
+        settled the refcount), set ``perms``, and clear the CoW mark and
+        the share note — in one slot visit, because both kernels' CoW
+        breaks (μFork's sharing faults, the baselines' classic CoW) run
+        this once per broken page.
         """
-        table = self.page_table
-        chunk_id = vpn >> CHUNK_SHIFT
-        index = vpn & _CHUNK_MASK
-        frames = table._frames.get(chunk_id)
-        if frames is None or frames[index] < 0:
-            raise KeyError(f"vpn {vpn:#x} not mapped")
+        chunk_id, index, frames = self._slot(vpn)
         if new_frame is not None:
             if decref_old:
                 self.machine.phys.decref(frames[index])
@@ -488,14 +337,15 @@ class AddressSpace:
             # never a simulated charge)
             if self.machine.translation_gen == self._walk_stamp:
                 self._walk_cache[vpn] = (
-                    table._perms[chunk_id], index,
+                    self._perms[chunk_id], index,
                     self.machine.phys.frame(new_frame))
             else:
                 self._walk_cache.pop(vpn, None)
         # in-place permission write: cached walk entries alias this byte
         # (see :meth:`protect_page`)
-        table._perms[chunk_id][index] = int(perms)
-        table._notes.pop(vpn, None)
+        self._perms[chunk_id][index] = int(perms)
+        self._cow[chunk_id][index] = 0
+        self._notes.pop(vpn, None)
 
     # -- bulk mapping interface (docs/ARCHITECTURE.md "Vectorized engine") --
 
@@ -504,17 +354,16 @@ class AddressSpace:
         """All mappings with ``lo_vpn <= vpn < hi_vpn``, ascending.
 
         Returns ``(vpn, frame, perms_int, cow, note)`` tuples — the raw
-        PTE state, no view/PTE objects — so walkers (fork, snapshot,
-        audit) can sweep a region without per-page ``get`` calls.
+        PTE state — so walkers (fork, snapshot, audit) sweep a region
+        without a per-page call.
         """
         out: List[Tuple[int, int, int, bool, Any]] = []
-        table = self.page_table
-        chunks = table._frames
-        notes = table._notes
-        for chunk_id in table._chunks_in(lo_vpn, hi_vpn):
+        chunks = self._frames
+        notes = self._notes
+        for chunk_id in self._chunks_in(lo_vpn, hi_vpn):
             frames = chunks[chunk_id]
-            perms = table._perms[chunk_id]
-            cow = table._cow[chunk_id]
+            perms = self._perms[chunk_id]
+            cow = self._cow[chunk_id]
             base = chunk_id << CHUNK_SHIFT
             start = max(lo_vpn - base, 0)
             stop = min(hi_vpn - base, CHUNK)
@@ -531,15 +380,13 @@ class AddressSpace:
         """``(vpn, frame, perms_int, note)`` for every mapped vpn with a
         note, ascending vpn.
 
-        The raw PTE state of the noted pages, like :meth:`mapped_items`
-        (no view/``PagePerm`` objects), served from the sparse note dict
-        — the share-note audit's sweep.
+        The raw PTE state of the noted pages, like :meth:`mapped_items`,
+        served from the sparse note dict — the share-note audit's sweep.
         """
-        table = self.page_table
-        chunks = table._frames
-        perms = table._perms
+        chunks = self._frames
+        perms = self._perms
         out: List[Tuple[int, int, int, Any]] = []
-        for vpn, note in sorted(table._notes.items()):
+        for vpn, note in sorted(self._notes.items()):
             chunk_id = vpn >> CHUNK_SHIFT
             frames = chunks.get(chunk_id)
             if frames is None:
@@ -562,7 +409,6 @@ class AddressSpace:
         count = len(frames)
         if count == 0:
             return
-        table = self.page_table
         perms_int = int(perms)
         cow_int = 1 if cow else 0
         phys = self.machine.phys
@@ -572,7 +418,7 @@ class AddressSpace:
             chunk_id = vpn >> CHUNK_SHIFT
             index = vpn & _CHUNK_MASK
             take = min(CHUNK - index, count - position)
-            chunk_frames = table._chunk_for(chunk_id)
+            chunk_frames = self._chunk_for(chunk_id)
             if chunk_frames[index:index + take].count(-1) != take:
                 for slot in range(index, index + take):
                     if chunk_frames[slot] >= 0:
@@ -584,16 +430,15 @@ class AddressSpace:
                     phys.incref(frame)
             chunk_frames[index:index + take] = array(
                 "q", frames[position:position + take])
-            table._perms[chunk_id][index:index + take] = \
+            self._perms[chunk_id][index:index + take] = \
                 bytes([perms_int]) * take
             if cow_int:
-                table._cow[chunk_id][index:index + take] = b"\x01" * take
+                self._cow[chunk_id][index:index + take] = b"\x01" * take
             if note is not None:
-                notes = table._notes
+                notes = self._notes
                 for offset in range(take):
                     notes[vpn + offset] = note
-            table._len += take
-            table._chunk_len[chunk_id] += take
+            self._chunk_len[chunk_id] += take
             _drop_vpns(self._walk_cache, vpn, vpn + take)
             vpn += take
             position += take
@@ -604,17 +449,16 @@ class AddressSpace:
 
         Sweeps the chunk arrays directly: each chunk's window is sliced
         out for its frame numbers and slice-cleared (or the chunk is
-        dropped whole, views included, when the window held all its
-        mappings); the note and walk-cache entries of the range are
-        dropped in one pass each.  No per-vpn tuples are built.  Frames
-        are released in ascending vpn order — the same free-list order
-        the per-page ``unmap_page`` loop produces.
+        dropped whole when the window held all its mappings); the note
+        and walk-cache entries of the range are dropped in one pass
+        each.  No per-vpn tuples are built.  Frames are released in
+        ascending vpn order — the same free-list order the per-page
+        ``unmap_page`` loop produces.
         """
-        table = self.page_table
-        chunks = table._frames
-        chunk_len = table._chunk_len
+        chunks = self._frames
+        chunk_len = self._chunk_len
         released: List[int] = []
-        for chunk_id in table._chunks_in(lo_vpn, hi_vpn):
+        for chunk_id in self._chunks_in(lo_vpn, hi_vpn):
             frames = chunks[chunk_id]
             base = chunk_id << CHUNK_SHIFT
             start = max(lo_vpn - base, 0)
@@ -623,35 +467,28 @@ class AddressSpace:
             if not window:
                 continue
             released += window
-            take = len(window)
-            table._len -= take
-            remaining = chunk_len[chunk_id] - take
+            remaining = chunk_len[chunk_id] - len(window)
             if remaining:
                 chunk_len[chunk_id] = remaining
                 width = stop - start
                 frames[start:stop] = _EMPTY_FRAMES[:width]
-                table._perms[chunk_id][start:stop] = _ZEROS[:width]
-                table._cow[chunk_id][start:stop] = _ZEROS[:width]
-                _drop_vpns(table._views[chunk_id], base + start, base + stop)
+                self._perms[chunk_id][start:stop] = _ZEROS[:width]
+                self._cow[chunk_id][start:stop] = _ZEROS[:width]
             else:
-                del chunks[chunk_id]
-                del table._perms[chunk_id]
-                del table._cow[chunk_id]
-                del table._views[chunk_id]
-                del chunk_len[chunk_id]
+                self._drop_chunk(chunk_id)
         if not released:
             return 0
-        _drop_vpns(table._notes, lo_vpn, hi_vpn)
+        _drop_vpns(self._notes, lo_vpn, hi_vpn)
         _drop_vpns(self._walk_cache, lo_vpn, hi_vpn)
         if decref:
             self.machine.phys.decref_many(released)
         return len(released)
 
-    # -- single-slot accessors (fault-path helpers, no view objects) -------
+    # -- single-slot accessors ------------------------------------------------
 
     def frame_of(self, vpn: int) -> Optional[int]:
         """The frame mapped at ``vpn``, or None."""
-        frames = self.page_table._frames.get(vpn >> CHUNK_SHIFT)
+        frames = self._frames.get(vpn >> CHUNK_SHIFT)
         if frames is None:
             return None
         frame = frames[vpn & _CHUNK_MASK]
@@ -659,7 +496,7 @@ class AddressSpace:
 
     def note_of(self, vpn: int) -> Any:
         """The note stored at ``vpn`` (None when absent/unmapped)."""
-        return self.page_table._notes.get(vpn)
+        return self._notes.get(vpn)
 
     def set_note(self, vpn: int, note: Any) -> None:
         """Attach/replace/clear (``None``) the note of a mapped vpn."""
@@ -671,13 +508,9 @@ class AddressSpace:
         Validate-all-then-write: an unmapped vpn anywhere in the batch
         raises before any note is touched.
         """
-        table = self.page_table
-        chunks = table._frames
         for vpn in vpns:
-            frames = chunks.get(vpn >> CHUNK_SHIFT)
-            if frames is None or frames[vpn & _CHUNK_MASK] < 0:
-                raise KeyError(f"vpn {vpn:#x} not mapped")
-        notes = table._notes
+            self._slot(vpn)
+        notes = self._notes
         if note is None:
             for vpn in vpns:
                 notes.pop(vpn, None)
@@ -685,14 +518,7 @@ class AddressSpace:
             for vpn in vpns:
                 notes[vpn] = note
 
-    def noted_items(self) -> List[Tuple[int, Any]]:
-        """All (vpn, note) pairs with a non-None note, ascending vpn."""
-        return sorted(self.page_table._notes.items())
-
     # -- translation with fault dispatch ---------------------------------------
-
-    def _vpn(self, vaddr: int) -> int:
-        return vaddr // self._page_size
 
     def resolve(self, vaddr: int, kind: AccessKind,
                 privileged: bool = False) -> Tuple[Frame, int]:
@@ -721,11 +547,10 @@ class AddressSpace:
                 bits = kind._req_bits
                 if (perms[index] & bits) == bits:
                     return frame, vaddr % page_size
-        table = self.page_table
         chunk_id = vpn >> CHUNK_SHIFT
         index = vpn & _CHUNK_MASK
         for attempt in (0, 1):
-            frames = table._frames.get(chunk_id)
+            frames = self._frames.get(chunk_id)
             if frames is not None and frames[index] >= 0:
                 if privileged:
                     # only perm-complete walks are cached: a
@@ -733,7 +558,7 @@ class AddressSpace:
                     # user access
                     return (self.machine.phys.frame(frames[index]),
                             vaddr % page_size)
-                perms = table._perms[chunk_id]
+                perms = self._perms[chunk_id]
                 bits = kind._req_bits
                 if (perms[index] & bits) == bits:
                     frame = self.machine.phys.frame(frames[index])
@@ -743,7 +568,7 @@ class AddressSpace:
                 break
             if not self._dispatch_fault(vaddr, kind):
                 break
-        if vpn not in table:
+        if self.frame_of(vpn) is None:
             raise UnmappedAddressError(vaddr, kind._nm)
         raise ProtectionError(vaddr, kind._nm)
 
@@ -954,9 +779,8 @@ class AddressSpace:
         page-spanning store or an unmapped page — cases whose faults
         must fire per-op, in sequence order.
         """
-        table = self.page_table
-        chunks = table._frames
-        perms_map = table._perms
+        chunks = self._frames
+        perms_map = self._perms
         page_size = self._page_size
         seen = set()
         out: List[int] = []
@@ -1034,7 +858,8 @@ class AddressSpace:
         return len(self.mapped_items(lo_vpn, hi_vpn))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AddressSpace({self.name!r}, pages={len(self.page_table)})"
+        pages = sum(self._chunk_len.values())
+        return f"AddressSpace({self.name!r}, pages={pages})"
 
 
 # re-export for convenience
@@ -1042,8 +867,6 @@ __all__ = [
     "AccessKind",
     "AddressSpace",
     "FaultHandler",
-    "PTE",
     "PagePerm",
-    "PageTable",
     "CAP_SIZE",
 ]

@@ -470,7 +470,7 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
 
 def _undo_restore_pages(space: AddressSpace, mapped: List[int]) -> None:
     for vpn in mapped:
-        if vpn in space.page_table:
+        if space.frame_of(vpn) is not None:
             space.unmap_page(vpn)
 
 
@@ -568,7 +568,7 @@ def restore_into(os: Any, proc: Process, blob: bytes) -> int:
         data = bytes(payload[offset:offset + page])
         offset += page
         vpn = entry["vpn"] + delta_pages
-        if vpn in space.page_table:
+        if space.frame_of(vpn) is not None:
             # drop the target's page (a zygote-shared frame simply loses
             # one reference; the zygote side's ShareNote self-heals)
             space.unmap_page(vpn)

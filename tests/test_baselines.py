@@ -8,7 +8,9 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import GREETING, hello_world_image, run_hello
 from repro.baselines import MonolithicOS, VMCloneOS
 from repro.core import UForkOS
+from repro.errors import OutOfMemory
 from repro.machine import Machine
+from repro.params import MachineConfig
 
 ALL_OS = [UForkOS, MonolithicOS, VMCloneOS]
 
@@ -136,7 +138,7 @@ class TestMonolithic:
         added = os_.machine.phys.allocated_frames - frames_after_one
         # the second process added fewer frames than its full mapping
         # because library text frames are shared
-        assert added < len(list(b.proc.space.page_table.entries()))
+        assert added < b.proc.space.mapped_pages(0, 1 << 48)
 
     def test_allocator_touch_breaks_cow_lazily(self):
         os_ = boot(MonolithicOS)
@@ -155,7 +157,7 @@ class TestVMClone:
     def test_fork_copies_whole_guest(self):
         os_ = boot(VMCloneOS)
         parent = spawn_hello(os_)
-        mapped = len(list(parent.proc.space.page_table.entries()))
+        mapped = parent.proc.space.mapped_pages(0, 1 << 48)
         frames_before = os_.machine.phys.allocated_frames
         parent.fork()
         assert os_.machine.phys.allocated_frames - frames_before == mapped
@@ -185,7 +187,7 @@ class TestVMClone:
         parent = spawn_hello(os_)
         child = parent.fork()
         page = os_.machine.config.page_size
-        mapped = len(list(child.proc.space.page_table.entries()))
+        mapped = child.proc.space.mapped_pages(0, 1 << 48)
         assert os_.private_bytes(child.proc) == mapped * page
 
     def test_clone_memory_metric_about_1_6mb(self):
@@ -194,6 +196,26 @@ class TestVMClone:
         child = parent.fork()
         mem_mb = os_.memory_of(child.proc) / (1024 * 1024)
         assert 1.0 < mem_mb < 2.5  # paper: 1.6 MB
+
+    def test_failed_clone_leaks_nothing(self):
+        """A clone that runs out of frames leaves frames, fd refcounts
+        and the process tree as they were before the fork, so the pipe
+        still sees EOF once the parent closes its write end."""
+        os_ = VMCloneOS(machine=Machine(
+            config=MachineConfig(dram_bytes=400 * 4096)))
+        parent = spawn_hello(os_)
+        read_fd, write_fd = parent.syscall("pipe")
+        phys = os_.machine.phys
+        fds = parent.proc.fdtable
+        frames = phys.allocated_frames
+        with pytest.raises(OutOfMemory):
+            parent.fork()
+        assert phys.allocated_frames == frames
+        assert [fds.get(fd).refcount for fd in (read_fd, write_fd)] == [1, 1]
+        assert parent.proc.children == []
+        assert len(list(os_.procs.alive())) == 1
+        parent.syscall("close", write_fd)
+        assert parent.read_bytes(read_fd, 8) == b""
 
 
 class TestForkLatencyOrdering:

@@ -53,6 +53,7 @@ from repro.core.strategies import (
     parent_share_perms,
 )
 from repro.core.ufork import UForkOS
+from repro.hw.paging import PagePerm
 from repro.machine import Machine
 from repro.params import CostModel, MachineConfig
 
@@ -113,34 +114,36 @@ def _reference_copy_pages(os_, strategy, regions, delta_pages, eager,
     phys = machine.phys
     space = os_.space
     for vpn in range(lo, hi):
-        pte = space.page_table.get(vpn)
-        if pte is None:
+        found = space.mapped_items(vpn, vpn + 1)
+        if not found:
             continue
+        _vpn, frame, perms_int, _cow, note = found[0]
+        perms = PagePerm(perms_int)
         child_vpn = vpn + delta_pages
         if vpn in shm_vpns:
-            space.map_page(child_vpn, pte.frame, pte.perms, incref=True)
+            space.map_page(child_vpn, frame, perms, incref=True)
             machine.charge(costs.pte_bulk_share_ns, "fork_map")
             continue
-        shared = isinstance(pte.note, ShareNote)
-        orig = pte.note.orig_perms if shared else pte.perms
+        shared = isinstance(note, ShareNote)
+        orig = note.orig_perms if shared else perms
         if vpn in eager or strategy is CopyStrategy.FULL_COPY:
-            frame = phys.copy_frame(pte.frame, preserve_tags=True)
-            relocate_frame(machine, phys.frame(frame), regions)
-            space.map_page(child_vpn, frame, orig)
+            copy = phys.copy_frame(frame, preserve_tags=True)
+            relocate_frame(machine, phys.frame(copy), regions)
+            space.map_page(child_vpn, copy, orig)
             machine.charge(costs.pte_bulk_share_ns, "fork_map")
             machine.emit("fork_page_copy", counter="fork_page_copies",
                          metric="core.strategies.eager_page_copies",
                          vpn=child_vpn, eager=True)
             continue
-        space.map_page(child_vpn, pte.frame,
+        space.map_page(child_vpn, frame,
                        child_share_perms(strategy, orig), incref=True,
                        note=ShareNote("child", strategy, regions, orig))
         machine.charge(costs.pte_bulk_share_ns, "fork_map")
         if strategy is CopyStrategy.COA:
             machine.charge(costs.pte_coa_extra_ns, "fork_map")
-        pte.perms = parent_share_perms(orig)
+        space.protect_page(vpn, parent_share_perms(orig))
         if not shared:
-            pte.note = ShareNote("parent", strategy, regions, orig)
+            space.set_note(vpn, ShareNote("parent", strategy, regions, orig))
             newly_shared.append(vpn)
         machine.charge(costs.pte_protect_ns, "fork_protect")
 

@@ -43,9 +43,10 @@ def kernel_snapshot(os_, ctx):
     """Everything a leaky fork could perturb, deep-copied for compare."""
     machine = os_.machine
     ptes = {
-        vpn: (pte.frame, pte.perms, type(pte.note).__name__,
-              machine.phys.refcount(pte.frame))
-        for vpn, pte in os_.space.page_table.entries()
+        vpn: (frame, perms, type(note).__name__,
+              machine.phys.refcount(frame))
+        for vpn, frame, perms, _cow, note
+        in os_.space.mapped_items(0, 1 << 40)
     }
     descs = {fd: desc.refcount
              for fd, desc in ctx.proc.fdtable._slots.items()}
@@ -77,8 +78,9 @@ def test_abort_at_every_boundary_leaks_nothing(strategy, point):
     assert engine.recovered.get(point) == 1
     # no page in the whole table may still carry a fork-sharing note
     # pointing at a child that never came to be
-    for _vpn, pte in os_.space.page_table.entries():
-        assert not isinstance(pte.note, ShareNote)
+    for _vpn, _frame, _perms, _cow, note in \
+            os_.space.mapped_items(0, 1 << 40):
+        assert not isinstance(note, ShareNote)
 
     # parent is fully functional: its state is intact and, with the
     # chaos cleared, the very same fork now succeeds

@@ -2,8 +2,7 @@
 
 The vectorized engine (docs/ARCHITECTURE.md "Vectorized engine") keeps
 its storage representation behind one narrow surface on
-:class:`~repro.hw.paging.PageTable`/:class:`~repro.hw.paging.AddressSpace`
-and :class:`~repro.hw.phys.PhysicalMemory`/:class:`~repro.hw.phys.Frame`.
+:class:`~repro.hw.paging.AddressSpace` and :class:`~repro.hw.phys.PhysicalMemory`/:class:`~repro.hw.phys.Frame`.
 That only stays true if no caller outside ``repro.hw`` (and the
 layout-owning ``repro.mem``) reaches into the representation: the flat
 chunked arrays and banked arenas must be a private detail.
@@ -15,9 +14,12 @@ anything it finds must either move to the public bulk interface
 ``snapshot_content``/...) or be
 added to the hw/mem layers themselves.
 
-A second grep keeps the retired twin engine retired: there is one
-memory representation, so no source, test, example or doc may name
-the old host-speed switch, its package or its per-object flags.
+Two more greps keep retired surfaces retired.  There is one memory
+representation, so no source, test, example or doc may name the old
+host-speed switch, its package or its per-object flags.  There is one
+page-table surface, the raw range API on ``AddressSpace``, so none may
+name the retired per-entry view facade, its table class, the space
+attribute that held it, or its frame-swap and note-listing helpers.
 """
 
 import pathlib
@@ -44,7 +46,12 @@ REPO_ROOT = REPO_SRC.parent.parent
 _RETIRED = re.compile(
     r"REPRO_PER[F]|repro\.per[f]|per[f]_(en|dis)abled|\.[_]perf\b")
 
-#: the trees that must not mention it
+#: names of the retired per-entry page-table view surface (character
+#: classes again keep this file from matching itself)
+_RETIRED_PAGING = re.compile(
+    r"page[_]table|_Pte[V]iew|Page[T]able|replace[_]frame|noted[_]items")
+
+#: the trees that must not mention either
 _RETIRED_SCAN = ("src", "tests", "examples", "docs")
 
 
@@ -70,7 +77,7 @@ def test_no_representation_access_outside_hw_and_mem():
         + "\n".join(violations))
 
 
-def test_retired_perf_switch_is_gone():
+def _mentions(pattern):
     found = []
     for tree in _RETIRED_SCAN:
         for path in sorted((REPO_ROOT / tree).rglob("*")):
@@ -79,8 +86,20 @@ def test_retired_perf_switch_is_gone():
             rel = path.relative_to(REPO_ROOT).as_posix()
             for lineno, line in enumerate(
                     path.read_text(encoding="utf-8").splitlines(), start=1):
-                if _RETIRED.search(line):
+                if pattern.search(line):
                     found.append(f"{rel}:{lineno}: {line.strip()}")
+    return found
+
+
+def test_retired_perf_switch_is_gone():
+    found = _mentions(_RETIRED)
     assert not found, (
         "references to the retired twin engine (there is one memory "
         "representation):\n" + "\n".join(found))
+
+
+def test_retired_pte_view_surface_is_gone():
+    found = _mentions(_RETIRED_PAGING)
+    assert not found, (
+        "references to the retired page-table view surface (callers use "
+        "the raw range API on AddressSpace):\n" + "\n".join(found))

@@ -102,12 +102,9 @@ class TestMigrate:
         old_base, old_top = ctx.proc.region_base, ctx.proc.region_top
         os_.migrate(ctx.proc)
         page = os_.machine.config.page_size
-        for vpn in range(ctx.proc.region_base // page,
-                         ctx.proc.region_top // page):
-            pte = os_.space.page_table.get(vpn)
-            if pte is None:
-                continue
-            frame = os_.machine.phys.frame(pte.frame)
+        for _vpn, number, _perms, _cow, _note in os_.space.mapped_items(
+                ctx.proc.region_base // page, ctx.proc.region_top // page):
+            frame = os_.machine.phys.frame(number)
             for offset in frame.tagged_granules():
                 cap = frame.load_cap(offset, os_.machine.codec)
                 if cap.valid and not cap.is_sentry:

@@ -687,13 +687,32 @@ class TestAddressSpace:
         space.write(base + 4, b"\x00")
         assert not space.load_cap(base).valid
 
-    def test_replace_frame(self, machine):
-        space, base = self.make_space(machine, pages=1)
-        space.write(base, b"old")
-        vpn = base // self.PAGE
-        new_frame = machine.phys.alloc()
-        space.replace_frame(vpn, new_frame)
-        assert space.read(base, 3) == b"\x00\x00\x00"
+    def test_privatize_page_repoints_and_clears_cow_and_note(self, machine):
+        space = AddressSpace(machine, "test")
+        old = machine.phys.alloc()
+        space.map_page(7, old, PagePerm.read_only(), cow=True, note="n")
+        space.write(7 * self.PAGE, b"old", privileged=True)
+        new = machine.phys.alloc()
+        space.privatize_page(7, PagePerm.rwc(), new)
+        assert space.mapped_items(7, 8) == [
+            (7, new, int(PagePerm.rwc()), False, None)]
+        assert not machine.phys.contains(old)
+        assert space.read(7 * self.PAGE, 3) == b"\x00\x00\x00"
+
+    def test_protect_run_sets_perms_and_cow_marks(self, machine):
+        space = AddressSpace(machine, "test")
+        frames = [machine.phys.alloc() for _ in range(3)]
+        space.map_run(510, frames, PagePerm.rwc())
+        space.protect_run(510, 3, PagePerm.read_only(), cow=True)
+        assert [item[2:4] for item in space.mapped_items(510, 513)] == \
+            [(int(PagePerm.read_only()), True)] * 3
+        space.protect_run(511, 2, PagePerm.rwc())
+        assert [item[3] for item in space.mapped_items(510, 513)] == \
+            [True, False, False]
+        with pytest.raises(KeyError):
+            space.protect_run(512, 2, PagePerm.rwc(), cow=True)
+        assert [item[3] for item in space.mapped_items(510, 513)] == \
+            [True, False, False]
 
     def test_double_map_rejected(self, machine):
         space, base = self.make_space(machine, pages=1)
@@ -724,15 +743,16 @@ class TestAddressSpace:
         space.set_note(vpn + 2, "b")
         space.set_note(vpn, "a")
         space.protect_page(vpn, PagePerm.READ)
-        expected = []
-        for noted, note in ((vpn, "a"), (vpn + 2, "b")):
-            pte = space.page_table.get(noted)
-            expected.append((noted, pte.frame, int(pte.perms), note))
+        expected = [(noted, frame, perms, note)
+                    for noted, frame, perms, _cow, note
+                    in space.mapped_items(vpn, vpn + 3) if note is not None]
+        assert [item[0] for item in expected] == [vpn, vpn + 2]
+        assert expected[0][2] == int(PagePerm.READ)
         assert space.noted_mappings() == expected
 
     def test_unmap_decrefs(self, machine):
         space, base = self.make_space(machine, pages=1)
-        frame = space.page_table.get(base // self.PAGE).frame
+        frame = space.frame_of(base // self.PAGE)
         space.unmap_page(base // self.PAGE)
         assert not machine.phys.contains(frame)
 
@@ -750,10 +770,9 @@ class TestUnmapRange:
     @classmethod
     def build(cls, plan):
         """A space mapping ``plan``'s vpns (some aliasing the previous
-        vpn's frame), with notes, interned views and walk-cache entries
-        on the chosen vpns.  Returns the machine, the space and the
-        views handed out."""
-        mapped, aliased, noted, viewed, walked = plan
+        vpn's frame), with notes and walk-cache entries on the chosen
+        vpns.  Returns the machine and the space."""
+        mapped, aliased, noted, walked = plan
         machine = Machine()
         space = AddressSpace(machine, "test")
         frame = None
@@ -766,10 +785,9 @@ class TestUnmapRange:
                                cow=vpn % 3 == 0)
         for vpn in noted:
             space.set_note(vpn, ("note", vpn))
-        views = {vpn: space.page_table.get(vpn) for vpn in viewed}
         for vpn in walked:
             space.read(vpn * cls.PAGE, 1)
-        return machine, space, views
+        return machine, space
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -777,13 +795,12 @@ class TestUnmapRange:
         window = st.integers(self.LO, self.LO + self.SPAN - 1)
         mapped = sorted(data.draw(st.sets(window, max_size=160)))
         pick = st.sets(st.sampled_from(mapped)) if mapped else st.just(set())
-        plan = (mapped, data.draw(pick), data.draw(pick), data.draw(pick),
-                data.draw(pick))
+        plan = (mapped, data.draw(pick), data.draw(pick), data.draw(pick))
         lo, hi = sorted(data.draw(st.lists(
             st.integers(self.LO - 20, self.LO + self.SPAN + 20),
             min_size=2, max_size=2)))
-        bulk, space, views = self.build(plan)
-        ref, ref_space, _ref_views = self.build(plan)
+        bulk, space = self.build(plan)
+        ref, ref_space = self.build(plan)
         gone = [vpn for vpn in mapped if lo <= vpn < hi]
 
         assert space.unmap_range(lo, hi) == len(gone)
@@ -793,26 +810,18 @@ class TestUnmapRange:
         everything = (0, 1 << 20)
         assert space.mapped_items(*everything) == \
             ref_space.mapped_items(*everything)
-        assert space.noted_items() == ref_space.noted_items()
         assert space.noted_mappings() == ref_space.noted_mappings()
-        assert len(space.page_table) == len(ref_space.page_table)
         assert bulk.counters.snapshot() == ref.counters.snapshot()
         assert bulk.phys.allocated_frames == ref.phys.allocated_frames
         # the free list (release order, LIFO) then the fresh numbers
         fresh = [bulk.phys.alloc() for _ in range(len(gone) + 2)]
         assert fresh == [ref.phys.alloc() for _ in range(len(gone) + 2)]
 
-        for vpn, view in views.items():
-            if lo <= vpn < hi:
-                assert space.page_table.get(vpn) is None
-            else:
-                assert space.page_table.get(vpn) is view
         # no stale walk-cache hit: an unmapped page faults, and a
-        # remapped one resolves to its new frame through a new view
+        # remapped one resolves to its new frame
         for vpn, frame in zip(gone, fresh):
             with pytest.raises(UnmappedAddressError):
                 space.read(vpn * self.PAGE, 1)
             space.map_page(vpn, frame, PagePerm.rwc())
             assert space.resolve(vpn * self.PAGE, AccessKind.READ)[0] is \
                 bulk.phys.frame(frame)
-            assert space.page_table.get(vpn) is not views.get(vpn)

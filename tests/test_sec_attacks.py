@@ -169,9 +169,8 @@ def test_auditor_catches_a_planted_memory_leak():
     buf = child.malloc(32)
     child.store_u64(buf, 1)  # break the CoW share: page is now private
     space = os_.space_of(child.proc)
-    pte = space.page_table.get(buf.base // page)
-    machine.phys.frame(pte.frame).store_cap(0, ctx.reg("ddc"),
-                                            machine.codec)
+    frame = space.frame_of(buf.base // page)
+    machine.phys.frame(frame).store_cap(0, ctx.reg("ddc"), machine.codec)
     violations = audit_cap_flow(os_)
     assert violations, "planted cross-μprocess memory cap not caught"
     assert any("escapes the μprocess region" in v for v in violations)

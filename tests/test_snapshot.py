@@ -168,10 +168,10 @@ def test_incremental_captures_only_divergent_pages():
     manifest, _ = decode(blob)
     assert manifest["incremental"] is True
     expected = {
-        vpn for vpn in range(child.proc.region_base // page,
-                             child.proc.region_top // page)
-        if (pte := os_.space.page_table.get(vpn)) is not None
-        and os_.machine.phys.refcount(pte.frame) == 1
+        vpn for vpn, frame, _perms, _cow, _note
+        in os_.space.mapped_items(child.proc.region_base // page,
+                                  child.proc.region_top // page)
+        if os_.machine.phys.refcount(frame) == 1
     }
     assert {p["vpn"] for p in manifest["pages"]} == expected
     assert 0 < len(expected) < (child.proc.region_size // page)

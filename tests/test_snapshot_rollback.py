@@ -57,8 +57,9 @@ def kernel_snapshot(os_):
     """Everything a leaky restore could perturb."""
     machine = os_.machine
     ptes = {
-        vpn: (pte.frame, pte.perms, machine.phys.refcount(pte.frame))
-        for vpn, pte in os_.space.page_table.entries()
+        vpn: (frame, perms, machine.phys.refcount(frame))
+        for vpn, frame, perms, _cow, _note
+        in os_.space.mapped_items(0, 1 << 40)
     }
     return {
         "frames": machine.phys.allocated_frames,

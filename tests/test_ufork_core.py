@@ -377,12 +377,10 @@ class TestIsolation:
         resolve_all_pending(os_.space, child.proc.region_base,
                             child.proc.region_top)
         page = os_.machine.config.page_size
-        for vpn in range(child.proc.region_base // page,
-                         child.proc.region_top // page):
-            pte = os_.space.page_table.get(vpn)
-            if pte is None:
-                continue
-            frame = os_.machine.phys.frame(pte.frame)
+        for _vpn, number, _perms, _cow, _note in os_.space.mapped_items(
+                child.proc.region_base // page,
+                child.proc.region_top // page):
+            frame = os_.machine.phys.frame(number)
             for offset in frame.tagged_granules():
                 cap = frame.load_cap(offset, os_.machine.codec)
                 if cap.valid and not cap.is_sentry:
