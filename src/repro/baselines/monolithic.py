@@ -165,23 +165,33 @@ class MonolithicOS(AbstractOS):
         proc.layout = layout
         proc.fdtable = FDTable()
 
-        map_image_segments(machine, space, layout)
-        if self.MAPS_LIBRARIES:
-            lib_top = self._map_libraries(space, layout.region_top)
-        else:
-            lib_top = layout.region_top
-        proc.region_base = layout.region_base
-        proc.region_top = lib_top
+        lib_frames = self._lib_frames
+        try:
+            map_image_segments(machine, space, layout)
+            if self.MAPS_LIBRARIES:
+                lib_top = self._map_libraries(space, layout.region_top)
+            else:
+                lib_top = layout.region_top
+            proc.region_base = layout.region_base
+            proc.region_top = lib_top
 
-        region_cap = (
-            self.kernel_root
-            .set_bounds(layout.region_base, lib_top - layout.region_base)
-            .without_perms(Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL)
-            .with_cursor(layout.region_base)
-        )
-        init_image_contents(machine, space, layout, region_cap)
-        proc.allocator = make_heap_allocator(machine, space, layout,
-                                             region_cap)
+            region_cap = (
+                self.kernel_root
+                .set_bounds(layout.region_base, lib_top - layout.region_base)
+                .without_perms(Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL)
+                .with_cursor(layout.region_base)
+            )
+            init_image_contents(machine, space, layout, region_cap)
+            proc.allocator = make_heap_allocator(machine, space, layout,
+                                                 region_cap)
+        except Exception:
+            # the half-built address space goes, and so do the shared
+            # library frames if this spawn was the one that filled them
+            space.unmap_range(0, _va_pages(machine))
+            if self._lib_frames is not lib_frames:
+                machine.phys.decref_many(self._lib_frames)
+                self._lib_frames = lib_frames
+            raise
 
         task = proc.add_task()
         for reg_name, value in initial_registers(layout, region_cap).items():
@@ -198,19 +208,13 @@ class MonolithicOS(AbstractOS):
         machine = self.machine
         page = machine.config.page_size
         if not self._lib_frames:
-            self._lib_frames = [
-                machine.phys.alloc(zero=True, charge=False)
-                for _ in range(SHARED_LIB_PAGES)
-            ]
+            self._lib_frames = machine.phys.alloc_run(SHARED_LIB_PAGES)
         vpn = base // page
-        for frame in self._lib_frames:
-            space.map_page(vpn, frame, PagePerm.rx(), incref=True)
-            vpn += 1
-        for _ in range(PRIVATE_LIB_PAGES):
-            frame = machine.phys.alloc(zero=True, charge=False)
-            space.map_page(vpn, frame, PagePerm.rwc())
-            vpn += 1
-        return vpn * page
+        space.map_run(vpn, self._lib_frames, PagePerm.rx(), incref=True)
+        vpn += len(self._lib_frames)
+        space.map_run(vpn, machine.phys.alloc_run(PRIVATE_LIB_PAGES),
+                      PagePerm.rwc())
+        return (vpn + PRIVATE_LIB_PAGES) * page
 
     # ------------------------------------------------------------------
     # fork: page-table duplication + classic CoW

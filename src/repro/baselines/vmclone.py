@@ -81,21 +81,26 @@ class VMCloneOS(AbstractOS):
         proc.layout = layout
         proc.fdtable = FDTable()
 
-        map_image_segments(machine, space, layout)
-        kernel_top = self._map_guest_kernel(space, layout.region_top)
-        proc.region_base = layout.region_base
-        proc.region_top = kernel_top
+        try:
+            map_image_segments(machine, space, layout)
+            kernel_top = self._map_guest_kernel(space, layout.region_top)
+            proc.region_base = layout.region_base
+            proc.region_top = kernel_top
 
-        region_cap = (
-            self.kernel_root
-            .set_bounds(layout.region_base,
-                        kernel_top - layout.region_base)
-            .without_perms(Perm.SEAL | Perm.UNSEAL)
-            .with_cursor(layout.region_base)
-        )
-        init_image_contents(machine, space, layout, region_cap)
-        proc.allocator = make_heap_allocator(machine, space, layout,
-                                             region_cap)
+            region_cap = (
+                self.kernel_root
+                .set_bounds(layout.region_base,
+                            kernel_top - layout.region_base)
+                .without_perms(Perm.SEAL | Perm.UNSEAL)
+                .with_cursor(layout.region_base)
+            )
+            init_image_contents(machine, space, layout, region_cap)
+            proc.allocator = make_heap_allocator(machine, space, layout,
+                                                 region_cap)
+        except Exception:
+            # the half-built guest goes back whole
+            space.unmap_range(0, _va_pages(machine))
+            raise
 
         task = proc.add_task()
         for reg_name, value in initial_registers(layout, region_cap).items():
@@ -110,11 +115,8 @@ class VMCloneOS(AbstractOS):
         page = machine.config.page_size
         pages = (GUEST_KERNEL_BYTES + page - 1) // page
         vpn = base // page
-        for _ in range(pages):
-            frame = machine.phys.alloc(zero=True, charge=False)
-            space.map_page(vpn, frame, PagePerm.rwc())
-            vpn += 1
-        return vpn * page
+        space.map_run(vpn, machine.phys.alloc_run(pages), PagePerm.rwc())
+        return (vpn + pages) * page
 
     # ------------------------------------------------------------------
     # fork = clone the whole VM in the hypervisor

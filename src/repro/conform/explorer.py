@@ -151,6 +151,9 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
         strategy, seed=seed, cpus=num_cpus,
         chaos_mix=chaos_mix if chaotic else None,
         chaos_seed=_chaos_seed(seed, scenario.name, schedule))
+    # the first step's baseline comes after the root spawn; a spawn
+    # that dies before it is held to the post-boot frame count
+    boot_frames = os_.machine.phys.allocated_frames
 
     def decision(point: int, offered: List[Tuple[str, Any]]) -> int:
         return schedule.get(point, 0)
@@ -212,6 +215,11 @@ def _run_schedule(scenario: Scenario, strategy: str, num_cpus: int,
         for detail in watcher.violations:
             record("invariant", detail)
     if chaos_death is not None:
+        frames = os_.machine.phys.allocated_frames
+        if not interp.procs and frames != boot_frames:
+            record("leak", f"chaos-killed root spawn: {frames - boot_frames} "
+                           f"frames leaked ({frames} allocated, "
+                           f"{boot_frames} after boot)")
         return None, meta_for(interp.points, chaos_death), violations
     for detail in check_invariants(os_):
         record("invariant", f"end: {detail}")

@@ -10,7 +10,7 @@ access.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Sequence
 
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
@@ -23,22 +23,36 @@ def init_got(space: Any, got_base: int, entries: int,
 
     Entries alternate between writable data globals and read-only
     rodata globals, 32 bytes apart, mirroring how a linked PIE's GOT
-    points across its own segments.
+    points across its own segments.  Each entry is derived with its own
+    ``set_bounds`` (the monotonicity check runs per entry) from the
+    region root narrowed once per permission class; the table is then
+    stored page by page (:func:`store_caps`).
     """
+    data_rw = region_cap.and_perms(Perm.data_rw())
+    data_ro = region_cap.and_perms(Perm.data_ro())
+    data_span = max(32, data_size - 32)
+    rodata_span = max(32, rodata_size - 32)
+    caps = []
     for index in range(entries):
         if index % 2 == 0 and data_size >= 32:
-            target = data_base + (index * 32) % max(32, data_size - 32)
-            perms = Perm.data_rw()
+            target = data_base + (index * 32) % data_span
+            root = data_rw
         else:
-            target = rodata_base + (index * 32) % max(32, rodata_size - 32)
-            perms = Perm.data_ro()
-        cap = (
-            region_cap
-            .set_bounds(target, 32)
-            .with_cursor(target)
-            .and_perms(perms)
-        )
-        space.store_cap(got_base + index * CAP_SIZE, cap, privileged=True)
+            target = rodata_base + (index * 32) % rodata_span
+            root = data_ro
+        caps.append(root.set_bounds(target, 32).with_cursor(target))
+    store_caps(space, got_base, caps)
+
+
+def store_caps(space: Any, base: int, caps: Sequence[Capability]) -> None:
+    """Privileged, charge-free store of ``caps`` at consecutive granules
+    from ``base``: encoded in order (so the codec interns their
+    metadata in order) and written with one
+    :meth:`~repro.hw.paging.AddressSpace.store_granules` — one slice
+    store per page instead of one ``store_cap`` per capability."""
+    encode = space.machine.codec.encode
+    space.store_granules(base, b"".join(map(encode, caps)),
+                         bytes(1 if cap.valid else 0 for cap in caps))
 
 
 def read_got(space: Any, got_base: int, entries: int,

@@ -479,10 +479,15 @@ class UForkOS(AbstractOS):
     # ------------------------------------------------------------------
 
     def _teardown_memory(self, proc: Process) -> None:
-        machine = self.machine
-        page = machine.config.page_size
+        self.machine.charge(self.machine.costs.uexit_ns, "exit")
+        self._release_region(proc)
+
+    def _release_region(self, proc: Process) -> None:
+        """Give back a μprocess's memory: its demand-zero range, every
+        frame mapped in its region, and the VA reservation (exit, and a
+        spawn that fails part-way)."""
+        page = self.machine.config.page_size
         self._demand_zero.pop(proc.pid, None)
-        machine.charge(machine.costs.uexit_ns, "exit")
         self.space.unmap_range(proc.region_base // page,
                                proc.region_top // page)
         self.vspace.release(proc.region_base)

@@ -11,6 +11,20 @@ The segment-mapping and image-initialization helpers are OS-agnostic
 (they take an explicit machine/space/root) so the monolithic baseline —
 also a pure-capability system, like CheriBSD — loads its processes
 through the same code paths.
+
+Loading is host work only (charge-free allocations, privileged stores)
+and runs by run (docs/ARCHITECTURE.md "Vectorized engine"): each
+segment's frames come from one ``PhysicalMemory.alloc_run`` and are
+mapped with one ``map_run``, and the code/rodata markers, the pointer
+globals and the GOT are built on the host and stored a page at a time
+through ``AddressSpace.store_granules``.  Every capability is still
+derived with its own ``set_bounds`` and encoded in load order.
+
+Loading is also transactional: a spawn that fails part-way — an
+injected ``hw.phys.alloc_fail``, exhausted DRAM, any error — gives back
+every frame of the region, the demand-zero range and the VA
+reservation before the error propagates, so the kernel is as it was
+(docs/CHAOS.md, ``tests/test_spawn_rollback.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from typing import Any, Dict
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
 from repro.cheri.regfile import CGP, CSP, CTP, DDC, PCC
-from repro.core.got import init_got
+from repro.core.got import init_got, store_caps
 from repro.core.isolation import derive_uprocess_roots
 from repro.core.relocate import record_flow
 from repro.hw.paging import AddressSpace
@@ -58,9 +72,9 @@ def map_image_segments(machine: Any, space: AddressSpace,
                 and layout.image.heap_initial is not None):
             initial = min(size, max(0, layout.image.heap_initial))
             top = base + (initial + page - 1) // page * page
-        for vpn in range(base // page, top // page):
-            frame = machine.phys.alloc(zero=True, charge=False)
-            space.map_page(vpn, frame, spec.page_perms)
+        space.map_run(base // page,
+                      machine.phys.alloc_run(top // page - base // page),
+                      spec.page_perms)
 
 
 def init_image_contents(machine: Any, space: AddressSpace,
@@ -126,7 +140,7 @@ def _init_code_and_rodata(machine: Any, space: AddressSpace,
             marker = struct.pack(
                 "<QQ", 0xC0DE if name == "code" else 0x0DA7A, addr
             )
-            space.write(addr, marker, privileged=True, charge=False)
+            space.store_granules(addr, marker, b"\x00")
 
 
 def _init_data_globals(space: AddressSpace, layout: SegmentMap,
@@ -137,17 +151,13 @@ def _init_data_globals(space: AddressSpace, layout: SegmentMap,
     these are the absolute references μFork must find via tags when the
     child touches the page (Figure 1 ②).
     """
-    data_base = layout.base("data")
     rodata_base = layout.base("rodata")
-    for index in range(DATA_POINTER_GLOBALS):
-        target = rodata_base + index * 64
-        cap = (
-            region_cap
-            .set_bounds(target, 64)
-            .with_cursor(target)
-            .and_perms(Perm.data_ro())
-        )
-        space.store_cap(data_base + index * CAP_SIZE, cap, privileged=True)
+    root = region_cap.and_perms(Perm.data_ro())
+    targets = [rodata_base + index * 64
+               for index in range(DATA_POINTER_GLOBALS)]
+    store_caps(space, layout.base("data"),
+               [root.set_bounds(target, 64).with_cursor(target)
+                for target in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +179,27 @@ def load_uprocess(os: Any, image: ProgramImage, name: str,
     proc.layout = layout
     proc.fdtable = FDTable()
 
-    map_image_segments(machine, os.space, layout,
-                       demand_heap=image.heap_initial is not None)
-    # demand-zero paging must be live before the allocator formats its
-    # metadata (which may land beyond the initially mapped prefix)
-    os._register_demand_heap(proc)
+    try:
+        map_image_segments(machine, os.space, layout,
+                           demand_heap=image.heap_initial is not None)
+        # demand-zero paging must be live before the allocator formats
+        # its metadata (which may land beyond the initially mapped
+        # prefix)
+        os._register_demand_heap(proc)
 
-    region_cap = derive_uprocess_roots(
-        os.kernel_root, layout.region_base, layout.region_size
-    )
-    init_image_contents(machine, os.space, layout, region_cap)
-    proc.allocator = make_heap_allocator(machine, os.space, layout,
-                                         region_cap)
+        region_cap = derive_uprocess_roots(
+            os.kernel_root, layout.region_base, layout.region_size
+        )
+        init_image_contents(machine, os.space, layout, region_cap)
+        proc.allocator = make_heap_allocator(machine, os.space, layout,
+                                             region_cap)
+    except Exception:
+        # nothing of the half-loaded image may survive: its frames, the
+        # demand-zero range and the VA reservation go back
+        os._release_region(proc)
+        if parent is not None:
+            parent.children.remove(proc)
+        raise
     proc.syscall_gate = os.syscall_gate
 
     task = proc.add_task()

@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
 from repro.errors import (
+    AlignmentFault,
     ProtectionError,
     UnmappedAddressError,
 )
@@ -829,6 +830,33 @@ class AddressSpace:
                   privileged: bool = False) -> None:
         frame, offset = self.resolve(vaddr, AccessKind.WRITE, privileged)
         frame.store_cap(offset, cap, self.machine.codec)
+
+    def store_granules(self, vaddr: int, raw: bytes, tags: bytes) -> None:
+        """Privileged, charge-free store of consecutive whole granules:
+        ``raw`` at ``vaddr`` (granule aligned) and one validity byte per
+        granule in ``tags`` — the image loader's page store.
+
+        Per page touched: one :meth:`resolve`, one data slice store, one
+        tag slice store and one ``version`` bump.  The bytes and tags
+        left behind are those of :meth:`store_cap` per capability (and
+        of a privileged :meth:`write` for an untagged granule).
+        """
+        if vaddr % CAP_SIZE or len(raw) != len(tags) * CAP_SIZE:
+            raise AlignmentFault(
+                f"granule store of {len(raw)} bytes and {len(tags)} tags "
+                f"at {vaddr:#x}")
+        page_size = self._page_size
+        done = 0
+        while done < len(raw):
+            frame, offset = self.resolve(vaddr + done, AccessKind.WRITE,
+                                         privileged=True)
+            span = min(len(raw) - done, page_size - offset)
+            first = offset // CAP_SIZE
+            frame.version += 1
+            frame.data[offset:offset + span] = raw[done:done + span]
+            frame.tags[first:first + span // CAP_SIZE] = \
+                tags[done // CAP_SIZE:(done + span) // CAP_SIZE]
+            done += span
 
     # -- accounting -----------------------------------------------------------------
 

@@ -17,19 +17,22 @@ and 8 come straight from these refcounts.
 
 Storage is a **banked flat store** (docs/ARCHITECTURE.md "Vectorized
 engine"): data bytes and granule tags live in machine-wide per-bank
-``bytearray`` arenas (:data:`BANK_FRAMES` frames per bank) and each
+arenas (:data:`BANK_FRAMES` frames per bank; data in a mapping the host
+zero-fills on first touch, tags in a ``bytearray``) and each
 ``Frame`` holds ``memoryview`` windows into its bank, so frame copies,
 tag clears and the relocation scan are C-level slice/``find``
 operations over the flat tag bitmap.  Fork's batch primitives work on
 bank runs (consecutive slots of one bank):
 :meth:`PhysicalMemory.copy_frames` copies a run with one data and one
 tag slice store and :meth:`PhysicalMemory.tagged_frames` finds a run's
-tagged frames with one ``find``.
+tagged frames with one ``find``.  The image loader takes a segment's
+frames with one :meth:`PhysicalMemory.alloc_run`.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 from operator import sub
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -47,6 +50,17 @@ _ZEROS = bytes(4096)
 #: resized** (resizing would invalidate the outstanding ``memoryview``
 #: windows)
 BANK_FRAMES = 512
+
+
+def _zeroed_arena(size: int) -> Any:
+    """A writable, zero-filled buffer of ``size`` bytes whose pages the
+    host maps on first touch: a private anonymous mapping where there
+    is one (``bytearray(size)`` writes every page up front, which is
+    most of a fresh bank's cost when a frame only gets a few granules),
+    else a ``bytearray``."""
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    return bytearray(size)  # pragma: no cover - hosts without mmap flags
 
 
 def _zeros(count: int) -> bytes:
@@ -218,8 +232,7 @@ class PhysicalMemory:
         self._capacity_frames = config.dram_bytes // config.page_size
         # per-bank data/tag arenas plus hoisted memoryviews (slicing a
         # memoryview is cheaper than taking a fresh view of the
-        # bytearray per frame)
-        self._data_banks: List[bytearray] = []
+        # bytearray per frame); a data view holds its arena alive
         self._tag_banks: List[bytearray] = []
         self._data_views: List[memoryview] = []
         self._tag_views: List[memoryview] = []
@@ -248,10 +261,10 @@ class PhysicalMemory:
         page_size = self._config.page_size
         granules = self._config.granules_per_page
         bank, slot = divmod(number - 1, BANK_FRAMES)
-        while bank >= len(self._data_banks):
-            self._data_banks.append(bytearray(BANK_FRAMES * page_size))
+        while bank >= len(self._data_views):
+            self._data_views.append(
+                memoryview(_zeroed_arena(BANK_FRAMES * page_size)))
             self._tag_banks.append(bytearray(BANK_FRAMES * granules))
-            self._data_views.append(memoryview(self._data_banks[-1]))
             self._tag_views.append(memoryview(self._tag_banks[-1]))
         d0 = slot * page_size
         t0 = slot * granules
@@ -450,17 +463,8 @@ class PhysicalMemory:
         frames = self._frames
         self._require_allocated(srcs)
         fit = self.alloc_budget(len(srcs))
-        # the budget stops short of the first draw that would fire
-        self.chaos.fire_each("hw.phys.alloc_fail", fit)
-        # the numbers ``fit`` single allocations take, in their order
-        free = self._free
-        reused = free[len(free) - min(fit, len(free)):]
-        del free[len(free) - len(reused):]
-        reused.reverse()
-        fresh = list(range(self._next_frame,
-                           self._next_frame + fit - len(reused)))
-        self._next_frame += len(fresh)
-        dsts = sorted(reused) + fresh
+        taken = self._take(fit)
+        dsts = sorted(taken)
         make = self._make_frame
         for number in dsts:
             frame = make(number)
@@ -472,14 +476,70 @@ class PhysicalMemory:
             for index in self.chaos.fire_each("hw.phys.tag_clear", fit):
                 self._recover_tag_clear(srcs[index], dsts[index], charge)
         if fit < len(srcs):
-            try:
-                self.alloc(zero=False, charge=False)
-            finally:
-                for number in reused + fresh:
-                    self.decref(number)
-            raise AssertionError(  # pragma: no cover - invariant guard
-                "alloc_budget predicted a failing allocation")
+            self._shortfall(taken, zero=False)
         return dsts
+
+    def alloc_run(self, count: int) -> List[int]:
+        """``count`` calls of :meth:`alloc` ``(zero=True, charge=False)``
+        in one go — the image loader's batch.
+
+        The frame numbers (in the order returned), the
+        ``hw.phys.alloc_fail`` draws, the deferred scrub of stale slots
+        with its ``version`` bump, and the counter and gauge totals are
+        those of the single-call loop.  On a shortfall the frames taken
+        are released in allocation order and the error the next single
+        :meth:`alloc` raises (:class:`OutOfMemory` or
+        :class:`~repro.chaos.InjectedAllocFailure`) propagates, so a
+        failed batch allocates nothing.
+        """
+        fit = self.alloc_budget(count)
+        numbers = self._take(fit)
+        frames = self._frames
+        stale = self._stale
+        make = self._make_frame
+        for number in numbers:
+            frame = make(number)
+            frames[number] = frame
+            if number in stale:
+                # the deferred free-time scrub (see :meth:`alloc`)
+                frame.version += 1
+                frame.data[:] = _zeros(len(frame.data))
+                frame.tags[:] = _zeros(len(frame.tags))
+                stale.discard(number)
+        if fit:
+            self._emit(n=fit, counter="frames_allocated",
+                       metric="hw.phys.frames_allocated")
+            self._obs.gauge_set("hw.phys.allocated_frames", len(frames))
+        if fit < count:
+            self._shortfall(numbers, zero=True)
+        return numbers
+
+    def _take(self, count: int) -> List[int]:
+        """Consume the ``hw.phys.alloc_fail`` draws of ``count``
+        allocations that :meth:`alloc_budget` said succeed, and pop the
+        numbers they take, in their order: the free-list tail, then
+        fresh numbers.  The caller marks them allocated."""
+        # the budget stops short of the first draw that would fire
+        self.chaos.fire_each("hw.phys.alloc_fail", count)
+        free = self._free
+        taken = free[len(free) - min(count, len(free)):]
+        del free[len(free) - len(taken):]
+        taken.reverse()
+        fresh = self._next_frame
+        self._next_frame += count - len(taken)
+        taken += range(fresh, self._next_frame)
+        return taken
+
+    def _shortfall(self, taken: List[int], zero: bool) -> None:
+        """A batch came up short: raise what the next single
+        :meth:`alloc` raises, after releasing the frames the batch
+        took, in allocation order."""
+        try:
+            self.alloc(zero=zero, charge=False)
+        finally:
+            self.decref_many(taken)
+        raise AssertionError(  # pragma: no cover - invariant guard
+            "alloc_budget predicted a failing allocation")
 
     def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],
                    preserve_tags: bool) -> None:

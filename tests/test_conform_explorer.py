@@ -214,6 +214,37 @@ def test_invariants_hold_under_chaos(strategy):
     assert check_invariants(os_) == []
 
 
+def test_chaos_killed_root_spawn_is_held_to_the_boot_frames(monkeypatch):
+    """A root spawn that dies under chaos never reaches the first step,
+    where the end-state baseline is taken; the explorer holds it to the
+    frame count right after boot instead, so a leaky loader is caught."""
+    from repro.chaos import InjectedAllocFailure
+    from repro.core.ufork import UForkOS
+
+    def leaky_spawn(self, image, name):
+        self.machine.phys.alloc(zero=True, charge=False)
+        raise InjectedAllocFailure("injected frame-allocation failure")
+
+    monkeypatch.setattr(UForkOS, "spawn", leaky_spawn)
+    result = explore(by_name("pipe-hello"), strategy="copa", num_cpus=2,
+                     seed=3, depth_bound=2, budget=3,
+                     chaos_mix="default=0.0")
+    assert result["chaos_deaths"] == result["schedules"] > 0
+    leaks = [v for v in result["violations"] if v["kind"] == "leak"]
+    assert len(leaks) == result["schedules"]
+    assert "root spawn: 1 frames leaked" in leaks[0]["detail"]
+
+
+def test_root_spawns_killed_by_alloc_failures_leak_nothing():
+    """The real loader under an allocation-failure mix hot enough to
+    kill root spawns: every death rolls back to the boot frames."""
+    result = explore(by_name("pipe-hello"), strategy="copa", num_cpus=2,
+                     seed=3, depth_bound=2, budget=12,
+                     chaos_mix="default=0.0,hw.phys.alloc_fail=0.03")
+    assert result["chaos_deaths"] > 0
+    assert result["violations"] == []
+
+
 def test_end_state_check_spots_a_leak():
     os_ = boot("copa", seed=1, cpus=1).os
     baseline = frame_baseline(os_)

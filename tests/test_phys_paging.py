@@ -250,8 +250,9 @@ class TestVersionBump:
     CODEC = CapabilityCodec()
     OPS = ("frame_write", "store_cap", "write_granule", "clear_tags",
            "restore_content", "copy_from", "copy_frame", "copy_frames",
-           "cow_copy", "realloc", "space_write", "space_store_cap",
-           "space_write_run", "phys_clear_tags")
+           "cow_copy", "realloc", "alloc_run", "space_write",
+           "space_store_cap", "space_write_run", "space_store_granules",
+           "phys_clear_tags")
 
     @staticmethod
     def observe(phys, seen):
@@ -314,11 +315,24 @@ class TestVersionBump:
                 phys.decref(spare.pop(data.draw(
                     st.integers(0, len(spare) - 1))))
             spare.append(phys.alloc(zero=data.draw(st.booleans())))
+        elif op == "alloc_run":
+            # release some spares first, so the run revives stale slots
+            for _ in range(data.draw(st.integers(0, len(spare)))):
+                phys.decref(spare.pop(0))
+            spare.extend(phys.alloc_run(data.draw(st.integers(0, 3))))
         elif op == "space_write":
             space.write(vaddr, data.draw(st.binary(min_size=1,
                                                    max_size=64)))
         elif op == "space_store_cap":
             space.store_cap(vaddr - vaddr % CAP_SIZE, self.cap(data))
+        elif op == "space_store_granules":
+            count = data.draw(st.integers(1, 4))
+            space.store_granules(
+                vaddr - vaddr % CAP_SIZE,
+                data.draw(st.binary(min_size=count * CAP_SIZE,
+                                    max_size=count * CAP_SIZE)),
+                bytes(data.draw(st.lists(st.integers(0, 1), min_size=count,
+                                         max_size=count))))
         elif op == "space_write_run":
             vaddrs = data.draw(st.lists(st.just(vaddr) | st.integers(
                 self.BASE_VPN * self.PAGE,
@@ -347,6 +361,46 @@ class TestVersionBump:
         for _ in range(data.draw(st.integers(1, 30))):
             self.step(data, machine, space, spare)
             self.observe(machine.phys, seen)
+
+
+    def test_store_granules_bumps_each_page_once(self):
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        for index in range(self.PAGES):
+            space.map_page(self.BASE_VPN + index, machine.phys.alloc(),
+                           PagePerm.rwc())
+        frames = [machine.phys.frame(space.frame_of(self.BASE_VPN + index))
+                  for index in range(self.PAGES)]
+        before = [frame.version for frame in frames]
+        # two granules at the end of page 0, all of page 1, one of page 2
+        vaddr = (self.BASE_VPN + 1) * self.PAGE - 2 * CAP_SIZE
+        count = 2 + self.PAGE // CAP_SIZE + 1
+        space.store_granules(vaddr, b"\xab" * (count * CAP_SIZE),
+                             b"\x01" * count)
+        assert [frame.version - old for frame, old
+                in zip(frames, before)] == [1, 1, 1]
+        assert frames[2].tagged_granules() == [0]
+        assert frames[0].tagged_granules() == [self.PAGE - 2 * CAP_SIZE,
+                                               self.PAGE - CAP_SIZE]
+
+    def test_alloc_run_scrub_bumps_once_and_never_goes_back(self):
+        machine = Machine()
+        phys = machine.phys
+        numbers = phys.alloc_run(3)
+        for number in numbers:
+            phys.frame(number).write(0, b"stale")
+        versions = {number: phys.frame(number).version for number in numbers}
+        for number in numbers:
+            phys.decref(number)
+        # a run takes the free-list tail first, then a fresh number
+        again = phys.alloc_run(4)
+        assert again == numbers[::-1] + [numbers[-1] + 1]
+        for number in numbers:
+            frame = phys.frame(number)
+            assert frame.version == versions[number] + 1
+            assert frame.snapshot_content() == (bytes(self.PAGE),
+                                                bytes(self.PAGE // CAP_SIZE))
+        assert phys.frame(again[-1]).version == 0
 
 
 def _naive_runs(numbers, keys):
@@ -379,6 +433,79 @@ def test_consecutive_runs_match_a_naive_scan(steps):
     assert consecutive_runs(numbers, keys) == _naive_runs(numbers, keys)
     assert consecutive_runs(numbers) == \
         _naive_runs(numbers, [0] * len(numbers))
+
+
+class TestAllocRun:
+    """``alloc_run(count)`` is ``count`` calls of ``alloc(zero=True,
+    charge=False)``: the same numbers in the same order, the same chaos
+    draws, the same scrub of stale slots, the same counters and gauge.
+    On a shortfall it raises what the failing single call raises, with
+    what it took released in allocation order — compared here with a
+    single-call loop that does the same release.
+    """
+
+    #: frames allocated, written and partly freed before the run
+    WRITTEN = 12
+
+    @staticmethod
+    def single_loop(phys, count):
+        taken = []
+        try:
+            for _ in range(count):
+                taken.append(phys.alloc(zero=True, charge=False))
+        except Exception:
+            for number in taken:
+                phys.decref(number)
+            raise
+        return taken
+
+    def run(self, batched, count, freed, dram_frames, rate, seed):
+        from repro.chaos import ChaosEngine, FaultMix
+        from repro.params import MachineConfig
+
+        machine = Machine(config=MachineConfig(dram_bytes=dram_frames * 4096))
+        machine.obs.enable()
+        phys = machine.phys
+        for number in range(1, self.WRITTEN + 1):
+            assert phys.alloc() == number
+            phys.frame(number).write(number, b"old content")
+        for number in freed:
+            phys.decref(number)
+        engine = ChaosEngine(
+            seed=seed, mix=FaultMix.parse(f"hw.phys.alloc_fail={rate}"))
+        engine.attach(machine)
+        try:
+            if batched:
+                result = phys.alloc_run(count)
+            else:
+                result = self.single_loop(phys, count)
+        except Exception as exc:  # noqa: BLE001 - must match
+            result = type(exc).__name__
+        return {
+            "result": result,
+            "free": list(phys._free),
+            "next": phys._next_frame,
+            "stale": sorted(phys._stale),
+            "frames": [(number, frame.version, frame.refcount,
+                        frame.snapshot_content())
+                       for number, frame in phys.frames_items()],
+            "counters": machine.counters.snapshot(),
+            "obs": machine.obs.export()["metrics"],
+            "hits": dict(engine.hits),
+            "injections": list(engine.injections),
+        }
+
+    @settings(max_examples=80, deadline=None)
+    @given(count=st.integers(0, 20),
+           freed=st.lists(st.integers(1, WRITTEN), unique=True, max_size=8),
+           spare=st.integers(0, 30),
+           rate=st.sampled_from([0.0, 0.05, 0.3]),
+           seed=st.integers(0, 50))
+    @example(count=5, freed=[3, 1], spare=2, rate=0.0, seed=0)  # OOM
+    def test_matches_single_calls(self, count, freed, spare, rate, seed):
+        dram = self.WRITTEN + spare
+        assert self.run(True, count, freed, dram, rate, seed) == \
+            self.run(False, count, freed, dram, rate, seed)
 
 
 class TestRunCopy:
