@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.monolithic import MonolithicOS
+from repro.hw.paging import AddressSpace
 from repro.kernel.syscalls import IsolationConfig
 from repro.machine import Machine
 
@@ -37,7 +38,6 @@ class IsoUnikOS(MonolithicOS):
 
     KERNEL_PROC_OVERHEAD = 64 * 1024
     FORK_FIXED_ATTR = "isounik_fork_fixed_ns"
-    MAPS_LIBRARIES = False
     #: unikernel allocator: no post-fork arena re-touching
     allocator_child_touch_fraction = 0.0
 
@@ -48,3 +48,7 @@ class IsoUnikOS(MonolithicOS):
             isolation=isolation or IsolationConfig.fault(),
             trapless_syscalls=True,
         )
+
+    def _map_runtime(self, space: AddressSpace, base: int) -> int:
+        """Statically linked: nothing above the image."""
+        return base

@@ -41,7 +41,7 @@ from repro.core.uprocess import (
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
 from repro.hw.phys import consecutive_runs
-from repro.kernel.base import AbstractOS, SharedMemoryObject
+from repro.kernel.base import AbstractOS
 from repro.kernel.fdtable import FDTable
 from repro.kernel.syscalls import IsolationConfig
 from repro.kernel.task import Process
@@ -63,15 +63,6 @@ _WRITE = int(PagePerm.WRITE)
 def _va_pages(machine: Machine) -> int:
     """One past the highest vpn of a whole address space."""
     return machine.config.va_size // machine.config.page_size
-
-
-def private_bytes(space: AddressSpace) -> int:
-    """Bytes of ``space`` backed by frames no other mapping shares."""
-    machine = space.machine
-    refcount = machine.phys.refcount
-    return machine.config.page_size * sum(
-        1 for _vpn, frame, _perms, _cow, _note
-        in space.mapped_items(0, _va_pages(machine)) if refcount(frame) == 1)
 
 
 def handle_cow_fault(space: AddressSpace, vaddr: int,
@@ -113,7 +104,8 @@ def _break_cow(space: AddressSpace, vpn: int, fault: bool = False) -> bool:
 
 
 class MonolithicOS(AbstractOS):
-    """CheriBSD-like baseline."""
+    """CheriBSD-like baseline, and the base of every kernel that gives
+    each process an address space of its own (Table 1)."""
 
     kind = "cheribsd"
 
@@ -125,9 +117,14 @@ class MonolithicOS(AbstractOS):
 
     #: fixed fork-path cost; subclasses (lighter kernels) may override
     FORK_FIXED_ATTR = "monolithic_fork_fixed_ns"
-    #: whether processes link shared libraries (unikernel-style
-    #: subclasses are statically linked)
-    MAPS_LIBRARIES = True
+    #: where every image is loaded, in its own address space
+    IMAGE_BASE = PROCESS_BASE
+    #: address-space names are ``<prefix>-<process>[-<child pid>]``
+    SPACE_PREFIX = "as"
+    #: what a process's region capability may not do
+    REGION_DROPS = Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL
+    #: whether address spaces break copy-on-write on write faults
+    COW_FAULTS = True
 
     def __init__(self, machine: Optional[Machine] = None,
                  isolation: Optional[IsolationConfig] = None,
@@ -138,12 +135,9 @@ class MonolithicOS(AbstractOS):
             isolation=isolation or IsolationConfig.full(),
             same_address_space=False,
         )
-        self.kernel_root = Capability.root(self.machine.config.va_size)
         #: shared library frames (allocated on first spawn, refcounted
         #: into every process)
         self._lib_frames: List[int] = []
-        #: the syscall gate concept does not exist here; processes trap
-        self.syscall_gate = None
 
     # ------------------------------------------------------------------
     # AbstractOS interface
@@ -152,13 +146,16 @@ class MonolithicOS(AbstractOS):
     def space_of(self, proc: Process) -> AddressSpace:
         return proc.space
 
+    def _new_space(self, name: str) -> AddressSpace:
+        space = AddressSpace(self.machine, f"{self.SPACE_PREFIX}-{name}")
+        if self.COW_FAULTS:
+            space.fault_handler = handle_cow_fault
+        return space
+
     def spawn(self, image: ProgramImage, name: str) -> Process:
         machine = self.machine
-        page = machine.config.page_size
-
-        space = AddressSpace(machine, f"as-{name}")
-        space.fault_handler = handle_cow_fault
-        layout = SegmentMap(image, PROCESS_BASE, page)
+        space = self._new_space(name)
+        layout = SegmentMap(image, self.IMAGE_BASE, machine.config.page_size)
 
         proc = Process(self.pids.allocate(), name)
         proc.space = space
@@ -168,17 +165,13 @@ class MonolithicOS(AbstractOS):
         lib_frames = self._lib_frames
         try:
             map_image_segments(machine, space, layout)
-            if self.MAPS_LIBRARIES:
-                lib_top = self._map_libraries(space, layout.region_top)
-            else:
-                lib_top = layout.region_top
             proc.region_base = layout.region_base
-            proc.region_top = lib_top
+            proc.region_top = self._map_runtime(space, layout.region_top)
 
             region_cap = (
                 self.kernel_root
-                .set_bounds(layout.region_base, lib_top - layout.region_base)
-                .without_perms(Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL)
+                .set_bounds(layout.region_base, proc.region_size)
+                .without_perms(self.REGION_DROPS)
                 .with_cursor(layout.region_base)
             )
             init_image_contents(machine, space, layout, region_cap)
@@ -202,8 +195,9 @@ class MonolithicOS(AbstractOS):
                     proc.region_base, proc.region_top)
         return proc
 
-    def _map_libraries(self, space: AddressSpace, base: int) -> int:
-        """Map shared-library text (machine-wide frames) plus private
+    def _map_runtime(self, space: AddressSpace, base: int) -> int:
+        """Map what every process carries above its image at ``base`` —
+        here shared-library text (machine-wide frames) plus private
         library data pages; returns the new region top."""
         machine = self.machine
         page = machine.config.page_size
@@ -236,24 +230,11 @@ class MonolithicOS(AbstractOS):
             machine.charge(getattr(machine.costs, self.FORK_FIXED_ATTR),
                            "fork_fixed")
 
-        child = Process(self.pids.allocate(), proc.name, parent=proc)
-        child.layout = proc.layout
-        child.region_base = proc.region_base
-        child.region_top = proc.region_top
-        child.fdtable = proc.fdtable.fork_copy(machine)
-        from repro.kernel import signals as _signals
-        child.signal_state = _signals.signal_state(proc).fork_copy()
-
-        child_space = AddressSpace(machine, f"as-{proc.name}-{child.pid}")
-        child_space.fault_handler = handle_cow_fault
-        shm_vpns = getattr(proc, "shm_vpns", set())
-        with obs.span("pte_copy"):
-            self._copy_ptes(proc.space, child_space, shm_vpns)
-        child.space = child_space
         # shared-memory bindings carry over (same VAs: no rebase needed)
-        child.shm_vpns = set(shm_vpns)
-        child.shm_bindings = list(getattr(proc, "shm_bindings", []))
-        child.mmap_offset = getattr(proc, "mmap_offset", 0)
+        child = self._fork_child(proc)
+        child.space = self._new_space(f"{proc.name}-{child.pid}")
+        with obs.span("pte_copy"):
+            self._copy_ptes(proc.space, child.space, child.shm_vpns)
 
         # §2.2: the monolithic kernel tracks no per-process CPU
         # footprint, so after write-protecting the parent's pages it
@@ -269,12 +250,7 @@ class MonolithicOS(AbstractOS):
         with obs.span("registers"):
             task.registers.copy_from(proc.main_task().registers)
 
-        with obs.span("allocator"):
-            child.allocator = type(proc.allocator)(
-                machine, child_space, proc.allocator.heap_cap,
-                max_blocks=proc.allocator.max_blocks,
-            )
-            child.allocator.attach_lazy()
+        self._fork_allocator(proc, child)
         #: deferred allocator arena re-touch (runs when the child starts)
         child._pending_allocator_touch = True
 
@@ -355,54 +331,10 @@ class MonolithicOS(AbstractOS):
                      metric="baselines.monolithic.allocator_touch_pages")
 
     # ------------------------------------------------------------------
-    # Exit / metrics
+    # Exit
     # ------------------------------------------------------------------
 
     def _teardown_memory(self, proc: Process) -> None:
         machine = self.machine
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
         proc.space.unmap_range(0, _va_pages(machine))
-
-    def memory_of(self, proc: Process) -> float:
-        return (
-            proc.space.resident_bytes(0, self.machine.config.va_size,
-                                      proportional=True)
-            + self.KERNEL_PROC_OVERHEAD
-        )
-
-    def private_bytes(self, proc: Process) -> int:
-        return private_bytes(proc.space)
-
-    # ------------------------------------------------------------------
-    # Shared memory
-    # ------------------------------------------------------------------
-
-    def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:
-        page = self.machine.config.page_size
-        offset = getattr(proc, "mmap_offset", 0)
-        window_base, window_top = proc.layout.span("mmap")
-        base = window_base + offset
-        size = shm.size_pages * page
-        if base + size > window_top:
-            from repro.errors import OutOfMemory
-            raise OutOfMemory("mmap window exhausted")
-        proc.mmap_offset = offset + size
-        vpns = []
-        for index, frame in enumerate(shm.frames):
-            vpn = base // page + index
-            proc.space.map_page(vpn, frame, PagePerm.rwc(), incref=True)
-            vpns.append(vpn)
-        if not hasattr(proc, "shm_vpns"):
-            proc.shm_vpns = set()
-            proc.shm_bindings = []
-        proc.shm_vpns.update(vpns)
-        proc.shm_bindings.append((base - window_base, shm))
-        # like the SASOS kernels, shared windows are a capability
-        # firewall: data flows, tagged authority does not
-        return (
-            self.kernel_root
-            .set_bounds(base, size)
-            .with_cursor(base)
-            .and_perms(Perm.data_rw())
-            .without_perms(Perm.LOAD_CAP | Perm.STORE_CAP)
-        )

@@ -11,29 +11,35 @@ Mechanistic model: each process is a VM whose address space contains
 the program image *plus the unikernel kernel pages* (everything gets
 cloned); fork pays a fixed domain-creation cost, hypercalls, and a
 per-page duplication cost over the whole guest.
+
+Like Iso-Unik, this is one of Table 1's multi-address-space designs, so
+it is a :class:`~repro.baselines.monolithic.MonolithicOS` (the family
+is ``AbstractOS`` → ``UForkOS``, and ``AbstractOS`` → ``MonolithicOS``
+→ ``IsoUnikOS``, ``VMCloneOS``): spawn (and its undo), teardown and the
+memory metrics are the monolithic kernel's.
+What is Nephele's own: images load at :data:`GUEST_BASE` with the guest
+kernel's pages where a process would map libraries, the region
+capability keeps ``SYSTEM`` (the guest kernel runs in the VM), fork
+clones the VM instead of copying the page table (no fork lock, no CoW,
+no shootdown), exit pays extra hypercalls, and there is no shared
+memory between VMs.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Optional
 
-from repro.baselines.monolithic import _va_pages, private_bytes
+from repro.baselines.monolithic import MonolithicOS, _va_pages
 from repro.cheri.capability import Capability, Perm
 from repro.core.relocate import _charge_each
-from repro.core.uprocess import (
-    init_image_contents,
-    initial_registers,
-    make_heap_allocator,
-    map_image_segments,
-)
+from repro.errors import InvalidArgument
 from repro.hw.paging import AddressSpace, PagePerm
 from repro.hw.phys import consecutive_runs
-from repro.kernel.base import AbstractOS
-from repro.kernel.fdtable import FDTable
+from repro.kernel.base import SharedMemoryObject
 from repro.kernel.syscalls import IsolationConfig
 from repro.kernel.task import Process
 from repro.machine import Machine
-from repro.mem.layout import KiB, MiB, ProgramImage, SegmentMap
+from repro.mem.layout import KiB, MiB
 
 #: guest VA where the unikernel image is loaded in every VM
 GUEST_BASE = 0x0000_0000_0040_0000
@@ -42,74 +48,29 @@ GUEST_BASE = 0x0000_0000_0040_0000
 GUEST_KERNEL_BYTES = int(1.4 * MiB)
 
 
-class VMCloneOS(AbstractOS):
+class VMCloneOS(MonolithicOS):
     """Nephele-like hypervisor-fork baseline."""
 
     kind = "nephele"
 
     #: per-domain hypervisor bookkeeping (domain struct, grant tables)
     KERNEL_PROC_OVERHEAD = 64 * KiB
+    IMAGE_BASE = GUEST_BASE
+    SPACE_PREFIX = "vm"
+    REGION_DROPS = Perm.SEAL | Perm.UNSEAL
+    #: a clone owns private copies of every page: nothing to break
+    COW_FAULTS = False
 
     def __init__(self, machine: Optional[Machine] = None,
                  isolation: Optional[IsolationConfig] = None) -> None:
         super().__init__(
             machine=machine,
+            isolation=isolation or IsolationConfig.fault(),
             # the guest is a unikernel: same-EL, cheap internal syscalls
             trapless_syscalls=True,
-            isolation=isolation or IsolationConfig.fault(),
-            same_address_space=False,  # one address space *per VM*
         )
-        self.kernel_root = Capability.root(self.machine.config.va_size)
-        self.syscall_gate = None
 
-    # ------------------------------------------------------------------
-    # AbstractOS interface
-    # ------------------------------------------------------------------
-
-    def space_of(self, proc: Process) -> AddressSpace:
-        return proc.space
-
-    def spawn(self, image: ProgramImage, name: str) -> Process:
-        machine = self.machine
-        page = machine.config.page_size
-
-        space = AddressSpace(machine, f"vm-{name}")
-        layout = SegmentMap(image, GUEST_BASE, page)
-
-        proc = Process(self.pids.allocate(), name)
-        proc.space = space
-        proc.layout = layout
-        proc.fdtable = FDTable()
-
-        try:
-            map_image_segments(machine, space, layout)
-            kernel_top = self._map_guest_kernel(space, layout.region_top)
-            proc.region_base = layout.region_base
-            proc.region_top = kernel_top
-
-            region_cap = (
-                self.kernel_root
-                .set_bounds(layout.region_base,
-                            kernel_top - layout.region_base)
-                .without_perms(Perm.SEAL | Perm.UNSEAL)
-                .with_cursor(layout.region_base)
-            )
-            init_image_contents(machine, space, layout, region_cap)
-            proc.allocator = make_heap_allocator(machine, space, layout,
-                                                 region_cap)
-        except Exception:
-            # the half-built guest goes back whole
-            space.unmap_range(0, _va_pages(machine))
-            raise
-
-        task = proc.add_task()
-        for reg_name, value in initial_registers(layout, region_cap).items():
-            task.registers.set(reg_name, value)
-        self.procs.add(proc)
-        self.sched.add(task)
-        return proc
-
-    def _map_guest_kernel(self, space: AddressSpace, base: int) -> int:
+    def _map_runtime(self, space: AddressSpace, base: int) -> int:
         """The unikernel's own pages — cloned along with the app."""
         machine = self.machine
         page = machine.config.page_size
@@ -136,38 +97,24 @@ class VMCloneOS(AbstractOS):
             for _ in range(6):
                 machine.charge(costs.hypercall_ns, "hypercall")
 
-        child = Process(self.pids.allocate(), proc.name, parent=proc)
-        child.layout = proc.layout
-        child.region_base = proc.region_base
-        child.region_top = proc.region_top
-        child.fdtable = proc.fdtable.fork_copy(machine)
-        from repro.kernel import signals as _signals
-        child.signal_state = _signals.signal_state(proc).fork_copy()
-
-        child_space = AddressSpace(machine, f"vm-{proc.name}-{child.pid}")
+        child = self._fork_child(proc)
+        child.space = self._new_space(f"{proc.name}-{child.pid}")
         with obs.span("clone_pages"):
             try:
-                self._clone_pages(proc.space, child_space)
+                self._clone_pages(proc.space, child.space)
             except Exception:
                 # a frame copy failed: the clone's copies are already
                 # freed; drop the child's fd references and its entry
                 child.fdtable.close_all()
                 proc.children.remove(child)
                 raise
-        child.space = child_space
 
         # same guest VA in the clone: registers copy verbatim
         task = child.add_task()
         with obs.span("registers"):
-            for name, value in proc.main_task().registers.items():
-                task.registers.set(name, value)
+            task.registers.copy_from(proc.main_task().registers)
 
-        with obs.span("allocator"):
-            child.allocator = type(proc.allocator)(
-                machine, child_space, proc.allocator.heap_cap,
-                max_blocks=proc.allocator.max_blocks,
-            )
-            child.allocator.attach_lazy()
+        self._fork_allocator(proc, child)
 
         self.procs.add(child)
         self.sched.add(task)
@@ -198,23 +145,13 @@ class VMCloneOS(AbstractOS):
                           PagePerm(perms[start]))
 
     # ------------------------------------------------------------------
-    # Exit / metrics
+    # Exit and shared memory
     # ------------------------------------------------------------------
 
     def _teardown_memory(self, proc: Process) -> None:
-        machine = self.machine
         # destroying the domain is hypervisor work
-        machine.charge(machine.costs.hypercall_ns * 4, "exit")
-        machine.charge(machine.costs.monolithic_exit_ns, "exit")
-        proc.space.unmap_range(0, _va_pages(machine))
+        self.machine.charge(self.machine.costs.hypercall_ns * 4, "exit")
+        super()._teardown_memory(proc)
 
-    def memory_of(self, proc: Process) -> float:
-        """A cloned VM shares nothing: its whole guest memory counts."""
-        return (
-            proc.space.resident_bytes(0, self.machine.config.va_size,
-                                      proportional=True)
-            + self.KERNEL_PROC_OVERHEAD
-        )
-
-    def private_bytes(self, proc: Process) -> int:
-        return private_bytes(proc.space)
+    def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:
+        raise InvalidArgument("shared memory not supported by this OS")

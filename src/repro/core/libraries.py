@@ -33,14 +33,12 @@ class SharedLibrary:
         self.machine = machine
         self.name = name
         self.pages = max(1, (size + page - 1) // page)
-        self.frames: List[int] = []
-        for index in range(self.pages):
-            frame_no = machine.phys.alloc(zero=True, charge=False)
+        self.frames: List[int] = machine.phys.alloc_run(self.pages)
+        for index, frame_no in enumerate(self.frames):
             frame = machine.phys.frame(frame_no)
             # deterministic, recognizable text content per page
             frame.write(0, _PAGE_MARK.pack(_LIB_MAGIC, index))
             frame.write(16, name.encode())
-            self.frames.append(frame_no)
 
     @property
     def size(self) -> int:
@@ -75,18 +73,7 @@ def map_library(os: Any, proc: Any, lib: SharedLibrary) -> Capability:
     mapped vpns join the process's shared set, so fork/migrate share
     them rather than copy-and-relocate.
     """
-    page = os.machine.config.page_size
-    base, _pages = os._mmap_window_alloc(proc, lib.size)
-    vpns = []
-    for index, frame in enumerate(lib.frames):
-        vpn = base // page + index
-        os.space.map_page(vpn, frame, PagePerm.rx(), incref=True)
-        vpns.append(vpn)
-    if not hasattr(proc, "shm_vpns"):
-        proc.shm_vpns = set()
-        proc.shm_bindings = []
-    proc.shm_vpns.update(vpns)
-
+    base = os._map_window(proc, lib.frames, PagePerm.rx())
     cap = (
         os.kernel_root
         .set_bounds(base, lib.size)

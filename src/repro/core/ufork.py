@@ -37,7 +37,7 @@ from repro.core.strategies import (
 from repro.core.uprocess import load_uprocess
 from repro.hw.paging import AddressSpace, PagePerm
 from repro.hw.phys import consecutive_runs
-from repro.kernel.base import AbstractOS, SharedMemoryObject
+from repro.kernel.base import AbstractOS
 from repro.kernel.syscalls import IsolationLevel, check_syscall_gate
 from repro.kernel.task import Process
 from repro.machine import Machine
@@ -62,8 +62,6 @@ class UForkOS(AbstractOS):
 
     kind = "ufork"
 
-    #: kernel-side per-process overhead (task struct, kernel stack,
-    #: fd table) counted by the memory metric
     KERNEL_PROC_OVERHEAD = 48 * 1024
 
     def __init__(self, machine: Optional[Machine] = None,
@@ -93,7 +91,6 @@ class UForkOS(AbstractOS):
         #: pid -> (lo, hi) demand-zero heap ranges (dynamic heaps, §4.2)
         self._demand_zero = {}
 
-        self.kernel_root = Capability.root(machine.config.va_size)
         from repro.core.libraries import LibraryRegistry
         self.libraries = LibraryRegistry(machine)
         self.vspace = VirtualAreaAllocator(
@@ -129,12 +126,7 @@ class UForkOS(AbstractOS):
         return self.space
 
     def spawn(self, image: ProgramImage, name: str) -> Process:
-        proc = load_uprocess(self, image, name)
-        from repro.core.libraries import map_library
-        for lib_name in getattr(image, "shared_libs", ()):
-            lib = self.libraries.get_or_create(lib_name)
-            map_library(self, proc, lib)
-        return proc
+        return load_uprocess(self, image, name)
 
     def syscall(self, proc: Process, name: str, *args: Any,
                 gate: Optional[Capability] = None) -> Any:
@@ -280,16 +272,9 @@ class UForkOS(AbstractOS):
         # 1. reserve the child's contiguous area and mirror the layout
         child_base = self.vspace.reserve(proc.region_size)
         tx.on_abort(lambda: self.vspace.release(child_base))
-        child = Process(self.pids.allocate(), proc.name, parent=proc)
+        child = self._fork_child(proc, child_base - proc.region_base)
         tx.on_abort(lambda: proc.children.remove(child))
-        child.layout = proc.layout.rebased(child_base)
-        child.region_base = child.layout.region_base
-        child.region_top = child.layout.region_top
-        child.fdtable = proc.fdtable.fork_copy(machine)
         tx.on_abort(child.fdtable.close_all)
-        from repro.kernel import signals as _signals
-        child.signal_state = _signals.signal_state(proc).fork_copy()
-        child.syscall_gate = self.syscall_gate
         self._abort_point("core.ufork.abort.reserve", proc)
 
         regions = RegionPair(
@@ -325,17 +310,6 @@ class UForkOS(AbstractOS):
             machine.tlb_shootdown(proc.cpu_footprint(),
                                   reason="fork_protect")
 
-        # shared-memory bindings carry over to the child's region
-        child.shm_vpns = {vpn + delta_pages for vpn in shm_vpns}
-        child.shm_bindings = list(getattr(proc, "shm_bindings", []))
-        child.mmap_offset = getattr(proc, "mmap_offset", 0)
-        # shared-library capabilities point at the child's own mapping
-        delta = child.region_base - proc.region_base
-        child.lib_caps = {
-            name: cap.rebased(delta)
-            for name, cap in getattr(proc, "lib_caps", {}).items()
-        }
-
         # 3. post-copy phase: new task, relocated registers, allocator
         task = child.add_task()
         with obs.span("registers"):
@@ -343,19 +317,13 @@ class UForkOS(AbstractOS):
             relocate_registers(machine, task.registers, regions)
         self._abort_point("core.ufork.abort.registers", proc)
 
-        with obs.span("allocator"):
-            heap_cap = (
-                self.kernel_root
-                .set_bounds(child.layout.base("heap"),
-                            child.layout.size("heap"))
-                .with_cursor(child.layout.base("heap"))
-                .and_perms(Perm.data_rw())
-            )
-            child.allocator = type(proc.allocator)(
-                machine, self.space, heap_cap,
-                max_blocks=proc.allocator.max_blocks,
-            )
-            child.allocator.attach_lazy()
+        heap_base = child.layout.base("heap")
+        self._fork_allocator(proc, child, (
+            self.kernel_root
+            .set_bounds(heap_base, child.layout.size("heap"))
+            .with_cursor(heap_base)
+            .and_perms(Perm.data_rw())
+        ))
         self._abort_point("core.ufork.abort.allocator", proc)
 
         self._register_demand_heap(child)
@@ -493,7 +461,7 @@ class UForkOS(AbstractOS):
         self.vspace.release(proc.region_base)
 
     # ------------------------------------------------------------------
-    # Anonymous mmap and shared memory (§3.7, §4.2)
+    # Anonymous mmap (§4.2)
     # ------------------------------------------------------------------
 
     def sys_mmap(self, proc: Process, size: int) -> Capability:
@@ -505,50 +473,7 @@ class UForkOS(AbstractOS):
         for index in range(pages):
             frame = self.machine.phys.alloc(zero=True)
             self.space.map_page(base // page + index, frame, PagePerm.rwc())
-        return self._window_cap(proc, base, pages * page)
-
-    def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:
-        base, _pages = self._mmap_window_alloc(
-            proc, shm.size_pages * self.machine.config.page_size
-        )
-        page = self.machine.config.page_size
-        vpns = []
-        for index, frame in enumerate(shm.frames):
-            vpn = base // page + index
-            self.space.map_page(vpn, frame, PagePerm.rwc(), incref=True)
-            vpns.append(vpn)
-        if not hasattr(proc, "shm_vpns"):
-            proc.shm_vpns = set()
-            proc.shm_bindings = []
-        proc.shm_vpns.update(vpns)
-        proc.shm_bindings.append((base - proc.layout.base("mmap"), shm))
-        # shared windows carry data authority only: stripping the cap
-        # load/store perms makes the window a capability firewall, so a
-        # μprocess can never smuggle tagged authority to a peer through
-        # shared memory (repro.sec `shm_cap_smuggle`)
-        return self._window_cap(proc, base, len(shm.frames) * page) \
-            .without_perms(Perm.LOAD_CAP | Perm.STORE_CAP)
-
-    def _mmap_window_alloc(self, proc: Process, size: int):
-        page = self.machine.config.page_size
-        pages = (size + page - 1) // page
-        offset = getattr(proc, "mmap_offset", 0)
-        window_base, window_top = proc.layout.span("mmap")
-        base = window_base + offset
-        if base + pages * page > window_top:
-            from repro.errors import OutOfMemory
-            raise OutOfMemory("mmap window exhausted")
-        proc.mmap_offset = offset + pages * page
-        return base, pages
-
-    def _window_cap(self, proc: Process, base: int, size: int) -> Capability:
-        region = (
-            self.kernel_root
-            .set_bounds(base, size)
-            .with_cursor(base)
-            .and_perms(Perm.data_rw())
-        )
-        return region
+        return self._window_cap(base, pages * page)
 
     # ------------------------------------------------------------------
     # Migration / VA compaction (paper §6 future work)
@@ -564,29 +489,6 @@ class UForkOS(AbstractOS):
         """Compact the μprocess window (squeeze out VA fragmentation)."""
         from repro.core.migrate import compact as _compact
         return _compact(self)
-
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-
-    def memory_of(self, proc: Process) -> float:
-        """Proportional resident set of a μprocess plus kernel overhead
-        (the Fig 8 metric)."""
-        return (
-            self.space.resident_bytes(proc.region_base, proc.region_top,
-                                      proportional=True)
-            + self.KERNEL_PROC_OVERHEAD
-        )
-
-    def private_bytes(self, proc: Process) -> int:
-        """Bytes of the region backed by frames only this process maps."""
-        page = self.machine.config.page_size
-        refcount = self.machine.phys.refcount
-        return page * sum(
-            1 for _vpn, frame, _perms, _cow, _note
-            in self.space.mapped_items(proc.region_base // page,
-                                       proc.region_top // page)
-            if refcount(frame) == 1)
 
 
 def _eager_copy_records(copy_items, caps, delta_pages):

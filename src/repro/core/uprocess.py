@@ -37,6 +37,7 @@ from repro.cheri.codec import CAP_SIZE
 from repro.cheri.regfile import CGP, CSP, CTP, DDC, PCC
 from repro.core.got import init_got, store_caps
 from repro.core.isolation import derive_uprocess_roots
+from repro.core.libraries import map_library
 from repro.core.relocate import record_flow
 from repro.hw.paging import AddressSpace
 from repro.mem.allocator import GuestAllocator
@@ -164,16 +165,16 @@ def _init_data_globals(space: AddressSpace, layout: SegmentMap,
 # SASOS loading
 # ---------------------------------------------------------------------------
 
-def load_uprocess(os: Any, image: ProgramImage, name: str,
-                  parent: Process = None) -> Process:
-    """Create and map a fresh μprocess on a :class:`UForkOS`."""
+def load_uprocess(os: Any, image: ProgramImage, name: str) -> Process:
+    """Create and map a fresh μprocess on a :class:`UForkOS`, with the
+    image's shared libraries mapped into its mmap window."""
     machine = os.machine
     page = machine.config.page_size
 
     region_base = os.vspace.reserve(image.region_size(page))
     layout = SegmentMap(image, region_base, page)
 
-    proc = Process(os.pids.allocate(), name, parent)
+    proc = Process(os.pids.allocate(), name)
     proc.region_base = layout.region_base
     proc.region_top = layout.region_top
     proc.layout = layout
@@ -193,12 +194,13 @@ def load_uprocess(os: Any, image: ProgramImage, name: str,
         init_image_contents(machine, os.space, layout, region_cap)
         proc.allocator = make_heap_allocator(machine, os.space, layout,
                                              region_cap)
+        for lib_name in image.shared_libs:
+            map_library(os, proc, os.libraries.get_or_create(lib_name))
     except Exception:
-        # nothing of the half-loaded image may survive: its frames, the
-        # demand-zero range and the VA reservation go back
+        # nothing of the half-loaded image may survive: its frames and
+        # library mappings, the demand-zero range and the VA reservation
+        # go back (a library the registry created stays machine-wide)
         os._release_region(proc)
-        if parent is not None:
-            parent.children.remove(proc)
         raise
     proc.syscall_gate = os.syscall_gate
 
@@ -208,6 +210,6 @@ def load_uprocess(os: Any, image: ProgramImage, name: str,
     os.procs.add(proc)
     os.sched.add(task)
     machine.emit(counter="uprocess_loaded")
-    record_flow(machine, "spawn", parent.pid if parent else 0, proc.pid,
+    record_flow(machine, "spawn", 0, proc.pid,
                 proc.region_base, proc.region_top)
     return proc

@@ -14,14 +14,16 @@ import abc
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.recovery import retry_syscall
-from repro.cheri.capability import Capability
+from repro.cheri.capability import Capability, Perm
+from repro.core.relocate import _charge_each
 from repro.errors import (
     InvalidArgument,
     NoChildProcess,
     NoSuchProcess,
+    OutOfMemory,
     WouldBlock,
 )
-from repro.hw.paging import AddressSpace
+from repro.hw.paging import AddressSpace, PagePerm
 from repro.kernel import signals as _signals
 from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.ipc import MessageQueue, Pipe
@@ -50,6 +52,12 @@ class AbstractOS(abc.ABC):
 
     #: short identifier used in reports ("ufork", "cheribsd", "nephele")
     kind: str = "abstract"
+    #: kernel-side bytes per process (task struct, kernel stack, fd
+    #: table, ...) counted by the memory metric
+    KERNEL_PROC_OVERHEAD = 0
+    #: sealed syscall-entry sentry handed to every process; ``None`` on
+    #: the kernels entered by trap
+    syscall_gate: Optional[Capability] = None
 
     def __init__(self, machine: Optional[Machine] = None,
                  trapless_syscalls: bool = True,
@@ -71,6 +79,8 @@ class AbstractOS(abc.ABC):
         #: Unknown names are never cached — the fuzzer sends garbage and
         #: a poisoned entry would shadow a handler added to a subclass.
         self._dispatch: Dict[str, Tuple[Any, str]] = {}
+        #: the root every process's authority is derived from
+        self.kernel_root = Capability.root(self.machine.config.va_size)
         self.machine.register_kernel(self)
 
     # ------------------------------------------------------------------
@@ -93,9 +103,25 @@ class AbstractOS(abc.ABC):
     def _teardown_memory(self, proc: Process) -> None:
         """Release a process's memory at exit."""
 
-    @abc.abstractmethod
     def memory_of(self, proc: Process) -> float:
-        """Memory consumed by ``proc`` (bytes; the Fig 5/8 metric)."""
+        """Memory consumed by ``proc`` (bytes; the Fig 5/8 metric): the
+        proportional resident set of its region plus the kernel's
+        per-process overhead."""
+        return (
+            self.space_of(proc).resident_bytes(
+                proc.region_base, proc.region_top, proportional=True)
+            + self.KERNEL_PROC_OVERHEAD
+        )
+
+    def private_bytes(self, proc: Process) -> int:
+        """Bytes of the region backed by frames only this process maps."""
+        page = self.machine.config.page_size
+        refcount = self.machine.phys.refcount
+        return page * sum(
+            1 for _vpn, frame, _perms, _cow, _note
+            in self.space_of(proc).mapped_items(proc.region_base // page,
+                                                proc.region_top // page)
+            if refcount(frame) == 1)
 
     # ------------------------------------------------------------------
     # Syscall dispatch
@@ -395,10 +421,16 @@ class AbstractOS(abc.ABC):
         self._enter(proc, "shm_open", 2)
         shm = self._shm.get(name)
         if shm is None:
-            page = self.machine.config.page_size
+            machine = self.machine
+            page = machine.config.page_size
             pages = (size + page - 1) // page
-            frames = [self.machine.phys.alloc() for _ in range(pages)]
-            shm = SharedMemoryObject(name, frames)
+            # one zeroing charge per frame handed out before any
+            # failure, as allocating frame by frame does
+            zeroed = machine.phys.alloc_budget(pages)
+            if zeroed:
+                _charge_each(machine, machine.costs.page_zero_ns, zeroed,
+                             "page_zero")
+            shm = SharedMemoryObject(name, machine.phys.alloc_run(pages))
             self._shm[name] = shm
         return shm
 
@@ -407,7 +439,97 @@ class AbstractOS(abc.ABC):
         return self._map_shared(proc, shm)
 
     def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:
-        raise InvalidArgument("shared memory not supported by this OS")
+        page = self.machine.config.page_size
+        base = self._map_window(proc, shm.frames, PagePerm.rwc())
+        proc.shm_bindings.append((base - proc.layout.base("mmap"), shm))
+        # shared windows carry data authority only: stripping the cap
+        # load/store perms makes the window a capability firewall, so a
+        # process can never smuggle tagged authority to a peer through
+        # shared memory (repro.sec `shm_cap_smuggle`)
+        return self._window_cap(base, shm.size_pages * page) \
+            .without_perms(Perm.LOAD_CAP | Perm.STORE_CAP)
+
+    def _map_window(self, proc: Process, frames: Sequence[int],
+                    perms: PagePerm) -> int:
+        """Map ``frames`` (shared-memory or library frames) at the next
+        free spot of ``proc``'s mmap window in one run, each taking a
+        reference; returns the mapping's base.  The vpns join
+        ``proc.shm_vpns``, so fork and migration share them rather than
+        copy and relocate them."""
+        page = self.machine.config.page_size
+        base, pages = self._mmap_window_alloc(proc, len(frames) * page)
+        vpn = base // page
+        self.space_of(proc).map_run(vpn, frames, perms, incref=True)
+        if not hasattr(proc, "shm_vpns"):
+            proc.shm_vpns = set()
+            proc.shm_bindings = []
+        proc.shm_vpns.update(range(vpn, vpn + pages))
+        return base
+
+    def _mmap_window_alloc(self, proc: Process, size: int) -> Tuple[int, int]:
+        """Carve ``size`` bytes (whole pages) off the free end of
+        ``proc``'s mmap window; returns (base, pages)."""
+        page = self.machine.config.page_size
+        pages = (size + page - 1) // page
+        offset = getattr(proc, "mmap_offset", 0)
+        window_base, window_top = proc.layout.span("mmap")
+        base = window_base + offset
+        if base + pages * page > window_top:
+            raise OutOfMemory("mmap window exhausted")
+        proc.mmap_offset = offset + pages * page
+        return base, pages
+
+    def _window_cap(self, base: int, size: int) -> Capability:
+        return (
+            self.kernel_root
+            .set_bounds(base, size)
+            .with_cursor(base)
+            .and_perms(Perm.data_rw())
+        )
+
+    # ------------------------------------------------------------------
+    # Fork plumbing
+    # ------------------------------------------------------------------
+
+    def _fork_child(self, proc: Process, delta: int = 0) -> Process:
+        """The child of a fork of ``proc``: a fresh pid linked under
+        ``proc``, with the parent's layout, region, shared windows and
+        library capabilities moved ``delta`` bytes (0 when the child
+        keeps the parent's addresses in a space of its own), copies of
+        its fd table and signal dispositions, and the kernel's gate."""
+        machine = self.machine
+        child = Process(self.pids.allocate(), proc.name, parent=proc)
+        child.layout = proc.layout.rebased(proc.region_base + delta) \
+            if delta else proc.layout
+        child.region_base = proc.region_base + delta
+        child.region_top = proc.region_top + delta
+        child.fdtable = proc.fdtable.fork_copy(machine)
+        child.signal_state = _signals.signal_state(proc).fork_copy()
+        child.syscall_gate = self.syscall_gate
+        delta_pages = delta // machine.config.page_size
+        child.shm_vpns = {vpn + delta_pages
+                          for vpn in getattr(proc, "shm_vpns", ())}
+        child.shm_bindings = list(getattr(proc, "shm_bindings", ()))
+        child.mmap_offset = getattr(proc, "mmap_offset", 0)
+        child.lib_caps = {
+            name: cap.rebased(delta)
+            for name, cap in getattr(proc, "lib_caps", {}).items()
+        }
+        return child
+
+    def _fork_allocator(self, proc: Process, child: Process,
+                        heap_cap: Optional[Capability] = None) -> None:
+        """Fork's ``allocator`` phase: the child's allocator over
+        ``heap_cap`` (default the parent's) in the child's space,
+        attached lazily to the metadata the child inherited."""
+        parent = proc.allocator
+        with self.machine.obs.span("allocator"):
+            child.allocator = type(parent)(
+                self.machine, self.space_of(child),
+                parent.heap_cap if heap_cap is None else heap_cap,
+                max_blocks=parent.max_blocks,
+            )
+            child.allocator.attach_lazy()
 
     # ------------------------------------------------------------------
     # Exit plumbing

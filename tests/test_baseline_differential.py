@@ -214,12 +214,13 @@ def _boot(kernel, env, side):
         machine.tracer = _Recorder()
     os_ = KERNELS[kernel](machine=machine)
     if side == "reference":
-        if isinstance(os_, MonolithicOS):
+        # VMCloneOS is a MonolithicOS too: test for it first
+        if isinstance(os_, VMCloneOS):
+            os_._clone_pages = functools.partial(_reference_clone_pages, os_)
+        else:
             os_._copy_ptes = functools.partial(_reference_copy_ptes, os_)
             os_._child_allocator_touch = functools.partial(
                 _reference_allocator_touch, os_)
-        else:
-            os_._clone_pages = functools.partial(_reference_clone_pages, os_)
         os_._teardown_memory = functools.partial(_reference_teardown, os_)
     root = GuestContext(os_, os_.spawn(hello_world_image(), "root"))
     root.syscall("pipe")

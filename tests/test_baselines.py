@@ -8,7 +8,7 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import GREETING, hello_world_image, run_hello
 from repro.baselines import MonolithicOS, VMCloneOS
 from repro.core import UForkOS
-from repro.errors import OutOfMemory
+from repro.errors import InvalidArgument, OutOfMemory
 from repro.machine import Machine
 from repro.params import MachineConfig
 
@@ -216,6 +216,42 @@ class TestVMClone:
         assert len(list(os_.procs.alive())) == 1
         parent.syscall("close", write_fd)
         assert parent.read_bytes(read_fd, 8) == b""
+
+
+class TestVMCloneKeepsItsOwnMechanism:
+    """VMCloneOS inherits the monolithic kernel's process plumbing; pin
+    what it must not inherit."""
+
+    def test_no_shared_memory(self):
+        ctx = spawn_hello(boot(VMCloneOS))
+        shm = ctx.syscall("shm_open", "/seg", 4096)
+        with pytest.raises(InvalidArgument):
+            ctx.syscall("shm_map", shm)
+
+    @pytest.mark.parametrize("os_cls, ipis", [(MonolithicOS, 1),
+                                              (VMCloneOS, 0)])
+    def test_fork_shootdown_at_two_cpus(self, os_cls, ipis):
+        os_ = os_cls(machine=Machine(num_cpus=2))
+        ctx = spawn_hello(os_)
+        counters = os_.machine.counters
+        before = counters.get("tlb_shootdown_ipis")
+        ctx.fork()
+        assert counters.get("tlb_shootdown_ipis") - before == ipis
+
+    def test_spaces_have_no_cow_fault_handler(self):
+        parent = spawn_hello(boot(VMCloneOS))
+        child = parent.fork()
+        for proc in (parent.proc, child.proc):
+            assert proc.space.name.startswith("vm-")
+            assert proc.space.fault_handler is None
+
+    def test_fork_span_tree_keeps_its_phases(self):
+        machine = Machine()
+        machine.obs.enable()
+        spawn_hello(VMCloneOS(machine=machine)).fork()
+        fork = machine.obs.span_tree.node("syscall.fork")
+        assert list(fork.children) == ["domain_create", "clone_pages",
+                                       "registers", "allocator"]
 
 
 class TestForkLatencyOrdering:

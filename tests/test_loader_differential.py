@@ -29,7 +29,6 @@ import pytest
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.baselines import monolithic as monolithic_mod
-from repro.baselines import vmclone as vmclone_mod
 from repro.baselines.isounik import IsoUnikOS
 from repro.baselines.monolithic import (
     PRIVATE_LIB_PAGES,
@@ -154,7 +153,7 @@ def ref_map_guest_kernel(self, space, base):
 
 
 def use_reference_loader(monkeypatch):
-    for module in (uprocess, monolithic_mod, vmclone_mod):
+    for module in (uprocess, monolithic_mod):
         monkeypatch.setattr(module, "map_image_segments",
                             ref_map_image_segments)
     monkeypatch.setattr(uprocess, "_init_code_and_rodata",
@@ -162,8 +161,8 @@ def use_reference_loader(monkeypatch):
     monkeypatch.setattr(uprocess, "_init_data_globals",
                         ref_init_data_globals)
     monkeypatch.setattr(uprocess, "init_got", ref_init_got)
-    monkeypatch.setattr(MonolithicOS, "_map_libraries", ref_map_libraries)
-    monkeypatch.setattr(VMCloneOS, "_map_guest_kernel", ref_map_guest_kernel)
+    monkeypatch.setattr(MonolithicOS, "_map_runtime", ref_map_libraries)
+    monkeypatch.setattr(VMCloneOS, "_map_runtime", ref_map_guest_kernel)
 
 
 # ---------------------------------------------------------------------------

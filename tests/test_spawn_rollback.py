@@ -23,6 +23,7 @@ from repro.baselines.vmclone import VMCloneOS
 from repro.chaos import ChaosEngine, FaultMix, InjectedAllocFailure
 from repro.core import CopyStrategy, UForkOS
 from repro.errors import OutOfMemory
+from repro.harness.matrix import boot as matrix_boot
 from repro.machine import Machine
 from repro.mem.allocator import GuestAllocator
 from repro.params import MachineConfig
@@ -175,8 +176,6 @@ def test_seed4_matrix_spawn_leaves_nothing():
     """A matrix boot at seed 4 with a light ``alloc_fail`` mix, where
     the first spawn used to leak 28 frames: the spawn still fails, and
     frames are back at the post-boot count."""
-    from repro.harness.matrix import boot as matrix_boot
-
     for strategy, frames in (("copa", 64), ("monolithic", 0)):
         booted = matrix_boot(strategy, seed=4, cpus=1,
                              chaos_mix=f"{POINT}=0.002")
@@ -185,3 +184,65 @@ def test_seed4_matrix_spawn_leaves_nothing():
             booted.os.spawn(hello_world_image(), "x")
         assert booted.machine.phys.allocated_frames == frames
         assert booted.os.procs.all() == []
+
+
+LIBS = ("libc", "libm", "libz")
+#: pages of one default-size (64 KiB) library
+LIB_PAGES = 16
+
+
+def with_registry_frames(state, frames):
+    """``state`` with its refcounts sorted, plus ``frames``, each held
+    only by the library registry (refcount 1, mapped nowhere)."""
+    return dict(state, frames=state["frames"] + len(frames),
+                refcounts=sorted(state["refcounts"]
+                                 + [(frame, 1) for frame in frames]))
+
+
+def registry_frames(os_):
+    return [frame for name in LIBS if name in os_.libraries
+            for frame in os_.libraries.get_or_create(name).frames]
+
+
+def test_library_window_overflow_rolls_back_the_spawn():
+    """hello's 16 KiB mmap window cannot hold a 64 KiB library, so the
+    spawn fails mapping libc.  The process, its region and every frame
+    it mapped go; libc, which the registry created, stays machine-wide
+    and mapped nowhere."""
+    booted = matrix_boot("copa", seed=1, cpus=1, image=hello_world_image(),
+                         name="x")
+    os_ = booted.os
+    before = kernel_state(os_)
+    with pytest.raises(OutOfMemory, match="mmap window exhausted"):
+        os_.spawn(dataclasses.replace(hello_world_image(), shared_libs=LIBS),
+                  "y")
+    assert registry_frames(os_) == os_.libraries.get_or_create("libc").frames
+    assert with_registry_frames(kernel_state(os_), []) == \
+        with_registry_frames(before, registry_frames(os_))
+
+
+@pytest.mark.parametrize("page", [0, 8, LIB_PAGES + 8],
+                         ids=["libc-first", "libc-middle", "libm-middle"])
+def test_library_alloc_failure_rolls_back_the_spawn(page):
+    """An ``alloc_fail`` draw at ``page`` of the libraries' page
+    allocations: the spawn undoes its image and every library mapping.
+    Only libraries finished before the failure stay, owned by the
+    registry alone; the same spawn then succeeds."""
+    image = dataclasses.replace(hello_world_image(), shared_libs=LIBS,
+                                mmap_size=len(LIBS) * LIB_PAGES * PAGE)
+    offset = clean_spawn_allocations("copa", image, 1) \
+        - len(LIBS) * LIB_PAGES + page
+    seed, rate = seed_failing_at(offset)
+    _machine, os_, engine = boot("copa", chaos_seed=seed, rate=rate,
+                                 resident=1)
+    before = kernel_state(os_)
+    with pytest.raises(InjectedAllocFailure):
+        os_.spawn(image, "victim")
+    assert engine.fired[POINT] == 1
+    assert len(registry_frames(os_)) == page // LIB_PAGES * LIB_PAGES
+    assert with_registry_frames(kernel_state(os_), []) == \
+        with_registry_frames(before, registry_frames(os_))
+    engine.disable()
+    ctx = GuestContext(os_, os_.spawn(image, "victim"))
+    for name in LIBS:
+        assert ctx.load(ctx.proc.lib_caps[name], 16)[:8] != bytes(8)

@@ -416,6 +416,23 @@ class TestSharedMemoryAndMmap:
         child.store(child_cap, b"shared-after!")
         assert parent.load(parent_cap, 13) == b"shared-after!"
 
+    @pytest.mark.parametrize("seed", [4, 5, 7, 12])
+    def test_shm_open_alloc_failure_leaks_no_frames(self, seed):
+        """At these seeds an injected ``hw.phys.alloc_fail`` lands part-way
+        through a 16-page ``shm_open``: no object is registered, and no
+        frame of the partial allocation stays behind."""
+        from repro.chaos import InjectedAllocFailure
+        from repro.harness.matrix import boot as matrix_boot
+
+        booted = matrix_boot("copa", seed=seed, cpus=1,
+                             image=hello_world_image(), name="x",
+                             chaos_mix="hw.phys.alloc_fail=0.03")
+        frames = booted.machine.phys.allocated_frames
+        with pytest.raises(InjectedAllocFailure):
+            booted.ctx.syscall("shm_open", "/s", 16 * 4096)
+        assert booted.machine.phys.allocated_frames == frames
+        assert booted.os._shm == {}
+
 
 class TestExitTeardown:
     def test_exit_releases_frames(self):
