@@ -32,17 +32,16 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set
 
 from repro.cheri.capability import Capability, Perm
-from repro.core.relocate import _charge_each, record_flow
+from repro.core.isolation import derive_uprocess_roots
+from repro.core.relocate import _charge_each
 from repro.core.uprocess import (
     init_image_contents,
-    initial_registers,
-    make_heap_allocator,
+    init_registers,
     map_image_segments,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
 from repro.hw.phys import consecutive_runs
 from repro.kernel.base import AbstractOS
-from repro.kernel.fdtable import FDTable
 from repro.kernel.syscalls import IsolationConfig
 from repro.kernel.task import Process
 from repro.machine import Machine
@@ -156,27 +155,19 @@ class MonolithicOS(AbstractOS):
         machine = self.machine
         space = self._new_space(name)
         layout = SegmentMap(image, self.IMAGE_BASE, machine.config.page_size)
-
-        proc = Process(self.pids.allocate(), name)
+        proc = self._new_process(name, layout)
         proc.space = space
-        proc.layout = layout
-        proc.fdtable = FDTable()
 
         lib_frames = self._lib_frames
         try:
             map_image_segments(machine, space, layout)
-            proc.region_base = layout.region_base
             proc.region_top = self._map_runtime(space, layout.region_top)
 
-            region_cap = (
-                self.kernel_root
-                .set_bounds(layout.region_base, proc.region_size)
-                .without_perms(self.REGION_DROPS)
-                .with_cursor(layout.region_base)
-            )
+            region_cap = derive_uprocess_roots(
+                self.kernel_root, proc.region_base, proc.region_size,
+                self.REGION_DROPS)
             init_image_contents(machine, space, layout, region_cap)
-            proc.allocator = make_heap_allocator(machine, space, layout,
-                                                 region_cap)
+            self._attach_allocator(proc).format()
         except Exception:
             # the half-built address space goes, and so do the shared
             # library frames if this spawn was the one that filled them
@@ -186,13 +177,8 @@ class MonolithicOS(AbstractOS):
                 self._lib_frames = lib_frames
             raise
 
-        task = proc.add_task()
-        for reg_name, value in initial_registers(layout, region_cap).items():
-            task.registers.set(reg_name, value)
-        self.procs.add(proc)
-        self.sched.add(task)
-        record_flow(machine, "spawn", 0, proc.pid,
-                    proc.region_base, proc.region_top)
+        init_registers(proc.add_task().registers, layout, region_cap)
+        self._publish(proc, "spawn")
         return proc
 
     def _map_runtime(self, space: AddressSpace, base: int) -> int:
@@ -254,11 +240,8 @@ class MonolithicOS(AbstractOS):
         #: deferred allocator arena re-touch (runs when the child starts)
         child._pending_allocator_touch = True
 
-        self.procs.add(child)
-        self.sched.add(task)
+        self._publish(child, "fork", proc.pid, "monolithic")
         machine.emit(counter="fork", metric="baselines.monolithic.forks")
-        record_flow(machine, "fork", proc.pid, child.pid,
-                    child.region_base, child.region_top, "monolithic")
         return child
 
     def _copy_ptes(self, parent: AddressSpace, child: AddressSpace,

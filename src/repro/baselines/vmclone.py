@@ -116,8 +116,7 @@ class VMCloneOS(MonolithicOS):
 
         self._fork_allocator(proc, child)
 
-        self.procs.add(child)
-        self.sched.add(task)
+        self._publish(child, "fork", proc.pid, "vmclone")
         machine.emit(counter="fork", metric="baselines.vmclone.forks")
         return child
 

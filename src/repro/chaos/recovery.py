@@ -14,6 +14,7 @@ the half that survives.  Two primitives:
   duplication, parent/child linkage); if any step dies the rollback
   leaves no orphaned frames, PIDs, or fd-table entries
   (tests/test_fork_rollback.py is the contract).
+  :func:`run_transaction` drives one for fork and snapshot restore.
 """
 
 from __future__ import annotations
@@ -78,3 +79,35 @@ class Transaction:
     def rollback(self) -> None:
         while self._undo:
             self._undo.pop()()
+
+
+def run_transaction(machine: Any, body: Callable[[Transaction], T],
+                    kind: str, metric: str, failure: type, label: str,
+                    **fields: Any) -> T:
+    """Run ``body(tx)`` under the fork lock as one transaction (fork,
+    snapshot restore).
+
+    On any error the undos run, the rollback is counted (``<kind>_rollback``
+    event, ``<kind>_rollbacks`` counter, obs ``metric``), an injected
+    abort point is noted as recovered, and an injected fault re-raises
+    as the retriable ``failure`` so the syscall layer's bounded retry
+    can re-attempt the whole operation.
+    """
+    tx = Transaction()
+    with machine.locks.fork.held():
+        try:
+            result = body(tx)
+        except Exception as exc:
+            tx.rollback()
+            machine.emit(f"{kind}_rollback", counter=f"{kind}_rollbacks",
+                         metric=metric, **fields, reason=type(exc).__name__)
+            point = getattr(exc, "point", None)
+            if point is not None:
+                machine.chaos.note_recovery(point)
+            if getattr(exc, "injected", False) and \
+                    not isinstance(exc, failure):
+                raise failure(
+                    f"{label} aborted by injected fault ({exc})") from exc
+            raise
+        tx.commit()
+    return result

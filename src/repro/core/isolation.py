@@ -42,15 +42,17 @@ def make_syscall_gate(kernel_code_cap: Capability,
 
 
 def derive_uprocess_roots(kernel_root: Capability, region_base: int,
-                          region_size: int) -> Capability:
-    """Derive a μprocess's region capability from the kernel root.
+                          region_size: int,
+                          drops: Perm = Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL
+                          ) -> Capability:
+    """Derive a process's region capability from the kernel root.
 
-    The result is bounded to the μprocess's contiguous area and carries
-    no SYSTEM permission — the key security invariant of §4.2.
+    The result is bounded to the process's contiguous area and lacks
+    ``drops`` — by default no SYSTEM permission, the key security
+    invariant of §4.2 (a VM clone's guest kernel keeps SYSTEM).
     """
     region = kernel_root.set_bounds(region_base, region_size)
-    region = region.without_perms(Perm.SYSTEM | Perm.SEAL | Perm.UNSEAL)
-    return region.with_cursor(region_base)
+    return region.without_perms(drops).with_cursor(region_base)
 
 
 def check_privileged(cap: Capability, operation: str = "msr") -> None:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set
 
 from repro.chaos.faults import InjectedForkFailure
-from repro.chaos.recovery import Transaction
-from repro.cheri.capability import Capability, Perm
+from repro.chaos.recovery import Transaction, run_transaction
+from repro.cheri.capability import Capability
 from repro.core.isolation import (
     IsolationConfig,
     make_syscall_gate,
@@ -22,7 +22,6 @@ from repro.core.isolation import (
 from repro.core.relocate import (
     RegionPair,
     _charge_each,
-    record_flow,
     relocate_copied_frames,
     relocate_registers,
 )
@@ -180,6 +179,12 @@ class UForkOS(AbstractOS):
         heap_base, heap_top = proc.layout.span("heap")
         self._demand_zero[proc.pid] = (heap_base, heap_top)
 
+    def _publish(self, proc: Process, event: str, src_pid: int = 0,
+                 detail: str = "") -> None:
+        # a dynamic heap pages in on demand from the moment it is live
+        self._register_demand_heap(proc)
+        super()._publish(proc, event, src_pid, detail)
+
     # ------------------------------------------------------------------
     # μFork itself (§3.5)
     # ------------------------------------------------------------------
@@ -202,28 +207,12 @@ class UForkOS(AbstractOS):
         bounded retry can re-attempt the whole fork."""
         machine = self.machine
         strategy = self._effective_strategy(machine.chaos)
-        tx = Transaction()
         # Fork serializes against concurrent forks/faults on other CPUs
         # (a no-op spinlock while num_cpus == 1).
-        with machine.locks.fork.held():
-            try:
-                child = self._fork_phases(proc, strategy, tx)
-            except Exception as exc:
-                tx.rollback()
-                machine.emit("fork_rollback", counter="fork_rollbacks",
-                             metric="core.ufork.fork_rollbacks",
-                             parent=proc.pid, reason=type(exc).__name__)
-                point = getattr(exc, "point", None)
-                if point is not None:
-                    machine.chaos.note_recovery(point)
-                if getattr(exc, "injected", False) and \
-                        not isinstance(exc, InjectedForkFailure):
-                    raise InjectedForkFailure(
-                        f"fork of pid {proc.pid} aborted by injected fault "
-                        f"({exc})") from exc
-                raise
-            tx.commit()
-        return child
+        return run_transaction(
+            machine, lambda tx: self._fork_phases(proc, strategy, tx),
+            "fork", "core.ufork.fork_rollbacks", InjectedForkFailure,
+            f"fork of pid {proc.pid}", parent=proc.pid)
 
     def _effective_strategy(self, chaos: Any) -> CopyStrategy:
         """Graceful degradation (chaos survival): under an injected
@@ -317,23 +306,13 @@ class UForkOS(AbstractOS):
             relocate_registers(machine, task.registers, regions)
         self._abort_point("core.ufork.abort.registers", proc)
 
-        heap_base = child.layout.base("heap")
-        self._fork_allocator(proc, child, (
-            self.kernel_root
-            .set_bounds(heap_base, child.layout.size("heap"))
-            .with_cursor(heap_base)
-            .and_perms(Perm.data_rw())
-        ))
+        self._fork_allocator(proc, child)
         self._abort_point("core.ufork.abort.allocator", proc)
 
-        self._register_demand_heap(child)
-        self.procs.add(child)
-        self.sched.add(task)
+        self._publish(child, "fork", proc.pid, strategy.value)
         machine.emit("fork", counter="fork", metric="core.ufork.forks",
                      parent=proc.pid, child=child.pid,
                      strategy=strategy.value)
-        record_flow(machine, "fork", proc.pid, child.pid,
-                    child.region_base, child.region_top, strategy.value)
         return child
 
     def _copy_pages(self, strategy: CopyStrategy, regions: RegionPair,
@@ -468,12 +447,16 @@ class UForkOS(AbstractOS):
         """Anonymous private mapping inside the caller's mmap window;
         returns a capability confined to the calling μprocess (§4.2)."""
         self._enter(proc, "mmap", 1)
+        offset = getattr(proc, "mmap_offset", 0)
         base, pages = self._mmap_window_alloc(proc, size)
+        try:
+            frames = self._alloc_zeroed(pages)
+        except Exception:
+            proc.mmap_offset = offset
+            raise
         page = self.machine.config.page_size
-        for index in range(pages):
-            frame = self.machine.phys.alloc(zero=True)
-            self.space.map_page(base // page + index, frame, PagePerm.rwc())
-        return self._window_cap(base, pages * page)
+        self.space.map_run(base // page, frames, PagePerm.rwc())
+        return self._data_cap(base, pages * page)
 
     # ------------------------------------------------------------------
     # Migration / VA compaction (paper §6 future work)

@@ -30,7 +30,7 @@ reservation before the error propagates, so the kernel is as it was
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict
+from typing import Any
 
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
@@ -38,11 +38,8 @@ from repro.cheri.regfile import CGP, CSP, CTP, DDC, PCC
 from repro.core.got import init_got, store_caps
 from repro.core.isolation import derive_uprocess_roots
 from repro.core.libraries import map_library
-from repro.core.relocate import record_flow
 from repro.hw.paging import AddressSpace
-from repro.mem.allocator import GuestAllocator
 from repro.mem.layout import ProgramImage, SegmentMap
-from repro.kernel.fdtable import FDTable
 from repro.kernel.task import Process
 
 #: number of pointer globals planted in the data segment at load; these
@@ -91,29 +88,15 @@ def init_image_contents(machine: Any, space: AddressSpace,
     )
 
 
-def make_heap_allocator(machine: Any, space: AddressSpace,
-                        layout: SegmentMap,
-                        region_cap: Capability) -> GuestAllocator:
-    heap_cap = (
-        region_cap
-        .set_bounds(layout.base("heap"), layout.size("heap"))
-        .with_cursor(layout.base("heap"))
-        .and_perms(Perm.data_rw())
-    )
-    allocator = GuestAllocator(machine, space, heap_cap)
-    allocator.format()
-    return allocator
-
-
-def initial_registers(layout: SegmentMap,
-                      region_cap: Capability) -> Dict[str, Capability]:
-    """Derive the initial capability register file (all bounded to the
-    region, none carrying SYSTEM)."""
+def init_registers(registers: Any, layout: SegmentMap,
+                   region_cap: Capability) -> None:
+    """Derive the initial capability register file into ``registers``:
+    every capability bounded to the region, from ``region_cap``."""
     code_base, code_top = layout.span("code")
     stack_base, stack_top = layout.span("stack")
     got_base, _got_top = layout.span("got")
     tls_base, _tls_top = layout.span("tls")
-    return {
+    for name, value in {
         DDC: region_cap,
         PCC: region_cap.set_bounds(code_base, code_top - code_base)
                        .with_cursor(code_base)
@@ -127,7 +110,8 @@ def initial_registers(layout: SegmentMap,
         CTP: region_cap.set_bounds(tls_base, layout.size("tls"))
                        .with_cursor(tls_base)
                        .and_perms(Perm.data_rw()),
-    }
+    }.items():
+        registers.set(name, value)
 
 
 def _init_code_and_rodata(machine: Any, space: AddressSpace,
@@ -173,13 +157,7 @@ def load_uprocess(os: Any, image: ProgramImage, name: str) -> Process:
 
     region_base = os.vspace.reserve(image.region_size(page))
     layout = SegmentMap(image, region_base, page)
-
-    proc = Process(os.pids.allocate(), name)
-    proc.region_base = layout.region_base
-    proc.region_top = layout.region_top
-    proc.layout = layout
-    proc.fdtable = FDTable()
-
+    proc = os._new_process(name, layout)
     try:
         map_image_segments(machine, os.space, layout,
                            demand_heap=image.heap_initial is not None)
@@ -192,8 +170,7 @@ def load_uprocess(os: Any, image: ProgramImage, name: str) -> Process:
             os.kernel_root, layout.region_base, layout.region_size
         )
         init_image_contents(machine, os.space, layout, region_cap)
-        proc.allocator = make_heap_allocator(machine, os.space, layout,
-                                             region_cap)
+        os._attach_allocator(proc).format()
         for lib_name in image.shared_libs:
             map_library(os, proc, os.libraries.get_or_create(lib_name))
     except Exception:
@@ -202,14 +179,8 @@ def load_uprocess(os: Any, image: ProgramImage, name: str) -> Process:
         # go back (a library the registry created stays machine-wide)
         os._release_region(proc)
         raise
-    proc.syscall_gate = os.syscall_gate
 
-    task = proc.add_task()
-    for reg_name, value in initial_registers(layout, region_cap).items():
-        task.registers.set(reg_name, value)
-    os.procs.add(proc)
-    os.sched.add(task)
+    init_registers(proc.add_task().registers, layout, region_cap)
+    os._publish(proc, "spawn")
     machine.emit(counter="uprocess_loaded")
-    record_flow(machine, "spawn", 0, proc.pid,
-                proc.region_base, proc.region_top)
     return proc

@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.recovery import retry_syscall
 from repro.cheri.capability import Capability, Perm
-from repro.core.relocate import _charge_each
+from repro.core.relocate import _charge_each, record_flow
 from repro.errors import (
     InvalidArgument,
     NoChildProcess,
@@ -32,6 +32,7 @@ from repro.kernel.syscalls import IsolationConfig, SyscallLayer
 from repro.kernel.task import PidAllocator, Process, ProcessTable
 from repro.kernel.vfs import O_RDONLY, RamDisk
 from repro.machine import Machine
+from repro.mem.allocator import GuestAllocator
 from repro.smp.sched import SmpScheduler
 
 
@@ -421,18 +422,21 @@ class AbstractOS(abc.ABC):
         self._enter(proc, "shm_open", 2)
         shm = self._shm.get(name)
         if shm is None:
-            machine = self.machine
-            page = machine.config.page_size
-            pages = (size + page - 1) // page
-            # one zeroing charge per frame handed out before any
-            # failure, as allocating frame by frame does
-            zeroed = machine.phys.alloc_budget(pages)
-            if zeroed:
-                _charge_each(machine, machine.costs.page_zero_ns, zeroed,
-                             "page_zero")
-            shm = SharedMemoryObject(name, machine.phys.alloc_run(pages))
+            page = self.machine.config.page_size
+            shm = SharedMemoryObject(
+                name, self._alloc_zeroed((size + page - 1) // page))
             self._shm[name] = shm
         return shm
+
+    def _alloc_zeroed(self, pages: int) -> List[int]:
+        """``pages`` zeroed frames in one run, or none and an error, with
+        the zeroing charges of allocating frame by frame."""
+        machine = self.machine
+        zeroed = machine.phys.alloc_budget(pages)
+        if zeroed:
+            _charge_each(machine, machine.costs.page_zero_ns, zeroed,
+                         "page_zero")
+        return machine.phys.alloc_run(pages)
 
     def sys_shm_map(self, proc: Process, shm: SharedMemoryObject) -> Capability:
         self._enter(proc, "shm_map", 1)
@@ -446,7 +450,7 @@ class AbstractOS(abc.ABC):
         # load/store perms makes the window a capability firewall, so a
         # process can never smuggle tagged authority to a peer through
         # shared memory (repro.sec `shm_cap_smuggle`)
-        return self._window_cap(base, shm.size_pages * page) \
+        return self._data_cap(base, shm.size_pages * page) \
             .without_perms(Perm.LOAD_CAP | Perm.STORE_CAP)
 
     def _map_window(self, proc: Process, frames: Sequence[int],
@@ -479,7 +483,9 @@ class AbstractOS(abc.ABC):
         proc.mmap_offset = offset + pages * page
         return base, pages
 
-    def _window_cap(self, base: int, size: int) -> Capability:
+    def _data_cap(self, base: int, size: int) -> Capability:
+        """Load/store authority over ``[base, base + size)``, derived from
+        the kernel root: mmap windows and every process's heap."""
         return (
             self.kernel_root
             .set_bounds(base, size)
@@ -488,48 +494,85 @@ class AbstractOS(abc.ABC):
         )
 
     # ------------------------------------------------------------------
+    # Process construction: spawn, fork, migration and restore
+    # ------------------------------------------------------------------
+
+    def _new_process(self, name: str, layout: Any,
+                     parent: Optional[Process] = None) -> Process:
+        """An unpublished process under a fresh pid: ``layout`` and its
+        region, an empty fd table and the kernel's syscall gate."""
+        proc = Process(self.pids.allocate(), name, parent)
+        proc.layout = layout
+        proc.region_base = layout.region_base
+        proc.region_top = layout.region_top
+        proc.fdtable = FDTable()
+        proc.syscall_gate = self.syscall_gate
+        return proc
+
+    def _attach_allocator(self, proc: Process, kind: Any = GuestAllocator,
+                          max_blocks: Optional[int] = None) -> Any:
+        """Give ``proc`` a ``kind`` allocator over its heap segment, through
+        a data capability derived from the kernel root, attached lazily
+        to the metadata in its memory (a spawn formats it instead)."""
+        heap_base = proc.layout.base("heap")
+        proc.allocator = kind(
+            self.machine, self.space_of(proc),
+            self._data_cap(heap_base, proc.layout.size("heap")),
+            max_blocks=max_blocks,
+        )
+        proc.allocator.attach_lazy()
+        return proc.allocator
+
+    def _publish(self, proc: Process, event: str, src_pid: int = 0,
+                 detail: str = "") -> None:
+        """Make a built process live: process table, scheduler, and its
+        region authority into the capability-flow log as ``event``
+        derived from ``src_pid`` (0: the kernel root)."""
+        self.procs.add(proc)
+        self.sched.add(proc.main_task())
+        record_flow(self.machine, event, src_pid, proc.pid,
+                    proc.region_base, proc.region_top, detail)
+
+    # ------------------------------------------------------------------
     # Fork plumbing
     # ------------------------------------------------------------------
 
     def _fork_child(self, proc: Process, delta: int = 0) -> Process:
         """The child of a fork of ``proc``: a fresh pid linked under
-        ``proc``, with the parent's layout, region, shared windows and
-        library capabilities moved ``delta`` bytes (0 when the child
-        keeps the parent's addresses in a space of its own), copies of
-        its fd table and signal dispositions, and the kernel's gate."""
-        machine = self.machine
-        child = Process(self.pids.allocate(), proc.name, parent=proc)
-        child.layout = proc.layout.rebased(proc.region_base + delta) \
-            if delta else proc.layout
-        child.region_base = proc.region_base + delta
-        child.region_top = proc.region_top + delta
-        child.fdtable = proc.fdtable.fork_copy(machine)
+        ``proc``, placed like it ``delta`` bytes away (0 when the child
+        keeps the parent's addresses in a space of its own), with
+        copies of its fd table, signal dispositions and shared-memory
+        bindings, and the kernel's gate."""
+        child = self._new_process(proc.name, proc.layout, proc)
+        self._place_like(child, proc, delta)
+        child.fdtable = proc.fdtable.fork_copy(self.machine)
         child.signal_state = _signals.signal_state(proc).fork_copy()
-        child.syscall_gate = self.syscall_gate
-        delta_pages = delta // machine.config.page_size
-        child.shm_vpns = {vpn + delta_pages
-                          for vpn in getattr(proc, "shm_vpns", ())}
         child.shm_bindings = list(getattr(proc, "shm_bindings", ()))
         child.mmap_offset = getattr(proc, "mmap_offset", 0)
-        child.lib_caps = {
-            name: cap.rebased(delta)
-            for name, cap in getattr(proc, "lib_caps", {}).items()
-        }
         return child
 
-    def _fork_allocator(self, proc: Process, child: Process,
-                        heap_cap: Optional[Capability] = None) -> None:
-        """Fork's ``allocator`` phase: the child's allocator over
-        ``heap_cap`` (default the parent's) in the child's space,
-        attached lazily to the metadata the child inherited."""
-        parent = proc.allocator
+    def _place_like(self, proc: Process, model: Process, delta: int) -> None:
+        """Give ``proc`` ``model``'s layout, region, shared-window vpns
+        and library capabilities, moved ``delta`` bytes (a fork child,
+        or a μprocess migrating itself)."""
+        proc.layout = model.layout.rebased(model.region_base + delta) \
+            if delta else model.layout
+        proc.region_base = model.region_base + delta
+        proc.region_top = model.region_top + delta
+        delta_pages = delta // self.machine.config.page_size
+        proc.shm_vpns = {vpn + delta_pages
+                         for vpn in getattr(model, "shm_vpns", ())}
+        proc.lib_caps = {
+            name: cap.rebased(delta)
+            for name, cap in getattr(model, "lib_caps", {}).items()
+        }
+
+    def _fork_allocator(self, proc: Process, child: Process) -> None:
+        """Fork's ``allocator`` phase: the child's allocator, of the
+        parent's type and record limit, over the child's heap."""
         with self.machine.obs.span("allocator"):
-            child.allocator = type(parent)(
-                self.machine, self.space_of(child),
-                parent.heap_cap if heap_cap is None else heap_cap,
-                max_blocks=parent.max_blocks,
-            )
-            child.allocator.attach_lazy()
+            self._attach_allocator(child, type(proc.allocator),
+                                   proc.allocator.max_blocks)
 
     # ------------------------------------------------------------------
     # Exit plumbing

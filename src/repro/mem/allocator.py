@@ -73,6 +73,7 @@ class GuestAllocator:
         """Initialize a fresh heap (program load time)."""
         self._write_header(record_count=0, fresh_offset=0, free_head=0)
         self._index.clear()
+        self._needs_attach = False
 
     def attach(self) -> None:
         """Re-attach to an existing heap, e.g. in a forked child.

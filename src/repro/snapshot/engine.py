@@ -12,11 +12,17 @@ the identical five-rule path fork uses, so sealed syscall-gate sentries
 are preserved, in-region capabilities are rebased and clamped, and
 anything pointing outside the μprocess comes back invalid.
 
+The restored process is built with the kernel's own plumbing
+(``AbstractOS._new_process``, ``_attach_allocator``, ``_publish``, and
+``MonolithicOS._new_space`` on the multi-address-space kernels).
+
 Restore is **transactional**, extending the fork rollback guarantees: a
 restore that dies mid-flight (an injected ``core.snapshot.abort.*``
 fault, frame exhaustion, ...) unwinds every frame, PTE, VA reservation,
 PID and fd it claimed, and re-raises injected faults as the retriable
-:class:`~repro.chaos.faults.InjectedRestoreFailure`.
+:class:`~repro.chaos.faults.InjectedRestoreFailure`.  ``restore_into``
+allocates every frame before it touches its target, so a failed apply
+leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -25,17 +31,17 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import InjectedRestoreFailure
-from repro.chaos.recovery import Transaction
+from repro.chaos.recovery import Transaction, run_transaction
 from repro.cheri.capability import Capability, OTYPE_SENTRY, Perm
-from repro.core.relocate import RegionPair, record_flow, relocate_cap
+from repro.core.relocate import RegionPair, relocate_cap
 from repro.core.strategies import ShareNote, resolve_all_pending
 from repro.errors import KernelError
-from repro.hw.paging import AddressSpace, PagePerm
-from repro.kernel.fdtable import FDTable, FileDescription
+from repro.hw.paging import PagePerm
+from repro.hw.phys import consecutive_runs
+from repro.kernel.fdtable import FileDescription
 from repro.kernel.ipc import Pipe, PipeEnd
 from repro.kernel.signals import SignalState
 from repro.kernel.task import Process
-from repro.mem.allocator import GuestAllocator
 from repro.mem.layout import ProgramImage, SegmentMap
 from repro.snapshot.format import (SCHEMA, SnapshotFormatError, decode,
                                    encode)
@@ -144,6 +150,12 @@ def _check_supported(proc: Process) -> None:
         raise SnapshotError(
             "snapshot/v1 does not capture dynamic shared-library "
             "mappings")
+    for reg_name, cap in proc.main_task().registers.cap_registers():
+        # a VM clone's DDC keeps SYSTEM, which no restore accepts
+        if cap.valid and not cap.is_sentry and cap.perms & _PRIVILEGED_PERMS:
+            raise SnapshotError(
+                f"snapshot/v1 cannot carry privileged authority; pid "
+                f"{proc.pid}'s {reg_name} holds SYSTEM/SEAL/UNSEAL")
 
 
 def _image_manifest(image: ProgramImage) -> Dict[str, Any]:
@@ -241,27 +253,12 @@ def restore(os: Any, blob: bytes, *, name: Optional[str] = None,
         raise SnapshotError(
             "incremental snapshots lack unmodified pages; apply them "
             "with restore_into() onto a process forked from the image")
-    _check_geometry(machine, manifest)
     _check_manifest(os, manifest)
-    tx = Transaction()
-    with machine.locks.fork.held():
-        try:
-            child = _restore_phases(os, manifest, payload, name, parent, tx)
-        except Exception as exc:
-            tx.rollback()
-            machine.emit("restore_rollback", counter="restore_rollbacks",
-                         metric="core.snapshot.restore_rollbacks",
-                         reason=type(exc).__name__)
-            point = getattr(exc, "point", None)
-            if point is not None:
-                machine.chaos.note_recovery(point)
-            if getattr(exc, "injected", False) and \
-                    not isinstance(exc, InjectedRestoreFailure):
-                raise InjectedRestoreFailure(
-                    f"restore aborted by injected fault ({exc})") from exc
-            raise
-        tx.commit()
-    return child
+    return run_transaction(
+        machine,
+        lambda tx: _restore_phases(os, manifest, payload, name, parent, tx),
+        "restore", "core.snapshot.restore_rollbacks", InjectedRestoreFailure,
+        "restore")
 
 
 def _check_geometry(machine: Any, manifest: Dict[str, Any]) -> None:
@@ -315,15 +312,23 @@ def _check_manifest(os: Any, manifest: Dict[str, Any]) -> None:
     is rejected with a typed error while the kernel is still pristine —
     no mid-loop failure can strand a half-materialized page.
     """
+    _check_geometry(os.machine, manifest)
     for key in ("region_base", "region_top", "pages", "registers"):
         if key not in manifest:
             raise SnapshotFormatError(
                 f"manifest lacks required field {key!r}")
+    page = os.machine.config.page_size
+    last_vpn = manifest["region_base"] // page - 1
     for entry in manifest["pages"]:
         for key in ("vpn", "perms", "caps"):
             if key not in entry:
                 raise SnapshotFormatError(
                     f"page record lacks required field {key!r}")
+        if not last_vpn < entry["vpn"] < manifest["region_top"] // page:
+            raise SnapshotFormatError(
+                "page records must name ascending vpns inside the "
+                "snapshot's own region")
+        last_vpn = entry["vpn"]
         for record in entry["caps"]:
             if len(record) != 6:
                 raise SnapshotFormatError(
@@ -372,111 +377,99 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
 
     # 1. reserve the region and create the kernel-side process object.
     # The SASOS reserves a fresh area of the shared space; the
-    # monolithic baseline gets its own address space at the same base
-    # it always loads at (delta 0 — relocation rules leave in-child
-    # capabilities alone, so the one path covers both).
-    sasos = getattr(os, "vspace", None) is not None
-    if sasos:
+    # multi-address-space kernels give the process a space of its own
+    # at the same base it always loads at (delta 0 — relocation rules
+    # leave in-child capabilities alone, so the one path covers both).
+    space = None
+    if getattr(os, "vspace", None) is not None:
         new_base = os.vspace.reserve(size)
         tx.on_abort(lambda: os.vspace.release(new_base))
-        space = os.space
     else:
         new_base = old_base
-        space = AddressSpace(machine, f"as-restore-{manifest['name']}")
-        from repro.baselines.monolithic import handle_cow_fault
-        space.fault_handler = handle_cow_fault
-
-    child = Process(os.pids.allocate(), name or manifest["name"], parent)
+        space = os._new_space(f"restore-{manifest['name']}")
+    child = os._new_process(name or manifest["name"],
+                            SegmentMap(image, new_base, page), parent)
+    child.region_top = new_base + size
+    child.space = space
     if parent is not None:
         tx.on_abort(lambda: parent.children.remove(child))
-    child.layout = SegmentMap(image, new_base, page)
-    child.region_base = new_base
-    child.region_top = new_base + size
     child.mmap_offset = manifest["mmap_offset"]
-    if not sasos:
-        child.space = space
-    child.syscall_gate = os.syscall_gate
     _restore_fds(machine, child, manifest, tx)
     child.signal_state = _restore_signals(manifest)
     _abort_point(machine, "core.snapshot.abort.reserve")
 
-    # 2. materialize pages: raw bytes first, then re-minted capabilities
-    # (byte writes clear granule tags, so the order preserves the exact
-    # recorded tag set — no more, no less).
-    regions = RegionPair(
-        parent_base=old_base, parent_top=old_top,
-        child_base=child.region_base, child_top=child.region_top,
-    )
-    delta_pages = (child.region_base - old_base) // page
-    mapped: List[int] = []
-    tx.on_abort(lambda: _undo_restore_pages(space, mapped))
-    offset = 0
-    for entry in manifest["pages"]:
-        data = bytes(payload[offset:offset + page])
-        offset += page
-        frame_number = machine.phys.alloc(zero=False, charge=False)
-        frame = machine.phys.frame(frame_number)
-        frame.write(0, data)
-        machine.charge(machine.costs.page_copy_ns(page), "restore_copy")
-        for granule_offset, base, length, cursor, perms, otype \
-                in entry["caps"]:
-            cap = Capability(base, length, cursor, Perm(perms), otype, True)
-            moved = relocate_cap(cap, regions)
-            frame.store_cap(granule_offset, moved, machine.codec)
-            if moved is not cap:
-                machine.charge(machine.costs.cap_relocate_ns, "reloc_cap")
-        new_vpn = entry["vpn"] + delta_pages
-        space.map_page(new_vpn, frame_number, PagePerm(entry["perms"]))
-        mapped.append(new_vpn)
+    # 2. materialize pages
+    regions = RegionPair(old_base, old_top, new_base, new_base + size)
+    space = os.space_of(child)
+    tx.on_abort(lambda: space.unmap_range(child.region_base // page,
+                                          child.region_top // page))
+    _apply_pages(machine, space, manifest, payload, regions)
     machine.emit(n=len(manifest["pages"]),
                  metric="core.snapshot.pages_restored")
     _abort_point(machine, "core.snapshot.abort.pages")
 
     # 3. the register file: integers verbatim, capabilities re-minted
     # (sealed sentry gates reconstruct bit-equal to the target's gate)
-    task = child.add_task()
-    _restore_registers(machine, task.registers, manifest, regions)
+    _restore_registers(machine, child.add_task().registers, manifest,
+                       regions)
     _abort_point(machine, "core.snapshot.abort.registers")
 
     # 4. allocator: re-attach to the metadata now living in the restored
     # pages (never format — that would wipe the live heap)
     if manifest["allocator"] is not None:
-        heap_cap = (
-            os.kernel_root
-            .set_bounds(child.layout.base("heap"), child.layout.size("heap"))
-            .with_cursor(child.layout.base("heap"))
-            .and_perms(Perm.data_rw())
-        )
-        child.allocator = GuestAllocator(
-            machine, space, heap_cap,
-            max_blocks=manifest["allocator"]["max_blocks"],
-        )
-        child.allocator.attach_lazy()
+        os._attach_allocator(
+            child, max_blocks=manifest["allocator"]["max_blocks"])
     _abort_point(machine, "core.snapshot.abort.allocator")
 
     # 5. publish (nothing below can fail, mirroring fork)
-    register_demand_heap = getattr(os, "_register_demand_heap", None)
-    if register_demand_heap is not None:
-        register_demand_heap(child)
-    os.procs.add(child)
-    os.sched.add(task)
+    os._publish(child, "restore", parent.pid if parent else 0)
     machine.emit("restore", counter="restore",
                  metric="core.snapshot.restores", pid=child.pid,
                  pages=len(manifest["pages"]))
-    record_flow(machine, "restore", parent.pid if parent else 0, child.pid,
-                child.region_base, child.region_top)
     return child
 
 
-def _undo_restore_pages(space: AddressSpace, mapped: List[int]) -> None:
-    for vpn in mapped:
-        if space.frame_of(vpn) is not None:
-            space.unmap_page(vpn)
+def _apply_pages(machine: Any, space: Any, manifest: Dict[str, Any],
+                 payload: memoryview, regions: RegionPair) -> None:
+    """Map the manifest's pages into ``regions``' child region of
+    ``space``, replacing what is there: raw bytes first, then each
+    recorded capability re-minted (byte writes clear tags, so the order
+    keeps exactly the recorded tag set).  All frames come from one
+    ``alloc_run`` before any mapping changes; on a shortfall the pages
+    that fit are built and charged, as page by page, then freed, and
+    the allocation error propagates with ``space`` untouched.
+    """
+    phys = machine.phys
+    page = machine.config.page_size
+    entries = manifest["pages"]
+    fit = phys.alloc_budget(len(entries))
+    frames = phys.alloc_run(fit)
+    for index, number in enumerate(frames):
+        frame = phys.frame(number)
+        frame.write(0, payload[index * page:(index + 1) * page])
+        machine.charge(machine.costs.page_copy_ns(page), "restore_copy")
+        for granule_offset, base, length, cursor, perms, otype \
+                in entries[index]["caps"]:
+            cap = Capability(base, length, cursor, Perm(perms), otype, True)
+            moved = relocate_cap(cap, regions)
+            frame.store_cap(granule_offset, moved, machine.codec)
+            if moved is not cap:
+                machine.charge(machine.costs.cap_relocate_ns, "reloc_cap")
+    if fit < len(entries):
+        try:
+            phys.alloc_run(len(entries) - fit)
+        finally:
+            phys.decref_many(frames)
+    delta_pages = regions.delta // page
+    vpns = [entry["vpn"] + delta_pages for entry in entries]
+    perms = [entry["perms"] for entry in entries]
+    for start, end in consecutive_runs(vpns, perms):
+        space.unmap_range(vpns[start], vpns[end - 1] + 1)
+        space.map_run(vpns[start], frames[start:end], PagePerm(perms[start]))
 
 
 def _restore_fds(machine: Any, child: Process, manifest: Dict[str, Any],
                  tx: Transaction) -> None:
-    child.fdtable = FDTable()
     tx.on_abort(child.fdtable.close_all)
     pipes: List[Pipe] = []
     for spec in manifest["pipes"]:
@@ -544,46 +537,24 @@ def restore_into(os: Any, proc: Process, blob: bytes) -> int:
     divergent pages replace the corresponding pages of ``proc``'s
     region — real page bytes on the wire, with every capability
     re-minted for the target region — and the recorded register file is
-    re-minted on top.  Returns the number of pages applied.
+    re-minted on top.  Returns the number of pages applied.  Every
+    frame is allocated before ``proc`` is touched, so a failed apply
+    leaves its mappings, page contents and registers as they were.
     """
     manifest, payload = decode(blob)
     machine = os.machine
-    page = machine.config.page_size
-    _check_geometry(machine, manifest)
     _check_manifest(os, manifest)
-    space = os.space_of(proc)
     old_base = manifest["region_base"]
     old_top = manifest["region_top"]
     if proc.region_top - proc.region_base != old_top - old_base:
         raise SnapshotError(
             f"target region size {proc.region_top - proc.region_base:#x} "
             f"does not match snapshot region {old_top - old_base:#x}")
-    regions = RegionPair(
-        parent_base=old_base, parent_top=old_top,
-        child_base=proc.region_base, child_top=proc.region_top,
-    )
-    delta_pages = (proc.region_base - old_base) // page
-    offset = 0
-    for entry in manifest["pages"]:
-        data = bytes(payload[offset:offset + page])
-        offset += page
-        vpn = entry["vpn"] + delta_pages
-        if space.frame_of(vpn) is not None:
-            # drop the target's page (a zygote-shared frame simply loses
-            # one reference; the zygote side's ShareNote self-heals)
-            space.unmap_page(vpn)
-        frame_number = machine.phys.alloc(zero=False, charge=False)
-        frame = machine.phys.frame(frame_number)
-        frame.write(0, data)
-        machine.charge(machine.costs.page_copy_ns(page), "restore_copy")
-        for granule_offset, base, length, cursor, perms, otype \
-                in entry["caps"]:
-            cap = Capability(base, length, cursor, Perm(perms), otype, True)
-            moved = relocate_cap(cap, regions)
-            frame.store_cap(granule_offset, moved, machine.codec)
-            if moved is not cap:
-                machine.charge(machine.costs.cap_relocate_ns, "reloc_cap")
-        space.map_page(vpn, frame_number, PagePerm(entry["perms"]))
+    regions = RegionPair(old_base, old_top, proc.region_base, proc.region_top)
+    # a target page the snapshot replaces is dropped (a zygote-shared
+    # frame simply loses one reference; the zygote side's ShareNote
+    # self-heals)
+    _apply_pages(machine, os.space_of(proc), manifest, payload, regions)
     _restore_registers(machine, proc.main_task().registers, manifest,
                        regions)
     machine.emit("restore_into", counter="restore_into", pid=proc.pid,

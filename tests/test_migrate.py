@@ -7,7 +7,11 @@ from repro.apps.hello import hello_world_image
 from repro.apps.redis import MiniRedis
 from repro.cheri.regfile import DDC
 from repro.core import CopyStrategy, UForkOS
+from repro.errors import OutOfMemory
 from repro.machine import Machine
+from repro.params import MachineConfig
+
+PAGE = 4096
 
 
 def boot(**kwargs):
@@ -111,6 +115,80 @@ class TestMigrate:
                     assert not (old_base <= cap.base < old_top)
 
 
+def _forked_parent(dram_frames=None):
+    """A CoPA machine at seed 3 (``dram_frames`` of DRAM, when given)
+    whose parent holds a capability to its own heap and has forked
+    once."""
+    kwargs = {} if dram_frames is None else {
+        "config": MachineConfig(dram_bytes=dram_frames * PAGE)}
+    os_ = UForkOS(machine=Machine(seed=3, **kwargs),
+                  copy_strategy=CopyStrategy.COPA)
+    parent = spawn(os_, "parent")
+    buf = parent.malloc(64)
+    parent.store_cap(buf, buf)
+    parent.store(buf, b"before the move", 16)
+    parent.set_reg("c9", buf)
+    return os_, parent, parent.fork()
+
+
+def _observable(os_, *contexts):
+    machine = os_.machine
+    pages = []
+    for vpn, frame, perms, cow, _note in os_.space.mapped_items(0, 1 << 40):
+        data, tags = machine.phys.frame(frame).snapshot_content()
+        pages.append((vpn, frame, perms, cow, machine.phys.refcount(frame),
+                      data, tags))
+    return {
+        "reserved": sorted(os_.vspace.reserved_areas()),
+        "frames": machine.phys.allocated_frames,
+        "pages": pages,
+        "regions": [(ctx.proc.region_base, ctx.proc.region_top)
+                    for ctx in contexts],
+        "registers": [dict(ctx.proc.main_task().registers.items())
+                      for ctx in contexts],
+        "migrations": machine.counters.snapshot().get("migrations", 0),
+    }
+
+
+class TestMigrateOutOfFrames:
+    """The mover's 28 pages still shared with its child need private
+    copies: with fewer free frames, migration fails before it touches
+    anything."""
+
+    @pytest.mark.parametrize("spare", range(28))
+    def test_failed_migrate_leaves_the_process_as_it_was(self, spare):
+        os_, _parent, _child = _forked_parent()
+        frames = os_.machine.phys.allocated_frames
+        os_, parent, child = _forked_parent(frames + spare)
+        before = _observable(os_, parent, child)
+
+        with pytest.raises(OutOfMemory):
+            os_.migrate(parent.proc)
+
+        assert _observable(os_, parent, child) == before
+        # both sides still work: the parent's stored capability points
+        # into its own region, and once the child is gone the parent
+        # writes, and moves, with no frame to spare
+        buf = parent.reg("c9")
+        assert parent.load_cap(buf).base == buf.base
+        assert parent.load(buf, 15, 16) == b"before the move"
+        assert child.load(child.reg("c9"), 15, 16) == b"before the move"
+        child.exit(0)
+        parent.wait(child.pid)
+        parent.store(buf, b"after the fault", 16)
+        os_.migrate(parent.proc)
+        assert parent.load(parent.reg("c9"), 15, 16) == b"after the fault"
+
+    def test_enough_frames_moves(self):
+        os_, _parent, _child = _forked_parent()
+        frames = os_.machine.phys.allocated_frames
+        os_, parent, child = _forked_parent(frames + 28)
+        old_base = parent.proc.region_base
+        assert os_.migrate(parent.proc) != old_base
+        assert parent.load(parent.reg("c9"), 15, 16) == b"before the move"
+        assert child.load(child.reg("c9"), 15, 16) == b"before the move"
+
+
 class TestCompact:
     def test_compaction_reduces_fragmentation(self):
         os_ = boot()
@@ -137,6 +215,23 @@ class TestCompact:
         for ctx in (contexts[1], contexts[3]):
             buf = ctx.reg("c9")
             assert ctx.load(buf, 6) == b"pid-%02d" % ctx.pid
+
+    def test_dynamic_heap_pages_in_after_compaction(self):
+        """The demand-zero range moves with the heap: the tail of a
+        dynamic heap still pages in after its μprocess moved."""
+        import dataclasses
+
+        from repro.mem.layout import KiB
+        image = dataclasses.replace(hello_world_image(), heap_size=256 * KiB,
+                                    heap_initial=16 * KiB)
+        os_ = boot()
+        hole = GuestContext(os_, os_.spawn(image, "hole"))
+        ctx = GuestContext(os_, os_.spawn(image, "dyn"))
+        hole.exit(0)
+        assert [pid for pid, _old, _new in os_.compact()] == [ctx.pid]
+        big = ctx.malloc(128 * KiB)
+        ctx.store(big, b"tail", 120 * KiB)
+        assert ctx.load(big, 4, 120 * KiB) == b"tail"
 
     def test_compact_noop_when_packed(self):
         os_ = boot()

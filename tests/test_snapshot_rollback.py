@@ -14,7 +14,9 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.chaos import ChaosEngine, FaultMix, InjectedRestoreFailure
 from repro.core import CopyStrategy, UForkOS
+from repro.errors import OutOfMemory
 from repro.machine import Machine
+from repro.params import MachineConfig
 from repro.snapshot import checkpoint, restore
 from repro.snapshot.engine import SnapshotError
 from repro.snapshot.format import (MAGIC, SnapshotFormatError, decode,
@@ -198,6 +200,14 @@ def _forge_register_sentry(m, _p):
     raise AssertionError("blob has no valid capability register record")
 
 
+def _vpn_escapes_region(m, _p):
+    m["pages"][-1]["vpn"] = m["region_top"] // m["page_size"]
+
+
+def _vpn_repeated(m, _p):
+    m["pages"][1]["vpn"] = m["pages"][0]["vpn"]
+
+
 def _truncate_payload(m, p):
     return m, p[:-1]
 
@@ -225,6 +235,10 @@ CORRUPTIONS = [
      lambda blob: _reencode(blob, _escape_cap_region)),
     ("register-sentry-forged", SnapshotFormatError,
      lambda blob: _reencode(blob, _forge_register_sentry)),
+    ("page-vpn-escapes-region", SnapshotFormatError,
+     lambda blob: _reencode(blob, _vpn_escapes_region)),
+    ("page-vpn-repeated", SnapshotFormatError,
+     lambda blob: _reencode(blob, _vpn_repeated)),
     ("payload-truncated", SnapshotFormatError,
      lambda blob: _reencode(blob, _truncate_payload)),
     ("payload-extended", SnapshotFormatError,
@@ -298,3 +312,79 @@ def test_geometry_error_carries_einval():
         restore(os_, blob)
     assert excinfo.value.errno_name == "EINVAL"
     ctx.exit(0)
+
+
+def _zygote(dram_frames=None):
+    """A CoPA machine at seed 3 (``dram_frames`` of DRAM, when given)
+    with a zygote μprocess."""
+    kwargs = {} if dram_frames is None else {
+        "config": MachineConfig(dram_bytes=dram_frames * 4096)}
+    os_ = UForkOS(machine=Machine(seed=3, **kwargs),
+                  copy_strategy=CopyStrategy.COPA)
+    return os_, GuestContext(os_, os_.spawn(hello_world_image(), "zygote"))
+
+
+def _twin_state(os_, twin):
+    machine = os_.machine
+    page = machine.config.page_size
+    pages = []
+    for vpn, frame, perms, cow, _note in os_.space.mapped_items(
+            twin.proc.region_base // page, twin.proc.region_top // page):
+        data, tags = machine.phys.frame(frame).snapshot_content()
+        pages.append((vpn, frame, perms, cow, data, tags))
+    return {
+        "pages": pages,
+        "frames": machine.phys.allocated_frames,
+        "registers": dict(twin.proc.main_task().registers.items()),
+    }
+
+
+@pytest.mark.parametrize("spare", range(6))
+def test_restore_into_out_of_frames_leaves_the_target_as_it_was(spare):
+    """A worker's 10 divergent pages do not fit on the target: the apply
+    fails typed, with the twin's mappings, page contents, registers and
+    the allocated frame count as they were, and the twin still runs."""
+    from repro.snapshot.engine import restore_into
+
+    os_, zygote = _zygote()
+    worker = zygote.fork()
+    buf = worker.malloc(6 * 4096)
+    for index in range(6):
+        worker.store(buf, b"divergent %d" % index, offset=index * 4096)
+    blob = checkpoint(os_, worker.proc, incremental=True)
+    assert len(decode(blob)[0]["pages"]) == 10
+
+    os_, zygote = _zygote()
+    zygote.fork()
+    frames = os_.machine.phys.allocated_frames
+    os_, zygote = _zygote(frames + spare)
+    zygote_frames = os_.machine.phys.allocated_frames
+    twin = zygote.fork()
+    before = _twin_state(os_, twin)
+
+    with pytest.raises(OutOfMemory):
+        restore_into(os_, twin.proc, blob)
+
+    assert _twin_state(os_, twin) == before
+    # the twin still runs, and exits leaving nothing behind
+    assert twin.syscall("getpid") == twin.pid
+    twin.exit(0)
+    zygote.wait(twin.pid)
+    assert os_.machine.phys.allocated_frames == zygote_frames
+
+
+def test_vmclone_checkpoint_is_refused_up_front():
+    """A VM clone's DDC keeps SYSTEM for its guest kernel, which no
+    restore accepts: ``checkpoint`` itself refuses with EINVAL before
+    charging anything, instead of handing out a blob every restore
+    rejects as tampered."""
+    from repro.baselines.vmclone import VMCloneOS
+
+    os_ = VMCloneOS(machine=Machine(seed=7))
+    ctx = GuestContext(os_, os_.spawn(hello_world_image(), "guest"))
+    now = os_.machine.clock.now_ns
+    with pytest.raises(SnapshotError) as excinfo:
+        checkpoint(os_, ctx.proc)
+    assert excinfo.value.errno_name == "EINVAL"
+    assert "SYSTEM" in str(excinfo.value)
+    assert os_.machine.clock.now_ns == now

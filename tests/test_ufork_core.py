@@ -12,6 +12,7 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import GREETING, hello_world_image, run_hello
 from repro.errors import (
     IsolationViolation,
+    OutOfMemory,
     ProtectionError,
 )
 from repro.machine import Machine
@@ -432,6 +433,37 @@ class TestSharedMemoryAndMmap:
             booted.ctx.syscall("shm_open", "/s", 16 * 4096)
         assert booted.machine.phys.allocated_frames == frames
         assert booted.os._shm == {}
+
+    @pytest.mark.parametrize("spare", [0, 3, 7])
+    def test_mmap_alloc_failure_leaks_nothing(self, spare):
+        """An 8-page ``mmap`` with fewer free frames fails with nothing
+        allocated and the window untouched, so a mapping that fits
+        lands where the failed one would have."""
+        import dataclasses
+
+        from repro.params import MachineConfig
+
+        image = dataclasses.replace(hello_world_image(), mmap_size=64 * 1024)
+
+        def boot_capped(dram_frames=None):
+            kwargs = {} if dram_frames is None else {
+                "config": MachineConfig(dram_bytes=dram_frames * 4096)}
+            os_ = UForkOS(machine=Machine(seed=3, **kwargs))
+            return os_, GuestContext(os_, os_.spawn(image, "app"))
+
+        os_, _ctx = boot_capped()
+        os_, ctx = boot_capped(os_.machine.phys.allocated_frames + spare)
+        frames = os_.machine.phys.allocated_frames
+        offset = getattr(ctx.proc, "mmap_offset", 0)
+        with pytest.raises(OutOfMemory, match="physical memory"):
+            ctx.syscall("mmap", 8 * 4096)
+        assert os_.machine.phys.allocated_frames == frames
+        assert getattr(ctx.proc, "mmap_offset", 0) == offset
+        if spare:
+            cap = ctx.syscall("mmap", spare * 4096)
+            assert cap.base == ctx.proc.layout.base("mmap") + offset
+            ctx.store(cap, b"fits")
+            assert ctx.load(cap, 4) == b"fits"
 
 
 class TestExitTeardown:
