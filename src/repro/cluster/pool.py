@@ -86,12 +86,12 @@ class WarmPool:
         machine = self.session.machine
         page = machine.config.page_size
         proc = worker.proc
-        refcount = machine.phys.refcount
+        items = os_.space.mapped_items(proc.region_base // page,
+                                       proc.region_top // page)
         return {
-            vpn for vpn, frame, _perms, _cow, _note
-            in os_.space.mapped_items(proc.region_base // page,
-                                      proc.region_top // page)
-            if refcount(frame) == 1
+            item[0] for item, count in zip(
+                items, machine.phys.refcounts([item[1] for item in items]))
+            if count == 1
         }
 
     def divergent_bytes(self, worker: Any = None) -> int:

@@ -129,11 +129,13 @@ def _check_share_notes(os_: Any) -> List[str]:
             spaces.append(space)
     phys = os_.machine.phys
     for space in spaces:
-        for vpn, frame, perms, note in iter_share_notes(space):
+        shared = list(iter_share_notes(space))
+        live = phys.live_mask([item[1] for item in shared])
+        for (vpn, frame, perms, note), allocated in zip(shared, live):
             if note.role not in ("parent", "child"):
                 violations.append(
                     f"share: vpn {vpn:#x} has unknown role {note.role!r}")
-            if not phys.contains(frame) or phys.refcount(frame) <= 0:
+            if not allocated:
                 violations.append(
                     f"share: vpn {vpn:#x} notes freed frame {frame}")
             if perms & ~int(note.orig_perms):
@@ -153,13 +155,9 @@ def _check_cap_flow(os_: Any) -> List[str]:
 
 
 def _check_frames(machine: Any) -> List[str]:
-    violations: List[str] = []
-    for number, frame in machine.phys.frames_items():
-        if frame.refcount <= 0:
-            violations.append(
-                f"frames: frame {number} allocated with refcount "
-                f"{frame.refcount}")
-    return violations
+    """Physical memory's own bookkeeping: live count, refcounts and
+    free list agree (:meth:`PhysicalMemory.check_columns`)."""
+    return machine.phys.check_columns()
 
 
 # ---------------------------------------------------------------------------

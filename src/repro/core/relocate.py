@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cheri.capability import Capability
@@ -162,8 +163,9 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     _charge_scans(machine, count)
     frame_of = phys.frame
     tagged = phys.tagged_frames(dsts)
-    keys = [(region_key, srcs[index], frame_of(srcs[index]).version)
-            for index in tagged]
+    tagged_srcs = [srcs[index] for index in tagged]
+    keys = list(zip(repeat(region_key), tagged_srcs,
+                    phys.versions(tagged_srcs)))
     misses = len(keys) - sum(map(memo.__contains__, keys))
     if misses and len(memo) + misses > _PAGE_MEMO_CAP:
         memo.clear()

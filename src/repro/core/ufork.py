@@ -376,8 +376,9 @@ class UForkOS(AbstractOS):
             dsts = phys.copy_frames(src_numbers, preserve_tags=True)
             caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
                                           regions)
-            origs = [int(note.orig_perms) if isinstance(note, ShareNote)
-                     else perm for perm, note in zip(perms, notes)]
+            origs = perms if notes.count(None) == ncopy else [
+                int(note.orig_perms) if isinstance(note, ShareNote)
+                else perm for perm, note in zip(perms, notes)]
             for start, end in consecutive_runs(vpns, origs):
                 space.map_run(vpns[start] + delta_pages, dsts[start:end],
                               PagePerm(origs[start]))

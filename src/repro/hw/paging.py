@@ -427,8 +427,7 @@ class AddressSpace:
                             f"vpn {(chunk_id << CHUNK_SHIFT) + slot:#x} "
                             f"already mapped in {self.name}")
             if incref:
-                for frame in frames[position:position + take]:
-                    phys.incref(frame)
+                phys.incref_many(frames[position:position + take])
             chunk_frames[index:index + take] = array(
                 "q", frames[position:position + take])
             self._perms[chunk_id][index:index + take] = \
@@ -666,7 +665,7 @@ class AddressSpace:
             if frame is None:
                 frame, offset = self.resolve(vaddr, AccessKind.WRITE,
                                              privileged)
-            frame.version += 1
+            frame._versions[frame.number] += 1
             frame.data[offset:offset + size] = data
             first = offset // CAP_SIZE
             count = (offset + size - 1) // CAP_SIZE + 1 - first
@@ -751,7 +750,7 @@ class AddressSpace:
                 frame, offset = self.resolve(vaddr, AccessKind.WRITE,
                                              privileged)
                 stamp_ok = machine.translation_gen == self._walk_stamp
-            frame.version += 1
+            frame._versions[frame.number] += 1
             frame.data[offset:offset + size] = data
             first = offset // cap_size
             tag_count = (offset + size - 1) // cap_size + 1 - first
@@ -852,7 +851,7 @@ class AddressSpace:
                                          privileged=True)
             span = min(len(raw) - done, page_size - offset)
             first = offset // CAP_SIZE
-            frame.version += 1
+            frame._versions[frame.number] += 1
             frame.data[offset:offset + span] = raw[done:done + span]
             frame.tags[first:first + span // CAP_SIZE] = \
                 tags[done // CAP_SIZE:(done + span) // CAP_SIZE]
@@ -871,12 +870,13 @@ class AddressSpace:
         lo_vpn = lo_vaddr // self._page_size
         hi_vpn = (hi_vaddr + self._page_size - 1) // self._page_size
         total = 0.0
-        refcount = self.machine.phys.refcount
-        for _vpn, frame, _perms, _cow, _note in \
-                self.mapped_items(lo_vpn, hi_vpn):
-            if proportional:
-                total += self._page_size / refcount(frame)
-            else:
+        items = self.mapped_items(lo_vpn, hi_vpn)
+        if proportional:
+            for count in self.machine.phys.refcounts(
+                    [item[1] for item in items]):
+                total += self._page_size / count
+        else:
+            for _item in items:
                 total += self._page_size
         return total
 

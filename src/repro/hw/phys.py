@@ -1,9 +1,9 @@
 """Tagged physical memory.
 
-Physical memory is a pool of page-sized :class:`Frame` objects.  Each
-frame carries, next to its data bytes, one validity-tag bit per 16-byte
-granule — the CHERI tagged memory μFork's relocation scan relies on
-(§3.4, building block 3).  The tag invariants enforced here:
+Physical memory is a pool of numbered page frames.  Each frame carries,
+next to its data bytes, one validity-tag bit per 16-byte granule — the
+CHERI tagged memory μFork's relocation scan relies on (§3.4, building
+block 3).  The tag invariants enforced here:
 
 * a granule's tag is set only by a legitimate capability store;
 * **any** raw byte store overlapping a granule clears its tag;
@@ -18,23 +18,29 @@ and 8 come straight from these refcounts.
 Storage is a **banked flat store** (docs/ARCHITECTURE.md "Vectorized
 engine"): data bytes and granule tags live in machine-wide per-bank
 arenas (:data:`BANK_FRAMES` frames per bank; data in a mapping the host
-zero-fills on first touch, tags in a ``bytearray``) and each
-``Frame`` holds ``memoryview`` windows into its bank, so frame copies,
-tag clears and the relocation scan are C-level slice/``find``
-operations over the flat tag bitmap.  Fork's batch primitives work on
-bank runs (consecutive slots of one bank):
-:meth:`PhysicalMemory.copy_frames` copies a run with one data and one
-tag slice store and :meth:`PhysicalMemory.tagged_frames` finds a run's
-tagged frames with one ``find``.  The image loader takes a segment's
-frames with one :meth:`PhysicalMemory.alloc_run`.
+zero-fills on first touch, tags in a ``bytearray``), and the per-frame
+state lives in columns indexed by frame number, grown one bank at a
+time with the arenas: refcount and content version in ``array('q')``
+columns, the deferred-scrub mark in a ``bytearray``.  A frame is
+allocated while its refcount is positive.  :class:`Frame` is a window
+over one number's slice of that store, built on first use and cached.
+Fork's batch primitives work on runs of consecutive numbers, as slice
+stores over the columns and the arenas:
+:meth:`PhysicalMemory.copy_frames` copies a bank run with one data and
+one tag slice store, :meth:`PhysicalMemory.decref_many` releases a
+stretch of equal refcounts with one column store, and
+:meth:`PhysicalMemory.tagged_frames` finds a run's tagged frames with
+one ``find``.  The image loader takes a segment's frames with one
+:meth:`PhysicalMemory.alloc_run`.
 """
 
 from __future__ import annotations
 
 import itertools
 import mmap
+from array import array
 from operator import sub
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (Any, Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.cheri.capability import Capability
@@ -50,6 +56,16 @@ _ZEROS = bytes(4096)
 #: resized** (resizing would invalidate the outstanding ``memoryview``
 #: windows)
 BANK_FRAMES = 512
+
+#: one bank's worth of zeroed ``array('q')`` column entries
+_BANK_COLUMN = bytes(8 * BANK_FRAMES)
+_ONE = array("q", [1])
+#: shortest batch :meth:`PhysicalMemory.incref_many` and
+#: :meth:`~PhysicalMemory.decref_many` test for one run: below it the
+#: test costs more than going number by number
+_RUN_MIN = 16
+_INCREMENT = (1).__add__
+_POSITIVE = (0).__lt__
 
 
 def _zeroed_arena(size: int) -> Any:
@@ -68,45 +84,44 @@ def _zeros(count: int) -> bytes:
 
 
 class Frame:
-    """One physical page: data bytes plus per-granule validity tags.
+    """One physical page of a :class:`PhysicalMemory`: data bytes plus
+    per-granule validity tags.
 
-    ``data`` and ``tags`` are ``memoryview`` windows into the
-    machine-wide banked store (a frame built directly, outside any
-    :class:`PhysicalMemory`, owns its ``bytearray`` buffers instead;
-    every access method works identically on both).
-    ``_tag_store``/``_tag_base`` address this frame's granule run inside
-    the flat tag bitmap so the relocation scan can use the underlying
-    ``bytearray.find`` (memchr) even through a view.
+    A window, not a holder of state: ``data`` and ``tags`` are
+    ``memoryview`` windows into the machine-wide banked store, and
+    :attr:`version` reads the memory's per-number version column.
+    :meth:`PhysicalMemory.frame` builds at most one per frame
+    number and hands the same window out for every later allocation of
+    that number.  ``_tag_store``/``_tag_base`` address this frame's
+    granule run inside the flat tag bitmap so the relocation scan can
+    use the underlying ``bytearray.find`` (memchr) even through a view.
+    The mutators (and the inlined stores in :mod:`repro.hw.paging`)
+    bump the version column entry directly.
     """
 
-    __slots__ = ("data", "tags", "refcount", "version", "_tag_store",
+    __slots__ = ("number", "data", "tags", "_versions", "_tag_store",
                  "_tag_base")
 
-    def __init__(self, page_size: int, granules: int) -> None:
-        self.data = bytearray(page_size)
-        self.tags = bytearray(granules)
-        self.refcount = 1
-        #: content generation: bumped by every mutation of ``data`` or
-        #: ``tags`` (including the inlined stores in
-        #: :mod:`repro.hw.paging` and the free-time scrub), so content
-        #: memos — the fork-time relocated-page cache — can key on
-        #: ``(number, version)`` and never serve stale bytes
-        self.version = 0
-        self._tag_store = self.tags
-        self._tag_base = 0
+    def __init__(self, number: int, data: memoryview, tags: memoryview,
+                 versions: array, tag_store: bytearray,
+                 tag_base: int) -> None:
+        self.number = number
+        self.data = data
+        self.tags = tags
+        self._versions = versions
+        self._tag_store = tag_store
+        self._tag_base = tag_base
 
-    @classmethod
-    def _bank_view(cls, data_view, tags_view, tag_store: bytearray,
-                   tag_base: int) -> "Frame":
-        """A frame windowing the banked store."""
-        frame = object.__new__(cls)
-        frame.data = data_view
-        frame.tags = tags_view
-        frame.refcount = 1
-        frame.version = 0
-        frame._tag_store = tag_store
-        frame._tag_base = tag_base
-        return frame
+    @property
+    def version(self) -> int:
+        """Content generation: bumped by every mutation of ``data`` or
+        ``tags`` (including the inlined stores in
+        :mod:`repro.hw.paging`, run copies and the deferred scrub) and
+        never going back for a frame number, across free and
+        reallocation, so content memos — the fork-time relocated-page
+        cache, the audit memo — can key on ``(number, version)`` and
+        never serve stale bytes."""
+        return self._versions[self.number]
 
     # -- byte access ---------------------------------------------------
 
@@ -116,7 +131,7 @@ class Frame:
     def write(self, offset: int, data: bytes) -> None:
         """Raw byte store: clears tags of every overlapped granule
         (one C-level slice store over the granule run)."""
-        self.version += 1
+        self._versions[self.number] += 1
         self.data[offset:offset + len(data)] = data
         first = offset // CAP_SIZE
         last = (offset + len(data) - 1) // CAP_SIZE
@@ -137,7 +152,7 @@ class Frame:
                   codec: CapabilityCodec) -> None:
         if offset % CAP_SIZE:
             raise AlignmentFault(f"capability store at offset {offset:#x}")
-        self.version += 1
+        self._versions[self.number] += 1
         self.data[offset:offset + CAP_SIZE] = codec.encode(cap)
         self.tags[offset // CAP_SIZE] = 1 if cap.valid else 0
 
@@ -150,7 +165,7 @@ class Frame:
         """
         if offset % CAP_SIZE:
             raise AlignmentFault(f"granule store at offset {offset:#x}")
-        self.version += 1
+        self._versions[self.number] += 1
         self.data[offset:offset + CAP_SIZE] = raw
         self.tags[offset // CAP_SIZE] = 1 if tag else 0
 
@@ -175,7 +190,7 @@ class Frame:
         """Clear the tags of every granule overlapping [lo, hi)."""
         if hi_offset <= lo_offset:
             return
-        self.version += 1
+        self._versions[self.number] += 1
         first = lo_offset // CAP_SIZE
         last = (hi_offset - 1) // CAP_SIZE
         count = last + 1 - first
@@ -192,13 +207,13 @@ class Frame:
 
     def restore_content(self, data: bytes, tags: bytes) -> None:
         """Overwrite the whole page's bytes and granule tags."""
-        self.version += 1
+        self._versions[self.number] += 1
         self.data[:] = data
         self.tags[:] = tags
 
     def copy_from(self, other: "Frame", preserve_tags: bool = True) -> None:
         """Copy another frame's contents (kernel capability-aware copy)."""
-        self.version += 1
+        self._versions[self.number] += 1
         self.data[:] = other.data
         if preserve_tags:
             self.tags[:] = other.tags
@@ -226,156 +241,223 @@ class PhysicalMemory:
         self._obs = obs if obs is not None else NULL_OBS
         #: fault injection hook (ChaosEngine.attach replaces the null)
         self.chaos = NULL_CHAOS
-        self._frames: Dict[int, Frame] = {}
         self._free: List[int] = []
         self._next_frame = 1
         self._capacity_frames = config.dram_bytes // config.page_size
+        #: allocated frames: the count of positive refcounts
+        self._live = 0
+        # per-number columns, index 0 unused (numbers start at 1) and
+        # grown one bank at a time with the arenas; no buffer of them
+        # is ever exported, so they can grow in place
+        self._refcounts = array("q", bytes(8))
+        self._versions = array("q", bytes(8))
+        # deferred scrub: freeing marks the slot here and leaves its
+        # stale bytes in the bank; the scrub happens only on a later
+        # ``zero=True`` allocation of the same number.  Sound because
+        # ``alloc(zero=False)`` content is *unspecified* — every caller
+        # (frame copy, snapshot restore) fully overwrites data and tags
+        # before the frame is readable — and a freed frame is
+        # unreachable (refcount 0) until realloc'd.
+        self._stale = bytearray(1)
+        #: number -> its :class:`Frame` window, built on first use
+        self._views: List[Optional[Frame]] = [None]
         # per-bank data/tag arenas plus hoisted memoryviews (slicing a
         # memoryview is cheaper than taking a fresh view of the
         # bytearray per frame); a data view holds its arena alive
         self._tag_banks: List[bytearray] = []
         self._data_views: List[memoryview] = []
         self._tag_views: List[memoryview] = []
-        # frame-object reuse pool: a freed number's Frame keeps its
-        # (immutable) bank-window views, so realloc of the same number
-        # can revive the object instead of re-slicing the views
-        self._frame_pool: Dict[int, Frame] = {}
-        # deferred scrub: freeing leaves the slot's stale bytes in the
-        # bank (listed here) and the scrub happens only on a later
-        # ``zero=True`` allocation of the same number.  Sound because
-        # ``alloc(zero=False)`` content is *unspecified* — every caller
-        # (frame copy, snapshot restore) fully overwrites data and tags
-        # before the frame is readable — and a freed frame is
-        # unreachable (not in ``_frames``) until realloc'd.
-        self._stale: set = set()
         #: pre-rounded integral per-page copy charge for the bulk path
         self._page_copy_int = int(round(costs.page_copy_ns(config.page_size)))
 
-    # -- allocation ------------------------------------------------------
+    # -- storage ------------------------------------------------------------
 
-    def _make_frame(self, number: int) -> Frame:
-        pooled = self._frame_pool.get(number)
-        if pooled is not None:
-            pooled.refcount = 1
-            return pooled
-        page_size = self._config.page_size
-        granules = self._config.granules_per_page
-        bank, slot = divmod(number - 1, BANK_FRAMES)
-        while bank >= len(self._data_views):
-            self._data_views.append(
-                memoryview(_zeroed_arena(BANK_FRAMES * page_size)))
-            self._tag_banks.append(bytearray(BANK_FRAMES * granules))
-            self._tag_views.append(memoryview(self._tag_banks[-1]))
-        d0 = slot * page_size
-        t0 = slot * granules
-        frame = Frame._bank_view(
-            self._data_views[bank][d0:d0 + page_size],
-            self._tag_views[bank][t0:t0 + granules],
-            self._tag_banks[bank], t0,
-        )
-        self._frame_pool[number] = frame
+    def _add_bank(self) -> None:
+        """One more bank of arenas and column entries."""
+        self._data_views.append(memoryview(
+            _zeroed_arena(BANK_FRAMES * self._config.page_size)))
+        self._tag_banks.append(
+            bytearray(BANK_FRAMES * self._config.granules_per_page))
+        self._tag_views.append(memoryview(self._tag_banks[-1]))
+        self._refcounts.frombytes(_BANK_COLUMN)
+        self._versions.frombytes(_BANK_COLUMN)
+        self._stale += bytes(BANK_FRAMES)
+        self._views += [None] * BANK_FRAMES
+
+    def _fresh(self, count: int) -> range:
+        """Take the next ``count`` never-used numbers."""
+        first = self._next_frame
+        self._next_frame = first + count
+        while self._next_frame > len(self._refcounts):
+            self._add_bank()
+        return range(first, first + count)
+
+    def _view(self, number: int) -> Frame:
+        """The cached :class:`Frame` window of ``number``."""
+        frame = self._views[number]
+        if frame is None:
+            page_size = self._config.page_size
+            granules = self._config.granules_per_page
+            bank, slot = divmod(number - 1, BANK_FRAMES)
+            d0 = slot * page_size
+            t0 = slot * granules
+            frame = self._views[number] = Frame(
+                number, self._data_views[bank][d0:d0 + page_size],
+                self._tag_views[bank][t0:t0 + granules],
+                self._versions, self._tag_banks[bank], t0)
         return frame
+
+    def _scrub(self, number: int) -> None:
+        """The deferred free-time scrub of a stale slot (see ``_stale``),
+        with its ``version`` bump."""
+        frame = self._view(number)
+        frame.restore_content(_zeros(len(frame.data)),
+                              _zeros(len(frame.tags)))
+        self._stale[number] = 0
+
+    # -- allocation ------------------------------------------------------
 
     def alloc(self, zero: bool = True, charge: bool = True) -> int:
         """Allocate one frame; returns its frame number."""
-        if len(self._frames) >= self._capacity_frames:
+        if self._live >= self._capacity_frames:
             raise OutOfMemory("physical memory exhausted")
         if self.chaos.enabled and self.chaos.should_fire("hw.phys.alloc_fail"):
             from repro.chaos.faults import InjectedAllocFailure
             raise InjectedAllocFailure("injected frame-allocation failure")
-        if self._free:
-            number = self._free.pop()
-        else:
-            number = self._next_frame
-            self._next_frame += 1
-        frame = self._make_frame(number)
-        self._frames[number] = frame
-        if zero and number in self._stale:
-            # deferred free-time scrub lands here: the caller asked for
-            # a zeroed frame and this slot still holds freed content
-            frame.version += 1
-            frame.data[:] = _zeros(len(frame.data))
-            frame.tags[:] = _zeros(len(frame.tags))
-            self._stale.discard(number)
+        number = self._free.pop() if self._free else self._fresh(1)[0]
+        self._refcounts[number] = 1
+        self._live += 1
+        if zero and self._stale[number]:
+            # the caller asked for a zeroed frame and this slot still
+            # holds freed content
+            self._scrub(number)
         if zero and charge:
             self._clock.advance(self._costs.page_zero_ns, "page_zero")
         self._emit(counter="frames_allocated",
                    metric="hw.phys.frames_allocated")
-        self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
+        self._obs.gauge_set("hw.phys.allocated_frames", self._live)
         return number
 
     def frame(self, number: int) -> Frame:
-        frame = self._frames.get(number)
-        if frame is None:
-            raise KeyError(f"no such frame {number}")
-        return frame
+        try:
+            if number > 0 and self._refcounts[number] > 0:
+                return self._views[number] or self._view(number)
+        except IndexError:  # past every bank: never allocated
+            pass
+        raise KeyError(f"no such frame {number}")
 
-    def _require_allocated(self, numbers: Sequence[int]) -> None:
-        """Raise :meth:`frame`'s ``KeyError`` for the first of
-        ``numbers`` that is not allocated."""
-        frames = self._frames
-        if not all(map(frames.__contains__, numbers)):
-            self.frame(next(n for n in numbers if n not in frames))
+    def refcount(self, number: int) -> int:
+        try:
+            if number > 0 and self._refcounts[number] > 0:
+                return self._refcounts[number]
+        except IndexError:
+            pass
+        raise KeyError(f"no such frame {number}")
+
+    def contains(self, number: int) -> bool:
+        try:
+            return number > 0 and self._refcounts[number] > 0
+        except IndexError:
+            return False
 
     def incref(self, number: int) -> None:
-        self.frame(number).refcount += 1
+        self._refcounts[number] = self.refcount(number) + 1
+
+    def incref_many(self, numbers: Sequence[int]) -> None:
+        """:meth:`incref` for each number, in order: a batch that is one
+        run of consecutive allocated numbers takes one column store per
+        stretch of equal refcounts; any other goes number by number."""
+        refcounts = self._refcounts
+        window = self._run_window(numbers)
+        if window is None:
+            top = len(refcounts)
+            for number in numbers:
+                value = refcounts[number] if 0 < number < top else 0
+                if value <= 0:
+                    raise KeyError(f"no such frame {number}")
+                refcounts[number] = value + 1
+            return
+        for start, end, value in _stretches(numbers[0], window):
+            refcounts[start:end] = array("q", [value + 1]) * (end - start)
+
+    def _run_window(self, numbers: Sequence[int]) -> Optional[array]:
+        """The refcounts of ``numbers`` when they are one run of
+        consecutive allocated numbers, else None (also for a batch
+        shorter than :data:`_RUN_MIN`)."""
+        if len(numbers) < _RUN_MIN or not _one_run(numbers):
+            return None
+        first = numbers[0]
+        window = self._refcounts[first:first + len(numbers)] \
+            if first > 0 else ()
+        return window if len(window) == len(numbers) and min(window) > 0 \
+            else None
 
     def decref(self, number: int) -> None:
-        frame = self.frame(number)
-        frame.refcount -= 1
-        if frame.refcount == 0:
+        count = self.refcount(number) - 1
+        self._refcounts[number] = count
+        if count == 0:
             # the scrub is deferred to a later zero-allocation of this
             # number (see ``_stale``)
-            self._stale.add(number)
-            del self._frames[number]
+            self._stale[number] = 1
             self._free.append(number)
+            self._live -= 1
             self._emit(counter="frames_freed",
                        metric="hw.phys.frames_freed")
-            self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
-        elif frame.refcount < 0:  # pragma: no cover - invariant guard
-            raise AssertionError(f"frame {number} refcount underflow")
+            self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def decref_many(self, numbers: Sequence[int]) -> None:
         """:meth:`decref` for a batch, in order (fork teardown's path).
 
-        Identical refcount/free-list evolution; the freed-frame counter
-        and gauge updates are batched into sum-equal / last-value-equal
-        updates.  When :meth:`decref` has been overridden (fault
-        injection, instrumented subclasses) the batch defers to it
-        per number so the override observes every release.
+        Identical refcount/free-list evolution: a batch that is one run
+        of consecutive allocated numbers takes one column store per
+        stretch of equal refcounts (and, for a stretch reaching zero,
+        one scrub-mark store and one free-list extend, in ascending
+        order); any other batch goes number by number.  The
+        freed-frame counter and gauge updates are batched into
+        sum-equal / last-value-equal updates, made also when an
+        unallocated number raises part-way.  When :meth:`decref` has
+        been overridden (fault injection, instrumented subclasses) the
+        batch defers to it per number so the override observes every
+        release.
         """
         if type(self).decref is not _BASE_DECREF:
             for number in numbers:
                 self.decref(number)
             return
-        frames = self._frames
-        free = self._free
+        refcounts = self._refcounts
         stale = self._stale
-        freed = 0
-        for number in numbers:
-            frame = frames.get(number)
-            if frame is None:
-                raise KeyError(f"no such frame {number}")
-            rc = frame.refcount - 1
-            frame.refcount = rc
-            if rc == 0:
-                stale.add(number)
-                del frames[number]
-                free.append(number)
-                freed += 1
-            elif rc < 0:  # pragma: no cover - invariant guard
-                raise AssertionError(f"frame {number} refcount underflow")
-        if freed:
-            self._emit(n=freed, counter="frames_freed",
-                       metric="hw.phys.frames_freed")
-            self._obs.gauge_set("hw.phys.allocated_frames", len(frames))
-
-    def refcount(self, number: int) -> int:
-        return self.frame(number).refcount
+        free = self._free
+        before = len(free)
+        try:
+            window = self._run_window(numbers)
+            if window is None:
+                top = len(refcounts)
+                for number in numbers:
+                    value = refcounts[number] - 1 if 0 < number < top else -1
+                    if value < 0:
+                        raise KeyError(f"no such frame {number}")
+                    refcounts[number] = value
+                    if not value:
+                        stale[number] = 1
+                        free.append(number)
+            else:
+                for start, end, value in _stretches(numbers[0], window):
+                    refcounts[start:end] = \
+                        array("q", [value - 1]) * (end - start)
+                    if value == 1:
+                        stale[start:end] = b"\x01" * (end - start)
+                        free += range(start, end)
+        finally:
+            freed = len(free) - before
+            if freed:
+                self._live -= freed
+                self._emit(n=freed, counter="frames_freed",
+                           metric="hw.phys.frames_freed")
+                self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def free_frames(self) -> int:
         """Frames still allocatable before :class:`OutOfMemory`."""
-        return self._capacity_frames - len(self._frames)
+        return self._capacity_frames - self._live
 
     def alloc_budget(self, count: int) -> int:
         """How many of the next ``count`` single :meth:`alloc` calls
@@ -412,22 +494,13 @@ class PhysicalMemory:
         """
         if self.chaos.enabled:
             return self.copy_frame(src, preserve_tags=True)
-        frames = self._frames
-        if len(frames) >= self._capacity_frames:
+        if self._live >= self._capacity_frames:
             raise OutOfMemory("physical memory exhausted")
-        free = self._free
-        if free:
-            number = free.pop()
-        else:
-            number = self._next_frame
-            self._next_frame += 1
-        frame = self._frame_pool.get(number)
-        if frame is None:
-            frame = self._make_frame(number)
-        else:
-            frame.refcount = 1
-        frames[number] = frame
-        frame.copy_from(frames[src], True)
+        number = self._free.pop() if self._free else self._fresh(1)[0]
+        self._refcounts[number] = 1
+        self._live += 1
+        dst = self._views[number] or self._view(number)
+        dst.copy_from(self.frame(src), True)
         self._clock.advance(self._page_copy_int, "page_copy")
         self._settle_copies(1)
         return number
@@ -440,11 +513,11 @@ class PhysicalMemory:
         allocations would take (the free-list tail, then fresh numbers),
         paired with the sources in ascending order, so consecutive
         sources land on consecutive destinations.  Each run of
-        consecutive source and destination slots inside one bank is
-        copied with one data and one tag slice store (zeros for
-        ``preserve_tags=False``); per frame only the :class:`Frame`
-        object is revived, its ``version`` bumped and the frame marked
-        allocated.
+        consecutive destination numbers is marked allocated with one
+        refcount store and one version store (each version exactly
+        one up), and each run of consecutive source and destination
+        slots inside one bank is copied with one data and one tag slice
+        store (zeros for ``preserve_tags=False``).
 
         The copies, refcounts, capacity checks, clock charges,
         counter/observability totals, chaos draws and the free list
@@ -460,17 +533,27 @@ class PhysicalMemory:
         the copies made before it were charged and counted, and are
         freed in allocation order before the error propagates.
         """
-        frames = self._frames
-        self._require_allocated(srcs)
+        src_runs = consecutive_runs(srcs)
+        self._require_allocated(srcs, src_runs)
         fit = self.alloc_budget(len(srcs))
         taken = self._take(fit)
         dsts = sorted(taken)
-        make = self._make_frame
-        for number in dsts:
-            frame = make(number)
-            frame.version += 1
-            frames[number] = frame
-        self._copy_runs(srcs[:fit], dsts, preserve_tags)
+        dst_runs = consecutive_runs(dsts)
+        refcounts = self._refcounts
+        versions = self._versions
+        for start, end in dst_runs:
+            first = dsts[start]
+            last = first + end - start
+            refcounts[first:last] = _ONE * (end - start)
+            versions[first:last] = array(
+                "q", map(_INCREMENT, versions[first:last]))
+        self._live += fit
+        if fit:
+            # a joint run ends wherever the sources' (cut at the
+            # batch's end) or the destinations' runs end
+            self._copy_runs(srcs, dsts, sorted(
+                {min(end, fit) for _start, end in src_runs + dst_runs}),
+                preserve_tags)
         self._settle_bulk_copy(fit, charge)
         if preserve_tags:
             for index in self.chaos.fire_each("hw.phys.tag_clear", fit):
@@ -494,22 +577,18 @@ class PhysicalMemory:
         """
         fit = self.alloc_budget(count)
         numbers = self._take(fit)
-        frames = self._frames
-        stale = self._stale
-        make = self._make_frame
+        refcounts = self._refcounts
         for number in numbers:
-            frame = make(number)
-            frames[number] = frame
-            if number in stale:
-                # the deferred free-time scrub (see :meth:`alloc`)
-                frame.version += 1
-                frame.data[:] = _zeros(len(frame.data))
-                frame.tags[:] = _zeros(len(frame.tags))
-                stale.discard(number)
+            refcounts[number] = 1
+        self._live += fit
+        stale = self._stale
+        for number in itertools.compress(numbers,
+                                         map(stale.__getitem__, numbers)):
+            self._scrub(number)
         if fit:
             self._emit(n=fit, counter="frames_allocated",
                        metric="hw.phys.frames_allocated")
-            self._obs.gauge_set("hw.phys.allocated_frames", len(frames))
+            self._obs.gauge_set("hw.phys.allocated_frames", self._live)
         if fit < count:
             self._shortfall(numbers, zero=True)
         return numbers
@@ -525,9 +604,7 @@ class PhysicalMemory:
         taken = free[len(free) - min(count, len(free)):]
         del free[len(free) - len(taken):]
         taken.reverse()
-        fresh = self._next_frame
-        self._next_frame += count - len(taken)
-        taken += range(fresh, self._next_frame)
+        taken += self._fresh(count - len(taken))
         return taken
 
     def _shortfall(self, taken: List[int], zero: bool) -> None:
@@ -542,16 +619,16 @@ class PhysicalMemory:
             "alloc_budget predicted a failing allocation")
 
     def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],
-                   preserve_tags: bool) -> None:
-        """Copy ``srcs[i]`` into ``dsts[i]``: one data and one tag slice
-        store per joint bank run (``memoryview`` to ``memoryview``, so
-        the bytes move once)."""
+                   ends: List[int], preserve_tags: bool) -> None:
+        """Copy ``srcs[i]`` into ``dsts[i]``, the pairs cut into runs of
+        consecutive sources and destinations at ``ends``: one data and
+        one tag slice store per joint bank run (``memoryview`` to
+        ``memoryview``, so the bytes move once)."""
         page_size = self._config.page_size
         granules = self._config.granules_per_page
         data_views = self._data_views
         tag_views = self._tag_views
-        # srcs[i] - dsts[i] is constant along a joint run
-        runs = consecutive_runs(dsts, map(sub, srcs, dsts))
+        runs = zip([0] + ends, ends)
         for start, end in _cut_at_banks(runs, srcs, dsts):
             count = end - start
             src_bank, src_slot = divmod(srcs[start] - 1, BANK_FRAMES)
@@ -583,7 +660,7 @@ class PhysicalMemory:
         emit(n=count, counter="frames_allocated",
              metric="hw.phys.frames_allocated")
         emit(n=count, counter="frames_copied", metric="hw.phys.frames_copied")
-        self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
+        self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def _recover_tag_clear(self, src: int, dst: int, charge: bool) -> None:
         """Injected spurious tag loss on a tag-preserving copy: the copy
@@ -591,9 +668,7 @@ class PhysicalMemory:
         compares tag vectors and redoes the copy when they differ (a
         frame with no tags loses nothing, so nothing to recover)."""
         dst_frame = self.frame(dst)
-        dst_frame.version += 1
-        for index in range(len(dst_frame.tags)):
-            dst_frame.tags[index] = 0
+        dst_frame.clear_tags_range(0, len(dst_frame.data))
         src_frame = self.frame(src)
         if bytes(dst_frame.tags) != bytes(src_frame.tags):
             dst_frame.copy_from(src_frame, preserve_tags=True)
@@ -604,42 +679,127 @@ class PhysicalMemory:
                 )
             self.chaos.note_recovery("hw.phys.tag_clear")
 
-    # -- narrow iteration/scan interface --------------------------------------
+    # -- bulk readers ------------------------------------------------------
 
-    def frames_items(self) -> Iterator[Tuple[int, Frame]]:
-        """Stable (frame-number-sorted) iteration over allocated frames.
+    def _require_allocated(self, numbers: Sequence[int],
+                           runs: Optional[List[Tuple[int, int]]] = None
+                           ) -> None:
+        """Raise :meth:`frame`'s ``KeyError`` for the first of
+        ``numbers`` that is not allocated: one ``min`` per run when the
+        caller has the ``runs`` (``consecutive_runs(numbers)``), else
+        one pass over the numbers."""
+        refcounts = self._refcounts
+        if runs is None:
+            if numbers and not (
+                    0 < min(numbers) and max(numbers) < len(refcounts)
+                    and min(map(refcounts.__getitem__, numbers)) > 0):
+                for number in numbers:
+                    self.refcount(number)
+            return
+        for start, end in runs:
+            first = numbers[start]
+            window = refcounts[first:first + end - start] if first > 0 \
+                else ()
+            if len(window) != end - start or min(window) <= 0:
+                for number in numbers[start:end]:
+                    self.refcount(number)
 
-        The sanctioned way for auditors (:mod:`repro.conform.invariants`)
-        to sweep physical memory — callers must not touch ``_frames``.
-        """
-        return iter(sorted(self._frames.items()))
+    def live_mask(self, numbers: Sequence[int]) -> List[bool]:
+        """:meth:`contains` for each of ``numbers``, in one C-level pass
+        over the refcount column."""
+        refcounts = self._refcounts
+        if numbers and 0 < min(numbers) and max(numbers) < len(refcounts):
+            return list(map(_POSITIVE, map(refcounts.__getitem__, numbers)))
+        return list(map(self.contains, numbers))
+
+    def live_numbers(self) -> List[int]:
+        """The allocated frame numbers, ascending: the positive entries
+        of the refcount column."""
+        refcounts = self._refcounts
+        return list(itertools.compress(range(len(refcounts)),
+                                       map(_POSITIVE, refcounts)))
+
+    def refcounts(self, numbers: Sequence[int]) -> List[int]:
+        """:meth:`refcount` of each of ``numbers`` (``KeyError`` for the
+        first unallocated one)."""
+        self._require_allocated(numbers)
+        return list(map(self._refcounts.__getitem__, numbers))
+
+    def versions(self, numbers: Sequence[int]) -> List[int]:
+        """The content version (:attr:`Frame.version`) of each of
+        ``numbers`` (``KeyError`` for the first unallocated one) — what
+        content memos key on."""
+        self._require_allocated(numbers)
+        return list(map(self._versions.__getitem__, numbers))
+
+    def check_columns(self) -> List[str]:
+        """Consistency of the per-number state; a list of violations
+        (empty == consistent): the allocated-frame count equals the
+        number of positive refcounts, no refcount is negative, and every
+        free-list number has refcount 0 and is listed once."""
+        refcounts = self._refcounts
+        # only numbers below ``_next_frame`` were ever handed out; a
+        # refcount written past it still counts as nonzero below
+        used = refcounts[:self._next_frame]
+        violations = [
+            f"frames: frame {number} refcount {used[number]}"
+            for number in itertools.compress(range(len(used)),
+                                             map((0).__gt__, used))
+        ] if min(used) < 0 else []
+        positive = len(refcounts) - refcounts.count(0) - len(violations)
+        if positive != self._live:
+            violations.append(
+                f"frames: {self._live} frames counted allocated, "
+                f"{positive} with a positive refcount")
+        free = self._free
+        if free and (min(free) <= 0 or max(free) >= len(refcounts)
+                     or any(map(refcounts.__getitem__, free))):
+            for number in free:
+                if not 0 < number < len(refcounts) or refcounts[number]:
+                    violations.append(f"frames: free-list frame {number} "
+                                      f"is allocated or out of range")
+        if len(set(free)) != len(free):
+            seen = set()
+            for number in free:
+                if number in seen:
+                    violations.append(
+                        f"frames: frame {number} listed free twice")
+                seen.add(number)
+        return violations
+
+    # -- tag scans ---------------------------------------------------------
 
     def scan_tagged(self, number: int) -> List[int]:
         """Offsets of tagged granules in frame ``number`` (bulk scan)."""
         return self.frame(number).tagged_granules()
 
     def tagged_frames(self, numbers: Sequence[int]) -> List[int]:
-        """Positions in ``numbers`` of the frames holding any valid tag,
-        ascending.
+        """Positions in ``numbers`` of the allocated frames holding any
+        valid tag, ascending (a freed number is skipped: its slot may
+        still hold the tags the deferred scrub has not cleared).
 
         One ``bytearray.find`` (a C memchr) per bank run of consecutive
         numbers over the bank's tag arena, plus one per tagged frame
         found — the relocation sweep's filter, so untagged pages are
         never visited one by one.
         """
-        self._require_allocated(numbers)
         granules = self._config.granules_per_page
         tag_banks = self._tag_banks
+        refcounts = self._refcounts
         out: List[int] = []
         for start, end in _cut_at_banks(consecutive_runs(numbers), numbers):
-            bank, slot = divmod(numbers[start] - 1, BANK_FRAMES)
+            first = numbers[start]
+            bank, slot = divmod(first - 1, BANK_FRAMES)
+            if first <= 0 or bank >= len(tag_banks):
+                continue  # never allocated
             store = tag_banks[bank]
             lo = slot * granules
             hi = lo + (end - start) * granules
             hit = store.find(1, lo, hi)
             while hit >= 0:
                 page = (hit - lo) // granules
-                out.append(start + page)
+                if refcounts[first + page] > 0:
+                    out.append(start + page)
                 hit = store.find(1, lo + (page + 1) * granules, hi)
         return out
 
@@ -652,29 +812,57 @@ class PhysicalMemory:
 
     @property
     def allocated_frames(self) -> int:
-        return len(self._frames)
+        return self._live
 
     @property
     def allocated_bytes(self) -> int:
-        return len(self._frames) * self._config.page_size
-
-    def contains(self, number: int) -> bool:
-        return number in self._frames
+        return self._live * self._config.page_size
 
 
 def consecutive_runs(numbers: Sequence[int],
-                     keys: Optional[Iterable[Any]] = None
+                     keys: Optional[Sequence[Any]] = None
                      ) -> List[Tuple[int, int]]:
     """``(start, end)`` index ranges of the maximal runs of consecutive
-    numbers (with equal keys, when given).  ``numbers[i] - i`` is
-    constant along a run, so ``groupby`` finds the runs at C speed."""
-    steps: Iterable[Any] = map(sub, numbers, itertools.count())
+    numbers (with equal keys, when given).
+
+    A batch that is one run (fork's common case) is recognised by
+    :func:`_one_run`.  Otherwise ``numbers[i] - i`` is
+    constant along a run, so ``groupby`` finds the runs at C speed; the
+    keys are grouped on their own and their run ends merged in.
+    """
+    count = len(numbers)
+    if _one_run(numbers):
+        ends = [count]
+    else:
+        ends = _group_ends(map(sub, numbers, itertools.count()))
     if keys is not None:
-        steps = zip(steps, keys)
-    bounds = list(itertools.accumulate(
-        (len(list(group)) for _key, group in itertools.groupby(steps)),
-        initial=0))
-    return list(zip(bounds, bounds[1:]))
+        ends = sorted(set(ends).union(_group_ends(keys)))
+    return list(zip([0] + ends, ends))
+
+
+def _group_ends(values: Iterable[Any]) -> List[int]:
+    """End index of each run of equal ``values``."""
+    return list(itertools.accumulate(
+        len(list(group)) for _value, group in itertools.groupby(values)))
+
+
+def _one_run(numbers: Sequence[int]) -> bool:
+    """Whether ``numbers`` is one run of consecutive numbers, tested
+    without building an int per element: distinct, ascending and
+    spanning exactly ``len(numbers)`` values."""
+    count = len(numbers)
+    return count > 0 and numbers[-1] - numbers[0] == count - 1 and \
+        sorted(set(numbers)) == list(numbers)
+
+
+def _stretches(first: int, window: Sequence[int]
+               ) -> Iterator[Tuple[int, int, int]]:
+    """``(start, end, value)`` of each stretch of equal ``window``
+    values, numbered from ``first``."""
+    for value, group in itertools.groupby(window):
+        end = first + len(list(group))
+        yield first, end, value
+        first = end
 
 
 def _cut_at_banks(runs: Iterable[Tuple[int, int]],

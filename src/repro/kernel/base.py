@@ -117,12 +117,10 @@ class AbstractOS(abc.ABC):
     def private_bytes(self, proc: Process) -> int:
         """Bytes of the region backed by frames only this process maps."""
         page = self.machine.config.page_size
-        refcount = self.machine.phys.refcount
-        return page * sum(
-            1 for _vpn, frame, _perms, _cow, _note
-            in self.space_of(proc).mapped_items(proc.region_base // page,
-                                                proc.region_top // page)
-            if refcount(frame) == 1)
+        items = self.space_of(proc).mapped_items(proc.region_base // page,
+                                                 proc.region_top // page)
+        return page * self.machine.phys.refcounts(
+            [item[1] for item in items]).count(1)
 
     # ------------------------------------------------------------------
     # Syscall dispatch

@@ -126,29 +126,33 @@ def audit_cap_flow(os_: Any) -> List[str]:
         gate = getattr(proc, "syscall_gate", None)
         gate_key = None if gate is None else (
             gate.base, gate.length, gate.cursor)
-        # a dangling mapping (its frame already freed) has no memory to
-        # audit; on a fork-shared page the share-note check reports it
         pages = [item for item in
                  space.mapped_items(base // page, top // page)
-                 if item[0] not in shm_vpns and phys.contains(item[1])]
-        for position in phys.tagged_frames([item[1] for item in pages]):
-            vpn, frame_no, _perms, _cow, raw_note = pages[position]
+                 if item[0] not in shm_vpns]
+        # a dangling mapping (its frame already freed) has no memory to
+        # audit and ``tagged_frames`` skips it; on a fork-shared page
+        # the share-note check reports it
+        tagged = [pages[position] for position in
+                  phys.tagged_frames([item[1] for item in pages])]
+        versions = phys.versions([item[1] for item in tagged])
+        for (vpn, frame_no, _perms, _cow, raw_note), version in \
+                zip(tagged, versions):
             note = raw_note if isinstance(raw_note, ShareNote) else None
             if note is not None:
                 lo, hi = note.regions.parent_base, note.regions.parent_top
             else:
                 lo, hi = base, top
-            frame = phys.frame(frame_no)
             key = (frame_no, lo, hi, base, top, gate_key)
-            if memo.get(key) == frame.version:
+            if memo.get(key) == version:
                 continue
             found = len(violations)
+            frame = phys.frame(frame_no)
             for offset in frame.tagged_granules():
                 cap = frame.load_cap(offset, codec)
                 _audit_cap(os_, proc, cap, f"vpn {vpn:#x}+{offset:#x}",
                            lo, hi, violations)
             if len(violations) == found:
-                memo[key] = frame.version
+                memo[key] = version
         for task in proc.tasks:
             for name, cap in task.registers.cap_registers():
                 _audit_cap(os_, proc, cap, f"register {name}",

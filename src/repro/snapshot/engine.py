@@ -80,8 +80,10 @@ def checkpoint(os: Any, proc: Process, *, incremental: bool = False) -> bytes:
     hi = proc.region_top // page
     if incremental:
         # CoW-divergent pages only: frames this process maps alone
-        items = [item for item in space.mapped_items(lo, hi)
-                 if machine.phys.refcount(item[1]) == 1]
+        items = space.mapped_items(lo, hi)
+        items = [item for item, count in zip(
+            items, machine.phys.refcounts([item[1] for item in items]))
+            if count == 1]
     else:
         resolve_all_pending(space, proc.region_base, proc.region_top)
         items = space.mapped_items(lo, hi)

@@ -32,10 +32,10 @@ def _no_kernel_leaks():
     After each test, every machine still alive is audited with the
     conformance leak checks (:func:`repro.conform.invariants.leak_report`):
     exited tasks may not sit in run queues, exited processes may not
-    hold fds, share notes may not outlive their frames, and no
-    allocated frame may have a non-positive refcount.  Tests that
-    legitimately leave processes *running* pass — the audit flags
-    inconsistent state, not live state.
+    hold fds, share notes may not outlive their frames, and physical
+    memory's allocated count, refcounts and free list must agree.
+    Tests that legitimately leave processes *running* pass — the audit
+    flags inconsistent state, not live state.
     """
     yield
     from repro.conform.invariants import leak_report

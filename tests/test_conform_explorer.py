@@ -146,10 +146,11 @@ def test_filed_violation_replays_byte_identically(monkeypatch):
     the violation byte-for-byte."""
     from repro.hw.phys import PhysicalMemory
 
+    pristine_decref = PhysicalMemory.decref
+
     def leaky_decref(self, number):
-        frame = self.frame(number)
-        if frame.refcount > 1:
-            frame.refcount -= 1
+        if self.refcount(number) > 1:
+            pristine_decref(self, number)
         # the final release is silently dropped: the frame stays
         # allocated, so the end-state audit must see a leak
 

@@ -34,7 +34,8 @@ REPO_SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 _FORBIDDEN = re.compile(
     r"\.(_entries\b|_frames\b|_perms\b|_cow\b|tags\b(?!\w)"
     r"|_data_banks\b|_tag_banks\b|_data_views\b|_tag_views\b"
-    r"|_frame_pool\b|_tag_store\b)")
+    r"|_frame_pool\b|_tag_store\b|_refcounts\b|_versions\b|_stale\b"
+    r"|_views\b|_live\b)")
 
 #: the layers that own the representations
 _ALLOWED_PREFIXES = ("hw/", "mem/")

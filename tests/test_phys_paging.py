@@ -1,5 +1,7 @@
 """Tests for physical memory (frames + tags) and paging (faults, CoW hooks)."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,13 +14,19 @@ from repro.errors import (
     UnmappedAddressError,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
-from repro.hw.phys import Frame, consecutive_runs
+from repro.hw.phys import consecutive_runs
 from repro.machine import Machine
+
+
+def _fresh_frame():
+    """A fresh page, allocated from a machine's physical memory."""
+    phys = Machine().phys
+    return phys.frame(phys.alloc())
 
 
 class TestFrame:
     def make_frame(self):
-        return Frame(4096, 256)
+        return _fresh_frame()
 
     def test_read_write_roundtrip(self):
         frame = self.make_frame()
@@ -98,7 +106,7 @@ class TestFrame:
 
     @given(offset=st.integers(0, 4095), size=st.integers(1, 64))
     def test_prop_any_byte_write_untags_its_granules(self, offset, size):
-        frame = Frame(4096, 256)
+        frame = _fresh_frame()
         codec = CapabilityCodec()
         cap = Capability(base=0, length=16, cursor=0, perms=Perm.data_rw())
         for granule_offset in range(0, 4096, CAP_SIZE):
@@ -149,6 +157,67 @@ class TestPhysicalMemory:
         before = machine.clock.now_ns
         machine.phys.alloc(zero=True)
         assert machine.clock.now_ns - before == int(machine.costs.page_zero_ns)
+
+
+class TestCheckColumns:
+    """``check_columns`` (the conformance audit's frame check) reports
+    each way the per-number state can disagree with itself."""
+
+    @staticmethod
+    def build():
+        phys = Machine().phys
+        numbers = phys.alloc_run(6)
+        phys.incref(numbers[0])
+        phys.decref(numbers[1])
+        phys.decref(numbers[4])
+        assert phys.check_columns() == []
+        return phys, numbers
+
+    def test_live_count_off_by_one(self):
+        phys, _numbers = self.build()
+        phys._live += 1
+        assert phys.check_columns() == [
+            "frames: 5 frames counted allocated, 4 with a positive refcount"]
+
+    def test_negative_refcount(self):
+        phys, numbers = self.build()
+        phys._refcounts[numbers[2]] = -1
+        assert f"frames: frame {numbers[2]} refcount -1" in \
+            phys.check_columns()
+
+    def test_allocated_frame_on_the_free_list(self):
+        phys, numbers = self.build()
+        phys._free.append(numbers[0])
+        assert phys.check_columns() == [
+            f"frames: free-list frame {numbers[0]} is allocated or out of "
+            f"range"]
+
+    def test_out_of_range_number_on_the_free_list(self):
+        phys, _numbers = self.build()
+        phys._free.append(0)
+        assert phys.check_columns() == [
+            "frames: free-list frame 0 is allocated or out of range"]
+
+    def test_free_number_listed_twice(self):
+        phys, numbers = self.build()
+        phys._free.append(numbers[1])
+        assert phys.check_columns() == [
+            f"frames: frame {numbers[1]} listed free twice"]
+
+    def test_the_conformance_audit_reports_it(self):
+        from repro.api import Session
+        from repro.conform.invariants import check_invariants, leak_report
+
+        os_ = Session(strategy="copa", cpus=1, seed=1).boot().os
+        phys = os_.machine.phys
+        phys._live += 1
+        try:
+            expected = (f"frames: {phys._live} frames counted allocated, "
+                        f"{phys._live - 1} with a positive refcount")
+            assert expected in leak_report(os_)
+            assert expected in check_invariants(os_)
+        finally:
+            phys._live -= 1
 
 
 class TestFrameNumberChurn:
@@ -256,7 +325,8 @@ class TestVersionBump:
 
     @staticmethod
     def observe(phys, seen):
-        for number, frame in phys.frames_items():
+        for number in phys.live_numbers():
+            frame = phys.frame(number)
             content = frame.snapshot_content()
             if number in seen:
                 version, before = seen[number]
@@ -274,7 +344,7 @@ class TestVersionBump:
 
     def step(self, data, machine, space, spare):
         phys = machine.phys
-        numbers = [number for number, _frame in phys.frames_items()]
+        numbers = phys.live_numbers()
         number = data.draw(st.sampled_from(numbers))
         frame = phys.frame(number)
         other = phys.frame(data.draw(st.sampled_from(numbers)))
@@ -485,10 +555,12 @@ class TestAllocRun:
             "result": result,
             "free": list(phys._free),
             "next": phys._next_frame,
-            "stale": sorted(phys._stale),
-            "frames": [(number, frame.version, frame.refcount,
-                        frame.snapshot_content())
-                       for number, frame in phys.frames_items()],
+            "stale": list(itertools.compress(itertools.count(),
+                                            phys._stale)),
+            "frames": [(number, phys.frame(number).version,
+                        phys.refcount(number),
+                        phys.frame(number).snapshot_content())
+                       for number in phys.live_numbers()],
             "counters": machine.counters.snapshot(),
             "obs": machine.obs.export()["metrics"],
             "hits": dict(engine.hits),

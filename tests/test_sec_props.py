@@ -29,9 +29,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
 from repro.errors import MonotonicityFault, SealFault, TagFault
-from repro.hw.phys import Frame
+from repro.machine import Machine
 
 PAGE = 4096
+
+
+def _frame():
+    """A fresh page, allocated from a machine's physical memory."""
+    phys = Machine().phys
+    return phys.frame(phys.alloc())
 
 
 def _cap_from_seed(seed: int) -> Capability:
@@ -54,7 +60,7 @@ def test_mutated_encodings_never_decode_to_valid_authority(seed, mutation):
     cap = _cap_from_seed(seed)
     raw = codec.encode(cap)
     mutated = bytes(a ^ b for a, b in zip(raw, mutation))
-    frame = Frame(PAGE, PAGE // CAP_SIZE)
+    frame = _frame()
     frame.store_cap(0, cap, codec)          # a legitimately tagged granule
     frame.write(0, mutated)                 # the attacker's raw overwrite
     got = frame.load_cap(0, codec)
@@ -93,7 +99,7 @@ def test_raw_stores_clear_every_overlapped_tag(seed, offset, data):
     but never its validity."""
     codec = CapabilityCodec()
     cap = _cap_from_seed(seed)
-    frame = Frame(PAGE, PAGE // CAP_SIZE)
+    frame = _frame()
     granule = (offset // CAP_SIZE) * CAP_SIZE
     frame.store_cap(granule, cap, codec)
     data = data[:PAGE - offset]

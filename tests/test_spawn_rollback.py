@@ -71,8 +71,8 @@ def kernel_state(os_):
     ptes = [space.mapped_items(0, 1 << 40) for space in spaces]
     return {
         "frames": machine.phys.allocated_frames,
-        "refcounts": [(number, frame.refcount)
-                      for number, frame in machine.phys.frames_items()],
+        "refcounts": [(number, machine.phys.refcount(number))
+                      for number in machine.phys.live_numbers()],
         "ptes": ptes,
         "reserved": sorted(os_.vspace.reserved_areas())
         if isinstance(os_, UForkOS) else None,
