@@ -43,6 +43,7 @@ The memo is host-side only and changes no simulated state.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, List, Optional
 
 from repro.cheri.capability import Capability
@@ -130,8 +131,9 @@ def audit_cap_flow(os_: Any) -> List[str]:
                  space.mapped_items(base // page, top // page)
                  if item[0] not in shm_vpns]
         # a dangling mapping (its frame already freed) has no memory to
-        # audit and ``tagged_frames`` skips it; on a fork-shared page
-        # the share-note check reports it
+        # audit; on a fork-shared page the share-note check reports it
+        pages = list(itertools.compress(
+            pages, phys.live_mask([item[1] for item in pages])))
         tagged = [pages[position] for position in
                   phys.tagged_frames([item[1] for item in pages])]
         versions = phys.versions([item[1] for item in tagged])

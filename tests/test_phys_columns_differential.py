@@ -39,9 +39,17 @@ from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
 from repro.errors import OutOfMemory
 from repro.hw.paging import AddressSpace, PagePerm
-from repro.hw.phys import BANK_FRAMES, _zeroed_arena, _zeros
+from repro.hw.phys import BANK_FRAMES, _RUN_MIN, _zeroed_arena, _zeros
 from repro.machine import Machine
 from repro.params import MachineConfig
+
+
+def _live_numbers(phys):
+    """The allocated frame numbers, ascending, read through
+    ``PhysicalMemory.live_mask`` over every number handed out."""
+    numbers = range(1, phys._next_frame)
+    return list(itertools.compress(numbers, phys.live_mask(numbers)))
+
 
 PAGE = 4096
 #: frames allocated before a program runs: past the first bank
@@ -496,7 +504,7 @@ def test_columns_match_frame_objects(data, chaos_seed):
     versions = list(new.phys._versions)
     vpn = BASE_VPN
     for _ in range(data.draw(st.integers(1, 25))):
-        live = new.phys.live_numbers()
+        live = _live_numbers(new.phys)
         op, args = _draw_step(data, live, vpn)
         got = _apply(new, new_space, op, args, vpn)
         want = _apply(ref, ref_space, op, args, vpn)
@@ -532,3 +540,34 @@ def test_decref_many_counts_frees_before_a_bad_number():
                       phys.allocated_frames))
     assert sides[0] == sides[1]
     assert sides[0][0]["frames_freed"] == 2
+
+
+@pytest.mark.parametrize("length", [_RUN_MIN - 1, _RUN_MIN, 40])
+@pytest.mark.parametrize("pattern", ["ones", "twos", "mixed"])
+@pytest.mark.parametrize("offset", [0, BANK_FRAMES - 10])
+def test_decref_many_run_matches_the_loop(length, pattern, offset):
+    """One run of consecutive numbers either side of the slice-store
+    cut-off, with equal or mixed refcounts, inside a bank or across a
+    bank edge: the batch leaves the columns, free list, counters and
+    gauge the per-number loop leaves."""
+    sides = []
+    for batched in (True, False):
+        machine = Machine()
+        machine.obs.enable()
+        phys = machine.phys
+        if offset:
+            phys.alloc_run(offset)
+        numbers = phys.alloc_run(length)
+        for index, number in enumerate(numbers):
+            if pattern == "twos" or (pattern == "mixed" and index % 3 == 0):
+                phys.incref(number)
+        if batched:
+            phys.decref_many(numbers)
+        else:
+            for number in numbers:
+                phys.decref(number)
+        sides.append((list(phys._refcounts), bytes(phys._stale),
+                      list(phys._free), phys.allocated_frames,
+                      machine.counters.snapshot(),
+                      machine.obs.export()["metrics"]))
+    assert sides[0] == sides[1]

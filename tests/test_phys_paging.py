@@ -14,8 +14,15 @@ from repro.errors import (
     UnmappedAddressError,
 )
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
-from repro.hw.phys import consecutive_runs
+from repro.hw.phys import BANK_FRAMES, consecutive_runs
 from repro.machine import Machine
+
+
+def _live_numbers(phys):
+    """The allocated frame numbers, ascending, read through
+    ``PhysicalMemory.live_mask`` over every number handed out."""
+    numbers = range(1, phys._next_frame)
+    return list(itertools.compress(numbers, phys.live_mask(numbers)))
 
 
 def _fresh_frame():
@@ -157,6 +164,33 @@ class TestPhysicalMemory:
         before = machine.clock.now_ns
         machine.phys.alloc(zero=True)
         assert machine.clock.now_ns - before == int(machine.costs.page_zero_ns)
+
+    def test_tagged_frames_of_a_run_across_a_bank_edge(self, machine):
+        phys = machine.phys
+        phys.alloc_run(BANK_FRAMES - 3)
+        numbers = phys.alloc_run(6)
+        cap = Capability(base=0, length=64, cursor=0, perms=Perm.data_rw())
+        for position in (1, 3, 5):
+            phys.frame(numbers[position]).store_cap(
+                16 * position, cap, machine.codec)
+        assert phys.tagged_frames(numbers) == [1, 3, 5]
+        assert phys.tagged_frames(numbers[::-1]) == [0, 2, 4]
+
+    @pytest.mark.parametrize("bad", ["freed", 0, -1, "past"])
+    def test_tagged_frames_raises_for_an_unallocated_number(
+            self, machine, bad):
+        """A freed slot may still hold tags until scrubbed; the scan
+        refuses it (and any never-allocated number) as ``frame`` does."""
+        phys = machine.phys
+        numbers = phys.alloc_run(4)
+        cap = Capability(base=0, length=64, cursor=0, perms=Perm.data_rw())
+        phys.frame(numbers[2]).store_cap(0, cap, machine.codec)
+        if bad == "freed":
+            phys.decref(numbers[2])
+        else:
+            numbers[2] = 10 ** 6 if bad == "past" else bad
+        with pytest.raises(KeyError, match=f"no such frame {numbers[2]}"):
+            phys.tagged_frames(numbers)
 
 
 class TestCheckColumns:
@@ -325,7 +359,7 @@ class TestVersionBump:
 
     @staticmethod
     def observe(phys, seen):
-        for number in phys.live_numbers():
+        for number in _live_numbers(phys):
             frame = phys.frame(number)
             content = frame.snapshot_content()
             if number in seen:
@@ -344,7 +378,7 @@ class TestVersionBump:
 
     def step(self, data, machine, space, spare):
         phys = machine.phys
-        numbers = phys.live_numbers()
+        numbers = _live_numbers(phys)
         number = data.draw(st.sampled_from(numbers))
         frame = phys.frame(number)
         other = phys.frame(data.draw(st.sampled_from(numbers)))
@@ -492,6 +526,10 @@ def _naive_runs(numbers, keys):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 1)),
                 max_size=40))
+# spanning len(numbers) values without being one run: a repeat and a gap
+@example([(0, 0), (0, 0), (2, 0)])
+# ... and a swapped pair
+@example([(0, 0), (2, 0), (-1, 0), (2, 0)])
 def test_consecutive_runs_match_a_naive_scan(steps):
     """``consecutive_runs`` (shared by fork's ``map_run`` grouping and
     the bank-run copy and tag scan) splits exactly where a number does
@@ -560,7 +598,7 @@ class TestAllocRun:
             "frames": [(number, phys.frame(number).version,
                         phys.refcount(number),
                         phys.frame(number).snapshot_content())
-                       for number in phys.live_numbers()],
+                       for number in _live_numbers(phys)],
             "counters": machine.counters.snapshot(),
             "obs": machine.obs.export()["metrics"],
             "hits": dict(engine.hits),
@@ -684,6 +722,23 @@ class TestRunCopy:
     def test_untouched_sources(self):
         srcs = [n for n in range(1, 200) if n % self.UNTOUCHED == 0]
         self.check(srcs, freed=[])
+
+    @pytest.mark.parametrize("bad", [505, 520, 0, 10 ** 6])
+    def test_unallocated_source_takes_nothing(self, bad):
+        """A freed (inside or past the first bank), zero or
+        never-allocated source in a run raises ``frame``'s ``KeyError``
+        before any frame is taken, copied or charged."""
+        srcs = list(range(500, 530))
+        machine, _versions = self.build([bad] if bad in srcs else [])
+        phys = machine.phys
+        if bad not in srcs:
+            srcs[12] = bad
+        state = (phys.allocated_frames, list(phys._free),
+                 machine.clock.now_ns, machine.counters.snapshot())
+        with pytest.raises(KeyError, match=f"no such frame {bad}"):
+            phys.copy_frames(srcs)
+        assert (phys.allocated_frames, list(phys._free),
+                machine.clock.now_ns, machine.counters.snapshot()) == state
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

@@ -12,6 +12,7 @@ then succeeds with the fault gone.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -27,6 +28,14 @@ from repro.harness.matrix import boot as matrix_boot
 from repro.machine import Machine
 from repro.mem.allocator import GuestAllocator
 from repro.params import MachineConfig
+
+
+def _live_numbers(phys):
+    """The allocated frame numbers, ascending, read through
+    ``PhysicalMemory.live_mask`` over every number handed out."""
+    numbers = range(1, phys._next_frame)
+    return list(itertools.compress(numbers, phys.live_mask(numbers)))
+
 
 KINDS = ["full", "coa", "copa", "monolithic", "isounik", "vmclone"]
 BASELINES = {"monolithic": MonolithicOS, "isounik": IsoUnikOS,
@@ -72,7 +81,7 @@ def kernel_state(os_):
     return {
         "frames": machine.phys.allocated_frames,
         "refcounts": [(number, machine.phys.refcount(number))
-                      for number in machine.phys.live_numbers()],
+                      for number in _live_numbers(machine.phys)],
         "ptes": ptes,
         "reserved": sorted(os_.vspace.reserved_areas())
         if isinstance(os_, UForkOS) else None,
