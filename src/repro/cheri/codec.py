@@ -6,7 +6,13 @@ a capability stored to memory occupies exactly one 16-byte granule whose
 first 8 bytes are the little-endian cursor (so integer loads of a
 pointer's bytes observe its address, as on hardware) — and interns the
 metadata half (bounds, permissions, otype) in a table indexed by the
-second 8 bytes.
+second 8 bytes.  A stored capability is therefore a packed
+``(cursor, meta id)`` pair (:data:`GRANULE`), the same split hardware
+CHERI makes between the address and the compressed bounds: code that
+only rebases or checks bounds (the relocation scan, the GOT builder,
+the capability-flow auditor) works on that pair through
+:meth:`CapabilityCodec.intern` and :meth:`CapabilityCodec.meta` and
+builds no :class:`Capability`.
 
 The *authority* to dereference never comes from these bytes alone: the
 granule's validity tag (held in :mod:`repro.hw.phys`) is authoritative,
@@ -17,14 +23,21 @@ an untagged, powerless value — the CHERI unforgeability property.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cheri.capability import Capability, Perm, _fast_cap
 
 #: a capability occupies one granule
 CAP_SIZE = 16
 
-_META_STRUCT = struct.Struct("<QQ")
+#: one stored capability: little-endian ``(cursor, meta id)``
+GRANULE = struct.Struct("<QQ")
+
+#: a stored cursor is its low 64 bits
+CURSOR_MASK = 2**64 - 1
+
+#: interned metadata: ``(base, length, perms, otype)``, perms an int
+Meta = Tuple[int, int, int, int]
 
 
 #: memo tables are dropped wholesale once they reach this many entries
@@ -34,6 +47,11 @@ _MEMO_CAP = 65536
 
 class CapabilityCodec:
     """Interns capability metadata and packs/unpacks 16-byte granules.
+
+    Meta ids are append-only: :meth:`intern` hands out the next id for
+    a metadata tuple it has not seen and the same id forever after, and
+    :meth:`meta` of an id never changes once it is not ``None``.  Every
+    memo over ``(cursor, meta id)`` pairs rests on that.
 
     Encode and decode are memoised.  Both memos are sound by
     construction: a metadata tuple, once interned, never changes, so a
@@ -45,19 +63,25 @@ class CapabilityCodec:
     """
 
     def __init__(self) -> None:
-        self._meta_to_id: Dict[Tuple[int, int, int, int], int] = {}
-        self._id_to_meta: Dict[int, Tuple[int, int, int, int]] = {}
+        self._meta_to_id: Dict[Meta, int] = {}
+        self._id_to_meta: Dict[int, Meta] = {}
         self._encode_memo: Dict[Tuple[int, int, int, int, int], bytes] = {}
         self._decode_memo: Dict[Tuple[bytes, bool], Capability] = {}
 
-    def _meta_id(self, cap: Capability) -> int:
-        key = (cap.base, cap.length, int(cap.perms), cap.otype)
-        meta_id = self._meta_to_id.get(key)
+    def intern(self, meta: Meta) -> int:
+        """The id of ``(base, length, perms, otype)``, assigning the
+        next one (ids start at 1) the first time the tuple is seen."""
+        meta_id = self._meta_to_id.get(meta)
         if meta_id is None:
             meta_id = len(self._meta_to_id) + 1
-            self._meta_to_id[key] = meta_id
-            self._id_to_meta[meta_id] = key
+            self._meta_to_id[meta] = meta_id
+            self._id_to_meta[meta_id] = meta
         return meta_id
+
+    def meta(self, meta_id: int) -> Optional[Meta]:
+        """The metadata tuple interned under ``meta_id``, or ``None``
+        for an id not handed out yet (a forged granule)."""
+        return self._id_to_meta.get(meta_id)
 
     def encode(self, cap: Capability) -> bytes:
         """Pack a capability into its 16-byte memory representation."""
@@ -65,7 +89,8 @@ class CapabilityCodec:
         raw = self._encode_memo.get(key)
         if raw is not None:
             return raw
-        raw = _META_STRUCT.pack(cap.cursor & (2**64 - 1), self._meta_id(cap))
+        raw = GRANULE.pack(cap.cursor & CURSOR_MASK, self.intern(
+            (cap.base, cap.length, int(cap.perms), cap.otype)))
         if len(self._encode_memo) >= _MEMO_CAP:
             self._encode_memo.clear()
         self._encode_memo[key] = raw
@@ -85,7 +110,7 @@ class CapabilityCodec:
             return cached
         if len(raw) != CAP_SIZE:
             raise ValueError(f"capability granule must be {CAP_SIZE} bytes")
-        cursor, meta_id = _META_STRUCT.unpack(raw)
+        cursor, meta_id = GRANULE.unpack(raw)
         meta = self._id_to_meta.get(meta_id)
         if meta is None:
             # Forged / garbage metadata: an invalid null-ish capability.

@@ -10,10 +10,11 @@ access.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Any, List, Sequence
 
 from repro.cheri.capability import Capability, Perm
-from repro.cheri.codec import CAP_SIZE
+from repro.cheri.codec import CAP_SIZE, CURSOR_MASK, GRANULE
 
 
 def init_got(space: Any, got_base: int, entries: int,
@@ -23,36 +24,62 @@ def init_got(space: Any, got_base: int, entries: int,
 
     Entries alternate between writable data globals and read-only
     rodata globals, 32 bytes apart, mirroring how a linked PIE's GOT
-    points across its own segments.  Each entry is derived with its own
-    ``set_bounds`` (the monotonicity check runs per entry) from the
-    region root narrowed once per permission class; the table is then
-    stored page by page (:func:`store_caps`).
+    points across its own segments.  Each entry is what ``set_bounds``
+    of the region root narrowed to its permission class would derive;
+    the table is minted and stored by :func:`store_pointers` (one
+    monotonicity check per permission class, with the per-entry fault).
     """
     data_rw = region_cap.and_perms(Perm.data_rw())
     data_ro = region_cap.and_perms(Perm.data_ro())
     data_span = max(32, data_size - 32)
     rodata_span = max(32, rodata_size - 32)
-    caps = []
-    for index in range(entries):
-        if index % 2 == 0 and data_size >= 32:
-            target = data_base + (index * 32) % data_span
-            root = data_rw
-        else:
-            target = rodata_base + (index * 32) % rodata_span
-            root = data_ro
-        caps.append(root.set_bounds(target, 32).with_cursor(target))
-    store_caps(space, got_base, caps)
+    if data_size >= 32:
+        roots = ([data_rw, data_ro] * ((entries + 1) // 2))[:entries]
+    else:
+        roots = [data_ro] * entries
+    targets = [data_base + (index * 32) % data_span if root is data_rw
+               else rodata_base + (index * 32) % rodata_span
+               for index, root in enumerate(roots)]
+    store_pointers(space, got_base, roots, targets, 32)
 
 
-def store_caps(space: Any, base: int, caps: Sequence[Capability]) -> None:
-    """Privileged, charge-free store of ``caps`` at consecutive granules
-    from ``base``: encoded in order (so the codec interns their
-    metadata in order) and written with one
+def store_pointers(space: Any, base: int, roots: Sequence[Capability],
+                   targets: Sequence[int], length: int) -> None:
+    """Privileged, charge-free store at consecutive granules from
+    ``base`` of ``roots[i].set_bounds(targets[i], length)
+    .with_cursor(targets[i])`` for every ``i``, minted as packed
+    ``(cursor, meta id)`` granules: no :class:`Capability` is built.
+
+    Monotonicity is checked once per distinct root (permission class)
+    over the minimum and maximum of its targets; if any class fails,
+    the per-entry derivation is replayed in entry order, so the fault
+    raised (``MonotonicityFault``, or ``SealFault``/``BoundsFault``)
+    and its message are those of the first offending entry, and
+    nothing is interned or stored.  The metadata is interned in entry
+    order, as encoding the derived capabilities one by one would, and
+    the table is written with one
     :meth:`~repro.hw.paging.AddressSpace.store_granules` — one slice
-    store per page instead of one ``store_cap`` per capability."""
-    encode = space.machine.codec.encode
-    space.store_granules(base, b"".join(map(encode, caps)),
-                         bytes(1 if cap.valid else 0 for cap in caps))
+    store per page.
+    """
+    keys = list(map(id, roots))
+    classes = dict(zip(keys, roots))
+    for root in classes.values():
+        mine = list(compress(targets, map(id(root).__eq__, keys)))
+        if (root.is_sealed or length < 0 or min(mine) < root.base
+                or max(mine) + length > root.top):
+            for owner, target in zip(roots, targets):
+                owner.set_bounds(target, length)
+    perms = {key: int(root.perms) for key, root in classes.items()}
+    otypes = {key: root.otype for key, root in classes.items()}
+    tags = {key: 1 if root.valid else 0 for key, root in classes.items()}
+    ids = map(space.machine.codec.intern,
+              list(zip(targets, repeat(length), map(perms.__getitem__, keys),
+                       map(otypes.__getitem__, keys))))
+    space.store_granules(
+        base,
+        b"".join(map(GRANULE.pack,
+                     [target & CURSOR_MASK for target in targets], ids)),
+        bytes(map(tags.__getitem__, keys)))
 
 
 def read_got(space: Any, got_base: int, entries: int,

@@ -10,22 +10,34 @@ trapless syscall gates) are the one sanctioned cross-region reference
 and are preserved.  Anything else pointing outside both regions is
 invalidated, which is how μFork guarantees capabilities never leak
 across μprocesses (§4.3).
+
+The rule is written once, on capability *metadata*
+(:func:`relocation_decision`): bounds, permissions and object type
+alone decide whether a capability is kept, rebased, or rebased only if
+its cursor lies in the parent (else invalidated).  Rebasing is then an
+add on the cursor plus the rebased metadata, the same split hardware
+CHERI makes between a capability's address and its compressed bounds.
+:func:`relocate_cap` applies the rule to a :class:`Capability` (the
+register file, snapshot restore); the page scan applies it to packed
+``(cursor, meta id)`` granules with one decision per meta id and builds
+no :class:`Capability` at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.cheri.capability import Capability
-from repro.cheri.codec import CAP_SIZE
+from repro.cheri.capability import OTYPE_SENTRY, Capability
+from repro.cheri.codec import CURSOR_MASK, GRANULE, Meta
 from repro.cheri.regfile import RegisterFile
 from repro.hw.phys import Frame
 
-#: the per-machine raw-relocation memo is dropped wholesale at this size
-_RELOC_MEMO_CAP = 65536
+#: the per-machine decision tables (one per region pair) are dropped
+#: wholesale before a new region pair would make them this many
+_DECISION_PAIRS_CAP = 16
 
 #: the per-machine whole-page content memo (fork's fused copy+relocate
 #: path) is dropped wholesale before a batch that would grow it past
@@ -34,8 +46,13 @@ _RELOC_MEMO_CAP = 65536
 #: so its memory grows with the image a single fork copies
 _PAGE_MEMO_CAP = 4096
 
-#: memo-miss sentinel (``None`` is a legitimate cached value)
-_MISSING = object()
+#: what :func:`relocation_decision` says about one capability metadata
+KEEP = 0
+#: rebase the metadata, add the region delta to the cursor
+REBASE = 1
+#: :data:`REBASE` if the cursor lies in the parent's region, else
+#: invalidate (the same bytes with the tag cleared)
+REBASE_IF_CURSOR_IN_PARENT = 2
 
 
 @dataclass(frozen=True)
@@ -58,33 +75,60 @@ class RegionPair:
         return self.child_base <= addr < self.child_top
 
 
-def relocate_cap(cap: Capability, regions: RegionPair) -> Capability:
-    """Return the relocated form of one capability (or ``cap`` itself
-    when no change is needed).
+def relocation_decision(meta: Meta, regions: RegionPair
+                        ) -> Tuple[int, Optional[Meta]]:
+    """The relocation rule for one valid capability's metadata
+    ``(base, length, perms, otype)``: ``(kind, rebased metadata)``.
 
     Rules, in order:
 
-    1. invalid capabilities are left alone (no authority to leak);
-    2. sealed sentries (syscall gates) are preserved — they are the
+    1. sealed sentries (syscall gates) are preserved — they are the
        sanctioned kernel entry point and cannot be modified anyway;
-    3. capabilities already confined to the child's region are fine;
-    4. capabilities pointing into the parent's region are rebased by
-       the region delta and clamped to the child's region;
-    5. anything else would leak authority outside the μprocess and is
-       invalidated.
+    2. capabilities already confined to the child's region are fine;
+    3. capabilities whose base lies in the parent's region are rebased
+       by the region delta and clamped to the child's region;
+    4. any other capability is rebased the same way if its cursor
+       points into the parent's region; otherwise it would leak
+       authority outside the μprocess and is invalidated.
+
+    ``KEEP`` comes with ``None``; both rebase kinds come with the
+    rebased, clamped metadata (``perms`` and ``otype`` unchanged).
     """
+    base, length, perms, otype = meta
+    if otype == OTYPE_SENTRY:
+        return KEEP, None
+    child_base, child_top = regions.child_base, regions.child_top
+    if child_base <= base < child_top and base + length <= child_top:
+        return KEEP, None
+    parent_base = regions.parent_base
+    new_base = base + child_base - parent_base
+    new_top = new_base + length
+    if new_base < child_base or new_top > child_top:
+        new_base, new_top = max(new_base, child_base), min(new_top, child_top)
+        if new_top < new_base:
+            new_base = new_top = child_base
+    kind = (REBASE if parent_base <= base < regions.parent_top
+            else REBASE_IF_CURSOR_IN_PARENT)
+    return kind, (new_base, new_top - new_base, perms, otype)
+
+
+def relocate_cap(cap: Capability, regions: RegionPair) -> Capability:
+    """Return the relocated form of one capability (or ``cap`` itself
+    when no change is needed): invalid capabilities are left alone (no
+    authority to leak); valid ones follow
+    :func:`relocation_decision`."""
     if not cap.valid:
         return cap
-    if cap.is_sentry:
+    kind, meta = relocation_decision(
+        (cap.base, cap.length, cap.perms, cap.otype), regions)
+    if kind == KEEP:
         return cap
-    if regions.in_child(cap.base) and cap.top <= regions.child_top:
-        return cap
-    if regions.in_parent(cap.base) or regions.in_parent(cap.cursor):
-        moved = cap.rebased(regions.delta)
-        if moved.base < regions.child_base or moved.top > regions.child_top:
-            moved = moved.clamped_to(regions.child_base, regions.child_top)
-        return moved
-    return cap.invalidated()
+    if kind == REBASE_IF_CURSOR_IN_PARENT and not regions.in_parent(
+            cap.cursor):
+        return cap.invalidated()
+    base, length, _perms, _otype = meta
+    return replace(cap, base=base, length=length,
+                   cursor=cap.cursor + regions.delta)
 
 
 def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
@@ -228,50 +272,64 @@ def _charge_each(machine: Any, ns: float, count: int, bucket: str) -> None:
 
 def _relocate_frame_memoised(machine: Any, frame: Frame,
                              regions: RegionPair) -> int:
-    """The relocation scan, memoised at the raw-bytes level so repeated
-    forks over a stable region pair skip the decode → relocate → encode
-    chain per capability.
+    """The relocation scan over packed ``(cursor, meta id)`` granules,
+    memoised per meta id: the first granule naming a meta id under a
+    region pair takes :func:`relocation_decision` of its metadata, and
+    every later one is a table lookup, a cursor add and one
+    :meth:`~repro.hw.phys.Frame.write_granule`.  No
+    :class:`Capability` is built.
 
-    Soundness: a granule's 16 raw bytes plus the region pair fully
-    determine the relocation outcome — decode is a pure lookup in the
-    codec's append-only intern table, :func:`relocate_cap` is a pure
-    function, and encode of an interned capability is stable.  The one
-    unstable case (raw bytes naming a not-yet-interned meta id, which
-    decodes invalid today but could decode valid after more interning)
-    is never memoised; it cannot occur for *tagged* granules anyway,
-    since only a legitimate ``store_cap`` sets a tag.
+    Soundness: meta ids are append-only — once :meth:`CapabilityCodec.meta`
+    returns a tuple for an id it returns that tuple forever — and the
+    decision is a pure function of the metadata and the region pair, so
+    a table entry never goes stale.  A tagged granule naming an id not
+    interned yet (forged bytes) decodes invalid: it is left untouched,
+    counts 0 and takes no table entry, so if interning later hands that
+    id out the same bytes follow the rule for the new metadata.  The
+    rebased metadata is interned at the first granule that actually
+    rebases (never for one that is only invalidated), so the codec's
+    intern order is that of a per-capability decode → relocate → encode.
 
     The simulated charge is one ``cap_relocate_ns`` per rewritten
     capability, batched into a single ``advance`` only when the cost is
     integral (sum-equal is then bit-equal, and the observability layer
     records pure sums).
     """
-    memo = machine._reloc_memo
+    tables = machine._reloc_decisions
     region_key = (regions.parent_base, regions.parent_top,
                   regions.child_base, regions.child_top)
+    table = tables.get(region_key)
+    if table is None:
+        if len(tables) >= _DECISION_PAIRS_CAP:
+            tables.clear()
+        table = tables[region_key] = {}
     codec = machine.codec
     data = frame.data
+    unpack_from = GRANULE.unpack_from
+    pack = GRANULE.pack
+    write = frame.write_granule
+    parent_base, parent_top = regions.parent_base, regions.parent_top
+    delta = regions.child_base - parent_base
     relocated = 0
     for offset in frame.tagged_granules():
-        raw = bytes(data[offset:offset + CAP_SIZE])
-        key = (region_key, raw)
-        entry = memo.get(key, _MISSING)
-        if entry is _MISSING:
-            cap = codec.decode(raw, True)
-            moved = relocate_cap(cap, regions)
-            if moved is cap:
-                entry = None
-            else:
-                entry = (codec.encode(moved),
-                         1 if moved.valid else 0)
-            if cap.valid:
-                if len(memo) >= _RELOC_MEMO_CAP:
-                    memo.clear()
-                memo[key] = entry
-        if entry is not None:
-            new_raw, new_tag = entry
-            frame.write_granule(offset, new_raw, new_tag)
-            relocated += 1
+        cursor, meta_id = unpack_from(data, offset)
+        decision = table.get(meta_id)
+        if decision is None:
+            meta = codec.meta(meta_id)
+            if meta is None:
+                continue
+            decision = table[meta_id] = [
+                *relocation_decision(meta, regions), 0]
+        kind, new_meta, new_id = decision
+        if kind == KEEP:
+            continue
+        if kind == REBASE or parent_base <= cursor < parent_top:
+            if not new_id:
+                new_id = decision[2] = codec.intern(new_meta)
+            write(offset, pack((cursor + delta) & CURSOR_MASK, new_id), 1)
+        else:
+            write(offset, pack(cursor, meta_id), 0)
+        relocated += 1
     if relocated:
         _charge_each(machine, machine.costs.cap_relocate_ns, relocated,
                      "reloc_cap")

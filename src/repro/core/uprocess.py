@@ -35,7 +35,7 @@ from typing import Any
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
 from repro.cheri.regfile import CGP, CSP, CTP, DDC, PCC
-from repro.core.got import init_got, store_caps
+from repro.core.got import init_got, store_pointers
 from repro.core.isolation import derive_uprocess_roots
 from repro.core.libraries import map_library
 from repro.hw.paging import AddressSpace
@@ -140,9 +140,8 @@ def _init_data_globals(space: AddressSpace, layout: SegmentMap,
     root = region_cap.and_perms(Perm.data_ro())
     targets = [rodata_base + index * 64
                for index in range(DATA_POINTER_GLOBALS)]
-    store_caps(space, layout.base("data"),
-               [root.set_bounds(target, 64).with_cursor(target)
-                for target in targets])
+    store_pointers(space, layout.base("data"), [root] * len(targets),
+                   targets, 64)
 
 
 # ---------------------------------------------------------------------------

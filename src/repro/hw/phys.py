@@ -163,8 +163,9 @@ class Frame:
         """Store one already-encoded granule plus its validity tag.
 
         The relocation sweep's write-back primitive: unlike
-        :meth:`store_cap` it takes the 16 raw bytes (the memoised
-        encoder output) so bulk rewrites skip re-encoding.
+        :meth:`store_cap` it takes the 16 raw bytes (a packed
+        ``(cursor, meta id)`` pair) so bulk rewrites build no
+        :class:`Capability`.
         """
         if offset % CAP_SIZE:
             raise AlignmentFault(f"granule store at offset {offset:#x}")

@@ -35,7 +35,10 @@ verdict depends on nothing else: the page's granules (which change only
 with ``version``), the bound the page is held to (its ``ShareNote``
 parent region or the μprocess region), the region and the syscall gate
 the sentries are matched against.  A page whose version still matches
-is skipped; any other page is decoded and audited in full.  Violations
+is skipped; any other page is audited in full.  The page audit works on
+packed ``(cursor, meta id)`` granules: confinement and the sentry/gate
+match read the interned metadata (:meth:`CapabilityCodec.meta`), and a
+:class:`Capability` is decoded only to format a violation.  Violations
 are never memoised: their text names the provenance, which reads the
 live process table and the flow log, so it is rebuilt at every audit.
 The memo is host-side only and changes no simulated state.
@@ -46,7 +49,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, List, Optional
 
-from repro.cheri.capability import Capability
+from repro.cheri.capability import OTYPE_SENTRY, Capability
+from repro.cheri.codec import GRANULE
 from repro.core.relocate import derivation_chain, flow_log
 from repro.core.strategies import ShareNote
 
@@ -118,6 +122,7 @@ def audit_cap_flow(os_: Any) -> List[str]:
     page = machine.config.page_size
     phys = machine.phys
     codec = machine.codec
+    unpack_from = GRANULE.unpack_from
     memo = machine._audit_memo
     violations: List[str] = []
     for proc in os_.procs.alive():
@@ -149,10 +154,22 @@ def audit_cap_flow(os_: Any) -> List[str]:
                 continue
             found = len(violations)
             frame = phys.frame(frame_no)
+            data = frame.data
             for offset in frame.tagged_granules():
-                cap = frame.load_cap(offset, codec)
-                _audit_cap(os_, proc, cap, f"vpn {vpn:#x}+{offset:#x}",
-                           lo, hi, violations)
+                cursor, meta_id = unpack_from(data, offset)
+                meta = codec.meta(meta_id)
+                if meta is None:
+                    continue
+                cap_base, length, _perms, otype = meta
+                cap_top = cap_base + length
+                if otype == OTYPE_SENTRY:
+                    if gate_key == (cap_base, length, cursor):
+                        continue
+                elif (lo <= cap_base and cap_top <= hi
+                      or base <= cap_base and cap_top <= top):
+                    continue
+                _audit_cap(os_, proc, frame.load_cap(offset, codec),
+                           f"vpn {vpn:#x}+{offset:#x}", lo, hi, violations)
             if len(violations) == found:
                 memo[key] = version
         for task in proc.tasks:
