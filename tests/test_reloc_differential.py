@@ -214,16 +214,17 @@ def _run(mode, pair, pages, costs, reference):
             # a cold page memo, then a warm one (the sources are
             # unchanged), then the sources relocated in place (a last
             # sharer's frame is its own copy)
+            copies = []
             for _ in range(2):
                 dsts = phys.copy_frames(numbers)
                 steps.append(_relocate(machine, dsts, lambda: (
                     relocate_copied_frames(machine, phys, numbers, dsts,
                                            regions))))
-                numbers_seen = numbers + dsts
+                copies += dsts
             steps.append(_relocate(machine, numbers, lambda: (
                 relocate_copied_frames(machine, phys, numbers, numbers,
                                        regions))))
-            numbers = numbers_seen
+            numbers = numbers + copies
     return {
         "steps": steps,
         "content": [phys.frame(n).snapshot_content() for n in numbers],
