@@ -40,6 +40,10 @@ __all__ = ["REPO_SRC", "IsolatedProcess", "IsolatedResult", "run_isolated"]
 #: wherever this very package was imported from
 REPO_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
+#: after a deadline kill, how long ``wait`` lets the killed group take
+#: to leave (orphans are reaped by init, not by us)
+_GROUP_EXIT_GRACE_S = 2.0
+
 
 @dataclass
 class IsolatedResult:
@@ -123,8 +127,23 @@ class IsolatedProcess:
         except subprocess.TimeoutExpired:
             self.kill_group()
             out, err = self.proc.communicate()
+            self._await_group_exit()
             return IsolatedResult(self.proc.returncode, out, err,
                                   timed_out=True)
+
+    def _await_group_exit(self) -> None:
+        """Wait, at most :data:`_GROUP_EXIT_GRACE_S`, until no member of
+        the killed group is left.  SIGKILL takes effect when a process next
+        runs, so on a loaded host an orphan reparented to init can
+        still be runnable after the payload itself has been reaped; it
+        leaves the group once init reaps it."""
+        deadline = time.monotonic() + _GROUP_EXIT_GRACE_S
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(self.proc.pid, 0)
+            except (ProcessLookupError, PermissionError):
+                return
+            time.sleep(0.005)
 
 
 def run_isolated(code: str, timeout: float = 20.0,

@@ -10,7 +10,7 @@ access.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from typing import Any, List, Sequence
 
 from repro.cheri.capability import Capability, Perm
@@ -62,24 +62,23 @@ def store_pointers(space: Any, base: int, roots: Sequence[Capability],
     store per page.
     """
     keys = list(map(id, roots))
-    classes = dict(zip(keys, roots))
-    for root in classes.values():
-        mine = list(compress(targets, map(id(root).__eq__, keys)))
+    kinds = {}
+    for key, root in dict(zip(keys, roots)).items():
+        mine = list(compress(targets, map(key.__eq__, keys)))
         if (root.is_sealed or length < 0 or min(mine) < root.base
                 or max(mine) + length > root.top):
             for owner, target in zip(roots, targets):
                 owner.set_bounds(target, length)
-    perms = {key: int(root.perms) for key, root in classes.items()}
-    otypes = {key: root.otype for key, root in classes.items()}
-    tags = {key: 1 if root.valid else 0 for key, root in classes.items()}
-    ids = map(space.machine.codec.intern,
-              list(zip(targets, repeat(length), map(perms.__getitem__, keys),
-                       map(otypes.__getitem__, keys))))
+        kinds[key] = (int(root.perms), root.otype, 1 if root.valid else 0)
+    entry_kinds = list(map(kinds.__getitem__, keys))
+    intern = space.machine.codec.intern
+    ids = [intern((target, length, perms, otype))
+           for target, (perms, otype, _tag) in zip(targets, entry_kinds)]
     space.store_granules(
         base,
         b"".join(map(GRANULE.pack,
                      [target & CURSOR_MASK for target in targets], ids)),
-        bytes(map(tags.__getitem__, keys)))
+        bytes([tag for _perms, _otype, tag in entry_kinds]))
 
 
 def read_got(space: Any, got_base: int, entries: int,

@@ -19,25 +19,21 @@ add on the cursor plus the rebased metadata, the same split hardware
 CHERI makes between a capability's address and its compressed bounds.
 :func:`relocate_cap` applies the rule to a :class:`Capability` (the
 register file, snapshot restore); the page scan applies it to packed
-``(cursor, meta id)`` granules with one decision per meta id and builds
+``(cursor, meta id)`` granules read straight from the frame and builds
 no :class:`Capability` at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.cheri.capability import OTYPE_SENTRY, Capability
+from repro.cheri.capability import OTYPE_SENTRY, Capability, _fast_cap
 from repro.cheri.codec import CURSOR_MASK, GRANULE, Meta
 from repro.cheri.regfile import RegisterFile
 from repro.hw.phys import Frame
-
-#: the per-machine decision tables (one per region pair) are dropped
-#: wholesale before a new region pair would make them this many
-_DECISION_PAIRS_CAP = 16
 
 #: the per-machine whole-page content memo (fork's fused copy+relocate
 #: path) is dropped wholesale before a batch that would grow it past
@@ -127,8 +123,8 @@ def relocate_cap(cap: Capability, regions: RegionPair) -> Capability:
             cap.cursor):
         return cap.invalidated()
     base, length, _perms, _otype = meta
-    return replace(cap, base=base, length=length,
-                   cursor=cap.cursor + regions.delta)
+    return _fast_cap(base, length, cap.cursor + regions.delta, cap.perms,
+                     cap.otype, cap.valid)
 
 
 def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
@@ -138,7 +134,7 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
     capability; returns the number of capabilities relocated.
     """
     _charge_scans(machine, 1)
-    relocated = _relocate_frame_memoised(machine, frame, regions)
+    relocated = _relocate_granules(machine, frame, regions)
     if relocated:
         machine.emit("relocate_frame", counter="caps_relocated",
                      metric="core.relocate.caps_relocated",
@@ -160,7 +156,7 @@ def relocate_frames(machine: Any, frames: List[Frame],
     if not frames:
         return 0
     _charge_scans(machine, len(frames))
-    caps = [_relocate_frame_memoised(machine, frame, regions)
+    caps = [_relocate_granules(machine, frame, regions)
             for frame in frames]
     _emit_relocations(machine, caps)
     machine.emit(records=(("relocate_frame", {"caps": moved})
@@ -219,7 +215,7 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
         dst_frame = frame_of(dsts[index])
         entry = memo.get(key)
         if entry is None:
-            relocated = _relocate_frame_memoised(machine, dst_frame, regions)
+            relocated = _relocate_granules(machine, dst_frame, regions)
             if relocated:
                 memo[key] = (*dst_frame.snapshot_content(), relocated)
             else:
@@ -270,40 +266,34 @@ def _charge_each(machine: Any, ns: float, count: int, bucket: str) -> None:
             machine.charge(ns, bucket)
 
 
-def _relocate_frame_memoised(machine: Any, frame: Frame,
-                             regions: RegionPair) -> int:
-    """The relocation scan over packed ``(cursor, meta id)`` granules,
-    memoised per meta id: the first granule naming a meta id under a
-    region pair takes :func:`relocation_decision` of its metadata, and
-    every later one is a table lookup, a cursor add and one
-    :meth:`~repro.hw.phys.Frame.write_granule`.  No
+def _relocate_granules(machine: Any, frame: Frame,
+                       regions: RegionPair) -> int:
+    """The relocation scan over packed ``(cursor, meta id)`` granules:
+    each tagged granule is one ``unpack_from``, a
+    :meth:`~repro.cheri.codec.CapabilityCodec.meta` lookup,
+    :func:`relocation_decision` of that metadata, and — when it moves —
+    a cursor add and one :meth:`~repro.hw.phys.Frame.write_granule`.  No
     :class:`Capability` is built.
 
     Soundness: meta ids are append-only — once :meth:`CapabilityCodec.meta`
-    returns a tuple for an id it returns that tuple forever — and the
-    decision is a pure function of the metadata and the region pair, so
-    a table entry never goes stale.  A tagged granule naming an id not
-    interned yet (forged bytes) decodes invalid: it is left untouched,
-    counts 0 and takes no table entry, so if interning later hands that
-    id out the same bytes follow the rule for the new metadata.  The
-    rebased metadata is interned at the first granule that actually
-    rebases (never for one that is only invalidated), so the codec's
-    intern order is that of a per-capability decode → relocate → encode.
+    returns a tuple for an id it returns that tuple forever — so a
+    granule's metadata is exactly what decoding it would give.  A tagged
+    granule naming an id not interned yet (forged bytes) decodes
+    invalid: it is left untouched and counts 0, and if interning later
+    hands that id out the same bytes follow the rule for the new
+    metadata.  The rebased metadata is interned as each granule that
+    actually rebases is written (never for one that is only
+    invalidated), so the codec's intern order is that of a
+    per-capability decode → relocate → encode.
 
     The simulated charge is one ``cap_relocate_ns`` per rewritten
     capability, batched into a single ``advance`` only when the cost is
     integral (sum-equal is then bit-equal, and the observability layer
     records pure sums).
     """
-    tables = machine._reloc_decisions
-    region_key = (regions.parent_base, regions.parent_top,
-                  regions.child_base, regions.child_top)
-    table = tables.get(region_key)
-    if table is None:
-        if len(tables) >= _DECISION_PAIRS_CAP:
-            tables.clear()
-        table = tables[region_key] = {}
     codec = machine.codec
+    meta_of = codec.meta
+    intern = codec.intern
     data = frame.data
     unpack_from = GRANULE.unpack_from
     pack = GRANULE.pack
@@ -313,20 +303,15 @@ def _relocate_frame_memoised(machine: Any, frame: Frame,
     relocated = 0
     for offset in frame.tagged_granules():
         cursor, meta_id = unpack_from(data, offset)
-        decision = table.get(meta_id)
-        if decision is None:
-            meta = codec.meta(meta_id)
-            if meta is None:
-                continue
-            decision = table[meta_id] = [
-                *relocation_decision(meta, regions), 0]
-        kind, new_meta, new_id = decision
+        meta = meta_of(meta_id)
+        if meta is None:
+            continue
+        kind, new_meta = relocation_decision(meta, regions)
         if kind == KEEP:
             continue
         if kind == REBASE or parent_base <= cursor < parent_top:
-            if not new_id:
-                new_id = decision[2] = codec.intern(new_meta)
-            write(offset, pack((cursor + delta) & CURSOR_MASK, new_id), 1)
+            write(offset, pack((cursor + delta) & CURSOR_MASK,
+                               intern(new_meta)), 1)
         else:
             write(offset, pack(cursor, meta_id), 0)
         relocated += 1

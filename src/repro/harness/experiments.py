@@ -12,6 +12,7 @@ reproduce the paper's exact sweep.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps import unixbench
@@ -38,6 +39,12 @@ NS_PER_MS = 1_000_000
 
 def _boot_redis(os_cls, db_bytes: int, value_size: int,
                 **os_kwargs) -> Tuple[Any, MiniRedis]:
+    # The previous run's machine is garbage by now, but every subsystem
+    # holds its machine, so only the cycle collector frees it, whenever
+    # it next runs a full pass.  Collect it here: a sweep then holds one
+    # populated Redis machine at a time, and its peak memory no longer
+    # depends on the collector's timing.
+    gc.collect()
     os_ = os_cls(machine=Machine(), **os_kwargs)
     nbuckets = max(64, min(4096, db_bytes // value_size * 2))
     proc = os_.spawn(redis_image(db_bytes), "redis")

@@ -67,11 +67,6 @@ class Machine:
         self.phys = PhysicalMemory(self.config, self.costs, self.clock,
                                    self.emit, obs=self.obs)
         self.codec = CapabilityCodec()
-        #: relocation decision tables (see
-        #: :func:`repro.core.relocate._relocate_frame_memoised`): region
-        #: pair -> {meta id: decision}, sound because the codec's meta
-        #: ids are append-only
-        self._reloc_decisions: dict = {}
         #: clean capability-flow verdicts (see
         #: :func:`repro.sec.auditor.audit_cap_flow`): (frame, lo, hi,
         #: region base, region top, gate triple) -> the ``Frame.version``

@@ -84,28 +84,45 @@ def provenance_of(os_: Any, cap: Capability) -> str:
     return "no recorded mint (forged or kernel-internal span)"
 
 
+def _flow_ok(cap_base: int, length: int, otype: int, cursor: int,
+             lo: int, hi: int, base: int, top: int,
+             gate_key: Optional[tuple]) -> bool:
+    """The audit rule for one valid capability, on its metadata and
+    cursor: a sentry must be bit-equal in (base, length, cursor) to the
+    μprocess's own syscall gate (``gate_key``; ``None`` when no gate was
+    ever minted); anything else must lie inside ``[lo, hi)`` or the
+    μprocess region ``[base, top)``."""
+    if otype == OTYPE_SENTRY:
+        return gate_key == (cap_base, length, cursor)
+    cap_top = cap_base + length
+    return (lo <= cap_base and cap_top <= hi
+            or base <= cap_base and cap_top <= top)
+
+
+def _gate_key(proc: Any) -> Optional[tuple]:
+    gate = getattr(proc, "syscall_gate", None)
+    return None if gate is None else (gate.base, gate.length, gate.cursor)
+
+
 def _audit_cap(os_: Any, proc: Any, cap: Capability, location: str,
                lo: int, hi: int, violations: List[str]) -> None:
-    base, top = proc.region_base, proc.region_top
-    if not cap.valid:
+    gate_key = _gate_key(proc)
+    if not cap.valid or _flow_ok(cap.base, cap.length, cap.otype,
+                                 cap.cursor, lo, hi, proc.region_base,
+                                 proc.region_top, gate_key):
         return
-    if cap.is_sentry:
-        gate = getattr(proc, "syscall_gate", None)
-        if gate is None:
-            violations.append(
-                f"pid {proc.pid} @ {location}: sentry capability on a "
-                f"trap-entry kernel (no gate was ever minted) [{cap}]")
-        elif (cap.base, cap.length, cap.cursor) != (
-                gate.base, gate.length, gate.cursor):
-            violations.append(
-                f"pid {proc.pid} @ {location}: sentry does not match the "
-                f"μprocess's own syscall gate [{cap}]")
-        return
-    if _confined(cap, lo, hi) or _confined(cap, base, top):
-        return
-    violations.append(
-        f"pid {proc.pid} @ {location}: capability escapes the μprocess "
-        f"region [{cap}] — provenance: {provenance_of(os_, cap)}")
+    if not cap.is_sentry:
+        violations.append(
+            f"pid {proc.pid} @ {location}: capability escapes the μprocess "
+            f"region [{cap}] — provenance: {provenance_of(os_, cap)}")
+    elif gate_key is None:
+        violations.append(
+            f"pid {proc.pid} @ {location}: sentry capability on a "
+            f"trap-entry kernel (no gate was ever minted) [{cap}]")
+    else:
+        violations.append(
+            f"pid {proc.pid} @ {location}: sentry does not match the "
+            f"μprocess's own syscall gate [{cap}]")
 
 
 def audit_cap_flow(os_: Any) -> List[str]:
@@ -129,9 +146,7 @@ def audit_cap_flow(os_: Any) -> List[str]:
         space = os_.space_of(proc)
         base, top = proc.region_base, proc.region_top
         shm_vpns = getattr(proc, "shm_vpns", set())
-        gate = getattr(proc, "syscall_gate", None)
-        gate_key = None if gate is None else (
-            gate.base, gate.length, gate.cursor)
+        gate_key = _gate_key(proc)
         pages = [item for item in
                  space.mapped_items(base // page, top // page)
                  if item[0] not in shm_vpns]
@@ -161,12 +176,8 @@ def audit_cap_flow(os_: Any) -> List[str]:
                 if meta is None:
                     continue
                 cap_base, length, _perms, otype = meta
-                cap_top = cap_base + length
-                if otype == OTYPE_SENTRY:
-                    if gate_key == (cap_base, length, cursor):
-                        continue
-                elif (lo <= cap_base and cap_top <= hi
-                      or base <= cap_base and cap_top <= top):
+                if _flow_ok(cap_base, length, otype, cursor, lo, hi, base,
+                            top, gate_key):
                     continue
                 _audit_cap(os_, proc, frame.load_cap(offset, codec),
                            f"vpn {vpn:#x}+{offset:#x}", lo, hi, violations)

@@ -1,9 +1,9 @@
 """Differential: the packed-granule relocation scan against a
 per-capability reference.
 
-The scan (:func:`repro.core.relocate._relocate_frame_memoised`) reads
-each tagged granule as a ``(cursor, meta id)`` pair, looks the meta id
-up in a per-region-pair decision table and writes the rebased granule
+The scan (:func:`repro.core.relocate._relocate_granules`) reads
+each tagged granule as a ``(cursor, meta id)`` pair, applies the
+relocation rule to the interned metadata and writes the rebased granule
 back without building a :class:`Capability`.  This module keeps the
 scan as it used to be — decode every tagged granule, apply the
 relocation rule written on :class:`Capability` methods (``rebased``,
@@ -197,12 +197,12 @@ def _run(mode, pair, pages, costs, reference):
     phys = machine.phys
     frames = [phys.frame(number) for number in numbers]
     steps = []
-    patch = (mock.patch.object(relocate, "_relocate_frame_memoised",
+    patch = (mock.patch.object(relocate, "_relocate_granules",
                                ref_scan)
              if reference else contextlib.nullcontext())
     with patch:
         if mode == "frame":
-            # twice: the second pass finds every meta id decided
+            # twice: the second pass finds every rebased meta interned
             for _ in range(2):
                 steps.append(_relocate(machine, numbers, lambda: [
                     relocate_frame(machine, frame, regions)
@@ -294,14 +294,14 @@ def test_relocate_cap_matches_reference(pair, b_anchor, b_off, length,
 
 
 # ---------------------------------------------------------------------------
-# Forged metadata: the decision table trusts only interned ids
+# Forged metadata: the scan trusts only interned ids
 # ---------------------------------------------------------------------------
 
 def test_forged_meta_id_is_untouched_until_interned():
     """A tagged granule naming a meta id nobody interned yet decodes
-    powerless: the scan leaves it alone, counts 0 and records no
-    decision for the id.  Once interning hands that id out, the same
-    bytes follow the rule for the new metadata."""
+    powerless: the scan leaves it alone, counts 0 and interns nothing.
+    Once interning hands that id out, the same bytes follow the rule
+    for the new metadata."""
     regions = RegionPair(0x100000, 0x110000, 0x300000, 0x310000)
     machine = Machine()
     codec = machine.codec
@@ -314,12 +314,12 @@ def test_forged_meta_id_is_untouched_until_interned():
     before = frame.snapshot_content()
     version = frame.version
 
+    interned = _intern_table(machine)
     assert relocate_frame(machine, frame, regions) == 0
     assert frame.snapshot_content() == before
     assert frame.version == version
-    key = (regions.parent_base, regions.parent_top,
-           regions.child_base, regions.child_top)
-    assert forged_id not in machine._reloc_decisions[key]
+    assert _intern_table(machine) == interned
+    assert machine.counters.get("caps_relocated") == 0
 
     meta = (0x100000, 0x100, int(Perm.data_rw()), OTYPE_UNSEALED)
     assert codec.intern(meta) == forged_id

@@ -205,13 +205,13 @@ class TestForkPageMemo:
 
         monkeypatch.setattr(relocate, "_PAGE_MEMO_CAP", 4)
         rescans = []
-        scan = relocate._relocate_frame_memoised
+        scan = relocate._relocate_granules
 
         def counting(machine, frame, regions):
             rescans.append(frame)
             return scan(machine, frame, regions)
 
-        monkeypatch.setattr(relocate, "_relocate_frame_memoised", counting)
+        monkeypatch.setattr(relocate, "_relocate_granules", counting)
         session, parent = self._fork_server()
         self._fork_exit(parent)
         assert len(rescans) > 4, "the image must outgrow the memo's cap"
