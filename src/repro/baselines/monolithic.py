@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Set
 
+from repro import events
 from repro.cheri.capability import Capability, Perm
 from repro.core.isolation import derive_uprocess_roots
 from repro.core.relocate import _charge_each
@@ -75,7 +76,7 @@ def handle_cow_fault(space: AddressSpace, vaddr: int,
     with machine.locks.fault.held():
         if not _break_cow(space, vaddr // machine.config.page_size):
             return False
-        machine.emit(metric="baselines.monolithic.cow_breaks")
+        machine.emit(events.MONOLITHIC_COW_BREAK)
         return True
 
 
@@ -96,7 +97,7 @@ def _break_cow(space: AddressSpace, vpn: int, fault: bool = False) -> bool:
     if phys.refcount(frame) > 1:
         space.privatize_page(vpn, perms | _WRITE,
                              phys.copy_frame(frame, preserve_tags=True))
-        machine.emit(counter="cow_page_copies")
+        machine.emit(events.COW_PAGE_COPY)
     else:
         space.privatize_page(vpn, perms | _WRITE)
     return True
@@ -241,7 +242,7 @@ class MonolithicOS(AbstractOS):
         child._pending_allocator_touch = True
 
         self._publish(child, "fork", proc.pid, "monolithic")
-        machine.emit(counter="fork", metric="baselines.monolithic.forks")
+        machine.emit(events.MONOLITHIC_FORK)
         return child
 
     def _copy_ptes(self, parent: AddressSpace, child: AddressSpace,
@@ -310,8 +311,7 @@ class MonolithicOS(AbstractOS):
             if _break_cow(proc.space, (data_base + index * page) // page,
                          fault=True):
                 touched += 1
-        machine.emit(n=touched, counter="allocator_touch_pages",
-                     metric="baselines.monolithic.allocator_touch_pages")
+        machine.emit(events.ALLOCATOR_TOUCH_PAGES, touched)
 
     # ------------------------------------------------------------------
     # Exit

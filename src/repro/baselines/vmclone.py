@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import events
 from repro.baselines.monolithic import MonolithicOS, _va_pages
 from repro.cheri.capability import Capability, Perm
 from repro.core.relocate import _charge_each
@@ -117,7 +118,7 @@ class VMCloneOS(MonolithicOS):
         self._fork_allocator(proc, child)
 
         self._publish(child, "fork", proc.pid, "vmclone")
-        machine.emit(counter="fork", metric="baselines.vmclone.forks")
+        machine.emit(events.VMCLONE_FORK)
         return child
 
     def _clone_pages(self, parent: AddressSpace,

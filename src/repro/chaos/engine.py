@@ -31,6 +31,7 @@ import hashlib
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro import events
 from repro.chaos.faults import (
     INJECTION_POINTS,
     InjectedInterrupt,
@@ -197,9 +198,8 @@ class ChaosEngine:
         self.fired[point] = self.fired.get(point, 0) + 1
         self.injections.append((point, index))
         if self.machine is not None:
-            self.machine.emit("chaos_inject",
-                              metric=f"chaos.injected.{point}",
-                              point=point, hit=index)
+            self.machine.emit(events.CHAOS_INJECTED[point], point=point,
+                              hit=index)
         return True
 
     def lookahead(self, point: str, count: int) -> int:
@@ -236,7 +236,7 @@ class ChaosEngine:
         """A survival path absorbed the most recent fault at ``point``."""
         self.recovered[point] = self.recovered.get(point, 0) + 1
         if self.machine is not None:
-            self.machine.emit(metric=f"chaos.recovered.{point}")
+            self.machine.emit(events.CHAOS_RECOVERED[point])
 
     # -- syscall faults --------------------------------------------------
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, TypeVar
 
+from repro import events
+
 #: how many times a retriable injected fault is retried before it
 #: escapes to the caller
 RETRY_MAX_ATTEMPTS = 4
@@ -51,15 +53,15 @@ def retry_syscall(machine: Any, fn: Callable[[], T],
         except Exception as exc:
             if not is_retriable_injection(exc) or attempt >= max_attempts:
                 if is_retriable_injection(exc):
-                    machine.emit(metric="chaos.retry.exhausted")
+                    machine.emit(events.RETRY_EXHAUSTED)
                 raise
             machine.charge(RETRY_BACKOFF_BASE_NS * 2 ** (attempt - 1),
                            "chaos_backoff")
-            machine.emit(metric="chaos.retry.attempts")
+            machine.emit(events.RETRY_ATTEMPTS)
             attempt += 1
         else:
             if attempt > 1:
-                machine.emit(metric="chaos.retry.successes")
+                machine.emit(events.RETRY_SUCCESSES)
             return result
 
 
@@ -82,13 +84,13 @@ class Transaction:
 
 
 def run_transaction(machine: Any, body: Callable[[Transaction], T],
-                    kind: str, metric: str, failure: type, label: str,
+                    event: events.Event, failure: type, label: str,
                     **fields: Any) -> T:
     """Run ``body(tx)`` under the fork lock as one transaction (fork,
     snapshot restore).
 
-    On any error the undos run, the rollback is counted (``<kind>_rollback``
-    event, ``<kind>_rollbacks`` counter, obs ``metric``), an injected
+    On any error the undos run, the rollback is counted as ``event``
+    (a :mod:`repro.events` entry, e.g. ``FORK_ROLLBACK``), an injected
     abort point is noted as recovered, and an injected fault re-raises
     as the retriable ``failure`` so the syscall layer's bounded retry
     can re-attempt the whole operation.
@@ -99,8 +101,7 @@ def run_transaction(machine: Any, body: Callable[[Transaction], T],
             result = body(tx)
         except Exception as exc:
             tx.rollback()
-            machine.emit(f"{kind}_rollback", counter=f"{kind}_rollbacks",
-                         metric=metric, **fields, reason=type(exc).__name__)
+            machine.emit(event, **fields, reason=type(exc).__name__)
             point = getattr(exc, "point", None)
             if point is not None:
                 machine.chaos.note_recovery(point)

@@ -24,6 +24,7 @@ import hashlib
 import random
 from typing import Any, Dict, List, Optional
 
+from repro import events
 from repro.chaos.engine import ChaosEngine
 from repro.harness.matrix import boot, kernel_state_digest, write_sidecars
 
@@ -76,7 +77,7 @@ def run_chaos(seed: int = 7, iterations: int = 200,
             # it, the kernel must already be consistent
             failures[type(exc).__name__] = \
                 failures.get(type(exc).__name__, 0) + 1
-            machine.emit(metric="chaos.run.op_failures")
+            machine.emit(events.OP_FAILURES)
         finally:
             _reap(parent, children, engine)
 

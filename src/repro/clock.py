@@ -127,28 +127,3 @@ class Stopwatch:
     def elapsed_ms(self) -> float:
         return self.elapsed_ns / NS_PER_MS
 
-
-class EventCounters:
-    """Named event counters (page copies, faults, syscalls, ...).
-
-    Used throughout the machine and kernels for the memory/behaviour
-    metrics that the paper reports alongside latency.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def add(self, name: str, n: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def reset(self) -> None:
-        self._counts.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventCounters({self._counts!r})"

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro import events
 from repro.cluster.params import ClusterCosts
 
 
@@ -61,12 +62,12 @@ def migrate_worker(source: Any, target: Any,
     divergent = len(manifest["pages"]) * manifest["page_size"]
 
     pool.retire(worker)
-    source.session.machine.emit(metric="cluster.migrate.out")
+    source.session.machine.emit(events.MIGRATE_OUT)
 
     twin = target.pool.fork_worker()
     applied = restore_into(target.session.os, twin.proc, blob)
     assert applied == len(manifest["pages"])
-    target.session.machine.emit(metric="cluster.migrate.in")
+    target.session.machine.emit(events.MIGRATE_IN)
     return {
         "from": source.index,
         "to": target.index,

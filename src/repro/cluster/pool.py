@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
+from repro import events
+
 
 class WarmPool:
     """A warmed zygote plus the workers forked from it on one session.
@@ -47,7 +49,7 @@ class WarmPool:
         """Fast-fork one more worker from the warm zygote."""
         worker = self.zygote.fork()
         self.workers.append(worker)
-        self.session.machine.emit(metric="cluster.pool.forked")
+        self.session.machine.emit(events.POOL_FORKED)
         return worker
 
     def retire(self, worker: Any = None) -> int:
@@ -63,7 +65,7 @@ class WarmPool:
         pid = worker.pid
         worker.exit(0)
         self.zygote.wait(pid)
-        self.session.machine.emit(metric="cluster.pool.retired")
+        self.session.machine.emit(events.POOL_RETIRED)
         return pid
 
     def divergent_vpns(self, worker: Any = None) -> set:

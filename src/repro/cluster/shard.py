@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro import events
 from repro.cluster.trace import CLASSES
 
 
@@ -67,8 +68,7 @@ class Shard:
             assert result.ok, f"calibration request failed on shard " \
                               f"{self.index}: {name}"
             out[name] = clock.now_ns - before
-        self.session.machine.emit(n=len(CLASSES),
-                                  metric="cluster.shard.calibrations")
+        self.session.machine.emit(events.SHARD_CALIBRATIONS, len(CLASSES))
         return out
 
     def observe(self, klass: int) -> None:
@@ -81,7 +81,7 @@ class Shard:
             assert result.ok, f"audited request failed on shard " \
                               f"{self.index}: {CLASSES[klass]}"
             self.audited += 1
-            self.session.machine.emit(metric="cluster.shard.audited")
+            self.session.machine.emit(events.SHARD_AUDITED)
 
     def stats(self) -> Dict[str, Any]:
         """The per-shard section of the ``repro.cluster/v1`` report."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List
 
+from repro import events
 from repro.cheri.capability import Capability, Perm
 from repro.hw.paging import PagePerm
 
@@ -83,5 +84,5 @@ def map_library(os: Any, proc: Any, lib: SharedLibrary) -> Capability:
     if not hasattr(proc, "lib_caps"):
         proc.lib_caps = {}
     proc.lib_caps[lib.name] = cap
-    os.machine.emit(counter="library_mapped")
+    os.machine.emit(events.LIBRARY_MAPPED)
     return cap

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
+from repro import events
 from repro.chaos.recovery import Transaction
 from repro.core.relocate import (RegionPair, _charge_each, record_flow,
                                  relocate_copied_frames, relocate_registers)
@@ -86,10 +87,10 @@ def migrate(os: Any, proc: Process) -> int:
                                   [items[index][1] for index in moved],
                                   [frames[index] for index in moved],
                                   regions)
-    machine.emit(records=(("relocate_frame", {"caps": count})
-                          for count in caps if count))
+    machine.emit(events.RECORDS, records=(
+        (events.RELOCATE_FRAME, {"caps": count}) for count in caps if count))
     if copies:
-        machine.emit(n=len(copies), counter="migrate_page_copies")
+        machine.emit(events.MIGRATE_PAGE_COPIES, len(copies))
     # pages go back to their pre-share permissions; every frame but a
     # fresh copy takes a reference balancing the old mapping's release
     fresh = set(copies)
@@ -113,8 +114,8 @@ def migrate(os: Any, proc: Process) -> int:
         relocate_registers(machine, task.registers, regions)
     os._attach_allocator(proc, type(proc.allocator),
                          proc.allocator.max_blocks)
-    machine.emit("migrate", counter="migrations", pid=proc.pid,
-                 old_base=old_base, new_base=new_base, pages=len(items))
+    machine.emit(events.MIGRATE, pid=proc.pid, old_base=old_base,
+                 new_base=new_base, pages=len(items))
     record_flow(machine, "migrate", proc.pid, proc.pid,
                 proc.region_base, proc.region_top)
     return new_base

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro import events
 from repro.cheri.capability import OTYPE_SENTRY, Capability, _fast_cap
 from repro.cheri.codec import CURSOR_MASK, GRANULE, Meta
 from repro.cheri.regfile import RegisterFile
@@ -136,9 +137,7 @@ def relocate_frame(machine: Any, frame: Frame, regions: RegionPair) -> int:
     _charge_scans(machine, 1)
     relocated = _relocate_granules(machine, frame, regions)
     if relocated:
-        machine.emit("relocate_frame", counter="caps_relocated",
-                     metric="core.relocate.caps_relocated",
-                     amount=relocated, caps=relocated)
+        machine.emit(events.RELOCATE_FRAME, amount=relocated, caps=relocated)
     return relocated
 
 
@@ -159,8 +158,8 @@ def relocate_frames(machine: Any, frames: List[Frame],
     caps = [_relocate_granules(machine, frame, regions)
             for frame in frames]
     _emit_relocations(machine, caps)
-    machine.emit(records=(("relocate_frame", {"caps": moved})
-                          for moved in caps if moved))
+    machine.emit(events.RECORDS, records=(
+        (events.RELOCATE_FRAME, {"caps": moved}) for moved in caps if moved))
     return sum(caps)
 
 
@@ -239,9 +238,7 @@ def _emit_relocations(machine: Any, caps: List[int]) -> None:
     with capabilities rewritten; the caller hands the records."""
     total = sum(caps)
     if total:
-        machine.emit("relocate_frame", len(caps) - caps.count(0),
-                     counter="caps_relocated",
-                     metric="core.relocate.caps_relocated",
+        machine.emit(events.RELOCATE_FRAME, len(caps) - caps.count(0),
                      amount=total, records=())
 
 
@@ -251,9 +248,9 @@ def _charge_scans(machine: Any, count: int) -> None:
     _charge_each(machine,
                  machine.costs.page_scan_ns(config.page_size, config.granule),
                  count, "reloc_scan")
-    machine.emit(n=count, metric="core.relocate.frames_scanned")
-    machine.emit(n=(config.page_size // config.granule) * count,
-                 metric="hw.phys.tag_granules_scanned")
+    machine.emit(events.FRAMES_SCANNED, count)
+    machine.emit(events.TAG_GRANULES_SCANNED,
+                 (config.page_size // config.granule) * count)
 
 
 def _charge_each(machine: Any, ns: float, count: int, bucket: str) -> None:
@@ -335,7 +332,7 @@ def relocate_registers(machine: Any, registers: RegisterFile,
             machine.charge(machine.costs.cap_relocate_ns, "reloc_reg")
             relocated += 1
     if relocated:
-        machine.emit(n=relocated, metric="core.relocate.registers_relocated")
+        machine.emit(events.REGISTERS_RELOCATED, relocated)
     return relocated
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
 
+from repro import events
 from repro.core.relocate import (
     RegionPair,
     _charge_each,
@@ -58,21 +59,6 @@ class ShareNote:
 #: distinct (strategy, perms) pairs makes a tiny permanent memo
 _CHILD_PERMS_MEMO: Dict[Tuple[CopyStrategy, int], PagePerm] = {}
 _PARENT_PERMS_MEMO: Dict[int, PagePerm] = {}
-
-#: fault kind → child-side CoW-break counter name
-_CHILD_BREAK_COUNTER: Dict[AccessKind, str] = {
-    kind: f"fork_child_break_{kind._nm}" for kind in AccessKind}
-
-#: side → write-fault CoW-break counter name
-_WRITE_BREAK_COUNTER = {"parent": "fork_parent_cow_break",
-                        "child": _CHILD_BREAK_COUNTER[AccessKind.WRITE]}
-
-#: (strategy, side, fault kind) → CoW-break obs metric name
-_BREAK_METRIC: Dict[Tuple[CopyStrategy, str, AccessKind], str] = {
-    (strategy, side, kind):
-        f"core.strategies.{strategy.value}.break.{side}.{kind._nm}"
-    for strategy in CopyStrategy for side in ("parent", "child")
-    for kind in AccessKind}
 
 
 def child_share_perms(strategy: CopyStrategy,
@@ -184,9 +170,7 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
         if kind is not AccessKind.WRITE:
             return False  # parent reads never fault under either strategy
         _make_private(space, vpn, relocate=False, note=note)
-        machine.emit("cow_break", counter=_WRITE_BREAK_COUNTER["parent"],
-                     metric=_BREAK_METRIC[note.strategy, "parent",
-                                          AccessKind.WRITE],
+        machine.emit(events.COW_BREAK[note.strategy.value, "parent", "write"],
                      role="parent", vpn=vpn)
         return True
 
@@ -200,11 +184,10 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
         # Enough storms push UForkOS down the CoPA→CoA→eager ladder.
         for _ in range(3):
             machine.charge(machine.costs.page_fault_ns, "page_fault")
-            machine.emit(metric="core.strategies.cap_fault_storm_repeats")
+            machine.emit(events.CAP_FAULT_STORM_REPEAT)
         machine.chaos.note_recovery("core.strategies.cap_fault_storm")
     _make_private(space, vpn, relocate=True, note=note)
-    machine.emit("cow_break", counter=_CHILD_BREAK_COUNTER[kind],
-                 metric=_BREAK_METRIC[note.strategy, "child", kind],
+    machine.emit(events.COW_BREAK[note.strategy.value, "child", kind._nm],
                  role="child", vpn=vpn, kind=kind._nm)
     return True
 
@@ -264,14 +247,12 @@ def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
         return False  # per-op dispatch reproduces the exact failing state
     count = len(breaks)
     _charge_each(machine, machine.costs.page_fault_ns, count, "page_fault")
-    write = AccessKind.WRITE
-    machine.emit("page_fault", count, counter=write._fault_counter,
-                 metric=write._fault_obs, records=())
+    machine.emit(events.PAGE_FAULT["write"], count, records=())
     copied: Dict[int, int] = {}  # page index -> its fresh private copy
     if copies:
         copied = dict(zip(copies, phys.copy_frames(
             [frames[index] for index in copies], preserve_tags=True)))
-        machine.emit(n=len(copies), counter="fork_page_copies")
+        machine.emit(events.BREAK_PAGE_COPY, len(copies))
     # child-role pages may still hold parent-region capabilities:
     # relocate per region pair through the fork content memo (a last
     # sharer's frame is its own copy)
@@ -302,10 +283,10 @@ def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
     # parent breaks first, as the counters have always been keyed
     for (role, strategy), value in sorted(
             tallies.items(), key=lambda item: item[0][0] != "parent"):
-        machine.emit("cow_break", value, counter=_WRITE_BREAK_COUNTER[role],
-                     metric=_BREAK_METRIC[strategy, role, write],
+        machine.emit(events.COW_BREAK[strategy.value, role, "write"], value,
                      records=())
-    machine.emit(records=_write_break_records(space.name, vaddrs, breaks,
+    machine.emit(events.RECORDS,
+                 records=_write_break_records(space.name, vaddrs, breaks,
                                               caps))
     return True
 
@@ -315,14 +296,15 @@ def _write_break_records(space_name, vaddrs, breaks, caps):
     each page's ``page_fault``, ``relocate_frame`` (when capabilities
     moved) and ``cow_break``."""
     for vaddr, (vpn, note), moved in zip(vaddrs, breaks, caps):
-        yield "page_fault", {"vaddr": vaddr, "kind": "write",
-                             "space": space_name}
+        yield events.PAGE_FAULT["write"], {"vaddr": vaddr, "kind": "write",
+                                           "space": space_name}
         if moved:
-            yield "relocate_frame", {"caps": moved}
+            yield events.RELOCATE_FRAME, {"caps": moved}
         fields = {"role": note.role, "vpn": vpn}
         if note.role == "child":
             fields["kind"] = "write"
-        yield "cow_break", fields
+        yield events.COW_BREAK[note.strategy.value, note.role, "write"], \
+            fields
 
 
 def _make_private(space: AddressSpace, vpn: int,
@@ -337,7 +319,7 @@ def _make_private(space: AddressSpace, vpn: int,
         if relocate:
             relocate_frame(machine, phys.frame(new_frame), note.regions)
         space.privatize_page(vpn, note.orig_perms, new_frame)
-        machine.emit(counter="fork_page_copies")
+        machine.emit(events.BREAK_PAGE_COPY)
         return
     if relocate:
         # Last sharer (peer exited/copied): the frame is now private but
@@ -366,8 +348,7 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
             _make_private(space, vpn, relocate=True, note=note)
             resolved += 1
     if resolved:
-        machine.emit(n=resolved,
-                     metric="core.strategies.resolved_pending_pages")
+        machine.emit(events.RESOLVED_PENDING_PAGES, resolved)
     return resolved
 
 

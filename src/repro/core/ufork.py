@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Set
 
+from repro import events
 from repro.chaos.faults import InjectedForkFailure
 from repro.chaos.recovery import Transaction, run_transaction
 from repro.cheri.capability import Capability
@@ -169,7 +170,7 @@ class UForkOS(AbstractOS):
             if lo <= vaddr < hi:
                 frame = self.machine.phys.alloc(zero=True)
                 self.space.map_page(vpn, frame, PagePerm.rwc())
-                self.machine.emit(counter="demand_zero_pages")
+                self.machine.emit(events.DEMAND_ZERO_PAGE)
                 return True
         return False
 
@@ -211,7 +212,7 @@ class UForkOS(AbstractOS):
         # (a no-op spinlock while num_cpus == 1).
         return run_transaction(
             machine, lambda tx: self._fork_phases(proc, strategy, tx),
-            "fork", "core.ufork.fork_rollbacks", InjectedForkFailure,
+            events.FORK_ROLLBACK, InjectedForkFailure,
             f"fork of pid {proc.pid}", parent=proc.pid)
 
     def _effective_strategy(self, chaos: Any) -> CopyStrategy:
@@ -228,8 +229,7 @@ class UForkOS(AbstractOS):
         index = ladder.index(configured)
         degraded = ladder[min(index + tiers, len(ladder) - 1)]
         if degraded is not configured:
-            self.machine.emit("fork_degraded",
-                              metric="core.ufork.degraded_forks",
+            self.machine.emit(events.FORK_DEGRADED,
                               configured=configured.value,
                               used=degraded.value)
         return degraded
@@ -310,8 +310,7 @@ class UForkOS(AbstractOS):
         self._abort_point("core.ufork.abort.allocator", proc)
 
         self._publish(child, "fork", proc.pid, strategy.value)
-        machine.emit("fork", counter="fork", metric="core.ufork.forks",
-                     parent=proc.pid, child=child.pid,
+        machine.emit(events.FORK, parent=proc.pid, child=child.pid,
                      strategy=strategy.value)
         return child
 
@@ -383,8 +382,7 @@ class UForkOS(AbstractOS):
                 space.map_run(vpns[start] + delta_pages, dsts[start:end],
                               PagePerm(origs[start]))
             _charge_each(machine, bulk_ns, ncopy, "fork_map")
-            machine.emit("fork_page_copy", ncopy, counter="fork_page_copies",
-                         metric="core.strategies.eager_page_copies",
+            machine.emit(events.FORK_PAGE_COPY, ncopy,
                          records=_eager_copy_records(copy_items, caps,
                                                      delta_pages))
 
@@ -480,5 +478,6 @@ def _eager_copy_records(copy_items, caps, delta_pages):
     ``relocate_frame`` (when capabilities moved), then its copy."""
     for item, moved in zip(copy_items, caps):
         if moved:
-            yield "relocate_frame", {"caps": moved}
-        yield "fork_page_copy", {"vpn": item[0] + delta_pages, "eager": True}
+            yield events.RELOCATE_FRAME, {"caps": moved}
+        yield events.FORK_PAGE_COPY, {"vpn": item[0] + delta_pages,
+                                      "eager": True}

@@ -32,6 +32,7 @@ from __future__ import annotations
 import struct
 from typing import Any
 
+from repro import events
 from repro.cheri.capability import Capability, Perm
 from repro.cheri.codec import CAP_SIZE
 from repro.cheri.regfile import CGP, CSP, CTP, DDC, PCC
@@ -181,5 +182,5 @@ def load_uprocess(os: Any, image: ProgramImage, name: str) -> Process:
 
     init_registers(proc.add_task().registers, layout, region_cap)
     os._publish(proc, "spawn")
-    machine.emit(counter="uprocess_loaded")
+    machine.emit(events.UPROCESS_LOADED)
     return proc

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro import events
 from repro.cheri.regfile import RegisterFile
 from repro.hw.tlb import TLB
 
@@ -47,7 +48,7 @@ class Core:
             self.machine.clock.advance(costs.context_switch_sas_ns, "ctx_switch")
         else:
             self.machine.clock.advance(costs.context_switch_mas_ns, "ctx_switch")
-        self.machine.emit(counter="context_switch")
+        self.machine.emit(events.DOMAIN_SWITCH)
         self.domain_switches += 1
         self.current_task = task
 

@@ -40,6 +40,7 @@ from enum import Enum, IntFlag, auto
 from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import events
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE
 from repro.errors import (
@@ -119,8 +120,6 @@ _ACCESS_NAME = {
 for _kind in AccessKind:
     _kind._req_bits = _REQUIRED_BITS[_kind]
     _kind._nm = _ACCESS_NAME[_kind]
-    _kind._fault_counter = f"fault_{_ACCESS_NAME[_kind]}"
-    _kind._fault_obs = f"hw.paging.fault.{_ACCESS_NAME[_kind]}"
 del _kind
 
 #: raw permission-bit masks for the two byte-access kinds, hoisted for
@@ -580,8 +579,7 @@ class AddressSpace:
         """
         machine = self.machine
         machine.clock.advance(machine.costs.page_fault_ns, "page_fault")
-        machine.emit("page_fault", counter=kind._fault_counter,
-                     metric=kind._fault_obs, vaddr=vaddr, kind=kind._nm,
+        machine.emit(events.PAGE_FAULT[kind._nm], vaddr=vaddr, kind=kind._nm,
                      space=self.name)
         if self.fault_handler is None:
             return False

@@ -43,6 +43,7 @@ from operator import lt, sub
 from typing import (Any, Callable, Iterable, List, Optional,
                     Sequence, Tuple)
 
+from repro import events
 from repro.cheri.capability import Capability
 from repro.cheri.codec import CAP_SIZE, CapabilityCodec
 from repro.clock import SimClock
@@ -337,8 +338,7 @@ class PhysicalMemory:
             self._scrub(number)
         if zero and charge:
             self._clock.advance(self._costs.page_zero_ns, "page_zero")
-        self._emit(counter="frames_allocated",
-                   metric="hw.phys.frames_allocated")
+        self._emit(events.FRAMES_ALLOCATED)
         self._obs.gauge_set("hw.phys.allocated_frames", self._live)
         return number
 
@@ -401,8 +401,7 @@ class PhysicalMemory:
             self._stale[number] = 1
             self._free.append(number)
             self._live -= 1
-            self._emit(counter="frames_freed",
-                       metric="hw.phys.frames_freed")
+            self._emit(events.FRAMES_FREED)
             self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def decref_many(self, numbers: Sequence[int]) -> None:
@@ -451,8 +450,7 @@ class PhysicalMemory:
             freed = len(free) - before
             if freed:
                 self._live -= freed
-                self._emit(n=freed, counter="frames_freed",
-                           metric="hw.phys.frames_freed")
+                self._emit(events.FRAMES_FREED, freed)
                 self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def free_frames(self) -> int:
@@ -482,7 +480,7 @@ class PhysicalMemory:
         if preserve_tags and self.chaos.enabled and \
                 self.chaos.should_fire("hw.phys.tag_clear"):
             self._recover_tag_clear(src, dst, charge)
-        self._emit(counter="frames_copied", metric="hw.phys.frames_copied")
+        self._emit(events.FRAMES_COPIED)
         return dst
 
     def cow_copy(self, src: int) -> int:
@@ -586,8 +584,7 @@ class PhysicalMemory:
                                          map(stale.__getitem__, numbers)):
             self._scrub(number)
         if fit:
-            self._emit(n=fit, counter="frames_allocated",
-                       metric="hw.phys.frames_allocated")
+            self._emit(events.FRAMES_ALLOCATED, fit)
             self._obs.gauge_set("hw.phys.allocated_frames", self._live)
         if fit < count:
             self._shortfall(numbers, zero=True)
@@ -656,10 +653,8 @@ class PhysicalMemory:
 
     def _settle_copies(self, count: int) -> None:
         """Record ``count`` frames allocated and copied in one go."""
-        emit = self._emit
-        emit(n=count, counter="frames_allocated",
-             metric="hw.phys.frames_allocated")
-        emit(n=count, counter="frames_copied", metric="hw.phys.frames_copied")
+        self._emit(events.FRAMES_ALLOCATED, count)
+        self._emit(events.FRAMES_COPIED, count)
         self._obs.gauge_set("hw.phys.allocated_frames", self._live)
 
     def _recover_tag_clear(self, src: int, dst: int, charge: bool) -> None:

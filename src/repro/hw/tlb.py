@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro import events
+
 
 class TLB:
     """Tracks flushes and charges their cost to the simulated clock.
@@ -46,7 +48,7 @@ class TLB:
         self.flush_count += 1
         self._machine.translation_gen += 1
         self._machine.clock.advance(self._machine.costs.tlb_flush_ns, "tlb_flush")
-        self._machine.emit(counter="tlb_flush", metric="hw.tlb.flush")
+        self._machine.emit(events.TLB_FLUSH)
 
     def remote_invalidate(self) -> None:
         """Shootdown recipient side: invalidate stale translations in
@@ -60,5 +62,4 @@ class TLB:
         machine = self._machine
         machine.translation_gen += 1
         machine.clock.advance(machine.costs.tlb_flush_ns, "tlb_shootdown")
-        machine.emit(counter="tlb_remote_invalidate",
-                     metric="smp.tlb.remote_invalidate")
+        machine.emit(events.TLB_REMOTE_INVALIDATE)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import events
 from repro.chaos.recovery import retry_syscall
 from repro.cheri.capability import Capability, Perm
 from repro.core.relocate import _charge_each, record_flow
@@ -590,7 +591,7 @@ class AbstractOS(abc.ABC):
             _signals.signal_state(proc.parent).pending.append(
                 _signals.SIGCHLD
             )
-        self.machine.emit("exit", pid=proc.pid, status=status)
+        self.machine.emit(events.EXIT, pid=proc.pid, status=status)
         if proc.parent is None:
             proc.reaped = True
             self.procs.remove(proc.pid)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
+from repro import events
 from repro.errors import BrokenPipe, InvalidArgument, WouldBlock
 
 PIPE_CAPACITY = 64 * 1024
@@ -53,7 +54,7 @@ class Pipe:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
         )
-        self.machine.emit(n=len(chunk), metric="kernel.ipc.pipe_bytes_written")
+        self.machine.emit(events.PIPE_BYTES_WRITTEN, len(chunk))
         return len(chunk)
 
     def read(self, size: int) -> bytes:
@@ -68,7 +69,7 @@ class Pipe:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
         )
-        self.machine.emit(n=len(chunk), metric="kernel.ipc.pipe_bytes_read")
+        self.machine.emit(events.PIPE_BYTES_READ, len(chunk))
         return chunk
 
     @property
@@ -127,7 +128,7 @@ class MessageQueue:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(data), "mq_io"
         )
-        self.machine.emit(n=len(data), metric="kernel.ipc.mq_bytes_sent")
+        self.machine.emit(events.MQ_BYTES_SENT, len(data))
         self._queue.append((priority, bytes(data)))
         self._queue = deque(
             sorted(self._queue, key=lambda item: -item[0])
@@ -140,7 +141,7 @@ class MessageQueue:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * len(data), "mq_io"
         )
-        self.machine.emit(n=len(data), metric="kernel.ipc.mq_bytes_received")
+        self.machine.emit(events.MQ_BYTES_RECEIVED, len(data))
         return data
 
     def __len__(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
+from repro import events
 from repro.errors import BrokenPipe, InvalidArgument, WouldBlock
 
 
@@ -39,8 +40,8 @@ class Connection:
         self.machine.charge(
             self.machine.costs.io_copy_ns_per_byte * n, "net_io"
         )
-        self.machine.emit(metric="kernel.net.packets")
-        self.machine.emit(n=n, metric="kernel.net.bytes")
+        self.machine.emit(events.NET_PACKETS)
+        self.machine.emit(events.NET_BYTES, n)
 
 
 class Endpoint:
@@ -112,7 +113,7 @@ class Listener:
         conn = Connection(self.machine)
         self._pending.append(conn)
         self.machine.charge(self.machine.costs.net_packet_ns, "net_syn")
-        self.machine.emit(metric="kernel.net.connections")
+        self.machine.emit(events.NET_CONNECTIONS)
         return conn.client
 
     def accept(self) -> Endpoint:

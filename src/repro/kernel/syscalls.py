@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Sequence
+from typing import Any, Sequence
 
+from repro import events
 from repro.cheri.capability import Capability, OTYPE_SENTRY
 from repro.errors import BadAddress, IsolationViolation
 
@@ -71,10 +72,6 @@ class SyscallLayer:
         self.machine = machine
         self.trapless = trapless
         self.isolation = isolation
-        self.invocations = 0
-        #: memoised ``syscall_<name>`` counter strings (the f-string on
-        #: every entry shows up in syscall-heavy workload profiles)
-        self._counter_names: Dict[str, str] = {}
 
     def enter(self, name: str, nargs: int = 0,
               buffer_bytes: Sequence[int] = ()) -> None:
@@ -109,17 +106,11 @@ class SyscallLayer:
                 self.machine.charge(
                     costs.tocttou_copy_ns_per_byte * 2 * copied, "tocttou"
                 )
-        self.invocations += 1
-        counter_name = self._counter_names.get(name)
-        if counter_name is None:
-            counter_name = f"syscall_{name}"
-            self._counter_names[name] = counter_name
         emit = self.machine.emit
-        emit("syscall", counter="syscall", metric="kernel.syscall.entries",
-             name=name)
-        emit(counter=counter_name)
+        emit(events.SYSCALL, name=name)
+        emit(events.SYSCALL_NAMED[name])
         if self.isolation.tocttou and buffer_bytes:
-            emit(n=len(buffer_bytes), metric="kernel.syscall.tocttou_copies")
+            emit(events.TOCTTOU_COPIES, len(buffer_bytes))
 
     # -- argument validation helpers -------------------------------------------
 

@@ -16,7 +16,8 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.chaos.engine import NULL_CHAOS
 from repro.cheri.codec import CapabilityCodec
-from repro.clock import EventCounters, SimClock
+from repro.clock import SimClock
+from repro.events import Event, EventCounters
 from repro.hw.cpu import Core
 from repro.hw.phys import PhysicalMemory
 from repro.obs import Observability, session_adopt
@@ -127,41 +128,45 @@ class Machine:
         """Charge simulated time (convenience passthrough to the clock)."""
         self.clock.advance(ns, bucket)
 
-    def emit(self, event: Optional[str] = None, n: int = 1, *,
-             counter: Optional[str] = None, metric: Optional[str] = None,
+    def emit(self, entry: Event, n: int = 1, *,
              amount: Optional[int] = None,
-             records: Optional[Iterable[Tuple[str, dict]]] = None,
+             records: Optional[Iterable[Tuple[Event, dict]]] = None,
              **fields: Any) -> None:
-        """The one instrumentation sink: record ``n`` occurrences.
+        """The one instrumentation sink: record ``n`` occurrences of
+        ``entry``, a :mod:`repro.events` table entry.
 
-        ``counter`` grows by ``amount`` (default ``n``) in the always-on
-        :attr:`counters` tally; with observability enabled the obs
-        counter ``metric`` grows by ``amount`` and ``trace.<event>`` by
-        ``n``; an attached tracer receives ``n`` records of ``(event,
-        fields)``, or the ``(event, fields)`` pairs of ``records`` —
-        a bulk path's ordered per-item stream, iterated only while a
-        tracer is attached.  A batch whose records interleave several
-        events emits its counts with ``records=()`` and hands the whole
-        stream to one emit.  Watching never changes what runs.
+        Its ``counter`` grows by ``amount`` (default ``n``) in the
+        always-on :attr:`counters`; with observability enabled its
+        ``metric`` grows by ``amount`` and ``trace.<trace>`` by ``n``; an
+        attached tracer receives ``n`` records of ``(trace, fields)``,
+        or one per ``(event, fields)`` pair of ``records`` — a bulk
+        path's ordered per-item stream, iterated only while a tracer is
+        attached.  A batch whose records interleave several events
+        emits its counts with ``records=()`` and hands the whole stream
+        to one :data:`repro.events.RECORDS` emit.  Watching never
+        changes what runs.
         """
         if amount is None:
             amount = n
-        if counter is not None:
-            self.counters.add(counter, amount)
+        slot = entry.slot
+        if slot is not None:
+            values = self.counters.values
+            values[slot] = values.get(slot, 0) + amount
         obs = self.obs
         if obs.enabled:
+            metric, trace = obs.bound.get(entry) or obs.bind(entry)
             if metric is not None:
-                obs.count(metric, amount)
-            if event is not None:
-                obs.count(f"trace.{event}", n)
+                metric.inc(amount)
+            if trace is not None:
+                trace.inc(n)
         tracer = self.tracer
         if tracer is not None:
             if records is not None:
-                for name, item in records:
-                    tracer.record(name, **item)
-            elif event is not None:
+                for item, item_fields in records:
+                    tracer.record(item.trace, **item_fields)
+            elif entry.trace is not None:
                 for _ in range(n):
-                    tracer.record(event, **fields)
+                    tracer.record(entry.trace, **fields)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -33,9 +33,9 @@ or, to observe every machine an experiment creates::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.spans import SpanNode, SpanTree, format_span_tree
 
 SCHEMA = "repro.obs/v1"
@@ -72,10 +72,12 @@ class _Span:
         return self
 
     def __exit__(self, *exc: Any) -> None:
+        node = self._node
         elapsed = self._obs.clock.now_ns - self._start_ns
-        self._obs.span_tree.close(self._node)
-        self._obs.registry.histogram(f"span.{self._node.path}") \
-            .observe(elapsed)
+        self._obs.span_tree.close(node)
+        if node.histogram is None:
+            node.histogram = self._obs.registry.histogram("span." + node.path)
+        node.histogram.observe(elapsed)
 
 
 class Observability:
@@ -90,6 +92,10 @@ class Observability:
         self.clock = clock
         self.registry = MetricsRegistry()
         self.span_tree = SpanTree()
+        #: event -> its bound ``(metric, trace)`` counters (:meth:`bind`)
+        self.bound: Dict[Any, Tuple[Optional[Counter], ...]] = {}
+        #: clock bucket -> its ``time.<bucket>`` counter
+        self._time_counters: Dict[str, Counter] = {}
         self.enabled = False
         #: clock reading when observation started (export invariant:
         #: ``span tree total == clock_ns - enabled_at_ns``)
@@ -121,7 +127,20 @@ class Observability:
     def _on_advance(self, ns: int, bucket: Optional[str]) -> None:
         self.span_tree.attribute(ns)
         if bucket is not None:
-            self.registry.counter(f"time.{bucket}").inc(ns)
+            counter = self._time_counters.get(bucket)
+            if counter is None:
+                counter = self._time_counters[bucket] = \
+                    self.registry.counter("time." + bucket)
+            counter.inc(ns)
+
+    def bind(self, entry: Any) -> Tuple[Optional[Counter], ...]:
+        """Create the counters of a :mod:`repro.events` entry's first
+        emit, ``(metric, trace.<trace>)`` (``None`` for a name it
+        lacks), and bind them to the entry until :meth:`reset`."""
+        pair = self.bound[entry] = tuple(
+            None if name is None else self.registry.counter(name)
+            for name in (entry.metric, entry.trace_metric))
+        return pair
 
     def span(self, name: str):
         """Open a profiling span; nanoseconds advanced inside are
@@ -178,8 +197,10 @@ class Observability:
 
     def reset(self) -> None:
         """Discard all recorded data (observation state unchanged)."""
-        self.registry.reset()
         self.span_tree.reset()
+        self.registry.reset()
+        self.bound.clear()
+        self._time_counters.clear()
         if self.clock is not None:
             self.enabled_at_ns = self.clock.now_ns
 

@@ -26,7 +26,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 class SpanNode:
     """One node of the span tree: aggregate stats for a dotted path."""
 
-    __slots__ = ("name", "path", "count", "self_ns", "children")
+    __slots__ = ("name", "path", "count", "self_ns", "children",
+                 "histogram")
 
     def __init__(self, name: str, path: str) -> None:
         self.name = name
@@ -36,6 +37,9 @@ class SpanNode:
         #: simulated ns attributed while this was the innermost open span
         self.self_ns = 0
         self.children: Dict[str, "SpanNode"] = {}
+        #: the ``span.<path>`` histogram, bound by the obs facade on
+        #: this node's first span exit
+        self.histogram = None
 
     @property
     def total_ns(self) -> int:

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro import events
+
 
 class IpiBus:
     """Delivers IPIs between cores, with the ack handshake and costs.
@@ -62,8 +64,8 @@ class IpiBus:
         machine = self.machine
         machine.charge(machine.costs.ipi_send_ns, "ipi")
         self.sent += 1
-        machine.emit(counter="ipi_sent", metric="smp.ipi.sent")
-        machine.emit(metric=f"smp.ipi.{kind}")
+        machine.emit(events.IPI_SENT)
+        machine.emit(events.IPI_KIND[kind])
         attempts = 1
         chaos = machine.chaos
         if chaos.enabled and chaos.should_fire("smp.ipi.drop"):
@@ -71,18 +73,18 @@ class IpiBus:
             # detects the miss and re-sends (the re-send models a
             # transient loss, not a dead core, so it always lands)
             self.dropped += 1
-            machine.emit(metric="smp.ipi.dropped")
+            machine.emit(events.IPI_DROPPED)
             machine.charge(machine.costs.ipi_timeout_ns, "ipi")
             machine.charge(machine.costs.ipi_send_ns, "ipi")
             self.sent += 1
             self.resent += 1
-            machine.emit(counter="ipi_sent", metric="smp.ipi.sent")
-            machine.emit(metric="smp.ipi.resent")
+            machine.emit(events.IPI_SENT)
+            machine.emit(events.IPI_RESENT)
             chaos.note_recovery("smp.ipi.drop")
             attempts += 1
         machine.charge(machine.costs.ipi_ack_ns, "ipi")
         self.acked += 1
-        machine.emit(counter="ipi_acked", metric="smp.ipi.acked")
+        machine.emit(events.IPI_ACKED)
         return attempts
 
 
@@ -104,8 +106,7 @@ def tlb_shootdown(machine: Any, targets: Iterable[int],
                          if 0 <= cpu < online and cpu != initiator})
     if not recipients:
         return 0
-    machine.emit("tlb_shootdown", counter="tlb_shootdown_broadcast",
-                 metric="smp.tlb.shootdowns", initiator=initiator,
+    machine.emit(events.TLB_SHOOTDOWN, initiator=initiator,
                  recipients=len(recipients), reason=reason)
     chaos = machine.chaos
     for cpu in recipients:
@@ -115,7 +116,7 @@ def tlb_shootdown(machine: Any, targets: Iterable[int],
             # a storm of stale-entry faults hits the recipient before
             # the invalidation sticks; it re-runs the invalidation
             machine.cpus[cpu].tlb.remote_invalidate()
-            machine.emit(metric="smp.tlb.stale_storms")
+            machine.emit(events.STALE_STORMS)
             chaos.note_recovery("smp.tlb.stale_storm")
-    machine.emit(n=len(recipients), counter="tlb_shootdown_ipis")
+    machine.emit(events.TLB_SHOOTDOWN_IPIS, len(recipients))
     return len(recipients)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro import events
+
 
 class _HeldGuard:
     """Preallocated ``held()`` guard: acquire, then an IRQ-disable
@@ -50,7 +52,6 @@ class SpinLock:
         self.name = name
         #: CPU id of the holder, or None when free
         self.owner: Optional[int] = None
-        self.acquisitions = 0
         self._guard = _HeldGuard(self)
 
     def acquire(self) -> None:
@@ -64,9 +65,8 @@ class SpinLock:
                 f"acquisition, which deadlocks a real spinlock)"
             )
         self.owner = machine.current_cpu
-        self.acquisitions += 1
         machine.charge(machine.costs.spinlock_ns, "spinlock")
-        machine.emit(metric=f"smp.lock.{self.name}.acquire")
+        machine.emit(events.LOCK_ACQUIRE[self.name])
 
     def release(self) -> None:
         if self.machine.num_cpus <= 1:

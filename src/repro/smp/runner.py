@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, Optional
 
+from repro import events
 from repro.harness.matrix import boot, kernel_state_digest, write_sidecars
 
 #: schema tag for the summary dict / ``*.smp.json`` sidecar
@@ -167,7 +168,7 @@ def _run_faas(seed: int, num_cpus: int, requests: int,
                 # a fault escaped every recovery path; the kernel is
                 # already consistent (rollback), the request is lost
                 failures[0] += 1
-                machine.emit(metric="smp.run.request_failures")
+                machine.emit(events.REQUEST_FAILURES)
             ex.submit(worker_task, step)
             return None
         return step
@@ -232,7 +233,7 @@ def _run_nginx(seed: int, num_cpus: int, requests: int,
                 io_wait_total[0] += stats.io_wait_ns
             except SimError:
                 failures[0] += 1
-                machine.emit(metric="smp.run.request_failures")
+                machine.emit(events.REQUEST_FAILURES)
             ex.submit(worker_task, step)
             return io_ns
         return step

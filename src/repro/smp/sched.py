@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro import events
 from repro.kernel.task import Task, TaskState
 
 
@@ -56,8 +57,6 @@ class SmpScheduler:
                              if self.num_cpus == 1
                              else "smp.sched.runqueue_depth")
         self.switches = 0
-        self.steals = 0
-        self.steal_aborts = 0
         #: optional pluggable pick policy: called with the local
         #: runnable candidates (queue order), returns the task to
         #: dispatch or ``None`` for the FIFO default.  The conformance
@@ -176,8 +175,7 @@ class SmpScheduler:
         else:
             machine.charge(costs.context_switch_mas_ns, "ctx_switch")
             machine.cpus[cpu].tlb.flush()
-        machine.emit(counter="context_switch",
-                     metric="kernel.sched.context_switch")
+        machine.emit(events.CONTEXT_SWITCH)
         self.switches += 1
         previous = self._current[cpu]
         if previous is not None and previous.state is TaskState.RUNNABLE:
@@ -248,8 +246,7 @@ class SmpScheduler:
         machine = self.machine
         chaos = machine.chaos
         if chaos.enabled and chaos.should_fire("smp.steal.abort"):
-            self.steal_aborts += 1
-            machine.emit(metric="smp.sched.steal_aborts")
+            machine.emit(events.STEAL_ABORTS)
             chaos.note_recovery("smp.steal.abort")
             return None
         victims = sorted(
@@ -266,9 +263,8 @@ class SmpScheduler:
                     continue
                 del self._queues[victim][task]
                 self._queues[cpu][task] = None
-                self.steals += 1
                 machine.charge(machine.costs.work_steal_ns, "steal")
-                machine.emit(counter="work_steal", metric="smp.sched.steals")
+                machine.emit(events.WORK_STEAL)
                 return task
         return None
 

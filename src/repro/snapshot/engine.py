@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import events
 from repro.chaos.faults import InjectedRestoreFailure
 from repro.chaos.recovery import Transaction, run_transaction
 from repro.cheri.capability import Capability, OTYPE_SENTRY, Perm
@@ -132,10 +133,9 @@ def checkpoint(os: Any, proc: Process, *, incremental: bool = False) -> bytes:
         "signals": _signals_manifest(proc),
     }
     blob = encode(manifest, bytes(payload))
-    machine.emit("checkpoint", counter="checkpoint",
-                 metric="core.snapshot.checkpoints", pid=proc.pid,
-                 pages=len(pages), incremental=bool(incremental))
-    machine.emit(n=len(pages), metric="core.snapshot.pages_captured")
+    machine.emit(events.CHECKPOINT, pid=proc.pid, pages=len(pages),
+                 incremental=bool(incremental))
+    machine.emit(events.PAGES_CAPTURED, len(pages))
     return blob
 
 
@@ -259,8 +259,7 @@ def restore(os: Any, blob: bytes, *, name: Optional[str] = None,
     return run_transaction(
         machine,
         lambda tx: _restore_phases(os, manifest, payload, name, parent, tx),
-        "restore", "core.snapshot.restore_rollbacks", InjectedRestoreFailure,
-        "restore")
+        events.RESTORE_ROLLBACK, InjectedRestoreFailure, "restore")
 
 
 def _check_geometry(machine: Any, manifest: Dict[str, Any]) -> None:
@@ -406,8 +405,7 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
     tx.on_abort(lambda: space.unmap_range(child.region_base // page,
                                           child.region_top // page))
     _apply_pages(machine, space, manifest, payload, regions)
-    machine.emit(n=len(manifest["pages"]),
-                 metric="core.snapshot.pages_restored")
+    machine.emit(events.PAGES_RESTORED, len(manifest["pages"]))
     _abort_point(machine, "core.snapshot.abort.pages")
 
     # 3. the register file: integers verbatim, capabilities re-minted
@@ -425,8 +423,7 @@ def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,
 
     # 5. publish (nothing below can fail, mirroring fork)
     os._publish(child, "restore", parent.pid if parent else 0)
-    machine.emit("restore", counter="restore",
-                 metric="core.snapshot.restores", pid=child.pid,
+    machine.emit(events.RESTORE, pid=child.pid,
                  pages=len(manifest["pages"]))
     return child
 
@@ -483,7 +480,7 @@ def _restore_fds(machine: Any, child: Process, manifest: Dict[str, Any],
     groups: Dict[int, FileDescription] = {}
     for entry in manifest["fds"]:
         if entry[1] != "pipe":
-            machine.emit(metric="core.snapshot.dropped_fds")
+            machine.emit(events.DROPPED_FDS)
             continue
         fd, _kind, group, index, end_readable, readable, writable, \
             file_offset = entry
@@ -559,8 +556,7 @@ def restore_into(os: Any, proc: Process, blob: bytes) -> int:
     _apply_pages(machine, os.space_of(proc), manifest, payload, regions)
     _restore_registers(machine, proc.main_task().registers, manifest,
                        regions)
-    machine.emit("restore_into", counter="restore_into", pid=proc.pid,
+    machine.emit(events.RESTORE_INTO, pid=proc.pid,
                  pages=len(manifest["pages"]))
-    machine.emit(n=len(manifest["pages"]),
-                 metric="core.snapshot.pages_applied")
+    machine.emit(events.PAGES_APPLIED, len(manifest["pages"]))
     return len(manifest["pages"])

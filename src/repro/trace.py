@@ -7,10 +7,12 @@ syscalls — with their simulated timestamps.  Tracing is off by default
 for answering "why did this fork cost what it did?": see
 ``TraceLog.summarize`` and the trace tests.
 
-Events arrive through :meth:`repro.machine.Machine.emit`, so attaching
-a tracer never changes which code runs: a batch (fork's page copy, a
-write-run CoW break) hands it the records of its pages in page order,
-stamped with the batch's clock reading.
+Events arrive through :meth:`repro.machine.Machine.emit`, which
+records an entry of the event table :mod:`repro.events` under the
+entry's ``trace`` name, so attaching a tracer never changes which code
+runs: a batch (fork's page copy, a write-run CoW break) hands it the
+``(entry, fields)`` records of its pages in page order, stamped with
+the batch's clock reading.
 
 Usage::
 

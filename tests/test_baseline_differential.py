@@ -39,6 +39,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import events
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.baselines import IsoUnikOS, MonolithicOS, VMCloneOS
@@ -119,7 +120,7 @@ def _swap_in_copy(space, vpn, frame, perms):
     new_frame = machine.phys.copy_frame(frame, preserve_tags=True)
     space.unmap_page(vpn)
     space.map_page(vpn, new_frame, perms, cow=True)
-    machine.emit(counter="cow_page_copies")
+    machine.emit(events.COW_PAGE_COPY)
 
 
 def _reference_cow_fault(space, vaddr, kind):
@@ -136,7 +137,7 @@ def _reference_cow_fault(space, vaddr, kind):
         perms = PagePerm(perms_int)
         if machine.phys.refcount(frame) > 1:
             _swap_in_copy(space, vpn, frame, perms)
-        machine.emit(metric="baselines.monolithic.cow_breaks")
+        machine.emit(events.MONOLITHIC_COW_BREAK)
         space.protect_run(vpn, 1, perms | PagePerm.WRITE)
         return True
 
@@ -163,8 +164,7 @@ def _reference_allocator_touch(os_, proc):
             _swap_in_copy(proc.space, vpn, frame, perms)
         proc.space.protect_run(vpn, 1, perms | PagePerm.WRITE)
         touched += 1
-    machine.emit(n=touched, counter="allocator_touch_pages",
-                 metric="baselines.monolithic.allocator_touch_pages")
+    machine.emit(events.ALLOCATOR_TOUCH_PAGES, touched)
 
 
 def _reference_teardown(os_, proc):

@@ -43,6 +43,7 @@ import functools
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import events
 from repro.api import Session
 from repro.chaos import ChaosEngine, FaultMix
 from repro.core import CopyStrategy
@@ -131,9 +132,7 @@ def _reference_copy_pages(os_, strategy, regions, delta_pages, eager,
             relocate_frame(machine, phys.frame(copy), regions)
             space.map_page(child_vpn, copy, orig)
             machine.charge(costs.pte_bulk_share_ns, "fork_map")
-            machine.emit("fork_page_copy", counter="fork_page_copies",
-                         metric="core.strategies.eager_page_copies",
-                         vpn=child_vpn, eager=True)
+            machine.emit(events.FORK_PAGE_COPY, vpn=child_vpn, eager=True)
             continue
         space.map_page(child_vpn, frame,
                        child_share_perms(strategy, orig), incref=True,

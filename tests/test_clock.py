@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.clock import EventCounters, SimClock, NS_PER_MS, NS_PER_US
+from repro import events
+from repro.clock import SimClock, NS_PER_MS, NS_PER_US
+from repro.machine import Machine
 
 
 class TestSimClock:
@@ -86,24 +88,53 @@ class TestSimClock:
 
 
 class TestEventCounters:
+    """``machine.counters`` is a read view of what ``Machine.emit``
+    counted."""
+
     def test_add_and_get(self):
-        counters = EventCounters()
-        counters.add("fault")
-        counters.add("fault", 2)
-        assert counters.get("fault") == 3
+        machine = Machine()
+        machine.emit(events.PAGE_FAULT["write"])
+        machine.emit(events.PAGE_FAULT["write"], 2)
+        assert machine.counters.get("fault_write") == 3
 
     def test_missing_is_zero(self):
-        assert EventCounters().get("nothing") == 0
+        counters = Machine().counters
+        assert counters.get("nothing") == 0
+        assert counters.get("fork") == 0  # declared, never emitted
 
     def test_snapshot_is_a_copy(self):
-        counters = EventCounters()
-        counters.add("x")
-        snap = counters.snapshot()
-        counters.add("x")
-        assert snap == {"x": 1}
+        machine = Machine()
+        machine.emit(events.FORK)
+        snap = machine.counters.snapshot()
+        machine.emit(events.FORK)
+        assert snap == {"fork": 1}
 
     def test_reset(self):
-        counters = EventCounters()
-        counters.add("x", 5)
-        counters.reset()
-        assert counters.get("x") == 0
+        machine = Machine()
+        machine.emit(events.FORK, amount=5)
+        machine.counters.reset()
+        assert machine.counters.get("fork") == 0
+        assert machine.counters.snapshot() == {}
+        machine.emit(events.FORK)
+        assert machine.counters.snapshot() == {"fork": 1}
+
+    def test_zero_amount_emit_creates_the_key(self):
+        # kernel_state_digest, the farm fingerprints and Session.report()
+        # hash the snapshot, so a counter emitted with 0 must appear
+        machine = Machine()
+        machine.obs.enable()
+        machine.emit(events.ALLOCATOR_TOUCH_PAGES, 0)
+        assert machine.counters.snapshot() == {"allocator_touch_pages": 0}
+        assert machine.obs.registry.counters() == {
+            "baselines.monolithic.allocator_touch_pages": 0}
+
+    def test_snapshot_keeps_first_emit_order(self):
+        machine = Machine()
+        # declared last, emitted first; two events share "fork"
+        for entry in (events.MIGRATE_PAGE_COPIES, events.VMCLONE_FORK,
+                      events.FRAMES_ALLOCATED, events.FORK,
+                      events.MIGRATE_PAGE_COPIES):
+            machine.emit(entry)
+        assert list(machine.counters.snapshot().items()) == [
+            ("migrate_page_copies", 2), ("fork", 2),
+            ("frames_allocated", 1)]

@@ -27,6 +27,7 @@ settles.
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro import events
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.cheri.capability import Perm
@@ -78,7 +79,7 @@ def reference_migrate(os, proc):
             else perms_int
         if shared:
             new_frame = machine.phys.copy_frame(frame, preserve_tags=True)
-            machine.emit(counter="migrate_page_copies")
+            machine.emit(events.MIGRATE_PAGE_COPIES)
         else:
             new_frame = frame
             machine.phys.incref(new_frame)
@@ -111,8 +112,8 @@ def reference_migrate(os, proc):
         machine, os.space, heap_cap, max_blocks=proc.allocator.max_blocks,
     )
     proc.allocator.attach_lazy()
-    machine.emit("migrate", counter="migrations", pid=proc.pid,
-                 old_base=old_base, new_base=new_base, pages=len(items))
+    machine.emit(events.MIGRATE, pid=proc.pid, old_base=old_base,
+                 new_base=new_base, pages=len(items))
     record_flow(machine, "migrate", proc.pid, proc.pid,
                 proc.region_base, proc.region_top)
     return new_base

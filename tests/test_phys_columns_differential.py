@@ -33,6 +33,7 @@ from typing import Dict, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import events
 from repro.chaos import ChaosEngine, FaultMix
 from repro.chaos.faults import InjectedAllocFailure
 from repro.cheri.capability import Capability, Perm
@@ -166,8 +167,7 @@ class ReferencePhysicalMemory:
             self._stale.discard(number)
         if zero and charge:
             self._clock.advance(self._costs.page_zero_ns, "page_zero")
-        self._emit(counter="frames_allocated",
-                   metric="hw.phys.frames_allocated")
+        self._emit(events.FRAMES_ALLOCATED)
         self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
         return number
 
@@ -197,8 +197,7 @@ class ReferencePhysicalMemory:
             self._stale.add(number)
             del self._frames[number]
             self._free.append(number)
-            self._emit(counter="frames_freed",
-                       metric="hw.phys.frames_freed")
+            self._emit(events.FRAMES_FREED)
             self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
 
     def decref_many(self, numbers) -> None:
@@ -225,7 +224,7 @@ class ReferencePhysicalMemory:
         if preserve_tags and self.chaos.enabled and \
                 self.chaos.should_fire("hw.phys.tag_clear"):
             self._recover_tag_clear(src, dst, charge)
-        self._emit(counter="frames_copied", metric="hw.phys.frames_copied")
+        self._emit(events.FRAMES_COPIED)
         return dst
 
     def cow_copy(self, src: int) -> int:
@@ -283,8 +282,7 @@ class ReferencePhysicalMemory:
                 frame.tags[:] = _zeros(len(frame.tags))
                 self._stale.discard(number)
         if fit:
-            self._emit(n=fit, counter="frames_allocated",
-                       metric="hw.phys.frames_allocated")
+            self._emit(events.FRAMES_ALLOCATED, fit)
             self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
         if fit < count:
             self._shortfall(numbers, zero=True)
@@ -308,10 +306,8 @@ class ReferencePhysicalMemory:
         raise AssertionError("alloc_budget predicted a failing allocation")
 
     def _settle_copies(self, count: int) -> None:
-        self._emit(n=count, counter="frames_allocated",
-                   metric="hw.phys.frames_allocated")
-        self._emit(n=count, counter="frames_copied",
-                   metric="hw.phys.frames_copied")
+        self._emit(events.FRAMES_ALLOCATED, count)
+        self._emit(events.FRAMES_COPIED, count)
         self._obs.gauge_set("hw.phys.allocated_frames", len(self._frames))
 
     def _recover_tag_clear(self, src: int, dst: int, charge: bool) -> None:

@@ -1,5 +1,6 @@
 """Tests for the structured execution tracer."""
 
+from repro import events
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
 from repro.core import CopyStrategy, UForkOS
@@ -19,55 +20,55 @@ class TestTraceLog:
         machine = Machine()
         tracer = attach_tracer(machine)
         machine.clock.advance(500)
-        machine.emit("custom", value=1)
+        machine.emit(events.EXIT, value=1)
         (event,) = tracer.events
         assert event.timestamp_ns == 500
-        assert event.event == "custom"
+        assert event.event == "exit"
         assert event.get("value") == 1
         assert event.get("missing", "dflt") == "dflt"
 
     def test_no_tracer_is_noop(self):
         machine = Machine()
-        machine.emit("ignored", x=1)  # must not raise
+        machine.emit(events.EXIT, x=1)  # must not raise
 
     def test_detach(self):
         machine = Machine()
         tracer = attach_tracer(machine)
         detach_tracer(machine)
-        machine.emit("after", x=1)
+        machine.emit(events.EXIT, x=1)
         assert tracer.events == []
 
     def test_capacity_bounded(self):
         machine = Machine()
         tracer = attach_tracer(machine, capacity=3)
         for index in range(5):
-            machine.emit("e", i=index)
+            machine.emit(events.EXIT, i=index)
         assert len(tracer.events) == 3
         assert tracer.dropped == 2
 
     def test_query_filters(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.emit("a", k=1)
-        machine.emit("a", k=2)
-        machine.emit("b", k=1)
-        assert tracer.count("a") == 2
-        assert tracer.count("a", k=1) == 1
-        assert tracer.count("b") == 1
+        machine.emit(events.EXIT, k=1)
+        machine.emit(events.EXIT, k=2)
+        machine.emit(events.MIGRATE, k=1)
+        assert tracer.count("exit") == 2
+        assert tracer.count("exit", k=1) == 1
+        assert tracer.count("migrate") == 1
         assert len(list(tracer.query())) == 3  # no filter: everything
 
     def test_between(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.emit("early")
+        machine.emit(events.FORK)
         machine.clock.advance(1000)
-        machine.emit("late")
-        assert [e.event for e in tracer.between(0, 500)] == ["early"]
+        machine.emit(events.EXIT)
+        assert [e.event for e in tracer.between(0, 500)] == ["fork"]
 
     def test_clear(self):
         machine = Machine()
         tracer = attach_tracer(machine)
-        machine.emit("x")
+        machine.emit(events.EXIT)
         tracer.clear()
         assert tracer.events == []
 
