@@ -82,8 +82,7 @@ class EventCounters:
 RECORDS = Event()
 
 # -- hw ------------------------------------------------------------------
-FRAMES_ALLOCATED = Event(None, "frames_allocated",
-                         "hw.phys.frames_allocated")
+FRAMES_ALLOCATED = Event(None, "frames_allocated", "hw.phys.frames_allocated")
 FRAMES_FREED = Event(None, "frames_freed", "hw.phys.frames_freed")
 FRAMES_COPIED = Event(None, "frames_copied", "hw.phys.frames_copied")
 TAG_GRANULES_SCANNED = Event(metric="hw.phys.tag_granules_scanned")
@@ -99,8 +98,7 @@ SYSCALL = Event("syscall", "syscall", "kernel.syscall.entries")
 SYSCALL_NAMED = _Family(lambda name: Event(counter=f"syscall_{name}"))
 TOCTTOU_COPIES = Event(metric="kernel.syscall.tocttou_copies")
 EXIT = Event("exit")
-CONTEXT_SWITCH = Event(None, "context_switch",
-                       "kernel.sched.context_switch")
+CONTEXT_SWITCH = Event(None, "context_switch", "kernel.sched.context_switch")
 PIPE_BYTES_WRITTEN = Event(metric="kernel.ipc.pipe_bytes_written")
 PIPE_BYTES_READ = Event(metric="kernel.ipc.pipe_bytes_read")
 MQ_BYTES_SENT = Event(metric="kernel.ipc.mq_bytes_sent")
@@ -131,8 +129,7 @@ def _cow_break(key) -> Event:
 COW_BREAK = _Family(_cow_break)
 CAP_FAULT_STORM_REPEAT = Event(
     metric="core.strategies.cap_fault_storm_repeats")
-RESOLVED_PENDING_PAGES = Event(
-    metric="core.strategies.resolved_pending_pages")
+RESOLVED_PENDING_PAGES = Event(metric="core.strategies.resolved_pending_pages")
 DEMAND_ZERO_PAGE = Event(counter="demand_zero_pages")
 RELOCATE_FRAME = Event("relocate_frame", "caps_relocated",
                        "core.relocate.caps_relocated")

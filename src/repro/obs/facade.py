@@ -3,9 +3,10 @@
 Every :class:`~repro.machine.Machine` carries an :class:`Observability`
 as ``machine.obs``.  It is **disabled by default**: instrumentation
 points throughout the simulator count through ``machine.emit`` (which
-forwards to :meth:`Observability.count`) and call ``gauge_set``,
-``observe`` and ``span`` on ``machine.obs`` unconditionally, and while
-disabled each call is a single attribute check that records nothing.
+bumps the counters :meth:`Observability.bind` binds to each event) and
+call ``gauge_set``, ``observe`` and ``span`` on ``machine.obs``
+unconditionally, and while disabled each call is a single attribute
+check that records nothing.
 Nothing in this module ever advances the simulated clock, so enabling
 observability cannot change any simulated result.
 
