@@ -286,7 +286,8 @@ class MonolithicOS(AbstractOS):
 
     def syscall(self, proc: Process, name: str, *args: Any,
                 gate: Optional[Capability] = None) -> Any:
-        if getattr(proc, "_pending_allocator_touch", False):
+        # a child killed before its first syscall has no space to touch
+        if getattr(proc, "_pending_allocator_touch", False) and proc.alive:
             proc._pending_allocator_touch = False
             self._child_allocator_touch(proc)
         return super().syscall(proc, name, *args, gate=gate)
@@ -320,4 +321,5 @@ class MonolithicOS(AbstractOS):
     def _teardown_memory(self, proc: Process) -> None:
         machine = self.machine
         machine.charge(machine.costs.monolithic_exit_ns, "exit")
+        proc._pending_allocator_touch = False
         proc.space.unmap_range(0, _va_pages(machine))

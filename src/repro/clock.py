@@ -10,7 +10,7 @@ and independent of host speed.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterable, Iterator, Tuple
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -66,6 +66,16 @@ class SimClock:
             self.buckets[bucket] = self.buckets.get(bucket, 0) + ns_int
         if self.observer is not None:
             self.observer(ns_int, bucket)
+
+    def advance_planned(self, charges: Iterable[Tuple[int, str]]) -> None:
+        """What one :meth:`advance` per ``(ns, bucket)`` of ``charges``
+        does, in order, for charges already rounded and checked
+        non-negative.  Callers first check that :attr:`observer` is
+        ``None``: it is not called here."""
+        buckets = self.buckets
+        for ns, bucket in charges:
+            self._now_ns += ns
+            buckets[bucket] = buckets.get(bucket, 0) + ns
 
     def advance_to(self, ns: int) -> None:
         """Move the clock forward to an absolute time (no-op if in the past)."""

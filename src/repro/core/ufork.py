@@ -133,8 +133,12 @@ class UForkOS(AbstractOS):
         """Kernel entry: through the sealed sentry gate when isolation
         is enabled (§4.4 principle 1)."""
         if self.isolation.level is not IsolationLevel.NONE:
-            check_syscall_gate(proc,
-                               gate if gate is not None else proc.syscall_gate)
+            entry = gate if gate is not None else proc.syscall_gate
+            # this kernel's own sentry, held by the process, passes at
+            # once; anything else (a copy, a forgery, no gate) is checked
+            if entry is not self.syscall_gate or \
+                    proc.syscall_gate is not entry:
+                check_syscall_gate(proc, entry)
         return super().syscall(proc, name, *args, gate=gate)
 
     # ------------------------------------------------------------------
@@ -445,7 +449,7 @@ class UForkOS(AbstractOS):
     def sys_mmap(self, proc: Process, size: int) -> Capability:
         """Anonymous private mapping inside the caller's mmap window;
         returns a capability confined to the calling μprocess (§4.2)."""
-        self._enter(proc, "mmap", 1)
+        self.syscalls.enter("mmap", 1)
         offset = getattr(proc, "mmap_offset", 0)
         base, pages = self._mmap_window_alloc(proc, size)
         try:

@@ -29,7 +29,7 @@ from repro.kernel import signals as _signals
 from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.ipc import MessageQueue, Pipe
 from repro.kernel.net import NetworkStack
-from repro.kernel.syscalls import IsolationConfig, SyscallLayer
+from repro.kernel.syscalls import EntryPlan, IsolationConfig, SyscallLayer
 from repro.kernel.task import PidAllocator, Process, ProcessTable
 from repro.kernel.vfs import O_RDONLY, RamDisk
 from repro.machine import Machine
@@ -76,11 +76,6 @@ class AbstractOS(abc.ABC):
         self.sched = SmpScheduler(self.machine, same_address_space)
         self._mqueues: Dict[str, MessageQueue] = {}
         self._shm: Dict[str, SharedMemoryObject] = {}
-        #: lazily-filled syscall dispatch table: name → (bound handler,
-        #: interned span label), replacing a per-call getattr + f-string.
-        #: Unknown names are never cached — the fuzzer sends garbage and
-        #: a poisoned entry would shadow a handler added to a subclass.
-        self._dispatch: Dict[str, Tuple[Any, str]] = {}
         #: the root every process's authority is derived from
         self.kernel_root = Capability.root(self.machine.config.va_size)
         self.machine.register_kernel(self)
@@ -133,10 +128,18 @@ class AbstractOS(abc.ABC):
 
         Subclasses may override to enforce their entry mechanism (the
         SASOS checks the sealed gate); the shared implementation only
-        dispatches.
+        dispatches, through the name's :class:`EntryPlan` (built on
+        first use; unknown names are never planned — the fuzzer sends
+        garbage and a poisoned entry would shadow a handler added to a
+        subclass).
 
-        Observability: each invocation runs inside a ``syscall.<name>``
-        span, so per-syscall latency lands in the
+        With obs and chaos off, no ``syscall_tap`` and no signal
+        pending, the handler is called directly.  Otherwise the call
+        takes the general path: the span, signal delivery, the chaos
+        preempt point and retry loop, then the tap.
+
+        Observability: while obs is enabled each invocation runs inside
+        a ``syscall.<name>`` span, so per-syscall latency lands in the
         ``span.syscall.<name>`` histogram and every cost charged by the
         handler (fork phases included) nests under it in the span tree.
 
@@ -146,31 +149,36 @@ class AbstractOS(abc.ABC):
         faults (EINTR/ENOMEM/EAGAIN) and rolled-back fork failures are
         retried with backoff instead of surfacing to the caller.
         """
-        entry = self._dispatch.get(name)
-        if entry is None:
-            handler = getattr(self, f"sys_{name}", None)
+        plan = self.syscalls.plans.get(name)
+        if plan is None:
+            handler = getattr(type(self), f"sys_{name}", None)
             if handler is None:
                 raise InvalidArgument(f"unknown syscall {name!r}")
-            entry = (handler, f"syscall.{name}")
-            self._dispatch[name] = entry
-        handler, span_label = entry
+            plan = self.syscalls.plans[name] = EntryPlan(handler, name)
         if not proc.alive:
             raise NoSuchProcess(f"process {proc.pid} has exited")
-        with self.machine.obs.span(span_label):
+        handler = plan.handler
+        machine = self.machine
+        signals = proc.signal_state
+        if not (machine.obs.enabled or machine.chaos.enabled
+                or machine.syscall_tap is not None
+                or (signals is not None and signals.pending)):
+            return handler(self, proc, *args)
+        with machine.obs.span(plan.span_label):
             # kernel-boundary crossing: deliver pending signals first
             _signals.deliver_pending(self, proc)
             if not proc.alive:
                 raise NoSuchProcess(f"process {proc.pid} was terminated")
-            chaos = self.machine.chaos
-            tap = self.machine.syscall_tap
+            chaos = machine.chaos
+            tap = machine.syscall_tap
             try:
                 if chaos.enabled:
                     if chaos.should_fire("kernel.sched.preempt"):
                         self.sched.yield_current()
-                    result = retry_syscall(self.machine,
-                                           lambda: handler(proc, *args))
+                    result = retry_syscall(
+                        machine, lambda: handler(self, proc, *args))
                 else:
-                    result = handler(proc, *args)
+                    result = handler(self, proc, *args)
             except Exception as exc:
                 if tap is not None:
                     tap(self, proc, name, args, None, exc)
@@ -178,10 +186,6 @@ class AbstractOS(abc.ABC):
             if tap is not None:
                 tap(self, proc, name, args, result, None)
             return result
-
-    def _enter(self, proc: Process, name: str, nargs: int,
-               buffers: Sequence[int] = ()) -> None:
-        self.syscalls.enter(name, nargs=nargs, buffer_bytes=buffers)
 
     # -- user-buffer plumbing ------------------------------------------------
 
@@ -207,18 +211,18 @@ class AbstractOS(abc.ABC):
     # ------------------------------------------------------------------
 
     def sys_open(self, proc: Process, path: str, flags: int = O_RDONLY) -> int:
-        self._enter(proc, "open", 2)
+        self.syscalls.enter("open", 2)
         handle = self.ramdisk.open(path, flags)
         desc = FileDescription(handle)
         return proc.fdtable.install(desc)
 
     def sys_close(self, proc: Process, fd: int) -> None:
-        self._enter(proc, "close", 1)
+        self.syscalls.enter("close", 1)
         proc.fdtable.close(fd)
 
     def sys_read(self, proc: Process, fd: int, buf: Capability,
                  size: int) -> int:
-        self._enter(proc, "read", 3, buffers=(size,))
+        self.syscalls.enter("read", 3, (size,))
         desc = proc.fdtable.get(fd)
         if not desc.readable:
             from repro.errors import BadFileDescriptor
@@ -230,7 +234,7 @@ class AbstractOS(abc.ABC):
 
     def sys_write(self, proc: Process, fd: int, buf: Capability,
                   size: int) -> int:
-        self._enter(proc, "write", 3, buffers=(size,))
+        self.syscalls.enter("write", 3, (size,))
         desc = proc.fdtable.get(fd)
         if not desc.writable:
             from repro.errors import BadFileDescriptor
@@ -240,32 +244,32 @@ class AbstractOS(abc.ABC):
 
     def sys_lseek(self, proc: Process, fd: int, offset: int,
                   whence: int) -> int:
-        self._enter(proc, "lseek", 3)
+        self.syscalls.enter("lseek", 3)
         desc = proc.fdtable.get(fd)
         return desc.obj.seek(desc, offset, whence)
 
     def sys_dup(self, proc: Process, fd: int) -> int:
-        self._enter(proc, "dup", 1)
+        self.syscalls.enter("dup", 1)
         return proc.fdtable.dup(fd)
 
     def sys_dup2(self, proc: Process, oldfd: int, newfd: int) -> int:
-        self._enter(proc, "dup2", 2)
+        self.syscalls.enter("dup2", 2)
         return proc.fdtable.dup2(oldfd, newfd)
 
     def sys_unlink(self, proc: Process, path: str) -> None:
-        self._enter(proc, "unlink", 1)
+        self.syscalls.enter("unlink", 1)
         self.ramdisk.unlink(path)
 
     def sys_rename(self, proc: Process, old: str, new: str) -> None:
-        self._enter(proc, "rename", 2)
+        self.syscalls.enter("rename", 2)
         self.ramdisk.rename(old, new)
 
     def sys_stat(self, proc: Process, path: str) -> int:
-        self._enter(proc, "stat", 1)
+        self.syscalls.enter("stat", 1)
         return self.ramdisk.stat_size(path)
 
     def sys_mkdir(self, proc: Process, path: str) -> None:
-        self._enter(proc, "mkdir", 1)
+        self.syscalls.enter("mkdir", 1)
         self.ramdisk.mkdir(path)
 
     # ------------------------------------------------------------------
@@ -273,7 +277,7 @@ class AbstractOS(abc.ABC):
     # ------------------------------------------------------------------
 
     def sys_pipe(self, proc: Process) -> Tuple[int, int]:
-        self._enter(proc, "pipe", 0)
+        self.syscalls.enter("pipe", 0)
         pipe = Pipe(self.machine)
         read_fd = proc.fdtable.install(
             FileDescription(pipe.read_end(), writable=False))
@@ -282,7 +286,7 @@ class AbstractOS(abc.ABC):
         return read_fd, write_fd
 
     def sys_mq_open(self, proc: Process, name: str) -> MessageQueue:
-        self._enter(proc, "mq_open", 1)
+        self.syscalls.enter("mq_open", 1)
         queue = self._mqueues.get(name)
         if queue is None:
             queue = MessageQueue(self.machine, name=name)
@@ -291,11 +295,11 @@ class AbstractOS(abc.ABC):
 
     def sys_mq_send(self, proc: Process, queue: MessageQueue, data: bytes,
                     priority: int = 0) -> None:
-        self._enter(proc, "mq_send", 3, buffers=(len(data),))
+        self.syscalls.enter("mq_send", 3, (len(data),))
         queue.send(data, priority)
 
     def sys_mq_receive(self, proc: Process, queue: MessageQueue) -> bytes:
-        self._enter(proc, "mq_receive", 1)
+        self.syscalls.enter("mq_receive", 1)
         return queue.receive()
 
     # ------------------------------------------------------------------
@@ -303,31 +307,31 @@ class AbstractOS(abc.ABC):
     # ------------------------------------------------------------------
 
     def sys_listen(self, proc: Process, port: int, backlog: int = 128) -> int:
-        self._enter(proc, "listen", 2)
+        self.syscalls.enter("listen", 2)
         listener = self.net.listen(port, backlog)
         return proc.fdtable.install(FileDescription(listener))
 
     def sys_accept(self, proc: Process, listen_fd: int) -> int:
-        self._enter(proc, "accept", 1)
+        self.syscalls.enter("accept", 1)
         desc = proc.fdtable.get(listen_fd)
         endpoint = desc.obj.accept()
         return proc.fdtable.install(FileDescription(endpoint))
 
     def sys_connect(self, proc: Process, port: int) -> int:
-        self._enter(proc, "connect", 1)
+        self.syscalls.enter("connect", 1)
         endpoint = self.net.connect(port)
         return proc.fdtable.install(FileDescription(endpoint))
 
     def sys_send(self, proc: Process, fd: int, buf: Capability,
                  size: int) -> int:
-        self._enter(proc, "send", 3, buffers=(size,))
+        self.syscalls.enter("send", 3, (size,))
         desc = proc.fdtable.get(fd)
         data = self._read_user(proc, buf, size)
         return desc.obj.send(data)
 
     def sys_recv(self, proc: Process, fd: int, buf: Capability,
                  size: int) -> int:
-        self._enter(proc, "recv", 3, buffers=(size,))
+        self.syscalls.enter("recv", 3, (size,))
         desc = proc.fdtable.get(fd)
         data = desc.obj.recv(size)
         if data:
@@ -339,18 +343,18 @@ class AbstractOS(abc.ABC):
     # ------------------------------------------------------------------
 
     def sys_getpid(self, proc: Process) -> int:
-        self._enter(proc, "getpid", 0)
+        self.syscalls.enter("getpid", 0)
         return proc.pid
 
     def sys_fork(self, proc: Process) -> Process:
-        self._enter(proc, "fork", 0)
+        self.syscalls.enter("fork", 0)
         return self.fork(proc)
 
     def sys_thread_create(self, proc: Process) -> Any:
         """Create an additional thread in the calling process (§3.4:
         "each μprocess may have many threads", all sharing its PID,
         memory region and fd table)."""
-        self._enter(proc, "thread_create", 0)
+        self.syscalls.enter("thread_create", 0)
         self.machine.charge(self.machine.costs.ufork_fixed_ns * 0.2,
                             "thread_create")
         task = proc.add_task()
@@ -363,20 +367,20 @@ class AbstractOS(abc.ABC):
         """posix_spawn / vfork+exec (U1): start a *fresh* program as a
         child — no state duplication, loaded at a free location (§2.3,
         "Modern SASOSes and fork + exec support")."""
-        self._enter(proc, "spawn", 2)
+        self.syscalls.enter("spawn", 2)
         child = self.spawn(image, name)
         child.parent = proc
         proc.children.append(child)
         return child
 
     def sys_exit(self, proc: Process, status: int = 0) -> None:
-        self._enter(proc, "exit", 1)
+        self.syscalls.enter("exit", 1)
         self._exit_process(proc, status)
 
     def sys_waitpid(self, proc: Process, pid: int = -1) -> Tuple[int, int]:
         """Reap an exited child; (pid, status).  WouldBlock if none has
         exited yet (drivers run children to completion, so this is rare)."""
-        self._enter(proc, "waitpid", 1)
+        self.syscalls.enter("waitpid", 1)
         candidates = [
             child for child in proc.children
             if not child.reaped and (pid == -1 or child.pid == pid)
@@ -391,7 +395,7 @@ class AbstractOS(abc.ABC):
         raise WouldBlock("no exited children yet")
 
     def sys_yield(self, proc: Process) -> None:
-        self._enter(proc, "yield", 0)
+        self.syscalls.enter("yield", 0)
         self.sched.yield_current()
 
     # ------------------------------------------------------------------
@@ -399,16 +403,16 @@ class AbstractOS(abc.ABC):
     # ------------------------------------------------------------------
 
     def sys_kill(self, proc: Process, pid: int, signum: int) -> None:
-        self._enter(proc, "kill", 2)
+        self.syscalls.enter("kill", 2)
         target = self.procs.get(pid)
         _signals.send(self, target, signum)
 
     def sys_signal(self, proc: Process, signum: int, handler) -> None:
-        self._enter(proc, "signal", 2)
+        self.syscalls.enter("signal", 2)
         _signals.register(proc, signum, handler)
 
     def sys_sigpending(self, proc: Process):
-        self._enter(proc, "sigpending", 0)
+        self.syscalls.enter("sigpending", 0)
         return list(_signals.signal_state(proc).pending)
 
     # ------------------------------------------------------------------
@@ -418,7 +422,7 @@ class AbstractOS(abc.ABC):
     def sys_shm_open(self, proc: Process, name: str,
                      size: int) -> SharedMemoryObject:
         """Create-or-open a named shared memory object."""
-        self._enter(proc, "shm_open", 2)
+        self.syscalls.enter("shm_open", 2)
         shm = self._shm.get(name)
         if shm is None:
             page = self.machine.config.page_size
@@ -438,7 +442,7 @@ class AbstractOS(abc.ABC):
         return machine.phys.alloc_run(pages)
 
     def sys_shm_map(self, proc: Process, shm: SharedMemoryObject) -> Capability:
-        self._enter(proc, "shm_map", 1)
+        self.syscalls.enter("shm_map", 1)
         return self._map_shared(proc, shm)
 
     def _map_shared(self, proc: Process, shm: SharedMemoryObject) -> Capability:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import events
 from repro.cheri.capability import Capability, OTYPE_SENTRY
@@ -64,6 +64,33 @@ class IsolationConfig:
         }[level]()
 
 
+#: ``(ns, bucket)`` charges, rounded as :meth:`SimClock.advance` rounds
+Charges = Tuple[Tuple[int, str], ...]
+
+_SYSCALL_SLOT = events.SYSCALL.slot
+
+
+class EntryPlan:
+    """One syscall name's entry on one kernel, built on first dispatch.
+
+    It holds the handler (the class function, so the plan holds no
+    reference back to the kernel), the ``syscall.<name>`` span label,
+    the ``SYSCALL_NAMED[name]`` event and, per ``nargs``, the entry and
+    validation charges.  Caching the charges is sound because the cost
+    model and the isolation config are frozen and fixed per
+    :class:`SyscallLayer`.
+    """
+
+    __slots__ = ("handler", "span_label", "named", "charges")
+
+    def __init__(self, handler: Callable[..., Any], name: str) -> None:
+        self.handler = handler
+        self.span_label = f"syscall.{name}"
+        self.named = events.SYSCALL_NAMED[name]
+        #: nargs -> the charges :meth:`SyscallLayer.enter` makes
+        self.charges: Dict[int, Charges] = {}
+
+
 class SyscallLayer:
     """Charges entry, validation and TOCTTOU costs per syscall."""
 
@@ -72,6 +99,9 @@ class SyscallLayer:
         self.machine = machine
         self.trapless = trapless
         self.isolation = isolation
+        #: syscall name -> :class:`EntryPlan`, filled by the kernel's
+        #: dispatch (:meth:`repro.kernel.base.AbstractOS.syscall`)
+        self.plans: Dict[str, EntryPlan] = {}
 
     def enter(self, name: str, nargs: int = 0,
               buffer_bytes: Sequence[int] = ()) -> None:
@@ -80,37 +110,76 @@ class SyscallLayer:
         ``buffer_bytes`` lists the sizes of user buffers passed by
         reference (each is double-copied under TOCTTOU protection).
 
+        A planned name with chaos, obs, the tracer and any clock
+        observer off and no TOCTTOU copies to make takes one branch:
+        the plan's charges in one clock call, then the two counter
+        bumps, in the order and with the amounts of the general path
+        below.
+
         Chaos: the ``kernel.syscall.{eintr,enomem,eagain}`` points fire
         here, *before any handler work* — every handler calls ``enter``
         as its first statement, so an injected entry fault leaves no
         partial state and the dispatch layer's bounded retry
         (:func:`repro.chaos.retry_syscall`) can safely re-run it.
         """
-        chaos = self.machine.chaos
+        machine = self.machine
+        plan = self.plans.get(name)
+        if (plan is not None and not machine.chaos.enabled
+                and machine.clock.observer is None
+                and machine.tracer is None and not machine.obs.enabled
+                and not (buffer_bytes and self.isolation.tocttou)):
+            charges = plan.charges.get(nargs) or self._plan_charges(plan,
+                                                                    nargs)
+            if charges:
+                machine.clock.advance_planned(charges)
+                values = machine.counters.values
+                values[_SYSCALL_SLOT] = values.get(_SYSCALL_SLOT, 0) + 1
+                slot = plan.named.slot
+                values[slot] = values.get(slot, 0) + 1
+                return
+        chaos = machine.chaos
         if chaos.enabled:
             fault = chaos.syscall_fault(name)
             if fault is not None:
                 raise fault
-        costs = self.machine.costs
-        if self.trapless:
-            self.machine.charge(costs.sealed_syscall_ns, "syscall_entry")
-        else:
-            self.machine.charge(costs.trap_syscall_ns, "syscall_entry")
-        if self.isolation.validate_args and nargs:
-            self.machine.charge(costs.syscall_validate_ns * nargs,
-                                "syscall_validate")
+        for ns, bucket in self._entry_charges(nargs):
+            machine.charge(ns, bucket)
+        costs = machine.costs
         if self.isolation.tocttou:
             for size in buffer_bytes:
                 copied = min(size, costs.tocttou_max_copy_bytes)
-                self.machine.charge(costs.tocttou_setup_ns, "tocttou")
-                self.machine.charge(
+                machine.charge(costs.tocttou_setup_ns, "tocttou")
+                machine.charge(
                     costs.tocttou_copy_ns_per_byte * 2 * copied, "tocttou"
                 )
-        emit = self.machine.emit
+        emit = machine.emit
         emit(events.SYSCALL, name=name)
         emit(events.SYSCALL_NAMED[name])
         if self.isolation.tocttou and buffer_bytes:
             emit(events.TOCTTOU_COPIES, len(buffer_bytes))
+
+    def _entry_charges(self, nargs: int) -> List[Tuple[float, str]]:
+        """The entry charge and, at FAULT isolation and above, the
+        validation charge for ``nargs`` arguments, as ``(ns, bucket)``."""
+        costs = self.machine.costs
+        charges = [(costs.sealed_syscall_ns if self.trapless
+                    else costs.trap_syscall_ns, "syscall_entry")]
+        if self.isolation.validate_args and nargs:
+            charges.append((costs.syscall_validate_ns * nargs,
+                            "syscall_validate"))
+        return charges
+
+    def _plan_charges(self, plan: EntryPlan, nargs: int) -> Charges:
+        """Record and return ``plan``'s rounded entry charges for
+        ``nargs`` arguments; none when the clock would refuse one (a
+        negative cost), so that the general path raises as it always
+        has."""
+        charges = self._entry_charges(nargs)
+        if any(ns < 0 for ns, _bucket in charges):
+            return ()
+        planned = plan.charges[nargs] = tuple(
+            (int(round(ns)), bucket) for ns, bucket in charges)
+        return planned
 
     # -- argument validation helpers -------------------------------------------
 

@@ -66,14 +66,14 @@ class Process:
 
     The attributes every kernel touches live in ``__slots__``; the
     trailing ``__dict__`` slot keeps the object open for the subsystem
-    attachments that hang extra state off a process at runtime (signal
-    state, shm bindings, dynamic-library capabilities, …).
+    attachments that hang extra state off a process at runtime (shm
+    bindings, dynamic-library capabilities, …).
     """
 
     __slots__ = ("pid", "name", "parent", "children", "tasks",
                  "exit_status", "reaped", "region_base", "region_top",
                  "layout", "allocator", "space", "fdtable",
-                 "syscall_gate", "__dict__")
+                 "syscall_gate", "signal_state", "__dict__")
 
     def __init__(self, pid: int, name: str,
                  parent: Optional["Process"] = None) -> None:
@@ -101,6 +101,8 @@ class Process:
         self.fdtable: Any = None
         #: sealed syscall-entry capability handed out at load (SASOS)
         self.syscall_gate: Any = None
+        #: :class:`repro.kernel.signals.SignalState`, made on first use
+        self.signal_state: Any = None
 
     # -- threads --------------------------------------------------------
 

@@ -8,7 +8,8 @@ from repro.apps.guest import GuestContext
 from repro.apps.hello import GREETING, hello_world_image, run_hello
 from repro.baselines import MonolithicOS, VMCloneOS
 from repro.core import UForkOS
-from repro.errors import InvalidArgument, OutOfMemory
+from repro.errors import InvalidArgument, NoSuchProcess, OutOfMemory
+from repro.kernel.signals import SIGKILL
 from repro.machine import Machine
 from repro.params import MachineConfig
 
@@ -151,6 +152,24 @@ class TestMonolithic:
         child.syscall("getpid")  # first kernel entry triggers the touch
         assert os_.machine.counters.get("cow_page_copies") > before
         assert not child.proc._pending_allocator_touch
+
+    @pytest.mark.parametrize("os_cls", [MonolithicOS, VMCloneOS])
+    def test_child_killed_before_first_syscall(self, os_cls):
+        """The deferred allocator touch never runs on a dead child's
+        torn-down space: its syscall fails with NoSuchProcess and
+        changes no counter."""
+        os_ = boot(os_cls)
+        parent = spawn_hello(os_)
+        block = parent.malloc(8 * 4096)
+        parent.store(block, b"z" * (8 * 4096))
+        child = parent.fork()
+        parent.syscall("kill", child.pid, SIGKILL)
+        assert not child.proc._pending_allocator_touch
+        counters = os_.machine.counters.snapshot()
+        with pytest.raises(NoSuchProcess):
+            child.syscall("getpid")
+        assert os_.machine.counters.snapshot() == counters
+        assert parent.wait(child.pid) == (child.pid, 128 + SIGKILL)
 
 
 class TestVMClone:

@@ -1,0 +1,133 @@
+"""Differential suite: a syscall's fast entry branch and its general
+path come out bit-equal.
+
+With obs, chaos and the tracer off, no ``syscall_tap`` and no signal
+pending, :meth:`repro.kernel.base.AbstractOS.syscall` calls the
+handler straight through the name's entry plan; with no clock observer
+either, :meth:`repro.kernel.syscalls.SyscallLayer.enter` makes the
+planned charges in one clock call.  A no-op ``syscall_tap`` and a
+no-op clock observer send every call down both general paths instead
+(span, signal delivery, tap; per-charge clock advances and emits).
+One mixed script — an nginx request served from the ram-disk, a pipe
+ping-pong, reads and writes through user buffers (TOCTTOU copies
+under FULL isolation), an unknown syscall, a handler that raises,
+calls on killed, signalled and exited processes — runs once each way
+on every kernel at every isolation level; results, exception types,
+the clock reading, its buckets and the counter view must be equal,
+orders included.
+"""
+
+import pytest
+
+from repro.apps.guest import GuestContext
+from repro.apps.hello import hello_world_image
+from repro.apps.nginx import MiniNginx, WrkClient, nginx_image
+from repro.apps.unixbench import context1
+from repro.baselines import IsoUnikOS, MonolithicOS, VMCloneOS
+from repro.core import UForkOS
+from repro.kernel.signals import SIGKILL, SIGTERM
+from repro.kernel.syscalls import IsolationConfig, IsolationLevel
+from repro.kernel.vfs import O_RDONLY
+from repro.machine import Machine
+
+KERNELS = {"ufork": UForkOS, "monolithic": MonolithicOS,
+           "isounik": IsoUnikOS, "vmclone": VMCloneOS}
+
+
+def _script(os_):
+    """Run the mixed script on ``os_``; returns one outcome per step."""
+    outcomes = []
+
+    def step(call):
+        try:
+            value = call()
+        except Exception as exc:  # the outcome under test
+            outcomes.append(("raised", type(exc).__name__, str(exc)))
+        else:
+            outcomes.append(("returned", value))
+
+    # an nginx request, the page read from the ram-disk (stat, open,
+    # read and close in the worker; mkdir, open, write in the master)
+    master = GuestContext(os_, os_.spawn(nginx_image(), "nginx"))
+    server = MiniNginx(master, docroot="/www")
+    server.publish("index.html", b"<h1>entry</h1>")
+    server.fork_workers(1)
+    client = WrkClient(GuestContext(os_, os_.spawn(nginx_image(), "wrk")))
+    fd = client.issue()
+    step(lambda: server.serve_one(server.workers[0]).total_ns)
+    step(lambda: client.complete(fd))
+
+    # a pipe ping-pong between the master and a forked child
+    step(lambda: context1(master, target=8).total_ns)
+
+    # open/read/write through user buffers (TOCTTOU copies under FULL)
+    buf = master.malloc(64)
+    step(lambda: master.syscall("open", "/www/index.html", O_RDONLY))
+    ro_fd = outcomes[-1][1]
+    step(lambda: master.syscall("read", ro_fd, buf, 32))
+    # a handler that raises: writing to a read-only descriptor
+    step(lambda: master.syscall("write", ro_fd, buf, 4))
+    step(lambda: master.syscall("close", ro_fd))
+    step(lambda: master.syscall("close", ro_fd))
+    # an unknown syscall
+    step(lambda: master.syscall("no_such_syscall", 1))
+
+    # a child killed before its first syscall, and one with SIGTERM
+    # pending when it enters the kernel
+    killed = master.fork()
+    step(lambda: master.syscall("kill", killed.pid, SIGKILL))
+    step(lambda: killed.syscall("getpid"))
+    signalled = master.fork()
+    step(lambda: signalled.syscall("getpid") == signalled.pid)
+    step(lambda: master.syscall("kill", signalled.pid, SIGTERM))
+    step(lambda: signalled.syscall("getpid"))
+    step(lambda: master.wait(killed.pid))
+    step(lambda: master.wait(signalled.pid))
+
+    # a plain process's last syscalls, then calls after its exit
+    hello = GuestContext(os_, os_.spawn(hello_world_image(), "hello"))
+    step(lambda: hello.syscall("getpid") == hello.pid)
+    step(lambda: hello.exit(0))
+    step(lambda: hello.syscall("getpid"))
+    step(lambda: hello.syscall("no_such_syscall"))
+
+    server.shutdown()
+    client.ctx.exit(0)
+    master.exit(0)
+    return outcomes
+
+
+def _run(kernel, level, slow):
+    machine = Machine(seed=7)
+    os_ = KERNELS[kernel](machine=machine,
+                          isolation=IsolationConfig.from_level(level))
+    if slow:
+        machine.syscall_tap = lambda *record: None
+        machine.clock.observer = lambda ns, bucket: None
+    outcomes = _script(os_)
+    # only the fast ``enter`` branch fills a plan's charges
+    planned = sum(len(plan.charges) for plan in os_.syscalls.plans.values())
+    return (outcomes, machine.clock.now_ns,
+            list(machine.clock.buckets.items()),
+            list(machine.counters.snapshot().items()), planned)
+
+
+@pytest.mark.parametrize("level", list(IsolationLevel),
+                         ids=lambda level: level.value)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_fast_entry_matches_general_path(kernel, level):
+    fast = _run(kernel, level, slow=False)
+    slow = _run(kernel, level, slow=True)
+    assert fast[0] == slow[0]
+    assert fast[1] == slow[1]
+    assert fast[2] == slow[2]
+    assert fast[3] == slow[3]
+    assert fast[4] and not slow[4]
+    outcomes = fast[0]
+    # the script reached every case it is meant to cover
+    raised = {outcome[1] for outcome in outcomes if outcome[0] == "raised"}
+    assert raised == {"BadFileDescriptor", "InvalidArgument",
+                      "NoSuchProcess"}
+    response = outcomes[1][1]
+    assert response.startswith(b"HTTP/1.1 200")
+    assert response.endswith(b"<h1>entry</h1>")

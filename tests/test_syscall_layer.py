@@ -1,8 +1,13 @@
 """Tests for the syscall entry layer and parameterized isolation."""
 
+import dataclasses
+
 import pytest
 
+from repro.apps.hello import hello_world_image
+from repro.baselines import MonolithicOS
 from repro.cheri.capability import Capability, OTYPE_SENTRY, Perm
+from repro.core import UForkOS
 from repro.errors import BadAddress, IsolationViolation
 from repro.kernel.syscalls import (
     IsolationConfig,
@@ -189,3 +194,82 @@ class TestGateCheck:
         proc.syscall_gate = None
         with pytest.raises(IsolationViolation):
             check_syscall_gate(proc, self.make_gate())
+
+
+class TestKernelEntryGate:
+    """μFork's entry check: the kernel's own sentry held by the caller
+    passes at once, anything else goes through :func:`check_syscall_gate`."""
+
+    def boot(self, machine, config=None):
+        os_ = UForkOS(machine=machine, isolation=config)
+        return os_, os_.spawn(hello_world_image(), "p")
+
+    def test_own_gate_passes(self, machine):
+        os_, proc = self.boot(machine)
+        assert proc.syscall_gate is os_.syscall_gate
+        assert os_.syscall(proc, "getpid", gate=proc.syscall_gate) == proc.pid
+        assert os_.syscall(proc, "getpid") == proc.pid
+
+    def test_field_equal_copy_passes(self, machine):
+        os_, proc = self.boot(machine)
+        copy = dataclasses.replace(os_.syscall_gate)
+        assert copy is not os_.syscall_gate and copy == os_.syscall_gate
+        assert os_.syscall(proc, "getpid", gate=copy) == proc.pid
+        # a sentry restored into the process (from a register or a
+        # checkpoint) is a copy too
+        proc.syscall_gate = copy
+        assert os_.syscall(proc, "getpid") == proc.pid
+        assert os_.syscall(proc, "getpid", gate=os_.syscall_gate) == proc.pid
+
+    def test_forged_sentry_rejected(self, machine):
+        os_, proc = self.boot(machine)
+        region = os_.kernel_root.set_bounds(proc.region_base, 16) \
+            .with_cursor(proc.region_base)
+        forged = region.sealed(OTYPE_SENTRY)
+        assert proc.syscall_gate is os_.syscall_gate
+        with pytest.raises(IsolationViolation):
+            os_.syscall(proc, "getpid", gate=forged)
+
+    def test_process_without_gate_rejected(self, machine):
+        os_, proc = self.boot(machine)
+        proc.syscall_gate = None
+        with pytest.raises(IsolationViolation):
+            os_.syscall(proc, "getpid")
+        with pytest.raises(IsolationViolation):
+            os_.syscall(proc, "getpid", gate=os_.syscall_gate)
+
+    def test_no_check_at_none_isolation(self, machine):
+        os_, proc = self.boot(machine, IsolationConfig.none())
+        proc.syscall_gate = None
+        forged = Capability(base=0x2_0000, length=16, cursor=0x2_0000,
+                            perms=Perm.code()).sealed(OTYPE_SENTRY)
+        assert os_.syscall(proc, "getpid", gate=forged) == proc.pid
+        assert os_.syscall(proc, "getpid") == proc.pid
+
+
+def test_kernels_sharing_a_machine_charge_their_own_plans(machine):
+    """Plans belong to a kernel's syscall layer: two kernels on one
+    machine, one sealed-entry at FAULT isolation, one trap-entry at
+    NONE, each charge their own entry and validation costs, whichever
+    ran the name first."""
+    costs = machine.costs
+    fault_os = UForkOS(machine=machine, isolation=IsolationConfig.fault())
+    none_os = MonolithicOS(machine=machine, isolation=IsolationConfig.none())
+    procs = {fault_os: fault_os.spawn(hello_world_image(), "fault"),
+             none_os: none_os.spawn(hello_world_image(), "none")}
+    expected = {
+        fault_os: (round(costs.sealed_syscall_ns),
+                   round(costs.syscall_validate_ns)),
+        none_os: (round(costs.trap_syscall_ns), 0),
+    }
+    buckets = machine.clock.buckets
+    for os_ in (fault_os, none_os, none_os, fault_os):
+        for index in range(2):
+            entry = buckets.get("syscall_entry", 0)
+            validate = buckets.get("syscall_validate", 0)
+            os_.syscall(procs[os_], "mkdir", f"/{os_.kind}-{index}-{entry}")
+            assert (buckets["syscall_entry"] - entry,
+                    buckets.get("syscall_validate", 0) - validate) \
+                == expected[os_]
+    assert fault_os.syscalls.plans["mkdir"] is not \
+        none_os.syscalls.plans["mkdir"]
