@@ -134,9 +134,7 @@ class AbstractOS(abc.ABC):
         subclass).
 
         With obs and chaos off, no ``syscall_tap`` and no signal
-        pending, the handler is called directly.  Otherwise the call
-        takes the general path: the span, signal delivery, the chaos
-        preempt point and retry loop, then the tap.
+        pending, the handler is called directly; otherwise as follows.
 
         Observability: while obs is enabled each invocation runs inside
         a ``syscall.<name>`` span, so per-syscall latency lands in the
