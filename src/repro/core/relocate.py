@@ -25,9 +25,11 @@ no :class:`Capability` at all.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, groupby
+from operator import ne
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import events
@@ -36,11 +38,12 @@ from repro.cheri.codec import CURSOR_MASK, GRANULE, Meta
 from repro.cheri.regfile import RegisterFile
 from repro.hw.phys import Frame
 
-#: the per-machine whole-page content memo (fork's fused copy+relocate
-#: path) is dropped wholesale before a batch that would grow it past
-#: this size, never mid-batch; it therefore holds at most
-#: max(cap, the tagged pages of the largest fork batch) page snapshots,
-#: so its memory grows with the image a single fork copies
+#: the fork relocation memo (:func:`relocate_copied_frames`) holds at
+#: most this many pages (of post-relocation content, plus one per entry
+#: for its source versions), or one batch's when that batch alone holds
+#: more: it is emptied between batches, never in the middle of one, and
+#: then keeps the batch just relocated, so its memory grows with the
+#: image a single fork copies
 _PAGE_MEMO_CAP = 4096
 
 #: what :func:`relocation_decision` says about one capability metadata
@@ -166,27 +169,44 @@ def relocate_frames(machine: Any, frames: List[Frame],
 def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
                            dsts: Sequence[int], regions: RegionPair
                            ) -> List[int]:
-    """Relocate fork-copied frames through a whole-page content memo.
+    """Relocate fork-copied frames through a per-run content memo.
 
     ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
     ``srcs[i]`` itself: a last sharer's frame is its own copy).
     Simulated-identical to :func:`relocate_frames` over the destination
-    frames.  Only the frames :meth:`PhysicalMemory.tagged_frames` finds
-    holding a tag are visited: an untagged page relocates nothing, so it
-    gets a count of 0 with no memo lookup and no memo entry.  A tagged
-    page goes through a memo keyed on the *source* frame's
-    ``(number, version)`` plus the region pair.  A source page that has
-    not been written since the last fork over the same region pair
-    relocates to exactly the same destination bytes, so the memo replays
-    the post-relocation page content (data + tags) instead of rescanning
-    granules — the common case for a fork server whose image is stable
-    across forks.  The memo is cleared only *before* a batch whose new
-    entries would overflow :data:`_PAGE_MEMO_CAP`, never in the middle
-    of one, so a batch larger than the cap still hits on the next fork.
+    frames.
 
-    Charge/counter parity: the per-frame scan charge and sweep counts
-    are batched exactly as in :func:`relocate_frames`; memo-hit frames
-    batch their ``cap_relocate_ns`` charges into sum-equal advances.
+    The memo (``machine._run_memo``) has one entry per region pair and
+    run of consecutive source numbers (:meth:`PhysicalMemory.batch_runs`
+    of ``srcs``).  It holds the run's source versions (one slice of the
+    version column) and, for each sub-run of pages that relocated a
+    capability, the post-relocation data and tags (one blob each) and
+    the per-page capability counts.  A source page whose version is
+    unchanged holds the bytes and tags it was memoised with, so its copy
+    relocates to the same destination bytes: when the versions read by
+    one column slice equal the stored ones, the run's tagged split comes
+    from the memo, no tag is scanned, and each sub-run is replayed with
+    :meth:`PhysicalMemory.restore_contents` — one data and one tag slice
+    store per destination bank run, each destination's version one up,
+    as :meth:`~repro.hw.phys.Frame.restore_content` bumps it.  When some
+    versions differ, the sub-runs holding a changed page and the changed
+    pages outside every sub-run are scanned again, frame by frame (only
+    the ones :meth:`PhysicalMemory.tagged_frames` finds tagged), the
+    other sub-runs are replayed, and the entry is rebuilt.  Untagged
+    pages, and tagged ones that relocate nothing, are memoised by their
+    versions alone.
+
+    The memo is bounded by :data:`_PAGE_MEMO_CAP` pages (of content,
+    plus one per entry for its versions) and is cleared only between
+    batches: when a batch's new entries would take it past the cap, it
+    is emptied and then keeps that batch's entries, so a batch larger
+    than the cap still hits on the next fork.
+
+    Charge/counter parity: the scan charge and sweep counts cover every
+    frame as in :func:`relocate_frames`; rescanned frames charge their
+    relocations as they go, in batch order (so the codec interns in the
+    same order), and the replayed ones one sum-equal
+    ``cap_relocate_ns`` charge at the end; a replay interns nothing.
     Returns the per-frame relocated-capability counts and leaves the
     tracer records to the caller, who interleaves them with its own
     per-page events.
@@ -194,43 +214,117 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     count = len(dsts)
     if count == 0:
         return []
-    memo = getattr(machine, "_page_memo", None)
+    memo = getattr(machine, "_run_memo", None)
     if memo is None:
-        memo = machine._page_memo = {}
+        memo = machine._run_memo = _RunMemo()
     region_key = (regions.parent_base, regions.parent_top,
                   regions.child_base, regions.child_top)
     _charge_scans(machine, count)
-    frame_of = phys.frame
-    tagged = phys.tagged_frames(dsts)
-    tagged_srcs = [srcs[index] for index in tagged]
-    keys = list(zip(repeat(region_key), tagged_srcs,
-                    phys.versions(tagged_srcs)))
-    misses = len(keys) - sum(map(memo.__contains__, keys))
-    if misses and len(memo) + misses > _PAGE_MEMO_CAP:
-        memo.clear()
+    # plan every source run from versions read before anything is
+    # written (in place, the destinations are the sources)
+    replays = []  # (batch position of a memoised sub-run, the sub-run)
+    entries = {}  # the batch's memo entries, kept or to be rebuilt
+    rebuilds = []  # (key, start, end, versions, sub-runs still valid)
+    dirty: List[int] = []  # batch positions to rescan, ascending
+    for start, end in phys.batch_runs(srcs):
+        key = (region_key, srcs[start], end - start)
+        versions = phys.version_run(srcs[start], end - start)
+        entry = memo.get(key)
+        if entry is not None and entry[0] == versions:
+            entries[key] = entry
+            replays += [(start, run) for run in entry[1]]
+            continue
+        kept = []
+        if entry is None:
+            stale = bytearray(b"\x01") * (end - start)
+        else:
+            stale = bytearray(map(ne, versions, entry[0]))
+            for run in entry[1]:
+                lo, hi = run[0], run[1]
+                if stale.find(1, lo, hi) >= 0:
+                    stale[lo:hi] = b"\x01" * (hi - lo)
+                else:
+                    kept.append(run)
+        replays += [(start, run) for run in kept]
+        dirty += compress(range(start, end), stale)
+        rebuilds.append((key, start, end, versions, kept))
     caps = [0] * count
     caps_batched = 0
-    for index, key in zip(tagged, keys):
-        dst_frame = frame_of(dsts[index])
-        entry = memo.get(key)
-        if entry is None:
-            relocated = _relocate_granules(machine, dst_frame, regions)
-            if relocated:
-                memo[key] = (*dst_frame.snapshot_content(), relocated)
-            else:
-                memo[key] = 0
-        elif entry != 0:
-            data_bytes, tags_bytes, relocated = entry
-            dst_frame.restore_content(data_bytes, tags_bytes)
-            caps_batched += relocated
-        else:
-            relocated = 0
-        caps[index] = relocated
+    for start, (lo, hi, data, tags, run_caps, total) in replays:
+        phys.restore_contents(dsts[start + lo:start + hi], data, tags)
+        caps[start + lo:start + hi] = run_caps
+        caps_batched += total
+    frame_of = phys.frame
+    moved = []  # rescanned batch positions that relocated a capability
+    tagged = phys.tagged_frames([dsts[index] for index in dirty]) \
+        if dirty else ()
+    for position in tagged:
+        index = dirty[position]
+        caps[index] = _relocate_granules(machine, frame_of(dsts[index]),
+                                         regions)
+        if caps[index]:
+            moved.append(index)
     if caps_batched:
         _charge_each(machine, machine.costs.cap_relocate_ns, caps_batched,
                      "reloc_cap")
+    if rebuilds:
+        _remember(memo, entries, rebuilds, moved, caps, phys, dsts)
     _emit_relocations(machine, caps)
     return caps
+
+
+class _RunMemo(dict):
+    """The fork relocation memo: ``(region pair, first source number,
+    run length)`` -> ``(source versions, sub-runs)``, each sub-run a
+    ``(lo, hi, data, tags, per-page caps, caps total)`` over run offsets
+    ``[lo, hi)``; ``pages`` is what its entries count against
+    :data:`_PAGE_MEMO_CAP`."""
+
+    __slots__ = ("pages",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pages = 0
+
+
+def _remember(memo: _RunMemo, entries: dict, rebuilds: list,
+              moved: List[int], caps: List[int], phys: Any,
+              dsts: Sequence[int]) -> None:
+    """Rebuild the memo entries of a batch's rescanned source runs: the
+    sub-runs that stayed valid, plus one new sub-run, read from the
+    relocated destinations, per stretch of consecutive batch positions
+    in ``moved`` (the rescanned pages that relocated a capability).
+    Then store them, emptying the memo first (and keeping the batch's
+    other entries) when the new pages would take it past
+    :data:`_PAGE_MEMO_CAP`."""
+    added = 0
+    for key, start, end, versions, kept in rebuilds:
+        runs = list(kept)
+        inside = moved[bisect_left(moved, start):bisect_left(moved, end)]
+        for _step, group in groupby(enumerate(inside),
+                                    lambda pair: pair[1] - pair[0]):
+            stretch = list(group)
+            lo, hi = stretch[0][1], stretch[-1][1] + 1
+            runs.append((lo - start, hi - start,
+                         *phys.snapshot_contents(dsts[lo:hi]),
+                         caps[lo:hi], sum(caps[lo:hi])))
+        old = memo.pop(key, None)
+        if old is not None:
+            memo.pages -= _pages(old)
+        entry = entries[key] = (versions, runs)
+        added += _pages(entry)
+    if memo.pages + added > _PAGE_MEMO_CAP:
+        memo.clear()
+        memo.pages = 0
+        added = sum(map(_pages, entries.values()))
+    memo.update(entries)
+    memo.pages += added
+
+
+def _pages(entry: tuple) -> int:
+    """What a memo entry counts against :data:`_PAGE_MEMO_CAP`: its
+    pages of content, plus one for its source versions."""
+    return 1 + sum(run[1] - run[0] for run in entry[1])
 
 
 def _emit_relocations(machine: Any, caps: List[int]) -> None:

@@ -90,6 +90,8 @@ class UForkOS(AbstractOS):
         self.space.write_break_hook = handle_fork_write_run
         #: pid -> (lo, hi) demand-zero heap ranges (dynamic heaps, §4.2)
         self._demand_zero = {}
+        #: the last eager copy's ``(vpns, original perms, map runs)``
+        self._map_runs: tuple = ((), (), [])
 
         from repro.core.libraries import LibraryRegistry
         self.libraries = LibraryRegistry(machine)
@@ -379,10 +381,16 @@ class UForkOS(AbstractOS):
             dsts = phys.copy_frames(src_numbers, preserve_tags=True)
             caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
                                           regions)
-            origs = perms if notes.count(None) == ncopy else [
+            origs = perms if notes.count(None) == ncopy else tuple(
                 int(note.orig_perms) if isinstance(note, ShareNote)
-                else perm for perm, note in zip(perms, notes)]
-            for start, end in consecutive_runs(vpns, origs):
+                else perm for perm, note in zip(perms, notes))
+            # a parent forking again copies the same vpns at the same
+            # permissions: compare them, and reuse the runs
+            last_vpns, last_origs, runs = self._map_runs
+            if vpns != last_vpns or origs != last_origs:
+                runs = consecutive_runs(vpns, origs)
+                self._map_runs = (vpns, origs, runs)
+            for start, end in runs:
                 space.map_run(vpns[start] + delta_pages, dsts[start:end],
                               PagePerm(origs[start]))
             _charge_each(machine, bulk_ns, ncopy, "fork_map")

@@ -30,7 +30,9 @@ stores over the columns and the arenas:
 one tag slice store, :meth:`PhysicalMemory.decref_many` releases a
 run of equal refcounts with one column store, and
 :meth:`PhysicalMemory.tagged_frames` finds a run's tagged frames with
-one ``find``.  The image loader takes a segment's frames with one
+one ``find``, and :meth:`PhysicalMemory.restore_contents` replays a
+memoised run of relocated pages with one data and one tag slice store.
+The image loader takes a segment's frames with one
 :meth:`PhysicalMemory.alloc_run`.
 """
 
@@ -122,9 +124,9 @@ class Frame:
         ``tags`` (including the inlined stores in
         :mod:`repro.hw.paging`, run copies and the deferred scrub) and
         never going back for a frame number, across free and
-        reallocation, so content memos — the fork-time relocated-page
-        cache, the audit memo — can key on ``(number, version)`` and
-        never serve stale bytes."""
+        reallocation, so content memos — the fork relocation memo, the
+        audit memo — can key on ``(number, version)`` and never serve
+        stale bytes."""
         return self._versions[self.number]
 
     # -- byte access ---------------------------------------------------
@@ -202,12 +204,7 @@ class Frame:
         self.tags[first:last + 1] = _zeros(count)
 
     def snapshot_content(self) -> Tuple[bytes, bytes]:
-        """Immutable ``(data, tags)`` copy of the whole page.
-
-        The content-memo primitive: paired with :meth:`restore_content`
-        it lets fork's relocated-page cache replay a page without ever
-        reaching into the frame's storage representation.
-        """
+        """Immutable ``(data, tags)`` copy of the whole page."""
         return bytes(self.data), bytes(self.tags)
 
     def restore_content(self, data: bytes, tags: bytes) -> None:
@@ -274,6 +271,9 @@ class PhysicalMemory:
         self._tag_views: List[memoryview] = []
         #: pre-rounded integral per-page copy charge for the bulk path
         self._page_copy_int = int(round(costs.page_copy_ns(config.page_size)))
+        #: the last :meth:`copy_frames` batch given as a tuple, and its
+        #: source runs, checked allocated (see :meth:`batch_runs`)
+        self._copied: Tuple[Sequence[int], List[Tuple[int, int]]] = ((), [])
 
     # -- storage ------------------------------------------------------------
 
@@ -558,6 +558,8 @@ class PhysicalMemory:
                 self._recover_tag_clear(srcs[index], dsts[index], charge)
         if fit < len(srcs):
             self._shortfall(taken, zero=False)
+        if type(srcs) is tuple:
+            self._copied = (srcs, src_runs)
         return dsts
 
     def alloc_run(self, count: int) -> List[int]:
@@ -644,6 +646,58 @@ class PhysicalMemory:
             else:
                 tag_views[dst_bank][d0:d0 + span] = _zeros(span)
 
+    def snapshot_contents(self, numbers: Sequence[int]
+                          ) -> Tuple[bytes, bytes]:
+        """The bytes and the granule tags of ``numbers``, each
+        concatenated in order (what :meth:`restore_contents` takes):
+        one slice of each per bank run of consecutive numbers
+        (``KeyError`` for the first unallocated number)."""
+        pieces = list(self._bank_windows(numbers))
+        return (b"".join([piece[2] for piece in pieces]),
+                b"".join([piece[3] for piece in pieces]))
+
+    def restore_contents(self, numbers: Sequence[int], data: Any,
+                         tags: Any) -> None:
+        """:meth:`Frame.restore_content` of each of ``numbers`` in one
+        go — the fork relocation memo's replay.
+
+        ``data`` and ``tags`` hold the pages' bytes and granule tags,
+        concatenated in the order of ``numbers``.  Each bank run of
+        consecutive numbers takes one data and one tag slice store and
+        one version-column store (every version exactly one up), so a
+        run memoised at one bank offset replays at any other.
+        ``KeyError`` for the first unallocated number, before anything
+        is written.
+        """
+        page_size = self._config.page_size
+        granules = self._config.granules_per_page
+        data = memoryview(data)
+        tags = memoryview(tags)
+        versions = self._versions
+        for start, end, data_window, tag_window in \
+                self._bank_windows(numbers):
+            first = numbers[start]
+            last = first + end - start
+            versions[first:last] = array(
+                "q", map(_INCREMENT, versions[first:last]))
+            data_window[:] = data[start * page_size:end * page_size]
+            tag_window[:] = tags[start * granules:end * granules]
+
+    def _bank_windows(self, numbers: Sequence[int]
+                      ) -> Iterable[Tuple[int, int, memoryview, memoryview]]:
+        """``(start, end, data window, tag window)`` of each bank run of
+        consecutive ``numbers``, after checking every one allocated."""
+        runs = consecutive_runs(numbers)
+        self._require_allocated(numbers, runs)
+        page_size = self._config.page_size
+        granules = self._config.granules_per_page
+        for start, end in _cut_at_banks(runs, numbers):
+            bank, slot = divmod(numbers[start] - 1, BANK_FRAMES)
+            stop = slot + end - start
+            yield (start, end,
+                   self._data_views[bank][slot * page_size:stop * page_size],
+                   self._tag_views[bank][slot * granules:stop * granules])
+
     def _settle_bulk_copy(self, count: int, charge: bool) -> None:
         if count == 0:
             return
@@ -686,9 +740,10 @@ class PhysicalMemory:
         each run's column slice; else C-level ``min``/``max`` passes
         over the numbers and their refcounts.  On a ``fork_full`` fork's
         1,228-frame batch (one run) the run check takes 22 µs and the
-        number pass 131 µs (CPython 3.11.7, 2-vCPU Linux host), and
-        :meth:`copy_frames` and :meth:`tagged_frames` each check one
-        such batch per fork.
+        number pass 131 µs (CPython 3.11.7, 2-vCPU Linux host).  A
+        steady fork checks that batch once, in :meth:`copy_frames`; its
+        relocation reuses the runs (:meth:`batch_runs`) and checks only
+        the short destination runs it replays.
         """
         refcounts = self._refcounts
         if runs is None:
@@ -705,6 +760,24 @@ class PhysicalMemory:
             if len(window) != end - start or min(window) <= 0:
                 for number in numbers[start:end]:
                     self.refcount(number)
+
+    def batch_runs(self, numbers: Sequence[int]) -> List[Tuple[int, int]]:
+        """``consecutive_runs(numbers)``, every number checked allocated
+        (``KeyError`` for the first that is not).  When ``numbers`` is
+        the tuple the last :meth:`copy_frames` copied, the runs that
+        call computed and checked are handed back with no pass, once."""
+        copied, runs = self._copied
+        if numbers is copied:
+            self._copied = ((), [])
+            return runs
+        runs = consecutive_runs(numbers)
+        self._require_allocated(numbers, runs)
+        return runs
+
+    def version_run(self, first: int, count: int) -> array:
+        """The content versions of the ``count`` consecutive numbers
+        from ``first``: one slice of the version column."""
+        return self._versions[first:first + count]
 
     def live_mask(self, numbers: Sequence[int]) -> List[bool]:
         """:meth:`contains` for each of ``numbers``, in one C-level pass

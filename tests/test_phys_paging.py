@@ -340,7 +340,7 @@ class TestVersionBump:
     """``(number, version)`` names one frame content: every public
     mutator of a frame's bytes or tags bumps its ``version``, and a
     frame number's version never goes back, across free and
-    reallocation included.  The fork page memo and the capability-flow
+    reallocation included.  The fork run memo and the capability-flow
     audit's clean-verdict memo are sound only while this holds.
     """
 
@@ -352,8 +352,8 @@ class TestVersionBump:
     SPARE = 6
     CODEC = CapabilityCodec()
     OPS = ("frame_write", "store_cap", "write_granule", "clear_tags",
-           "restore_content", "copy_from", "copy_frame", "copy_frames",
-           "cow_copy", "realloc", "alloc_run", "space_write",
+           "restore_content", "restore_contents", "copy_from", "copy_frame",
+           "copy_frames", "cow_copy", "realloc", "alloc_run", "space_write",
            "space_store_cap", "space_write_run", "space_store_granules",
            "phys_clear_tags")
 
@@ -404,6 +404,14 @@ class TestVersionBump:
             frame.clear_tags_range(lo, hi)
         elif op == "restore_content":
             frame.restore_content(*other.snapshot_content())
+        elif op == "restore_contents":
+            targets = data.draw(st.lists(st.sampled_from(numbers), min_size=1,
+                                         max_size=3, unique=True))
+            contents = [phys.frame(data.draw(st.sampled_from(numbers))
+                                   ).snapshot_content() for _ in targets]
+            phys.restore_contents(targets,
+                                  b"".join(blob for blob, _ in contents),
+                                  b"".join(tags for _, tags in contents))
         elif op == "copy_from":
             frame.copy_from(other, data.draw(st.booleans()))
         elif op == "copy_frame":

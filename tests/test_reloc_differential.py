@@ -18,10 +18,15 @@ to zero length, granules naming a meta id not interned yet, and plain
 bytes; region pairs include a child below its parent (negative delta)
 and regions of different sizes.  Both sides relocate through
 :func:`relocate_frame`, :func:`relocate_frames` and
-:func:`relocate_copied_frames` (with the page memo cold, then warm) and
+:func:`relocate_copied_frames` (with the run memo cold, then warm) and
 must agree on page bytes, tags, version deltas, the returned counts,
 the clock and its buckets, event and obs counters, and the codec's
 intern table in order.
+
+The fork run memo itself is checked against :func:`relocate_frames`
+with no memo: the same batches relocated several times, with source
+pages changed in between, copies landing across a bank boundary at
+shifting offsets, relocation in place and injected tag clears.
 """
 
 import contextlib
@@ -46,6 +51,7 @@ from repro.core.relocate import (
     relocate_frame,
     relocate_frames,
 )
+from repro.hw.phys import BANK_FRAMES
 from repro.machine import Machine
 from repro.params import CostModel
 
@@ -141,37 +147,40 @@ def _addr(regions, anchor, offset):
     return max(0, origin + offset)
 
 
-def _build(pair, pages, costs):
-    """A machine holding ``pages``; returns it, the region pair and the
-    page frame numbers."""
+def _build(pair, pages, costs, filler=0):
+    """A machine holding ``pages`` (after ``filler`` other frames);
+    returns it, the region pair and the page frame numbers."""
     parent_base, parent_size, child_base, child_size = pair
     regions = RegionPair(parent_base, parent_base + parent_size,
                          child_base, child_base + child_size)
     machine = Machine(costs=COSTS[costs])
     machine.obs.enable()
-    codec = machine.codec
+    machine.phys.alloc_run(filler)
     numbers = []
     for page in pages:
         number = machine.phys.alloc()
-        frame = machine.phys.frame(number)
         for index, spec in sorted(page.items()):
-            offset = index * CAP_SIZE
-            if spec[0] == "cap":
-                _, b_anchor, b_off, length, c_anchor, c_off, perms, otype = \
-                    spec
-                cap = Capability(base=_addr(regions, b_anchor, b_off),
-                                 length=length,
-                                 cursor=_addr(regions, c_anchor, c_off),
-                                 perms=perms, otype=otype)
-                frame.store_cap(offset, cap, codec)
-            elif spec[0] == "forged":
-                next_id = len(_intern_table(machine)) + spec[1]
-                frame.write_granule(offset, GRANULE.pack(offset, next_id), 1)
-            else:
-                frame.write(offset, bytes(range(index % 200,
-                                                index % 200 + CAP_SIZE)))
+            _store(machine, regions, number, index, spec)
         numbers.append(number)
     return machine, regions, numbers
+
+
+def _store(machine, regions, number, index, spec):
+    """Store one granule spec at granule ``index`` of frame ``number``."""
+    frame = machine.phys.frame(number)
+    offset = index * CAP_SIZE
+    if spec[0] == "cap":
+        _, b_anchor, b_off, length, c_anchor, c_off, perms, otype = spec
+        cap = Capability(base=_addr(regions, b_anchor, b_off),
+                         length=length,
+                         cursor=_addr(regions, c_anchor, c_off),
+                         perms=perms, otype=otype)
+        frame.store_cap(offset, cap, machine.codec)
+    elif spec[0] == "forged":
+        next_id = len(_intern_table(machine)) + spec[1]
+        frame.write_granule(offset, GRANULE.pack(offset, next_id), 1)
+    else:
+        frame.write(offset, bytes(range(index % 200, index % 200 + CAP_SIZE)))
 
 
 def _intern_table(machine):
@@ -211,7 +220,7 @@ def _run(mode, pair, pages, costs, reference):
             steps.append(_relocate(machine, numbers, lambda: relocate_frames(
                 machine, frames, regions)))
         else:
-            # a cold page memo, then a warm one (the sources are
+            # a cold run memo, then a warm one (the sources are
             # unchanged), then the sources relocated in place (a last
             # sharer's frame is its own copy)
             copies = []
@@ -266,6 +275,119 @@ def test_packed_scan_matches_per_capability_reference(mode, pair, pages,
         pages = pages + pages[:1]
     ours = _run(mode, pair, pages, costs, reference=False)
     ref = _run(mode, pair, pages, costs, reference=True)
+    assert ours == ref
+
+
+# ---------------------------------------------------------------------------
+# The fork run memo against per-frame relocation
+# ---------------------------------------------------------------------------
+
+#: a granule as guests can store one: a capability or plain bytes (a
+#: forged id is left out: interning it later changes what an unchanged
+#: page relocates to, which no content memo can see)
+_real_granule = st.one_of(
+    st.tuples(st.just("cap"), _anchor, _offsets, _length, _anchor,
+              _offsets, _perms, _otype),
+    st.tuples(st.just("bytes")),
+)
+_real_page = st.dictionaries(st.integers(0, GRANULES - 1), _real_granule,
+                             max_size=12)
+#: what happens between relocations: ("fork", pad) copies the batch
+#: after taking ``pad`` more frames (so the copies start at another
+#: bank offset) and relocates the copies; ("in_place",) relocates the
+#: sources themselves; ("store", page, granule, spec) changes one
+#: source page
+_memo_step = st.one_of(
+    st.tuples(st.just("fork"), st.integers(0, 12)),
+    st.tuples(st.just("in_place")),
+    st.tuples(st.just("store"), st.integers(0, 7),
+              st.integers(0, GRANULES - 1), _real_granule),
+)
+
+
+def _per_frame(machine, numbers, regions):
+    """:func:`relocate_frames` over ``numbers``: each frame's count."""
+    counts = []
+    scan = relocate._relocate_granules
+
+    def counting(machine, frame, regions):
+        counts.append(scan(machine, frame, regions))
+        return counts[-1]
+
+    with mock.patch.object(relocate, "_relocate_granules", counting):
+        relocate_frames(machine, [machine.phys.frame(number)
+                                  for number in numbers], regions)
+    return counts
+
+
+def _run_memo_steps(pages, batch, as_tuple, steps, chaos, reference):
+    # the pages straddle the first bank boundary, and copies land
+    # across it at whatever offsets the steps' padding gives
+    machine, regions, numbers = _build(REGION_PAIRS[0], pages, "integral",
+                                       filler=BANK_FRAMES - 4)
+    phys = machine.phys
+    if chaos:
+        from repro.chaos import ChaosEngine, FaultMix
+
+        ChaosEngine(seed=chaos, mix=FaultMix.parse(
+            "hw.phys.tag_clear=0.5")).attach(machine)
+    srcs = [number for number, keep in zip(numbers, batch) if keep]
+    if as_tuple:
+        srcs = tuple(srcs)
+    seen = list(numbers)
+    counts = []
+    for step in steps:
+        if step[0] == "fork":
+            seen += phys.alloc_run(step[1])
+            dsts = phys.copy_frames(srcs)
+            seen += dsts
+        elif step[0] == "in_place":
+            dsts = srcs
+        else:
+            _store(machine, regions, numbers[step[1] % len(numbers)],
+                   step[2], step[3])
+            continue
+        counts.append(_per_frame(machine, dsts, regions) if reference
+                      else relocate_copied_frames(machine, phys, srcs, dsts,
+                                                  regions))
+    return {
+        "counts": counts,
+        "content": [phys.frame(n).snapshot_content() for n in seen],
+        "now_ns": machine.clock.now_ns,
+        "buckets": dict(machine.clock.buckets),
+        "counters": machine.counters.snapshot(),
+        "metrics": machine.obs.registry.counters(),
+        "meta": _intern_table(machine),
+    }
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pages=st.lists(_real_page, min_size=1, max_size=8),
+       batch=st.lists(st.booleans(), min_size=8, max_size=8).filter(any),
+       as_tuple=st.booleans(),
+       steps=st.lists(_memo_step, min_size=1, max_size=8),
+       chaos=st.sampled_from([0, 0, 5]))
+# the copies of a run memoised inside one bank replay across the bank
+# boundary, after a source page changed between the forks
+@example(pages=[{0: ("cap", "parent_base", 0, 64, "parent_base", 16,
+                     Perm.data_rw(), OTYPE_UNSEALED)}] * 6,
+         batch=[True] * 8, as_tuple=True,
+         steps=[("fork", 0), ("store", 2, 3, ("bytes",)), ("fork", 7),
+                ("fork", 0), ("in_place",)],
+         chaos=0)
+def test_run_memo_matches_per_frame_reference(pages, batch, as_tuple, steps,
+                                              chaos):
+    """Fork's per-run memo (:func:`relocate_copied_frames`) against
+    :func:`relocate_frames` with no memo, over batches of one or more
+    source runs, copies at shifting bank offsets, source pages changed
+    between relocations (capabilities stored into untagged pages
+    too), relocation in place and injected tag clears."""
+    batch = batch[:len(pages)] if any(batch[:len(pages)]) else [True]
+    ours = _run_memo_steps(pages, batch, as_tuple, steps, chaos,
+                           reference=False)
+    ref = _run_memo_steps(pages, batch, as_tuple, steps, chaos,
+                          reference=True)
     assert ours == ref
 
 

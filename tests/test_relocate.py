@@ -176,8 +176,11 @@ class TestRelocateRegisters:
 
 
 class TestForkPageMemo:
-    """Fork's whole-page relocation memo
-    (:func:`repro.core.relocate.relocate_copied_frames`)."""
+    """Fork's per-run relocation memo
+    (:func:`repro.core.relocate.relocate_copied_frames`): every batch it
+    handles must leave the destinations holding what per-frame
+    relocation (:func:`repro.core.relocate.relocate_frames`) of fresh
+    copies of the sources gives."""
 
     @staticmethod
     def _fork_server(nbuckets=16):
@@ -195,6 +198,78 @@ class TestForkPageMemo:
         child = parent.fork()
         child.exit(0)
         assert parent.wait(child.pid) == (child.pid, 0)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Record each fork batch, ``(srcs, dsts, regions, caps)``, and
+        the destination frame numbers the memo rescans."""
+        import repro.core.relocate as relocate
+        import repro.core.ufork as ufork
+
+        batches, rescans = [], []
+        relocate_copied = ufork.relocate_copied_frames
+        scan = relocate._relocate_granules
+
+        def recording(machine, phys, srcs, dsts, regions):
+            caps = relocate_copied(machine, phys, srcs, dsts, regions)
+            batches.append((srcs, list(dsts), regions, caps))
+            return caps
+
+        def counting(machine, frame, regions):
+            rescans.append(frame.number)
+            return scan(machine, frame, regions)
+
+        monkeypatch.setattr(ufork, "relocate_copied_frames", recording)
+        monkeypatch.setattr(relocate, "_relocate_granules", counting)
+        return batches, rescans
+
+    @staticmethod
+    def _reference(machine, srcs, regions):
+        """Per-frame relocation of fresh copies of ``srcs``: the copies'
+        contents and each one's relocated-capability count."""
+        import repro.core.relocate as relocate
+
+        phys = machine.phys
+        copies = phys.copy_frames(list(srcs))
+        counts = []
+        scan = relocate._relocate_granules
+
+        def counting(machine, frame, regions):
+            counts.append(scan(machine, frame, regions))
+            return counts[-1]
+
+        relocate._relocate_granules = counting
+        try:
+            relocate.relocate_frames(
+                machine, [phys.frame(number) for number in copies], regions)
+        finally:
+            relocate._relocate_granules = scan
+        contents = [phys.frame(number).snapshot_content()
+                    for number in copies]
+        phys.decref_many(copies)
+        return contents, counts
+
+    def _assert_matches_reference(self, machine, batch):
+        srcs, dsts, regions, caps = batch
+        contents, counts = self._reference(machine, srcs, regions)
+        assert caps == counts
+        assert [machine.phys.frame(number).snapshot_content()
+                for number in dsts] == contents
+
+    @staticmethod
+    def _memo_runs(machine, srcs):
+        """The batch positions ``(lo, hi)`` of every memoised sub-run of
+        ``srcs``."""
+        from repro.hw.phys import consecutive_runs
+
+        memo = machine._run_memo
+        positions = []
+        for start, end in consecutive_runs(srcs):
+            for key, (_versions, runs) in memo.items():
+                if key[1:] == (srcs[start], end - start):
+                    positions += [(start + run[0], start + run[1])
+                                  for run in runs]
+        return sorted(positions)
 
     def test_batch_larger_than_cap_hits_on_the_next_fork(self, monkeypatch):
         """A fork copying more tagged pages than the memo's cap must
@@ -220,10 +295,118 @@ class TestForkPageMemo:
         assert rescans == []
 
     def test_untagged_pages_take_no_memo_entry(self):
+        """Every page the memo holds content for had a tag in its
+        source: untagged pages are found by one run scan and memoised
+        only as source versions."""
         session, parent = self._fork_server()
         phys = session.machine.phys
         self._fork_exit(parent)
-        memo = session.machine._page_memo
+        memo = session.machine._run_memo
         assert memo
-        for (_regions, src, _version) in memo:
-            assert phys.tagged_frames([src]) == [0]
+        for (_regions, first, _count), (_versions, runs) in memo.items():
+            for lo, hi, *_content in runs:
+                assert phys.tagged_frames(range(first + lo, first + hi)) \
+                    == list(range(hi - lo))
+
+    def test_steady_fork_replays_and_matches_reference(self, monkeypatch):
+        session, parent = self._fork_server()
+        batches, rescans = self._record(monkeypatch)
+        self._fork_exit(parent)
+        assert rescans
+        del rescans[:]
+        child = parent.fork()
+        assert rescans == []
+        self._assert_matches_reference(session.machine, batches[-1])
+        assert batches[-1][3] == batches[0][3]
+        child.exit(0)
+
+    def test_one_written_page_rescans_exactly_its_run(self, monkeypatch):
+        session, parent = self._fork_server()
+        machine = session.machine
+        phys = machine.phys
+        batches, rescans = self._record(monkeypatch)
+        self._fork_exit(parent)
+        srcs = batches[-1][0]
+        lo, hi = max(self._memo_runs(machine, srcs),
+                     key=lambda run: run[1] - run[0])
+        assert hi - lo >= 3
+        frame = phys.frame(srcs[(lo + hi) // 2])
+        untagged = (set(range(0, 4096, 16)) - set(frame.tagged_granules()))
+        frame.write(min(untagged), b"\xaa")
+        del rescans[:]
+        child = parent.fork()
+        srcs, dsts, _regions, caps = batches[-1]
+        assert rescans == list(dsts[lo:hi])
+        assert caps == batches[0][3]
+        self._assert_matches_reference(machine, batches[-1])
+        child.exit(0)
+        del rescans[:]
+        self._fork_exit(parent)
+        assert rescans == []
+
+    def test_cap_stored_into_untagged_page_is_relocated(self, monkeypatch):
+        """A capability stored into a page that held no tag when the
+        batch was memoised: the page's version changed, so it is scanned
+        again, and the memo's tagged split is recomputed."""
+        session, parent = self._fork_server()
+        machine = session.machine
+        phys = machine.phys
+        batches, rescans = self._record(monkeypatch)
+        self._fork_exit(parent)
+        srcs, _dsts, regions, caps = batches[-1]
+        position = caps.index(0)
+        assert phys.tagged_frames([srcs[position]]) == []
+        phys.frame(srcs[position]).store_cap(
+            0x40, cap_at(regions.parent_base + 0x1000), machine.codec)
+        del rescans[:]
+        child = parent.fork()
+        _srcs, dsts, _regions, caps = batches[-1]
+        assert rescans == [dsts[position]]
+        assert caps[position] == 1
+        self._assert_matches_reference(machine, batches[-1])
+        assert any(lo <= position < hi
+                   for lo, hi in self._memo_runs(machine, srcs))
+        child.exit(0)
+        del rescans[:]
+        self._fork_exit(parent)
+        assert rescans == []
+
+    def test_warm_in_place_relocation_matches_reference(self, monkeypatch):
+        """Migration's call: the sources relocated in place
+        (``dsts == srcs``) over a region pair the memo already holds."""
+        from repro.core.relocate import relocate_copied_frames
+
+        session, parent = self._fork_server()
+        machine = session.machine
+        batches, rescans = self._record(monkeypatch)
+        self._fork_exit(parent)
+        srcs, _dsts, regions, _caps = batches[-1]
+        contents, counts = self._reference(machine, srcs, regions)
+        del rescans[:]
+        caps = relocate_copied_frames(machine, machine.phys, srcs, srcs,
+                                      regions)
+        assert rescans == []
+        assert caps == counts
+        assert [machine.phys.frame(number).snapshot_content()
+                for number in srcs] == contents
+
+    def test_tag_clear_chaos_on_a_memo_hit(self, monkeypatch):
+        """``hw.phys.tag_clear`` drops the copies' tags inside
+        ``copy_frames``; its recovery redoes those copies before the
+        memo replays, so the hit still matches the reference."""
+        from repro.chaos import ChaosEngine, FaultMix
+
+        session, parent = self._fork_server()
+        machine = session.machine
+        batches, rescans = self._record(monkeypatch)
+        self._fork_exit(parent)
+        engine = ChaosEngine(seed=3, mix=FaultMix.parse(
+            "hw.phys.tag_clear=0.5"))
+        engine.attach(machine)
+        del rescans[:]
+        child = parent.fork()
+        assert rescans == []
+        assert engine.recovered.get("hw.phys.tag_clear", 0) > 0
+        self._assert_matches_reference(machine, batches[-1])
+        assert batches[-1][3] == batches[0][3]
+        child.exit(0)
