@@ -34,6 +34,7 @@ from repro.cluster.trace import (
     CLASSES,
     RECORD,
     TraceConfig,
+    slot_columns,
     slot_counts,
     synthesize,
     trace_digest,
@@ -50,6 +51,7 @@ __all__ = [
     "format_summary",
     "remap_fraction_ppm",
     "run_cluster",
+    "slot_columns",
     "slot_counts",
     "synthesize",
     "trace_digest",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 def _position(data: bytes, seed: int) -> int:
@@ -90,49 +90,86 @@ class Batcher:
     A batch dispatches when it reaches ``max_batch`` members (closing
     at the triggering arrival) or when its flush timer fires — modeled
     as closing at ``open_ns + window_ns`` the moment a later arrival
-    observes the window has passed.  ``add`` returns the batches that
-    closed, in dispatch order; ``flush`` drains what is still open.
+    observes the window has passed.  :meth:`route` walks a chunk of
+    requests and hands every batch that closes to a callback, in
+    dispatch order; ``add`` is the same walk over one request, and
+    ``flush`` drains what is still open.
     """
 
     def __init__(self, shards: int, window_ns: int, max_batch: int) -> None:
         self.window_ns = window_ns
         self.max_batch = max_batch
-        self._open: List[Optional[Batch]] = [None] * shards
+        #: per shard, the open batch's members (None: no open batch);
+        #: the first member's arrival is the batch's ``open_ns``
+        self._open: List[Optional[List[Tuple[int, int]]]] = [None] * shards
         self.batches = 0
         self.max_size = 0
         self.held_requests = 0
 
+    def route(self, shards: Sequence[int], arrivals: Sequence[int],
+              klasses: Sequence[int],
+              dispatch: Callable[[int, List[Tuple[int, int]], int], None]
+              ) -> None:
+        """Route a chunk of requests, given as equal-length columns, in
+        arrival order.  Every batch a request causes to close is handed
+        on at once, as ``dispatch(shard, members, close_ns)``."""
+        open_batches = self._open
+        window = self.window_ns
+        max_batch = self.max_batch
+        sizes: List[int] = []
+        closed = sizes.append
+        try:
+            for shard, arrival, klass in zip(shards, arrivals, klasses):
+                members = open_batches[shard]
+                if members is not None:
+                    open_ns = members[0][0]
+                    if arrival - open_ns <= window:
+                        members.append((arrival, klass))
+                        size = len(members)
+                        if size < max_batch:
+                            continue
+                        open_batches[shard] = None
+                        closed(size)
+                        dispatch(shard, members, arrival)
+                        continue
+                    # the open batch's timer fired before this arrival
+                    open_batches[shard] = None
+                    closed(len(members))
+                    dispatch(shard, members, open_ns + window)
+                members = [(arrival, klass)]
+                if max_batch > 1:
+                    open_batches[shard] = members
+                else:
+                    closed(1)
+                    dispatch(shard, members, arrival)
+        finally:
+            self._account(sizes)
+
     def add(self, shard: int, arrival_ns: int,
-            klass: int) -> Iterator[Tuple[Batch, int]]:
-        """Route one request; yields ``(batch, close_ns)`` for every
+            klass: int) -> List[Tuple[Batch, int]]:
+        """Route one request; returns ``(batch, close_ns)`` for every
         batch this arrival caused to dispatch."""
-        batch = self._open[shard]
-        if batch is not None and arrival_ns - batch.open_ns > self.window_ns:
-            self._open[shard] = None
-            yield self._account(batch), batch.open_ns + self.window_ns
-            batch = None
-        if batch is None:
-            batch = Batch(shard=shard, open_ns=arrival_ns)
-            self._open[shard] = batch
-        batch.members.append((arrival_ns, klass))
-        if len(batch.members) >= self.max_batch:
-            self._open[shard] = None
-            yield self._account(batch), arrival_ns
+        out: List[Tuple[Batch, int]] = []
+        self.route((shard,), (arrival_ns,), (klass,),
+                   lambda shard, members, close_ns: out.append(
+                       (Batch(shard, members[0][0], members), close_ns)))
+        return out
 
-    def flush(self) -> Iterator[Tuple[Batch, int]]:
+    def flush(self) -> List[Tuple[Batch, int]]:
         """Dispatch every still-open batch at its timer deadline."""
-        for shard, batch in enumerate(self._open):
-            if batch is not None:
-                self._open[shard] = None
-                yield self._account(batch), batch.open_ns + self.window_ns
+        out = [(Batch(shard, members[0][0], members),
+                members[0][0] + self.window_ns)
+               for shard, members in enumerate(self._open)
+               if members is not None]
+        self._open = [None] * len(self._open)
+        self._account([len(batch.members) for batch, _ in out])
+        return out
 
-    def _account(self, batch: Batch) -> Batch:
-        self.batches += 1
-        size = len(batch.members)
-        self.held_requests += size
-        if size > self.max_size:
-            self.max_size = size
-        return batch
+    def _account(self, sizes: List[int]) -> None:
+        if sizes:
+            self.batches += len(sizes)
+            self.held_requests += sum(sizes)
+            self.max_size = max(self.max_size, *sizes)
 
     def mean_size_ppm(self) -> int:
         """Mean batch size in parts-per-million (integer, so reports

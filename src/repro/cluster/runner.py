@@ -18,10 +18,13 @@ same-argument runs emit **byte-identical** reports
 uploads the artifact).
 
 Scale note: requests are *simulated through the cluster's queueing
-model* at ~μs-per-request host cost, while a budgeted subset (per-class
-calibration plus ``audit`` requests per shard) executes on the real
-machines — which is what makes a million-request run finish in CI
-minutes without the model ever detaching from measured mechanism.
+model*, served one trace slot at a time in columns, at about 2.3 μs of
+host time per request (430k requests/s in ``bench/run.py --workload
+cluster``, at that benchmark's nominal host speed), while a budgeted
+subset (per-class calibration plus ``audit`` requests per shard)
+executes on the real machines — which is what makes a million-request
+run finish in a few host seconds without the model ever detaching from
+measured mechanism.
 
 Like the chaos/smp/conform runners, this module imports the full OS
 stack and is *not* re-exported from :mod:`repro.cluster`.
@@ -32,11 +35,11 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.balancer import Batcher, ConsistentHashRing
 from repro.cluster.params import DEFAULT_CLUSTER_COSTS, ClusterCosts
-from repro.cluster.trace import RECORD, TraceConfig, synthesize
+from repro.cluster.trace import TraceConfig, pack_columns, slot_columns
 
 #: schema tag for the report / ``*.cluster.json`` sidecar
 RUN_SCHEMA = "repro.cluster/v1"
@@ -47,8 +50,9 @@ DEFAULT_REQUESTS = 1_000_000
 #: per-class request probabilities in ppm, aligned with trace.CLASSES
 _CLASS_PROB_PPM = (800_000, 120_000, 20_000, 60_000)
 
-#: 3.9-compatible popcount table for the unique-user bitset
-_POPCOUNT = [bin(value).count("1") for value in range(256)]
+#: 3.9-compatible popcount table for the unique-user bitset, as a
+#: ``bytes.translate`` table (byte -> its set-bit count)
+_POPCOUNT = bytes(bin(value).count("1") for value in range(256))
 
 
 def _auto_trace(seed: int, requests: int, keys: int, users: int,
@@ -102,6 +106,8 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
     costs = costs or DEFAULT_CLUSTER_COSTS
     if rebalance_every is None:
         rebalance_every = max(1_000, requests // 8)
+    if rebalance_every < 1:
+        raise ValueError("rebalance_every must be >= 1")
 
     with obs_session() as session:
         shard_objs = [
@@ -115,33 +121,34 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         ring = ConsistentHashRing(shards, vnodes=vnodes, seed=seed)
         key_shard = ring.shard_map(trace.keys)
 
-        # -- the serving loop (hot path: ~µs of host time per request) --
+        # -- the serving loop: one trace slot at a time, in columns --
         latencies = array("q")
         lat_append = latencies.append
         batcher = Batcher(shards, costs.batch_window_ns, costs.max_batch)
         free: List[List[int]] = [[0] * workers for _ in range(shards)]
         service = [shard.service_by_klass for shard in shard_objs]
-        per_request = costs.per_request_overhead_ns
         per_batch = costs.per_batch_overhead_ns
-        hop = costs.net_hop_ns
+        #: what each request pays on top of its queueing and service
+        overhead = costs.net_hop_ns + costs.per_request_overhead_ns
         shard_load = [0] * shards
         user_bits = bytearray((trace.users >> 3) + 1)
         hasher = hashlib.sha256()
-        pack = RECORD.pack
         last_completion = 0
         migrations: List[Dict[str, int]] = []
 
-        def dispatch(batch: Any, close_ns: int) -> None:
+        def dispatch(shard: int, members: List[Tuple[int, int]],
+                     close_ns: int) -> None:
             nonlocal last_completion
-            slot_list = free[batch.shard]
+            slot_list = free[shard]
+            earliest = min(slot_list)
+            worker = slot_list.index(earliest)
             busy_until = close_ns + per_batch
-            worker = slot_list.index(min(slot_list))
-            if slot_list[worker] > busy_until:
-                busy_until = slot_list[worker]
-            by_klass = service[batch.shard]
-            for arrival, klass in batch.members:
+            if earliest > busy_until:
+                busy_until = earliest
+            by_klass = service[shard]
+            for arrival, klass in members:
                 busy_until += by_klass[klass]
-                lat_append(busy_until + hop + per_request - arrival)
+                lat_append(busy_until + overhead - arrival)
             slot_list[worker] = busy_until
             if busy_until > last_completion:
                 last_completion = busy_until
@@ -167,25 +174,53 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
             record["at_ns"] = now
             migrations.append(record)
 
-        index = 0
+        def audit(targets: List[int], klasses: List[int]) -> None:
+            # re-execute, in request order, the chunk's requests that
+            # still fall in their shard's audit budget
+            due = sum(min(shard_objs[shard].audit_left, targets.count(shard))
+                      for shard in auditing)
+            for shard, klass in zip(targets, klasses):
+                if not due:
+                    break
+                shard_obj = shard_objs[shard]
+                if shard_obj.audit_left > 0:
+                    shard_obj.observe(klass)
+                    due -= 1
+
+        auditing = [shard for shard in range(shards)
+                    if shard_objs[shard].audit_left > 0]
+        served = 0
         next_rebalance = rebalance_every
-        for arrival, user, key, klass in synthesize(trace):
-            hasher.update(pack(arrival, user, key, klass))
-            user_bits[user >> 3] |= 1 << (user & 7)
-            shard = key_shard[key]
-            shard_load[shard] += 1
-            shard_obj = shard_objs[shard]
-            if shard_obj.audit_left > 0:
-                shard_obj.observe(klass)
-            for batch, close_ns in batcher.add(shard, arrival, klass):
-                dispatch(batch, close_ns)
-            index += 1
-            if index == next_rebalance:
-                next_rebalance += rebalance_every
-                if len(migrations) < max_migrations:
-                    rebalance(arrival, index)
+        for columns in slot_columns(trace):
+            arrivals, users, keys, klasses = columns
+            hasher.update(pack_columns(columns))
+            for user in users:
+                user_bits[user >> 3] |= 1 << (user & 7)
+            targets = list(map(key_shard.__getitem__, keys))
+            for shard in range(shards):
+                shard_load[shard] += targets.count(shard)
+            count = len(targets)
+            start = 0
+            while start < count:
+                # a chunk ends at the slot's end or at the next
+                # rebalance index, where the rebalance runs
+                stop = min(count, next_rebalance - served)
+                chunk = targets[start:stop]
+                chunk_klasses = klasses[start:stop]
+                if auditing:
+                    audit(chunk, chunk_klasses)
+                    auditing = [shard for shard in auditing
+                                if shard_objs[shard].audit_left > 0]
+                batcher.route(chunk, arrivals[start:stop], chunk_klasses,
+                              dispatch)
+                if served + stop == next_rebalance:
+                    next_rebalance += rebalance_every
+                    if len(migrations) < max_migrations:
+                        rebalance(arrivals[stop - 1], served + stop)
+                start = stop
+            served += count
         for batch, close_ns in batcher.flush():
-            dispatch(batch, close_ns)
+            dispatch(batch.shard, batch.members, close_ns)
 
         for shard, shard_obj in enumerate(shard_objs):
             shard_obj.requests = shard_load[shard]
@@ -202,7 +237,7 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         rank = (q_ppm * count + 999_999) // 1_000_000  # nearest rank
         return ordered[max(0, rank - 1)]
 
-    unique_users = sum(_POPCOUNT[byte] for byte in user_bits)
+    unique_users = sum(user_bits.translate(_POPCOUNT))
     report: Dict[str, Any] = {
         "schema": RUN_SCHEMA,
         "seed": seed,

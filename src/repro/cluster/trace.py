@@ -1,10 +1,12 @@
 """Seed-deterministic planet-scale traffic synthesis.
 
 One :class:`TraceConfig` describes a population of simulated users
-hitting a keyed service; :func:`synthesize` streams the request records
-— ``(arrival_ns, user_id, key, klass)`` — in arrival order, as a pure
-function of the config.  Two same-config calls produce byte-identical
-streams (:func:`trace_digest`, pinned by tests/test_cluster_determinism.py).
+hitting a keyed service; :func:`slot_columns` streams the request
+records — ``(arrival_ns, user_id, key, klass)`` — in arrival order, one
+slot's columns at a time, as a pure function of the config
+(:func:`synthesize` is the same stream one record at a time).  Two
+same-config calls produce byte-identical streams (:func:`trace_digest`,
+pinned by tests/test_cluster_determinism.py).
 
 The traffic shape has the three properties real planet-scale serving
 traces have and uniform synthetic load does not:
@@ -20,10 +22,11 @@ traces have and uniform synthetic load does not:
   multiply the rate of a few adjacent slots by up to
   ``flash_multiplier`` (decaying linearly), the p999 tail-makers.
 
-The generator never materializes the trace: a million-request stream
-costs O(slots + keys) memory.  Total request count is exact — slot
-counts are apportioned from the modulated weights by largest-remainder
-rounding, so ``sum(slot_counts(cfg)) == cfg.requests`` always.
+The generator never materializes the trace, only one slot of it: a
+million-request stream costs O(largest slot + keys) memory.  Total
+request count is exact — slot counts are apportioned from the modulated
+weights by largest-remainder rounding, so
+``sum(slot_counts(cfg)) == cfg.requests`` always.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ import hashlib
 import math
 import random
 import struct
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from itertools import repeat
+from operator import mul
+from typing import Iterator, List, Optional, Tuple
 
 #: request classes (FunctionBench workloads, repro.apps.faas) and the
 #: probability of each — the index into CLASSES is the trace's ``klass``
@@ -44,6 +49,9 @@ _CLASS_CDF = (0.80, 0.92, 0.94, 1.00)
 
 #: one record on the wire: arrival_ns, user_id, key, klass
 RECORD = struct.Struct("<QIIB")
+
+#: one slot of the trace: (arrivals, users, keys, klasses), equal lengths
+Columns = Tuple[List[int], List[int], List[int], List[int]]
 
 
 @dataclass(frozen=True)
@@ -130,14 +138,16 @@ def slot_counts(cfg: TraceConfig) -> List[int]:
     return counts
 
 
-def synthesize(cfg: TraceConfig) -> Iterator[Tuple[int, int, int, int]]:
-    """Stream the trace in arrival order.
+def slot_columns(cfg: TraceConfig) -> Iterator[Columns]:
+    """Stream the trace one slot at a time, as columns.
 
-    Yields ``(arrival_ns, user_id, key, klass)`` tuples.  ``klass``
-    indexes :data:`CLASSES`.  Arrivals within a slot are evenly spaced;
-    key, user and class are drawn from one ``Random(cfg.seed)`` stream
-    (after the flash-crowd placement draws), so the whole trace is a
-    pure function of the config.
+    Yields ``(arrivals, users, keys, klasses)`` — four equal-length
+    lists — for every slot in order (empty lists for a slot with no
+    requests).  ``klass`` indexes :data:`CLASSES`.  Arrivals within a
+    slot are evenly spaced; key, user and class are drawn, in that
+    order per request, from one ``Random(cfg.seed)`` stream (after the
+    flash-crowd placement draws), so the whole trace is a pure function
+    of the config.
     """
     counts = slot_counts(cfg)
     rng = random.Random(cfg.seed)
@@ -147,34 +157,38 @@ def synthesize(cfg: TraceConfig) -> Iterator[Tuple[int, int, int, int]]:
     users = cfg.users
     slot_ns = cfg.slot_ns
     uniform = rng.random
-    c0, c1, c2 = _CLASS_CDF[0], _CLASS_CDF[1], _CLASS_CDF[2]
+    class_cdf = _CLASS_CDF[:3]
     for slot, count in enumerate(counts):
-        if not count:
-            continue
         base = slot * slot_ns
-        for index in range(count):
-            arrival = base + (index * slot_ns) // count
-            key = bisect_left(zipf, uniform())
-            user = int(uniform() * users)
-            draw = uniform()
-            if draw < c0:
-                klass = 0
-            elif draw < c1:
-                klass = 1
-            elif draw < c2:
-                klass = 2
-            else:
-                klass = 3
-            yield arrival, user, key, klass
+        draws = [uniform() for _ in repeat(None, 3 * count)]
+        yield ([base + (index * slot_ns) // count for index in range(count)],
+               list(map(int, map(mul, draws[1::3], repeat(users)))),
+               list(map(bisect_left, repeat(zipf), draws[0::3])),
+               list(map(bisect_right, repeat(class_cdf), draws[2::3])))
 
 
-def trace_digest(cfg: TraceConfig, limit: int = None) -> str:
+def pack_columns(columns: Columns) -> bytes:
+    """One slot's records packed back to back (:data:`RECORD` each)."""
+    return b"".join(map(RECORD.pack, *columns))
+
+
+def synthesize(cfg: TraceConfig) -> Iterator[Tuple[int, int, int, int]]:
+    """Stream the trace in arrival order: the records of
+    :func:`slot_columns`, one ``(arrival_ns, user_id, key, klass)``
+    tuple at a time."""
+    for columns in slot_columns(cfg):
+        yield from zip(*columns)
+
+
+def trace_digest(cfg: TraceConfig, limit: Optional[int] = None) -> str:
     """SHA-256 over the packed record stream (or its first ``limit``
     records) — the byte-equality witness the determinism tests pin."""
     hasher = hashlib.sha256()
-    pack = RECORD.pack
-    for index, record in enumerate(synthesize(cfg)):
-        if limit is not None and index >= limit:
+    left = cfg.requests if limit is None else limit
+    for columns in slot_columns(cfg):
+        if left <= 0:
             break
-        hasher.update(pack(*record))
+        packed = pack_columns(columns)
+        hasher.update(packed[:left * RECORD.size])
+        left -= len(columns[0])
     return hasher.hexdigest()

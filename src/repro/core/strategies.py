@@ -341,9 +341,8 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
     lo = region_base // page
     hi = (region_top + page - 1) // page
     resolved = 0
-    for vpn, _frame, _perms, note in space.noted_mappings():
-        if lo <= vpn < hi and isinstance(note, ShareNote) \
-                and note.role == "child":
+    for vpn, _frame, _perms, note in space.noted_mappings(lo, hi):
+        if isinstance(note, ShareNote) and note.role == "child":
             machine.charge(machine.costs.page_fault_ns, "page_fault")
             _make_private(space, vpn, relocate=True, note=note)
             resolved += 1

@@ -376,17 +376,30 @@ class AddressSpace:
                 map(_MAPPED, window))
         return out
 
-    def noted_mappings(self) -> List[Tuple[int, int, int, Any]]:
+    def noted_mappings(self, lo_vpn: Optional[int] = None,
+                       hi_vpn: Optional[int] = None
+                       ) -> List[Tuple[int, int, int, Any]]:
         """``(vpn, frame, perms_int, note)`` for every mapped vpn with a
-        note, ascending vpn.
+        note, ascending vpn; given ``[lo_vpn, hi_vpn)``, only those in it.
 
         The raw PTE state of the noted pages, like :meth:`mapped_items`,
-        served from the sparse note dict — the share-note audit's sweep.
+        served from the sparse note dict — the share-note audit's sweep
+        with no range.  A range walks whichever is smaller: the note
+        dict or the range.
         """
+        notes = self._notes
+        if lo_vpn is None:
+            noted = sorted(notes.items())
+        elif hi_vpn - lo_vpn < len(notes):
+            noted = [(vpn, notes[vpn]) for vpn in range(lo_vpn, hi_vpn)
+                     if vpn in notes]
+        else:
+            noted = sorted(item for item in notes.items()
+                           if lo_vpn <= item[0] < hi_vpn)
         chunks = self._frames
         perms = self._perms
         out: List[Tuple[int, int, int, Any]] = []
-        for vpn, note in sorted(self._notes.items()):
+        for vpn, note in noted:
             chunk_id = vpn >> CHUNK_SHIFT
             frames = chunks.get(chunk_id)
             if frames is None:

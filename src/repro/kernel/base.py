@@ -377,7 +377,9 @@ class AbstractOS(abc.ABC):
 
     def sys_waitpid(self, proc: Process, pid: int = -1) -> Tuple[int, int]:
         """Reap an exited child; (pid, status).  WouldBlock if none has
-        exited yet (drivers run children to completion, so this is rare)."""
+        exited yet (drivers run children to completion, so this is rare).
+        A reaped child leaves ``proc.children``, so a long-lived parent
+        holds only the children it has not waited for."""
         self.syscalls.enter("waitpid", 1)
         candidates = [
             child for child in proc.children
@@ -388,6 +390,7 @@ class AbstractOS(abc.ABC):
         for child in candidates:
             if not child.alive:
                 child.reaped = True
+                proc.children.remove(child)
                 self.procs.remove(child.pid)
                 return child.pid, child.exit_status
         raise WouldBlock("no exited children yet")

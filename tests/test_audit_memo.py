@@ -22,6 +22,7 @@ import pytest
 import repro.conform.invariants as invariants
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
+from repro.cheri.codec import GRANULE
 from repro.conform import farm
 from repro.conform.explorer import explore
 from repro.conform.scenarios import by_name
@@ -29,6 +30,7 @@ from repro.core import CopyStrategy, UForkOS
 from repro.core.isolation import make_syscall_gate
 from repro.core.strategies import ShareNote
 from repro.core.ufork import GATE_ADDR
+from repro.hw.paging import AccessKind
 from repro.harness.matrix import SWEEP_CPUS
 from repro.machine import Machine
 from repro.sec.auditor import _audit_cap, audit_cap_flow
@@ -168,6 +170,37 @@ def test_foreign_capability_in_a_clean_page_is_caught():
     for _ in range(3):
         assert audit_both(os_) == first
         assert memoised_versions(os_, frame_no) == [version]
+
+
+def test_granule_with_a_meta_id_not_interned_yet_is_reaudited():
+    """A tagged granule naming a meta id nobody has interned decodes to
+    an invalid capability, so it passes; once ``intern`` hands that id
+    out it decodes to a real capability, which the next audit must
+    judge exactly as a fresh-memo audit does."""
+    os_ = boot()
+    a = spawn(os_, "a")
+    b = spawn(os_, "b")
+    holder = b.malloc(16)
+    codec = os_.machine.codec
+    forged_id = len(codec._meta_to_id) + 3
+    foreign = a.reg("csp")
+    frame, offset = os_.space.resolve(holder.base, AccessKind.WRITE,
+                                      privileged=True)
+    frame.write_granule(offset, GRANULE.pack(foreign.base, forged_id), 1)
+    assert audit_both(os_) == []
+    assert memoised_versions(os_, frame.number) == []
+
+    fillers = [(0, 16 * (n + 1), 0, foreign.otype) for n in range(2)]
+    for meta in fillers:
+        assert codec.meta(codec.intern(meta)) == meta
+    escaping = (foreign.base, foreign.length + 16, int(foreign.perms),
+                foreign.otype)
+    assert codec.intern(escaping) == forged_id
+    violations = audit_both(os_)
+    assert len(violations) == 1
+    assert violations[0].startswith(
+        f"pid {b.pid} @ vpn {holder.base // PAGE:#x}+")
+    assert "escapes the μprocess region" in violations[0]
 
 
 def test_reallocated_frame_number_is_reaudited():

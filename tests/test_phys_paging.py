@@ -1011,6 +1011,12 @@ class TestAddressSpace:
         assert [item[0] for item in expected] == [vpn, vpn + 2]
         assert expected[0][2] == int(PagePerm.READ)
         assert space.noted_mappings() == expected
+        # a range narrower than the note dict walks the range, a wider
+        # one filters the dict: both give the in-range slice
+        assert space.noted_mappings(vpn + 1, vpn + 2) == []
+        assert space.noted_mappings(vpn + 1, vpn + 3) == expected[1:]
+        assert space.noted_mappings(vpn, vpn + 1) == expected[:1]
+        assert space.noted_mappings(0, vpn + 1_000_000) == expected
 
     def test_unmap_decrefs(self, machine):
         space, base = self.make_space(machine, pages=1)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.guest import GuestContext
 from repro.apps.hello import hello_world_image
+from repro.baselines import IsoUnikOS, MonolithicOS, VMCloneOS
 from repro.core import CopyStrategy, UForkOS
 from repro.errors import (
     NoChildProcess,
@@ -139,6 +140,22 @@ class TestResourceExhaustion:
         with pytest.raises(NoChildProcess):
             ctx.wait(child.pid + 999)
         assert ctx.wait(child.pid) == (child.pid, 0)
+
+    @pytest.mark.parametrize("kernel", [UForkOS, MonolithicOS, IsoUnikOS,
+                                        VMCloneOS])
+    def test_reaped_children_leave_the_parent(self, kernel):
+        """A long-lived parent keeps no child it has waited for."""
+        os_ = kernel(machine=Machine())
+        ctx = spawn(os_)
+        for cycle in range(50):
+            child = ctx.fork()
+            assert ctx.proc.children == [child.proc]
+            child.exit(cycle % 3)
+            assert ctx.wait() == (child.pid, cycle % 3)
+            assert ctx.proc.children == []
+        with pytest.raises(NoChildProcess):
+            ctx.wait()
+        assert os_.process_count() == 1
 
 
 class TestSnapshotUnderChurn:
