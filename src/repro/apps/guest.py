@@ -22,10 +22,13 @@ from repro.kernel.task import Process
 
 _U64 = struct.Struct("<Q")
 
-#: hoisted Perm members for load/store — the per-access Enum
-#: class-attribute lookups add up on hot guest loops
+#: hoisted Perm members and masks for the loads and stores — the
+#: per-access Enum class-attribute lookups and flag ``|`` add up on hot
+#: guest loops
 _PERM_LOAD = Perm.LOAD
 _PERM_STORE = Perm.STORE
+_PERM_LOAD_CAP = Perm.LOAD | Perm.LOAD_CAP
+_PERM_STORE_CAP = Perm.STORE | Perm.STORE_CAP
 
 
 class GuestContext:
@@ -118,15 +121,20 @@ class GuestContext:
         self.store(cap, _U64.pack(value), offset)
 
     def load_cap(self, cap: Capability, offset: int = 0) -> Capability:
-        addr = cap.check_access(Perm.LOAD | Perm.LOAD_CAP, size=CAP_SIZE,
-                                addr=cap.cursor + offset)
-        return self.space.load_cap(addr)
+        addr = cap.check_access(_PERM_LOAD_CAP, CAP_SIZE, cap.cursor + offset)
+        space = self._space_memo
+        if space is None:
+            space = self.space
+        return space.load_cap(addr)
 
     def store_cap(self, cap: Capability, value: Capability,
                   offset: int = 0) -> None:
-        addr = cap.check_access(Perm.STORE | Perm.STORE_CAP, size=CAP_SIZE,
-                                addr=cap.cursor + offset)
-        self.space.store_cap(addr, value)
+        addr = cap.check_access(_PERM_STORE_CAP, CAP_SIZE,
+                                cap.cursor + offset)
+        space = self._space_memo
+        if space is None:
+            space = self.space
+        space.store_cap(addr, value)
 
     # ------------------------------------------------------------------
     # Heap

@@ -23,7 +23,7 @@ an untagged, powerless value — the CHERI unforgeability property.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cheri.capability import Capability, Perm, _fast_cap
 
@@ -82,6 +82,10 @@ class CapabilityCodec:
         """The metadata tuple interned under ``meta_id``, or ``None``
         for an id not handed out yet (a forged granule)."""
         return self._id_to_meta.get(meta_id)
+
+    def metas(self, meta_ids: Iterable[int]) -> List[Optional[Meta]]:
+        """:meth:`meta` of each of ``meta_ids``, in one C-level pass."""
+        return list(map(self._id_to_meta.get, meta_ids))
 
     def encode(self, cap: Capability) -> bytes:
         """Pack a capability into its 16-byte memory representation."""

@@ -19,10 +19,11 @@ explorer can probe mid-syscall states without perturbing them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Tuple
 
 from repro.core.strategies import iter_share_notes
-from repro.hw.paging import PagePerm
+from repro.hw.paging import PagePerm, splice_edits
 from repro.kernel.task import TaskState
 
 
@@ -129,20 +130,64 @@ def _check_share_notes(os_: Any) -> List[str]:
             spaces.append(space)
     phys = os_.machine.phys
     for space in spaces:
-        shared = list(iter_share_notes(space))
-        live = phys.live_mask([item[1] for item in shared])
-        for (vpn, frame, perms, note), allocated in zip(shared, live):
-            if note.role not in ("parent", "child"):
-                violations.append(
-                    f"share: vpn {vpn:#x} has unknown role {note.role!r}")
+        sweep = space.share_sweep
+        edits = None if sweep is None else \
+            space.edits_since(sweep.mark, 0, _VPN_END)
+        if edits is None:
+            rows, edits = [], [(0, _VPN_END)]
+        else:
+            rows = sweep.rows
+        if edits:
+            rows, _ = splice_edits(
+                rows, edits,
+                lambda lo, hi: [_share_verdicts(*item) for item in
+                                iter_share_notes(space, lo, hi)])
+            sweep = space.share_sweep = _ShareSweep(space.journal_mark(),
+                                                    rows)
+        live = phys.live_mask(sweep.frames)
+        if not sweep.flagged and all(live):
+            continue
+        for (vpn, frame, role, wide), allocated in zip(sweep.rows, live):
+            if role is not None:
+                violations.append(role)
             if not allocated:
                 violations.append(
                     f"share: vpn {vpn:#x} notes freed frame {frame}")
-            if perms & ~int(note.orig_perms):
-                violations.append(
-                    f"share: vpn {vpn:#x} perms {PagePerm(perms)!r} wider "
-                    f"than pre-share {note.orig_perms!r}")
+            if wide is not None:
+                violations.append(wide)
     return violations
+
+
+def _share_verdicts(vpn: int, frame: int, perms: int, note: Any) -> tuple:
+    """``(vpn, frame, role violation, permission violation)`` of one
+    share note, each violation a string or None."""
+    role = None if note.role in ("parent", "child") else \
+        f"share: vpn {vpn:#x} has unknown role {note.role!r}"
+    wide = None if not perms & ~int(note.orig_perms) else (
+        f"share: vpn {vpn:#x} perms {PagePerm(perms)!r} wider "
+        f"than pre-share {note.orig_perms!r}")
+    return vpn, frame, role, wide
+
+
+class _ShareSweep:
+    """One space's share notes as of a journal mark
+    (``AddressSpace.share_sweep``): per note, the :func:`_share_verdicts`
+    row, and the frame numbers.  While the mark holds only frame
+    liveness can change; a later write is spliced in by the vpn ranges
+    the journal names."""
+
+    __slots__ = ("mark", "rows", "frames", "flagged")
+
+    def __init__(self, mark: Tuple[int, int], rows: List[tuple]) -> None:
+        self.mark = mark
+        self.rows = rows
+        self.frames = list(map(itemgetter(1), rows))
+        self.flagged = any(map(itemgetter(2), rows)) or \
+            any(map(itemgetter(3), rows))
+
+
+#: one past the highest vpn a share-note sweep covers: all of them
+_VPN_END = 1 << 64
 
 
 def _check_cap_flow(os_: Any) -> List[str]:

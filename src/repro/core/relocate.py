@@ -194,7 +194,9 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     the ones :meth:`PhysicalMemory.tagged_frames` finds tagged), the
     other sub-runs are replayed, and the entry is rebuilt.  Untagged
     pages, and tagged ones that relocate nothing, are memoised by their
-    versions alone.
+    versions alone.  A page left holding a granule that names a meta id
+    not interned yet is never replayed: interning that id later makes
+    the same bytes relocate (see :func:`_relocate_granules`).
 
     The memo is bounded by :data:`_PAGE_MEMO_CAP` pages (of content,
     plus one per entry for its versions) and is cleared only between
@@ -255,20 +257,24 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
         caps[start + lo:start + hi] = run_caps
         caps_batched += total
     frame_of = phys.frame
+    metas = machine.codec.metas
     moved = []  # rescanned batch positions that relocated a capability
+    forged = []  # rescanned batch positions naming an uninterned meta id
     tagged = phys.tagged_frames([dsts[index] for index in dirty]) \
         if dirty else ()
     for position in tagged:
         index = dirty[position]
-        caps[index] = _relocate_granules(machine, frame_of(dsts[index]),
-                                         regions)
+        frame = frame_of(dsts[index])
+        caps[index] = _relocate_granules(machine, frame, regions)
         if caps[index]:
             moved.append(index)
+        if None in metas(frame.tagged_meta_ids()):
+            forged.append(index)
     if caps_batched:
         _charge_each(machine, machine.costs.cap_relocate_ns, caps_batched,
                      "reloc_cap")
     if rebuilds:
-        _remember(memo, entries, rebuilds, moved, caps, phys, dsts)
+        _remember(memo, entries, rebuilds, moved, forged, caps, phys, dsts)
     _emit_relocations(machine, caps)
     return caps
 
@@ -288,17 +294,23 @@ class _RunMemo(dict):
 
 
 def _remember(memo: _RunMemo, entries: dict, rebuilds: list,
-              moved: List[int], caps: List[int], phys: Any,
-              dsts: Sequence[int]) -> None:
+              moved: List[int], forged: List[int], caps: List[int],
+              phys: Any, dsts: Sequence[int]) -> None:
     """Rebuild the memo entries of a batch's rescanned source runs: the
     sub-runs that stayed valid, plus one new sub-run, read from the
     relocated destinations, per stretch of consecutive batch positions
     in ``moved`` (the rescanned pages that relocated a capability).
+    A page in ``forged`` (a tagged granule naming a meta id not interned
+    yet, which relocates once intern hands that id out) is stored with
+    version -1, which no page has, so every later batch rescans it.
     Then store them, emptying the memo first (and keeping the batch's
     other entries) when the new pages would take it past
     :data:`_PAGE_MEMO_CAP`."""
     added = 0
     for key, start, end, versions, kept in rebuilds:
+        for index in forged[bisect_left(forged, start):
+                            bisect_left(forged, end)]:
+            versions[index - start] = -1
         runs = list(kept)
         inside = moved[bisect_left(moved, start):bisect_left(moved, end)]
         for _step, group in groupby(enumerate(inside),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import events
 from repro.core.relocate import (
@@ -351,9 +351,10 @@ def resolve_all_pending(space: AddressSpace, region_base: int,
     return resolved
 
 
-def iter_share_notes(space: AddressSpace):
+def iter_share_notes(space: AddressSpace, lo_vpn: Optional[int] = None,
+                     hi_vpn: Optional[int] = None):
     """Yield ``(vpn, frame, perms_int, note)`` for every still-shared
-    page.
+    page (given ``[lo_vpn, hi_vpn)``, only those in it).
 
     Audit hook for the conformance invariants: a consistent kernel
     never leaves a :class:`ShareNote` whose frame has been freed, whose
@@ -363,6 +364,6 @@ def iter_share_notes(space: AddressSpace):
     Yields in ascending vpn order the raw PTE state of
     :meth:`AddressSpace.noted_mappings`.
     """
-    for item in space.noted_mappings():
+    for item in space.noted_mappings(lo_vpn, hi_vpn):
         if isinstance(item[3], ShareNote):
             yield item

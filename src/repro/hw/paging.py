@@ -28,6 +28,12 @@ Sweeps are *stable*: entries come out in ascending vpn order, so walks,
 teardown frees and audits behave identically whatever the insertion
 history.
 
+Every one of those writes also appends its ``[lo_vpn, hi_vpn)`` to a
+bounded *edit journal*, once per call.  :meth:`AddressSpace.journal_mark`
+remembers a point in it and :meth:`AddressSpace.edits_since` lists the
+vpn ranges written since, so a checker re-reads only those ranges of a
+sweep it has already made (:func:`splice_edits`).
+
 Callers outside :mod:`repro.hw` must stay on that surface and never
 touch the chunk arrays; ``tests/test_memory_api_clean.py`` enforces the
 contract by grep.
@@ -36,8 +42,10 @@ contract by grep.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from enum import Enum, IntFlag, auto
-from itertools import compress, repeat
+from itertools import compress, count as _counter, repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import events
@@ -140,6 +148,13 @@ _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 #: ``_MAPPED(frame)`` — is a chunk slot mapped (unmapped slots hold -1)
 _MAPPED = (-1).__lt__
 
+#: edit-journal entries kept before it starts a new epoch
+JOURNAL_LIMIT = 1024
+
+#: journal epochs, unique across every address space: a mark taken on
+#: one space never matches another, or the same space after a reset
+_EPOCHS = _counter()
+
 
 def _drop_vpns(entries: Dict[int, Any], lo_vpn: int, hi_vpn: int) -> None:
     """Delete the keys in [lo, hi) of a vpn-keyed dict, walking
@@ -153,6 +168,39 @@ def _drop_vpns(entries: Dict[int, Any], lo_vpn: int, hi_vpn: int) -> None:
         pop = entries.pop
         for vpn in range(lo_vpn, hi_vpn):
             pop(vpn, None)
+
+
+#: the vpn of a sweep row (``row[0]``)
+_ROW_VPN = itemgetter(0)
+
+
+def splice_edits(rows: List[Any], edits: Sequence[Tuple[int, int]],
+                 fetch: Callable[[int, int], List[Any]],
+                 paired: Optional[List[Any]] = None
+                 ) -> Tuple[List[Any], Optional[List[Any]]]:
+    """Refresh a vpn-ordered sweep: ``rows`` (ascending by ``row[0]``, a
+    vpn) with the rows inside each of ``edits`` (disjoint, ascending
+    ``[lo, hi)`` ranges, as :meth:`AddressSpace.edits_since` gives them)
+    replaced by ``fetch(lo, hi)``.  ``paired``, a list parallel to
+    ``rows``, is spliced alongside, with ``None`` for each fetched row.
+    Returns the new ``(rows, paired)``."""
+    out: List[Any] = []
+    out_paired: Optional[List[Any]] = None if paired is None else []
+    start = 0
+    for lo, hi in edits:
+        cut = bisect_left(rows, lo, start, key=_ROW_VPN)
+        end = bisect_left(rows, hi, cut, key=_ROW_VPN)
+        fresh = fetch(lo, hi)
+        out += rows[start:cut]
+        out += fresh
+        if out_paired is not None:
+            out_paired += paired[start:cut]
+            out_paired += [None] * len(fresh)
+        start = end
+    out += rows[start:]
+    if out_paired is not None:
+        out_paired += paired[start:]
+    return out, out_paired
 
 
 #: fault handler: (space, vaddr, kind) -> True if resolved (retry access)
@@ -201,6 +249,56 @@ class AddressSpace:
         #: ``machine.costs`` is a frozen dataclass assigned once at
         #: machine construction
         self._charge_memo: Dict[int, int] = {}
+        #: the edit journal: the ``(lo_vpn, hi_vpn)`` of each PTE or note
+        #: write in this epoch, in order (an entry's sequence number is
+        #: its index); cleared into a fresh epoch past
+        #: :data:`JOURNAL_LIMIT` entries
+        self._journal: List[Tuple[int, int]] = []
+        self._journal_epoch = next(_EPOCHS)
+        #: what the share-note check saw of this space last time
+        #: (:mod:`repro.conform.invariants`); dies with the space
+        self.share_sweep: Any = None
+
+    # -- edit journal -------------------------------------------------------
+
+    def _log_edit(self, lo_vpn: int, hi_vpn: int) -> None:
+        journal = self._journal
+        journal.append((lo_vpn, hi_vpn))
+        if len(journal) > JOURNAL_LIMIT:
+            journal.clear()
+            self._journal_epoch = next(_EPOCHS)
+
+    def journal_mark(self) -> Tuple[int, int]:
+        """The journal's current point: ``(epoch, sequence number)``."""
+        return self._journal_epoch, len(self._journal)
+
+    def edits_since(self, mark: Tuple[int, int], lo_vpn: int,
+                    hi_vpn: int) -> Optional[List[Tuple[int, int]]]:
+        """The vpn ranges inside ``[lo_vpn, hi_vpn)`` that PTE or note
+        writes logged after ``mark`` (a :meth:`journal_mark` of this
+        space) may have touched: disjoint, ascending and clipped to the
+        range.  ``None`` when ``mark`` is from another space or an older
+        epoch.
+
+        Outside the returned ranges, :meth:`mapped_items` and
+        :meth:`noted_mappings` return what they returned at the mark.
+        """
+        epoch, seq = mark
+        if epoch != self._journal_epoch:
+            return None
+        if seq == len(self._journal) or hi_vpn <= lo_vpn:
+            return []
+        touched = sorted((max(lo, lo_vpn), min(hi, hi_vpn))
+                         for lo, hi in self._journal[seq:]
+                         if lo < hi_vpn and lo_vpn < hi)
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in touched:
+            if merged and lo <= merged[-1][1]:
+                if hi > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], hi)
+            else:
+                merged.append((lo, hi))
+        return merged
 
     # -- chunk plumbing -----------------------------------------------------
 
@@ -248,6 +346,7 @@ class AddressSpace:
         frames = self._chunk_for(chunk_id)
         if frames[index] >= 0:
             raise ValueError(f"vpn {vpn:#x} already mapped in {self.name}")
+        self._log_edit(vpn, vpn + 1)
         if incref:
             self.machine.phys.incref(frame)
         frames[index] = frame
@@ -263,6 +362,7 @@ class AddressSpace:
 
     def unmap_page(self, vpn: int, decref: bool = True) -> int:
         chunk_id, index, frames = self._slot(vpn)
+        self._log_edit(vpn, vpn + 1)
         frame = frames[index]
         frames[index] = -1
         self._perms[chunk_id][index] = 0
@@ -280,6 +380,7 @@ class AddressSpace:
 
     def protect_page(self, vpn: int, perms: PagePerm) -> None:
         chunk_id, index, _frames = self._slot(vpn)
+        self._log_edit(vpn, vpn + 1)
         # in-place permission write: cached walk entries alias this
         # byte, so narrowing takes effect on their very next probe
         self._perms[chunk_id][index] = int(perms)
@@ -310,6 +411,8 @@ class AddressSpace:
             spans.append((chunk_id, index, take))
             vpn += take
             remaining -= take
+        if count > 0:
+            self._log_edit(start_vpn, start_vpn + count)
         perm_byte = bytes([int(perms)])
         cow_byte = b"\x01" if cow else b"\x00"
         for chunk_id, index, take in spans:
@@ -327,6 +430,7 @@ class AddressSpace:
         this once per broken page.
         """
         chunk_id, index, frames = self._slot(vpn)
+        self._log_edit(vpn, vpn + 1)
         if new_frame is not None:
             if decref_old:
                 self.machine.phys.decref(frames[index])
@@ -422,6 +526,9 @@ class AddressSpace:
         count = len(frames)
         if count == 0:
             return
+        # logged first: a run failing its already-mapped check in a
+        # later chunk keeps the chunks it already filled
+        self._log_edit(start_vpn, start_vpn + count)
         perms_int = int(perms)
         cow_int = 1 if cow else 0
         phys = self.machine.phys
@@ -490,6 +597,7 @@ class AddressSpace:
                 self._drop_chunk(chunk_id)
         if not released:
             return 0
+        self._log_edit(lo_vpn, hi_vpn)
         _drop_vpns(self._notes, lo_vpn, hi_vpn)
         _drop_vpns(self._walk_cache, lo_vpn, hi_vpn)
         if decref:
@@ -522,6 +630,8 @@ class AddressSpace:
         """
         for vpn in vpns:
             self._slot(vpn)
+        if vpns:
+            self._log_edit(min(vpns), max(vpns) + 1)
         notes = self._notes
         if note is None:
             for vpn in vpns:
@@ -908,4 +1018,5 @@ __all__ = [
     "FaultHandler",
     "PagePerm",
     "CAP_SIZE",
+    "splice_edits",
 ]

@@ -38,12 +38,14 @@ The image loader takes a segment's frames with one
 
 from __future__ import annotations
 
+import functools
 import itertools
 import mmap
+import struct
 from array import array
 from operator import lt, sub
 from typing import (Any, Callable, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Set, Tuple)
 
 from repro import events
 from repro.cheri.capability import Capability
@@ -71,7 +73,6 @@ _ONE = array("q", [1])
 #: batch that only looks like one run pays the test, ~45 ns a number.
 _RUN_MIN = 24
 _INCREMENT = (1).__add__
-_POSITIVE = (0).__lt__
 
 
 def _zeroed_arena(size: int) -> Any:
@@ -83,6 +84,13 @@ def _zeroed_arena(size: int) -> Any:
     if hasattr(mmap, "MAP_PRIVATE"):
         return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     return bytearray(size)  # pragma: no cover - hosts without mmap flags
+
+
+@functools.lru_cache(maxsize=4)
+def _meta_id_words(granules: int) -> struct.Struct:
+    """Unpacks the meta-id word of each of a page's ``granules`` (one
+    page size per machine config)."""
+    return struct.Struct("<" + "8xQ" * granules)
 
 
 def _zeros(count: int) -> bytes:
@@ -192,6 +200,14 @@ class Frame:
             out.append((index - base) * CAP_SIZE)
             index = store.find(1, index + 1, end)
         return out
+
+    def tagged_meta_ids(self) -> Set[int]:
+        """The distinct meta ids named by the granules holding valid
+        capabilities: one unpack of every granule's meta-id word
+        (:data:`~repro.cheri.codec.GRANULE` packs ``(cursor, meta id)``)
+        filtered by the tags, both C-level."""
+        return set(itertools.compress(
+            _meta_id_words(len(self.tags)).unpack(self.data), self.tags))
 
     def clear_tags_range(self, lo_offset: int, hi_offset: int) -> None:
         """Clear the tags of every granule overlapping [lo, hi)."""
@@ -780,11 +796,11 @@ class PhysicalMemory:
         return self._versions[first:first + count]
 
     def live_mask(self, numbers: Sequence[int]) -> List[bool]:
-        """:meth:`contains` for each of ``numbers``, in one C-level pass
-        over the refcount column."""
+        """:meth:`contains` for each of ``numbers``, in one pass over the
+        refcount column."""
         refcounts = self._refcounts
         if numbers and 0 < min(numbers) and max(numbers) < len(refcounts):
-            return list(map(_POSITIVE, map(refcounts.__getitem__, numbers)))
+            return [refcounts[number] > 0 for number in numbers]
         return list(map(self.contains, numbers))
 
     def refcounts(self, numbers: Sequence[int]) -> List[int]:
@@ -795,10 +811,12 @@ class PhysicalMemory:
 
     def versions(self, numbers: Sequence[int]) -> List[int]:
         """The content version (:attr:`Frame.version`) of each of
-        ``numbers`` (``KeyError`` for the first unallocated one) — what
-        content memos key on."""
-        self._require_allocated(numbers)
-        return list(map(self._versions.__getitem__, numbers))
+        ``numbers`` — what content memos key on — read straight from the
+        column, allocated or not: a freed number reads the version it
+        was freed at, so the frame behind a dangling mapping raises
+        nothing."""
+        versions = self._versions
+        return [versions[number] for number in numbers]
 
     def check_columns(self) -> List[str]:
         """Consistency of the per-number state; a list of violations

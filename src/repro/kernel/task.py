@@ -73,7 +73,7 @@ class Process:
     __slots__ = ("pid", "name", "parent", "children", "tasks",
                  "exit_status", "reaped", "region_base", "region_top",
                  "layout", "allocator", "space", "fdtable",
-                 "syscall_gate", "signal_state", "__dict__")
+                 "syscall_gate", "signal_state", "audit_cache", "__dict__")
 
     def __init__(self, pid: int, name: str,
                  parent: Optional["Process"] = None) -> None:
@@ -103,6 +103,9 @@ class Process:
         self.syscall_gate: Any = None
         #: :class:`repro.kernel.signals.SignalState`, made on first use
         self.signal_state: Any = None
+        #: what the capability-flow audit saw of this process last time
+        #: (:mod:`repro.sec.auditor`); dies with the process
+        self.audit_cache: Any = None
 
     # -- threads --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Tests for physical memory (frames + tags) and paging (faults, CoW hooks)."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,7 @@ from repro.errors import (
     ProtectionError,
     UnmappedAddressError,
 )
+from repro.hw import paging
 from repro.hw.paging import AccessKind, AddressSpace, PagePerm
 from repro.hw.phys import BANK_FRAMES, consecutive_runs
 from repro.machine import Machine
@@ -1093,3 +1095,147 @@ class TestUnmapRange:
             space.map_page(vpn, frame, PagePerm.rwc())
             assert space.resolve(vpn * self.PAGE, AccessKind.READ)[0] is \
                 bulk.phys.frame(frame)
+
+
+class TestEditJournal:
+    """Every PTE or note write lands in the space's edit journal: outside
+    the ranges :meth:`AddressSpace.edits_since` names, a sweep reads what
+    it read at the mark.  The audit caches of the explorer's invariants
+    rest on this."""
+
+    #: the vpn window straddles the 512-vpn chunk boundary at 512, and
+    #: is narrow enough that calls often land on mapped vpns
+    LO = 512 - 24
+    SPAN = 48
+
+    _vpn = st.integers(LO, LO + SPAN - 1)
+    _perms = st.sampled_from([PagePerm.rwc(), PagePerm.read_only(),
+                              PagePerm.NONE])
+    _note = st.sampled_from([None, "a", "b"])
+    #: one mutator call; ones an unmapped or already-mapped vpn makes
+    #: fail still run (a failing ``map_run`` keeps its earlier chunks)
+    _op = st.one_of(
+        st.tuples(st.just("map_page"), _vpn, _perms, st.booleans(), _note),
+        st.tuples(st.just("map_run"), _vpn, st.integers(1, 20), _perms,
+                  st.booleans(), _note),
+        st.tuples(st.just("unmap_page"), _vpn),
+        st.tuples(st.just("unmap_range"), _vpn, st.integers(0, 20)),
+        st.tuples(st.just("protect_page"), _vpn, _perms),
+        st.tuples(st.just("protect_run"), _vpn, st.integers(0, 6), _perms,
+                  st.booleans()),
+        st.tuples(st.just("privatize_page"), _vpn, _perms, st.booleans()),
+        st.tuples(st.just("set_note_many"),
+                  st.lists(_vpn, max_size=2, unique=True), _note),
+    )
+
+    @staticmethod
+    def apply(machine, space, op):
+        name, *args = op
+        phys = machine.phys
+        try:
+            if name == "map_page":
+                vpn, perms, cow, note = args
+                frame = phys.alloc()
+                try:
+                    space.map_page(vpn, frame, perms, cow=cow, note=note)
+                except ValueError:
+                    phys.decref(frame)
+                    raise
+            elif name == "map_run":
+                start, count, perms, cow, note = args
+                space.map_run(start, phys.alloc_run(count), perms, cow=cow,
+                              note=note)
+            elif name == "unmap_page":
+                space.unmap_page(args[0])
+            elif name == "unmap_range":
+                space.unmap_range(args[0], args[0] + args[1])
+            elif name == "protect_page":
+                space.protect_page(*args)
+            elif name == "protect_run":
+                space.protect_run(*args)
+            elif name == "privatize_page":
+                vpn, perms, fresh = args
+                if space.frame_of(vpn) is None:
+                    raise KeyError(vpn)
+                space.privatize_page(vpn, perms,
+                                     phys.alloc() if fresh else None)
+            else:
+                space.set_note_many(*args)
+        except (KeyError, ValueError):
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(before=st.lists(_op, max_size=20),
+           after=st.lists(_op, max_size=20),
+           windows=st.lists(st.tuples(_vpn, st.integers(0, SPAN)),
+                            max_size=3),
+           limit=st.sampled_from([4, 1024]))
+    def test_prop_unjournaled_vpns_read_the_same(self, before, after,
+                                                 windows, limit):
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        # start from every other block of 4 vpns mapped, so calls that
+        # need a mapped vpn and calls that need a free one both land
+        for start in range(self.LO, self.LO + self.SPAN, 8):
+            space.map_run(start, machine.phys.alloc_run(4), PagePerm.rwc())
+        with mock.patch.object(paging, "JOURNAL_LIMIT", limit):
+            for op in before:
+                self.apply(machine, space, op)
+            mark = space.journal_mark()
+            whole = (0, 1 << 20)
+            items = space.mapped_items(*whole)
+            noted = space.noted_mappings(*whole)
+            for op in after:
+                self.apply(machine, space, op)
+        reset = len(after) and \
+            self.SPAN // 8 + len(before) + len(after) > limit
+        for lo, width in windows + [(self.LO, self.SPAN)]:
+            hi = lo + width
+            edits = space.edits_since(mark, lo, hi)
+            if edits is None:
+                assert reset, "a mark of this epoch read as stale"
+                continue
+            bounds = [bound for edit in edits for bound in edit]
+            assert bounds == sorted(bounds) and len(set(bounds)) == \
+                len(bounds), edits
+            assert all(lo <= a < b <= hi for a, b in edits)
+
+            def untouched(row):
+                return lo <= row[0] < hi and not any(
+                    a <= row[0] < b for a, b in edits)
+
+            assert [row for row in space.mapped_items(lo, hi)
+                    if untouched(row)] == \
+                [row for row in items if untouched(row)]
+            assert [row for row in space.noted_mappings(lo, hi)
+                    if untouched(row)] == \
+                [row for row in noted if untouched(row)]
+            if not edits:
+                assert space.mapped_items(lo, hi) == \
+                    [row for row in items if lo <= row[0] < hi]
+
+    def test_each_call_logs_one_range(self):
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        mark = space.journal_mark()
+        space.map_run(100, machine.phys.alloc_run(40), PagePerm.rwc())
+        space.protect_run(100, 40, PagePerm.read_only())
+        space.set_note_many([101, 120, 139], "note")
+        space.unmap_range(90, 150)
+        assert space.journal_mark() == (mark[0], mark[1] + 4)
+        assert space.edits_since(mark, 0, 1 << 20) == [(90, 150)]
+        assert space.edits_since(mark, 0, 90) == []
+        assert space.edits_since(mark, 95, 120) == [(95, 120)]
+
+    def test_past_the_limit_every_mark_is_stale(self):
+        machine = Machine()
+        space = AddressSpace(machine, "test")
+        space.map_page(7, machine.phys.alloc(), PagePerm.rwc())
+        mark = space.journal_mark()
+        other = AddressSpace(machine, "other").journal_mark()
+        assert other[0] != mark[0]
+        assert space.edits_since(other, 0, 10) is None
+        for _ in range(paging.JOURNAL_LIMIT):
+            space.protect_page(7, PagePerm.read_only())
+        assert space.journal_mark()[0] != mark[0]
+        assert space.edits_since(mark, 100, 200) is None

@@ -282,26 +282,30 @@ def test_packed_scan_matches_per_capability_reference(mode, pair, pages,
 # The fork run memo against per-frame relocation
 # ---------------------------------------------------------------------------
 
-#: a granule as guests can store one: a capability or plain bytes (a
-#: forged id is left out: interning it later changes what an unchanged
-#: page relocates to, which no content memo can see)
+#: a granule as guests can store one: a capability or plain bytes; a
+#: forged id (rarer) relocates only once interning hands it out, which
+#: changes what an unchanged page relocates to
 _real_granule = st.one_of(
     st.tuples(st.just("cap"), _anchor, _offsets, _length, _anchor,
               _offsets, _perms, _otype),
     st.tuples(st.just("bytes")),
 )
-_real_page = st.dictionaries(st.integers(0, GRANULES - 1), _real_granule,
+_memo_granule = _real_granule | st.tuples(st.just("forged"),
+                                          st.integers(1, 4))
+_memo_page = st.dictionaries(st.integers(0, GRANULES - 1), _memo_granule,
                              max_size=12)
 #: what happens between relocations: ("fork", pad) copies the batch
 #: after taking ``pad`` more frames (so the copies start at another
 #: bank offset) and relocates the copies; ("in_place",) relocates the
 #: sources themselves; ("store", page, granule, spec) changes one
-#: source page
+#: source page; ("intern", count) interns ``count`` new metadata tuples
+#: spanning the parent region, handing out the next forged ids
 _memo_step = st.one_of(
     st.tuples(st.just("fork"), st.integers(0, 12)),
     st.tuples(st.just("in_place")),
     st.tuples(st.just("store"), st.integers(0, 7),
-              st.integers(0, GRANULES - 1), _real_granule),
+              st.integers(0, GRANULES - 1), _memo_granule),
+    st.tuples(st.just("intern"), st.integers(1, 4)),
 )
 
 
@@ -343,6 +347,12 @@ def _run_memo_steps(pages, batch, as_tuple, steps, chaos, reference):
             seen += dsts
         elif step[0] == "in_place":
             dsts = srcs
+        elif step[0] == "intern":
+            interned = len(_intern_table(machine))
+            for length in range(interned + 1, interned + 1 + step[1]):
+                machine.codec.intern((regions.parent_base, 16 * length,
+                                      int(Perm.data_rw()), OTYPE_UNSEALED))
+            continue
         else:
             _store(machine, regions, numbers[step[1] % len(numbers)],
                    step[2], step[3])
@@ -363,7 +373,7 @@ def _run_memo_steps(pages, batch, as_tuple, steps, chaos, reference):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(pages=st.lists(_real_page, min_size=1, max_size=8),
+@given(pages=st.lists(_memo_page, min_size=1, max_size=8),
        batch=st.lists(st.booleans(), min_size=8, max_size=8).filter(any),
        as_tuple=st.booleans(),
        steps=st.lists(_memo_step, min_size=1, max_size=8),
@@ -382,7 +392,8 @@ def test_run_memo_matches_per_frame_reference(pages, batch, as_tuple, steps,
     :func:`relocate_frames` with no memo, over batches of one or more
     source runs, copies at shifting bank offsets, source pages changed
     between relocations (capabilities stored into untagged pages
-    too), relocation in place and injected tag clears."""
+    too), forged meta ids interned between relocations, relocation in
+    place and injected tag clears."""
     batch = batch[:len(pages)] if any(batch[:len(pages)]) else [True]
     ours = _run_memo_steps(pages, batch, as_tuple, steps, chaos,
                            reference=False)
@@ -452,3 +463,40 @@ def test_forged_meta_id_is_untouched_until_interned():
                                                       moved_id)
     assert frame.tagged_granules() == [0x80]
     assert frame.version == version + 1
+
+
+def test_fork_memo_relocates_a_forged_id_once_interned():
+    """Fork's run memo never replays a page holding a granule whose meta
+    id is not interned yet: fork, intern that id, fork again, and the
+    copies come out as per-frame relocation leaves them."""
+    regions = RegionPair(0x100000, 0x110000, 0x300000, 0x310000)
+    meta = (0x100000, 0x100, int(Perm.data_rw()), OTYPE_UNSEALED)
+
+    def forks(reference):
+        machine = Machine()
+        phys = machine.phys
+        number = phys.alloc()
+        forged_id = len(_intern_table(machine)) + 1
+        phys.frame(number).write_granule(
+            0x80, GRANULE.pack(0x100040, forged_id), 1)
+        counts, copies = [], []
+        for fork in range(2):
+            if fork:
+                assert machine.codec.intern(meta) == forged_id
+            dsts = phys.copy_frames([number])
+            counts.append(
+                _per_frame(machine, dsts, regions) if reference
+                else relocate_copied_frames(machine, phys, [number], dsts,
+                                            regions))
+            copies += dsts
+        return {
+            "counts": counts,
+            "content": [phys.frame(n).snapshot_content() for n in copies],
+            "now_ns": machine.clock.now_ns,
+            "counters": machine.counters.snapshot(),
+            "meta": _intern_table(machine),
+        }
+
+    ours = forks(reference=False)
+    assert ours == forks(reference=True)
+    assert ours["counts"] == [[0], [1]]
