@@ -24,17 +24,13 @@ class SimClock:
     (e.g. ``"fork"``, ``"page_copy"``) so experiments can break latency
     down the way the paper's figures do.
 
-    ``observer`` is the hook the observability layer
-    (:mod:`repro.obs`) installs while enabled: every advance is
-    mirrored as ``observer(ns, bucket)``.  A ``None`` observer costs
-    one attribute check per advance — the same contract as tracing.
+    Nothing is called back on an advance: the observability layer
+    (:mod:`repro.obs`) reads ``now_ns`` and ``buckets`` by difference.
     """
 
     def __init__(self) -> None:
         self._now_ns = 0
         self.buckets: Dict[str, int] = {}
-        #: optional ``(ns, bucket)`` callback (see :mod:`repro.obs`)
-        self.observer = None
 
     # -- reading ------------------------------------------------------
 
@@ -64,14 +60,11 @@ class SimClock:
         self._now_ns += ns_int
         if bucket is not None:
             self.buckets[bucket] = self.buckets.get(bucket, 0) + ns_int
-        if self.observer is not None:
-            self.observer(ns_int, bucket)
 
     def advance_planned(self, charges: Iterable[Tuple[int, str]]) -> None:
         """What one :meth:`advance` per ``(ns, bucket)`` of ``charges``
         does, in order, for charges already rounded and checked
-        non-negative.  Callers first check that :attr:`observer` is
-        ``None``: it is not called here."""
+        non-negative."""
         buckets = self.buckets
         for ns, bucket in charges:
             self._now_ns += ns
@@ -80,10 +73,7 @@ class SimClock:
     def advance_to(self, ns: int) -> None:
         """Move the clock forward to an absolute time (no-op if in the past)."""
         if ns > self._now_ns:
-            delta = ns - self._now_ns
             self._now_ns = ns
-            if self.observer is not None:
-                self.observer(delta, None)
 
     # -- measurement helpers -------------------------------------------
 

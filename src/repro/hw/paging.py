@@ -744,8 +744,6 @@ class AddressSpace:
                 clock._now_ns += ns_int
                 buckets = clock.buckets
                 buckets["mem_read"] = buckets.get("mem_read", 0) + ns_int
-                if clock.observer is not None:
-                    clock.observer(ns_int, "mem_read")
             return data
         out = bytearray()
         remaining = size
@@ -804,8 +802,6 @@ class AddressSpace:
                 clock._now_ns += ns_int
                 buckets = clock.buckets
                 buckets["mem_write"] = buckets.get("mem_write", 0) + ns_int
-                if clock.observer is not None:
-                    clock.observer(ns_int, "mem_write")
             return
         self._write_layered(vaddr, data, privileged, charge)
 
@@ -816,9 +812,8 @@ class AddressSpace:
         Simulated-identical to the per-call loop: each address gets the
         same walk/fault dispatch in sequence order and the same cleared
         tag set; only the memcpy charge is batched, as the exact sum of
-        the identical per-call rounded charges.  A clock observer sees
-        that sum as one advance, attributed to the same innermost
-        profiling span as the per-call charges would be.
+        the identical per-call rounded charges, so the clock and its
+        buckets read as the per-call loop leaves them.
         """
         machine = self.machine
         size = len(data)
@@ -886,8 +881,6 @@ class AddressSpace:
             clock._now_ns += total
             buckets = clock.buckets
             buckets["mem_write"] = buckets.get("mem_write", 0) + total
-            if clock.observer is not None:
-                clock.observer(total, "mem_write")
 
     def _blocked_write_vaddrs(self, vaddrs: Sequence[int], start: int,
                               size: int) -> Optional[List[int]]:

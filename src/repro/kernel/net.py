@@ -36,12 +36,18 @@ class Connection:
                                inbound=self._client_to_server)
 
     def _charge(self, n: int) -> None:
-        self.machine.charge(self.machine.costs.net_packet_ns, "net_packet")
-        self.machine.charge(
-            self.machine.costs.io_copy_ns_per_byte * n, "net_io"
-        )
-        self.machine.emit(events.NET_PACKETS)
-        self.machine.emit(events.NET_BYTES, n)
+        machine = self.machine
+        packet_ns = machine.costs.net_packet_ns
+        copy_ns = machine.costs.io_copy_ns_per_byte * n
+        if packet_ns >= 0 and copy_ns >= 0:
+            machine.clock.advance_planned(
+                ((int(round(packet_ns)), "net_packet"),
+                 (int(round(copy_ns)), "net_io")))
+        else:  # a negative or NaN cost: the clock raises, as it always has
+            machine.charge(packet_ns, "net_packet")
+            machine.charge(copy_ns, "net_io")
+        machine.emit(events.NET_PACKETS)
+        machine.emit(events.NET_BYTES, n)
 
 
 class Endpoint:

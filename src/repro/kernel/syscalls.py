@@ -110,10 +110,10 @@ class SyscallLayer:
         ``buffer_bytes`` lists the sizes of user buffers passed by
         reference (each is double-copied under TOCTTOU protection).
 
-        A planned name with chaos, obs, the tracer and any clock
-        observer off and no TOCTTOU copies to make takes one branch:
-        the plan's charges in one clock call, then the two counter
-        bumps, in the order and with the amounts of the general path
+        A planned name with chaos and the tracer off and no TOCTTOU
+        copies to make takes one branch: the plan's charges in one
+        clock call, then the two counter bumps (the two emits while obs
+        is on), in the order and with the amounts of the general path
         below.
 
         Chaos: the ``kernel.syscall.{eintr,enomem,eagain}`` points fire
@@ -125,13 +125,16 @@ class SyscallLayer:
         machine = self.machine
         plan = self.plans.get(name)
         if (plan is not None and not machine.chaos.enabled
-                and machine.clock.observer is None
-                and machine.tracer is None and not machine.obs.enabled
+                and machine.tracer is None
                 and not (buffer_bytes and self.isolation.tocttou)):
             charges = plan.charges.get(nargs) or self._plan_charges(plan,
                                                                     nargs)
             if charges:
                 machine.clock.advance_planned(charges)
+                if machine.obs.enabled:
+                    machine.emit(events.SYSCALL)
+                    machine.emit(plan.named)
+                    return
                 values = machine.counters.values
                 values[_SYSCALL_SLOT] = values.get(_SYSCALL_SLOT, 0) + 1
                 slot = plan.named.slot

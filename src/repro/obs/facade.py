@@ -10,10 +10,11 @@ check that records nothing.
 Nothing in this module ever advances the simulated clock, so enabling
 observability cannot change any simulated result.
 
-When enabled, the facade installs itself as the clock's observer: every
-``clock.advance(ns, bucket)`` is mirrored as a ``time.<bucket>`` counter
-and attributed to the innermost open span, which is how the span tree's
-total stays equal to the observed clock time.
+The facade reads the clock by difference, never per advance: each
+``time.<bucket>`` counter is the clock's bucket minus its value when
+observation started, and the span tree credits the time since it last
+settled to the innermost open span, which is how the span tree's total
+stays equal to the observed clock time.
 
 Usage::
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.registry import Counter, MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry, check_metric_name
 from repro.obs.spans import SpanNode, SpanTree, format_span_tree
 
 SCHEMA = "repro.obs/v1"
@@ -92,11 +93,14 @@ class Observability:
                  enabled: bool = False) -> None:
         self.clock = clock
         self.registry = MetricsRegistry()
-        self.span_tree = SpanTree()
+        self.registry.derived = self._on_advance
+        self.span_tree = SpanTree(clock)
         #: event -> its bound ``(metric, trace)`` counters (:meth:`bind`)
         self.bound: Dict[Any, Tuple[Optional[Counter], ...]] = {}
-        #: clock bucket -> its ``time.<bucket>`` counter
-        self._time_counters: Dict[str, Counter] = {}
+        #: the clock's buckets when the open window began, and the
+        #: ``time.<bucket>`` totals of the windows :meth:`disable` closed
+        self._buckets_at_start: Dict[str, int] = {}
+        self._closed_ns: Dict[str, int] = {}
         self.enabled = False
         #: clock reading when observation started (export invariant:
         #: ``span tree total == clock_ns - enabled_at_ns``)
@@ -107,32 +111,39 @@ class Observability:
     # -- switching -------------------------------------------------------
 
     def enable(self) -> "Observability":
-        """Start observing (idempotent); hooks the clock observer."""
+        """Start observing (idempotent)."""
         if self.clock is None:
             raise RuntimeError("cannot enable an Observability built "
                                "without a clock")
         if not self.enabled:
             self.enabled = True
-            self.enabled_at_ns = self.clock.now_ns
-            self.clock.observer = self._on_advance
+            self.enabled_at_ns = self.span_tree.mark = self.clock.now_ns
+            self._buckets_at_start = dict(self.clock.buckets)
         return self
 
     def disable(self) -> None:
         """Stop observing; recorded data stays readable."""
         if self.enabled:
+            self._closed_ns = self._on_advance()
             self.enabled = False
-            self.clock.observer = None
+            self.span_tree.mark = None
 
     # -- recording (all no-ops while disabled) ---------------------------
 
-    def _on_advance(self, ns: int, bucket: Optional[str]) -> None:
-        self.span_tree.attribute(ns)
-        if bucket is not None:
-            counter = self._time_counters.get(bucket)
-            if counter is None:
-                counter = self._time_counters[bucket] = \
-                    self.registry.counter("time." + bucket)
-            counter.inc(ns)
+    def _on_advance(self) -> Dict[str, int]:
+        """Catch up with the clock: settle the innermost open span and
+        return the ``time.<bucket>`` counters, by difference.  A bucket
+        absent when its window opened counts even at 0 ns."""
+        totals = dict(self._closed_ns)
+        if self.enabled:
+            self.span_tree.settle()
+            start = self._buckets_at_start
+            for bucket, ns in self.clock.buckets.items():
+                base = start.get(bucket)
+                if base != ns:
+                    name = check_metric_name("time." + bucket)
+                    totals[name] = totals.get(name, 0) + ns - (base or 0)
+        return totals
 
     def bind(self, entry: Any) -> Tuple[Optional[Counter], ...]:
         """Create the counters of a :mod:`repro.events` entry's first
@@ -201,9 +212,10 @@ class Observability:
         self.span_tree.reset()
         self.registry.reset()
         self.bound.clear()
-        self._time_counters.clear()
+        self._closed_ns = {}
         if self.clock is not None:
             self.enabled_at_ns = self.clock.now_ns
+            self._buckets_at_start = dict(self.clock.buckets)
 
 
 #: the permanently disabled instance used where no machine exists yet

@@ -18,7 +18,7 @@ Usage::
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
@@ -149,6 +149,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: counters computed when read, listed among the stored ones
+        self.derived: Callable[[], Dict[str, int]] = dict
 
     # -- accessors -----------------------------------------------------
 
@@ -185,7 +187,9 @@ class MetricsRegistry:
     # -- introspection -------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
+        values = {name: c.value for name, c in self._counters.items()}
+        values.update(self.derived())
+        return dict(sorted(values.items()))
 
     def gauges(self) -> Dict[str, float]:
         return {name: g.value for name, g in sorted(self._gauges.items())}

@@ -2,12 +2,12 @@
 
 A span is a named ``with`` region; every nanosecond the
 :class:`~repro.clock.SimClock` advances while a span is open is
-attributed to the *innermost* open span as **self time**.  Spans nest
-into a tree keyed by dotted paths (``syscall.fork`` →
-``syscall.fork.copy_pages``), so one fork's cost decomposes exactly the
-way the paper's cost model does: each node's total is its self time
-plus its children's totals, and the root's total equals the clock time
-elapsed while observation was on.
+attributed to the *innermost* open span as **self time**, read by
+difference when a span opens or closes.  Spans nest into a tree keyed
+by dotted paths (``syscall.fork`` → ``syscall.fork.copy_pages``), so
+one fork's cost decomposes exactly the way the paper's cost model does:
+each node's total is its self time plus its children's totals, and the
+root's total equals the clock time elapsed while observation was on.
 
 Usage::
 
@@ -20,7 +20,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 class SpanNode:
@@ -79,22 +79,38 @@ class SpanTree:
     The root node is anonymous: time that advances while *no* span is
     open lands in its self time, so the invariant ``root.total_ns ==
     observed clock time`` holds regardless of instrumentation coverage.
+
+    :meth:`settle` credits the clock time since :attr:`mark` to the
+    innermost open node; opening, closing and reading :attr:`root` settle.
     """
 
-    def __init__(self) -> None:
-        self.root = SpanNode("", "")
+    def __init__(self, clock: Optional[Any] = None) -> None:
+        self.clock = clock
+        self._root = SpanNode("", "")
         self._stack: List[SpanNode] = []
+        #: clock reading up to which the innermost open node (or the
+        #: root) is settled; ``None`` while observation is off
+        self.mark: Optional[int] = None
 
-    # -- attribution (called from the clock observer) -------------------
+    # -- attribution -----------------------------------------------------
 
-    def attribute(self, ns: int) -> None:
-        node = self._stack[-1] if self._stack else self.root
-        node.self_ns += ns
+    def settle(self) -> None:
+        if self.mark is not None:
+            now = self.clock._now_ns
+            node = self._stack[-1] if self._stack else self._root
+            node.self_ns += now - self.mark
+            self.mark = now
+
+    @property
+    def root(self) -> SpanNode:
+        self.settle()
+        return self._root
 
     # -- open/close ------------------------------------------------------
 
     def open(self, name: str) -> SpanNode:
-        parent = self._stack[-1] if self._stack else self.root
+        self.settle()
+        parent = self._stack[-1] if self._stack else self._root
         node = parent.child(name)
         node.count += 1
         self._stack.append(node)
@@ -104,15 +120,8 @@ class SpanTree:
         if not self._stack or self._stack[-1] is not node:
             raise RuntimeError(
                 f"span {node.path!r} closed out of order")
+        self.settle()
         self._stack.pop()
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    @property
-    def current_path(self) -> str:
-        return self._stack[-1].path if self._stack else ""
 
     def node(self, path: str) -> Optional[SpanNode]:
         """Look up a node by dotted path (None if never opened).
@@ -141,7 +150,9 @@ class SpanTree:
     def reset(self) -> None:
         if self._stack:
             raise RuntimeError("cannot reset span tree with open spans")
-        self.root = SpanNode("", "")
+        self._root = SpanNode("", "")
+        if self.mark is not None:
+            self.mark = self.clock._now_ns
 
 
 def format_span_tree(root: SpanNode, total_label: str = "total") -> str:

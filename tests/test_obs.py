@@ -217,7 +217,20 @@ class TestDisabledPath:
     def test_machine_obs_disabled_by_default(self):
         machine = Machine()
         assert machine.obs.enabled is False
-        assert machine.clock.observer is None
+        clock = machine.clock
+        machine.charge(5, "fork_fixed")
+
+        def state():
+            return {name: dict(value) if isinstance(value, dict) else value
+                    for name, value in vars(clock).items()}
+
+        before = state()
+        # obs reads the clock by difference: switching it on and off
+        # installs nothing on the clock and changes none of its state
+        for switch in (machine.obs.enable, machine.obs.disable):
+            switch()
+            assert type(clock) is SimClock
+            assert state() == before
 
     def test_workload_leaves_disabled_registry_empty(self):
         os_, ctx = boot_ufork()

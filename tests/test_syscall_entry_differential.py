@@ -3,19 +3,22 @@ path come out bit-equal.
 
 With obs, chaos and the tracer off, no ``syscall_tap`` and no signal
 pending, :meth:`repro.kernel.base.AbstractOS.syscall` calls the
-handler straight through the name's entry plan; with no clock observer
-either, :meth:`repro.kernel.syscalls.SyscallLayer.enter` makes the
-planned charges in one clock call.  A no-op ``syscall_tap`` and a
-no-op clock observer send every call down both general paths instead
-(span, signal delivery, tap; per-charge clock advances and emits).
-One mixed script — an nginx request served from the ram-disk, a pipe
+handler straight through the name's entry plan; with chaos and the
+tracer off, obs on or off,
+:meth:`repro.kernel.syscalls.SyscallLayer.enter` makes the planned
+charges in one clock call.  A no-op ``syscall_tap`` and a no-op tracer
+send every call down both general paths instead (span, signal
+delivery, tap; per-charge clock advances and emits).  One mixed
+script — an nginx request served from the ram-disk, a pipe
 ping-pong, reads and writes through user buffers (TOCTTOU copies
 under FULL isolation), an unknown syscall, a handler that raises,
 calls on killed, signalled and exited processes — runs once each way
-on every kernel at every isolation level; results, exception types,
-the clock reading, its buckets and the counter view must be equal,
-orders included.
+on every kernel at every isolation level, with obs off and on;
+results, exception types, the clock reading, its buckets, the counter
+view and the obs export's bytes must be equal, orders included.
 """
+
+import json
 
 import pytest
 
@@ -97,32 +100,41 @@ def _script(os_):
     return outcomes
 
 
-def _run(kernel, level, slow):
+class _NullTracer:
+    """A tracer that keeps nothing: attached, it forces the general
+    entry path without changing what is recorded elsewhere."""
+
+    def record(self, *args, **fields):
+        return None
+
+
+def _run(kernel, level, slow, obs):
     machine = Machine(seed=7)
+    if obs:
+        machine.obs.enable()
     os_ = KERNELS[kernel](machine=machine,
                           isolation=IsolationConfig.from_level(level))
     if slow:
         machine.syscall_tap = lambda *record: None
-        machine.clock.observer = lambda ns, bucket: None
+        machine.tracer = _NullTracer()
     outcomes = _script(os_)
     # only the fast ``enter`` branch fills a plan's charges
     planned = sum(len(plan.charges) for plan in os_.syscalls.plans.values())
     return (outcomes, machine.clock.now_ns,
             list(machine.clock.buckets.items()),
-            list(machine.counters.snapshot().items()), planned)
+            list(machine.counters.snapshot().items()), planned,
+            json.dumps(machine.obs.export()))
 
 
-@pytest.mark.parametrize("level", list(IsolationLevel),
-                         ids=lambda level: level.value)
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_fast_entry_matches_general_path(kernel, level):
-    fast = _run(kernel, level, slow=False)
-    slow = _run(kernel, level, slow=True)
+def _assert_equal_runs(kernel, level, obs):
+    fast = _run(kernel, level, slow=False, obs=obs)
+    slow = _run(kernel, level, slow=True, obs=obs)
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     assert fast[2] == slow[2]
     assert fast[3] == slow[3]
     assert fast[4] and not slow[4]
+    assert fast[5] == slow[5]
     outcomes = fast[0]
     # the script reached every case it is meant to cover
     raised = {outcome[1] for outcome in outcomes if outcome[0] == "raised"}
@@ -131,3 +143,19 @@ def test_fast_entry_matches_general_path(kernel, level):
     response = outcomes[1][1]
     assert response.startswith(b"HTTP/1.1 200")
     assert response.endswith(b"<h1>entry</h1>")
+
+
+@pytest.mark.parametrize("level", list(IsolationLevel),
+                         ids=lambda level: level.value)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_fast_entry_matches_general_path(kernel, level):
+    _assert_equal_runs(kernel, level, obs=False)
+
+
+@pytest.mark.parametrize("level", list(IsolationLevel),
+                         ids=lambda level: level.value)
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_fast_entry_matches_general_path_with_obs(kernel, level):
+    # obs on: the planned entry emits through ``Machine.emit``, so the
+    # export (counters, spans, time buckets) comes out byte-identical
+    _assert_equal_runs(kernel, level, obs=True)
