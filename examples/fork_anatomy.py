@@ -36,7 +36,7 @@ def dissect(db_bytes: int) -> None:
     populate(store, db_bytes, value_size=100 * KiB)
 
     clock = session.machine.clock
-    clock.reset_buckets()
+    before = dict(clock.buckets)
     tracer.clear()
     with clock.measure() as watch:
         child = store.ctx.fork()
@@ -45,7 +45,7 @@ def dissect(db_bytes: int) -> None:
           f"{watch.elapsed_us:.1f} us:")
     accounted = 0
     for bucket, label in BUCKETS:
-        ns = clock.bucket_ns(bucket)
+        ns = clock.bucket_ns(bucket) - before.get(bucket, 0)
         accounted += ns
         if ns:
             share = 100 * ns / watch.elapsed_ns

@@ -90,9 +90,6 @@ class SimClock:
     def bucket_ns(self, name: str) -> int:
         return self.buckets.get(name, 0)
 
-    def reset_buckets(self) -> None:
-        self.buckets.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._now_ns}ns)"
 

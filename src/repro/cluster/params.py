@@ -14,7 +14,7 @@ reports stay byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,14 @@ class ClusterCosts:
     #: cross-shard μprocess migration fixed path: quiesce the worker,
     #: two control-plane round trips, re-fork from the target's zygote
     migration_fixed_ns: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        # non-negative costs keep every request's latency non-negative
+        for field in fields(self):
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be >= 0")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
 
     def scaled(self, **overrides: int) -> "ClusterCosts":
         """Return a copy with individual constants overridden."""

@@ -18,13 +18,15 @@ same-argument runs emit **byte-identical** reports
 uploads the artifact).
 
 Scale note: requests are *simulated through the cluster's queueing
-model*, served one trace slot at a time in columns, at about 2.3 μs of
-host time per request (430k requests/s in ``bench/run.py --workload
+model*, served one trace slot at a time in columns, at about 2.1 μs of
+host time per request (470k requests/s in ``bench/run.py --workload
 cluster``, at that benchmark's nominal host speed), while a budgeted
 subset (per-class calibration plus ``audit`` requests per shard)
 executes on the real machines — which is what makes a million-request
 run finish in a few host seconds without the model ever detaching from
-measured mechanism.
+measured mechanism.  Each latency is kept in 4 bytes (8 from 2^32 ns
+up), grouped by bit length, and only the octaves that hold a reported
+percentile are sorted (:func:`summarize_latencies`).
 
 Like the chaos/smp/conform runners, this module imports the full OS
 stack and is *not* re-exported from :mod:`repro.cluster`.
@@ -50,9 +52,54 @@ DEFAULT_REQUESTS = 1_000_000
 #: per-class request probabilities in ppm, aligned with trace.CLASSES
 _CLASS_PROB_PPM = (800_000, 120_000, 20_000, 60_000)
 
+#: latencies of bit length 32 or less fit a 4-byte unsigned octave
+_NARROW = "I" if array("I").itemsize == 4 else "q"
+
+#: the nearest-rank percentiles a report carries, in rank order
+_PERCENTILES_PPM = (("p50", 500_000), ("p99", 990_000), ("p999", 999_000))
+
 #: 3.9-compatible popcount table for the unique-user bitset, as a
 #: ``bytes.translate`` table (byte -> its set-bit count)
 _POPCOUNT = bytes(bin(value).count("1") for value in range(256))
+
+
+def latency_octaves() -> List[array]:
+    """Empty latency storage grouped by bit length: a non-negative
+    latency ``ns`` is filed as ``octaves[ns.bit_length()].append(ns)``,
+    in 4 bytes up to bit length 32 and in 8 beyond."""
+    return [array(_NARROW if bits <= 32 else "q") for bits in range(64)]
+
+
+def summarize_latencies(octaves: List[array]) -> Dict[str, int]:
+    """The report's ``latency_ns`` block from :func:`latency_octaves`.
+
+    Octave order is value order, because every latency is non-negative,
+    so each nearest-rank percentile is found by walking the octaves'
+    sizes and sorting only the octave that holds the rank, at most once
+    per octave."""
+    filled = [octave for octave in octaves if octave]
+    count = sum(map(len, filled))
+    if not count:
+        return {"p50": 0, "p99": 0, "p999": 0,
+                "mean": 0, "min": 0, "max": 0}
+    summary: Dict[str, int] = {}
+    walk = iter(filled)
+    octave = next(walk)
+    below = 0  # requests in the octaves before ``octave``
+    ordered: Optional[List[int]] = None
+    for name, q_ppm in _PERCENTILES_PPM:
+        rank = max(1, (q_ppm * count + 999_999) // 1_000_000)
+        while rank > below + len(octave):
+            below += len(octave)
+            octave = next(walk)
+            ordered = None
+        if ordered is None:
+            ordered = sorted(octave)
+        summary[name] = ordered[rank - below - 1]
+    summary["mean"] = sum(map(sum, filled)) // count
+    summary["min"] = min(filled[0])
+    summary["max"] = max(filled[-1])
+    return summary
 
 
 def _auto_trace(seed: int, requests: int, keys: int, users: int,
@@ -103,6 +150,12 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         raise ValueError("shards must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if audit < 0:
+        raise ValueError("audit must be >= 0")
+    if max_migrations < 0:
+        raise ValueError("max_migrations must be >= 0")
+    if utilization_ppm < 1:
+        raise ValueError("utilization_ppm must be >= 1")
     costs = costs or DEFAULT_CLUSTER_COSTS
     if rebalance_every is None:
         rebalance_every = max(1_000, requests // 8)
@@ -122,8 +175,7 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         key_shard = ring.shard_map(trace.keys)
 
         # -- the serving loop: one trace slot at a time, in columns --
-        latencies = array("q")
-        lat_append = latencies.append
+        octaves = latency_octaves()
         batcher = Batcher(shards, costs.batch_window_ns, costs.max_batch)
         free: List[List[int]] = [[0] * workers for _ in range(shards)]
         service = [shard.service_by_klass for shard in shard_objs]
@@ -148,7 +200,8 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
             by_klass = service[shard]
             for arrival, klass in members:
                 busy_until += by_klass[klass]
-                lat_append(busy_until + overhead - arrival)
+                latency = busy_until + overhead - arrival
+                octaves[latency.bit_length()].append(latency)
             slot_list[worker] = busy_until
             if busy_until > last_completion:
                 last_completion = busy_until
@@ -228,15 +281,6 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         merged_obs = session.export()
 
     # -- aggregation ----------------------------------------------------
-    ordered = sorted(latencies)
-    count = len(ordered)
-
-    def percentile(q_ppm: int) -> int:
-        if not count:
-            return 0
-        rank = (q_ppm * count + 999_999) // 1_000_000  # nearest rank
-        return ordered[max(0, rank - 1)]
-
     unique_users = sum(user_bits.translate(_POPCOUNT))
     report: Dict[str, Any] = {
         "schema": RUN_SCHEMA,
@@ -257,14 +301,7 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
             "zipf_s": trace.zipf_s,
             "flash_crowds": trace.flash_crowds,
         },
-        "latency_ns": {
-            "p50": percentile(500_000),
-            "p99": percentile(990_000),
-            "p999": percentile(999_000),
-            "mean": (sum(ordered) // count) if count else 0,
-            "min": ordered[0] if count else 0,
-            "max": ordered[-1] if count else 0,
-        },
+        "latency_ns": summarize_latencies(octaves),
         "makespan_ns": last_completion,
         "throughput_rps": (trace.requests * 1_000_000_000
                            // last_completion) if last_completion else 0,

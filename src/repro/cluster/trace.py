@@ -78,6 +78,13 @@ class TraceConfig:
     #: peak rate multiplier at the center of a flash crowd
     flash_multiplier: float = 8.0
 
+    def __post_init__(self) -> None:
+        if self.requests < 0:
+            raise ValueError("requests must be >= 0")
+        for name in ("keys", "users", "slots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
     def scaled(self, **overrides) -> "TraceConfig":
         """Return a copy with individual fields overridden."""
         return replace(self, **overrides)

@@ -102,6 +102,16 @@ def _fault_mix(value: str) -> str:
     return value
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    @_usage
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise ValueError(f"must be >= {low}, got {number}")
+        return number
+    return parse
+
+
 def _csv(values: Sequence[Any]) -> str:
     return ",".join(str(value) for value in values)
 
@@ -239,21 +249,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "cluster", parents=[parent],
         help="sharded multi-machine serving cluster (docs/CLUSTER.md); "
              "emits a deterministic repro.cluster/v1 report")
-    cluster.add_argument("--shards", type=int, default=4,
+    cluster.add_argument("--shards", type=_at_least(1), default=4,
                          help="number of shard machines")
-    cluster.add_argument("--workers", type=int, default=4,
+    cluster.add_argument("--workers", type=_at_least(1), default=4,
                          help="warm-pool workers per shard")
-    cluster.add_argument("--requests", type=int, default=1_000_000,
+    cluster.add_argument("--requests", type=_at_least(0), default=1_000_000,
                          help="simulated requests in the synthesized "
                               "trace")
-    cluster.add_argument("--keys", type=int, default=16_384,
+    cluster.add_argument("--keys", type=_at_least(1), default=16_384,
                          help="key universe size (Zipf ranks)")
-    cluster.add_argument("--users", type=int, default=4_000_000,
+    cluster.add_argument("--users", type=_at_least(1), default=4_000_000,
                          help="simulated user population")
-    cluster.add_argument("--audit", type=int, default=16,
+    cluster.add_argument("--audit", type=_at_least(0), default=16,
                          help="requests per shard re-executed on the "
                               "real machine (0 disables auditing)")
-    cluster.add_argument("--max-migrations", type=int, default=8,
+    cluster.add_argument("--max-migrations", type=_at_least(0), default=8,
                          help="cap on cross-shard worker migrations")
 
     snapshot = sub.add_parser(

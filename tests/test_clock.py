@@ -42,13 +42,6 @@ class TestSimClock:
         assert clock.bucket_ns("io") == 10
         assert clock.bucket_ns("missing") == 0
 
-    def test_reset_buckets_keeps_time(self):
-        clock = SimClock()
-        clock.advance(100, "fork")
-        clock.reset_buckets()
-        assert clock.bucket_ns("fork") == 0
-        assert clock.now_ns == 100
-
     def test_advance_to_only_moves_forward(self):
         clock = SimClock()
         clock.advance_to(500)

@@ -9,6 +9,7 @@ the ``repro.cluster/v1`` report is internally consistent.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.cluster import (
     ClusterCosts,
     DEFAULT_CLUSTER_COSTS,
     ConsistentHashRing,
+    TraceConfig,
     run_cluster,
 )
 
@@ -44,9 +46,30 @@ class TestClusterCosts:
             costs.net_hop_ns = 2
 
     def test_all_constants_are_integers(self):
-        from dataclasses import asdict
         assert all(isinstance(v, int)
                    for v in asdict(DEFAULT_CLUSTER_COSTS).values())
+
+    @pytest.mark.parametrize("name", sorted(asdict(DEFAULT_CLUSTER_COSTS)))
+    def test_negative_cost_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            DEFAULT_CLUSTER_COSTS.scaled(**{name: -1})
+
+    def test_zero_costs_accepted_but_not_an_empty_batch(self):
+        zero = {name: 0 for name in asdict(DEFAULT_CLUSTER_COSTS)}
+        with pytest.raises(ValueError, match="max_batch"):
+            ClusterCosts(**zero)
+        assert ClusterCosts(**dict(zero, max_batch=1)).max_batch == 1
+
+
+class TestTraceConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("requests", -1), ("keys", 0), ("users", 0), ("slots", 0)])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TraceConfig(**{field: value})
+
+    def test_empty_trace_accepted(self):
+        assert TraceConfig(requests=0).requests == 0
 
 
 class TestBatcher:
@@ -259,6 +282,22 @@ class TestRunClusterReport:
         with pytest.raises(ValueError):
             run_cluster(workers=0)
 
+    @pytest.mark.parametrize("argument,value", [
+        ("audit", -1), ("max_migrations", -1), ("utilization_ppm", 0),
+        ("requests", -5), ("keys", 0), ("users", 0)])
+    def test_out_of_range_arguments_rejected(self, argument, value):
+        with pytest.raises(ValueError, match=argument):
+            run_cluster(**dict(SMALL_RUN, shards=1, **{argument: value}))
+
+    def test_zero_requests_still_run(self):
+        report = run_cluster(**dict(SMALL_RUN, requests=0))
+        assert report["requests"] == 0
+        assert report["balancer"]["shard_load"] == [0, 0]
+        assert report["balancer"]["hottest_share_ppm"] == 0
+        assert report["throughput_rps"] == 0
+        assert report["batches"]["count"] == 0
+        assert set(report["latency_ns"].values()) == {0}
+
     def test_obs_dir_sidecars_match_reportio(self, tmp_path):
         from repro.harness.reportio import dumps_report, load_report
         from repro.obs import validate_export
@@ -295,3 +334,17 @@ class TestClusterCLI:
 
         with pytest.raises(SystemExit):
             main(["cluster", "--depth-bound", "3"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--requests", "-5"), ("--keys", "0"), ("--users", "0"),
+        ("--shards", "0"), ("--workers", "0"), ("--audit", "-1"),
+        ("--max-migrations", "-1"), ("--shards", "two")])
+    def test_out_of_range_flags_are_usage_errors(self, flag, value, capsys):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
