@@ -5,9 +5,7 @@ what it buys:
 
 * **sealed-gate vs trap syscalls** (§4.4 principle 1, R1);
 * **eager vs lazy GOT/metadata copy** (§3.5 step 1);
-* **isolation level sweep** NONE/FAULT/FULL (§3.6, R4);
-* **VA compaction** (§6 future work, implemented in
-  :mod:`repro.core.migrate`).
+* **isolation level sweep** NONE/FAULT/FULL (§3.6, R4).
 """
 
 from conftest import run_once
@@ -145,37 +143,3 @@ def test_ablation_isolation_levels(benchmark, record_figure):
     overhead = (by_level["full"]["save_ms"]
                 / by_level["none"]["save_ms"]) - 1
     assert overhead < 0.15
-
-
-# ---------------------------------------------------------------------------
-# VA fragmentation + compaction (§6)
-# ---------------------------------------------------------------------------
-
-def run_fragmentation_study():
-    os_ = UForkOS(machine=Machine())
-    contexts = [_spawn(os_, name=f"p{i}") for i in range(16)]
-    for ctx in contexts[::2]:
-        ctx.exit(0)
-    frag_before = os_.vspace.fragmentation()
-    extents_before = len(os_.vspace.free_extents())
-    with os_.machine.clock.measure() as watch:
-        moves = os_.compact()
-    return [{
-        "fragmentation_before": frag_before,
-        "free_extents_before": extents_before,
-        "processes_moved": len(moves),
-        "compaction_us": watch.elapsed_ns / NS_PER_US,
-        "fragmentation_after": os_.vspace.fragmentation(),
-        "free_extents_after": len(os_.vspace.free_extents()),
-    }]
-
-
-def test_ablation_fragmentation(benchmark, record_figure):
-    rows = run_once(benchmark, run_fragmentation_study)
-    record_figure("ablation_fragmentation", rows,
-                  "Ablation: VA fragmentation and compaction (§6)")
-    row = rows[0]
-    assert row["fragmentation_before"] > 0
-    assert row["fragmentation_after"] == 0.0
-    assert row["processes_moved"] > 0
-    assert row["free_extents_after"] == 1

@@ -1,9 +1,8 @@
-"""Extra Unixbench-style microbenchmarks (beyond the paper's Fig 9).
+"""Extra Unixbench-style microbenchmark (beyond the paper's Fig 9).
 
-Pipe throughput and raw syscall rate isolate the two SASOS
-lightweightness mechanisms individually: cheap IPC data movement in one
-address space, and trapless (sealed-gate) kernel entry.  They support
-the paper's Fig 9 story with finer-grained evidence.
+The raw syscall rate isolates one SASOS lightweightness mechanism,
+trapless (sealed-gate) kernel entry, in support of the paper's Fig 9
+story.
 """
 
 from conftest import run_once
@@ -21,15 +20,10 @@ def run_extra_microbench():
     for name, os_cls in (("ufork", UForkOS), ("cheribsd", MonolithicOS)):
         os_ = os_cls(machine=Machine())
         ctx = GuestContext(os_, os_.spawn(hello_world_image(), "bench"))
-        pipe_result = unixbench.pipe_throughput(ctx, total_bytes=256 * 1024)
-
-        os2 = os_cls(machine=Machine())
-        ctx2 = GuestContext(os2, os2.spawn(hello_world_image(), "bench"))
-        rate_result = unixbench.syscall_rate(ctx2, calls=500)
+        rate_result = unixbench.syscall_rate(ctx, calls=500)
 
         rows.append({
             "system": name,
-            "pipe_mb_per_s": pipe_result.mb_per_s,
             "syscall_ns": rate_result.per_syscall_ns,
             "syscalls_per_s": rate_result.calls_per_s,
         })
@@ -40,14 +34,11 @@ def test_extra_microbenchmarks(benchmark, record_figure):
     rows = run_once(benchmark, run_extra_microbench)
     record_figure(
         "extra_microbench", rows,
-        "Extra microbenchmarks: pipe throughput and syscall rate",
+        "Extra microbenchmark: syscall rate",
     )
     by_system = {row["system"]: row for row in rows}
     ufork = by_system["ufork"]
     cheribsd = by_system["cheribsd"]
-
-    # IPC bandwidth: the single address space moves bytes faster
-    assert ufork["pipe_mb_per_s"] > cheribsd["pipe_mb_per_s"]
 
     # syscall entry: sealed gate vs trap — a wide per-call gap
     assert ufork["syscall_ns"] < 0.5 * cheribsd["syscall_ns"]

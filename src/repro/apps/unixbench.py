@@ -52,18 +52,6 @@ def spawn(ctx: Any, iterations: int = 1000) -> SpawnResult:
 
 
 @dataclass
-class PipeThroughputResult:
-    bytes_moved: int
-    total_ns: int
-
-    @property
-    def mb_per_s(self) -> float:
-        if self.total_ns == 0:
-            return 0.0
-        return self.bytes_moved / (1 << 20) / (self.total_ns / 1e9)
-
-
-@dataclass
 class SyscallRateResult:
     calls: int
     total_ns: int
@@ -75,35 +63,6 @@ class SyscallRateResult:
     @property
     def calls_per_s(self) -> float:
         return self.calls * 1e9 / self.total_ns
-
-
-def pipe_throughput(ctx: Any, total_bytes: int = 1 << 20,
-                    chunk: int = 4096) -> PipeThroughputResult:
-    """Unixbench "Pipe Throughput"-style: stream bytes through a pipe
-    between parent and child, chunk by chunk."""
-    os_ = ctx.os
-    machine = os_.machine
-    read_fd, write_fd = ctx.syscall("pipe")
-    child = ctx.fork()
-    parent_task = ctx.proc.main_task()
-    child_task = child.proc.main_task()
-    buf_parent = ctx.malloc(chunk)
-    buf_child = child.malloc(chunk)
-    ctx.store(buf_parent, b"P" * chunk)
-
-    moved = 0
-    with machine.clock.measure() as watch:
-        os_.sched.switch_to(parent_task)
-        while moved < total_bytes:
-            step = min(chunk, total_bytes - moved)
-            ctx.syscall("write", write_fd, buf_parent, step)
-            os_.sched.switch_to(child_task)
-            child.syscall("read", read_fd, buf_child, step)
-            os_.sched.switch_to(parent_task)
-            moved += step
-    child.exit(0)
-    ctx.wait(child.pid)
-    return PipeThroughputResult(bytes_moved=moved, total_ns=watch.elapsed_ns)
 
 
 def syscall_rate(ctx: Any, calls: int = 1000) -> SyscallRateResult:

@@ -102,11 +102,10 @@ def summarize_latencies(octaves: List[array]) -> Dict[str, int]:
     return summary
 
 
-def _auto_trace(seed: int, requests: int, keys: int, users: int,
-                shard_objs: List[Any], workers_total: int,
-                utilization_ppm: int) -> TraceConfig:
-    """Size the trace horizon from the *calibrated* service times so the
-    offered load sits at ``utilization_ppm`` of cluster capacity —
+def _auto_trace(trace: TraceConfig, shard_objs: List[Any],
+                workers_total: int, utilization_ppm: int) -> TraceConfig:
+    """Size ``trace``'s horizon from the *calibrated* service times so
+    the offered load sits at ``utilization_ppm`` of cluster capacity —
     peaks saturate, troughs drain, and the defaults stay sane at any
     request count or cost model."""
     total = 0
@@ -115,12 +114,10 @@ def _auto_trace(seed: int, requests: int, keys: int, users: int,
                      in zip(shard.service_by_klass, _CLASS_PROB_PPM)
                      ) // 1_000_000
     mean_service_ns = max(1, total // len(shard_objs))
-    horizon_ns = (requests * mean_service_ns * 1_000_000
+    horizon_ns = (trace.requests * mean_service_ns * 1_000_000
                   // (workers_total * utilization_ppm))
-    slots = min(1_440, max(8, requests // 32))
-    slot_ns = max(1_000, horizon_ns // slots)
-    return TraceConfig(seed=seed, requests=requests, keys=keys,
-                       users=users, slots=slots, slot_ns=slot_ns)
+    slots = min(1_440, max(8, trace.requests // 32))
+    return trace.scaled(slots=slots, slot_ns=max(1_000, horizon_ns // slots))
 
 
 def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
@@ -161,6 +158,11 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
         rebalance_every = max(1_000, requests // 8)
     if rebalance_every < 1:
         raise ValueError("rebalance_every must be >= 1")
+    auto = trace is None
+    if auto:
+        # rejects a bad requests, keys or users before any shard boots
+        trace = TraceConfig(seed=seed, requests=requests, keys=keys,
+                            users=users)
 
     with obs_session() as session:
         shard_objs = [
@@ -168,9 +170,9 @@ def run_cluster(*, seed: int = 42, shards: int = 4, workers: int = 4,
                   cpus=cpus, strategy=strategy, audit=audit)
             for index in range(shards)
         ]
-        if trace is None:
-            trace = _auto_trace(seed, requests, keys, users, shard_objs,
-                                shards * workers, utilization_ppm)
+        if auto:
+            trace = _auto_trace(trace, shard_objs, shards * workers,
+                                utilization_ppm)
         ring = ConsistentHashRing(shards, vnodes=vnodes, seed=seed)
         key_shard = ring.shard_map(trace.keys)
 

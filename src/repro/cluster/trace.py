@@ -49,6 +49,9 @@ _CLASS_CDF = (0.80, 0.92, 0.94, 1.00)
 
 #: one record on the wire: arrival_ns, user_id, key, klass
 RECORD = struct.Struct("<QIIB")
+#: the most ``users`` or ``keys`` a trace may have: RECORD packs user
+#: ids and keys as unsigned 32-bit fields
+MAX_IDS = (1 << 32) - 1
 
 #: one slot of the trace: (arrivals, users, keys, klasses), equal lengths
 Columns = Tuple[List[int], List[int], List[int], List[int]]
@@ -84,6 +87,9 @@ class TraceConfig:
         for name in ("keys", "users", "slots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("keys", "users"):
+            if getattr(self, name) > MAX_IDS:
+                raise ValueError(f"{name} must be <= {MAX_IDS}")
 
     def scaled(self, **overrides) -> "TraceConfig":
         """Return a copy with individual fields overridden."""

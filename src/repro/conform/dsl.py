@@ -220,13 +220,6 @@ class Scenario:
             "schedule_invariant": self.schedule_invariant,
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> "Scenario":
-        return cls(name=doc["name"],
-                   bodies={body: tuple(tuple(op) for op in ops)
-                           for body, ops in doc["bodies"].items()},
-                   schedule_invariant=doc.get("schedule_invariant", True))
-
     # -- static analysis (sleep-set pruning) ----------------------------
 
     def uses_dup2(self) -> bool:

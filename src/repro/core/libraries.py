@@ -7,10 +7,10 @@ frames (text + read-only data); every μprocess that links it maps those
 *same frames* — at its own virtual address inside its region — with a
 read/execute capability derived for it.
 
-Because library pages are immutable and shared by design, fork and
-migration treat them like MAP_SHARED memory: the child maps the same
-frames, and no relocation scan ever rewrites them.  PIC code references
-library globals through the process's own GOT, which *is* relocated.
+Because library pages are immutable and shared by design, fork treats
+them like MAP_SHARED memory: the child maps the same frames, and no
+relocation scan ever rewrites them.  PIC code references library
+globals through the process's own GOT, which *is* relocated.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def map_library(os: Any, proc: Any, lib: SharedLibrary) -> Capability:
     """Map a library's frames into a μprocess's mmap window.
 
     Returns a read/execute capability bounded to the mapping.  The
-    mapped vpns join the process's shared set, so fork/migrate share
-    them rather than copy-and-relocate.
+    mapped vpns join the process's shared set, so fork shares them
+    rather than copy-and-relocate.
     """
     base = os._map_window(proc, lib.frames, PagePerm.rx())
     cap = (

@@ -447,11 +447,11 @@ def relocate_registers(machine: Any, registers: RegisterFile,
 # ---------------------------------------------------------------------------
 #
 # Every event that mints or re-mints a μprocess's region authority —
-# spawn, fork (one relocate_cap sweep per strategy), migrate/compact,
-# snapshot restore — records a compact provenance tuple here.  The
-# security auditor (repro.sec.auditor) uses the log to attribute a
-# leaked capability to the μprocess it was minted for and to print the
-# derivation chain that produced that μprocess's authority.
+# spawn, fork (one relocate_cap sweep per strategy), snapshot restore —
+# records a compact provenance tuple here.  The security auditor
+# (repro.sec.auditor) uses the log to attribute a leaked capability to
+# the μprocess it was minted for and to print the derivation chain that
+# produced that μprocess's authority.
 
 #: bounded history: old entries age out once a machine has seen this
 #: many authority events (reaped μprocesses stop being attributable,
@@ -465,7 +465,7 @@ def record_flow(machine: Any, event: str, src_pid: int, dst_pid: int,
                 region_base: int, region_top: int, detail: str = "") -> None:
     """Append one authority event to the machine's capability-flow log.
 
-    ``event`` is one of ``spawn``/``fork``/``migrate``/``restore``;
+    ``event`` is one of ``spawn``/``fork``/``restore``;
     ``src_pid`` is the μprocess the authority derives from (0 for the
     kernel root) and ``dst_pid`` the μprocess it was minted for.
     """

@@ -469,21 +469,6 @@ class UForkOS(AbstractOS):
         self.space.map_run(base // page, frames, PagePerm.rwc())
         return self._data_cap(base, pages * page)
 
-    # ------------------------------------------------------------------
-    # Migration / VA compaction (paper §6 future work)
-    # ------------------------------------------------------------------
-
-    def migrate(self, proc: Process) -> int:
-        """Move a live μprocess to a freshly reserved area, relocating
-        every capability (see :mod:`repro.core.migrate`)."""
-        from repro.core.migrate import migrate as _migrate
-        return _migrate(self, proc)
-
-    def compact(self):
-        """Compact the μprocess window (squeeze out VA fragmentation)."""
-        from repro.core.migrate import compact as _compact
-        return _compact(self)
-
 
 def _eager_copy_records(copy_items, caps, delta_pages):
     """A bulk eager copy's tracer stream, in per-page order: each page's

@@ -166,7 +166,3 @@ class Interrupted(KernelError):
     """A syscall was interrupted before doing any work (EINTR)."""
 
     errno_name = "EINTR"
-
-
-class NotSupported(KernelError):
-    errno_name = "ENOSYS"

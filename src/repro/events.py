@@ -137,8 +137,6 @@ FRAMES_SCANNED = Event(metric="core.relocate.frames_scanned")
 REGISTERS_RELOCATED = Event(metric="core.relocate.registers_relocated")
 LIBRARY_MAPPED = Event(counter="library_mapped")
 UPROCESS_LOADED = Event(counter="uprocess_loaded")
-MIGRATE = Event("migrate", "migrations")
-MIGRATE_PAGE_COPIES = Event(counter="migrate_page_copies")
 
 # -- snapshot ------------------------------------------------------------
 CHECKPOINT = Event("checkpoint", "checkpoint", "core.snapshot.checkpoints")

@@ -36,6 +36,7 @@ import sys
 import time
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.cluster.trace import MAX_IDS
 from repro.harness import matrix
 
 #: every subcommand; the first is the implied default for bare flags
@@ -102,12 +103,15 @@ def _fault_mix(value: str) -> str:
     return value
 
 
-def _at_least(low: int) -> Callable[[str], int]:
+def _at_least(low: int, high: Optional[int] = None
+              ) -> Callable[[str], int]:
     @_usage
     def parse(value: str) -> int:
         number = int(value)
         if number < low:
             raise ValueError(f"must be >= {low}, got {number}")
+        if high is not None and number > high:
+            raise ValueError(f"must be <= {high}, got {number}")
         return number
     return parse
 
@@ -256,9 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--requests", type=_at_least(0), default=1_000_000,
                          help="simulated requests in the synthesized "
                               "trace")
-    cluster.add_argument("--keys", type=_at_least(1), default=16_384,
+    cluster.add_argument("--keys", type=_at_least(1, MAX_IDS), default=16_384,
                          help="key universe size (Zipf ranks)")
-    cluster.add_argument("--users", type=_at_least(1), default=4_000_000,
+    cluster.add_argument("--users", type=_at_least(1, MAX_IDS),
+                         default=4_000_000,
                          help="simulated user population")
     cluster.add_argument("--audit", type=_at_least(0), default=16,
                          help="requests per shard re-executed on the "

@@ -3,8 +3,8 @@
 The paper's evaluation is one matrix: fork strategies (full copy, CoA,
 CoPA and the CheriBSD-like monolithic baseline) crossed with workloads
 and core counts.  The runners behind ``python -m repro.harness``
-(chaos, smp, conform, conform-farm, sec, snapshot) and the FaaS
-cold-start study share one definition of it, kept here:
+(chaos, smp, conform, conform-farm, sec, snapshot) share one
+definition of it, kept here:
 
 * the strategy names, their validation, and the clean/chaos modes;
 * the default CPU counts;

@@ -99,10 +99,6 @@ class AccessKind(Enum):
     #: fault-on-capability-load bit can be modeled
     CAP_LOAD = auto()
 
-    @property
-    def is_write(self) -> bool:
-        return self is AccessKind.WRITE
-
 
 _REQUIRED_PERM = {
     AccessKind.READ: PagePerm.READ,

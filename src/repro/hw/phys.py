@@ -896,10 +896,6 @@ class PhysicalMemory:
     def allocated_frames(self) -> int:
         return self._live
 
-    @property
-    def allocated_bytes(self) -> int:
-        return self._live * self._config.page_size
-
 
 def consecutive_runs(numbers: Sequence[int],
                      keys: Optional[Sequence[Any]] = None

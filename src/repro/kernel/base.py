@@ -462,8 +462,8 @@ class AbstractOS(abc.ABC):
         """Map ``frames`` (shared-memory or library frames) at the next
         free spot of ``proc``'s mmap window in one run, each taking a
         reference; returns the mapping's base.  The vpns join
-        ``proc.shm_vpns``, so fork and migration share them rather than
-        copy and relocate them."""
+        ``proc.shm_vpns``, so fork shares them rather than copying and
+        relocating them."""
         page = self.machine.config.page_size
         base, pages = self._mmap_window_alloc(proc, len(frames) * page)
         vpn = base // page
@@ -498,7 +498,7 @@ class AbstractOS(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # Process construction: spawn, fork, migration and restore
+    # Process construction: spawn, fork and restore
     # ------------------------------------------------------------------
 
     def _new_process(self, name: str, layout: Any,
@@ -557,8 +557,7 @@ class AbstractOS(abc.ABC):
 
     def _place_like(self, proc: Process, model: Process, delta: int) -> None:
         """Give ``proc`` ``model``'s layout, region, shared-window vpns
-        and library capabilities, moved ``delta`` bytes (a fork child,
-        or a μprocess migrating itself)."""
+        and library capabilities, moved ``delta`` bytes (a fork child)."""
         proc.layout = model.layout.rebased(model.region_base + delta) \
             if delta else model.layout
         proc.region_base = model.region_base + delta

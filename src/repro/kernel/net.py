@@ -95,10 +95,6 @@ class Endpoint:
     def on_last_close(self, desc: Any) -> None:
         self.close()
 
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._inbound.buffer)
-
 
 class Listener:
     """A listening socket with an accept queue."""
@@ -128,10 +124,6 @@ class Listener:
             raise WouldBlock("no pending connections")
         conn = self._pending.popleft()
         return conn.server
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # fd-table protocol (a listener fd is not readable/writable)
     def read(self, desc: Any, size: int) -> bytes:

@@ -19,7 +19,7 @@ it
   is exactly the forged-gate attack;
 * every violation message is annotated with the capability's
   provenance: which μprocess the authority was minted for, and the
-  derivation chain (spawn/fork/migrate/restore events, i.e. the
+  derivation chain (spawn/fork/restore events, i.e. the
   ``relocate_cap`` sweeps) that produced it.
 
 The conform explorer and farm run this at every scheduling step via

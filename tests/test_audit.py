@@ -85,18 +85,6 @@ class TestWorkloadsLeaveSystemClean:
         store.bgsave("/d.rdb")
         assert audit_cap_flow(os_) == []
 
-    def test_after_migration_and_compaction(self):
-        os_ = boot()
-        contexts = [spawn(os_, f"p{i}") for i in range(5)]
-        for ctx in contexts:
-            block = ctx.malloc(32)
-            ctx.store_cap(block, ctx.malloc(16))
-            ctx.set_reg("c9", block)
-        contexts[1].exit(0)
-        contexts[3].exit(0)
-        os_.compact()
-        assert audit_cap_flow(os_) == []
-
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000))

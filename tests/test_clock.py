@@ -124,10 +124,10 @@ class TestEventCounters:
     def test_snapshot_keeps_first_emit_order(self):
         machine = Machine()
         # declared last, emitted first; two events share "fork"
-        for entry in (events.MIGRATE_PAGE_COPIES, events.VMCLONE_FORK,
+        for entry in (events.TLB_SHOOTDOWN_IPIS, events.VMCLONE_FORK,
                       events.FRAMES_ALLOCATED, events.FORK,
-                      events.MIGRATE_PAGE_COPIES):
+                      events.TLB_SHOOTDOWN_IPIS):
             machine.emit(entry)
         assert list(machine.counters.snapshot().items()) == [
-            ("migrate_page_copies", 2), ("fork", 2),
+            ("tlb_shootdown_ipis", 2), ("fork", 2),
             ("frames_allocated", 1)]

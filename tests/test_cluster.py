@@ -19,9 +19,12 @@ from repro.cluster import (
     ClusterCosts,
     DEFAULT_CLUSTER_COSTS,
     ConsistentHashRing,
+    RECORD,
     TraceConfig,
     run_cluster,
 )
+from repro.cluster.trace import MAX_IDS
+from repro.machine import live_machines
 
 SMALL_RUN = dict(seed=9, shards=2, workers=2, requests=1_200,
                  keys=96, users=3_000, audit=2)
@@ -63,10 +66,18 @@ class TestClusterCosts:
 
 class TestTraceConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("requests", -1), ("keys", 0), ("users", 0), ("slots", 0)])
+        ("requests", -1), ("keys", 0), ("users", 0), ("slots", 0),
+        ("keys", 1 << 32), ("users", 1 << 32)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TraceConfig(**{field: value})
+
+    def test_widest_ids_the_record_packs_accepted(self):
+        # constructing only: synthesizing this trace would build a
+        # list of 2**32 - 1 Zipf weights
+        widest = TraceConfig(keys=MAX_IDS, users=MAX_IDS)
+        assert (widest.keys, widest.users) == (MAX_IDS, MAX_IDS)
+        RECORD.pack(0, MAX_IDS - 1, MAX_IDS - 1, 0)
 
     def test_empty_trace_accepted(self):
         assert TraceConfig(requests=0).requests == 0
@@ -284,10 +295,14 @@ class TestRunClusterReport:
 
     @pytest.mark.parametrize("argument,value", [
         ("audit", -1), ("max_migrations", -1), ("utilization_ppm", 0),
-        ("requests", -5), ("keys", 0), ("users", 0)])
+        ("requests", -5), ("keys", 0), ("users", 0), ("keys", 1 << 32),
+        ("users", 1 << 32)])
     def test_out_of_range_arguments_rejected(self, argument, value):
+        before = live_machines()  # held, so none of them can die
         with pytest.raises(ValueError, match=argument):
             run_cluster(**dict(SMALL_RUN, shards=1, **{argument: value}))
+        # rejected before any shard boots
+        assert len(live_machines()) == len(before)
 
     def test_zero_requests_still_run(self):
         report = run_cluster(**dict(SMALL_RUN, requests=0))
@@ -338,7 +353,8 @@ class TestClusterCLI:
     @pytest.mark.parametrize("flag,value", [
         ("--requests", "-5"), ("--keys", "0"), ("--users", "0"),
         ("--shards", "0"), ("--workers", "0"), ("--audit", "-1"),
-        ("--max-migrations", "-1"), ("--shards", "two")])
+        ("--max-migrations", "-1"), ("--shards", "two"),
+        ("--keys", str(1 << 32)), ("--users", str(1 << 32))])
     def test_out_of_range_flags_are_usage_errors(self, flag, value, capsys):
         from repro.harness.__main__ import main
 

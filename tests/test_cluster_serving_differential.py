@@ -156,8 +156,10 @@ def reference_run_cluster(*, seed: int = 42, shards: int = 4,
             for index in range(shards)
         ]
         if trace is None:
-            trace = _auto_trace(seed, requests, keys, users, shard_objs,
-                                shards * workers, utilization_ppm)
+            trace = _auto_trace(TraceConfig(seed=seed, requests=requests,
+                                            keys=keys, users=users),
+                                shard_objs, shards * workers,
+                                utilization_ppm)
         ring = ConsistentHashRing(shards, vnodes=vnodes, seed=seed)
         key_shard = ring.shard_map(trace.keys)
 

@@ -87,14 +87,6 @@ class TestForkAndMigrate:
         child.load(child.proc.lib_caps["libc"], 16)
         assert os_.machine.counters.get("fork_page_copies") == before
 
-    def test_migration_preserves_library(self):
-        os_ = boot()
-        ctx = GuestContext(os_, os_.spawn(lib_image("libc"), "app"))
-        os_.migrate(ctx.proc)
-        cap = ctx.proc.lib_caps["libc"]
-        assert ctx.proc.region_base <= cap.base < ctx.proc.region_top
-        assert ctx.load(cap, 4, 16) == b"libc"
-
     def test_memory_accounting_benefits(self):
         """Library pages amortize across sharers in the PRS metric."""
         os_ = boot()

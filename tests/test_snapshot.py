@@ -275,14 +275,3 @@ def test_restored_process_tears_down_cleanly():
     GuestContext(os_, restored).exit(0)
     assert os_.machine.phys.allocated_frames == frames_before
     assert len(os_.vspace.reserved_areas()) == reserved_before
-
-
-def test_coldstart_restore_beats_cold_boot_but_not_a_warm_fork():
-    """docs/SNAPSHOT.md's FaaS cold-start comparison: a snapshot
-    restore beats booting the runtime cold, and loses to forking an
-    already-warm zygote."""
-    from repro.apps.coldstart import RUN_SCHEMA, coldstart_comparison
-    result = coldstart_comparison(seed=7)
-    assert result["schema"] == RUN_SCHEMA
-    assert result["zygote_fork_ns"] < result["snapshot_restore_ns"] \
-        < result["cold_boot_ns"]

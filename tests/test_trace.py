@@ -51,10 +51,10 @@ class TestTraceLog:
         tracer = attach_tracer(machine)
         machine.emit(events.EXIT, k=1)
         machine.emit(events.EXIT, k=2)
-        machine.emit(events.MIGRATE, k=1)
+        machine.emit(events.FORK, k=1)
         assert tracer.count("exit") == 2
         assert tracer.count("exit", k=1) == 1
-        assert tracer.count("migrate") == 1
+        assert tracer.count("fork") == 1
         assert len(list(tracer.query())) == 3  # no filter: everything
 
     def test_between(self):
@@ -117,11 +117,3 @@ class TestKernelTracing:
         assert summary["fork"] == 1
         assert summary["exit"] == 1
         assert summary["syscall"] >= 3  # fork, exit, waitpid
-
-    def test_migration_traced(self):
-        os_, tracer, ctx = boot_traced()
-        GuestContext(os_, os_.spawn(hello_world_image(), "filler"))
-        os_.migrate(ctx.proc)
-        (event,) = tracer.query("migrate", pid=ctx.pid)
-        assert event.get("pages") > 0
-        assert event.get("new_base") != event.get("old_base")
