@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import events
 from repro.chaos.faults import (
@@ -148,7 +148,9 @@ class ChaosEngine:
         self.mix = mix or FaultMix()
         self.enabled = enabled
         self.degrade_after = degrade_after
-        self.machine: Optional[Any] = None
+        #: the attached machine's :meth:`repro.machine.EventSink.emit`
+        #: (the sink, not the machine: the machine holds the engine)
+        self.emit: Optional[Callable[..., None]] = None
         self.hits: Dict[str, int] = {}
         self.fired: Dict[str, int] = {}
         self.recovered: Dict[str, int] = {}
@@ -160,7 +162,7 @@ class ChaosEngine:
     def attach(self, machine: Any) -> "ChaosEngine":
         """Install as ``machine.chaos`` (and on its physical memory,
         which holds no machine reference)."""
-        self.machine = machine
+        self.emit = machine.emit
         machine.chaos = self
         machine.phys.chaos = self
         return self
@@ -197,9 +199,8 @@ class ChaosEngine:
             return False
         self.fired[point] = self.fired.get(point, 0) + 1
         self.injections.append((point, index))
-        if self.machine is not None:
-            self.machine.emit(events.CHAOS_INJECTED[point], point=point,
-                              hit=index)
+        if self.emit is not None:
+            self.emit(events.CHAOS_INJECTED[point], point=point, hit=index)
         return True
 
     def lookahead(self, point: str, count: int) -> int:
@@ -235,8 +236,8 @@ class ChaosEngine:
     def note_recovery(self, point: str) -> None:
         """A survival path absorbed the most recent fault at ``point``."""
         self.recovered[point] = self.recovered.get(point, 0) + 1
-        if self.machine is not None:
-            self.machine.emit(events.CHAOS_RECOVERED[point])
+        if self.emit is not None:
+            self.emit(events.CHAOS_RECOVERED[point])
 
     # -- syscall faults --------------------------------------------------
 

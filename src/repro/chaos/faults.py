@@ -39,6 +39,15 @@ class InjectedFault:
     injected = True
     retriable = False
 
+    @classmethod
+    def at(cls, point: str, message: str) -> "InjectedFault":
+        """One raised at the abort boundary ``point`` (kept as its
+        ``point``).  Raise it straight from the call: a local naming
+        it would sit in a frame its own traceback holds, a cycle."""
+        fault = cls(message)
+        fault.point = point
+        return fault
+
 
 class InjectedInterrupt(Interrupted, InjectedFault):
     """Injected EINTR at syscall entry (before any handler work)."""

@@ -58,14 +58,17 @@ def _check_scheduler(os_: Any) -> List[str]:
     violations: List[str] = []
     queued = os_.sched.queued_tasks()
     for task in queued:
+        # a task holds its process weakly: None once it is reaped and gone
+        proc = task.process
+        pid = getattr(proc, "pid", None)
         if task.state is TaskState.EXITED:
             violations.append(
                 f"scheduler: exited task tid={task.tid} "
-                f"(pid={task.process.pid}) still queued")
-        if task.process.pid not in os_.procs and task.process.alive:
+                f"(pid={pid}) still queued")
+        if proc is not None and proc.alive and pid not in os_.procs:
             violations.append(
                 f"scheduler: queued task tid={task.tid} belongs to "
-                f"unknown pid {task.process.pid}")
+                f"unknown pid {pid}")
     return violations
 
 

@@ -10,7 +10,8 @@ syscall gates for isolation (§4.3, §4.4).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import events
 from repro.chaos.faults import InjectedForkFailure
@@ -86,10 +87,12 @@ class UForkOS(AbstractOS):
 
         #: the one address space (kernel + all μprocesses)
         self.space = AddressSpace(machine, "sasos")
-        self.space.fault_handler = self._handle_fault
-        self.space.write_break_hook = handle_fork_write_run
         #: pid -> (lo, hi) demand-zero heap ranges (dynamic heaps, §4.2)
         self._demand_zero = {}
+        # the handler holds the table, not the kernel: the space it is
+        # installed on is the kernel's, so a bound method would cycle
+        self.space.fault_handler = partial(_handle_fault, self._demand_zero)
+        self.space.write_break_hook = handle_fork_write_run
         #: the last eager copy's ``(vpns, original perms, map runs)``
         self._map_runs: tuple = ((), (), [])
 
@@ -144,41 +147,8 @@ class UForkOS(AbstractOS):
         return super().syscall(proc, name, *args, gate=gate)
 
     # ------------------------------------------------------------------
-    # Fault dispatch: fork-sharing faults, then demand-zero heap paging
+    # Demand-zero heaps (faults: :func:`_handle_fault`)
     # ------------------------------------------------------------------
-
-    def _handle_fault(self, space: AddressSpace, vaddr: int, kind) -> bool:
-        # CoW/CoPA fault resolution mutates shared PTE state, so on an
-        # SMP machine it runs under the fault spinlock (free at 1 CPU).
-        machine = self.machine
-        if machine.num_cpus <= 1:
-            # CONFIG_SMP=n: acquire/release are no-ops at 1 CPU, so
-            # only the guard's IRQ-disable section is kept (inline —
-            # the fault path runs this once per CoW break)
-            machine.irq_depth += 1
-            try:
-                if handle_fork_fault(space, vaddr, kind):
-                    return True
-                return self._handle_demand_zero(vaddr)
-            finally:
-                machine.irq_depth -= 1
-        with machine.locks.fault.held():
-            if handle_fork_fault(space, vaddr, kind):
-                return True
-            return self._handle_demand_zero(vaddr)
-
-    def _handle_demand_zero(self, vaddr: int) -> bool:
-        page = self.machine.config.page_size
-        vpn = vaddr // page
-        if self.space.frame_of(vpn) is not None:
-            return False
-        for lo, hi in self._demand_zero.values():
-            if lo <= vaddr < hi:
-                frame = self.machine.phys.alloc(zero=True)
-                self.space.map_page(vpn, frame, PagePerm.rwc())
-                self.machine.emit(events.DEMAND_ZERO_PAGE)
-                return True
-        return False
 
     def _register_demand_heap(self, proc: Process) -> None:
         if proc.layout.image.heap_initial is None:
@@ -244,10 +214,9 @@ class UForkOS(AbstractOS):
         """Fire one chaos fork-abort boundary (phase-transition check)."""
         chaos = self.machine.chaos
         if chaos.enabled and chaos.should_fire(point):
-            failure = InjectedForkFailure(
-                f"injected fork abort at {point} (parent pid {proc.pid})")
-            failure.point = point
-            raise failure
+            raise InjectedForkFailure.at(
+                point, f"injected fork abort at {point} "
+                       f"(parent pid {proc.pid})")
 
     def _fork_phases(self, proc: Process, strategy: CopyStrategy,
                      tx: Transaction) -> Process:
@@ -261,13 +230,19 @@ class UForkOS(AbstractOS):
         # with *its* parent first stabilizes its image, keeping every
         # relocation a single-hop rebase.  (Resolving only makes shared
         # pages private — an always-valid state — so no undo is needed.)
+        # Only a fork child's region can hold such pages, and only until
+        # the first sweep: nothing adds child-role notes to it later.
         with obs.span("resolve_pending"):
-            resolve_all_pending(self.space, proc.region_base, proc.region_top)
+            if proc.shares_pending:
+                resolve_all_pending(self.space, proc.region_base,
+                                    proc.region_top)
+                proc.shares_pending = False
 
         # 1. reserve the child's contiguous area and mirror the layout
         child_base = self.vspace.reserve(proc.region_size)
         tx.on_abort(lambda: self.vspace.release(child_base))
         child = self._fork_child(proc, child_base - proc.region_base)
+        child.shares_pending = True
         tx.on_abort(lambda: proc.children.remove(child))
         tx.on_abort(child.fdtable.close_all)
         self._abort_point("core.ufork.abort.reserve", proc)
@@ -478,3 +453,46 @@ def _eager_copy_records(copy_items, caps, delta_pages):
             yield events.RELOCATE_FRAME, {"caps": moved}
         yield events.FORK_PAGE_COPY, {"vpn": item[0] + delta_pages,
                                       "eager": True}
+
+
+# ---------------------------------------------------------------------------
+# Fault dispatch: fork-sharing faults, then demand-zero heap paging
+# ---------------------------------------------------------------------------
+
+def _handle_fault(demand_zero: Dict[int, Tuple[int, int]],
+                  space: AddressSpace, vaddr: int, kind) -> bool:
+    # CoW/CoPA fault resolution mutates shared PTE state, so on an
+    # SMP machine it runs under the fault spinlock (free at 1 CPU).
+    machine = space.machine
+    if machine.num_cpus <= 1:
+        # CONFIG_SMP=n: acquire/release are no-ops at 1 CPU, so
+        # only the guard's IRQ-disable section is kept (inline —
+        # the fault path runs this once per CoW break)
+        machine.irq_depth += 1
+        try:
+            if handle_fork_fault(space, vaddr, kind):
+                return True
+            return _demand_zero_fault(demand_zero, space, vaddr)
+        finally:
+            machine.irq_depth -= 1
+    with machine.locks.fault.held():
+        if handle_fork_fault(space, vaddr, kind):
+            return True
+        return _demand_zero_fault(demand_zero, space, vaddr)
+
+
+def _demand_zero_fault(demand_zero: Dict[int, Tuple[int, int]],
+                       space: AddressSpace, vaddr: int) -> bool:
+    """Page in a zeroed frame at ``vaddr`` when it lies in a live
+    dynamic heap's demand-zero range and nothing maps it yet."""
+    machine = space.machine
+    vpn = vaddr // machine.config.page_size
+    if space.frame_of(vpn) is not None:
+        return False
+    for lo, hi in demand_zero.values():
+        if lo <= vaddr < hi:
+            frame = machine.phys.alloc(zero=True)
+            space.map_page(vpn, frame, PagePerm.rwc())
+            machine.emit(events.DEMAND_ZERO_PAGE)
+            return True
+    return False

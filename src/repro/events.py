@@ -1,10 +1,10 @@
 """The event table: every instrumentation event, declared once.
 
-An :class:`Event` is what one :meth:`repro.machine.Machine.emit` call
-records, under up to three names: ``trace``, the record an attached
-:class:`repro.trace.TraceLog` receives (and the ``trace.<trace>`` obs
-counter); ``counter``, the always-on ``machine.counters`` entry; and
-``metric``, the obs counter.  Events whose names carry a run-time key
+An :class:`Event` is what one ``machine.emit`` call
+(:meth:`repro.machine.EventSink.emit`) records, under up to three
+names: ``trace``, the record an attached :class:`repro.trace.TraceLog`
+receives (and the ``trace.<trace>`` obs counter); ``counter``, the
+always-on ``machine.counters`` entry; and ``metric``, the obs counter.  Events whose names carry a run-time key
 (a syscall, a fault kind, a chaos point, ...) form families declared
 on first use, e.g. ``SYSCALL_NAMED["fork"]``.
 """
@@ -57,7 +57,7 @@ class _Family(dict):
 
 
 class EventCounters:
-    """Read view of one machine's always-on counters: ``Machine.emit``
+    """Read view of one machine's always-on counters: ``machine.emit``
     adds into ``values`` by counter slot, so the view lists each
     counter from its first emit on (even one of amount 0), in
     first-emit order."""

@@ -30,7 +30,7 @@ from repro.kernel.fdtable import FDTable, FileDescription
 from repro.kernel.ipc import MessageQueue, Pipe
 from repro.kernel.net import NetworkStack
 from repro.kernel.syscalls import EntryPlan, IsolationConfig, SyscallLayer
-from repro.kernel.task import PidAllocator, Process, ProcessTable
+from repro.kernel.task import PidAllocator, Process, ProcessTable, TaskState
 from repro.kernel.vfs import O_RDONLY, RamDisk
 from repro.machine import Machine
 from repro.mem.allocator import GuestAllocator
@@ -190,7 +190,6 @@ class AbstractOS(abc.ABC):
     def _read_user(self, proc: Process, cap: Capability, size: int) -> bytes:
         """Copy bytes out of a user buffer (validated, unprivileged so
         copy strategies see the access)."""
-        from repro.cheri.capability import Perm
         self.syscalls.validate_user_cap(proc, cap, size)
         cap.check_access(Perm.LOAD, size=size)
         return self.space_of(proc).read(cap.cursor, size)
@@ -199,7 +198,6 @@ class AbstractOS(abc.ABC):
                     data: bytes) -> None:
         """Copy bytes into a user buffer (triggers CoW/CoA/CoPA breaks
         exactly as a user-mode store would)."""
-        from repro.cheri.capability import Perm
         self.syscalls.validate_user_cap(proc, cap, len(data))
         cap.check_access(Perm.STORE, size=len(data))
         self.space_of(proc).write(cap.cursor, data)
@@ -548,27 +546,22 @@ class AbstractOS(abc.ABC):
         copies of its fd table, signal dispositions and shared-memory
         bindings, and the kernel's gate."""
         child = self._new_process(proc.name, proc.layout, proc)
-        self._place_like(child, proc, delta)
+        if delta:
+            child.layout = proc.layout.rebased(proc.region_base + delta)
+        child.region_base = proc.region_base + delta
+        child.region_top = proc.region_top + delta
+        delta_pages = delta // self.machine.config.page_size
+        child.shm_vpns = {vpn + delta_pages
+                          for vpn in getattr(proc, "shm_vpns", ())}
+        child.lib_caps = {
+            name: cap.rebased(delta)
+            for name, cap in getattr(proc, "lib_caps", {}).items()
+        }
         child.fdtable = proc.fdtable.fork_copy(self.machine)
         child.signal_state = _signals.signal_state(proc).fork_copy()
         child.shm_bindings = list(getattr(proc, "shm_bindings", ()))
         child.mmap_offset = getattr(proc, "mmap_offset", 0)
         return child
-
-    def _place_like(self, proc: Process, model: Process, delta: int) -> None:
-        """Give ``proc`` ``model``'s layout, region, shared-window vpns
-        and library capabilities, moved ``delta`` bytes (a fork child)."""
-        proc.layout = model.layout.rebased(model.region_base + delta) \
-            if delta else model.layout
-        proc.region_base = model.region_base + delta
-        proc.region_top = model.region_top + delta
-        delta_pages = delta // self.machine.config.page_size
-        proc.shm_vpns = {vpn + delta_pages
-                         for vpn in getattr(model, "shm_vpns", ())}
-        proc.lib_caps = {
-            name: cap.rebased(delta)
-            for name, cap in getattr(model, "lib_caps", {}).items()
-        }
 
     def _fork_allocator(self, proc: Process, child: Process) -> None:
         """Fork's ``allocator`` phase: the child's allocator, of the
@@ -586,7 +579,6 @@ class AbstractOS(abc.ABC):
             return
         proc.exit_status = status
         proc.fdtable.close_all()
-        from repro.kernel.task import TaskState
         for task in proc.tasks:
             task.state = TaskState.EXITED
             self.sched.remove(task)

@@ -24,51 +24,54 @@ class _Stream:
 
 
 class Connection:
-    """A bidirectional loopback stream; each side holds one endpoint."""
+    """A bidirectional loopback stream; each side holds one endpoint
+    (an endpoint holds its streams and the machine, not the
+    connection)."""
 
     def __init__(self, machine: Any) -> None:
         self.machine = machine
         self._client_to_server = _Stream()
         self._server_to_client = _Stream()
-        self.client = Endpoint(self, outbound=self._client_to_server,
+        self.client = Endpoint(machine, outbound=self._client_to_server,
                                inbound=self._server_to_client)
-        self.server = Endpoint(self, outbound=self._server_to_client,
+        self.server = Endpoint(machine, outbound=self._server_to_client,
                                inbound=self._client_to_server)
 
-    def _charge(self, n: int) -> None:
-        machine = self.machine
-        packet_ns = machine.costs.net_packet_ns
-        copy_ns = machine.costs.io_copy_ns_per_byte * n
-        if packet_ns >= 0 and copy_ns >= 0:
-            machine.clock.advance_planned(
-                ((int(round(packet_ns)), "net_packet"),
-                 (int(round(copy_ns)), "net_io")))
-        else:  # a negative or NaN cost: the clock raises, as it always has
-            machine.charge(packet_ns, "net_packet")
-            machine.charge(copy_ns, "net_io")
-        machine.emit(events.NET_PACKETS)
-        machine.emit(events.NET_BYTES, n)
+
+def _charge(machine: Any, n: int) -> None:
+    """One packet of ``n`` bytes: the device and copy charges."""
+    packet_ns = machine.costs.net_packet_ns
+    copy_ns = machine.costs.io_copy_ns_per_byte * n
+    if packet_ns >= 0 and copy_ns >= 0:
+        machine.clock.advance_planned(
+            ((int(round(packet_ns)), "net_packet"),
+             (int(round(copy_ns)), "net_io")))
+    else:  # a negative or NaN cost: the clock raises, as it always has
+        machine.charge(packet_ns, "net_packet")
+        machine.charge(copy_ns, "net_io")
+    machine.emit(events.NET_PACKETS)
+    machine.emit(events.NET_BYTES, n)
 
 
 class Endpoint:
     """One side of a connection, installable in an FD table."""
 
-    def __init__(self, conn: Connection, outbound: _Stream,
+    def __init__(self, machine: Any, outbound: _Stream,
                  inbound: _Stream) -> None:
-        self.conn = conn
+        self.machine = machine
         self._outbound = outbound
         self._inbound = inbound
 
     def send(self, data: bytes) -> int:
         if not self._outbound.open:
             raise BrokenPipe("connection closed")
-        machine = self.conn.machine
+        machine = self.machine
         if machine.chaos.enabled and len(data) > 1 and \
                 machine.chaos.should_fire("kernel.net.short_send"):
             # short send: callers loop on the return count (POSIX)
             data = data[:len(data) // 2]
         self._outbound.buffer.extend(data)
-        self.conn._charge(len(data))
+        _charge(machine, len(data))
         return len(data)
 
     def recv(self, size: int) -> bytes:
@@ -78,7 +81,7 @@ class Endpoint:
             raise WouldBlock("no data")
         chunk = bytes(self._inbound.buffer[:size])
         del self._inbound.buffer[:size]
-        self.conn._charge(len(chunk))
+        _charge(self.machine, len(chunk))
         return chunk
 
     def close(self) -> None:

@@ -125,7 +125,7 @@ class SyscallLayer:
         machine = self.machine
         plan = self.plans.get(name)
         if (plan is not None and not machine.chaos.enabled
-                and machine.tracer is None
+                and machine.sink.tracer is None
                 and not (buffer_bytes and self.isolation.tocttou)):
             charges = plan.charges.get(nargs) or self._plan_charges(plan,
                                                                     nargs)
@@ -144,7 +144,12 @@ class SyscallLayer:
         if chaos.enabled:
             fault = chaos.syscall_fault(name)
             if fault is not None:
-                raise fault
+                try:
+                    raise fault
+                finally:
+                    # unbound, or this frame and the fault's traceback
+                    # (which holds the frame) would form a cycle
+                    del fault
         for ns, bucket in self._entry_charges(nargs):
             machine.charge(ns, bucket)
         costs = machine.costs

@@ -10,6 +10,7 @@ space attached — by the monolithic baseline.
 
 from __future__ import annotations
 
+import weakref
 from enum import Enum, auto
 from typing import Any, Dict, FrozenSet, List, Optional, Set
 
@@ -31,7 +32,7 @@ class Task:
     every pick, so tasks are the hottest objects in the simulation.
     """
 
-    __slots__ = ("tid", "process", "registers", "state", "affinity",
+    __slots__ = ("tid", "_process", "registers", "state", "affinity",
                  "last_cpu")
 
     _next_tid = 1
@@ -39,7 +40,8 @@ class Task:
     def __init__(self, process: "Process") -> None:
         self.tid = Task._next_tid
         Task._next_tid += 1
-        self.process = process
+        # weak: the process owns its tasks (``Process.tasks``)
+        self._process = weakref.ref(process)
         self.registers = RegisterFile()
         self.state = TaskState.RUNNABLE
         #: CPU-affinity mask (``None`` = may run on any online CPU)
@@ -47,6 +49,12 @@ class Task:
         #: last CPU this task was dispatched on — feeds the μprocess
         #: CPU-footprint that bounds fork-time TLB shootdowns (§2.2)
         self.last_cpu: int = 0
+
+    @property
+    def process(self) -> Optional["Process"]:
+        """The process this thread belongs to (``None`` once it is
+        freed: a task outliving its process is already dead)."""
+        return self._process()
 
     def can_run_on(self, cpu: int) -> bool:
         return self.affinity is None or cpu in self.affinity
@@ -70,16 +78,18 @@ class Process:
     bindings, dynamic-library capabilities, …).
     """
 
-    __slots__ = ("pid", "name", "parent", "children", "tasks",
+    __slots__ = ("pid", "name", "_parent", "children", "tasks",
                  "exit_status", "reaped", "region_base", "region_top",
                  "layout", "allocator", "space", "fdtable",
-                 "syscall_gate", "signal_state", "audit_cache", "__dict__")
+                 "syscall_gate", "signal_state", "audit_cache",
+                 "shares_pending", "__dict__", "__weakref__")
 
     def __init__(self, pid: int, name: str,
                  parent: Optional["Process"] = None) -> None:
         self.pid = pid
         self.name = name
         self.parent = parent
+        #: the unreaped children, owned: a child holds its parent weakly
         self.children: List[Process] = []
         if parent is not None:
             parent.children.append(self)
@@ -106,6 +116,33 @@ class Process:
         #: what the capability-flow audit saw of this process last time
         #: (:mod:`repro.sec.auditor`); dies with the process
         self.audit_cache: Any = None
+        #: whether the region may still hold child-role fork-sharing
+        #: notes: set by a μFork fork, cleared once the process's next
+        #: fork has swept them (:func:`repro.core.strategies.
+        #: resolve_all_pending`); a spawned process never holds any
+        self.shares_pending = False
+
+    # -- the process tree ------------------------------------------------
+
+    @property
+    def parent(self) -> Optional["Process"]:
+        """The parent process, ``None`` for a root.  Held weakly while
+        the parent lists this process among its ``children``; once the
+        parent is reaped (:meth:`ProcessTable.remove`) the orphan holds
+        it strongly, so it still has a parent that is not alive."""
+        link = self._parent
+        return link() if type(link) is weakref.ref else link
+
+    @parent.setter
+    def parent(self, parent: Optional["Process"]) -> None:
+        self._parent = None if parent is None else weakref.ref(parent)
+
+    def orphan_children(self) -> None:
+        """This process was reaped: its unreaped children become
+        orphans that keep it as their (dead) parent."""
+        for child in self.children:
+            child._parent = self
+        self.children = []
 
     # -- threads --------------------------------------------------------
 
@@ -178,7 +215,10 @@ class ProcessTable:
         return proc
 
     def remove(self, pid: int) -> None:
-        self._procs.pop(pid, None)
+        """Drop a reaped process (its children become orphans)."""
+        proc = self._procs.pop(pid, None)
+        if proc is not None:
+            proc.orphan_children()
 
     def alive(self) -> List[Process]:
         return [p for p in self._procs.values() if p.alive]

@@ -36,97 +36,21 @@ def live_machines() -> List["Machine"]:
     return list(_LIVE_MACHINES)
 
 
-class Machine:
-    """Shared simulated-hardware state for one experiment run."""
+class EventSink:
+    """Where every emit lands: the always-on counters, the obs facade
+    and the optional tracer of one machine.
 
-    def __init__(self, config: Optional[MachineConfig] = None,
-                 costs: Optional[CostModel] = None, seed: int = 0,
-                 num_cpus: int = 1) -> None:
-        self.config = config or DEFAULT_MACHINE
-        self.costs = costs or DEFAULT_COSTS
-        #: online CPUs actually scheduling work (``num_cpus=1``, the
-        #: default, gives the scheduler one queue and sends no IPIs; the
-        #: config's ``cores`` stays the bookkeeping core count and grows
-        #: only when more CPUs are brought online than it has cores)
-        self.num_cpus = max(1, int(num_cpus))
-        if self.num_cpus > self.config.cores:
-            self.config = replace(self.config, cores=self.num_cpus)
-        self.clock = SimClock()
-        #: unified observability (disabled by default; see :mod:`repro.obs`)
-        self.obs = Observability(self.clock)
-        session_adopt(self.obs)
-        #: fault injection (permanently-disabled null engine by default;
-        #: a :class:`repro.chaos.ChaosEngine` installs itself here via
-        #: ``engine.attach(machine)`` — see :mod:`repro.chaos`)
-        self.chaos = NULL_CHAOS
-        self.counters = EventCounters()
-        #: machine-wide translation generation: bumped by every TLB
-        #: flush and shootdown acknowledgement so the host-side
-        #: page-walk caches (:class:`repro.hw.paging.AddressSpace`)
-        #: drop entries exactly when simulated TLB state is invalidated
-        self.translation_gen = 0
-        self.phys = PhysicalMemory(self.config, self.costs, self.clock,
-                                   self.emit, obs=self.obs)
-        self.codec = CapabilityCodec()
-        #: clean capability-flow verdicts (see
-        #: :func:`repro.sec.auditor.audit_cap_flow`): (frame, lo, hi,
-        #: region base, region top, gate triple) -> the ``Frame.version``
-        #: last audited clean under those bounds.  Host-side only, and
-        #: sound because a frame number's ``version`` never repeats
-        self._audit_memo: dict = {}
-        self.cores: List[Core] = [
-            Core(self, core_id) for core_id in range(self.config.cores)
-        ]
-        #: CPU 0's private TLB (single-CPU call sites and tests use
-        #: this alias; each core owns its own instance)
-        self.tlb = self.cores[0].tlb
-        #: the inter-processor-interrupt bus (see :mod:`repro.smp.ipi`)
-        self.ipi = IpiBus(self)
-        #: kernel spinlocks (free no-ops while ``num_cpus == 1``)
-        self.locks = KernelLocks(self)
-        #: CPU the kernel is currently executing on (the SMP executor
-        #: flips this around each step)
-        self.current_cpu = 0
-        #: IRQ-disable nesting depth (see :class:`repro.smp.locks.IrqGuard`)
-        self.irq_depth = 0
-        #: deterministic randomness source (ASLR etc.)
-        self.rng = random.Random(seed)
-        #: optional structured-event tracer (see :mod:`repro.trace`)
-        self.tracer = None
-        #: optional syscall-boundary tap, called as
-        #: ``tap(os, proc, name, args, result, error)`` after every
-        #: syscall dispatch (see :mod:`repro.conform`); ``None`` keeps
-        #: the hot path a single attribute check
-        self.syscall_tap: Optional[Callable[..., None]] = None
-        #: kernels booted on this machine, weakly referenced
-        self._kernels: List["weakref.ref[Any]"] = []
-        _LIVE_MACHINES.add(self)
+    It holds no machine, so the machine's own parts (physical memory,
+    the chaos engine) keep its bound :meth:`emit` without a reference
+    cycle, and a dead machine is freed by reference counting alone.
+    """
 
-    def register_kernel(self, os: Any) -> None:
-        """Record a kernel booted on this machine (weak, audit-only)."""
-        self._kernels.append(weakref.ref(os))
+    __slots__ = ("counters", "obs", "tracer")
 
-    def kernels(self) -> List[Any]:
-        """The still-alive kernels booted on this machine."""
-        return [os for os in (ref() for ref in self._kernels)
-                if os is not None]
-
-    @property
-    def cpus(self) -> List[Core]:
-        """The online CPUs (the first ``num_cpus`` cores)."""
-        return self.cores[:self.num_cpus]
-
-    def tlb_shootdown(self, targets: Iterable[int],
-                      initiator: Optional[int] = None,
-                      reason: str = "shootdown") -> int:
-        """Ack-based cross-core TLB shootdown (see :mod:`repro.smp.ipi`);
-        returns the number of recipient CPUs actually interrupted."""
-        return tlb_shootdown(self, targets, initiator=initiator,
-                             reason=reason)
-
-    def charge(self, ns: float, bucket: Optional[str] = None) -> None:
-        """Charge simulated time (convenience passthrough to the clock)."""
-        self.clock.advance(ns, bucket)
+    def __init__(self, counters: EventCounters, obs: Observability) -> None:
+        self.counters = counters
+        self.obs = obs
+        self.tracer: Any = None
 
     def emit(self, entry: Event, n: int = 1, *,
              amount: Optional[int] = None,
@@ -167,6 +91,120 @@ class Machine:
             elif entry.trace is not None:
                 for _ in range(n):
                     tracer.record(entry.trace, **fields)
+
+
+class Machine:
+    """Shared simulated-hardware state for one experiment run.
+
+    Ownership is a tree rooted here: the parts the machine owns (cores
+    and their TLBs, the IPI bus, the kernel locks) hold it through a
+    weak proxy, and physical memory and the chaos engine hold only the
+    :class:`EventSink`, so the last reference to a machine frees it.
+    """
+
+    def __init__(self, config: Optional[MachineConfig] = None,
+                 costs: Optional[CostModel] = None, seed: int = 0,
+                 num_cpus: int = 1) -> None:
+        self.config = config or DEFAULT_MACHINE
+        self.costs = costs or DEFAULT_COSTS
+        #: online CPUs actually scheduling work (``num_cpus=1``, the
+        #: default, gives the scheduler one queue and sends no IPIs; the
+        #: config's ``cores`` stays the bookkeeping core count and grows
+        #: only when more CPUs are brought online than it has cores)
+        self.num_cpus = max(1, int(num_cpus))
+        if self.num_cpus > self.config.cores:
+            self.config = replace(self.config, cores=self.num_cpus)
+        self.clock = SimClock()
+        #: unified observability (disabled by default; see :mod:`repro.obs`)
+        self.obs = Observability(self.clock)
+        session_adopt(self.obs)
+        #: fault injection (permanently-disabled null engine by default;
+        #: a :class:`repro.chaos.ChaosEngine` installs itself here via
+        #: ``engine.attach(machine)`` — see :mod:`repro.chaos`)
+        self.chaos = NULL_CHAOS
+        self.counters = EventCounters()
+        #: where every emit lands: the counters, obs and the tracer
+        self.sink = EventSink(self.counters, self.obs)
+        #: the one instrumentation sink, :meth:`EventSink.emit` (the
+        #: sink's own bound method: no extra frame per emit)
+        self.emit = self.sink.emit
+        #: machine-wide translation generation: bumped by every TLB
+        #: flush and shootdown acknowledgement so the host-side
+        #: page-walk caches (:class:`repro.hw.paging.AddressSpace`)
+        #: drop entries exactly when simulated TLB state is invalidated
+        self.translation_gen = 0
+        self.phys = PhysicalMemory(self.config, self.costs, self.clock,
+                                   self.emit, obs=self.obs)
+        self.codec = CapabilityCodec()
+        #: clean capability-flow verdicts (see
+        #: :func:`repro.sec.auditor.audit_cap_flow`): (frame, lo, hi,
+        #: region base, region top, gate triple) -> the ``Frame.version``
+        #: last audited clean under those bounds.  Host-side only, and
+        #: sound because a frame number's ``version`` never repeats
+        self._audit_memo: dict = {}
+        # the parts the machine owns hold it weakly (see the class doc)
+        owner = weakref.proxy(self)
+        self.cores: List[Core] = [
+            Core(owner, core_id) for core_id in range(self.config.cores)
+        ]
+        #: CPU 0's private TLB (single-CPU call sites and tests use
+        #: this alias; each core owns its own instance)
+        self.tlb = self.cores[0].tlb
+        #: the inter-processor-interrupt bus (see :mod:`repro.smp.ipi`)
+        self.ipi = IpiBus(owner)
+        #: kernel spinlocks (free no-ops while ``num_cpus == 1``)
+        self.locks = KernelLocks(owner)
+        #: CPU the kernel is currently executing on (the SMP executor
+        #: flips this around each step)
+        self.current_cpu = 0
+        #: IRQ-disable nesting depth (see :class:`repro.smp.locks.IrqGuard`)
+        self.irq_depth = 0
+        #: deterministic randomness source (ASLR etc.)
+        self.rng = random.Random(seed)
+        #: optional syscall-boundary tap, called as
+        #: ``tap(os, proc, name, args, result, error)`` after every
+        #: syscall dispatch (see :mod:`repro.conform`); ``None`` keeps
+        #: the hot path a single attribute check
+        self.syscall_tap: Optional[Callable[..., None]] = None
+        #: kernels booted on this machine, weakly referenced
+        self._kernels: List["weakref.ref[Any]"] = []
+        _LIVE_MACHINES.add(self)
+
+    def register_kernel(self, os: Any) -> None:
+        """Record a kernel booted on this machine (weak, audit-only)."""
+        self._kernels.append(weakref.ref(os))
+
+    def kernels(self) -> List[Any]:
+        """The still-alive kernels booted on this machine."""
+        return [os for os in (ref() for ref in self._kernels)
+                if os is not None]
+
+    @property
+    def tracer(self) -> Any:
+        """The optional structured-event tracer (see :mod:`repro.trace`),
+        kept on the :attr:`sink` that every emit reads."""
+        return self.sink.tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Any) -> None:
+        self.sink.tracer = tracer
+
+    @property
+    def cpus(self) -> List[Core]:
+        """The online CPUs (the first ``num_cpus`` cores)."""
+        return self.cores[:self.num_cpus]
+
+    def tlb_shootdown(self, targets: Iterable[int],
+                      initiator: Optional[int] = None,
+                      reason: str = "shootdown") -> int:
+        """Ack-based cross-core TLB shootdown (see :mod:`repro.smp.ipi`);
+        returns the number of recipient CPUs actually interrupted."""
+        return tlb_shootdown(self, targets, initiator=initiator,
+                             reason=reason)
+
+    def charge(self, ns: float, bucket: Optional[str] = None) -> None:
+        """Charge simulated time (convenience passthrough to the clock)."""
+        self.clock.advance(ns, bucket)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

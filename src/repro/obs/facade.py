@@ -34,6 +34,7 @@ or, to observe every machine an experiment creates::
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -93,7 +94,10 @@ class Observability:
                  enabled: bool = False) -> None:
         self.clock = clock
         self.registry = MetricsRegistry()
-        self.registry.derived = self._on_advance
+        # bound weakly: the facade holds its registry, not the reverse
+        # (a registry that outlives its facade derives nothing)
+        on_advance = weakref.WeakMethod(self._on_advance)
+        self.registry.derived = lambda: (on_advance() or dict)()
         self.span_tree = SpanTree(clock)
         #: event -> its bound ``(metric, trace)`` counters (:meth:`bind`)
         self.bound: Dict[Any, Tuple[Optional[Counter], ...]] = {}

@@ -20,26 +20,6 @@ from typing import Any, Optional
 from repro import events
 
 
-class _HeldGuard:
-    """Preallocated ``held()`` guard: acquire, then an IRQ-disable
-    section, undone in reverse order even on the exception path, with
-    no generator + wrapper object per critical section.  The guard is
-    stateless, so one instance per lock is safe."""
-
-    __slots__ = ("lock",)
-
-    def __init__(self, lock: "SpinLock") -> None:
-        self.lock = lock
-
-    def __enter__(self) -> None:
-        self.lock.acquire()
-        self.lock.machine.irq_depth += 1
-
-    def __exit__(self, *exc: Any) -> None:
-        self.lock.machine.irq_depth -= 1
-        self.lock.release()
-
-
 class SpinLock:
     """A named, non-reentrant kernel spinlock.
 
@@ -52,7 +32,6 @@ class SpinLock:
         self.name = name
         #: CPU id of the holder, or None when free
         self.owner: Optional[int] = None
-        self._guard = _HeldGuard(self)
 
     def acquire(self) -> None:
         machine = self.machine
@@ -76,10 +55,20 @@ class SpinLock:
                 f"spinlock {self.name!r} released while not held")
         self.owner = None
 
-    def held(self) -> Any:
+    def held(self) -> "SpinLock":
         """``spin_lock_irqsave``-style guard: the lock plus an
-        IRQ-disable section, released even on the error path."""
-        return self._guard
+        IRQ-disable section, undone in reverse order even on the error
+        path.  The lock is its own guard (it keeps no per-section
+        state), so a critical section allocates nothing."""
+        return self
+
+    def __enter__(self) -> None:
+        self.acquire()
+        self.machine.irq_depth += 1
+
+    def __exit__(self, *exc: Any) -> None:
+        self.machine.irq_depth -= 1
+        self.release()
 
 
 class IrqGuard:

@@ -356,10 +356,8 @@ def _abort_point(machine: Any, point: str) -> None:
     """Fire one chaos restore-abort boundary (phase-transition check)."""
     chaos = machine.chaos
     if chaos.enabled and chaos.should_fire(point):
-        failure = InjectedRestoreFailure(
-            f"injected restore abort at {point}")
-        failure.point = point
-        raise failure
+        raise InjectedRestoreFailure.at(
+            point, f"injected restore abort at {point}")
 
 
 def _restore_phases(os: Any, manifest: Dict[str, Any], payload: memoryview,

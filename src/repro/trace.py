@@ -7,8 +7,8 @@ syscalls — with their simulated timestamps.  Tracing is off by default
 for answering "why did this fork cost what it did?": see
 ``TraceLog.summarize`` and the trace tests.
 
-Events arrive through :meth:`repro.machine.Machine.emit`, which
-records an entry of the event table :mod:`repro.events` under the
+Events arrive through ``machine.emit`` (:meth:`repro.machine.EventSink.emit`),
+which records an entry of the event table :mod:`repro.events` under the
 entry's ``trace`` name, so attaching a tracer never changes which code
 runs: a batch (fork's page copy, a write-run CoW break) hands it the
 ``(entry, fields)`` records of its pages in page order, stamped with
@@ -54,7 +54,8 @@ class TraceLog:
     """A bounded in-memory event log."""
 
     def __init__(self, machine: Any, capacity: int = 100_000) -> None:
-        self.machine = machine
+        # the clock, not the machine: the machine holds its tracer
+        self.clock = machine.clock
         self.capacity = capacity
         self.events: List[TraceEvent] = []
         self.dropped = 0
@@ -64,7 +65,7 @@ class TraceLog:
             self.dropped += 1
             return
         self.events.append(TraceEvent(
-            timestamp_ns=self.machine.clock.now_ns,
+            timestamp_ns=self.clock.now_ns,
             event=event,
             fields=tuple(sorted(fields.items())),
         ))
