@@ -139,9 +139,6 @@ class Frame:
 
     # -- byte access ---------------------------------------------------
 
-    def read(self, offset: int, size: int) -> bytes:
-        return bytes(self.data[offset:offset + size])
-
     def write(self, offset: int, data: bytes) -> None:
         """Raw byte store: clears tags of every overlapped granule
         (one C-level slice store over the granule run)."""

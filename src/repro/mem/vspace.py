@@ -3,8 +3,7 @@
 The single address space dedicates one large window to μprocesses; each
 fork reserves a fresh contiguous area inside it (paper §3.5 step 1).
 The allocator is a first-fit extent allocator with optional ASLR
-(randomizing each μprocess's base offset, §3.7) and fragmentation
-introspection for the paper's §6 discussion.
+(randomizing each μprocess's base offset, §3.7).
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class VirtualAreaAllocator:
         if index is None:
             raise OutOfVirtualSpace(
                 f"no contiguous {size:#x}-byte area (largest free: "
-                f"{self.largest_free():#x})"
+                f"{max((e.size for e in self._free), default=0):#x})"
             )
         extent = self._free[index]
         offset = 0
@@ -74,21 +73,8 @@ class VirtualAreaAllocator:
     def reserved_areas(self) -> List[Tuple[int, int]]:
         return sorted(self._reserved.items())
 
-    def free_extents(self) -> List[Tuple[int, int]]:
-        return [(extent.base, extent.size) for extent in self._free]
-
-    def largest_free(self) -> int:
-        return max((extent.size for extent in self._free), default=0)
-
     def total_free(self) -> int:
         return sum(extent.size for extent in self._free)
-
-    def fragmentation(self) -> float:
-        """1 - largest_free/total_free: 0 when free space is contiguous."""
-        total = self.total_free()
-        if total == 0:
-            return 0.0
-        return 1.0 - self.largest_free() / total
 
     # -- internals -----------------------------------------------------------
 

@@ -288,7 +288,7 @@ def _drive(kernel, ops, env, side):
                 0, VA_PAGES):
             frame_obj = phys.frame(frame)
             pages.append((vpn, perms, cow, phys.refcount(frame),
-                          frame_obj.read(0, PAGE),
+                          bytes(frame_obj.data[:PAGE]),
                           tuple(frame_obj.tagged_granules())))
         private = sum(PAGE for page in pages if page[3] == 1)
         assert os_.private_bytes(ctx.proc) == private

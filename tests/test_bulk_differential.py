@@ -232,7 +232,7 @@ def _drive(strategy, ops, env, side):
             frame_obj = machine.phys.frame(frame)
             pages.append((vpn - lo, perms_int, bool(cow),
                           machine.phys.refcount(frame),
-                          frame_obj.read(0, PAGE),
+                          bytes(frame_obj.data[:PAGE]),
                           tuple(frame_obj.tagged_granules())))
         dumps.append(pages)
     state = {

@@ -85,7 +85,7 @@ def ref_scan(machine, frame, regions):
     codec = machine.codec
     relocated = 0
     for offset in frame.tagged_granules():
-        cap = codec.decode(frame.read(offset, CAP_SIZE), True)
+        cap = codec.decode(bytes(frame.data[offset:offset + CAP_SIZE]), True)
         moved = ref_relocate_cap(cap, regions)
         if moved is not cap:
             frame.write_granule(offset, codec.encode(moved),
@@ -459,8 +459,8 @@ def test_forged_meta_id_is_untouched_until_interned():
     assert relocate_frame(machine, frame, regions) == 1
     moved_id = codec.intern((0x300000, 0x100, int(Perm.data_rw()),
                              OTYPE_UNSEALED))
-    assert frame.read(0x80, CAP_SIZE) == GRANULE.pack(cursor + regions.delta,
-                                                      moved_id)
+    assert bytes(frame.data[0x80:0x80 + CAP_SIZE]) == GRANULE.pack(
+        cursor + regions.delta, moved_id)
     assert frame.tagged_granules() == [0x80]
     assert frame.version == version + 1
 

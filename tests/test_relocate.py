@@ -130,7 +130,7 @@ class TestRelocateFrame:
         frame.write(0, struct.pack("<QQ", 0x10_1000, 7))
         count = relocate_frame(machine, frame, PARENT)
         assert count == 0
-        assert frame.read(0, 8) == struct.pack("<Q", 0x10_1000)
+        assert bytes(frame.data[:8]) == struct.pack("<Q", 0x10_1000)
 
     def test_scan_charges_time(self, machine):
         frame = self.make_frame(machine)
