@@ -138,10 +138,11 @@ _READ_OK = bytes(b for b in range(256) if b & _READ_BITS == _READ_BITS)
 _WRITE_OK = bytes(b for b in range(256) if b & _WRITE_BITS == _WRITE_BITS)
 
 #: pages a span must cover to be translated at once; a shorter one is
-#: walked through the walk cache page by page.  Measured (CPython
-#: 3.11.7, 2-vCPU Linux host): translating a 2-page span costs 1.5 µs
-#: and probing its pages 1.0 µs; the two break even at 4 pages (2.0
-#: and 1.9 µs) and the span wins from 5 (2.0 and 2.3 µs)
+#: walked page by page through :meth:`AddressSpace.resolve`.  Measured
+#: (CPython 3.11.7, 2-vCPU Linux host), span against walk: a 2-page
+#: read 3.4 and 2.8 µs, a 2-page write 5.1 and 3.8; at 4 pages a read
+#: 4.1 and 5.1, a write 7.9 and 7.7; at 12 pages a read 6.1 and 13.7,
+#: a write 19.0 and 20.2 (both store with one ``Frame.write`` a page)
 _SPAN_MIN_PAGES = 4
 
 
@@ -728,15 +729,12 @@ class AddressSpace:
     def _span_frames(self, vaddr: int, size: int, allowed: bytes,
                      privileged: bool) -> Optional[List[Frame]]:
         """The frame of each page of ``[vaddr, vaddr + size)``, in
-        address order, when the span covers at least
-        :data:`_SPAN_MIN_PAGES` pages, each mapped and (unless
-        ``privileged``) with a permission byte in ``allowed``; else
-        None.  Host-side only: no fault, charge or cache entry."""
+        address order, when each is mapped and (unless ``privileged``)
+        has a permission byte in ``allowed``; else None.  Host-side
+        only: no fault, charge or cache entry."""
         page_size = self._page_size
         vpn = vaddr // page_size
         end_vpn = (vaddr + size - 1) // page_size + 1
-        if end_vpn - vpn < _SPAN_MIN_PAGES:
-            return None
         frame_of = self.machine.phys.frame
         out: List[Frame] = []
         while vpn < end_vpn:
@@ -753,18 +751,6 @@ class AddressSpace:
             out += map(frame_of, window)
             vpn += hi - lo
         return out
-
-    def _translate(self, vaddr: int, kind: AccessKind,
-                   privileged: bool) -> Tuple[Frame, int]:
-        """:meth:`resolve`, with the walk-cache hit probed here first."""
-        if self.machine.translation_gen == self._walk_stamp:
-            hit = self._walk_cache.get(vaddr // self._page_size)
-            if hit is not None:
-                perms, index, frame = hit
-                bits = kind._req_bits
-                if privileged or (perms[index] & bits) == bits:
-                    return frame, vaddr % self._page_size
-        return self.resolve(vaddr, kind, privileged)
 
     def read(self, vaddr: int, size: int, privileged: bool = False,
              charge: bool = True) -> bytes:
@@ -801,11 +787,14 @@ class AddressSpace:
                 buckets = clock.buckets
                 buckets["mem_read"] = buckets.get("mem_read", 0) + ns_int
             return data
-        frames = self._span_frames(vaddr, size, _READ_OK, privileged)
+        page_size = self._page_size
+        frames = None
+        if offset + size > (_SPAN_MIN_PAGES - 1) * page_size:
+            frames = self._span_frames(vaddr, size, _READ_OK, privileged)
         if frames is not None:
             views = [frame.data for frame in frames]
             views[0] = views[0][offset:]
-            views[-1] = views[-1][:(offset + size - 1) % self._page_size + 1]
+            views[-1] = views[-1][:(offset + size - 1) % page_size + 1]
             data = b"".join(views)
         else:
             # each page is copied as it is translated, before the next
@@ -814,9 +803,9 @@ class AddressSpace:
             addr = vaddr
             end = vaddr + size
             while addr < end:
-                frame, offset = self._translate(addr, AccessKind.READ,
-                                                privileged)
-                take = min(end - addr, self._page_size - offset)
+                frame, offset = self.resolve(addr, AccessKind.READ,
+                                             privileged)
+                take = min(end - addr, page_size - offset)
                 pieces.append(frame.data[offset:offset + take].tobytes())
                 addr += take
             data = b"".join(pieces)
@@ -868,28 +857,23 @@ class AddressSpace:
                 buckets = clock.buckets
                 buckets["mem_write"] = buckets.get("mem_write", 0) + ns_int
             return
-        # each page stored as :meth:`Frame.write` stores; with a blocked
-        # page in the span, each is translated just before its store
-        frames = iter(self._span_frames(vaddr, size, _WRITE_OK, privileged)
-                      or ())
         page_size = self._page_size
         addr = vaddr
         end = vaddr + size
+        if offset + size > (_SPAN_MIN_PAGES - 1) * page_size:
+            for frame in self._span_frames(vaddr, size, _WRITE_OK,
+                                           privileged) or ():
+                take = min(end - addr, page_size - offset)
+                frame.write(offset, data[addr - vaddr:addr - vaddr + take])
+                addr += take
+                offset = 0
+        # a span that is short or blocked resolves each page just
+        # before its store, so a fault finds the earlier pages stored
         while addr < end:
-            frame = next(frames, None)
-            if frame is None:
-                frame, offset = self._translate(addr, AccessKind.WRITE,
-                                                privileged)
+            frame, offset = self.resolve(addr, AccessKind.WRITE, privileged)
             take = min(end - addr, page_size - offset)
-            frame._versions[frame.number] += 1
-            frame.data[offset:offset + take] = \
-                data[addr - vaddr:addr - vaddr + take]
-            first = offset // CAP_SIZE
-            count = (offset + take - 1) // CAP_SIZE + 1 - first
-            frame.tags[first:first + count] = \
-                _ZEROS[:count] if count <= len(_ZEROS) else bytes(count)
+            frame.write(offset, data[addr - vaddr:addr - vaddr + take])
             addr += take
-            offset = 0
         if charge:
             self.machine.clock.advance(
                 self.machine.costs.memcpy_ns_per_byte * size, "mem_write"

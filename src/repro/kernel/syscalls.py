@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import events
 from repro.cheri.capability import Capability, OTYPE_SENTRY
@@ -99,13 +99,9 @@ class SyscallLayer:
         self.machine = machine
         self.trapless = trapless
         self.isolation = isolation
-        self.tocttou = isolation.tocttou
         #: syscall name -> :class:`EntryPlan`, filled by the kernel's
         #: dispatch (:meth:`repro.kernel.base.AbstractOS.syscall`)
         self.plans: Dict[str, EntryPlan] = {}
-        #: copied size (at most ``tocttou_max_copy_bytes``) -> its
-        #: rounded TOCTTOU setup and copy charges
-        self._copy_plans: Dict[int, Charges] = {}
 
     def enter(self, name: str, nargs: int = 0,
               buffer_bytes: Sequence[int] = ()) -> None:
@@ -114,11 +110,11 @@ class SyscallLayer:
         ``buffer_bytes`` lists the sizes of user buffers passed by
         reference (each is double-copied under TOCTTOU protection).
 
-        A planned name with chaos and the tracer off takes one branch:
-        the plan's charges, followed by each buffer's planned TOCTTOU
-        charges, in one clock call, then the two counter bumps (the two
-        emits and the copy count while obs is on), in the order and
-        with the amounts of the general path below.
+        A planned name with chaos and the tracer off and no TOCTTOU
+        copies to make takes one branch: the plan's charges in one
+        clock call, then the two counter bumps (the two emits while obs
+        is on), in the order and with the amounts of the general path
+        below.
 
         Chaos: the ``kernel.syscall.{eintr,enomem,eagain}`` points fire
         here, *before any handler work* — every handler calls ``enter``
@@ -129,21 +125,15 @@ class SyscallLayer:
         machine = self.machine
         plan = self.plans.get(name)
         if (plan is not None and not machine.chaos.enabled
-                and machine.sink.tracer is None):
+                and machine.sink.tracer is None
+                and not (buffer_bytes and self.isolation.tocttou)):
             charges = plan.charges.get(nargs) or self._plan_charges(plan,
                                                                     nargs)
-            if buffer_bytes and self.tocttou:
-                copies = self._plan_copies(buffer_bytes)
-                charges = charges + copies \
-                    if charges and copies is not None else ()
             if charges:
                 machine.clock.advance_planned(charges)
                 if machine.obs.enabled:
                     machine.emit(events.SYSCALL)
                     machine.emit(plan.named)
-                    if buffer_bytes and self.tocttou:
-                        machine.emit(events.TOCTTOU_COPIES,
-                                     len(buffer_bytes))
                     return
                 values = machine.counters.values
                 values[_SYSCALL_SLOT] = values.get(_SYSCALL_SLOT, 0) + 1
@@ -163,7 +153,7 @@ class SyscallLayer:
         for ns, bucket in self._entry_charges(nargs):
             machine.charge(ns, bucket)
         costs = machine.costs
-        if self.tocttou:
+        if self.isolation.tocttou:
             for size in buffer_bytes:
                 copied = min(size, costs.tocttou_max_copy_bytes)
                 machine.charge(costs.tocttou_setup_ns, "tocttou")
@@ -173,7 +163,7 @@ class SyscallLayer:
         emit = machine.emit
         emit(events.SYSCALL, name=name)
         emit(events.SYSCALL_NAMED[name])
-        if self.tocttou and buffer_bytes:
+        if self.isolation.tocttou and buffer_bytes:
             emit(events.TOCTTOU_COPIES, len(buffer_bytes))
 
     def _entry_charges(self, nargs: int) -> List[Tuple[float, str]]:
@@ -198,25 +188,6 @@ class SyscallLayer:
         planned = plan.charges[nargs] = tuple(
             (int(round(ns)), bucket) for ns, bucket in charges)
         return planned
-
-    def _plan_copies(self, buffer_bytes: Sequence[int]) -> Optional[Charges]:
-        """The rounded TOCTTOU charges for buffers of ``buffer_bytes``
-        sizes, in order; None when the clock would refuse one."""
-        out: Charges = ()
-        memo = self._copy_plans
-        costs = self.machine.costs
-        for size in buffer_bytes:
-            copied = min(size, costs.tocttou_max_copy_bytes)
-            pair = memo.get(copied)
-            if pair is None:
-                setup = costs.tocttou_setup_ns
-                copy = costs.tocttou_copy_ns_per_byte * 2 * copied
-                if setup < 0 or copy < 0:
-                    return None
-                pair = memo[copied] = ((int(round(setup)), "tocttou"),
-                                       (int(round(copy)), "tocttou"))
-            out += pair
-        return out
 
     # -- argument validation helpers -------------------------------------------
 

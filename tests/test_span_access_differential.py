@@ -218,8 +218,9 @@ def test_span_access_matches_per_page_reference(kernel, parent_edits,
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_mapped_span_across_a_chunk_takes_no_walk(kernel, monkeypatch):
     """A span over mapped, permitted pages on both sides of a chunk
-    boundary is copied without one ``resolve``; a span with a blocked
-    page walks, and both match the reference."""
+    boundary is copied without one ``resolve``; a shorter span resolves
+    each page, a span with a blocked page walks, and all match the
+    reference."""
     keep = ("keep",) * WINDOW
     # the parent's window is private after a full copy; elsewhere its
     # pages are read-only until written, so writes walk there
@@ -243,6 +244,8 @@ def test_mapped_span_across_a_chunk_takes_no_walk(kernel, monkeypatch):
     assert calls == []
     space.write(base + 100, bytes(39 * PAGE), privileged=True)
     assert calls == []
+    space.read(base + PAGE - 10, 20)
+    assert calls == [base + PAGE - 10, base + PAGE]
     monkeypatch.undo()
     assert _run(kernel, (keep, keep), ops, reference=False) == \
         _run(kernel, (keep, keep), ops, reference=True)
