@@ -46,9 +46,10 @@ class TLB:
 
     def _do_flush(self) -> None:
         self.flush_count += 1
-        self._machine.translation_gen += 1
-        self._machine.clock.advance(self._machine.costs.tlb_flush_ns, "tlb_flush")
-        self._machine.emit(events.TLB_FLUSH)
+        machine = self._machine
+        machine.translation_gen += 1
+        machine.clock.advance(machine.costs.tlb_flush_ns, "tlb_flush")
+        machine.emit(events.TLB_FLUSH)
 
     def remote_invalidate(self) -> None:
         """Shootdown recipient side: invalidate stale translations in

@@ -15,7 +15,7 @@ explicitly; EOF and broken-pipe semantics match POSIX.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro import events
 from repro.errors import BrokenPipe, InvalidArgument, WouldBlock
@@ -32,6 +32,9 @@ class Pipe:
         self._buffer = bytearray()
         self.read_open = True
         self.write_open = True
+        #: bytes copied -> the rounded ``pipe_io`` charge, as planned
+        #: clock charges (the cost model is frozen)
+        self._io_charges: Dict[int, Tuple[Tuple[int, str]]] = {}
 
     # -- data plane ------------------------------------------------------
 
@@ -51,11 +54,12 @@ class Pipe:
             # on the return count, so correctness is the caller's loop
             chunk = chunk[:len(chunk) // 2]
         self._buffer.extend(chunk)
-        self.machine.charge(
-            self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
-        )
-        self.machine.emit(events.PIPE_BYTES_WRITTEN, len(chunk))
-        return len(chunk)
+        size = len(chunk)
+        machine = self.machine
+        machine.clock.advance_planned(self._io_charges.get(size)
+                                      or self._plan_io(size))
+        machine.emit(events.PIPE_BYTES_WRITTEN, size)
+        return size
 
     def read(self, size: int) -> bytes:
         if not self.read_open:
@@ -66,11 +70,23 @@ class Pipe:
             raise WouldBlock("pipe empty")
         chunk = bytes(self._buffer[:size])
         del self._buffer[:size]
-        self.machine.charge(
-            self.machine.costs.io_copy_ns_per_byte * len(chunk), "pipe_io"
-        )
-        self.machine.emit(events.PIPE_BYTES_READ, len(chunk))
+        size = len(chunk)
+        machine = self.machine
+        machine.clock.advance_planned(self._io_charges.get(size)
+                                      or self._plan_io(size))
+        machine.emit(events.PIPE_BYTES_READ, size)
         return chunk
+
+    def _plan_io(self, size: int) -> Tuple[Tuple[int, str]]:
+        """Record and return the ``pipe_io`` charge for copying
+        ``size`` bytes, rounded as :meth:`SimClock.advance` rounds; a
+        negative cost raises from the clock as it always has."""
+        machine = self.machine
+        ns = machine.costs.io_copy_ns_per_byte * size
+        if ns < 0:
+            machine.charge(ns, "pipe_io")
+        charges = self._io_charges[size] = ((int(round(ns)), "pipe_io"),)
+        return charges
 
     @property
     def buffered(self) -> int:

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import events
-from repro.cheri.capability import Capability, OTYPE_SENTRY
+from repro.cheri.capability import Capability, OTYPE_SENTRY, OTYPE_UNSEALED
 from repro.errors import BadAddress, IsolationViolation
 
 
@@ -75,10 +75,12 @@ class EntryPlan:
 
     It holds the handler (the class function, so the plan holds no
     reference back to the kernel), the ``syscall.<name>`` span label,
-    the ``SYSCALL_NAMED[name]`` event and, per ``nargs``, the entry and
-    validation charges.  Caching the charges is sound because the cost
-    model and the isolation config are frozen and fixed per
-    :class:`SyscallLayer`.
+    the ``SYSCALL_NAMED[name]`` event and the charges of each call
+    shape seen: per ``nargs`` the entry and validation charges, and
+    per ``(nargs, buffer sizes)`` those followed by each buffer's
+    TOCTTOU setup and copy charges under FULL isolation.  Caching the
+    charges is sound because the cost model and the isolation config
+    are frozen and fixed per :class:`SyscallLayer`.
     """
 
     __slots__ = ("handler", "span_label", "named", "charges")
@@ -87,8 +89,8 @@ class EntryPlan:
         self.handler = handler
         self.span_label = f"syscall.{name}"
         self.named = events.SYSCALL_NAMED[name]
-        #: nargs -> the charges :meth:`SyscallLayer.enter` makes
-        self.charges: Dict[int, Charges] = {}
+        #: call shape -> the charges :meth:`SyscallLayer.enter` makes
+        self.charges: Dict[Any, Charges] = {}
 
 
 class SyscallLayer:
@@ -110,11 +112,11 @@ class SyscallLayer:
         ``buffer_bytes`` lists the sizes of user buffers passed by
         reference (each is double-copied under TOCTTOU protection).
 
-        A planned name with chaos and the tracer off and no TOCTTOU
-        copies to make takes one branch: the plan's charges in one
-        clock call, then the two counter bumps (the two emits while obs
-        is on), in the order and with the amounts of the general path
-        below.
+        A planned name with chaos and the tracer off takes one branch:
+        the charges planned for this call shape in one clock call, then
+        the two counter bumps (the two emits and the TOCTTOU copy count
+        while obs is on), in the order and with the amounts of the
+        general path below.
 
         Chaos: the ``kernel.syscall.{eintr,enomem,eagain}`` points fire
         here, *before any handler work* — every handler calls ``enter``
@@ -125,15 +127,19 @@ class SyscallLayer:
         machine = self.machine
         plan = self.plans.get(name)
         if (plan is not None and not machine.chaos.enabled
-                and machine.sink.tracer is None
-                and not (buffer_bytes and self.isolation.tocttou)):
-            charges = plan.charges.get(nargs) or self._plan_charges(plan,
-                                                                    nargs)
+                and machine.sink.tracer is None):
+            copies = buffer_bytes and self.isolation.tocttou
+            key = (nargs, tuple(buffer_bytes)) if copies else nargs
+            charges = plan.charges.get(key) or self._plan_charges(
+                plan, key, nargs, buffer_bytes)
             if charges:
                 machine.clock.advance_planned(charges)
                 if machine.obs.enabled:
                     machine.emit(events.SYSCALL)
                     machine.emit(plan.named)
+                    if copies:
+                        machine.emit(events.TOCTTOU_COPIES,
+                                     len(buffer_bytes))
                     return
                 values = machine.counters.values
                 values[_SYSCALL_SLOT] = values.get(_SYSCALL_SLOT, 0) + 1
@@ -150,42 +156,45 @@ class SyscallLayer:
                     # unbound, or this frame and the fault's traceback
                     # (which holds the frame) would form a cycle
                     del fault
-        for ns, bucket in self._entry_charges(nargs):
+        for ns, bucket in self._entry_charges(nargs, buffer_bytes):
             machine.charge(ns, bucket)
-        costs = machine.costs
-        if self.isolation.tocttou:
-            for size in buffer_bytes:
-                copied = min(size, costs.tocttou_max_copy_bytes)
-                machine.charge(costs.tocttou_setup_ns, "tocttou")
-                machine.charge(
-                    costs.tocttou_copy_ns_per_byte * 2 * copied, "tocttou"
-                )
         emit = machine.emit
         emit(events.SYSCALL, name=name)
         emit(events.SYSCALL_NAMED[name])
         if self.isolation.tocttou and buffer_bytes:
             emit(events.TOCTTOU_COPIES, len(buffer_bytes))
 
-    def _entry_charges(self, nargs: int) -> List[Tuple[float, str]]:
-        """The entry charge and, at FAULT isolation and above, the
-        validation charge for ``nargs`` arguments, as ``(ns, bucket)``."""
+    def _entry_charges(self, nargs: int, buffer_bytes: Sequence[int]
+                       ) -> List[Tuple[float, str]]:
+        """The entry charge, at FAULT isolation and above the
+        validation charge for ``nargs`` arguments, and under TOCTTOU
+        protection each buffer's setup and copy charges (a copy is
+        capped at ``tocttou_max_copy_bytes``), as ``(ns, bucket)`` in
+        the order they are made."""
         costs = self.machine.costs
         charges = [(costs.sealed_syscall_ns if self.trapless
                     else costs.trap_syscall_ns, "syscall_entry")]
         if self.isolation.validate_args and nargs:
             charges.append((costs.syscall_validate_ns * nargs,
                             "syscall_validate"))
+        if self.isolation.tocttou:
+            for size in buffer_bytes:
+                copied = min(size, costs.tocttou_max_copy_bytes)
+                charges.append((costs.tocttou_setup_ns, "tocttou"))
+                charges.append((costs.tocttou_copy_ns_per_byte * 2 * copied,
+                                "tocttou"))
         return charges
 
-    def _plan_charges(self, plan: EntryPlan, nargs: int) -> Charges:
-        """Record and return ``plan``'s rounded entry charges for
-        ``nargs`` arguments; none when the clock would refuse one (a
-        negative cost), so that the general path raises as it always
-        has."""
-        charges = self._entry_charges(nargs)
+    def _plan_charges(self, plan: EntryPlan, key: Any, nargs: int,
+                      buffer_bytes: Sequence[int]) -> Charges:
+        """Record under ``key`` and return ``plan``'s rounded charges
+        for a call with ``nargs`` arguments and ``buffer_bytes``; none
+        when the clock would refuse one (a negative cost), so that the
+        general path raises as it always has."""
+        charges = self._entry_charges(nargs, buffer_bytes)
         if any(ns < 0 for ns, _bucket in charges):
             return ()
-        planned = plan.charges[nargs] = tuple(
+        planned = plan.charges[key] = tuple(
             (int(round(ns)), bucket) for ns, bucket in charges)
         return planned
 
@@ -202,18 +211,17 @@ class SyscallLayer:
             return
         if not isinstance(cap, Capability) or not cap.valid:
             raise BadAddress("invalid capability passed to kernel")
-        if cap.is_sealed:
+        if cap.otype != OTYPE_UNSEALED:
             raise BadAddress("sealed capability passed to kernel")
-        region_base = getattr(proc, "region_base", None)
-        region_top = getattr(proc, "region_top", None)
-        if region_base is not None and region_top:
-            if not (region_base <= cap.cursor and
-                    cap.cursor + size <= region_top):
-                raise BadAddress(
-                    f"user buffer [{cap.cursor:#x}+{size:#x}) outside "
-                    f"μprocess region"
-                )
-        if not cap.in_bounds(cap.cursor, size):
+        cursor = cap.cursor
+        region_top = proc.region_top
+        if region_top and not (proc.region_base <= cursor and
+                               cursor + size <= region_top):
+            raise BadAddress(
+                f"user buffer [{cursor:#x}+{size:#x}) outside "
+                f"μprocess region"
+            )
+        if not (cap.base <= cursor and cursor + size <= cap.base + cap.length):
             raise BadAddress("buffer exceeds capability bounds")
 
 

@@ -66,7 +66,9 @@ class Task:
         self.affinity = frozenset(cpus)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Task(tid={self.tid}, pid={self.process.pid}, {self.state.name})"
+        process = self.process
+        pid = None if process is None else process.pid
+        return f"Task(tid={self.tid}, pid={pid}, {self.state.name})"
 
 
 class Process:

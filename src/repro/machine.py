@@ -115,6 +115,9 @@ class Machine:
         if self.num_cpus > self.config.cores:
             self.config = replace(self.config, cores=self.num_cpus)
         self.clock = SimClock()
+        #: charge simulated time: the clock's own ``advance``, bound
+        #: once so that a charge costs one call
+        self.charge = self.clock.advance
         #: unified observability (disabled by default; see :mod:`repro.obs`)
         self.obs = Observability(self.clock)
         session_adopt(self.obs)
@@ -201,10 +204,6 @@ class Machine:
         returns the number of recipient CPUs actually interrupted."""
         return tlb_shootdown(self, targets, initiator=initiator,
                              reason=reason)
-
-    def charge(self, ns: float, bucket: Optional[str] = None) -> None:
-        """Charge simulated time (convenience passthrough to the clock)."""
-        self.clock.advance(ns, bucket)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -45,11 +45,15 @@ class SmpScheduler:
         self.same_address_space = same_address_space
         self.num_cpus = machine.num_cpus
         #: per-CPU FIFO queues as insertion-ordered sets (dicts), so
-        #: membership tests and mid-queue removal are O(1) while the
-        #: iteration (= dispatch) order stays exactly the old deque's
+        #: mid-queue removal is O(1) while the iteration (= dispatch)
+        #: order stays exactly the old deque's
         self._queues: List[Dict[Task, None]] = [
             {} for _ in range(self.num_cpus)
         ]
+        #: queued task -> the CPU whose queue holds it, so membership
+        #: and removal are one lookup whatever the CPU count
+        self._home: Dict[Task, int] = {}
+        self._cpu_ids = range(self.num_cpus)
         self._current: List[Optional[Task]] = [None] * self.num_cpus
         #: the run-queue depth gauge keeps the name each machine shape
         #: has always exported
@@ -80,17 +84,19 @@ class SmpScheduler:
 
     # -- queue management ------------------------------------------------
 
-    def _enqueued(self, task: Task) -> bool:
-        return any(task in queue for queue in self._queues)
+    def _enqueue(self, task: Task, cpu: int) -> None:
+        """Append ``task`` to ``cpu``'s queue (no placement, no IPI)."""
+        self._queues[cpu][task] = None
+        self._home[task] = cpu
 
-    def _allowed_cpus(self, task: Task) -> List[int]:
-        allowed = [cpu for cpu in range(self.num_cpus)
-                   if task.can_run_on(cpu)]
-        if not allowed:
-            raise ValueError(
-                f"task tid={task.tid} affinity {sorted(task.affinity)} "
-                f"excludes every online CPU (0..{self.num_cpus - 1})")
-        return allowed
+    def _dequeue(self, task: Task) -> bool:
+        """Take ``task`` out of whichever queue holds it; whether one
+        did."""
+        cpu = self._home.pop(task, None)
+        if cpu is None:
+            return False
+        del self._queues[cpu][task]
+        return True
 
     def _load(self, cpu: int) -> int:
         """Queue depth plus occupancy: an idle empty CPU beats a busy
@@ -102,8 +108,17 @@ class SmpScheduler:
     def _place(self, task: Task) -> int:
         """Deterministic placement: least-loaded allowed CPU; prefer
         the task's last CPU (cache warmth) among the least loaded, then
-        the lowest CPU id."""
-        allowed = self._allowed_cpus(task)
+        the lowest CPU id.  A task with one allowed CPU goes there
+        unweighed; one with none is refused (``ValueError``)."""
+        affinity = task.affinity
+        allowed = self._cpu_ids if affinity is None else \
+            [cpu for cpu in self._cpu_ids if cpu in affinity]
+        if len(allowed) == 1:
+            return allowed[0]
+        if not allowed:
+            raise ValueError(
+                f"task tid={task.tid} affinity {sorted(affinity)} "
+                f"excludes every online CPU (0..{self.num_cpus - 1})")
         min_load = min(self._load(cpu) for cpu in allowed)
         if task.last_cpu in allowed and \
                 self._load(task.last_cpu) == min_load:
@@ -113,28 +128,34 @@ class SmpScheduler:
                 return cpu
         raise AssertionError("unreachable")  # pragma: no cover
 
+    def _push(self, task: Task, cpu: int) -> None:
+        """Queue ``task`` on ``cpu``; waking an idle remote CPU costs a
+        resched IPI."""
+        machine = self.machine
+        idle = not self._queues[cpu] and self._current[cpu] is None
+        self._enqueue(task, cpu)
+        if idle and cpu != machine.current_cpu:
+            machine.ipi.send(machine.current_cpu, cpu, "resched")
+
     def add(self, task: Task) -> None:
-        if task.state is not TaskState.RUNNABLE or self._enqueued(task):
+        if task.state is not TaskState.RUNNABLE or task in self._home:
             return
-        cpu = self._place(task)
-        was_empty = not self._queues[cpu]
-        self._queues[cpu][task] = None
+        self._push(task, self._place(task))
         self._observe_depth()
-        if cpu != self.machine.current_cpu and was_empty and \
-                self._current[cpu] is None:
-            # waking an idle remote CPU costs a resched IPI
-            self.machine.ipi.send(self.machine.current_cpu, cpu, "resched")
+
+    def _clear_current(self, task: Task) -> None:
+        """Empty every per-CPU ``current`` slot holding ``task``."""
+        current = self._current
+        if task in current:
+            for cpu, running in enumerate(current):
+                if running is task:
+                    current[cpu] = None
 
     def remove(self, task: Task) -> None:
         """Idempotent removal from whichever queue holds the task."""
-        for queue in self._queues:
-            if task in queue:
-                del queue[task]
-                self._observe_depth()
-                break
-        for cpu, running in enumerate(self._current):
-            if running is task:
-                self._current[cpu] = None
+        if self._dequeue(task):
+            self._observe_depth()
+        self._clear_current(task)
 
     def block(self, task: Task) -> None:
         """Block (never resurrects an EXITED task)."""
@@ -150,8 +171,7 @@ class SmpScheduler:
     def _observe_depth(self) -> None:
         obs = self.machine.obs
         if obs.enabled:
-            obs.gauge_set(self._depth_gauge,
-                          sum(len(queue) for queue in self._queues))
+            obs.gauge_set(self._depth_gauge, len(self._home))
 
     # -- switching -------------------------------------------------------
 
@@ -159,28 +179,43 @@ class SmpScheduler:
         """Dispatch ``task`` on ``cpu`` (default: the current CPU),
         charging the context-switch cost — plus, on a
         multi-address-space OS, the flush of that CPU's *private*
-        TLB."""
+        TLB.
+
+        A still-runnable previous task is placed first: a refused
+        placement (its affinity excludes every online CPU) raises
+        before anything is charged, emitted or moved.  Then the
+        previous task is queued and ``task`` leaves its queue, as
+        ``add(previous)`` then ``remove(task)`` would, with the depth
+        gauge set once.
+        """
+        machine = self.machine
         if cpu is None:
-            cpu = self.machine.current_cpu
-        if task is self._current[cpu]:
+            cpu = machine.current_cpu
+        previous = self._current[cpu]
+        if task is previous:
             return
-        if self.machine.irq_depth > 0:
+        if machine.irq_depth > 0:
             raise AssertionError(
                 "scheduling while atomic: context switch inside an "
                 "IRQ-disabled critical section")
-        machine = self.machine
+        requeue = previous is not None and \
+            previous.state is TaskState.RUNNABLE and \
+            previous not in self._home
+        if requeue:
+            home = self._place(previous)
         costs = machine.costs
         if self.same_address_space:
             machine.charge(costs.context_switch_sas_ns, "ctx_switch")
         else:
             machine.charge(costs.context_switch_mas_ns, "ctx_switch")
-            machine.cpus[cpu].tlb.flush()
+            machine.cores[cpu].tlb.flush()
         machine.emit(events.CONTEXT_SWITCH)
         self.switches += 1
-        previous = self._current[cpu]
-        if previous is not None and previous.state is TaskState.RUNNABLE:
-            self.add(previous)
-        self.remove(task)
+        if requeue:
+            self._push(previous, home)
+        if self._dequeue(task) or requeue:
+            self._observe_depth()
+        self._clear_current(task)
         self._current[cpu] = task
         task.last_cpu = cpu
 
@@ -207,7 +242,7 @@ class SmpScheduler:
             task = next(iter(queue))
             if task.state is TaskState.RUNNABLE:
                 break
-            del queue[task]
+            self._dequeue(task)
         if not queue:
             return None
         if self.decision_source is not None:
@@ -257,12 +292,12 @@ class SmpScheduler:
         for victim in victims:
             for task in list(self._queues[victim]):
                 if task.state is not TaskState.RUNNABLE:
-                    del self._queues[victim][task]
+                    self._dequeue(task)
                     continue
                 if not task.can_run_on(cpu):
                     continue
-                del self._queues[victim][task]
-                self._queues[cpu][task] = None
+                self._dequeue(task)
+                self._enqueue(task, cpu)
                 machine.charge(machine.costs.work_steal_ns, "steal")
                 machine.emit(events.WORK_STEAL)
                 return task

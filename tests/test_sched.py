@@ -90,6 +90,10 @@ class TestNoResurrection:
         assert task not in os_.sched.queued_tasks()
 
 
+def test_task_repr_after_its_process_is_freed():
+    assert repr(make_task()).endswith(", pid=None, RUNNABLE)")
+
+
 class TestUniprocessor:
     """At ``num_cpus=1`` the scheduler keeps the N-CPU checks."""
 
@@ -108,6 +112,33 @@ class TestUniprocessor:
         task.pin(1)                        # not online on a uniprocessor
         with pytest.raises(ValueError, match="excludes every online"):
             sched.add(task)
+
+    @pytest.mark.parametrize("same_address_space", [True, False],
+                             ids=["sas", "mas"])
+    def test_refused_switch_changes_nothing(self, same_address_space):
+        """The running task is pinned to an offline CPU, so switching
+        away cannot re-queue it: the switch raises before it charges,
+        flushes, emits, counts or moves anything."""
+        machine = Machine()
+        machine.obs.enable()
+        sched = SmpScheduler(machine, same_address_space)
+        running, waiting = make_task(), make_task()
+        sched.add(running)
+        sched.switch_to(running)
+        sched.add(waiting)
+        running.pin(1)                     # not online on a uniprocessor
+
+        def state():
+            return (machine.clock.now_ns, dict(machine.clock.buckets),
+                    machine.counters.snapshot(), sched.switches,
+                    machine.tlb.flush_count, machine.obs.export())
+
+        before = state()
+        with pytest.raises(ValueError, match="excludes every online"):
+            sched.switch_to(waiting)
+        assert state() == before
+        assert sched.current is running
+        assert sched.queued_tasks() == [waiting]
 
     def test_steal_never_draws_the_abort_point(self, monkeypatch):
         """One CPU has no victim to steal from, so a chaos run never
@@ -161,7 +192,7 @@ def build_smp_sched(specs):
         if exited:
             task.state = TaskState.EXITED
         # place directly: the fuzz controls queue shape, not _place()
-        sched._queues[queue][task] = None
+        sched._enqueue(task, queue)
         tasks.append(task)
     return sched, tasks
 

@@ -195,7 +195,8 @@ class TestSmpScheduler:
         machine = smp_machine(2)
         sched = SmpScheduler(machine, True)
         first, second = make_task(100), make_task(101)
-        sched._queues[0].update({first: None, second: None})
+        sched._enqueue(first, 0)
+        sched._enqueue(second, 0)
         stolen = sched.steal_into(1)
         assert stolen is first                  # oldest waiter migrates
         assert first in sched._queues[1]
@@ -206,7 +207,7 @@ class TestSmpScheduler:
         sched = SmpScheduler(machine, True)
         pinned = make_task()
         pinned.pin(0)
-        sched._queues[0][pinned] = None
+        sched._enqueue(pinned, 0)
         assert sched.steal_into(1) is None
         assert pinned in sched._queues[0]
 
@@ -214,7 +215,7 @@ class TestSmpScheduler:
         machine = smp_machine(2)
         sched = SmpScheduler(machine, True)
         dead = make_task()
-        sched._queues[0][dead] = None
+        sched._enqueue(dead, 0)
         dead.state = TaskState.EXITED
         assert sched.steal_into(1) is None
         assert dead not in sched._queues[0]     # reaped from the queue

@@ -16,9 +16,17 @@ calls on killed, signalled and exited processes — runs once each way
 on every kernel at every isolation level, with obs off and on;
 results, exception types, the clock reading, its buckets, the counter
 view and the obs export's bytes must be equal, orders included.
+
+FULL isolation plans its TOCTTOU copies too, so a second script drives
+:meth:`~repro.kernel.syscalls.SyscallLayer.enter` itself with user
+buffers of 0 bytes, of ``tocttou_max_copy_bytes`` and above it, and two
+buffers in one call, and checks the same readings and the obs copy
+count.  With a negative copy or setup cost every call with a buffer
+must leave the planned branch and raise from the general path.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,9 +37,11 @@ from repro.apps.unixbench import context1
 from repro.baselines import IsoUnikOS, MonolithicOS, VMCloneOS
 from repro.core import UForkOS
 from repro.kernel.signals import SIGKILL, SIGTERM
-from repro.kernel.syscalls import IsolationConfig, IsolationLevel
+from repro.kernel.syscalls import (
+    EntryPlan, IsolationConfig, IsolationLevel, SyscallLayer)
 from repro.kernel.vfs import O_RDONLY
 from repro.machine import Machine
+from repro.params import CostModel
 
 KERNELS = {"ufork": UForkOS, "monolithic": MonolithicOS,
            "isounik": IsoUnikOS, "vmclone": VMCloneOS}
@@ -159,3 +169,89 @@ def test_fast_entry_matches_general_path_with_obs(kernel, level):
     # obs on: the planned entry emits through ``Machine.emit``, so the
     # export (counters, spans, time buckets) comes out byte-identical
     _assert_equal_runs(kernel, level, obs=True)
+
+
+MAX_COPY = CostModel.morello().tocttou_max_copy_bytes
+
+#: ``(name, nargs, buffer sizes)`` per call; repeated sizes hit the
+#: per-size plan, and sizes above the cap copy only the cap
+ENTER_SCRIPT = (
+    ("read", 3, (0,)),
+    ("read", 3, (MAX_COPY,)),
+    ("write", 3, (MAX_COPY + 1,)),
+    ("write", 3, (4,)),
+    ("write", 3, (4,)),
+    ("send", 4, (16, MAX_COPY + 1)),
+    ("send", 4, (MAX_COPY + 7, 0)),
+    ("read", 3, ()),
+    ("read", 3, (MAX_COPY + 1,)),
+)
+
+
+def _enter_run(slow, obs, costs):
+    machine = Machine(seed=7, costs=costs)
+    if obs:
+        machine.obs.enable()
+    if slow:
+        machine.tracer = _NullTracer()
+    layer = SyscallLayer(machine, trapless=False,
+                         isolation=IsolationConfig.full())
+    for name in ("read", "write", "send"):
+        layer.plans[name] = EntryPlan(lambda *args: None, name)
+    outcomes = []
+    for name, nargs, sizes in ENTER_SCRIPT:
+        try:
+            layer.enter(name, nargs, sizes)
+        except Exception as exc:  # the outcome under test
+            outcomes.append(type(exc).__name__)
+        else:
+            outcomes.append(None)
+    planned = sum(len(plan.charges) for plan in layer.plans.values())
+    copies = machine.obs.registry.counters().get(
+        "kernel.syscall.tocttou_copies")
+    return (outcomes, machine.clock.now_ns,
+            list(machine.clock.buckets.items()),
+            list(machine.counters.snapshot().items()),
+            json.dumps(machine.obs.export()), copies, planned)
+
+
+@pytest.mark.parametrize("obs", [False, True], ids=["obs_off", "obs_on"])
+def test_planned_tocttou_copies_match_general_path(obs):
+    fast = _enter_run(slow=False, obs=obs, costs=CostModel.morello())
+    slow = _enter_run(slow=True, obs=obs, costs=CostModel.morello())
+    assert fast[:6] == slow[:6]
+    assert fast[0] == [None] * len(ENTER_SCRIPT)
+    # the fast run planned each call shape once; the slow run none
+    shapes = {(name, nargs, sizes) for name, nargs, sizes in ENTER_SCRIPT}
+    assert fast[6] == len(shapes) and slow[6] == 0
+    buffers = sum(len(sizes) for _name, _nargs, sizes in ENTER_SCRIPT)
+    assert fast[5] == (buffers if obs else None)
+    # each buffer pays one setup and a double copy of at most the cap
+    costs = CostModel.morello()
+    assert dict(fast[2])["tocttou"] == sum(
+        round(costs.tocttou_setup_ns)
+        + round(costs.tocttou_copy_ns_per_byte * 2 * min(size, MAX_COPY))
+        for _name, _nargs, sizes in ENTER_SCRIPT for size in sizes)
+
+
+@pytest.mark.parametrize("field", ["tocttou_copy_ns_per_byte",
+                                   "tocttou_setup_ns"])
+@pytest.mark.parametrize("obs", [False, True], ids=["obs_off", "obs_on"])
+def test_negative_copy_cost_raises_from_general_path(obs, field):
+    costs = replace(CostModel.morello(), **{field: -1.0})
+    fast = _enter_run(slow=False, obs=obs, costs=costs)
+    slow = _enter_run(slow=True, obs=obs, costs=costs)
+    assert fast[:6] == slow[:6]
+    # a 0-byte copy costs nothing at any rate, so only the setup
+    # refuses it
+    refused = [any(costs.tocttou_setup_ns < 0 or
+                   costs.tocttou_copy_ns_per_byte * min(size, MAX_COPY) < 0
+                   for size in sizes)
+               for _name, _nargs, sizes in ENTER_SCRIPT]
+    assert fast[0] == ["ValueError" if no else None for no in refused]
+    assert any(refused) and not all(refused)
+    # only the shapes the clock accepts were planned: the call with no
+    # buffer, and the 0-byte copy at a negative rate
+    assert fast[6] == refused.count(False) == \
+        (1 if field == "tocttou_setup_ns" else 2)
+    assert slow[6] == 0

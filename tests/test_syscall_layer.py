@@ -133,6 +133,20 @@ class TestUserCapValidation:
         with pytest.raises(BadAddress):
             layer.validate_user_cap(self.make_proc(), outside, 8)
 
+    def test_region_edges(self, machine):
+        """A buffer may fill the region exactly, but not pass either
+        edge by a byte."""
+        layer = self.make_layer(machine, IsolationConfig.fault())
+        whole = Capability(base=0x1000, length=0x8000, cursor=0x1000,
+                           perms=Perm.data_rw())
+        layer.validate_user_cap(self.make_proc(), whole, 0x8000)
+        wider = Capability(base=0x0FFF, length=0x8002, cursor=0x0FFF,
+                           perms=Perm.data_rw())
+        with pytest.raises(BadAddress, match="outside"):
+            layer.validate_user_cap(self.make_proc(), wider, 8)
+        with pytest.raises(BadAddress, match="outside"):
+            layer.validate_user_cap(self.make_proc(), whole, 0x8001)
+
     def test_size_exceeding_bounds_rejected(self, machine):
         layer = self.make_layer(machine, IsolationConfig.fault())
         with pytest.raises(BadAddress):
