@@ -375,8 +375,12 @@ def _relocate_granules(machine: Any, frame: Frame,
     each tagged granule is one ``unpack_from``, a
     :meth:`~repro.cheri.codec.CapabilityCodec.meta` lookup,
     :func:`relocation_decision` of that metadata, and — when it moves —
-    a cursor add and one :meth:`~repro.hw.phys.Frame.write_granule`.  No
-    :class:`Capability` is built.
+    a cursor add packed back into the frame in place, or, when it is
+    invalidated, its bytes left as they are and its tag cleared, all
+    settled by one :meth:`~repro.hw.phys.Frame.rewrote_granules` (the
+    version goes up once per relocated granule, as one
+    :meth:`~repro.hw.phys.Frame.write_granule` each would leave it).
+    No :class:`Capability` is built.
 
     Soundness: meta ids are append-only — once :meth:`CapabilityCodec.meta`
     returns a tuple for an id it returns that tuple forever — so a
@@ -399,11 +403,11 @@ def _relocate_granules(machine: Any, frame: Frame,
     intern = codec.intern
     data = frame.data
     unpack_from = GRANULE.unpack_from
-    pack = GRANULE.pack
-    write = frame.write_granule
+    pack_into = GRANULE.pack_into
     parent_base, parent_top = regions.parent_base, regions.parent_top
     delta = regions.child_base - parent_base
     relocated = 0
+    invalidated = []
     for offset in frame.tagged_granules():
         cursor, meta_id = unpack_from(data, offset)
         meta = meta_of(meta_id)
@@ -413,12 +417,13 @@ def _relocate_granules(machine: Any, frame: Frame,
         if kind == KEEP:
             continue
         if kind == REBASE or parent_base <= cursor < parent_top:
-            write(offset, pack((cursor + delta) & CURSOR_MASK,
-                               intern(new_meta)), 1)
+            pack_into(data, offset, (cursor + delta) & CURSOR_MASK,
+                      intern(new_meta))
         else:
-            write(offset, pack(cursor, meta_id), 0)
+            invalidated.append(offset)
         relocated += 1
     if relocated:
+        frame.rewrote_granules(relocated, invalidated)
         _charge_each(machine, machine.costs.cap_relocate_ns, relocated,
                      "reloc_cap")
     return relocated

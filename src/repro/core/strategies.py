@@ -19,9 +19,11 @@ page-fault handler; the records live in PTE ``note`` slots.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Any, Dict, Optional, Tuple
 
 from repro import events
 from repro.core.relocate import (
@@ -192,118 +194,133 @@ def handle_fork_fault(space: AddressSpace, vaddr: int,
     return True
 
 
-def handle_fork_write_run(space: AddressSpace, vaddrs) -> bool:
-    """Bulk CoW break for a run of write-blocked pages — the lookahead
-    :meth:`AddressSpace.write_run` offers before per-fault dispatch.
-    ``vaddrs`` holds the first store address of each blocked page.
+#: ``_SHARED(refcount)``: is a frame mapped more than once
+_SHARED = (1).__lt__
 
-    Commits only when EVERY page is a clean ShareNote write-break whose
-    restored permissions allow the write and every copy's frame
-    allocation would succeed (:meth:`PhysicalMemory.alloc_budget`:
-    enough frames, no injected ``hw.phys.alloc_fail``); anything else
-    (foreign notes, genuinely read-only pages, a failing allocation,
-    SMP) returns False with no state touched, and the per-op loop
-    reproduces the exact fault/exception sequence.  On SMP each fault
-    serializes on the fault lock, which this path does not model.
+
+def handle_fork_write_run(space: AddressSpace, vaddrs,
+                          kind: AccessKind) -> bool:
+    """Bulk share break of the pages that block one access — the
+    :attr:`AddressSpace.break_hook` that its two callers, a blocked
+    multi-page read or write and :meth:`AddressSpace.write_run`, offer
+    before per-fault dispatch.  ``vaddrs`` holds the first address of
+    ``kind`` (a read or a write) in each blocked page, in access order.
+
+    Commits only when EVERY page breaks under :func:`handle_fork_fault`'s
+    rules for ``kind`` (a parent page on a write; a child page on any
+    access but a CoPA child's plain read) and then allows the access,
+    no frame is mapped twice, child pages share one region pair and
+    every copy's frame allocation would succeed
+    (:meth:`PhysicalMemory.alloc_budget`).  Anything else (foreign
+    notes, protected pages, a failing allocation, SMP, where each fault
+    serializes on the fault lock) returns False with no state touched,
+    and per-fault dispatch reproduces the exact fault/exception
+    sequence.
 
     Simulated-identical to faulting the pages one at a time in order:
     fault, page-copy, scan and relocation charges are batched as
     sum-equal advances (one per charge when a cost is non-integral);
-    frame allocation and refcount evolution follow the same page order
-    (no frame can be freed mid-run — every frame this path decrefs is
-    still referenced by the other side of the share); the chaos draws
-    are the per-fault copies' draws; the counters and observability
-    records are pure sums plus a last-value gauge; an attached tracer
-    receives each page's ``page_fault``, ``relocate_frame`` and
-    ``cow_break`` records in that order.
+    each copy gets the frame number its own fault would; no frame is
+    freed (the other side of each share still holds it); the chaos
+    draws are the per-fault copies' draws; the counters and
+    observability records are pure sums plus a last-value gauge; an
+    attached tracer receives each page's ``page_fault``,
+    ``relocate_frame`` and ``cow_break`` records in that order.
     """
     machine = space.machine
     if machine.num_cpus > 1:
         return False  # SMP per-op dispatch serializes on the fault lock
-    config = machine.config
-    req = AccessKind.WRITE._req_bits
-    note_of = space.note_of
-    page_size = config.page_size
-    breaks = []
-    for vaddr in vaddrs:
-        vpn = vaddr // page_size
-        note = note_of(vpn)
-        if not isinstance(note, ShareNote):
-            return False
-        if (int(note.orig_perms) & req) != req:
-            return False  # the write still faults after the break
-        breaks.append((vpn, note))
+    page_size = machine.config.page_size
+    vpns = [vaddr // page_size for vaddr in vaddrs]
+    notes = list(map(space.note_of, vpns))
+    # notes are shared by the pages a fork set up together, so each
+    # distinct one is judged once
+    distinct = {id(note): note for note in notes}
+    if not all(_breaks_on(note, kind) for note in distinct.values()):
+        return False
+    # child pages relocate in page order only under one region pair
+    if len({id(note.regions) for note in distinct.values()
+            if note.role == "child"}) > 1:
+        return False
     phys = machine.phys
-    frame_of = space.frame_of
-    refcount = phys.refcount
-    pending: Dict[int, int] = {}
-    frames = [frame_of(vpn) for vpn, _note in breaks]
-    copies = []  # indices of the pages whose frame is still shared
-    for index, frame in enumerate(frames):
-        if refcount(frame) - pending.get(frame, 0) > 1:
-            pending[frame] = pending.get(frame, 0) + 1
-            copies.append(index)
+    frames = list(map(space.frame_of, vpns))
+    if len(set(frames)) != len(frames):
+        return False  # a frame's first break would change its second
+    try:
+        refcounts = phys.refcounts(frames)
+    except KeyError:
+        return False  # a dangling mapping raises at its own fault
+    count = len(vpns)
+    # the pages whose frame is still shared get a private copy
+    copies = list(compress(range(count), map(_SHARED, refcounts)))
     if phys.alloc_budget(len(copies)) < len(copies):
         return False  # per-op dispatch reproduces the exact failing state
-    count = len(breaks)
     _charge_each(machine, machine.costs.page_fault_ns, count, "page_fault")
-    machine.emit(events.PAGE_FAULT["write"], count, records=())
-    copied: Dict[int, int] = {}  # page index -> its fresh private copy
+    machine.emit(events.PAGE_FAULT[kind._nm], count, records=())
+    targets = list(frames)  # each page's private frame once broken
     if copies:
-        copied = dict(zip(copies, phys.copy_frames(
-            [frames[index] for index in copies], preserve_tags=True)))
+        for index, copy in zip(copies, phys.copy_frames(
+                [frames[index] for index in copies], in_order=True)):
+            targets[index] = copy
         machine.emit(events.BREAK_PAGE_COPY, len(copies))
     # child-role pages may still hold parent-region capabilities:
-    # relocate per region pair through the fork content memo (a last
-    # sharer's frame is its own copy)
-    groups: Dict[RegionPair, List[int]] = {}
-    for index, (_vpn, note) in enumerate(breaks):
-        if note.role == "child":
-            groups.setdefault(note.regions, []).append(index)
+    # relocate them through the fork content memo (a last sharer's
+    # frame is its own copy)
     caps = [0] * count
-    for regions, indices in groups.items():
+    children = [index for index, note in enumerate(notes)
+                if note.role == "child"]
+    if children:
         moved = relocate_copied_frames(
-            machine, phys, [frames[index] for index in indices],
-            [copied.get(index, frames[index]) for index in indices],
-            regions)
-        for index, relocated in zip(indices, moved):
+            machine, phys, [frames[index] for index in children],
+            [targets[index] for index in children],
+            notes[children[0]].regions)
+        for index, relocated in zip(children, moved):
             caps[index] = relocated
-    for index, (vpn, note) in enumerate(breaks):
-        dst = copied.get(index)
-        if dst is None:
-            space.privatize_page(vpn, note.orig_perms)
-        else:
-            phys.decref(frames[index])  # never frees: the peer holds it
-            space.privatize_page(vpn, note.orig_perms, dst,
-                                 decref_old=False)
-    tallies: Dict[Tuple[str, CopyStrategy], int] = {}
-    for _vpn, note in breaks:
-        key = (note.role, note.strategy)
-        tallies[key] = tallies.get(key, 0) + 1
+    if copies:
+        phys.decref_many([frames[index] for index in copies])
+    space.privatize_pages(vpns, [note.orig_perms for note in notes],
+                          targets)
+    tallies: Counter = Counter()
+    for note_id, value in Counter(map(id, notes)).items():
+        note = distinct[note_id]
+        tallies[note.role, note.strategy.value] += value
     # parent breaks first, as the counters have always been keyed
     for (role, strategy), value in sorted(
             tallies.items(), key=lambda item: item[0][0] != "parent"):
-        machine.emit(events.COW_BREAK[strategy.value, role, "write"], value,
+        machine.emit(events.COW_BREAK[strategy, role, kind._nm], value,
                      records=())
-    machine.emit(events.RECORDS,
-                 records=_write_break_records(space.name, vaddrs, breaks,
-                                              caps))
+    machine.emit(events.RECORDS, records=_break_records(
+        space.name, kind._nm, vaddrs, vpns, notes, caps))
     return True
 
 
-def _write_break_records(space_name, vaddrs, breaks, caps):
-    """The tracer stream of a bulk write-run break, in per-fault order:
-    each page's ``page_fault``, ``relocate_frame`` (when capabilities
-    moved) and ``cow_break``."""
-    for vaddr, (vpn, note), moved in zip(vaddrs, breaks, caps):
-        yield events.PAGE_FAULT["write"], {"vaddr": vaddr, "kind": "write",
-                                           "space": space_name}
+def _breaks_on(note: Any, kind: AccessKind) -> bool:
+    """Whether a ``kind`` fault on a page carrying ``note`` is a share
+    break (as :func:`handle_fork_fault` rules) after which the page
+    allows ``kind``."""
+    if not isinstance(note, ShareNote):
+        return False
+    if note.role == "parent" and kind is not AccessKind.WRITE:
+        return False
+    if note.role != "parent" and note.strategy is CopyStrategy.COPA and \
+            kind is AccessKind.READ:
+        return False
+    return (int(note.orig_perms) & kind._req_bits) == kind._req_bits
+
+
+def _break_records(space_name, kind_name, vaddrs, vpns, notes, caps):
+    """The tracer stream of a bulk break, in per-fault order: each
+    page's ``page_fault``, ``relocate_frame`` (when capabilities moved)
+    and ``cow_break``."""
+    for vaddr, vpn, note, moved in zip(vaddrs, vpns, notes, caps):
+        yield events.PAGE_FAULT[kind_name], {
+            "vaddr": vaddr, "kind": kind_name, "space": space_name}
         if moved:
             yield events.RELOCATE_FRAME, {"caps": moved}
         fields = {"role": note.role, "vpn": vpn}
         if note.role == "child":
-            fields["kind"] = "write"
-        yield events.COW_BREAK[note.strategy.value, note.role, "write"], \
+            fields["kind"] = kind_name
+        yield events.COW_BREAK[note.strategy.value, note.role, kind_name], \
             fields
 
 

@@ -92,7 +92,7 @@ class UForkOS(AbstractOS):
         # the handler holds the table, not the kernel: the space it is
         # installed on is the kernel's, so a bound method would cycle
         self.space.fault_handler = partial(_handle_fault, self._demand_zero)
-        self.space.write_break_hook = handle_fork_write_run
+        self.space.break_hook = handle_fork_write_run
         #: the last eager copy's ``(vpns, original perms, map runs)``
         self._map_runs: tuple = ((), (), [])
 

@@ -121,9 +121,15 @@ _ACCESS_NAME = {
 # Per-member attributes precomputed for the fast paths: an attribute
 # load skips both the Enum.__hash__ dict probe and the per-fault
 # f-string formatting.
+#
+# ``_blocks`` maps each permission byte to 1 when it blocks the access
+# and 0 when it allows it: ``perms.translate(kind._blocks)`` flags the
+# blocked pages of a whole span in one C-level pass.
 for _kind in AccessKind:
     _kind._req_bits = _REQUIRED_BITS[_kind]
     _kind._nm = _ACCESS_NAME[_kind]
+    _kind._blocks = bytes(b & _kind._req_bits != _kind._req_bits
+                          for b in range(256))
 del _kind
 
 #: raw permission-bit masks for the two byte-access kinds, hoisted for
@@ -131,18 +137,14 @@ del _kind
 _READ_BITS = AccessKind.READ._req_bits
 _WRITE_BITS = AccessKind.WRITE._req_bits
 
-#: the permission bytes that allow a read (resp. a write):
-#: ``perms.translate(None, _READ_OK)`` is empty exactly when every page
-#: of ``perms`` allows it, one C-level pass for a whole span
-_READ_OK = bytes(b for b in range(256) if b & _READ_BITS == _READ_BITS)
-_WRITE_OK = bytes(b for b in range(256) if b & _WRITE_BITS == _WRITE_BITS)
-
 #: pages a span must cover to be translated at once; a shorter one is
 #: walked page by page through :meth:`AddressSpace.resolve`.  Measured
-#: (CPython 3.11.7, 2-vCPU Linux host), span against walk: a 2-page
-#: read 3.4 and 2.8 µs, a 2-page write 5.1 and 3.8; at 4 pages a read
-#: 4.1 and 5.1, a write 7.9 and 7.7; at 12 pages a read 6.1 and 13.7,
-#: a write 19.0 and 20.2 (both store with one ``Frame.write`` a page)
+#: (CPython 3.11.7, 2-vCPU Linux host, best of 4 x 7 x 3,000 calls on
+#: mapped, writable pages), span against walk: a 2-page read 3.7 and
+#: 3.0 µs, a 2-page write 7.8 and 4.5; at 4 pages a read 4.2 and 5.5, a
+#: write 8.5 and 8.2; at 12 pages a read 6.8 and 17.4, a write 11.3 and
+#: 21.9 (the span stores one slice per bank run, the walk one
+#: ``Frame.write`` a page)
 _SPAN_MIN_PAGES = 4
 
 
@@ -236,12 +238,12 @@ class AddressSpace:
         self._notes: Dict[int, Any] = {}
         self._chunk_len: Dict[int, int] = {}
         self.fault_handler: Optional[FaultHandler] = None
-        #: optional bulk CoW-break hook for :meth:`write_run`: called as
-        #: ``hook(space, vaddrs)`` with the first store address of each
-        #: write-blocked page of the run, in first-occurrence order;
-        #: returns True when it broke them all
-        #: (False leaves state untouched — per-fault dispatch follows)
-        self.write_break_hook: Optional[Any] = None
+        #: optional bulk share-break hook for a blocked span and for
+        #: :meth:`write_run`: called as ``hook(space, vaddrs, kind)``
+        #: with the first access address of each blocked page, in
+        #: access order; returns True when it broke them all (False
+        #: leaves state untouched — per-fault dispatch follows)
+        self.break_hook: Optional[Any] = None
         self._page_size = machine.config.page_size
         #: host-side page-walk cache: vpn -> (chunk perms bytearray,
         #: slot index, Frame).  Entries are only trusted while the
@@ -460,6 +462,28 @@ class AddressSpace:
         self._perms[chunk_id][index] = int(perms)
         self._cow[chunk_id][index] = 0
         self._notes.pop(vpn, None)
+
+    def privatize_pages(self, vpns: Sequence[int], perms: Sequence[Any],
+                        frames: Sequence[int]) -> None:
+        """:meth:`privatize_page` ``(vpn, perm, frame, decref_old=False)``
+        for each ``(vpn, perm, frame)``; a ``frame`` equal to the mapped
+        one keeps it.  One journal entry covers the batch, and its
+        walk-cache entries are dropped, not reinstalled."""
+        if not vpns:
+            return
+        self._log_edit(min(vpns), max(vpns) + 1)
+        chunks = self._frames
+        perms_map = self._perms
+        cow_map = self._cow
+        drop_note = self._notes.pop
+        drop_walk = self._walk_cache.pop
+        for vpn, perm, frame in zip(vpns, perms, frames):
+            chunk_id, index, chunk = self._slot(vpn)
+            chunk[index] = frame
+            perms_map[chunk_id][index] = perm
+            cow_map[chunk_id][index] = 0
+            drop_note(vpn, None)
+            drop_walk(vpn, None)
 
     # -- bulk mapping interface (docs/ARCHITECTURE.md "Vectorized engine") --
 
@@ -722,21 +746,26 @@ class AddressSpace:
     #
     # An access that crosses a page is copied with no walk when its
     # span is long enough and every page of it is mapped and allows the
-    # access; otherwise it walks the span page by page in address
-    # order, as one :meth:`resolve` per page would (docs/ARCHITECTURE.md
-    # "Byte access").
+    # access, after one bulk break of the pages that block it when the
+    # break hook takes them all; otherwise it walks the span page by
+    # page in address order, as one :meth:`resolve` per page would
+    # (docs/ARCHITECTURE.md "Byte access").
 
-    def _span_frames(self, vaddr: int, size: int, allowed: bytes,
-                     privileged: bool) -> Optional[List[Frame]]:
-        """The frame of each page of ``[vaddr, vaddr + size)``, in
-        address order, when each is mapped and (unless ``privileged``)
-        has a permission byte in ``allowed``; else None.  Host-side
-        only: no fault, charge or cache entry."""
+    def _span_numbers(self, vaddr: int, size: int, kind: AccessKind,
+                      privileged: bool,
+                      may_break: bool = True) -> Optional[List[int]]:
+        """The frame number of each page of ``[vaddr, vaddr + size)``,
+        in address order, when each is mapped and (unless
+        ``privileged``) allows ``kind``, if need be once
+        :attr:`break_hook` has broken the pages that block it, offered
+        in one call with the first address of each; else None.
+        Host-side only unless that break commits: no fault, charge or
+        cache entry."""
         page_size = self._page_size
         vpn = vaddr // page_size
         end_vpn = (vaddr + size - 1) // page_size + 1
-        frame_of = self.machine.phys.frame
-        out: List[Frame] = []
+        out: List[int] = []
+        blocked: List[int] = []
         while vpn < end_vpn:
             chunk_id = vpn >> CHUNK_SHIFT
             frames = self._frames.get(chunk_id)
@@ -745,12 +774,33 @@ class AddressSpace:
             lo = vpn & _CHUNK_MASK
             hi = min(CHUNK, lo + end_vpn - vpn)
             window = frames[lo:hi]
-            if min(window) < 0 or not privileged and \
-                    self._perms[chunk_id][lo:hi].translate(None, allowed):
+            if min(window) < 0:
                 return None
-            out += map(frame_of, window)
+            if not privileged:
+                flags = self._perms[chunk_id][lo:hi].translate(kind._blocks)
+                if 1 in flags:
+                    if not may_break or self.break_hook is None:
+                        return None
+                    blocked += compress(range(vpn, vpn + hi - lo), flags)
+            out += window
             vpn += hi - lo
-        return out
+        if not blocked:
+            return out
+        # a span that maps one frame twice walks: breaking one of its
+        # pages ahead of the access to the other would change what that
+        # access copies
+        if len(set(out)) != len(out):
+            return None
+        vaddrs = [vpn * page_size for vpn in blocked]
+        vaddrs[0] = max(vaddrs[0], vaddr)
+        machine = self.machine
+        machine.irq_depth += 1
+        try:
+            broken = self.break_hook(self, vaddrs, kind)
+        finally:
+            machine.irq_depth -= 1
+        return self._span_numbers(vaddr, size, kind, privileged, False) \
+            if broken else None
 
     def read(self, vaddr: int, size: int, privileged: bool = False,
              charge: bool = True) -> bytes:
@@ -788,11 +838,12 @@ class AddressSpace:
                 buckets["mem_read"] = buckets.get("mem_read", 0) + ns_int
             return data
         page_size = self._page_size
-        frames = None
+        numbers = None
         if offset + size > (_SPAN_MIN_PAGES - 1) * page_size:
-            frames = self._span_frames(vaddr, size, _READ_OK, privileged)
-        if frames is not None:
-            views = [frame.data for frame in frames]
+            numbers = self._span_numbers(vaddr, size, AccessKind.READ,
+                                         privileged)
+        if numbers is not None:
+            views = self.machine.phys.page_views(numbers)
             views[0] = views[0][offset:]
             views[-1] = views[-1][:(offset + size - 1) % page_size + 1]
             data = b"".join(views)
@@ -861,12 +912,11 @@ class AddressSpace:
         addr = vaddr
         end = vaddr + size
         if offset + size > (_SPAN_MIN_PAGES - 1) * page_size:
-            for frame in self._span_frames(vaddr, size, _WRITE_OK,
-                                           privileged) or ():
-                take = min(end - addr, page_size - offset)
-                frame.write(offset, data[addr - vaddr:addr - vaddr + take])
-                addr += take
-                offset = 0
+            numbers = self._span_numbers(vaddr, size, AccessKind.WRITE,
+                                         privileged)
+            if numbers is not None:
+                self.machine.phys.write_span(numbers, offset, data)
+                addr = end
         # a span that is short or blocked resolves each page just
         # before its store, so a fault finds the earlier pages stored
         while addr < end:
@@ -901,7 +951,7 @@ class AddressSpace:
         # blocked store, the rest of the run is classified and — when
         # every blocked page is a clean sharing break — broken in one
         # vectorized pass instead of one fault dispatch per page
-        hook = None if privileged else self.write_break_hook
+        hook = None if privileged else self.break_hook
         count = 0
         check_perms = not privileged
         write_bits = _WRITE_BITS
@@ -934,7 +984,7 @@ class AddressSpace:
                     if blocked:
                         machine.irq_depth += 1
                         try:
-                            run_hook(self, blocked)
+                            run_hook(self, blocked, AccessKind.WRITE)
                         finally:
                             machine.irq_depth -= 1
                 frame, offset = self.resolve(vaddr, AccessKind.WRITE,

@@ -30,8 +30,10 @@ stores over the columns and the arenas:
 one tag slice store, :meth:`PhysicalMemory.decref_many` releases a
 run of equal refcounts with one column store, and
 :meth:`PhysicalMemory.tagged_frames` finds a run's tagged frames with
-one ``find``, and :meth:`PhysicalMemory.restore_contents` replays a
-memoised run of relocated pages with one data and one tag slice store.
+one ``find``, :meth:`PhysicalMemory.restore_contents` replays a
+memoised run of relocated pages with one data and one tag slice store,
+and :meth:`PhysicalMemory.write_span` stores a multi-page write with one
+data, one tag-clear and one version store per run.
 The image loader takes a segment's frames with one
 :meth:`PhysicalMemory.alloc_run`.
 """
@@ -180,6 +182,17 @@ class Frame:
         self._versions[self.number] += 1
         self.data[offset:offset + CAP_SIZE] = raw
         self.tags[offset // CAP_SIZE] = 1 if tag else 0
+
+    def rewrote_granules(self, count: int, untagged: Sequence[int]) -> None:
+        """Settle ``count`` granule rewrites made in place through
+        :attr:`data` (the relocation scan's packed stores): clear the
+        tag of each granule at an offset in ``untagged`` and bump the
+        version ``count`` times, as ``count``
+        :meth:`write_granule` calls leave it."""
+        tags = self.tags
+        for offset in untagged:
+            tags[offset // CAP_SIZE] = 0
+        self._versions[self.number] += count
 
     def tagged_granules(self) -> List[int]:
         """Offsets of granules currently holding valid capabilities.
@@ -517,13 +530,15 @@ class PhysicalMemory:
         return number
 
     def copy_frames(self, srcs: Sequence[int], preserve_tags: bool = True,
-                    charge: bool = True) -> List[int]:
+                    charge: bool = True, in_order: bool = False
+                    ) -> List[int]:
         """Bulk :meth:`copy_frame`, copied by bank run.
 
         The destinations are the numbers ``len(srcs)`` single
         allocations would take (the free-list tail, then fresh numbers),
         paired with the sources in ascending order, so consecutive
-        sources land on consecutive destinations.  Each run of
+        sources land on consecutive destinations, or with ``in_order``
+        in the order those allocations take them.  Each run of
         consecutive destination numbers is marked allocated with one
         refcount store and one version store (each version exactly
         one up), and each run of consecutive source and destination
@@ -533,11 +548,11 @@ class PhysicalMemory:
         The copies, refcounts, capacity checks, clock charges,
         counter/observability totals, chaos draws and the free list
         left behind are identical to calling :meth:`copy_frame` once
-        per source; only which destination number a source gets
-        differs.  :meth:`alloc_budget` says up front how many copies
-        succeed: each consumes one ``hw.phys.alloc_fail`` draw, and
-        after the run copy ``hw.phys.tag_clear`` is consulted once per
-        copied page, in order, with the same recovery as
+        per source; unless ``in_order``, which destination number a
+        source gets differs.  :meth:`alloc_budget` says up front how
+        many copies succeed: each consumes one ``hw.phys.alloc_fail``
+        draw, and after the run copy ``hw.phys.tag_clear`` is consulted
+        once per copied page, in order, with the same recovery as
         :meth:`copy_frame`.  On a shortfall the next single
         :meth:`alloc` raises :class:`OutOfMemory` (capacity) or
         :class:`~repro.chaos.InjectedAllocFailure` (an injected draw);
@@ -548,7 +563,7 @@ class PhysicalMemory:
         self._require_allocated(srcs, src_runs)
         fit = self.alloc_budget(len(srcs))
         taken = self._take(fit)
-        dsts = sorted(taken)
+        dsts = taken if in_order else sorted(taken)
         dst_runs = consecutive_runs(dsts)
         refcounts = self._refcounts
         versions = self._versions
@@ -658,6 +673,53 @@ class PhysicalMemory:
                     tag_views[src_bank][s0:s0 + span]
             else:
                 tag_views[dst_bank][d0:d0 + span] = _zeros(span)
+
+    def page_views(self, numbers: Sequence[int]) -> List[memoryview]:
+        """The ``data`` window of each of ``numbers``, in order: a built
+        :class:`Frame`'s own, else a slice of its bank, so a span read
+        builds no :class:`Frame` (``KeyError`` for the first unallocated
+        number)."""
+        self._require_allocated(numbers)
+        views = self._views
+        data_views = self._data_views
+        page_size = self._config.page_size
+        out = []
+        for number in numbers:
+            frame = views[number]
+            if frame is None:
+                bank, slot = divmod(number - 1, BANK_FRAMES)
+                out.append(data_views[bank][slot * page_size:
+                                            (slot + 1) * page_size])
+            else:
+                out.append(frame.data)
+        return out
+
+    def write_span(self, numbers: Sequence[int], offset: int,
+                   data: bytes) -> None:
+        """:meth:`Frame.write` of ``data`` laid over the pages of
+        ``numbers`` as one span, from ``offset`` into the first: each
+        page's bytes stored, the tag of every granule they overlap
+        cleared and its version exactly one up.  Each bank run of
+        consecutive numbers takes one data, one tag and one
+        version-column slice store.  ``KeyError`` for the first
+        unallocated number, before anything is written."""
+        runs = consecutive_runs(numbers)
+        self._require_allocated(numbers, runs)
+        page_size = self._config.page_size
+        versions = self._versions
+        data = memoryview(data)
+        for start, end in _cut_at_banks(runs, numbers):
+            first = numbers[start]
+            versions[first:first + end - start] = array(
+                "q", map(_INCREMENT, versions[first:first + end - start]))
+            bank, slot = divmod(first - 1, BANK_FRAMES)
+            lo = max(start * page_size - offset, 0)
+            hi = min(end * page_size - offset, len(data))
+            at = (slot - start) * page_size + offset + lo
+            self._data_views[bank][at:at + hi - lo] = data[lo:hi]
+            granule = at // CAP_SIZE
+            count = (at + hi - lo - 1) // CAP_SIZE + 1 - granule
+            self._tag_views[bank][granule:granule + count] = _zeros(count)
 
     def snapshot_contents(self, numbers: Sequence[int]
                           ) -> Tuple[bytes, bytes]:
@@ -941,8 +1003,11 @@ def _cut_at_banks(runs: Iterable[Tuple[int, int]],
     pieces: List[Tuple[int, int]] = []
     for start, end in runs:
         while start < end:
-            stop = min(end, *(start + BANK_FRAMES - (seq[start] - 1)
-                              % BANK_FRAMES for seq in sequences))
+            stop = end
+            for seq in sequences:
+                room = start + BANK_FRAMES - (seq[start] - 1) % BANK_FRAMES
+                if room < stop:
+                    stop = room
             pieces.append((start, stop))
             start = stop
     return pieces

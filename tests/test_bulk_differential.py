@@ -172,7 +172,7 @@ def _boot(strategy, env="default", side="bulk"):
         machine.tracer = _Recorder()
     if side == "reference":
         sim.os._copy_pages = functools.partial(_reference_copy_pages, sim.os)
-        sim.os.space.write_break_hook = None
+        sim.os.space.break_hook = None
     assert machine.chaos.enabled is (chaos is not None)
     return sim
 

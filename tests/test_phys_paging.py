@@ -1,6 +1,7 @@
 """Tests for physical memory (frames + tags) and paging (faults, CoW hooks)."""
 
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -857,6 +858,108 @@ class TestRunCopy:
         with bulk.chaos.paused(), ref.chaos.paused():
             assert self.later_allocations(bulk, len(freed) + 3) == \
                 self.later_allocations(ref, len(freed) + 3)
+
+
+class TestSpanStore:
+    """``write_span`` stores a span by bank run; it must leave exactly
+    the bytes, tags and versions a per-page ``Frame.write`` loop leaves.
+
+    Each check builds two identical machines whose :attr:`FRAMES` frames
+    hold random bytes and random tags, stores the same span with
+    ``write_span`` on one and ``Frame.write`` page by page on the other,
+    and compares every frame.
+    """
+
+    PAGE = 4096
+    #: enough frames for spans to cross the first 512-frame bank edge
+    FRAMES = 540
+
+    @classmethod
+    def build(cls):
+        machine = Machine()
+        phys = machine.phys
+        numbers = phys.alloc_run(cls.FRAMES)
+        rng = random.Random(11)
+        granules = machine.config.granules_per_page
+        phys.restore_contents(
+            numbers, rng.randbytes(cls.FRAMES * cls.PAGE),
+            bytes(rng.choices((0, 1), k=cls.FRAMES * granules)))
+        return machine
+
+    @classmethod
+    def pages(cls, machine):
+        """Every allocated frame's bytes, tags and version."""
+        phys = machine.phys
+        return [(bytes(frame.data), bytes(frame.tags), frame.version)
+                for frame in map(phys.frame, _live_numbers(phys))]
+
+    def check(self, numbers, offset, end):
+        """Store a span from ``offset`` into ``numbers[0]`` to ``end``
+        bytes into the last page."""
+        size = (len(numbers) - 1) * self.PAGE - offset + end
+        data = random.Random(size).randbytes(size)
+        bulk = self.build()
+        ref = self.build()
+        bulk.phys.write_span(numbers, offset, data)
+        done = 0
+        for number in numbers:
+            take = min(size - done, self.PAGE - offset)
+            ref.phys.frame(number).write(offset, data[done:done + take])
+            done += take
+            offset = 0
+        assert self.pages(bulk) == self.pages(ref)
+
+    def test_span_straddles_a_bank_boundary(self):
+        self.check(list(range(505, 520)), offset=7, end=4000)
+
+    def test_non_consecutive_and_repeated_frames(self):
+        self.check([9, 10, 11, 300, 512, 513, 10, 11, 1], offset=4095, end=1)
+
+    def test_unallocated_number_writes_nothing(self):
+        machine = self.build()
+        machine.phys.decref(300)
+        before = self.pages(machine)
+        with pytest.raises(KeyError, match="no such frame 300"):
+            machine.phys.write_span([298, 299, 300, 301], 5, bytes(10_000))
+        assert self.pages(machine) == before
+
+    def test_page_views_read_what_the_frames_hold(self):
+        """``page_views`` serves a built ``Frame``'s window or a bank
+        slice, builds no ``Frame``, and raises for a freed number."""
+        machine = self.build()
+        phys = machine.phys
+        numbers = [511, 512, 513, 3, 3]
+        built = phys.frame(512)
+        views = phys.page_views(numbers)
+        assert views[1] is built.data
+        assert [phys._views[n] for n in (511, 513, 3)] == [None] * 3
+        assert [bytes(view) for view in views] == \
+            [bytes(phys.frame(n).data) for n in numbers]
+        phys.decref(300)
+        with pytest.raises(KeyError, match="no such frame 300"):
+            phys.page_views([299, 300])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prop_matches_per_page_writes(self, data):
+        live = list(range(1, self.FRAMES + 1))
+        segments = data.draw(st.lists(st.tuples(
+            st.sampled_from(live), st.integers(1, 30),
+            st.sampled_from(["up", "down", "pick"])), min_size=1,
+            max_size=4))
+        numbers = []
+        for first, length, shape in segments:
+            if shape == "up":
+                numbers += range(first, min(first + length, self.FRAMES + 1))
+            elif shape == "down":
+                numbers += range(first, max(first - length, 0), -1)
+            else:
+                numbers += data.draw(st.lists(st.sampled_from(live),
+                                              min_size=1, max_size=length))
+        offset = data.draw(st.integers(0, self.PAGE - 1))
+        end = data.draw(st.integers(offset + 1 if len(numbers) == 1 else 1,
+                                    self.PAGE))
+        self.check(numbers, offset, end)
 
 
 class TestAddressSpace:

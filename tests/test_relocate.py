@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cheri.capability import Capability, OTYPE_SENTRY, Perm
+from repro.cheri.codec import CAP_SIZE, GRANULE
 from repro.cheri.regfile import RegisterFile
 from repro.core.relocate import (
     RegionPair,
@@ -157,6 +158,37 @@ class TestRelocateFrame:
         frame.store_cap(16, cap_at(0x10_2000), machine.codec)
         relocate_frame(machine, frame, PARENT)
         assert machine.counters.get("caps_relocated") == 1
+
+    def test_later_granule_sees_the_id_an_earlier_rebase_interns(self):
+        """Granules are judged in offset order, each after the rebases
+        before it have interned their metadata: a later granule naming
+        the id an earlier rebase interns is judged by that metadata,
+        not skipped as forged.  With an empty child region no rebased
+        metadata is ever kept, so the second granule rebases too."""
+        empty_child = RegionPair(parent_base=0x10_0000, parent_top=0x20_0000,
+                                 child_base=0x50_0000, child_top=0x50_0000)
+        first = cap_at(0x10_1000)
+        # the id the first granule's rebase interns, learned on a twin
+        twin = Machine()
+        frame = self.make_frame(twin)
+        frame.store_cap(0, first, twin.codec)
+        relocate_frame(twin, frame, empty_child)
+        rebased_id = GRANULE.unpack(bytes(frame.data[:CAP_SIZE]))[1]
+
+        machine = Machine()
+        frame = self.make_frame(machine)
+        frame.store_cap(0, first, machine.codec)
+        assert machine.codec.meta(rebased_id) is None
+        cursor = 0x10_1800
+        frame.write_granule(CAP_SIZE, GRANULE.pack(cursor, rebased_id), 1)
+        version = frame.version
+        assert relocate_frame(machine, frame, empty_child) == 2
+        assert frame.version == version + 2
+        assert bytes(frame.tags[:2]) == b"\x01\x01"
+        assert bytes(frame.data[CAP_SIZE:2 * CAP_SIZE]) == GRANULE.pack(
+            cursor + empty_child.delta, rebased_id)
+        assert machine.codec.meta(rebased_id) == (
+            0x50_0000, 0, int(first.perms), first.otype)
 
 
 class TestRelocateRegisters:
