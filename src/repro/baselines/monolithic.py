@@ -247,7 +247,8 @@ class MonolithicOS(AbstractOS):
 
     def _copy_ptes(self, parent: AddressSpace, child: AddressSpace,
                          shm_vpns: Set[int]) -> None:
-        """Fork's ``pte_copy`` phase, one sweep of the parent's mappings.
+        """Fork's ``pte_copy`` phase, one column sweep of the parent's
+        mappings.
 
         The child maps every parent frame at the same vpn: MAP_SHARED
         memory as it is (shared and writable on both sides, POSIX), a
@@ -260,23 +261,23 @@ class MonolithicOS(AbstractOS):
         is run-granular.
         """
         machine = self.machine
-        items = parent.mapped_items(0, _va_pages(machine))
-        _charge_each(machine, machine.costs.pte_copy_ns, len(items),
+        vpns, frames, perms_column, cows, _notes = parent.mapped_columns(
+            0, _va_pages(machine))
+        _charge_each(machine, machine.costs.pte_copy_ns, len(vpns),
                      "fork_pte_copy")
-        vpns = [item[0] for item in items]
         keys = []
         protected = []
-        for vpn, _frame, perms, cow, _note in items:
+        for vpn, perms, cow in zip(vpns, perms_column, cows):
             if vpn in shm_vpns:
                 keys.append((perms, False))
             elif perms & _WRITE:
                 keys.append((perms & ~_WRITE, True))
                 protected.append((vpn, perms & ~_WRITE))
             else:
-                keys.append((perms, cow))
+                keys.append((perms, bool(cow)))
         for start, end in consecutive_runs(vpns, keys):
             perms, cow = keys[start]
-            child.map_run(vpns[start], [item[1] for item in items[start:end]],
+            child.map_run(vpns[start], frames[start:end],
                           PagePerm(perms), incref=True, cow=cow)
         for start, end in consecutive_runs(
                 [vpn for vpn, _perms in protected],

@@ -132,14 +132,12 @@ class VMCloneOS(MonolithicOS):
         mapped or leaked."""
         machine = self.machine
         phys = machine.phys
-        items = parent.mapped_items(0, _va_pages(machine))
-        srcs = [item[1] for item in items]
+        vpns, srcs, perms, _cows, _notes = parent.mapped_columns(
+            0, _va_pages(machine))
         _charge_each(machine, machine.costs.vm_clone_page_ns,
                      min(phys.alloc_budget(len(srcs)) + 1, len(srcs)),
                      "vm_clone_page")
         copies = phys.copy_frames(srcs, preserve_tags=True, charge=False)
-        vpns = [item[0] for item in items]
-        perms = [item[2] for item in items]
         for start, end in consecutive_runs(vpns, perms):
             child.map_run(vpns[start], copies[start:end],
                           PagePerm(perms[start]))

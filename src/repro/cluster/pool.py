@@ -88,13 +88,10 @@ class WarmPool:
         machine = self.session.machine
         page = machine.config.page_size
         proc = worker.proc
-        items = os_.space.mapped_items(proc.region_base // page,
-                                       proc.region_top // page)
-        return {
-            item[0] for item, count in zip(
-                items, machine.phys.refcounts([item[1] for item in items]))
-            if count == 1
-        }
+        vpns, frames, _perms, _cows, _notes = os_.space.mapped_columns(
+            proc.region_base // page, proc.region_top // page)
+        return {vpn for vpn, count in zip(
+            vpns, machine.phys.refcounts(frames)) if count == 1}
 
     def divergent_bytes(self, worker: Any = None) -> int:
         """Bytes of CoW-divergent pages of ``worker`` — the wire size of

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress, groupby
 from operator import ne
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import events
 from repro.cheri.capability import OTYPE_SENTRY, Capability, _fast_cap
@@ -166,9 +166,80 @@ def relocate_frames(machine: Any, frames: List[Frame],
     return sum(caps)
 
 
+class CopyPlan(NamedTuple):
+    """What :func:`relocate_copied_frames` will do with a batch, read
+    from the memo and the version column before anything is written
+    (:func:`plan_copied_frames`)."""
+
+    memo: "_RunMemo"
+    #: ``consecutive_runs`` of the sources, each checked allocated
+    runs: List[Tuple[int, int]]
+    #: (batch position of a memoised sub-run, the sub-run)
+    replays: list
+    #: the batch's memo entries, kept or to be rebuilt
+    entries: dict
+    #: (key, start, end, versions, sub-runs still valid)
+    rebuilds: list
+    #: batch positions to rescan, ascending
+    dirty: List[int]
+
+    @property
+    def stored(self) -> List[Tuple[int, int]]:
+        """The ``(start, end)`` batch positions the replays write
+        whole, ascending: their fresh copies need no bytes of their
+        own (:meth:`PhysicalMemory.copy_frames` ``stored``)."""
+        return sorted((start + run[0], start + run[1])
+                      for start, run in self.replays)
+
+
+def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
+                       regions: RegionPair) -> CopyPlan:
+    """Plan :func:`relocate_copied_frames` of ``srcs`` under
+    ``regions``: every source run, its memo entry and which of its
+    sub-runs replay, from versions read before anything is written.
+    Reads only (``KeyError`` for the first unallocated source), so a
+    fork plans before it copies and leaves the replayed destinations
+    out of the copy, and a relocation in place (the destinations are
+    the sources) plans before it writes.  The plan holds while the
+    sources are unwritten."""
+    memo = getattr(machine, "_run_memo", None)
+    if memo is None:
+        memo = machine._run_memo = _RunMemo()
+    region_key = (regions.parent_base, regions.parent_top,
+                  regions.child_base, regions.child_top)
+    runs = phys.batch_runs(srcs)
+    replays = []
+    entries = {}
+    rebuilds = []
+    dirty: List[int] = []
+    for start, end in runs:
+        key = (region_key, srcs[start], end - start)
+        versions = phys.version_run(srcs[start], end - start)
+        entry = memo.get(key)
+        if entry is not None and entry[0] == versions:
+            entries[key] = entry
+            replays += [(start, run) for run in entry[1]]
+            continue
+        kept = []
+        if entry is None:
+            stale = bytearray(b"\x01") * (end - start)
+        else:
+            stale = bytearray(map(ne, versions, entry[0]))
+            for run in entry[1]:
+                lo, hi = run[0], run[1]
+                if stale.find(1, lo, hi) >= 0:
+                    stale[lo:hi] = b"\x01" * (hi - lo)
+                else:
+                    kept.append(run)
+        replays += [(start, run) for run in kept]
+        dirty += compress(range(start, end), stale)
+        rebuilds.append((key, start, end, versions, kept))
+    return CopyPlan(memo, runs, replays, entries, rebuilds, dirty)
+
+
 def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
-                           dsts: Sequence[int], regions: RegionPair
-                           ) -> List[int]:
+                           dsts: Sequence[int], regions: RegionPair,
+                           plan: Optional[CopyPlan] = None) -> List[int]:
     """Relocate fork-copied frames through a per-run content memo.
 
     ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
@@ -212,44 +283,19 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     Returns the per-frame relocated-capability counts and leaves the
     tracer records to the caller, who interleaves them with its own
     per-page events.
+
+    ``plan`` is :func:`plan_copied_frames` of the same sources and
+    regions when the caller made it before copying (fork, whose copy
+    then leaves out the destinations the replays write whole); else
+    the batch is planned here.
     """
     count = len(dsts)
     if count == 0:
         return []
-    memo = getattr(machine, "_run_memo", None)
-    if memo is None:
-        memo = machine._run_memo = _RunMemo()
-    region_key = (regions.parent_base, regions.parent_top,
-                  regions.child_base, regions.child_top)
     _charge_scans(machine, count)
-    # plan every source run from versions read before anything is
-    # written (in place, the destinations are the sources)
-    replays = []  # (batch position of a memoised sub-run, the sub-run)
-    entries = {}  # the batch's memo entries, kept or to be rebuilt
-    rebuilds = []  # (key, start, end, versions, sub-runs still valid)
-    dirty: List[int] = []  # batch positions to rescan, ascending
-    for start, end in phys.batch_runs(srcs):
-        key = (region_key, srcs[start], end - start)
-        versions = phys.version_run(srcs[start], end - start)
-        entry = memo.get(key)
-        if entry is not None and entry[0] == versions:
-            entries[key] = entry
-            replays += [(start, run) for run in entry[1]]
-            continue
-        kept = []
-        if entry is None:
-            stale = bytearray(b"\x01") * (end - start)
-        else:
-            stale = bytearray(map(ne, versions, entry[0]))
-            for run in entry[1]:
-                lo, hi = run[0], run[1]
-                if stale.find(1, lo, hi) >= 0:
-                    stale[lo:hi] = b"\x01" * (hi - lo)
-                else:
-                    kept.append(run)
-        replays += [(start, run) for run in kept]
-        dirty += compress(range(start, end), stale)
-        rebuilds.append((key, start, end, versions, kept))
+    if plan is None:
+        plan = plan_copied_frames(machine, phys, srcs, regions)
+    memo, _runs, replays, entries, rebuilds, dirty = plan
     caps = [0] * count
     caps_batched = 0
     for start, (lo, hi, data, tags, run_caps, total) in replays:

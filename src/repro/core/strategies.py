@@ -96,14 +96,15 @@ def parent_share_perms(orig_perms: PagePerm) -> PagePerm:
     return cached
 
 
-def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
+def setup_shared_pages(space: AddressSpace, columns, delta_pages: int,
                        strategy: CopyStrategy, regions: RegionPair,
                        newly_shared: list) -> None:
     """Fork-time sharing setup under CoA/CoPA.
 
-    ``items`` are ``(vpn, frame, perms_int, note)`` tuples, vpn
-    ascending.  The child maps each parent frame at the mirrored vpn
-    with the strategy's share permissions and a child
+    ``columns`` are the ``(vpns, frames, perms, cows, notes)`` of
+    :meth:`AddressSpace.mapped_columns` (``notes`` None when no page has
+    one), vpn ascending.  The child maps each parent frame at the
+    mirrored vpn with the strategy's share permissions and a child
     :class:`ShareNote`; the parent loses write permission and gains a
     parent note (kept if the page was already shared).  Runs of
     consecutive vpns with equal original permissions become one
@@ -117,25 +118,26 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
     Parent vpns newly write-protected are appended to ``newly_shared``
     (fork rollback resolves them through the space).
     """
-    count = len(items)
+    vpns, frames, perms, _cows, notes = columns
+    count = len(vpns)
     if not count:
         return
     machine = space.machine
     costs = machine.costs
     child_notes: Dict[int, ShareNote] = {}
     parent_notes: Dict[int, ShareNote] = {}
-    origs = [int(note.orig_perms) if isinstance(note, ShareNote) else perms
-             for _vpn, _frame, perms, note in items]
-    for start, end in consecutive_runs([item[0] for item in items], origs):
-        vpn = items[start][0]
-        run = items[start:end]
+    origs = perms if notes is None else [
+        int(note.orig_perms) if isinstance(note, ShareNote) else perm
+        for perm, note in zip(perms, notes)]
+    for start, end in consecutive_runs(vpns, origs):
+        vpn = vpns[start]
         orig_int = origs[start]
         orig = PagePerm(orig_int)
         child_note = child_notes.get(orig_int)
         if child_note is None:
             child_note = ShareNote("child", strategy, regions, orig)
             child_notes[orig_int] = child_note
-        space.map_run(vpn + delta_pages, [item[1] for item in run],
+        space.map_run(vpn + delta_pages, frames[start:end],
                       child_share_perms(strategy, orig), incref=True,
                       note=child_note)
         parent_note = parent_notes.get(orig_int)
@@ -143,9 +145,10 @@ def setup_shared_pages(space: AddressSpace, items, delta_pages: int,
             parent_note = ShareNote("parent", strategy, regions, orig)
             parent_notes[orig_int] = parent_note
         space.protect_run(vpn, end - start, parent_share_perms(orig))
-        unnoted = [parent_vpn
-                   for parent_vpn, _pframe, _pperms, pnote in run
-                   if not isinstance(pnote, ShareNote)]
+        unnoted = vpns[start:end] if notes is None else [
+            parent_vpn for parent_vpn, note in zip(vpns[start:end],
+                                                   notes[start:end])
+            if not isinstance(note, ShareNote)]
         if unnoted:
             space.set_note_many(unnoted, parent_note)
             newly_shared.extend(unnoted)

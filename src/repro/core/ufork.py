@@ -10,7 +10,10 @@ syscall gates for isolation (§4.3, §4.4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
+from itertools import compress
+from operator import not_
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import events
@@ -24,6 +27,7 @@ from repro.core.isolation import (
 from repro.core.relocate import (
     RegionPair,
     _charge_each,
+    plan_copied_frames,
     relocate_copied_frames,
     relocate_registers,
 )
@@ -300,10 +304,11 @@ class UForkOS(AbstractOS):
                     lo: int, hi: int, newly_shared: List[int]) -> None:
         """Fork's page-duplication phase (see docs/ARCHITECTURE.md).
 
-        One region sweep classifies every mapping, then each class is
-        handled with bulk primitives: shared-memory pages and eager
-        copies become ``map_run`` slices over batch-copied frames, and
-        CoA/CoPA sharing goes through
+        One region sweep (:meth:`AddressSpace.mapped_columns`) is split
+        by column into classes, then each class is handled with bulk
+        primitives: shared-memory pages and eager copies become
+        ``map_run`` slices over batch-copied frames, and CoA/CoPA
+        sharing goes through
         :func:`repro.core.strategies.setup_shared_pages`.  The end
         state, charges, counters and chaos draws are those of handling
         the pages one at a time in ascending vpn order.  When
@@ -317,48 +322,49 @@ class UForkOS(AbstractOS):
         machine = self.machine
         space = self.space
         phys = machine.phys
-        items = space.mapped_items(lo, hi)
-        shm_items = [item for item in items if item[0] in shm_vpns] \
-            if shm_vpns else []
-        if shm_items:
-            items = [item for item in items if item[0] not in shm_vpns]
+        columns = space.mapped_columns(lo, hi)
+        shm = _NO_PAGES
+        if shm_vpns:
+            in_shm = list(map(shm_vpns.__contains__, columns[0]))
+            if True in in_shm:
+                shm, columns = _split(columns, in_shm)
         if strategy is CopyStrategy.FULL_COPY:
-            copy_items, share_items = items, []
+            copy, share = columns, _NO_PAGES
         else:
-            copy_items = [item for item in items if item[0] in eager]
-            share_items = [(vpn, frame, perms, note)
-                           for vpn, frame, perms, _cow, note in items
-                           if vpn not in eager]
+            copy, share = _split(columns,
+                                 list(map(eager.__contains__, columns[0])))
         failing = None
-        fit = phys.alloc_budget(len(copy_items))
-        if fit < len(copy_items):
-            failing = copy_items[fit]
-            copy_items = copy_items[:fit]
-            shm_items = [item for item in shm_items if item[0] < failing[0]]
-            share_items = [item for item in share_items
-                           if item[0] < failing[0]]
+        fit = phys.alloc_budget(len(copy[0]))
+        if fit < len(copy[0]):
+            failing = copy[1][fit]
+            stop = copy[0][fit]
+            copy = _head(copy, fit)
+            shm = _head(shm, bisect_left(shm[0], stop))
+            share = _head(share, bisect_left(share[0], stop))
         bulk_ns = machine.costs.pte_bulk_share_ns
 
         # MAP_SHARED memory: same frames, by design (§3.7)
-        for start, end in consecutive_runs([item[0] for item in shm_items],
-                                           [item[2] for item in shm_items]):
-            space.map_run(shm_items[start][0] + delta_pages,
-                          [item[1] for item in shm_items[start:end]],
-                          PagePerm(shm_items[start][2]), incref=True)
-        if shm_items:
-            _charge_each(machine, bulk_ns, len(shm_items), "fork_map")
+        vpns, frames, perms, _cows, _notes = shm
+        for start, end in consecutive_runs(vpns, perms):
+            space.map_run(vpns[start] + delta_pages, frames[start:end],
+                          PagePerm(perms[start]), incref=True)
+        if vpns:
+            _charge_each(machine, bulk_ns, len(vpns), "fork_map")
 
-        # eager / full copies: batch-copy the frames, relocate, then
-        # map the child runs at the original (pre-share) permissions
-        ncopy = len(copy_items)
+        # eager / full copies: plan the relocation, batch-copy the frames
+        # the memo does not replay whole, relocate, then map the child
+        # runs at the original (pre-share) permissions
+        vpns, srcs, perms, _cows, notes = copy
+        ncopy = len(vpns)
         if ncopy:
-            vpns, src_numbers, perms, _cows, notes = zip(*copy_items)
-            dsts = phys.copy_frames(src_numbers, preserve_tags=True)
-            caps = relocate_copied_frames(machine, phys, src_numbers, dsts,
-                                          regions)
-            origs = perms if notes.count(None) == ncopy else tuple(
-                int(note.orig_perms) if isinstance(note, ShareNote)
-                else perm for perm, note in zip(perms, notes))
+            plan = plan_copied_frames(machine, phys, srcs, regions)
+            dsts = phys.copy_frames(srcs, preserve_tags=True,
+                                    runs=plan.runs, stored=plan.stored)
+            caps = relocate_copied_frames(machine, phys, srcs, dsts,
+                                          regions, plan=plan)
+            origs = perms if notes is None or notes.count(None) == ncopy \
+                else bytes(int(note.orig_perms) if isinstance(note, ShareNote)
+                           else perm for perm, note in zip(perms, notes))
             # a parent forking again copies the same vpns at the same
             # permissions: compare them, and reuse the runs
             last_vpns, last_origs, runs = self._map_runs
@@ -370,15 +376,15 @@ class UForkOS(AbstractOS):
                               PagePerm(origs[start]))
             _charge_each(machine, bulk_ns, ncopy, "fork_map")
             machine.emit(events.FORK_PAGE_COPY, ncopy,
-                         records=_eager_copy_records(copy_items, caps,
+                         records=_eager_copy_records(vpns, caps,
                                                      delta_pages))
 
-        if share_items:
-            setup_shared_pages(space, share_items, delta_pages, strategy,
+        if share[0]:
+            setup_shared_pages(space, share, delta_pages, strategy,
                                regions, newly_shared)
         if failing is not None:
             # raises, as the page-by-page sweep's allocation would there
-            phys.copy_frames([failing[1]])
+            phys.copy_frames([failing])
 
     def _undo_fork_pages(self, child: Process, newly_shared: List[int]) -> None:
         """Rollback of the page-duplication phase: unmap every page the
@@ -445,13 +451,31 @@ class UForkOS(AbstractOS):
         return self._data_cap(base, pages * page)
 
 
-def _eager_copy_records(copy_items, caps, delta_pages):
+#: the columns of an empty sweep
+_NO_PAGES = ([], [], b"", b"", None)
+
+
+def _split(columns, mask):
+    """The sweep ``columns`` at the positions ``mask`` flags, and at
+    the others."""
+    rest = list(map(not_, mask))
+    return tuple(tuple(None if column is None else list(compress(column, at))
+                       for column in columns) for at in (mask, rest))
+
+
+def _head(columns, count):
+    """The first ``count`` positions of the sweep ``columns``."""
+    return tuple(None if column is None else column[:count]
+                 for column in columns)
+
+
+def _eager_copy_records(vpns, caps, delta_pages):
     """A bulk eager copy's tracer stream, in per-page order: each page's
     ``relocate_frame`` (when capabilities moved), then its copy."""
-    for item, moved in zip(copy_items, caps):
+    for vpn, moved in zip(vpns, caps):
         if moved:
             yield events.RELOCATE_FRAME, {"caps": moved}
-        yield events.FORK_PAGE_COPY, {"vpn": item[0] + delta_pages,
+        yield events.FORK_PAGE_COPY, {"vpn": vpn + delta_pages,
                                       "eager": True}
 
 

@@ -41,6 +41,7 @@ contract by grep.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from enum import Enum, IntFlag, auto
@@ -157,8 +158,12 @@ _CHUNK_MASK = CHUNK - 1
 #: template for freshly created chunks: every slot unmapped
 _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 
-#: ``_MAPPED(frame)`` — is a chunk slot mapped (unmapped slots hold -1)
-_MAPPED = (-1).__lt__
+#: where a chunk slot's most significant byte sits in its 8-byte lane:
+#: that byte is 0xff exactly when the slot holds -1 (unmapped), since
+#: frame numbers are far below 2**56
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0
+#: a slot's most significant byte -> 1 when the slot is mapped
+_MAPPED_TOP = bytes(int(byte != 0xFF) for byte in range(256))
 
 #: edit-journal entries kept before it starts a new epoch
 JOURNAL_LIMIT = 1024
@@ -251,7 +256,8 @@ class AddressSpace:
         #: re-checked on every hit (so permission narrowing — CoW/CoPA
         #: sharing — can never be bypassed), and every single-vpn table
         #: edit (map/unmap/privatize) replaces or pops exactly its own
-        #: entry.
+        #: entry.  Only mapped vpns are ever cached, and every unmap
+        #: drops its entries, so a vpn being mapped has none.
         self._walk_cache: Dict[int, Tuple[bytearray, int, Frame]] = {}
         #: generation of the cached entries: the machine-wide TLB
         #: flush/shootdown generation (cross-core invalidations clear
@@ -487,32 +493,70 @@ class AddressSpace:
 
     # -- bulk mapping interface (docs/ARCHITECTURE.md "Vectorized engine") --
 
-    def mapped_items(self, lo_vpn: int, hi_vpn: int
-                     ) -> List[Tuple[int, int, int, bool, Any]]:
-        """All mappings with ``lo_vpn <= vpn < hi_vpn``, ascending.
-
-        Returns ``(vpn, frame, perms_int, cow, note)`` tuples — the raw
-        PTE state — so walkers (fork, snapshot, audit) sweep a region
-        without a per-page call.
-        """
-        out: List[Tuple[int, int, int, bool, Any]] = []
-        chunks = self._frames
-        notes = self._notes
+    def _windows(self, lo_vpn: int, hi_vpn: int
+                 ) -> List[Tuple[int, int, int, List[Tuple[int, int]]]]:
+        """``(chunk id, start, stop, runs)`` of each live chunk's slice
+        ``[start, stop)`` of [lo, hi), ascending, with the ``[a, b)``
+        slot runs of its mapped slots: the whole slice when the chunk
+        is fully mapped, else read off each slot's top byte with one
+        ``bytes.translate`` and a ``bytes.find`` per run edge."""
+        chunk_len = self._chunk_len
+        out = []
         for chunk_id in self._chunks_in(lo_vpn, hi_vpn):
-            frames = chunks[chunk_id]
-            perms = self._perms[chunk_id]
-            cow = self._cow[chunk_id]
             base = chunk_id << CHUNK_SHIFT
             start = max(lo_vpn - base, 0)
             stop = min(hi_vpn - base, CHUNK)
-            vpns = range(base + start, base + stop)
-            window = frames[start:stop]
-            out += compress(
-                zip(vpns, window, perms[start:stop],
-                    map(bool, cow[start:stop]),
-                    map(notes.get, vpns) if notes else repeat(None)),
-                map(_MAPPED, window))
+            runs = []
+            if chunk_len[chunk_id] == CHUNK:
+                runs.append((start, stop))
+            else:
+                mapped = self._frames[chunk_id][start:stop].tobytes()[
+                    _TOP_BYTE::8].translate(_MAPPED_TOP)
+                at = mapped.find(1)
+                while at >= 0:
+                    end = mapped.find(0, at)
+                    end = len(mapped) if end < 0 else end
+                    runs.append((start + at, start + end))
+                    at = mapped.find(1, end)
+            out.append((chunk_id, start, stop, runs))
         return out
+
+    def mapped_columns(self, lo_vpn: int, hi_vpn: int
+                       ) -> Tuple[List[int], array, bytearray, bytearray,
+                                  Optional[List[Any]]]:
+        """All mappings with ``lo_vpn <= vpn < hi_vpn``, ascending, as
+        columns: ``(vpns, frames, perms, cows, notes)`` — vpn list,
+        ``array('q')`` of frame numbers, ``bytearray``s of permission
+        bits and CoW marks (0/1), and the note of each mapping, or
+        ``None`` for the whole column when the space holds no note.
+
+        The raw PTE state, so walkers (fork, teardown, accounting)
+        sweep a region with no per-page call: each run of mapped slots
+        of a chunk (a fully mapped chunk's window is one) is taken
+        whole, one slice per column.
+        """
+        vpns: List[int] = []
+        frames = array("q")
+        perms = bytearray()
+        cows = bytearray()
+        for chunk_id, _start, _stop, runs in self._windows(lo_vpn, hi_vpn):
+            base = chunk_id << CHUNK_SHIFT
+            for start, stop in runs:
+                vpns += range(base + start, base + stop)
+                frames += self._frames[chunk_id][start:stop]
+                perms += self._perms[chunk_id][start:stop]
+                cows += self._cow[chunk_id][start:stop]
+        notes = list(map(self._notes.get, vpns)) if self._notes else None
+        return vpns, frames, perms, cows, notes
+
+    def mapped_items(self, lo_vpn: int, hi_vpn: int
+                     ) -> List[Tuple[int, int, int, bool, Any]]:
+        """:meth:`mapped_columns` as rows: ``(vpn, frame, perms_int,
+        cow, note)`` tuples, ascending — for walkers that keep or splice
+        whole rows (the capability-flow audit)."""
+        vpns, frames, perms, cows, notes = self.mapped_columns(lo_vpn, hi_vpn)
+        return list(zip(vpns, frames, perms, map(bool, cows),
+                        repeat(None) if notes is None else notes))
 
     def noted_mappings(self, lo_vpn: Optional[int] = None,
                        hi_vpn: Optional[int] = None
@@ -573,7 +617,7 @@ class AddressSpace:
             index = vpn & _CHUNK_MASK
             take = min(CHUNK - index, count - position)
             chunk_frames = self._chunk_for(chunk_id)
-            if chunk_frames[index:index + take].count(-1) != take:
+            if chunk_frames[index:index + take] != _EMPTY_FRAMES[:take]:
                 for slot in range(index, index + take):
                     if chunk_frames[slot] >= 0:
                         raise ValueError(
@@ -591,8 +635,9 @@ class AddressSpace:
                 notes = self._notes
                 for offset in range(take):
                     notes[vpn + offset] = note
+            # no walk-cache entry to drop: the cache only ever holds
+            # mapped vpns, and these were unmapped
             self._chunk_len[chunk_id] += take
-            _drop_vpns(self._walk_cache, vpn, vpn + take)
             vpn += take
             position += take
 
@@ -600,27 +645,26 @@ class AddressSpace:
                     decref: bool = True) -> int:
         """Unmap every mapping in [lo, hi); returns the count.
 
-        Sweeps the chunk arrays directly: each chunk's window is sliced
-        out for its frame numbers and slice-cleared (or the chunk is
+        Sweeps the chunk windows :meth:`mapped_columns` does: each
+        window's frame numbers are sliced out run by run of mapped
+        slots and the window slice-cleared (or the chunk is
         dropped whole when the window held all its mappings); the note
         and walk-cache entries of the range are dropped in one pass
-        each.  No per-vpn tuples are built.  Frames are released in
-        ascending vpn order — the same free-list order the per-page
+        each.  Frames are released in ascending vpn order, one
+        ``array('q')`` batch — the same free-list order the per-page
         ``unmap_page`` loop produces.
         """
         chunks = self._frames
         chunk_len = self._chunk_len
-        released: List[int] = []
-        for chunk_id in self._chunks_in(lo_vpn, hi_vpn):
-            frames = chunks[chunk_id]
-            base = chunk_id << CHUNK_SHIFT
-            start = max(lo_vpn - base, 0)
-            stop = min(hi_vpn - base, CHUNK)
-            window = list(filter(_MAPPED, frames[start:stop]))
-            if not window:
+        released = array("q")
+        for chunk_id, start, stop, runs in self._windows(lo_vpn, hi_vpn):
+            if not runs:
                 continue
-            released += window
-            remaining = chunk_len[chunk_id] - len(window)
+            frames = chunks[chunk_id]
+            before = len(released)
+            for run_start, run_stop in runs:
+                released += frames[run_start:run_stop]
+            remaining = chunk_len[chunk_id] - (len(released) - before)
             if remaining:
                 chunk_len[chunk_id] = remaining
                 width = stop - start
@@ -1088,23 +1132,19 @@ class AddressSpace:
         contributes ``page_size / frame_refcount`` so memory shared with
         another process is split between its sharers.
         """
-        lo_vpn = lo_vaddr // self._page_size
-        hi_vpn = (hi_vaddr + self._page_size - 1) // self._page_size
-        total = 0.0
-        items = self.mapped_items(lo_vpn, hi_vpn)
+        page = self._page_size
+        frames = self.mapped_columns(lo_vaddr // page,
+                                     (hi_vaddr + page - 1) // page)[1]
         if proportional:
-            for count in self.machine.phys.refcounts(
-                    [item[1] for item in items]):
-                total += self._page_size / count
-        else:
-            for _item in items:
-                total += self._page_size
-        return total
+            return sum((page / count
+                        for count in self.machine.phys.refcounts(frames)),
+                       0.0)
+        return float(page * len(frames))
 
     def mapped_pages(self, lo_vaddr: int, hi_vaddr: int) -> int:
         lo_vpn = lo_vaddr // self._page_size
         hi_vpn = (hi_vaddr + self._page_size - 1) // self._page_size
-        return len(self.mapped_items(lo_vpn, hi_vpn))
+        return len(self.mapped_columns(lo_vpn, hi_vpn)[1])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pages = sum(self._chunk_len.values())

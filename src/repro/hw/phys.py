@@ -44,7 +44,9 @@ import functools
 import itertools
 import mmap
 import struct
+import sys
 from array import array
+from bisect import bisect_right
 from operator import lt, sub
 from typing import (Any, Callable, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -74,7 +76,20 @@ _ONE = array("q", [1])
 #: refcount 2); at 24 it wins at both (5.8 vs 7.2, 4.7 vs 5.4 µs).  A
 #: batch that only looks like one run pays the test, ~45 ns a number.
 _RUN_MIN = 24
-_INCREMENT = (1).__add__
+#: byte order of the ``array('q')`` columns, for big-integer lane views
+_ORDER = sys.byteorder
+
+
+@functools.lru_cache(maxsize=64)
+def _lanes(count: int) -> int:
+    """The integer whose ``count`` 8-byte lanes each hold 1."""
+    return int.from_bytes(_ONE * count, _ORDER)
+
+
+@functools.lru_cache(maxsize=64)
+def _ramp(count: int) -> int:
+    """The integer whose ``count`` 8-byte lanes hold 0, 1, 2, ..."""
+    return int.from_bytes(array("q", range(count)), _ORDER)
 
 
 def _zeroed_arena(size: int) -> Any:
@@ -297,9 +312,6 @@ class PhysicalMemory:
         self._tag_views: List[memoryview] = []
         #: pre-rounded integral per-page copy charge for the bulk path
         self._page_copy_int = int(round(costs.page_copy_ns(config.page_size)))
-        #: the last :meth:`copy_frames` batch given as a tuple, and its
-        #: source runs, checked allocated (see :meth:`batch_runs`)
-        self._copied: Tuple[Sequence[int], List[Tuple[int, int]]] = ((), [])
 
     # -- storage ------------------------------------------------------------
 
@@ -414,7 +426,7 @@ class PhysicalMemory:
         first = numbers[0]
         window = self._refcounts[first:first + count] if first > 0 else ()
         if len(window) == count and window[0] > 0 \
-                and window.count(window[0]) == count:
+                and window == window[:1] * count:
             return window[0]
         return 0
 
@@ -530,8 +542,9 @@ class PhysicalMemory:
         return number
 
     def copy_frames(self, srcs: Sequence[int], preserve_tags: bool = True,
-                    charge: bool = True, in_order: bool = False
-                    ) -> List[int]:
+                    charge: bool = True, in_order: bool = False,
+                    runs: Optional[List[Tuple[int, int]]] = None,
+                    stored: Sequence[Tuple[int, int]] = ()) -> List[int]:
         """Bulk :meth:`copy_frame`, copied by bank run.
 
         The destinations are the numbers ``len(srcs)`` single
@@ -540,10 +553,21 @@ class PhysicalMemory:
         sources land on consecutive destinations, or with ``in_order``
         in the order those allocations take them.  Each run of
         consecutive destination numbers is marked allocated with one
-        refcount store and one version store (each version exactly
-        one up), and each run of consecutive source and destination
-        slots inside one bank is copied with one data and one tag slice
-        store (zeros for ``preserve_tags=False``).
+        refcount store and one :meth:`bump_versions`, and each run of
+        consecutive source and destination slots inside one bank is
+        copied with one data and one tag slice store (zeros for
+        ``preserve_tags=False``).  When no two destinations are
+        consecutive (a free list left by ascending frees, taken
+        ``in_order``), each page is copied on its own, with no runs.
+
+        ``runs``, when the caller already has them, are
+        ``consecutive_runs(srcs)``.  ``stored`` lists ascending,
+        disjoint ``(start, end)`` ranges of batch positions whose
+        destination bytes and tags the caller writes itself right after
+        (fork's relocation memo replay): those destinations are
+        allocated, version-bumped, charged, counted and drawn for
+        ``hw.phys.tag_clear`` like every other, but no byte is copied
+        into them.
 
         The copies, refcounts, capacity checks, clock charges,
         counter/observability totals, chaos draws and the free list
@@ -559,35 +583,44 @@ class PhysicalMemory:
         the copies made before it were charged and counted, and are
         freed in allocation order before the error propagates.
         """
-        src_runs = consecutive_runs(srcs)
+        src_runs = consecutive_runs(srcs) if runs is None else runs
         self._require_allocated(srcs, src_runs)
         fit = self.alloc_budget(len(srcs))
         taken = self._take(fit)
         dsts = taken if in_order else sorted(taken)
-        dst_runs = consecutive_runs(dsts)
         refcounts = self._refcounts
-        versions = self._versions
-        for start, end in dst_runs:
-            first = dsts[start]
-            last = first + end - start
-            refcounts[first:last] = _ONE * (end - start)
-            versions[first:last] = array(
-                "q", map(_INCREMENT, versions[first:last]))
-        self._live += fit
-        if fit:
+        if not stored and 1 not in map(sub, itertools.islice(dsts, 1, None),
+                                       dsts):
+            # no two destinations consecutive: no run to batch
+            views = self._views
+            for src, dst in zip(srcs, dsts):
+                refcounts[dst] = 1
+                (views[dst] or self._view(dst)).copy_from(
+                    views[src] or self._view(src), preserve_tags)
+        else:
+            if fit and not in_order and dsts[-1] - dsts[0] == fit - 1:
+                # distinct, ascending and spanning ``fit`` numbers
+                dst_runs = [(0, fit)]
+            else:
+                dst_runs = consecutive_runs(dsts)
+            for start, end in dst_runs:
+                refcounts[dsts[start]:dsts[start] + end - start] = \
+                    _ONE * (end - start)
+                self.bump_versions(dsts[start], end - start)
             # a joint run ends wherever the sources' (cut at the
-            # batch's end) or the destinations' runs end
+            # batch's end) or the destinations' runs end, and at the
+            # edges of the stored ranges
             self._copy_runs(srcs, dsts, sorted(
-                {min(end, fit) for _start, end in src_runs + dst_runs}),
-                preserve_tags)
+                {min(end, fit) for _start, end in src_runs + dst_runs}
+                | {min(edge, fit) for piece in stored for edge in piece}),
+                stored, preserve_tags)
+        self._live += fit
         self._settle_bulk_copy(fit, charge)
         if preserve_tags:
             for index in self.chaos.fire_each("hw.phys.tag_clear", fit):
                 self._recover_tag_clear(srcs[index], dsts[index], charge)
         if fit < len(srcs):
             self._shortfall(taken, zero=False)
-        if type(srcs) is tuple:
-            self._copied = (srcs, src_runs)
         return dsts
 
     def alloc_run(self, count: int) -> List[int]:
@@ -646,16 +679,20 @@ class PhysicalMemory:
             "alloc_budget predicted a failing allocation")
 
     def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],
-                   ends: List[int], preserve_tags: bool) -> None:
+                   ends: List[int], stored: Sequence[Tuple[int, int]],
+                   preserve_tags: bool) -> None:
         """Copy ``srcs[i]`` into ``dsts[i]``, the pairs cut into runs of
-        consecutive sources and destinations at ``ends``: one data and
-        one tag slice store per joint bank run (``memoryview`` to
-        ``memoryview``, so the bytes move once)."""
+        consecutive sources and destinations at ``ends``, except the
+        runs inside a ``stored`` range: one data and one tag slice
+        store per joint bank run (``memoryview`` to ``memoryview``, so
+        the bytes move once)."""
         page_size = self._config.page_size
         granules = self._config.granules_per_page
         data_views = self._data_views
         tag_views = self._tag_views
         runs = zip([0] + ends, ends)
+        if stored:
+            runs = [run for run in runs if not _covers(stored, run[0])]
         for start, end in _cut_at_banks(runs, srcs, dsts):
             count = end - start
             src_bank, src_slot = divmod(srcs[start] - 1, BANK_FRAMES)
@@ -703,15 +740,12 @@ class PhysicalMemory:
         consecutive numbers takes one data, one tag and one
         version-column slice store.  ``KeyError`` for the first
         unallocated number, before anything is written."""
-        runs = consecutive_runs(numbers)
-        self._require_allocated(numbers, runs)
+        runs = self.batch_runs(numbers)
         page_size = self._config.page_size
-        versions = self._versions
         data = memoryview(data)
         for start, end in _cut_at_banks(runs, numbers):
             first = numbers[start]
-            versions[first:first + end - start] = array(
-                "q", map(_INCREMENT, versions[first:first + end - start]))
+            self.bump_versions(first, end - start)
             bank, slot = divmod(first - 1, BANK_FRAMES)
             lo = max(start * page_size - offset, 0)
             hi = min(end * page_size - offset, len(data))
@@ -748,13 +782,9 @@ class PhysicalMemory:
         granules = self._config.granules_per_page
         data = memoryview(data)
         tags = memoryview(tags)
-        versions = self._versions
         for start, end, data_window, tag_window in \
                 self._bank_windows(numbers):
-            first = numbers[start]
-            last = first + end - start
-            versions[first:last] = array(
-                "q", map(_INCREMENT, versions[first:last]))
+            self.bump_versions(numbers[start], end - start)
             data_window[:] = data[start * page_size:end * page_size]
             tag_window[:] = tags[start * granules:end * granules]
 
@@ -762,8 +792,7 @@ class PhysicalMemory:
                       ) -> Iterable[Tuple[int, int, memoryview, memoryview]]:
         """``(start, end, data window, tag window)`` of each bank run of
         consecutive ``numbers``, after checking every one allocated."""
-        runs = consecutive_runs(numbers)
-        self._require_allocated(numbers, runs)
+        runs = self.batch_runs(numbers)
         page_size = self._config.page_size
         granules = self._config.granules_per_page
         for start, end in _cut_at_banks(runs, numbers):
@@ -815,10 +844,7 @@ class PhysicalMemory:
         each run's column slice; else C-level ``min``/``max`` passes
         over the numbers and their refcounts.  On a ``fork_full`` fork's
         1,228-frame batch (one run) the run check takes 22 µs and the
-        number pass 131 µs (CPython 3.11.7, 2-vCPU Linux host).  A
-        steady fork checks that batch once, in :meth:`copy_frames`; its
-        relocation reuses the runs (:meth:`batch_runs`) and checks only
-        the short destination runs it replays.
+        number pass 131 µs (CPython 3.11.7, 2-vCPU Linux host).
         """
         refcounts = self._refcounts
         if runs is None:
@@ -838,13 +864,7 @@ class PhysicalMemory:
 
     def batch_runs(self, numbers: Sequence[int]) -> List[Tuple[int, int]]:
         """``consecutive_runs(numbers)``, every number checked allocated
-        (``KeyError`` for the first that is not).  When ``numbers`` is
-        the tuple the last :meth:`copy_frames` copied, the runs that
-        call computed and checked are handed back with no pass, once."""
-        copied, runs = self._copied
-        if numbers is copied:
-            self._copied = ((), [])
-            return runs
+        (``KeyError`` for the first that is not)."""
         runs = consecutive_runs(numbers)
         self._require_allocated(numbers, runs)
         return runs
@@ -853,6 +873,18 @@ class PhysicalMemory:
         """The content versions of the ``count`` consecutive numbers
         from ``first``: one slice of the version column."""
         return self._versions[first:first + count]
+
+    def bump_versions(self, first: int, count: int) -> None:
+        """Add exactly one to the content version of each of the
+        ``count`` consecutive numbers from ``first``, allocated or not:
+        the column slice's bytes read as one integer, plus one in every
+        8-byte lane, stored back.  Versions are non-negative int64s, so
+        no lane carries into the next.  The slice is a copy, never a
+        ``memoryview`` export, so the column can still grow in place."""
+        end = first + count
+        versions = self._versions
+        bumped = int.from_bytes(versions[first:end], _ORDER) + _lanes(count)
+        versions[first:end] = array("q", bumped.to_bytes(8 * count, _ORDER))
 
     def live_mask(self, numbers: Sequence[int]) -> List[bool]:
         """:meth:`contains` for each of ``numbers``, in one pass over the
@@ -927,8 +959,7 @@ class PhysicalMemory:
         found — the relocation sweep's filter, so untagged pages are
         never visited one by one.
         """
-        runs = consecutive_runs(numbers)
-        self._require_allocated(numbers, runs)
+        runs = self.batch_runs(numbers)
         granules = self._config.granules_per_page
         tag_banks = self._tag_banks
         out: List[int] = []
@@ -990,10 +1021,25 @@ def _one_run(numbers: Sequence[int]) -> bool:
     with a few numbers swapped out (a CoW-broken child's pages) costs
     little; on one run of 1,228 numbers it takes 41 µs where
     ``sorted(set(x)) == list(x)`` takes 55 µs (CPython 3.11.7, 2-vCPU
-    Linux host)."""
+    Linux host).  An ``array('q')`` of non-negative numbers (a
+    page-table frame column) is compared as one integer instead, lane
+    ``i`` against the first number plus ``i`` (no lane can carry into
+    the next): 20 µs on that run, where the ascent test, boxing each
+    number of the array, takes 80."""
     count = len(numbers)
-    return count > 0 and numbers[-1] - numbers[0] == count - 1 and \
-        all(map(lt, numbers, itertools.islice(numbers, 1, None)))
+    if count == 0 or numbers[-1] - numbers[0] != count - 1:
+        return False
+    if type(numbers) is array and numbers[0] >= 0:
+        return int.from_bytes(numbers, _ORDER) == \
+            numbers[0] * _lanes(count) + _ramp(count)
+    return all(map(lt, numbers, itertools.islice(numbers, 1, None)))
+
+
+def _covers(ranges: Sequence[Tuple[int, int]], position: int) -> bool:
+    """Whether ``position`` lies in one of ``ranges`` (ascending,
+    disjoint ``(start, end)`` pairs)."""
+    index = bisect_right(ranges, (position + 1,))
+    return index > 0 and position < ranges[index - 1][1]
 
 
 def _cut_at_banks(runs: Iterable[Tuple[int, int]],

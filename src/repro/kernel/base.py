@@ -113,10 +113,9 @@ class AbstractOS(abc.ABC):
     def private_bytes(self, proc: Process) -> int:
         """Bytes of the region backed by frames only this process maps."""
         page = self.machine.config.page_size
-        items = self.space_of(proc).mapped_items(proc.region_base // page,
-                                                 proc.region_top // page)
-        return page * self.machine.phys.refcounts(
-            [item[1] for item in items]).count(1)
+        frames = self.space_of(proc).mapped_columns(
+            proc.region_base // page, proc.region_top // page)[1]
+        return page * self.machine.phys.refcounts(frames).count(1)
 
     # ------------------------------------------------------------------
     # Syscall dispatch

@@ -83,6 +83,47 @@ class TestReadWriteSeek:
         handle.write(desc, b"xx")
         assert ramdisk.open("/f").read(FakeDesc(), 10) == b"\x00" * 4 + b"xx"
 
+    def test_appends_at_end_concatenate(self, ramdisk, machine):
+        handle = ramdisk.open("/f", O_CREAT)
+        desc = FakeDesc()
+        pieces = (b"ab", b"", b"cde", b"f" * 5000)
+        before = machine.clock.now_ns
+        offsets = []
+        for piece in pieces:
+            assert handle.write(desc, piece) == len(piece)
+            offsets.append(desc.offset)
+        # each write charges one op plus its bytes
+        costs = machine.costs
+        assert machine.clock.now_ns - before == sum(
+            round(costs.ramdisk_op_ns)
+            + round(costs.io_copy_ns_per_byte * len(piece))
+            for piece in pieces)
+        assert offsets == [2, 2, 5, 5005]
+        assert ramdisk.open("/f").read(FakeDesc(), 10_000) == \
+            b"abcde" + b"f" * 5000
+
+    def test_overwrite_running_past_end(self, ramdisk):
+        handle = ramdisk.open("/f", O_CREAT)
+        handle.write(FakeDesc(), b"0123456789")
+        desc = FakeDesc()
+        handle.seek(desc, 7, SEEK_SET)
+        handle.write(desc, b"abcdef")
+        assert desc.offset == 13
+        assert ramdisk.open("/f").read(FakeDesc(), 100) == b"0123456abcdef"
+        handle.seek(desc, 2, SEEK_SET)
+        handle.write(desc, b"XY")
+        assert ramdisk.open("/f").read(FakeDesc(), 100) == b"01XY456abcdef"
+
+    def test_write_past_seek_end_leaves_a_zero_hole(self, ramdisk):
+        handle = ramdisk.open("/f", O_CREAT)
+        handle.write(FakeDesc(), b"abc")
+        desc = FakeDesc()
+        assert handle.seek(desc, 3, SEEK_END) == 6
+        handle.write(desc, b"xy")
+        assert desc.offset == 8
+        assert ramdisk.open("/f").read(FakeDesc(), 100) == \
+            b"abc" + b"\x00" * 3 + b"xy"
+
     def test_seek_modes(self, ramdisk):
         handle = ramdisk.open("/f", O_CREAT)
         handle.write(FakeDesc(), b"0123456789")

@@ -9,9 +9,10 @@ chunked arrays and banked arenas must be a private detail.
 
 This test greps the source tree for the representation attributes;
 anything it finds must either move to the public bulk interface
-(``mapped_items``/``map_run``/``unmap_range``/``copy_frames``/
-``tagged_frames``/``privatize_page``/``tagged_granules``/
-``snapshot_content``/...) or be
+(``mapped_columns`` and its row view ``mapped_items``/``map_run``/
+``unmap_range``/``copy_frames``/``bump_versions``/``version_run``/
+``restore_contents``/``tagged_frames``/``privatize_page``/
+``tagged_granules``/``snapshot_content``/...) or be
 added to the hw/mem layers themselves.
 
 Two more greps keep retired surfaces retired.  There is one memory

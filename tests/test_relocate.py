@@ -242,8 +242,9 @@ class TestForkPageMemo:
         relocate_copied = ufork.relocate_copied_frames
         scan = relocate._relocate_granules
 
-        def recording(machine, phys, srcs, dsts, regions):
-            caps = relocate_copied(machine, phys, srcs, dsts, regions)
+        def recording(machine, phys, srcs, dsts, regions, **plan):
+            caps = relocate_copied(machine, phys, srcs, dsts, regions,
+                                   **plan)
             batches.append((srcs, list(dsts), regions, caps))
             return caps
 
