@@ -86,10 +86,10 @@ def _break_cow(space: AddressSpace, vpn: int, fault: bool = False) -> bool:
     access back and the CoW mark cleared.  False when ``vpn`` is not a
     CoW mapping.  ``fault`` charges the write fault first, for a break
     not entered through fault dispatch."""
-    found = space.mapped_items(vpn, vpn + 1)
-    if not found or not found[0][3]:
+    found = space.pte(vpn)
+    if found is None or not found[2]:
         return False
-    _vpn, frame, perms, _cow, _note = found[0]
+    frame, perms, _cow = found
     machine = space.machine
     if fault:
         machine.charge(machine.costs.page_fault_ns, "page_fault")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, groupby
 from operator import ne
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
@@ -55,9 +54,10 @@ REBASE = 1
 REBASE_IF_CURSOR_IN_PARENT = 2
 
 
-@dataclass(frozen=True)
-class RegionPair:
-    """Source (parent) and destination (child) region spans."""
+class RegionPair(NamedTuple):
+    """Source (parent) and destination (child) region spans: a named
+    tuple, so immutable, compared and hashed by value, and several
+    times cheaper to define at import than a frozen dataclass."""
 
     parent_base: int
     parent_top: int
@@ -166,34 +166,8 @@ def relocate_frames(machine: Any, frames: List[Frame],
     return sum(caps)
 
 
-class CopyPlan(NamedTuple):
-    """What :func:`relocate_copied_frames` will do with a batch, read
-    from the memo and the version column before anything is written
-    (:func:`plan_copied_frames`)."""
-
-    memo: "_RunMemo"
-    #: ``consecutive_runs`` of the sources, each checked allocated
-    runs: List[Tuple[int, int]]
-    #: (batch position of a memoised sub-run, the sub-run)
-    replays: list
-    #: the batch's memo entries, kept or to be rebuilt
-    entries: dict
-    #: (key, start, end, versions, sub-runs still valid)
-    rebuilds: list
-    #: batch positions to rescan, ascending
-    dirty: List[int]
-
-    @property
-    def stored(self) -> List[Tuple[int, int]]:
-        """The ``(start, end)`` batch positions the replays write
-        whole, ascending: their fresh copies need no bytes of their
-        own (:meth:`PhysicalMemory.copy_frames` ``stored``)."""
-        return sorted((start + run[0], start + run[1])
-                      for start, run in self.replays)
-
-
 def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
-                       regions: RegionPair) -> CopyPlan:
+                       regions: RegionPair) -> Tuple[list, list, tuple]:
     """Plan :func:`relocate_copied_frames` of ``srcs`` under
     ``regions``: every source run, its memo entry and which of its
     sub-runs replay, from versions read before anything is written.
@@ -201,7 +175,13 @@ def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     fork plans before it copies and leaves the replayed destinations
     out of the copy, and a relocation in place (the destinations are
     the sources) plans before it writes.  The plan holds while the
-    sources are unwritten."""
+    sources are unwritten.
+
+    Returns ``(runs, stored, plan)``: :meth:`PhysicalMemory.batch_runs`
+    of ``srcs``; the ``(start, end)`` batch positions the replays write
+    whole, ascending, whose copies need no bytes of their own
+    (:meth:`PhysicalMemory.copy_frames` ``stored``); and the plan
+    :func:`relocate_copied_frames` takes."""
     memo = getattr(machine, "_run_memo", None)
     if memo is None:
         memo = machine._run_memo = _RunMemo()
@@ -234,12 +214,14 @@ def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
         replays += [(start, run) for run in kept]
         dirty += compress(range(start, end), stale)
         rebuilds.append((key, start, end, versions, kept))
-    return CopyPlan(memo, runs, replays, entries, rebuilds, dirty)
+    stored = sorted((start + run[0], start + run[1])
+                    for start, run in replays)
+    return runs, stored, (memo, replays, entries, rebuilds, dirty)
 
 
 def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
                            dsts: Sequence[int], regions: RegionPair,
-                           plan: Optional[CopyPlan] = None) -> List[int]:
+                           plan: Optional[tuple] = None) -> List[int]:
     """Relocate fork-copied frames through a per-run content memo.
 
     ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
@@ -284,18 +266,18 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     tracer records to the caller, who interleaves them with its own
     per-page events.
 
-    ``plan`` is :func:`plan_copied_frames` of the same sources and
-    regions when the caller made it before copying (fork, whose copy
-    then leaves out the destinations the replays write whole); else
-    the batch is planned here.
+    ``plan`` is the plan :func:`plan_copied_frames` returned for the
+    same sources and regions when the caller made it before copying
+    (fork, whose copy then leaves out the destinations the replays
+    write whole); else the batch is planned here.
     """
     count = len(dsts)
     if count == 0:
         return []
     _charge_scans(machine, count)
     if plan is None:
-        plan = plan_copied_frames(machine, phys, srcs, regions)
-    memo, _runs, replays, entries, rebuilds, dirty = plan
+        plan = plan_copied_frames(machine, phys, srcs, regions)[2]
+    memo, replays, entries, rebuilds, dirty = plan
     caps = [0] * count
     caps_batched = 0
     for start, (lo, hi, data, tags, run_caps, total) in replays:

@@ -357,9 +357,10 @@ class UForkOS(AbstractOS):
         vpns, srcs, perms, _cows, notes = copy
         ncopy = len(vpns)
         if ncopy:
-            plan = plan_copied_frames(machine, phys, srcs, regions)
-            dsts = phys.copy_frames(srcs, preserve_tags=True,
-                                    runs=plan.runs, stored=plan.stored)
+            src_runs, stored, plan = plan_copied_frames(machine, phys, srcs,
+                                                        regions)
+            dsts = phys.copy_frames(srcs, preserve_tags=True, runs=src_runs,
+                                    stored=stored)
             caps = relocate_copied_frames(machine, phys, srcs, dsts,
                                           regions, plan=plan)
             origs = perms if notes is None or notes.count(None) == ncopy \

@@ -163,7 +163,7 @@ _EMPTY_FRAMES = array("q", [-1]) * CHUNK
 #: frame numbers are far below 2**56
 _TOP_BYTE = 7 if sys.byteorder == "little" else 0
 #: a slot's most significant byte -> 1 when the slot is mapped
-_MAPPED_TOP = bytes(int(byte != 0xFF) for byte in range(256))
+_MAPPED_TOP = b"\x01" * 255 + b"\x00"
 
 #: edit-journal entries kept before it starts a new epoch
 JOURNAL_LIMIT = 1024
@@ -254,10 +254,10 @@ class AddressSpace:
         #: slot index, Frame).  Entries are only trusted while the
         #: generation stamp matches, the *live* permission byte is
         #: re-checked on every hit (so permission narrowing — CoW/CoPA
-        #: sharing — can never be bypassed), and every single-vpn table
-        #: edit (map/unmap/privatize) replaces or pops exactly its own
-        #: entry.  Only mapped vpns are ever cached, and every unmap
-        #: drops its entries, so a vpn being mapped has none.
+        #: sharing — can never be bypassed), and every single-vpn unmap
+        #: or privatize replaces or pops exactly its own entry.  Only
+        #: mapped vpns are ever cached, and every unmap drops its
+        #: entries, so a vpn being mapped has none.
         self._walk_cache: Dict[int, Tuple[bytearray, int, Frame]] = {}
         #: generation of the cached entries: the machine-wide TLB
         #: flush/shootdown generation (cross-core invalidations clear
@@ -373,10 +373,8 @@ class AddressSpace:
         if note is not None:
             self._notes[vpn] = note
         self._chunk_len[chunk_id] += 1
-        # single-vpn edit: only this translation can change, so the walk
-        # cache drops exactly this entry instead of a full generation
-        # bump (which would clear the whole cache on every CoW break)
-        self._walk_cache.pop(vpn, None)
+        # no walk-cache entry to drop: the cache only ever holds mapped
+        # vpns, and this one was unmapped
 
     def unmap_page(self, vpn: int, decref: bool = True) -> int:
         chunk_id, index, frames = self._slot(vpn)
@@ -691,6 +689,17 @@ class AddressSpace:
             return None
         frame = frames[vpn & _CHUNK_MASK]
         return frame if frame >= 0 else None
+
+    def pte(self, vpn: int) -> Optional[Tuple[int, int, bool]]:
+        """``(frame, perms_int, cow)`` of the mapping at ``vpn``, or
+        None when it is unmapped."""
+        frame = self.frame_of(vpn)
+        if frame is None:
+            return None
+        chunk_id = vpn >> CHUNK_SHIFT
+        index = vpn & _CHUNK_MASK
+        return (frame, self._perms[chunk_id][index],
+                self._cow[chunk_id][index] == 1)
 
     def note_of(self, vpn: int) -> Any:
         """The note stored at ``vpn`` (None when absent/unmapped)."""

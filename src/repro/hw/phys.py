@@ -556,12 +556,11 @@ class PhysicalMemory:
         refcount store and one :meth:`bump_versions`, and each run of
         consecutive source and destination slots inside one bank is
         copied with one data and one tag slice store (zeros for
-        ``preserve_tags=False``).  When no two destinations are
-        consecutive (a free list left by ascending frees, taken
-        ``in_order``), each page is copied on its own, with no runs.
+        ``preserve_tags=False``).
 
         ``runs``, when the caller already has them, are
-        ``consecutive_runs(srcs)``.  ``stored`` lists ascending,
+        :meth:`batch_runs` of ``srcs``: found and checked allocated
+        once, by the caller.  ``stored`` lists ascending,
         disjoint ``(start, end)`` ranges of batch positions whose
         destination bytes and tags the caller writes itself right after
         (fork's relocation memo replay): those destinations are
@@ -583,37 +582,27 @@ class PhysicalMemory:
         the copies made before it were charged and counted, and are
         freed in allocation order before the error propagates.
         """
-        src_runs = consecutive_runs(srcs) if runs is None else runs
-        self._require_allocated(srcs, src_runs)
+        src_runs = self.batch_runs(srcs) if runs is None else runs
         fit = self.alloc_budget(len(srcs))
         taken = self._take(fit)
         dsts = taken if in_order else sorted(taken)
-        refcounts = self._refcounts
-        if not stored and 1 not in map(sub, itertools.islice(dsts, 1, None),
-                                       dsts):
-            # no two destinations consecutive: no run to batch
-            views = self._views
-            for src, dst in zip(srcs, dsts):
-                refcounts[dst] = 1
-                (views[dst] or self._view(dst)).copy_from(
-                    views[src] or self._view(src), preserve_tags)
+        if fit and not in_order and dsts[-1] - dsts[0] == fit - 1:
+            # distinct, ascending and spanning ``fit`` numbers
+            dst_runs = [(0, fit)]
         else:
-            if fit and not in_order and dsts[-1] - dsts[0] == fit - 1:
-                # distinct, ascending and spanning ``fit`` numbers
-                dst_runs = [(0, fit)]
-            else:
-                dst_runs = consecutive_runs(dsts)
-            for start, end in dst_runs:
-                refcounts[dsts[start]:dsts[start] + end - start] = \
-                    _ONE * (end - start)
-                self.bump_versions(dsts[start], end - start)
-            # a joint run ends wherever the sources' (cut at the
-            # batch's end) or the destinations' runs end, and at the
-            # edges of the stored ranges
-            self._copy_runs(srcs, dsts, sorted(
-                {min(end, fit) for _start, end in src_runs + dst_runs}
-                | {min(edge, fit) for piece in stored for edge in piece}),
-                stored, preserve_tags)
+            dst_runs = consecutive_runs(dsts)
+        refcounts = self._refcounts
+        for start, end in dst_runs:
+            refcounts[dsts[start]:dsts[start] + end - start] = \
+                _ONE * (end - start)
+            self.bump_versions(dsts[start], end - start)
+        # a joint run ends wherever the sources' (cut at the batch's
+        # end) or the destinations' runs end, and at the edges of the
+        # stored ranges
+        self._copy_runs(srcs, dsts, sorted(
+            {min(end, fit) for _start, end in src_runs + dst_runs}
+            | {min(edge, fit) for piece in stored for edge in piece}),
+            stored, preserve_tags)
         self._live += fit
         self._settle_bulk_copy(fit, charge)
         if preserve_tags:
@@ -834,26 +823,26 @@ class PhysicalMemory:
 
     # -- bulk readers ------------------------------------------------------
 
-    def _require_allocated(self, numbers: Sequence[int],
-                           runs: Optional[List[Tuple[int, int]]] = None
-                           ) -> None:
+    def _require_allocated(self, numbers: Sequence[int]) -> None:
         """Raise :meth:`frame`'s ``KeyError`` for the first of
-        ``numbers`` that is not allocated.
-
-        Given ``runs`` (``consecutive_runs(numbers)``), one ``min`` over
-        each run's column slice; else C-level ``min``/``max`` passes
-        over the numbers and their refcounts.  On a ``fork_full`` fork's
-        1,228-frame batch (one run) the run check takes 22 µs and the
-        number pass 131 µs (CPython 3.11.7, 2-vCPU Linux host).
-        """
+        ``numbers`` that is not allocated: C-level ``min``/``max``
+        passes over the numbers and their refcounts."""
         refcounts = self._refcounts
-        if runs is None:
-            if numbers and not (
-                    0 < min(numbers) and max(numbers) < len(refcounts)
-                    and min(map(refcounts.__getitem__, numbers)) > 0):
-                for number in numbers:
-                    self.refcount(number)
-            return
+        if numbers and not (
+                0 < min(numbers) and max(numbers) < len(refcounts)
+                and min(map(refcounts.__getitem__, numbers)) > 0):
+            for number in numbers:
+                self.refcount(number)
+
+    def batch_runs(self, numbers: Sequence[int]) -> List[Tuple[int, int]]:
+        """``consecutive_runs(numbers)``, every number checked allocated
+        (``KeyError`` for the first that is not) with one ``min`` over
+        each run's column slice.  On a ``fork_full`` fork's 1,228-frame
+        batch (one run) that check takes 22 µs, where
+        :meth:`_require_allocated`'s number pass takes 131 µs (CPython
+        3.11.7, 2-vCPU Linux host)."""
+        runs = consecutive_runs(numbers)
+        refcounts = self._refcounts
         for start, end in runs:
             first = numbers[start]
             window = refcounts[first:first + end - start] if first > 0 \
@@ -861,12 +850,6 @@ class PhysicalMemory:
             if len(window) != end - start or min(window) <= 0:
                 for number in numbers[start:end]:
                     self.refcount(number)
-
-    def batch_runs(self, numbers: Sequence[int]) -> List[Tuple[int, int]]:
-        """``consecutive_runs(numbers)``, every number checked allocated
-        (``KeyError`` for the first that is not)."""
-        runs = consecutive_runs(numbers)
-        self._require_allocated(numbers, runs)
         return runs
 
     def version_run(self, first: int, count: int) -> array:

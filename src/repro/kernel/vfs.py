@@ -64,21 +64,16 @@ class FileHandle:
         return data
 
     def write(self, desc: Any, data: bytes) -> int:
-        """Store ``data`` at the offset: a write at or past the end
-        extends the file once, after zero-filling only the hole before
-        it; one that starts inside overwrites in place, growing the
-        file by whatever runs past the end."""
+        """Store ``data`` at the offset with one slice store, after
+        zero-filling only the hole before a write past the end."""
         self._ramdisk._charge_op()
         content = self.node.data
         if self.append:
             desc.offset = len(content)
-        offset = desc.offset
-        if offset >= len(content):
-            content += bytes(offset - len(content))
-            content += data
-        else:
-            content[offset:offset + len(data)] = data
-        desc.offset = offset + len(data)
+        if desc.offset > len(content):
+            content += bytes(desc.offset - len(content))
+        content[desc.offset:desc.offset + len(data)] = data
+        desc.offset += len(data)
         self._ramdisk._charge_bytes(len(data))
         return len(data)
 

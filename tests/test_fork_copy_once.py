@@ -18,7 +18,6 @@ checked position by position on random batches.
 
 from collections import Counter
 from itertools import groupby
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +35,7 @@ from repro.trace import attach_tracer
 
 #: what the reference fork plans: nothing, so ``copy_frames`` copies
 #: every page and the relocation plans after the copy, as it did
-_UNPLANNED = SimpleNamespace(runs=None, stored=())
+_UNPLANNED = (None, (), None)
 
 MIXES = (None, "hw.phys.tag_clear=0.2",
          "hw.phys.tag_clear=0.2,hw.phys.alloc_fail=0.2")
@@ -50,23 +49,26 @@ def _second_fork(monkeypatch, reference, chaos):
     parent = session.spawn(redis_image(64 * 1024), "redis")
     populate(MiniRedis(parent, nbuckets=16), 64 * 1024, value_size=4096)
     relocate = ufork.relocate_copied_frames
+    plan_copied_frames = ufork.plan_copied_frames
     batches = []
+    planned = []
     stores = Counter()
 
+    def planning(*args):
+        planned.append(_UNPLANNED if reference
+                       else plan_copied_frames(*args))
+        return planned[-1]
+
     def relocating(machine, phys, srcs, dsts, regions, plan=None):
-        caps = relocate(machine, phys, srcs, dsts, regions,
-                        plan=None if reference else plan)
+        caps = relocate(machine, phys, srcs, dsts, regions, plan=plan)
         batches.append((list(srcs), list(dsts), caps,
                         [phys.frame(number).snapshot_content()
                          for number in dsts],
-                        phys.versions(dsts),
-                        [] if plan is None else plan.stored))
+                        phys.versions(dsts), list(planned[-1][1])))
         return caps
 
     monkeypatch.setattr(ufork, "relocate_copied_frames", relocating)
-    if reference:
-        monkeypatch.setattr(ufork, "plan_copied_frames",
-                            lambda *args: _UNPLANNED)
+    monkeypatch.setattr(ufork, "plan_copied_frames", planning)
     child = parent.fork()
     child.exit(0)
     assert parent.wait(child.pid) == (child.pid, 0)
@@ -95,8 +97,8 @@ def _second_fork(monkeypatch, reference, chaos):
 
 def _count_stores(monkeypatch, stores):
     """Count, per destination frame, the whole-page data stores: the
-    bank-run copy's pieces, a page-by-page or recovery
-    ``Frame.copy_from`` and the memo's ``restore_contents``."""
+    bank-run copy's pieces, a recovery ``Frame.copy_from`` and the
+    memo's ``restore_contents``."""
     cut = phys_module._cut_at_banks
     copy_from = phys_module.Frame.copy_from
     restore = phys_module.PhysicalMemory.restore_contents
