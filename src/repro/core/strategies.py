@@ -20,10 +20,9 @@ page-fault handler; the records live in PTE ``note`` slots.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro import events
 from repro.core.relocate import (
@@ -44,9 +43,9 @@ class CopyStrategy(Enum):
     COPA = "copa"
 
 
-@dataclass(slots=True)
-class ShareNote:
-    """PTE annotation for a page shared between parent and child."""
+class ShareNote(NamedTuple):
+    """PTE annotation for a page shared between parent and child (a
+    named tuple, like :class:`~repro.core.relocate.RegionPair`)."""
 
     #: "parent" or "child" — which side of the fork this PTE belongs to
     role: str

@@ -23,8 +23,6 @@ that sound:
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import repro.conform.explorer as explorer_module
@@ -391,7 +389,7 @@ def test_share_note_sweep_follows_writes_and_frees():
         f"share: vpn {vpn:#x} perms {wide!r} wider than pre-share "
         f"{note.orig_perms!r}"]
     space.protect_page(vpn, PagePerm(perms))
-    space.set_note(vpn, dataclasses.replace(note, role="sibling"))
+    space.set_note(vpn, note._replace(role="sibling"))
     assert [v for v in check() if v.startswith("share:")] == [
         f"share: vpn {vpn:#x} has unknown role 'sibling'"]
     space.set_note(vpn, note)
