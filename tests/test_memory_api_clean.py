@@ -9,7 +9,7 @@ chunked arrays and banked arenas must be a private detail.
 
 This test greps the source tree for the representation attributes;
 anything it finds must either move to the public bulk interface
-(``mapped_columns`` and its row view ``mapped_items``/``map_run``/
+(``mapped_columns`` and its row view ``mapped_items``/``pte``/``map_run``/
 ``unmap_range``/``copy_frames``/``bump_versions``/``version_run``/
 ``restore_contents``/``tagged_frames``/``privatize_page``/
 ``tagged_granules``/``snapshot_content``/...) or be

@@ -9,9 +9,9 @@ same windows hold.  Random tables — holes, whole chunks, runs across
 the 512-vpn chunk boundaries, notes, CoW marks and protections, with
 pages unmapped again — are swept over random ranges (empty and
 one-page ones included) and checked vpn by vpn against ``frame_of``,
-``note_of`` and a model of each mapping kept here.  Reads in between
-fill the walk cache, which must only ever hold mapped vpns (``map_run``
-relies on it).
+``note_of``, ``pte`` and a model of each mapping kept here.  Reads in
+between fill the walk cache, which must only ever hold mapped vpns
+(``map_page`` and ``map_run`` rely on it).
 
 :meth:`PhysicalMemory.bump_versions` adds one to a run of the version
 column as one big-integer add; it is checked against a per-number
@@ -132,6 +132,8 @@ def _check_sweep(space, model, lo, hi):
         note_column = [None] * len(vpns)
     assert space.mapped_items(lo, hi) == list(
         zip(vpns, frames, perm_column, cows, note_column))
+    assert [space.pte(vpn) for vpn in range(lo, hi)] == [
+        model[vpn][:3] if vpn in model else None for vpn in range(lo, hi)]
 
 
 @settings(max_examples=80, deadline=None)
