@@ -35,7 +35,7 @@ from repro import events
 from repro.cheri.capability import OTYPE_SENTRY, Capability, _fast_cap
 from repro.cheri.codec import CURSOR_MASK, GRANULE, Meta
 from repro.cheri.regfile import RegisterFile
-from repro.hw.phys import Frame
+from repro.hw.phys import Frame, new_context
 
 #: the fork relocation memo (:func:`relocate_copied_frames`) holds at
 #: most this many pages (of post-relocation content, plus one per entry
@@ -178,10 +178,10 @@ def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     sources are unwritten.
 
     Returns ``(runs, stored, plan)``: :meth:`PhysicalMemory.batch_runs`
-    of ``srcs``; the ``(start, end)`` batch positions the replays write
-    whole, ascending, whose copies need no bytes of their own
-    (:meth:`PhysicalMemory.copy_frames` ``stored``); and the plan
-    :func:`relocate_copied_frames` takes."""
+    of ``srcs``; the replays, ascending ``(start, end, data, tags,
+    stamp)`` over batch positions, that the copy writes instead of the
+    sources' bytes (:meth:`PhysicalMemory.copy_frames` ``stored``); and
+    the plan :func:`relocate_copied_frames` takes."""
     memo = getattr(machine, "_run_memo", None)
     if memo is None:
         memo = machine._run_memo = _RunMemo()
@@ -214,14 +214,15 @@ def plan_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
         replays += [(start, run) for run in kept]
         dirty += compress(range(start, end), stale)
         rebuilds.append((key, start, end, versions, kept))
-    stored = sorted((start + run[0], start + run[1])
+    stored = sorted((start + run[0], start + run[1], run[2], run[3], run[6])
                     for start, run in replays)
     return runs, stored, (memo, replays, entries, rebuilds, dirty)
 
 
 def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
                            dsts: Sequence[int], regions: RegionPair,
-                           plan: Optional[tuple] = None) -> List[int]:
+                           plan: Optional[tuple] = None,
+                           remember: bool = True) -> List[int]:
     """Relocate fork-copied frames through a per-run content memo.
 
     ``dsts[i]`` holds a fresh tag-preserving copy of ``srcs[i]`` (or is
@@ -238,14 +239,15 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     unchanged holds the bytes and tags it was memoised with, so its copy
     relocates to the same destination bytes: when the versions read by
     one column slice equal the stored ones, the run's tagged split comes
-    from the memo, no tag is scanned, and each sub-run is replayed with
-    :meth:`PhysicalMemory.restore_contents` — one data and one tag slice
-    store per destination bank run, each destination's version one up,
-    as :meth:`~repro.hw.phys.Frame.restore_content` bumps it.  When some
-    versions differ, the sub-runs holding a changed page and the changed
-    pages outside every sub-run are scanned again, frame by frame (only
-    the ones :meth:`PhysicalMemory.tagged_frames` finds tagged), the
-    other sub-runs are replayed, and the entry is rebuilt.  Untagged
+    from the memo, no tag is scanned, and each sub-run is replayed — by
+    the fork's :meth:`PhysicalMemory.copy_frames` (``stored``), else
+    with :meth:`PhysicalMemory.restore_contents` — one data and one tag
+    slice store per destination bank run, each destination's version
+    one up, as :meth:`~repro.hw.phys.Frame.restore_content` bumps it.
+    When some versions differ, the sub-runs holding a changed page and
+    the changed pages outside every sub-run are scanned again, frame by
+    frame (only the ones :meth:`PhysicalMemory.tagged_frames` finds
+    tagged), the other sub-runs are replayed, and the entry is rebuilt.  Untagged
     pages, and tagged ones that relocate nothing, are memoised by their
     versions alone.  A page left holding a granule that names a meta id
     not interned yet is never replayed: interning that id later makes
@@ -268,8 +270,11 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
 
     ``plan`` is the plan :func:`plan_copied_frames` returned for the
     same sources and regions when the caller made it before copying
-    (fork, whose copy then leaves out the destinations the replays
-    write whole); else the batch is planned here.
+    (fork, whose :meth:`PhysicalMemory.copy_frames` then wrote the
+    replays in place of the sources' bytes); else the batch is planned
+    and replayed here.  ``remember=False`` leaves the memo as it was
+    (a fork that already knows it fails part-way: no retry copies the
+    same prefix).
     """
     count = len(dsts)
     if count == 0:
@@ -277,11 +282,13 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     _charge_scans(machine, count)
     if plan is None:
         plan = plan_copied_frames(machine, phys, srcs, regions)[2]
+        for start, run in plan[1]:
+            phys.restore_contents(dsts[start + run[0]:start + run[1]],
+                                  run[2], run[3])
     memo, replays, entries, rebuilds, dirty = plan
     caps = [0] * count
     caps_batched = 0
-    for start, (lo, hi, data, tags, run_caps, total) in replays:
-        phys.restore_contents(dsts[start + lo:start + hi], data, tags)
+    for start, (lo, hi, _data, _tags, run_caps, total, _stamp) in replays:
         caps[start + lo:start + hi] = run_caps
         caps_batched += total
     frame_of = phys.frame
@@ -301,8 +308,9 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
     if caps_batched:
         _charge_each(machine, machine.costs.cap_relocate_ns, caps_batched,
                      "reloc_cap")
-    if rebuilds:
-        _remember(memo, entries, rebuilds, moved, forged, caps, phys, dsts)
+    if rebuilds and remember:
+        _remember(memo, entries, rebuilds, moved, forged, caps, phys, srcs,
+                  dsts)
     _emit_relocations(machine, caps)
     return caps
 
@@ -310,8 +318,9 @@ def relocate_copied_frames(machine: Any, phys: Any, srcs: Sequence[int],
 class _RunMemo(dict):
     """The fork relocation memo: ``(region pair, first source number,
     run length)`` -> ``(source versions, sub-runs)``, each sub-run a
-    ``(lo, hi, data, tags, per-page caps, caps total)`` over run offsets
-    ``[lo, hi)``; ``pages`` is what its entries count against
+    ``(lo, hi, data, tags, per-page caps, caps total, stamp)`` over run
+    offsets ``[lo, hi)``, the stamp its copy-provenance context;
+    ``pages`` is what its entries count against
     :data:`_PAGE_MEMO_CAP`."""
 
     __slots__ = ("pages",)
@@ -323,11 +332,13 @@ class _RunMemo(dict):
 
 def _remember(memo: _RunMemo, entries: dict, rebuilds: list,
               moved: List[int], forged: List[int], caps: List[int],
-              phys: Any, dsts: Sequence[int]) -> None:
+              phys: Any, srcs: Sequence[int], dsts: Sequence[int]) -> None:
     """Rebuild the memo entries of a batch's rescanned source runs: the
     sub-runs that stayed valid, plus one new sub-run, read from the
     relocated destinations, per stretch of consecutive batch positions
     in ``moved`` (the rescanned pages that relocated a capability).
+    Those destinations already hold the new sub-run's replay, and their
+    copy provenance says so (:meth:`PhysicalMemory.note_replayed`).
     A page in ``forged`` (a tagged granule naming a meta id not interned
     yet, which relocates once intern hands that id out) is stored with
     version -1, which no page has, so every later batch rescans it.
@@ -345,9 +356,11 @@ def _remember(memo: _RunMemo, entries: dict, rebuilds: list,
                                     lambda pair: pair[1] - pair[0]):
             stretch = list(group)
             lo, hi = stretch[0][1], stretch[-1][1] + 1
+            stamp = new_context()
             runs.append((lo - start, hi - start,
                          *phys.snapshot_contents(dsts[lo:hi]),
-                         caps[lo:hi], sum(caps[lo:hi])))
+                         caps[lo:hi], sum(caps[lo:hi]), stamp))
+            phys.note_replayed(srcs[lo:hi], dsts[lo:hi], stamp)
         old = memo.pop(key, None)
         if old is not None:
             memo.pages -= _pages(old)

@@ -362,7 +362,8 @@ class UForkOS(AbstractOS):
             dsts = phys.copy_frames(srcs, preserve_tags=True, runs=src_runs,
                                     stored=stored)
             caps = relocate_copied_frames(machine, phys, srcs, dsts,
-                                          regions, plan=plan)
+                                          regions, plan=plan,
+                                          remember=failing is None)
             origs = perms if notes is None or notes.count(None) == ncopy \
                 else bytes(int(note.orig_perms) if isinstance(note, ShareNote)
                            else perm for perm, note in zip(perms, notes))

@@ -597,11 +597,14 @@ class AddressSpace:
 
         Equivalent to ``map_page`` per frame with the same arguments
         (including the already-mapped check), filled into the chunk
-        arrays with slice stores.
+        arrays with slice stores (an ``array('q')`` of ``frames``, such
+        as :meth:`PhysicalMemory.copy_frames` returns, as it is).
         """
         count = len(frames)
         if count == 0:
             return
+        if type(frames) is not array:
+            frames = array("q", frames)
         # logged first: a run failing its already-mapped check in a
         # later chunk keeps the chunks it already filled
         self._log_edit(start_vpn, start_vpn + count)
@@ -623,8 +626,8 @@ class AddressSpace:
                             f"already mapped in {self.name}")
             if incref:
                 phys.incref_many(frames[position:position + take])
-            chunk_frames[index:index + take] = array(
-                "q", frames[position:position + take])
+            chunk_frames[index:index + take] = \
+                frames[position:position + take]
             self._perms[chunk_id][index:index + take] = \
                 bytes([perms_int]) * take
             if cow_int:

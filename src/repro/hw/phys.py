@@ -36,6 +36,15 @@ and :meth:`PhysicalMemory.write_span` stores a multi-page write with one
 data, one tag-clear and one version store per run.
 The image loader takes a segment's frames with one
 :meth:`PhysicalMemory.alloc_run`.
+
+Copy provenance: four more per-number columns record, for each frame
+last written by a tag-preserving :meth:`PhysicalMemory.copy_frames`
+(a copy of its source, or a fork memo replay), which source and source
+version it holds, what its content is a function of, and its own
+version right after.  A later batch whose destinations still hold what
+it would write skips those slice stores (:meth:`PhysicalMemory._holds`):
+a parent forked again and again writes the same pages into the same
+numbers, which its child's exit freed.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import mmap
 import struct
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import lt, sub
 from typing import (Any, Callable, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -78,6 +87,11 @@ _ONE = array("q", [1])
 _RUN_MIN = 24
 #: byte order of the ``array('q')`` columns, for big-integer lane views
 _ORDER = sys.byteorder
+#: the copy-provenance context of a tag-preserving copy of the source;
+#: 0 (a fresh column entry) records nothing, and :func:`new_context`
+#: hands out the others
+_COPIED = 1
+_CONTEXTS = itertools.count(_COPIED + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -90,6 +104,21 @@ def _lanes(count: int) -> int:
 def _ramp(count: int) -> int:
     """The integer whose ``count`` 8-byte lanes hold 0, 1, 2, ..."""
     return int.from_bytes(array("q", range(count)), _ORDER)
+
+
+def new_context() -> int:
+    """A copy-provenance context no content has been recorded under:
+    the name of what a replay's bytes are a function of (the memo
+    sub-run they were read from), for :meth:`PhysicalMemory.copy_frames`
+    ``stored`` and :meth:`PhysicalMemory.note_replayed`."""
+    return next(_CONTEXTS)
+
+
+def _run_array(first: int, count: int) -> array:
+    """``array('q', range(first, first + count))``, built from lane
+    integers at C speed."""
+    return array("q", (first * _lanes(count) + _ramp(count)).to_bytes(
+        8 * count, _ORDER))
 
 
 def _zeroed_arena(size: int) -> Any:
@@ -149,9 +178,11 @@ class Frame:
         ``tags`` (including the inlined stores in
         :mod:`repro.hw.paging`, run copies and the deferred scrub) and
         never going back for a frame number, across free and
-        reallocation, so content memos — the fork relocation memo, the
-        audit memo — can key on ``(number, version)`` and never serve
-        stale bytes."""
+        reallocation, so five caches can key on ``(number, version)``
+        and never serve stale bytes: the fork relocation memo, the audit
+        page memo, the per-process audit cache, the per-space share
+        sweep and the copy provenance of
+        :meth:`PhysicalMemory.copy_frames`."""
         return self._versions[self.number]
 
     # -- byte access ---------------------------------------------------
@@ -294,6 +325,14 @@ class PhysicalMemory:
         # is ever exported, so they can grow in place
         self._refcounts = array("q", bytes(8))
         self._versions = array("q", bytes(8))
+        # copy provenance (:meth:`_holds`): for a frame last written by a
+        # tag-preserving bulk copy, its source as ``source - number``,
+        # that source's version, the content's context (:data:`_COPIED`
+        # or a replay's) and its own version right after the write
+        self._prov_offsets = array("q", bytes(8))
+        self._prov_source_versions = array("q", bytes(8))
+        self._prov_contexts = array("q", bytes(8))
+        self._prov_versions = array("q", bytes(8))
         # deferred scrub: freeing marks the slot here and leaves its
         # stale bytes in the bank; the scrub happens only on a later
         # ``zero=True`` allocation of the same number.  Sound because
@@ -322,8 +361,10 @@ class PhysicalMemory:
         self._tag_banks.append(
             bytearray(BANK_FRAMES * self._config.granules_per_page))
         self._tag_views.append(memoryview(self._tag_banks[-1]))
-        self._refcounts.frombytes(_BANK_COLUMN)
-        self._versions.frombytes(_BANK_COLUMN)
+        for column in (self._refcounts, self._versions, self._prov_offsets,
+                       self._prov_source_versions, self._prov_contexts,
+                       self._prov_versions):
+            column.frombytes(_BANK_COLUMN)
         self._stale += bytes(BANK_FRAMES)
         self._views += [None] * BANK_FRAMES
 
@@ -544,34 +585,44 @@ class PhysicalMemory:
     def copy_frames(self, srcs: Sequence[int], preserve_tags: bool = True,
                     charge: bool = True, in_order: bool = False,
                     runs: Optional[List[Tuple[int, int]]] = None,
-                    stored: Sequence[Tuple[int, int]] = ()) -> List[int]:
+                    stored: Sequence[tuple] = ()) -> array:
         """Bulk :meth:`copy_frame`, copied by bank run.
 
-        The destinations are the numbers ``len(srcs)`` single
-        allocations would take (the free-list tail, then fresh numbers),
-        paired with the sources in ascending order, so consecutive
-        sources land on consecutive destinations, or with ``in_order``
-        in the order those allocations take them.  Each run of
-        consecutive destination numbers is marked allocated with one
-        refcount store and one :meth:`bump_versions`, and each run of
-        consecutive source and destination slots inside one bank is
-        copied with one data and one tag slice store (zeros for
-        ``preserve_tags=False``).
+        The destinations, returned as an ``array('q')`` (which
+        :meth:`~repro.hw.paging.AddressSpace.map_run` stores as it is),
+        are the numbers ``len(srcs)`` single allocations would take (the
+        free-list tail, then fresh numbers), paired with the sources in
+        ascending order, so consecutive sources land on consecutive
+        destinations, or with ``in_order`` in the order those
+        allocations take them.  Each run of consecutive destination
+        numbers is marked allocated with one refcount store and one
+        :meth:`bump_versions`, and each joint bank run of consecutive
+        source and destination slots is copied with one data and one tag
+        slice store (zeros for ``preserve_tags=False``).
 
         ``runs``, when the caller already has them, are
         :meth:`batch_runs` of ``srcs``: found and checked allocated
-        once, by the caller.  ``stored`` lists ascending,
-        disjoint ``(start, end)`` ranges of batch positions whose
-        destination bytes and tags the caller writes itself right after
-        (fork's relocation memo replay): those destinations are
-        allocated, version-bumped, charged, counted and drawn for
-        ``hw.phys.tag_clear`` like every other, but no byte is copied
-        into them.
+        once, by the caller.  ``stored`` lists ascending, disjoint
+        ``(start, end, data, tags, context)`` replays over batch
+        positions (fork's relocation memo replay): their destinations
+        get ``data`` and ``tags``, the pages' relocated bytes and granule
+        tags concatenated, instead of their sources' bytes.  A replay is
+        written after the ``hw.phys.tag_clear`` recoveries, each version
+        one more up, as :meth:`Frame.restore_content` leaves it;
+        ``context``, from :func:`new_context`, names what ``data`` is a
+        function of.  Those destinations are allocated, charged,
+        counted and drawn for like every other.
 
-        The copies, refcounts, capacity checks, clock charges,
-        counter/observability totals, chaos draws and the free list
-        left behind are identical to calling :meth:`copy_frame` once
-        per source; unless ``in_order``, which destination number a
+        A tag-preserving batch skips the data and tag stores of each
+        joint run whose destinations already hold what it would write
+        (:meth:`_holds`, read before the allocation bump), and records
+        what every run's destinations hold once it is done
+        (:meth:`_note`); nothing but the host's work depends on it.
+
+        The copies, refcounts, version bumps, capacity checks, clock
+        charges, counter/observability totals, chaos draws and the free
+        list left behind are identical to calling :meth:`copy_frame`
+        once per source; unless ``in_order``, which destination number a
         source gets differs.  :meth:`alloc_budget` says up front how
         many copies succeed: each consumes one ``hw.phys.alloc_fail``
         draw, and after the run copy ``hw.phys.tag_clear`` is consulted
@@ -589,25 +640,59 @@ class PhysicalMemory:
         if fit and not in_order and dsts[-1] - dsts[0] == fit - 1:
             # distinct, ascending and spanning ``fit`` numbers
             dst_runs = [(0, fit)]
+            dsts = _run_array(dsts[0], fit)
         else:
             dst_runs = consecutive_runs(dsts)
+            dsts = array("q", dsts)
+        # a joint run ends wherever the sources' (cut at the batch's
+        # end) or the destinations' runs end, and at the edges of the
+        # replays
+        ends = sorted({min(end, fit) for _start, end in src_runs + dst_runs}
+                      | {min(edge, fit) for replay in stored
+                         for edge in replay[:2]})
+        pieces = []
+        for start, end in _cut_at_banks(zip([0] + ends, ends), srcs, dsts):
+            replay = _covering(stored, start)
+            pieces.append((start, end, replay,
+                           _COPIED if replay is None else replay[4]))
+        held = [preserve_tags and self._holds(srcs[start], dsts[start],
+                                              end - start, context)
+                for start, end, _replay, context in pieces]
         refcounts = self._refcounts
         for start, end in dst_runs:
             refcounts[dsts[start]:dsts[start] + end - start] = \
                 _ONE * (end - start)
             self.bump_versions(dsts[start], end - start)
-        # a joint run ends wherever the sources' (cut at the batch's
-        # end) or the destinations' runs end, and at the edges of the
-        # stored ranges
-        self._copy_runs(srcs, dsts, sorted(
-            {min(end, fit) for _start, end in src_runs + dst_runs}
-            | {min(edge, fit) for piece in stored for edge in piece}),
-            stored, preserve_tags)
+        self._copy_runs(srcs, dsts, [
+            (start, end) for (start, end, replay, _context), hold
+            in zip(pieces, held) if replay is None and not hold],
+            preserve_tags)
         self._live += fit
         self._settle_bulk_copy(fit, charge)
+        recovered: List[int] = []
         if preserve_tags:
-            for index in self.chaos.fire_each("hw.phys.tag_clear", fit):
+            recovered = self.chaos.fire_each("hw.phys.tag_clear", fit)
+            for index in recovered:
                 self._recover_tag_clear(srcs[index], dsts[index], charge)
+        for (start, end, replay, _context), hold in zip(pieces, held):
+            if replay is not None:
+                self.bump_versions(dsts[start], end - start)
+                # a recovery rewrote the destinations it drew for
+                if not hold or bisect_left(recovered, start) \
+                        < bisect_left(recovered, end):
+                    self._store(dsts[start], end - start, replay[2],
+                                replay[3], start - replay[0])
+        if preserve_tags:
+            # a held run's provenance holds but for its versions, which
+            # moved with the bumps
+            for start, end in dst_runs:
+                first = dsts[start]
+                self._prov_versions[first:first + end - start] = \
+                    self._versions[first:first + end - start]
+            for (start, end, _replay, context), hold in zip(pieces, held):
+                if not hold:
+                    self._note(srcs[start], dsts[start], end - start,
+                               context)
         if fit < len(srcs):
             self._shortfall(taken, zero=False)
         return dsts
@@ -668,21 +753,17 @@ class PhysicalMemory:
             "alloc_budget predicted a failing allocation")
 
     def _copy_runs(self, srcs: Sequence[int], dsts: Sequence[int],
-                   ends: List[int], stored: Sequence[Tuple[int, int]],
+                   pieces: Iterable[Tuple[int, int]],
                    preserve_tags: bool) -> None:
-        """Copy ``srcs[i]`` into ``dsts[i]``, the pairs cut into runs of
-        consecutive sources and destinations at ``ends``, except the
-        runs inside a ``stored`` range: one data and one tag slice
-        store per joint bank run (``memoryview`` to ``memoryview``, so
-        the bytes move once)."""
+        """Copy ``srcs[i]`` into ``dsts[i]`` over ``pieces``, ``(start,
+        end)`` runs of consecutive sources and destinations inside one
+        bank each: one data and one tag slice store per piece
+        (``memoryview`` to ``memoryview``, so the bytes move once)."""
         page_size = self._config.page_size
         granules = self._config.granules_per_page
         data_views = self._data_views
         tag_views = self._tag_views
-        runs = zip([0] + ends, ends)
-        if stored:
-            runs = [run for run in runs if not _covers(stored, run[0])]
-        for start, end in _cut_at_banks(runs, srcs, dsts):
+        for start, end in pieces:
             count = end - start
             src_bank, src_slot = divmod(srcs[start] - 1, BANK_FRAMES)
             dst_bank, dst_slot = divmod(dsts[start] - 1, BANK_FRAMES)
@@ -699,6 +780,66 @@ class PhysicalMemory:
                     tag_views[src_bank][s0:s0 + span]
             else:
                 tag_views[dst_bank][d0:d0 + span] = _zeros(span)
+
+    def _holds(self, src: int, dst: int, count: int, context: int) -> bool:
+        """Whether the ``count`` consecutive numbers from ``dst`` already
+        hold what a tag-preserving copy from ``src`` under ``context``
+        writes: their provenance names the same sources, source versions
+        and context (:meth:`_note`), and their versions have not moved
+        since it was recorded.  Sound because every mutation of a
+        frame's bytes or tags bumps its version and versions never go
+        back (:attr:`Frame.version`): a destination still at its noted
+        version holds the content it was noted with, and a source still
+        at its noted version holds what that content came from.  One
+        slice compare per column."""
+        end = dst + count
+        versions = self._versions
+        return (self._prov_versions[dst:end] == versions[dst:end]
+                and self._prov_contexts[dst:end]
+                == array("q", [context]) * count
+                and self._prov_offsets[dst:end]
+                == array("q", [src - dst]) * count
+                and self._prov_source_versions[dst:end]
+                == versions[src:src + count])
+
+    def _note(self, src: int, dst: int, count: int, context: int) -> None:
+        """Record that the ``count`` consecutive numbers from ``dst``
+        hold the content ``context`` makes of the numbers from ``src``,
+        at both sides' current versions: one slice store per column."""
+        end = dst + count
+        versions = self._versions
+        self._prov_offsets[dst:end] = array("q", [src - dst]) * count
+        self._prov_source_versions[dst:end] = versions[src:src + count]
+        self._prov_contexts[dst:end] = array("q", [context]) * count
+        self._prov_versions[dst:end] = versions[dst:end]
+
+    def note_replayed(self, srcs: Sequence[int], dsts: Sequence[int],
+                  context: int) -> None:
+        """Record that each of ``dsts`` holds, at its current version,
+        what a :meth:`copy_frames` replay under ``context`` writes there
+        for the source at the same position (a relocation memo sub-run,
+        just read back from the pages it was relocated in): one
+        :meth:`_note` per joint run of consecutive sources and
+        destinations."""
+        ends = sorted({end for _start, end in consecutive_runs(srcs)}
+                      | {end for _start, end in consecutive_runs(dsts)})
+        for start, end in zip([0] + ends, ends):
+            self._note(srcs[start], dsts[start], end - start, context)
+
+    def _store(self, first: int, count: int, data: Any, tags: Any,
+               at: int) -> None:
+        """Write pages ``[at, at + count)`` of the concatenated ``data``
+        and ``tags`` into the ``count`` consecutive numbers from
+        ``first``, all in one bank: one data and one tag slice store,
+        no version bump."""
+        page_size = self._config.page_size
+        granules = self._config.granules_per_page
+        bank, slot = divmod(first - 1, BANK_FRAMES)
+        stop = slot + count
+        self._data_views[bank][slot * page_size:stop * page_size] = \
+            memoryview(data)[at * page_size:(at + count) * page_size]
+        self._tag_views[bank][slot * granules:stop * granules] = \
+            memoryview(tags)[at * granules:(at + count) * granules]
 
     def page_views(self, numbers: Sequence[int]) -> List[memoryview]:
         """The ``data`` window of each of ``numbers``, in order: a built
@@ -757,7 +898,8 @@ class PhysicalMemory:
     def restore_contents(self, numbers: Sequence[int], data: Any,
                          tags: Any) -> None:
         """:meth:`Frame.restore_content` of each of ``numbers`` in one
-        go — the fork relocation memo's replay.
+        go — the relocation memo's replay into frames that no
+        :meth:`copy_frames` wrote (a share break's).
 
         ``data`` and ``tags`` hold the pages' bytes and granule tags,
         concatenated in the order of ``numbers``.  Each bank run of
@@ -767,15 +909,9 @@ class PhysicalMemory:
         ``KeyError`` for the first unallocated number, before anything
         is written.
         """
-        page_size = self._config.page_size
-        granules = self._config.granules_per_page
-        data = memoryview(data)
-        tags = memoryview(tags)
-        for start, end, data_window, tag_window in \
-                self._bank_windows(numbers):
+        for start, end in _cut_at_banks(self.batch_runs(numbers), numbers):
             self.bump_versions(numbers[start], end - start)
-            data_window[:] = data[start * page_size:end * page_size]
-            tag_window[:] = tags[start * granules:end * granules]
+            self._store(numbers[start], end - start, data, tags, start)
 
     def _bank_windows(self, numbers: Sequence[int]
                       ) -> Iterable[Tuple[int, int, memoryview, memoryview]]:
@@ -1018,11 +1154,13 @@ def _one_run(numbers: Sequence[int]) -> bool:
     return all(map(lt, numbers, itertools.islice(numbers, 1, None)))
 
 
-def _covers(ranges: Sequence[Tuple[int, int]], position: int) -> bool:
-    """Whether ``position`` lies in one of ``ranges`` (ascending,
-    disjoint ``(start, end)`` pairs)."""
+def _covering(ranges: Sequence[tuple], position: int) -> Optional[tuple]:
+    """The one of ``ranges`` (ascending, disjoint tuples that start with
+    ``(start, end)``) that ``position`` lies in, else ``None``."""
     index = bisect_right(ranges, (position + 1,))
-    return index > 0 and position < ranges[index - 1][1]
+    if index and position < ranges[index - 1][1]:
+        return ranges[index - 1]
+    return None
 
 
 def _cut_at_banks(runs: Iterable[Tuple[int, int]],

@@ -28,6 +28,7 @@ included) and the chaos record; and no version may go back.
 
 import hashlib
 import itertools
+from array import array
 from typing import Dict, List
 
 import pytest
@@ -246,10 +247,11 @@ class ReferencePhysicalMemory:
         return number
 
     def copy_frames(self, srcs, preserve_tags: bool = True,
-                    charge: bool = True) -> List[int]:
+                    charge: bool = True) -> array:
         """The run copy's contract, frame by frame: the destinations
         are the numbers as many single allocations take, paired in
-        ascending order with the sources."""
+        ascending order with the sources, returned as an
+        ``array('q')``."""
         for src in srcs:
             self.frame(src)
         fit = self.alloc_budget(len(srcs))
@@ -268,7 +270,7 @@ class ReferencePhysicalMemory:
                 self._recover_tag_clear(srcs[index], dsts[index], charge)
         if fit < len(srcs):
             self._shortfall(taken, zero=False)
-        return dsts
+        return array("q", dsts)
 
     def alloc_run(self, count: int) -> List[int]:
         fit = self.alloc_budget(count)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -343,8 +344,9 @@ class TestVersionBump:
     """``(number, version)`` names one frame content: every public
     mutator of a frame's bytes or tags bumps its ``version``, and a
     frame number's version never goes back, across free and
-    reallocation included.  The fork run memo and the capability-flow
-    audit's clean-verdict memo are sound only while this holds.
+    reallocation included.  The fork run memo, the capability-flow
+    audit's clean-verdict memo and the copy provenance of
+    ``copy_frames`` are sound only while this holds.
     """
 
     PAGE = 4096
@@ -356,9 +358,9 @@ class TestVersionBump:
     CODEC = CapabilityCodec()
     OPS = ("frame_write", "store_cap", "write_granule", "clear_tags",
            "restore_content", "restore_contents", "copy_from", "copy_frame",
-           "copy_frames", "cow_copy", "realloc", "alloc_run", "space_write",
-           "space_store_cap", "space_write_run", "space_store_granules",
-           "phys_clear_tags")
+           "copy_frames", "recycled_copy", "cow_copy", "realloc",
+           "alloc_run", "space_write", "space_store_cap", "space_write_run",
+           "space_store_granules", "phys_clear_tags")
 
     @staticmethod
     def observe(phys, seen):
@@ -423,6 +425,24 @@ class TestVersionBump:
             srcs = data.draw(st.lists(st.sampled_from(numbers), min_size=1,
                                       max_size=3))
             spare.extend(phys.copy_frames(srcs, data.draw(st.booleans())))
+        elif op == "recycled_copy":
+            # copy, free the destinations, rewrite one of them through a
+            # reallocation, free it again and copy the same sources: the
+            # second copy takes the same numbers, and the rewritten one
+            # no longer holds its source's content (copy provenance)
+            srcs = data.draw(st.lists(st.sampled_from(numbers), min_size=1,
+                                      max_size=3))
+            phys.decref_many(sorted(phys.copy_frames(srcs)))
+            recycled = phys.alloc(zero=data.draw(st.booleans()))
+            phys.frame(recycled).write(
+                data.draw(st.integers(0, self.PAGE - 8)), b"recycled")
+            phys.decref(recycled)
+            dsts = phys.copy_frames(srcs)
+            assert recycled in dsts
+            for src, dst in zip(srcs, dsts):
+                assert phys.frame(dst).snapshot_content() == \
+                    phys.frame(src).snapshot_content()
+            spare.extend(dsts)
         elif op == "cow_copy":
             spare.append(phys.cow_copy(number))
         elif op == "realloc":
@@ -693,7 +713,9 @@ class TestRunCopy:
         dsts = bulk.phys.copy_frames(srcs, preserve_tags=preserve_tags)
         refs = [ref.phys.copy_frame(src, preserve_tags) for src in srcs]
 
-        assert dsts == sorted(dsts), "destinations pair in ascending order"
+        assert type(dsts) is array
+        assert list(dsts) == sorted(dsts), \
+            "destinations pair in ascending order"
         assert sorted(dsts) == sorted(refs)
         granules = bulk.config.granules_per_page
         for src, dst, ref_dst in zip(srcs, dsts, refs):
