@@ -114,13 +114,6 @@ def new_context() -> int:
     return next(_CONTEXTS)
 
 
-def _run_array(first: int, count: int) -> array:
-    """``array('q', range(first, first + count))``, built from lane
-    integers at C speed."""
-    return array("q", (first * _lanes(count) + _ramp(count)).to_bytes(
-        8 * count, _ORDER))
-
-
 def _zeroed_arena(size: int) -> Any:
     """A writable, zero-filled buffer of ``size`` bytes whose pages the
     host maps on first touch: a private anonymous mapping where there
@@ -333,6 +326,8 @@ class PhysicalMemory:
         self._prov_source_versions = array("q", bytes(8))
         self._prov_contexts = array("q", bytes(8))
         self._prov_versions = array("q", bytes(8))
+        #: each number itself, so a run of numbers is one slice
+        self._numbers = array("q", bytes(8))
         # deferred scrub: freeing marks the slot here and leaves its
         # stale bytes in the bank; the scrub happens only on a later
         # ``zero=True`` allocation of the same number.  Sound because
@@ -365,6 +360,9 @@ class PhysicalMemory:
                        self._prov_source_versions, self._prov_contexts,
                        self._prov_versions):
             column.frombytes(_BANK_COLUMN)
+        self._numbers.frombytes(
+            (len(self._numbers) * _lanes(BANK_FRAMES)
+             + _ramp(BANK_FRAMES)).to_bytes(8 * BANK_FRAMES, _ORDER))
         self._stale += bytes(BANK_FRAMES)
         self._views += [None] * BANK_FRAMES
 
@@ -640,7 +638,7 @@ class PhysicalMemory:
         if fit and not in_order and dsts[-1] - dsts[0] == fit - 1:
             # distinct, ascending and spanning ``fit`` numbers
             dst_runs = [(0, fit)]
-            dsts = _run_array(dsts[0], fit)
+            dsts = self._numbers[dsts[0]:dsts[0] + fit]
         else:
             dst_runs = consecutive_runs(dsts)
             dsts = array("q", dsts)
