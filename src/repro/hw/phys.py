@@ -789,9 +789,14 @@ class PhysicalMemory:
         back (:attr:`Frame.version`): a destination still at its noted
         version holds the content it was noted with, and a source still
         at its noted version holds what that content came from.  One
-        slice compare per column."""
+        slice compare per column, after the first destination's context
+        and version alone, which turn most misses away without a
+        slice."""
         end = dst + count
         versions = self._versions
+        if self._prov_contexts[dst] != context \
+                or self._prov_versions[dst] != versions[dst]:
+            return False
         return (self._prov_versions[dst:end] == versions[dst:end]
                 and self._prov_contexts[dst:end]
                 == array("q", [context]) * count
